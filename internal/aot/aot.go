@@ -26,15 +26,16 @@ import (
 )
 
 // Scratch is the pooled per-invocation buffer set of a generated function:
-// the scratch stack, the vector-register backing buffers and the aliasing
-// scratch for matmul with dst == src. Generated code indexes these directly,
-// so an invocation allocates nothing. Like vm.State, stack contents persist
-// across invocations (the verifier demands write-before-read, so prior
-// contents are unobservable).
+// the scratch stack, the vector-register backing buffers, the aliasing
+// scratch for matmul with dst == src and the argument array handed to helper
+// calls. Generated code indexes these directly, so an invocation allocates
+// nothing. Like vm.State, stack contents persist across invocations (the
+// verifier demands write-before-read, so prior contents are unobservable).
 type Scratch struct {
 	Stack [isa.StackWords]int64
 	Vbuf  [isa.NumVRegs][isa.MaxVecLen]int64
 	Tmp   [isa.MaxVecLen]int64
+	Args  [5]int64 // R1..R5 of the helper call under way
 }
 
 // Func is a compiled program: it runs against env with hook arguments

@@ -331,7 +331,9 @@ func (e *emitter) emitInstr(nd *Node) {
 	case isa.OpCall:
 		e.needsFmt = true
 		fmt.Fprintf(b, "\t{\n")
-		fmt.Fprintf(b, "\t\targs := [5]int64{r1, r2, r3, r4, r5}\n")
+		// The argument array lives in the pooled scratch: a local would
+		// escape through the vm.Env interface and cost an allocation per call.
+		fmt.Fprintf(b, "\t\tm.Args = [5]int64{r1, r2, r3, r4, r5}\n")
 		for i, c := range nd.Contracts {
 			if i >= 5 || c.IsTop() {
 				continue
@@ -341,7 +343,7 @@ func (e *emitter) emitInstr(nd *Node) {
 			e.trap("\t\t\t", 1, fmt.Sprintf("fmt.Errorf(\"%%w: r%d=%%d outside %s\", vm.ErrHelperArgs, %s)", 1+i, c, reg(uint8(1+i))))
 			fmt.Fprintf(b, "\t\t}\n")
 		}
-		fmt.Fprintf(b, "\t\tret, err := env.Call(%s, &args)\n", lit(nd.Imm))
+		fmt.Fprintf(b, "\t\tret, err := env.Call(%s, &m.Args)\n", lit(nd.Imm))
 		fmt.Fprintf(b, "\t\tif err != nil {\n")
 		e.trap("\t\t\t", 1, fmt.Sprintf("fmt.Errorf(\"%%w: helper %d: %%w\", vm.ErrHelperFailed, err)", nd.Imm))
 		fmt.Fprintf(b, "\t\t}\n")

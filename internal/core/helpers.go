@@ -75,6 +75,10 @@ func helperEmit(k *Kernel, inv *Invocation, args *[5]int64) (int64, error) {
 		k.Metrics.Counter("core.rate_limited").Inc()
 		return 0, nil
 	}
+	if inv.emissions == nil {
+		// Sized for a typical prefetch burst up front, not doubled up to it.
+		inv.emissions = make([]int64, 0, min(inv.emitBudget, 16))
+	}
 	inv.emissions = append(inv.emissions, args[0])
 	return 1, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"rmtk/internal/core"
 	"rmtk/internal/ctrl"
+	"rmtk/internal/memsim"
 )
 
 // TestTable1Shape regenerates Table 1 and checks every qualitative claim the
@@ -56,6 +57,49 @@ func TestTable1Shape(t *testing.T) {
 		// conv): require at least 1.2x.
 		if linux.JCTSeconds/ours.JCTSeconds < 1.2 {
 			t.Errorf("%s speedup %v too small", wl, linux.JCTSeconds/ours.JCTSeconds)
+		}
+	}
+}
+
+// TestTable1LearnedGolden pins the seed-1 rmt-ml rows of Table 1 to the exact
+// outcome of the reference tree builder (recorded before dt.Train was
+// rewritten): every retrain must grow the same tree it always did, or the
+// prefetch stream — and with it these counts — drifts. Accuracy, coverage
+// and JCT are functions of the counts.
+func TestTable1LearnedGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full rmt-ml runs")
+	}
+	golden := []struct {
+		name   string
+		trace  []memsim.Access
+		cfg    memsim.Config
+		want   memsim.Result
+		trains int
+	}{
+		{"video", VideoTrace(1), VideoMemConfig(), memsim.Result{
+			Policy: "rmt-ml", Accesses: 90554, Hits: 85231, DemandMisses: 5323,
+			PrefetchIssued: 93259, PrefetchUsed: 85230, PrefetchLate: 3,
+			LateStallNs: 316140, ClockNs: 17954114892,
+		}, 176}, // acc 91.39%, cov 94.12%, jct 17.95s
+		{"conv", ConvTrace(1), ConvMemConfig(), memsim.Result{
+			Policy: "rmt-ml", Accesses: 37769, Hits: 35515, DemandMisses: 2254,
+			PrefetchIssued: 38867, PrefetchUsed: 35515, PrefetchLate: 1,
+			LateStallNs: 256092, ClockNs: 14095474792,
+		}, 73}, // acc 91.38%, cov 94.03%, jct 14.10s
+	}
+	for _, g := range golden {
+		p, _, err := NewRMTPrefetcher(core.ModeJIT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := memsim.Run(g.cfg, p, g.trace)
+		if got != g.want {
+			type fields memsim.Result // print every field, not Result's summary
+			t.Errorf("%s:\n got %+v\nwant %+v", g.name, fields(got), fields(g.want))
+		}
+		if trains := p.Trains(g.trace[0].PID); trains != g.trains {
+			t.Errorf("%s: %d model pushes, want %d", g.name, trains, g.trains)
 		}
 	}
 }

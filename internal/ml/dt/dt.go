@@ -4,16 +4,17 @@
 // the split rule, matching the rmt_ml_dt { .split_rule = gini_index } sketch
 // in Figure 1).
 //
-// Training and inference are integer-only: features and thresholds are
-// int64, and impurity comparisons use cross-multiplied integer arithmetic so
-// the tree can be both trained and evaluated without floating point — the
-// property that makes online, in-kernel training viable (§3.2).
+// Features, thresholds and labels are int64, so inference is integer-only:
+// one compare per level, the property that makes it cheap enough for the
+// kernel critical path (§3.2). Training keeps its class counts and their sums
+// of squares as exact integers and ranks candidate splits by a float64 Gini
+// gain computed from them.
 package dt
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Node is one tree node. Leaves carry the predicted class label; internal
@@ -36,9 +37,10 @@ type Config struct {
 	// MinSamples stops splitting nodes with fewer samples. Values <= 0
 	// select 4.
 	MinSamples int
-	// MaxThresholds caps candidate thresholds evaluated per feature
-	// (uniformly subsampled when a feature has more distinct values).
-	// Values <= 0 select 32.
+	// MaxThresholds bounds the candidate thresholds evaluated per feature
+	// at a node. A feature with more candidates c (one between each pair of
+	// consecutive distinct values) has every (c/MaxThresholds)-th evaluated,
+	// which admits up to 2*MaxThresholds-1 of them. Values <= 0 select 32.
 	MaxThresholds int
 }
 
@@ -68,9 +70,18 @@ type Tree struct {
 
 // Train grows a tree on integer features X (row-major, one sample per row)
 // with integer class labels y. All rows must share len(X[0]) features.
+//
+// Labels and each feature's values are sorted once, up front, and replaced
+// by their ranks: classes 0..C-1 and value codes 0..D-1, both ascending. A
+// node is a range of one row list; pricing a feature's thresholds there is
+// one tally of the node's rows by (code, class) and one sweep over the
+// tally, so nothing is re-sorted or recounted per candidate.
 func Train(X [][]int64, y []int64, cfg Config) (*Tree, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, fmt.Errorf("dt: bad training set: %d samples, %d labels", len(X), len(y))
+	}
+	if len(X) > math.MaxInt32 {
+		return nil, fmt.Errorf("dt: %d samples exceed the trainer's limit of %d", len(X), math.MaxInt32)
 	}
 	nf := len(X[0])
 	if nf == 0 {
@@ -81,156 +92,262 @@ func Train(X [][]int64, y []int64, cfg Config) (*Tree, error) {
 			return nil, fmt.Errorf("dt: sample %d has %d features, want %d", i, len(row), nf)
 		}
 	}
-	cfg = cfg.withDefaults()
+	n := len(X)
 	t := &Tree{NumFeats: nf, featGain: make([]float64, nf)}
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
+	b := builder{cfg: cfg.withDefaults(), t: t, n: n}
+
+	// One column at a time: the labels, then each feature.
+	col, scratch := make([]int64, n), make([]int64, n)
+	b.cls = make([]int32, n)
+	b.labels = encode(b.cls, y, scratch)
+	nc := len(b.labels)
+	b.vals = make([][]int64, nf)
+	b.codes = make([]int32, nf*n)
+	tableLen := 0
+	for f := range b.vals {
+		for i, row := range X {
+			col[i] = row[f]
+		}
+		b.vals[f] = encode(b.codes[f*n:(f+1)*n], col, scratch)
+		if size := len(b.vals[f]) * nc; size <= denseFactor*n {
+			tableLen = max(tableLen, size)
+		}
 	}
-	b := builder{X: X, y: y, cfg: cfg, t: t}
-	b.grow(idx, 0)
+
+	b.rows = make([]int32, n)
+	for i := range b.rows {
+		b.rows[i] = int32(i)
+	}
+	b.spill = make([]int32, n)
+	b.counts = make([]int, nc)
+	b.lc = make([]int, nc)
+	b.rc = make([]int, nc)
+	b.table = make([]int32, tableLen)
+	b.keys = make([]uint64, n)
+	b.runs = make([]run, n)
+	b.grow(0, n, 0)
 	return t, nil
 }
 
+// encode returns col's distinct values in ascending order and sets dst[i] to
+// the rank of col[i] among them. scratch is overwritten.
+func encode(dst []int32, col, scratch []int64) []int64 {
+	copy(scratch, col)
+	slices.Sort(scratch)
+	vals := slices.Clone(slices.Compact(scratch))
+	for i, v := range col {
+		if i > 0 && v == col[i-1] {
+			dst[i] = dst[i-1] // repeats are common in delta series
+			continue
+		}
+		r, _ := slices.BinarySearch(vals, v)
+		dst[i] = int32(r)
+	}
+	return vals
+}
+
+// denseFactor decides how a node tallies a feature: through a table with a
+// cell per (code, class) pair when the feature has at most denseFactor cells
+// per row of the node, by sorting the rows' pairs otherwise. Clearing and
+// scanning the table costs a fraction of a nanosecond per cell, sorting some
+// tens of nanoseconds per row.
+const denseFactor = 8
+
+// run is a group of a node's rows that share a feature value and a class.
+type run struct {
+	code int32 // rank of the feature value
+	cls  int32
+	n    int32 // rows in the group
+}
+
 type builder struct {
-	X   [][]int64
-	y   []int64
 	cfg Config
 	t   *Tree
+	n   int
+
+	labels []int64 // class id -> label, ascending
+	cls    []int32 // row -> class id
+	// Feature f of row i is vals[f][codes[f*n+i]]: vals[f] lists the
+	// feature's distinct values in ascending order.
+	vals  [][]int64
+	codes []int32
+
+	rows  []int32 // a node is rows[lo:hi]; its children split that range
+	spill []int32 // partition scratch
+
+	counts []int // class counts of the node under examination
+	// lc and rc are the sweep's left and right class counts. Between sweeps
+	// lc is all zero: a sweep moves every row of the node from rc to lc and
+	// then swaps the two, so no sweep has to clear C counters first.
+	lc, rc []int
+
+	table []int32  // dense (code, class) tally; all zero between uses
+	keys  []uint64 // (code, class) pairs to sort, where the table would be too sparse
+	runs  []run    // the tally under the sweep; a node has at most a run per row
 }
 
-// classCounts tallies labels for the sample subset.
-func (b *builder) classCounts(idx []int) map[int64]int {
-	c := make(map[int64]int)
-	for _, i := range idx {
-		c[b.y[i]]++
+func (b *builder) grow(lo, hi, depth int) int32 {
+	counts := b.counts
+	clear(counts)
+	for _, i := range b.rows[lo:hi] {
+		counts[b.cls[i]]++
 	}
-	return c
-}
-
-// majority returns the most frequent label (smallest label wins ties, for
-// determinism).
-func majority(counts map[int64]int) int64 {
-	var best int64
-	bestN := -1
-	for label, n := range counts {
-		if n > bestN || (n == bestN && label < best) {
-			best, bestN = label, n
+	// Majority label; the lowest class id, hence the smallest label, wins
+	// ties, for determinism.
+	best := 0
+	for k, c := range counts {
+		if c > counts[best] {
+			best = k
 		}
 	}
-	return best
-}
-
-// giniTimesN returns N * gini(counts) * N = N^2 - Σ c_i^2 scaled so that
-// comparisons between splits avoid division: for a split (L, R) of N
-// samples, weighted impurity ∝ giniTimesN(L)/|L| + giniTimesN(R)/|R|; we
-// compare candidates via cross-multiplication in int64 when safe and fall
-// back to float64 for the aggregate score (training runs in the control
-// plane; inference remains integer-only).
-func giniTimesN(counts map[int64]int, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	sq := 0.0
-	for _, c := range counts {
-		sq += float64(c) * float64(c)
-	}
-	return float64(n) - sq/float64(n)
-}
-
-func (b *builder) grow(idx []int, depth int) int32 {
-	counts := b.classCounts(idx)
-	node := Node{Feat: -1, Label: majority(counts)}
+	label := b.labels[best]
 	id := int32(len(b.t.Nodes))
-	b.t.Nodes = append(b.t.Nodes, node)
+	b.t.Nodes = append(b.t.Nodes, Node{Feat: -1, Label: label})
 
-	if depth >= b.cfg.MaxDepth || len(idx) < b.cfg.MinSamples || len(counts) <= 1 {
+	if depth >= b.cfg.MaxDepth || hi-lo < b.cfg.MinSamples || counts[best] == hi-lo {
 		return id
 	}
-	feat, thresh, gain, ok := b.bestSplit(idx, counts)
+	feat, code, thresh, nl, gain, ok := b.bestSplit(lo, hi)
 	if !ok {
-		return id
-	}
-	var left, right []int
-	for _, i := range idx {
-		if b.X[i][feat] <= thresh {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) == 0 || len(right) == 0 {
 		return id
 	}
 	if gain > 0 {
 		b.t.featGain[feat] += gain
 	}
-	l := b.grow(left, depth+1)
-	r := b.grow(right, depth+1)
-	b.t.Nodes[id] = Node{Feat: int32(feat), Thresh: thresh, Left: l, Right: r, Label: node.Label}
+	b.partition(lo, hi, feat, code)
+	l := b.grow(lo, lo+nl, depth+1)
+	r := b.grow(lo+nl, hi, depth+1)
+	b.t.Nodes[id] = Node{Feat: int32(feat), Thresh: thresh, Left: l, Right: r, Label: label}
 	return id
 }
 
-// bestSplit scans every feature's candidate thresholds for the largest Gini
-// impurity decrease. Zero-gain splits are admitted (the node is impure but
-// no single split helps immediately — the XOR case); depth and sample
-// bounds keep recursion finite.
-func (b *builder) bestSplit(idx []int, parentCounts map[int64]int) (feat int, thresh int64, gain float64, ok bool) {
-	n := len(idx)
-	parentImp := giniTimesN(parentCounts, n)
+// bestSplit scans every feature's candidate thresholds over the node
+// rows[lo:hi], whose class counts are in b.counts, for the largest Gini
+// impurity decrease. It returns the winning feature, the highest value code
+// it sends left, the threshold that does so and the number of rows nl that
+// go there. Zero-gain splits are admitted (the node is impure but no single
+// split helps immediately — the XOR case); depth and sample bounds keep
+// recursion finite.
+//
+// A node's impurity is priced as n·gini = n − Σc²/n over its class counts c.
+// Σc² is kept as an exact integer while rows move from right to left, so the
+// float64 gain of a candidate does not depend on the order the counts were
+// accumulated in.
+func (b *builder) bestSplit(lo, hi int) (feat int, code int32, thresh int64, nl int, gain float64, ok bool) {
+	n := hi - lo
+	parentSq := 0
+	for _, c := range b.counts {
+		parentSq += c * c
+	}
+	parentImp := float64(n) - float64(parentSq)/float64(n)
+	copy(b.rc, b.counts)
 	bestGain := -1.0
-	vals := make([]int64, 0, n)
 	for f := 0; f < b.t.NumFeats; f++ {
-		vals = vals[:0]
-		for _, i := range idx {
-			vals = append(vals, b.X[i][f])
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		// Distinct midpoints as candidate thresholds.
-		cands := make([]int64, 0, 16)
-		for i := 1; i < len(vals); i++ {
-			if vals[i] != vals[i-1] {
-				// Midpoint, floored: splitting at (a+b)/2 keeps the
-				// threshold an integer while separating a and b.
-				cands = append(cands, vals[i-1]+(vals[i]-vals[i-1])/2)
+		runs := b.tally(f, lo, hi)
+		// Candidates are the floored midpoints between consecutive distinct
+		// values present in the node. A feature with more than MaxThresholds
+		// of them is subsampled at every step-th one, counted from the lowest.
+		ncand := 0
+		for j := 1; j < len(runs); j++ {
+			if runs[j].code != runs[j-1].code {
+				ncand++
 			}
 		}
-		if len(cands) == 0 {
+		if ncand == 0 {
 			continue
 		}
-		if len(cands) > b.cfg.MaxThresholds {
-			step := len(cands) / b.cfg.MaxThresholds
-			sub := make([]int64, 0, b.cfg.MaxThresholds)
-			for i := 0; i < len(cands); i += step {
-				sub = append(sub, cands[i])
-			}
-			cands = sub
+		step := 1
+		if ncand > b.cfg.MaxThresholds {
+			step = ncand / b.cfg.MaxThresholds
 		}
-		for _, c := range cands {
-			lc := make(map[int64]int)
-			ln := 0
-			for _, i := range idx {
-				if b.X[i][f] <= c {
-					lc[b.y[i]]++
-					ln++
+		lc, rc := b.lc, b.rc
+		sqL, sqR, left := 0, parentSq, 0
+		skip := 0 // candidates to pass over before the next priced one
+		prev := runs[0].code
+		for _, r := range runs {
+			if r.code != prev {
+				if skip == 0 {
+					ln, rn := float64(left), float64(n-left)
+					g := parentImp - (ln - float64(sqL)/ln) - (rn - float64(sqR)/rn)
+					if g > bestGain {
+						// lower <= thresh < upper; the half-distance is taken
+						// unsigned because upper-lower can exceed MaxInt64.
+						lower, upper := b.vals[f][prev], b.vals[f][r.code]
+						thresh = lower + int64(uint64(upper-lower)/2)
+						bestGain, feat, code, nl, ok = g, f, prev, left, true
+					}
+					skip = step
+				}
+				skip--
+				prev = r.code
+			}
+			// Move the run's c rows of class k from right to left.
+			c, k := int(r.n), r.cls
+			sqL += c * (2*lc[k] + c)
+			lc[k] += c
+			sqR -= c * (2*rc[k] - c)
+			rc[k] -= c
+			left += c
+		}
+		b.lc, b.rc = rc, lc
+	}
+	return feat, code, thresh, nl, bestGain, ok
+}
+
+// tally groups the node rows[lo:hi] by (value code of feature f, class) and
+// returns one run per pair present, in ascending order of code.
+func (b *builder) tally(f, lo, hi int) []run {
+	codes := b.codes[f*b.n : (f+1)*b.n]
+	rows := b.rows[lo:hi]
+	nc := len(b.labels)
+	runs := b.runs[:0]
+	if size := len(b.vals[f]) * nc; size <= denseFactor*len(rows) {
+		table := b.table[:size]
+		for _, i := range rows {
+			table[int(codes[i])*nc+int(b.cls[i])]++
+		}
+		for code := range b.vals[f] {
+			for k, c := range table[code*nc : (code+1)*nc] {
+				if c != 0 {
+					runs = append(runs, run{code: int32(code), cls: int32(k), n: c})
 				}
 			}
-			if ln == 0 || ln == n {
-				continue
-			}
-			rc := make(map[int64]int, len(parentCounts))
-			for label, cnt := range parentCounts {
-				if d := cnt - lc[label]; d > 0 {
-					rc[label] = d
-				}
-			}
-			g := parentImp - giniTimesN(lc, ln) - giniTimesN(rc, n-ln)
-			if g > bestGain {
-				bestGain, feat, thresh, ok = g, f, c, true
-			}
+		}
+		clear(table)
+		return runs
+	}
+	keys := b.keys[:len(rows)]
+	for j, i := range rows {
+		keys[j] = uint64(codes[i])<<32 | uint64(b.cls[i])
+	}
+	slices.Sort(keys)
+	for j, k := range keys {
+		if j > 0 && k == keys[j-1] {
+			runs[len(runs)-1].n++
+		} else {
+			runs = append(runs, run{code: int32(k >> 32), cls: int32(uint32(k)), n: 1})
 		}
 	}
-	return feat, thresh, bestGain, ok
+	return runs
+}
+
+// partition reorders the node rows[lo:hi] so that the rows whose feature
+// feat has a value code of at most code come first.
+func (b *builder) partition(lo, hi, feat int, code int32) {
+	codes := b.codes[feat*b.n : (feat+1)*b.n]
+	rows := b.rows[lo:hi]
+	spill := b.spill[:len(rows)]
+	l, r := 0, 0
+	for _, i := range rows {
+		if codes[i] <= code {
+			rows[l] = i
+			l++
+		} else {
+			spill[r] = i
+			r++
+		}
+	}
+	copy(rows[l:], spill[:r])
 }
 
 // Predict returns the class label for feature vector x. Vectors shorter than

@@ -260,3 +260,47 @@ func TestOnlineTrainHook(t *testing.T) {
 		t.Fatalf("OnTrain calls = %d, want 4", calls)
 	}
 }
+
+// TestOnlineWindowSlidesInOrder streams three windows' worth of samples and
+// checks, after every one, that Window returns exactly the most recent
+// samples, oldest first.
+func TestOnlineWindowSlidesInOrder(t *testing.T) {
+	const window = 16
+	o := NewOnline(OnlineConfig{
+		Tree:         Config{MaxDepth: 2, MinSamples: 1},
+		Window:       window,
+		RetrainEvery: 5,
+	})
+	for i := 0; i < 3*window; i++ {
+		o.Observe([]int64{int64(i), int64(-i)}, int64(i%3))
+		xs, ys := o.Window()
+		first := max(0, i+1-window)
+		if len(xs) != i+1-first || len(ys) != len(xs) || o.WindowSize() != len(xs) {
+			t.Fatalf("after %d samples: %d rows, %d labels, size %d", i+1, len(xs), len(ys), o.WindowSize())
+		}
+		for j := range xs {
+			want := first + j
+			if xs[j][0] != int64(want) || xs[j][1] != int64(-want) || ys[j] != int64(want%3) {
+				t.Fatalf("after %d samples: slot %d holds (%v, %d), want sample %d", i+1, j, xs[j], ys[j], want)
+			}
+		}
+	}
+	if o.Trains() != 3*window/5 {
+		t.Fatalf("%d retrains, want %d", o.Trains(), 3*window/5)
+	}
+}
+
+// TestOnlineObserveCostIsNotTheWindow: once the window is full, an Observe
+// that does not retrain stores one row; it must not copy the window.
+func TestOnlineObserveCostIsNotTheWindow(t *testing.T) {
+	const window = 4096
+	o := NewOnline(OnlineConfig{Window: window, RetrainEvery: 1 << 30})
+	x := []int64{1, 2, 3, 4}
+	for i := 0; i < window; i++ {
+		o.Observe(x, 0)
+	}
+	// One allocation: the stored copy of x. Copying the window would add two.
+	if allocs := testing.AllocsPerRun(1000, func() { o.Observe(x, 1) }); allocs > 1 {
+		t.Fatalf("%.1f allocations per full-window Observe, want 1", allocs)
+	}
+}

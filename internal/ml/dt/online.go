@@ -18,9 +18,12 @@ type Online struct {
 	retrain   int
 	trainHook func(*Tree) // optional; invoked after each retrain
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// xs and ys are a ring once they reach window entries: head is then the
+	// oldest sample and the next one to be overwritten.
 	xs      [][]int64
 	ys      []int64
+	head    int
 	pending int
 	tree    *Tree
 	trains  int
@@ -59,12 +62,14 @@ func NewOnline(cfg OnlineConfig) *Online {
 
 // Observe records a labelled sample and retrains when due.
 func (o *Online) Observe(x []int64, y int64) {
+	row := append([]int64(nil), x...)
 	o.mu.Lock()
-	o.xs = append(o.xs, append([]int64(nil), x...))
-	o.ys = append(o.ys, y)
-	if excess := len(o.xs) - o.window; excess > 0 {
-		o.xs = append(o.xs[:0:0], o.xs[excess:]...)
-		o.ys = append(o.ys[:0:0], o.ys[excess:]...)
+	if len(o.xs) < o.window {
+		o.xs = append(o.xs, row)
+		o.ys = append(o.ys, y)
+	} else {
+		o.xs[o.head], o.ys[o.head] = row, y
+		o.head = (o.head + 1) % o.window
 	}
 	o.pending++
 	due := o.pending >= o.retrain
@@ -72,13 +77,22 @@ func (o *Online) Observe(x []int64, y int64) {
 	var ys []int64
 	if due {
 		o.pending = 0
-		xs = append(xs, o.xs...) // rows are never mutated; sharing is safe
-		ys = append(ys, o.ys...)
+		xs, ys = o.snapshot()
 	}
 	o.mu.Unlock()
 	if due {
 		o.train(xs, ys)
 	}
+}
+
+// snapshot copies the window out, oldest first. Rows are shared, not copied:
+// they are never mutated once stored. The caller holds o.mu.
+func (o *Online) snapshot() ([][]int64, []int64) {
+	xs := make([][]int64, 0, len(o.xs))
+	ys := make([]int64, 0, len(o.ys))
+	xs = append(append(xs, o.xs[o.head:]...), o.xs[:o.head]...)
+	ys = append(append(ys, o.ys[o.head:]...), o.ys[:o.head]...)
+	return xs, ys
 }
 
 func (o *Online) train(xs [][]int64, ys []int64) {
@@ -128,12 +142,12 @@ func (o *Online) WindowSize() int {
 	return len(o.xs)
 }
 
-// Window returns a snapshot of the retained samples (rows are shared, not
-// copied — callers must not mutate them). It lets external training loops
-// (e.g. a control plane that cost-checks before pushing) reuse the
-// learner's window.
+// Window returns a snapshot of the retained samples, oldest first (rows are
+// shared, not copied — callers must not mutate them). It lets external
+// training loops (e.g. a control plane that cost-checks before pushing) reuse
+// the learner's window.
 func (o *Online) Window() ([][]int64, []int64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return append([][]int64(nil), o.xs...), append([]int64(nil), o.ys...)
+	return o.snapshot()
 }

@@ -163,6 +163,11 @@ type Prefetcher struct {
 	collectID int64
 	procs     map[int64]*proc
 	delayNs   int64 // injected stall pending charge to the simulator clock
+
+	// Retrain scratch, reused across retrains (dt.Train keeps neither): the
+	// history read out of the context store and the sample rows over it.
+	hist []int64
+	rows [][]int64
 }
 
 type proc struct {
@@ -481,21 +486,23 @@ func (p *Prefetcher) TakeDelay() int64 {
 // context, induces a fresh tree, and pushes it through the control plane's
 // cost-checked model swap — the paper's periodic background training loop.
 func (p *Prefetcher) retrain(pid int64, pr *proc) {
-	hist := make([]int64, p.K.Ctx().HistCap())
-	n := p.K.Ctx().Hist(pid, hist)
-	if n < p.cfg.Hist+2 {
+	if p.hist == nil {
+		p.hist = make([]int64, p.K.Ctx().HistCap())
+	}
+	n := p.K.Ctx().Hist(pid, p.hist)
+	w := p.cfg.Hist
+	if n < w+2 {
 		return
 	}
-	hist = hist[:n]
-	var (
-		X [][]int64
-		y []int64
-	)
-	for i := p.cfg.Hist; i < n; i++ {
-		X = append(X, hist[i-p.cfg.Hist:i])
-		y = append(y, hist[i])
+	// Row j is the window hist[j:j+w] and its label the delta that followed,
+	// hist[j+w]: the rows and the labels are views of the one history.
+	hist := p.hist[:n]
+	X := p.rows[:0]
+	for j := 0; j+w < n; j++ {
+		X = append(X, hist[j:j+w])
 	}
-	tree, err := dt.Train(X, y, p.cfg.Tree)
+	p.rows = X
+	tree, err := dt.Train(X, hist[w:], p.cfg.Tree)
 	if err != nil {
 		return
 	}

@@ -172,3 +172,40 @@ func TestMatchesDirectPolicy(t *testing.T) {
 		t.Fatalf("coverage diverges: direct %.3f vs kernel %.3f", direct.Coverage(), kernelRun.Coverage())
 	}
 }
+
+// TestAOTPrefetchFireAllocations: a fire of the generated prefetch program
+// that emits a full burst allocates the emission list it hands back and
+// nothing per helper call — the 13 calls' argument arrays live in the pooled
+// scratch and the list is sized once, not doubled up to twelve.
+func TestAOTPrefetchFireAllocations(t *testing.T) {
+	k := core.NewKernel(core.Config{CtxHistory: 4096, Mode: core.ModeAOT})
+	p, err := New(k, ctrl.New(k), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pid = 56
+	page := int64(1000)
+	for ; p.Trains(pid) == 0; page++ { // a sequential scan: the tree learns delta 1
+		if page > 5000 {
+			t.Fatal("no model trained")
+		}
+		p.OnAccess(pid, page, false)
+	}
+	onAOT := false
+	for _, st := range k.EngineStatus() {
+		onAOT = onAOT || st.Program == "page_prefetch_56" && st.MaxTier == core.TierAOT
+	}
+	if !onAOT {
+		t.Fatalf("the prefetch program has no generated function: %+v", k.EngineStatus())
+	}
+	var res core.FireResult
+	allocs := testing.AllocsPerRun(200, func() {
+		res = k.Fire(memsim.HookSwapClusterReadahead, pid, page, 0)
+	})
+	if len(res.Emissions) != 12 || res.Emissions[0] != page+1 || res.Emissions[11] != page+12 {
+		t.Fatalf("emissions = %v, want the 12 pages after %d", res.Emissions, page)
+	}
+	if allocs > 2 {
+		t.Fatalf("%.1f allocations per emitting AOT fire, want at most 2", allocs)
+	}
+}
