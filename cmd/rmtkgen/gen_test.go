@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"rmtk/internal/isa"
 	"rmtk/internal/verifier"
 )
 
@@ -80,5 +81,34 @@ func TestGeneratedFileIsFresh(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Error("internal/aot/gen_datapaths.go is stale — regenerate with `go run ./cmd/rmtkgen`")
+	}
+}
+
+// TestGenerateSkipsUnemittable: tail-call cascades and constant-negative
+// vector indices lower fine (the JIT runs them) but cannot be printed as Go;
+// Generate must skip them — counting them in Stats.Skipped — and still
+// compile the rest of the corpus.
+func TestGenerateSkipsUnemittable(t *testing.T) {
+	callee := &isa.Program{Name: "callee", Insns: isa.MustAssemble("mov r0, r1\nexit")}
+	cfg := verifier.Config{Tails: map[int64]*isa.Program{4: callee}}
+	entries := []verifier.CorpusEntry{
+		{Prog: callee, Cfg: cfg},
+		{Prog: &isa.Program{Name: "tail", Insns: isa.MustAssemble("tailcall 4"), Tails: []int64{4}}, Cfg: cfg},
+		{Prog: &isa.Program{Name: "neg-index", Insns: []isa.Instr{
+			{Op: isa.OpVecLdHist, Dst: 0, Src: 1, Imm: 4}, // length unknown until run time
+			{Op: isa.OpVecSet, Dst: 0, Src: 1, Imm: -5},
+			{Op: isa.OpMovImm, Dst: 0, Imm: 0},
+			{Op: isa.OpExit},
+		}}, Cfg: cfg},
+	}
+	src, stats, err := Generate(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Stats{Entries: 3, Skipped: 2, Compiled: 1}); stats != want {
+		t.Errorf("stats = %+v, want %+v", stats, want)
+	}
+	if !bytes.Contains(src, []byte(`"callee"`)) || bytes.Contains(src, []byte(`"tail"`)) || bytes.Contains(src, []byte(`"neg-index"`)) {
+		t.Errorf("generated registry should hold callee only:\n%s", src)
 	}
 }

@@ -171,6 +171,28 @@ func TestAOTHotPathFireParity(t *testing.T) {
 	}
 }
 
+// TestJITHotPathFullySampled runs the hot-path fixture on the JIT with the
+// sentinel checking every fire against the proof-stripped interpreter: the
+// fixture's 8 instructions run as 3 lowered nodes (vecinit, matvecsum, exit),
+// so any slip in fused semantics or in fused step charging is a divergence,
+// and every fire must still report the 8 original steps.
+func TestJITHotPathFullySampled(t *testing.T) {
+	k, err := experiments.NewHotPathKernel(core.ModeJIT, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sen := k.AttachSentinel(core.SentinelConfig{SampleEvery: 1})
+	for i := int64(0); i < 1000; i++ {
+		key := i % experiments.HotPathKeys
+		if res := k.Fire(experiments.HotPathHook, key, key&7, 3); res.Trapped || res.Steps != 8 {
+			t.Fatalf("fire %d: %+v, want 8 steps and no trap", i, res)
+		}
+	}
+	if c := sen.Counts(); c.Sampled != 1000 || c.Divergences != 0 || c.Demotions != 0 {
+		t.Fatalf("sentinel counts = %+v, want 1000 sampled, 0 divergences, 0 demotions", c)
+	}
+}
+
 // TestAOTModeFallsBackWithoutRegistryHit installs a program that is not in
 // the generated corpus into a ModeAOT kernel: the fire must still succeed
 // through the JIT fallback.

@@ -17,7 +17,26 @@ type EmitResult struct {
 	NeedsFmt bool
 }
 
-// EmitFunc appends the Go source of one compiled program to b: a function
+// Emittable reports whether EmitFunc can express p as compilable Go; the
+// closure JIT runs everything it declines. cmd/rmtkgen skips a program on
+// ErrTailCall or ErrUnsupported.
+func (p *Prog) Emittable() error {
+	for i := range p.Nodes {
+		nd := &p.Nodes[i]
+		switch {
+		case nd.Kind == KTail:
+			return fmt.Errorf("%w: pc %d", ErrTailCall, nd.PC)
+		case nd.Kind == KInstr && (nd.Op == isa.OpVecSet || nd.Op == isa.OpScalarVal) && nd.Imm < 0:
+			// Admissible when the vector length is statically unknown — the
+			// check always fires at run time — but a constant negative index
+			// cannot be emitted as Go.
+			return fmt.Errorf("%w: pc %d negative vector index %d", ErrUnsupported, nd.PC, nd.Imm)
+		}
+	}
+	return nil
+}
+
+// EmitFunc appends the Go source of one Emittable program to b: a function
 //
 //	func <fnName>(env vm.Env, m *Scratch, r1, r2, r3 int64) (int64, int64, error)
 //
@@ -201,7 +220,7 @@ func condExpr(nd *Node) string {
 func (e *emitter) emitNode(idx int) {
 	nd := &e.p.Nodes[idx]
 	b := e.b
-	if e.p.Labels[idx] {
+	if nd.Label {
 		e.flush()
 		fmt.Fprintf(b, "L%d:\n", nd.PC)
 	}
@@ -386,7 +405,7 @@ func (e *emitter) emitInstr(nd *Node) {
 	case isa.OpVecSet:
 		dv := vec(nd.Dst)
 		if nd.PM&isa.ProofVecIndexInBounds == 0 {
-			// Lower rejected negative indices, so only the upper bound is live.
+			// Emittable rejected negative indices, so only the upper bound is live.
 			fmt.Fprintf(b, "\tif len(%s) <= %s {\n", dv, lit(nd.Imm))
 			e.trap("\t\t", 1, "vm.ErrVecBounds")
 			fmt.Fprintf(b, "\t}\n")

@@ -1,26 +1,31 @@
-// Package lower turns verified RMT bytecode into the lowered form the
-// ahead-of-time compiler (cmd/rmtkgen) emits as native Go. Lowering consumes
-// the admission artifacts of PR 3's proof-carrying verifier:
+// Package lower turns verified RMT bytecode into the one lowered form both
+// native backends consume: the closure JIT (vm.Compile builds one closure per
+// Node) and the ahead-of-time compiler (cmd/rmtkgen prints the same nodes as
+// Go through EmitFunc). Lowering consumes the admission artifacts of the
+// proof-carrying verifier:
 //
 //   - proof masks (isa.ProofMask) drop the runtime checks the abstract
-//     interpreter statically discharged, exactly as the interpreter and the
-//     closure JIT elide them;
+//     interpreter statically discharged, exactly as the interpreter elides
+//     them;
 //   - interval facts (verifier.Facts) fold conditional branches with a
 //     statically dead edge into unconditional jumps (or fall-throughs) and
 //     drop unreachable instructions;
 //   - common opcode pairs fuse into superinstructions (see the table in
 //     DESIGN.md): veczero+vecset* → vecinit, matmul+vecsum → matvecsum,
 //     mulimm+addimm → muladdimm;
-//   - helper-argument contracts are inlined as scalar comparisons at the
-//     call sites that still need them (a contained contract — ProofHelperArgs
-//     — needs none).
+//   - helper-argument contracts are resolved per call site: only the sites
+//     that still need the check carry them (a contained contract —
+//     ProofHelperArgs — needs none).
 //
-// The package deliberately imports only isa and verifier, not vm: the
-// soundness fuzz target lives in package vm and runs the lowered form through
-// Eval as the AOT stand-in of the 6-way engine differential, which an
-// aot→vm→aot import cycle would forbid. Step budgets are not re-checked at
-// runtime: lowering is only applied to admitted programs, whose verified
-// worst-case step count already fits every budget the kernel enforces.
+// The lowered form has no executable semantics of its own in this package:
+// the interpreter (vm.exec.step) is the reference, and the soundness fuzz in
+// package vm runs lowered programs through the JIT's production closures
+// against it. The package imports only isa and verifier; vm imports it.
+//
+// Lowering statically validates what the backends would otherwise check per
+// run — forward in-range jump targets, stack slots, vector lengths — so a
+// back-edge is refused here rather than run under a step budget. What only
+// the Go emitter cannot express is the emitter's own check (Prog.Emittable).
 package lower
 
 import (
@@ -31,16 +36,28 @@ import (
 	"rmtk/internal/verifier"
 )
 
-// Lowering errors: programs the AOT tier does not compile. The caller falls
-// back to the JIT/interpreter tiers, which handle everything.
+// ErrBadProgram marks structurally invalid input (lowering expects
+// verifier-admitted programs). The three refusals a backend would otherwise
+// make per instruction wrap their cause as well, so the backend can report
+// them under its own error class.
+var (
+	ErrBadProgram = errors.New("lower: malformed program")
+	// ErrJump: a jump that is not forward and inside the program.
+	ErrJump = errors.New("bad jump")
+	// ErrStackSlot: a constant stack slot outside [0, isa.StackWords).
+	ErrStackSlot = errors.New("stack slot out of range")
+	// ErrVecLength: a constant vector length outside [0, isa.MaxVecLen].
+	ErrVecLength = errors.New("vector length out of range")
+)
+
+// Emitter-only restrictions, reported by Prog.Emittable: programs the AOT
+// tier does not compile. The caller falls back to the JIT/interpreter tiers,
+// which handle everything.
 var (
 	// ErrTailCall marks programs with tail-call cascades: the target is
 	// resolved through the environment at run time and separately admitted,
 	// so a single static function cannot represent the chain.
 	ErrTailCall = errors.New("lower: tail-call programs are not AOT-compiled")
-	// ErrBadProgram marks structurally invalid input (lowering expects
-	// verifier-admitted programs).
-	ErrBadProgram = errors.New("lower: malformed program")
 	// ErrUnsupported marks admitted-but-degenerate shapes the emitter cannot
 	// express as compilable Go (e.g. a constant-negative vector index, which
 	// always traps at run time but is a compile error as a Go index
@@ -62,6 +79,9 @@ const (
 	KBranch
 	// KExit returns R0.
 	KExit
+	// KTail transfers to the separately admitted program with id Imm; the
+	// backend resolves it through the environment at run time.
+	KTail
 	// KVecInit is the fused veczero+vecset* superinstruction: V[Dst] gets
 	// length Len, elements [0,len(Elems)) from the named scalar registers,
 	// the rest zero.
@@ -86,11 +106,14 @@ type Node struct {
 	// Dst/Src/Imm mirror the instruction operands. Dst2 is the scalar
 	// destination of a KMatVecSum.
 	Dst, Src, Dst2 uint8
-	Imm            int64
+	// Label marks a node some jump transfers to (the emitter prints labels
+	// only for these).
+	Label bool
+	// PM is the verifier's proof mask: set bits elide runtime checks.
+	PM  isa.ProofMask
+	Imm int64
 	// Target is the node index a KJmp/KBranch transfers to.
 	Target int
-	// PM is the verifier's proof mask: set bits elide runtime checks.
-	PM isa.ProofMask
 	// Cost is the number of original instructions this node accounts for;
 	// executing the node charges it to the step counter.
 	Cost int64
@@ -112,9 +135,6 @@ type Prog struct {
 	Name string
 	// Nodes is the lowered operation list.
 	Nodes []Node
-	// Labels marks nodes that are jump targets (the emitter prints labels
-	// only for these).
-	Labels []bool
 	// StaticSteps is the verifier's worst-case step bound carried from the
 	// admitted program (0 when absent).
 	StaticSteps int64
@@ -126,9 +146,9 @@ type Prog struct {
 }
 
 // Lower builds the lowered form of an admitted program. facts may be nil
-// (no branch folding or dead-code removal — the "checked" lowering the
-// soundness fuzz compares against); prog.Proofs may be nil likewise (every
-// runtime check emitted).
+// (no branch folding or dead-code removal — what vm.Compile passes: admitted
+// programs do not persist their facts); prog.Proofs may be nil likewise
+// (every runtime check kept).
 func Lower(prog *isa.Program, facts *verifier.Facts) (*Prog, error) {
 	n := len(prog.Insns)
 	if n == 0 {
@@ -158,10 +178,11 @@ func Lower(prog *isa.Program, facts *verifier.Facts) (*Prog, error) {
 			lp.DeadInsns++
 			continue
 		}
-		nd := Node{PC: pc, Kind: KInstr, Op: in.Op, Dst: in.Dst, Src: in.Src, Imm: in.Imm, PM: pmAt(pc), Cost: 1, Target: -1}
+		nodes = append(nodes, Node{PC: pc, Kind: KInstr, Op: in.Op, Dst: in.Dst, Src: in.Src, Imm: in.Imm, PM: pmAt(pc), Cost: 1, Target: -1})
+		nd := &nodes[len(nodes)-1]
 		switch {
 		case in.Op == isa.OpTailCall:
-			return nil, fmt.Errorf("%w: pc %d", ErrTailCall, pc)
+			nd.Kind = KTail
 		case in.Op == isa.OpExit:
 			nd.Kind = KExit
 		case in.Op == isa.OpJmp:
@@ -191,17 +212,12 @@ func Lower(prog *isa.Program, facts *verifier.Facts) (*Prog, error) {
 			// The slot index is an immediate: the bounds check is a constant
 			// expression, resolved here instead of at run time.
 			if in.Imm < 0 || in.Imm >= isa.StackWords {
-				return nil, fmt.Errorf("%w: pc %d stack slot %d", ErrBadProgram, pc, in.Imm)
+				return nil, fmt.Errorf("%w: pc %d: %w: %d", ErrBadProgram, pc, ErrStackSlot, in.Imm)
 			}
 		case in.Op == isa.OpVecZero || in.Op == isa.OpVecLdHist:
 			if in.Imm < 0 || in.Imm > isa.MaxVecLen {
-				return nil, fmt.Errorf("%w: pc %d vector length %d", ErrBadProgram, pc, in.Imm)
+				return nil, fmt.Errorf("%w: pc %d: %w: %d", ErrBadProgram, pc, ErrVecLength, in.Imm)
 			}
-		case (in.Op == isa.OpVecSet || in.Op == isa.OpScalarVal) && in.Imm < 0:
-			// Admissible when the vector length is statically unknown — the
-			// check always fires at run time — but a constant negative index
-			// cannot be emitted as Go.
-			return nil, fmt.Errorf("%w: pc %d negative vector index %d", ErrUnsupported, pc, in.Imm)
 		case in.Op == isa.OpCall:
 			if nd.PM&isa.ProofHelperArgs == 0 && prog.HelperContracts != nil {
 				if cs, ok := prog.HelperContracts[in.Imm]; ok {
@@ -210,23 +226,27 @@ func Lower(prog *isa.Program, facts *verifier.Facts) (*Prog, error) {
 			}
 		}
 		if nd.Target >= 0 && (nd.Target >= n || nd.Target <= pc) {
-			return nil, fmt.Errorf("%w: pc %d jump to %d", ErrBadProgram, pc, nd.Target)
-		}
-		nodes = append(nodes, nd)
-	}
-
-	// Jump-target pcs: fusion must not swallow a node another node jumps to.
-	targetPC := make(map[int]bool)
-	for _, nd := range nodes {
-		if nd.Kind == KJmp || nd.Kind == KBranch {
-			targetPC[nd.Target] = true
+			return nil, fmt.Errorf("%w: pc %d: %w to pc %d", ErrBadProgram, pc, ErrJump, nd.Target)
 		}
 	}
 
-	// Pass 2: superinstruction fusion over adjacent nodes.
-	fused := make([]Node, 0, len(nodes))
+	// Per-pc scratch. Until fusion it marks the jump-target pcs (fusion must
+	// not swallow a node another node jumps to); after it, it maps a pc to the
+	// node that starts there.
+	const isTarget = -1
+	atPC := make([]int32, n)
+	for i := range nodes {
+		if nd := &nodes[i]; nd.Kind == KJmp || nd.Kind == KBranch {
+			atPC[nd.Target] = isTarget
+		}
+	}
+
+	// Pass 2: superinstruction fusion over adjacent nodes, in place — a fused
+	// node is built from the nodes it replaces, then written at or before the
+	// first one's index.
+	fused := nodes[:0]
 	for i := 0; i < len(nodes); {
-		nd := nodes[i]
+		nd := &nodes[i]
 		if nd.Kind == KInstr {
 			switch nd.Op {
 			case isa.OpVecZero:
@@ -237,8 +257,8 @@ func Lower(prog *isa.Program, facts *verifier.Facts) (*Prog, error) {
 				var elems []uint8
 				j := i + 1
 				for j < len(nodes) && len(elems) < vlen {
-					nx := nodes[j]
-					if targetPC[nx.PC] || nx.Kind != KInstr || nx.Op != isa.OpVecSet ||
+					nx := &nodes[j]
+					if atPC[nx.PC] == isTarget || nx.Kind != KInstr || nx.Op != isa.OpVecSet ||
 						nx.Dst != nd.Dst || nx.Imm != int64(len(elems)) {
 						break
 					}
@@ -254,8 +274,8 @@ func Lower(prog *isa.Program, facts *verifier.Facts) (*Prog, error) {
 				}
 			case isa.OpMatMul:
 				if i+1 < len(nodes) {
-					nx := nodes[i+1]
-					if !targetPC[nx.PC] && nx.Kind == KInstr && nx.Op == isa.OpVecSum && nx.Src == nd.Dst {
+					nx := &nodes[i+1]
+					if atPC[nx.PC] != isTarget && nx.Kind == KInstr && nx.Op == isa.OpVecSum && nx.Src == nd.Dst {
 						fused = append(fused, Node{PC: nd.PC, Kind: KMatVecSum, Dst: nd.Dst, Src: nd.Src,
 							Dst2: nx.Dst, Imm: nd.Imm, PM: nd.PM, Cost: 2, Target: -1})
 						lp.FusedPairs++
@@ -265,8 +285,8 @@ func Lower(prog *isa.Program, facts *verifier.Facts) (*Prog, error) {
 				}
 			case isa.OpMulImm:
 				if i+1 < len(nodes) {
-					nx := nodes[i+1]
-					if !targetPC[nx.PC] && nx.Kind == KInstr && nx.Op == isa.OpAddImm && nx.Dst == nd.Dst {
+					nx := &nodes[i+1]
+					if atPC[nx.PC] != isTarget && nx.Kind == KInstr && nx.Op == isa.OpAddImm && nx.Dst == nd.Dst {
 						fused = append(fused, Node{PC: nd.PC, Kind: KMulAddImm, Dst: nd.Dst,
 							Mul: nd.Imm, Add: nx.Imm, Cost: 2, Target: -1})
 						lp.FusedPairs++
@@ -276,51 +296,30 @@ func Lower(prog *isa.Program, facts *verifier.Facts) (*Prog, error) {
 				}
 			}
 		}
-		fused = append(fused, nd)
+		fused = append(fused, *nd)
 		i++
 	}
 
 	// Pass 3: resolve jump targets to node indices and mark labels. Every
 	// live target maps to a node head: dead targets are only reachable via
 	// dead edges (folded above), and fusion never swallows a target.
-	pcToNode := make(map[int]int, len(fused))
-	for idx, nd := range fused {
-		pcToNode[nd.PC] = idx
+	for idx := range fused {
+		atPC[fused[idx].PC] = int32(idx) + 1 // 0 and isTarget: no node starts here
 	}
-	lp.Labels = make([]bool, len(fused))
 	for idx := range fused {
 		nd := &fused[idx]
 		if nd.Kind != KJmp && nd.Kind != KBranch {
 			continue
 		}
-		t, ok := pcToNode[nd.Target]
-		if !ok {
-			return nil, fmt.Errorf("%w: pc %d jump to unmapped pc %d", ErrBadProgram, nd.PC, nd.Target)
+		t := int(atPC[nd.Target]) - 1
+		if t < 0 {
+			return nil, fmt.Errorf("%w: pc %d: %w to unmapped pc %d", ErrBadProgram, nd.PC, ErrJump, nd.Target)
 		}
 		nd.Target = t
-		lp.Labels[t] = true
+		fused[t].Label = true
 	}
 	lp.Nodes = fused
 	return lp, nil
-}
-
-// condHolds reports whether a KBranch node's comparison holds. imm selects
-// the immediate form.
-func condHolds(op isa.Opcode, a, b int64) bool {
-	switch op {
-	case isa.OpJEq, isa.OpJEqImm:
-		return a == b
-	case isa.OpJNe, isa.OpJNeImm:
-		return a != b
-	case isa.OpJGt, isa.OpJGtImm:
-		return a > b
-	case isa.OpJGe, isa.OpJGeImm:
-		return a >= b
-	case isa.OpJLt, isa.OpJLtImm:
-		return a < b
-	default: // OpJLe, OpJLeImm
-		return a <= b
-	}
 }
 
 // condIsImm reports whether the comparison's right operand is the immediate.

@@ -7,13 +7,15 @@ import (
 	"rmtk/internal/aot/lower"
 	"rmtk/internal/isa"
 	"rmtk/internal/verifier"
+	"rmtk/internal/vm"
 )
 
-// stubEnv is a minimal lower.Env for structural tests: MatVec copies the
-// input through (identity matrix of the input's length), everything else is
-// inert. The fuzz differential (internal/vm FuzzVerifierSoundness) covers
-// full environment semantics; these tests pin the lowering structure.
-type stubEnv struct{}
+// stubEnv is a minimal vm.Env for running lowered shapes through the JIT:
+// MatVec copies the input through (identity matrix of the input's length),
+// tail is the one tail-call target, everything else is inert. The fuzz
+// differential (internal/vm FuzzVerifierSoundness) covers full environment
+// semantics; these tests pin the lowering structure and its step accounting.
+type stubEnv struct{ tail *isa.Program }
 
 func (stubEnv) CtxLoad(key, field int64) int64     { return 0 }
 func (stubEnv) CtxStore(key, field, val int64)     {}
@@ -31,8 +33,32 @@ func (stubEnv) MatOutLen(id int64) (int, error)             { return 4, nil }
 func (stubEnv) Infer(model int64, x []int64) (int64, error) { return 0, nil }
 func (stubEnv) VecLoad(id int64, dst []int64) (int, error)  { return 0, nil }
 func (stubEnv) VecStore(id int64, src []int64) error        { return nil }
-func (stubEnv) TailProgram(id int64) (*isa.Program, error) {
-	return nil, nil
+func (e stubEnv) TailProgram(id int64) (*isa.Program, error) {
+	if e.tail == nil {
+		return nil, errors.New("no tail program")
+	}
+	return e.tail, nil
+}
+
+// runBoth compiles prog (vm.Compile lowers it with nil facts) and runs it on
+// the JIT and on the interpreter, returning each engine's (r0, steps, err).
+// The interpreter is the reference the fused nodes must charge like.
+func runBoth(t *testing.T, env stubEnv, prog *isa.Program, r1, r2, r3 int64) (jit, interp [2]int64, jerr, ierr error) {
+	t.Helper()
+	j, err := vm.Compile(env, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip, err := vm.NewInterpreter(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := vm.NewState()
+	jit[0], jerr = j.Run(env, st, r1, r2, r3)
+	jit[1] = st.Steps()
+	interp[0], ierr = ip.Run(env, st, r1, r2, r3)
+	interp[1] = st.Steps()
+	return jit, interp, jerr, ierr
 }
 
 // shardscaleProg is the hot-path benchmark shape: a fully fusable
@@ -82,23 +108,15 @@ func TestLowerFusesSuperinstructions(t *testing.T) {
 	}
 }
 
-func TestEvalFusedMatchesHandComputation(t *testing.T) {
-	lp, err := lower.Lower(shardscaleProg(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := lower.NewMachine()
+func TestJITFusedMatchesHandComputation(t *testing.T) {
 	// v0 = [2, 3, 4, 2]; identity MatVec; sum = 11. Steps are charged per
-	// original instruction: 8 including the exit.
-	r0, steps, rerr := lower.Eval(lp, stubEnv{}, m, 2, 3, 4)
-	if rerr != nil {
-		t.Fatal(rerr)
+	// original instruction: 8 including the exit, though only 3 nodes run.
+	jit, interp, jerr, ierr := runBoth(t, stubEnv{}, shardscaleProg(t), 2, 3, 4)
+	if jerr != nil || ierr != nil {
+		t.Fatal(jerr, ierr)
 	}
-	if r0 != 11 {
-		t.Errorf("r0 = %d, want 11", r0)
-	}
-	if steps != 8 {
-		t.Errorf("steps = %d, want 8 (fusion must not change step accounting)", steps)
+	if want := [2]int64{11, 8}; jit != want || interp != want {
+		t.Errorf("(r0, steps): jit %v, interp %v; want %v (fusion must not change step accounting)", jit, interp, want)
 	}
 }
 
@@ -131,9 +149,12 @@ func TestLowerFusesMulAddImm(t *testing.T) {
 	if fused.Mul != 3 || fused.Add != 4 || fused.Cost != 2 {
 		t.Errorf("fused node = %+v, want Mul 3, Add 4, Cost 2", fused)
 	}
-	r0, steps, rerr := lower.Eval(lp, stubEnv{}, lower.NewMachine(), 5, 0, 0)
-	if rerr != nil || r0 != 19 || steps != 5 {
-		t.Errorf("Eval = (%d, %d, %v), want (19, 5, nil)", r0, steps, rerr)
+	jit, interp, jerr, ierr := runBoth(t, stubEnv{}, prog, 5, 0, 0)
+	if jerr != nil || ierr != nil {
+		t.Fatal(jerr, ierr)
+	}
+	if want := [2]int64{19, 5}; jit != want || interp != want {
+		t.Errorf("(r0, steps): jit %v, interp %v; want %v", jit, interp, want)
 	}
 }
 
@@ -194,27 +215,43 @@ taken:  movimm r0, 222
 	if lp.DeadInsns != 2 {
 		t.Errorf("DeadInsns = %d, want 2 (the infeasible fall-through)", lp.DeadInsns)
 	}
-	r0, _, rerr := lower.Eval(lp, stubEnv{}, lower.NewMachine(), 0, 0, 0)
-	if rerr != nil || r0 != 222 {
-		t.Errorf("Eval = (%d, %v), want (222, nil)", r0, rerr)
-	}
+	// Running the folded form is internal/vm's TestCompileLoweredFoldsBranches
+	// (it needs the unexported facts-taking builder).
 }
 
 func TestLowerRejectsTailCalls(t *testing.T) {
+	// The IR owns tail calls (a terminal KTail node); only the Go emitter
+	// declines them, and the JIT runs the chain.
 	prog := &isa.Program{
 		Name:  "tail",
 		Insns: isa.MustAssemble("tailcall 4"),
 		Tails: []int64{4},
 	}
-	if _, err := lower.Lower(prog, nil); !errors.Is(err, lower.ErrTailCall) {
-		t.Errorf("Lower(tailcall) = %v, want ErrTailCall", err)
+	lp, err := lower.Lower(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nd := lp.Nodes[len(lp.Nodes)-1]; nd.Kind != lower.KTail || nd.Imm != 4 || nd.Cost != 1 {
+		t.Errorf("last node = %+v, want KTail to 4 with cost 1", nd)
+	}
+	if err := lp.Emittable(); !errors.Is(err, lower.ErrTailCall) {
+		t.Errorf("Emittable(tailcall) = %v, want ErrTailCall", err)
+	}
+	env := stubEnv{tail: &isa.Program{Name: "callee", Insns: isa.MustAssemble("mov r0, r1\naddimm r0, 100\nexit")}}
+	jit, interp, jerr, ierr := runBoth(t, env, prog, 7, 0, 0)
+	if jerr != nil || ierr != nil {
+		t.Fatal(jerr, ierr)
+	}
+	if want := [2]int64{107, 4}; jit != want || interp != want {
+		t.Errorf("(r0, steps): jit %v, interp %v; want %v", jit, interp, want)
 	}
 }
 
 func TestLowerRejectsNegativeVecIndex(t *testing.T) {
 	// The verifier admits a negative vecset index against an unknown-length
 	// vector (the runtime check traps); Go cannot compile a constant
-	// negative index, so the AOT tier must decline, not miscompile.
+	// negative index, so the emitter must decline, not miscompile — while
+	// the JIT runs the shape and traps where the interpreter does.
 	prog := &isa.Program{
 		Name: "neg-index",
 		Insns: []isa.Instr{
@@ -223,31 +260,47 @@ func TestLowerRejectsNegativeVecIndex(t *testing.T) {
 			{Op: isa.OpExit},
 		},
 	}
-	if _, err := lower.Lower(prog, nil); !errors.Is(err, lower.ErrUnsupported) {
-		t.Errorf("Lower(negative index) = %v, want ErrUnsupported", err)
+	lp, err := lower.Lower(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lp.Emittable(); !errors.Is(err, lower.ErrUnsupported) {
+		t.Errorf("Emittable(negative index) = %v, want ErrUnsupported", err)
+	}
+	jit, interp, jerr, ierr := runBoth(t, stubEnv{}, prog, 0, 0, 0)
+	if !errors.Is(jerr, vm.ErrVecBounds) || !errors.Is(ierr, vm.ErrVecBounds) {
+		t.Fatalf("jit err = %v, interp err = %v; want ErrVecBounds from both", jerr, ierr)
+	}
+	if jit[1] != 2 || interp[1] != 2 {
+		t.Errorf("steps at trap: jit %d, interp %d; want 2", jit[1], interp[1])
 	}
 }
 
 func TestLowerStepBudgetOnTrap(t *testing.T) {
-	// Division by zero at pc 2: the interpreter charges the trapping
-	// instruction, so Eval must report 3 executed steps.
+	// Division by zero at pc 2, right after a fused mulimm+addimm pair: the
+	// pair charges 2 and the trapping instruction is charged too, so both
+	// engines must report 3 executed steps.
 	prog := &isa.Program{
 		Name: "trap-steps",
 		Insns: isa.MustAssemble(`
-        movimm r1, 7
-        movimm r2, 0
+        mulimm r1, 3
+        addimm r1, 4
         div    r1, r2
+        mov    r0, r1
         exit`),
 	}
 	lp, err := lower.Lower(prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, steps, rerr := lower.Eval(lp, stubEnv{}, lower.NewMachine(), 0, 0, 0)
-	if !errors.Is(rerr, lower.ErrDivByZero) {
-		t.Fatalf("Eval = %v, want ErrDivByZero", rerr)
+	if lp.FusedPairs != 1 {
+		t.Fatalf("FusedPairs = %d, want 1", lp.FusedPairs)
 	}
-	if steps != 3 {
-		t.Errorf("steps at trap = %d, want 3 (trapping instruction is charged)", steps)
+	jit, interp, jerr, ierr := runBoth(t, stubEnv{}, prog, 5, 0, 0)
+	if !errors.Is(jerr, vm.ErrDivByZero) || !errors.Is(ierr, vm.ErrDivByZero) {
+		t.Fatalf("jit err = %v, interp err = %v; want ErrDivByZero from both", jerr, ierr)
+	}
+	if jit[1] != 3 || interp[1] != 3 {
+		t.Errorf("steps at trap: jit %d, interp %d; want 3 (trapping instruction is charged)", jit[1], interp[1])
 	}
 }

@@ -537,36 +537,28 @@ func (k *Kernel) runNative(rt *routes, shard int, p *progEntry, tier EngineTier,
 		poison = out.EnginePanic
 	}
 	k.ctrTierFires[tier].Inc(shard)
+	es := k.enginePool.Get().(*engineState)
+	es.env.k, es.env.rt, es.env.inv, es.env.wcap = k, rt, inv, wcap
+	var ret int64
+	var rerr error
 	if tier == TierAOT {
-		as := k.aotPool.Get().(*aotState)
-		as.env.k, as.env.rt, as.env.inv, as.env.wcap = k, rt, inv, wcap
-		ret, steps, rerr := runAOT(p.aot, &as.env, &as.scratch, poison, inv.Key, inv.Arg2, arg3)
-		as.env.rt, as.env.inv, as.env.wcap = nil, nil, nil
-		k.aotPool.Put(as)
-		inv.injectHelperErr = nil
-		k.histSteps.Observe(shard, steps)
-		if rerr != nil {
-			return 0, steps, true, rerr
-		}
-		if out != nil && out.Miscompile {
+		ret, steps, rerr = runAOT(p.aot, &es.env, &es.scratch, poison, inv.Key, inv.Arg2, arg3)
+		if rerr == nil && out != nil && out.Miscompile {
 			// An injected miscompile silently perturbs the AOT result — the
 			// fault class only the differential checker can catch.
 			ret += out.MiscompileDelta
 		}
-		return ret, steps, false, nil
+	} else {
+		var engine vm.Engine = p.jit
+		if tier == TierInterp {
+			engine = p.interp
+		}
+		ret, rerr = runEngine(engine, &es.env, &es.st, poison, inv.Key, inv.Arg2, arg3)
+		steps = es.st.Steps()
 	}
-
-	st := k.statePool.Get().(*vm.State)
-	defer k.statePool.Put(st)
-
-	e := &env{k: k, rt: rt, inv: inv, wcap: wcap}
-	var engine vm.Engine = p.jit
-	if tier == TierInterp {
-		engine = p.interp
-	}
-	ret, rerr := runEngine(engine, e, st, poison, inv.Key, inv.Arg2, arg3)
+	es.env.rt, es.env.inv, es.env.wcap = nil, nil, nil
+	k.enginePool.Put(es)
 	inv.injectHelperErr = nil // unconsumed injections do not leak across runs
-	steps = st.Steps()
 	k.histSteps.Observe(shard, steps)
 	if rerr != nil {
 		return 0, steps, true, rerr
@@ -574,11 +566,15 @@ func (k *Kernel) runNative(rt *routes, shard int, p *progEntry, tier EngineTier,
 	return ret, steps, false, nil
 }
 
-// aotState is the pooled buffer set of an AOT fire: the env is embedded by
-// value so the hot path allocates nothing (the JIT path heap-allocates its
-// env per fire because vm.Compile captured closures escape it).
-type aotState struct {
+// engineState is the pooled buffer set of one engine run, whatever the tier:
+// the env is embedded by value beside the bytecode engines' machine state and
+// the generated code's scratch, so a fire allocates nothing for any of them
+// (the env escapes through the vm.Env interface, and the JIT keeps its
+// per-run record inside vm.State for the same reason). Users set the env
+// fields they need and clear them before Put.
+type engineState struct {
 	env     env
+	st      vm.State
 	scratch aot.Scratch
 }
 

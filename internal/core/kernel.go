@@ -244,11 +244,9 @@ type Kernel struct {
 
 	Metrics *telemetry.Registry
 
-	statePool sync.Pool
-	// aotPool holds *aotState buffers for ModeAOT fires: generated functions
-	// take a pooled env plus scratch instead of the interpreter/JIT state,
-	// keeping the AOT fast path allocation-free.
-	aotPool sync.Pool
+	// enginePool holds the *engineState buffers every engine run borrows
+	// (live fires on any tier and shadow runs), keeping them allocation-free.
+	enginePool sync.Pool
 	// invPool recycles fireSlow's Invocations — they escape into the engine
 	// env and would otherwise be the fire path's dominant heap allocation.
 	invPool sync.Pool
@@ -306,8 +304,7 @@ func NewKernel(cfg Config) *Kernel {
 		k.def.vcache = table.NewFlowCache[*cachedFire](coreShards, 4096)
 	}
 	k.storeDirLocked()
-	k.statePool.New = func() any { return vm.NewState() }
-	k.aotPool.New = func() any { return new(aotState) }
+	k.enginePool.New = func() any { return new(engineState) }
 	k.invPool.New = func() any { return new(Invocation) }
 	k.checkPool.New = func() any { return &checkScratch{st: vm.NewState()} }
 	registerStandardHelpers(k)

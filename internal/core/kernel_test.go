@@ -419,6 +419,41 @@ func TestTailCallThroughKernel(t *testing.T) {
 	}
 }
 
+// TestRemovedTailTargetTraps is the regression test for the JIT's stale tail
+// binding: it compiled tail targets at install time and kept running a callee
+// the control plane had since removed, where the interpreter — resolving the
+// target per run — trapped. Every engine mode must now trap identically
+// (ModeAOT lands on the JIT: the emitter declines tail programs).
+func TestRemovedTailTargetTraps(t *testing.T) {
+	var traps []string
+	for _, mode := range []ExecMode{ModeInterp, ModeJIT, ModeAOT} {
+		k := newTestKernel(t, Config{Mode: mode})
+		calleeID := install(t, k, &isa.Program{
+			Name:  "callee",
+			Insns: isa.MustAssemble("mov r0, r1\naddimm r0, 1000\nexit"),
+		})
+		install(t, k, &isa.Program{
+			Name:  "caller",
+			Insns: isa.MustAssemble("tailcall " + itoa(calleeID)),
+			Tails: []int64{calleeID},
+		})
+		if got, _, err := k.RunProgramByName("caller", 7, 0, 0); err != nil || got != 1007 {
+			t.Fatalf("%s: callee installed: got %d err %v, want 1007", mode, got, err)
+		}
+		if err := k.RemoveProgram(calleeID); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := k.RunProgramByName("caller", 7, 0, 0)
+		if !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: callee removed: got %d err %v, want an ErrNotFound trap", mode, got, err)
+		}
+		traps = append(traps, err.Error())
+	}
+	if traps[1] != traps[0] || traps[2] != traps[0] {
+		t.Errorf("traps differ across modes: interp %q, jit %q, aot %q", traps[0], traps[1], traps[2])
+	}
+}
+
 func TestConcurrentFire(t *testing.T) {
 	k := newTestKernel(t, Config{})
 	tb := table.New("t", "hook/c", table.MatchExact)

@@ -234,20 +234,20 @@ func (k *Kernel) runShadowProgram(rt *routes, sh *Shadow, progID int64, inv *Inv
 	if !ok {
 		return DefaultVerdict, 0, true
 	}
-	st := k.statePool.Get().(*vm.State)
-	defer k.statePool.Put(st)
-
 	arg3 := inv.Arg3
 	if param != 0 {
 		arg3 = param
 	}
-	e := &env{k: k, rt: rt, inv: inv, overlay: sh.overlay, shadow: true}
 	var engine vm.Engine = p.jit
 	if rt.mode == ModeInterp {
 		engine = p.interp
 	}
-	ret, err := runEngine(engine, e, st, nil, inv.Key, inv.Arg2, arg3)
-	steps = st.Steps()
+	es := k.enginePool.Get().(*engineState)
+	es.env = env{k: k, rt: rt, inv: inv, overlay: sh.overlay, shadow: true}
+	ret, err := runEngine(engine, &es.env, &es.st, nil, inv.Key, inv.Arg2, arg3)
+	steps = es.st.Steps()
+	es.env = env{} // live fires set only their own fields: never pool a shadow env
+	k.enginePool.Put(es)
 	if err != nil {
 		return DefaultVerdict, steps, true
 	}

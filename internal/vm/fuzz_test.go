@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -72,14 +71,15 @@ func proofRandomProgram(rng *rand.Rand) *isa.Program {
 }
 
 // FuzzVerifierSoundness is the differential soundness check for check
-// elision: a verified program must behave identically whether the VM runs
-// every runtime check (no proofs attached) or elides the statically proven
-// ones, on all three engines — interpreter, JIT, and the AOT lowering
-// (evaluated through lower.Eval, the reference semantics of the code
-// rmtkgen emits, including branch folding and superinstruction fusion).
-// Any divergence — result, register file, error presence, or environment
+// elision and lowering: a verified program must behave identically on the
+// fully checked interpreter (no proofs attached — the reference) and on every
+// production path: the interpreter eliding the statically proven checks, and
+// the JIT's closures over the lowered program — checked, elided, and elided
+// with the verifier's facts (branch folding and dead-code removal on top of
+// the fusion every JIT arm already has; this is the lowering rmtkgen emits as
+// Go). Any divergence — result, register file, error presence, or environment
 // side effects — means the verifier granted a proof for a check that could
-// actually fire, or the AOT lowering miscompiled the program.
+// actually fire, or the lowering miscompiled the program.
 func FuzzVerifierSoundness(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
 		f.Add(seed, int64(3), int64(5), int64(7))
@@ -105,64 +105,53 @@ func FuzzVerifierSoundness(f *testing.F) {
 			name   string
 			r0     int64
 			regs   [isa.NumRegs]int64
+			steps  int64
 			failed bool
 			env    *fakeEnv
 		}
-		run := func(name string, p *isa.Program, jit bool) outcome {
+		run := func(name string, p *isa.Program, build func(Env) (Engine, error)) outcome {
 			env := soundEnv()
-			var eng Engine
-			var err error
-			if jit {
-				eng, err = Compile(env, p)
-			} else {
-				eng, err = NewInterpreter(p)
-			}
+			eng, err := build(env)
 			if err != nil {
 				t.Fatalf("%s: build: %v\n%s", name, err, p.Disassemble())
 			}
 			st := NewState()
 			r0, rerr := eng.Run(env, st, r1, r2, r3)
-			return outcome{name: name, r0: r0, regs: st.Regs, failed: rerr != nil, env: env}
+			return outcome{name: name, r0: r0, regs: st.Regs, steps: st.Steps(), failed: rerr != nil, env: env}
 		}
-
-		// The AOT arms evaluate the lowered program through lower.Eval.
-		// Lowering the checked clone with nil facts exercises the
-		// all-checks path; lowering the elided clone with the verifier's
-		// facts exercises folding, fusion and elision together. Programs
-		// the AOT tier declines (tail-call cascades, shapes Go cannot
-		// express) fall back to the bytecode engines in production, so
-		// those arms are simply absent here too.
-		runAOT := func(name string, p *isa.Program, facts *verifier.Facts) (outcome, bool) {
-			lp, err := lower.Lower(p, facts)
-			if err != nil {
-				if errors.Is(err, lower.ErrTailCall) || errors.Is(err, lower.ErrUnsupported) {
-					return outcome{}, false
+		interp := func(p *isa.Program) func(Env) (Engine, error) {
+			return func(Env) (Engine, error) { return NewInterpreter(p) }
+		}
+		jit := func(p *isa.Program, facts *verifier.Facts) func(Env) (Engine, error) {
+			return func(env Env) (Engine, error) {
+				if facts == nil {
+					return Compile(env, p)
 				}
-				t.Fatalf("%s: lower: %v\n%s", name, err, p.Disassemble())
+				lp, err := lower.Lower(p, facts)
+				if err != nil {
+					return nil, err
+				}
+				return compileLowered(env, p, lp, map[string]bool{})
 			}
-			env := soundEnv()
-			m := lower.NewMachine()
-			r0, _, rerr := lower.Eval(lp, env, m, r1, r2, r3)
-			return outcome{name: name, r0: r0, regs: m.Regs, failed: rerr != nil, env: env}, true
 		}
 
-		outs := []outcome{
-			run("interp/checked", checked, false),
-			run("interp/elided", elided, false),
-			run("jit/checked", checked, true),
-			run("jit/elided", elided, true),
-		}
-		if o, ok := runAOT("aot/checked", checked, nil); ok {
-			outs = append(outs, o)
-		}
-		if o, ok := runAOT("aot/elided", elided, rep.Facts); ok {
-			outs = append(outs, o)
-		}
-		want := outs[0]
-		for _, o := range outs[1:] {
+		want := run("interp/checked", checked, interp(checked))
+		for _, o := range []outcome{
+			run("interp/elided", elided, interp(elided)),
+			run("jit/checked", checked, jit(checked, nil)),
+			run("jit/elided", elided, jit(elided, nil)),
+			run("jit/elided+facts", elided, jit(elided, rep.Facts)),
+		} {
 			if o.failed != want.failed {
 				t.Fatalf("%s failed=%v but %s failed=%v\n%s\nproofs: %v",
 					o.name, o.failed, want.name, want.failed, prog.Disassemble(), rep.Proofs)
+			}
+			// Executed steps are observable (SLOs, the sentinel's differential
+			// checker), trapping runs included: fused nodes must charge what
+			// the instructions they replaced would have.
+			if o.steps != want.steps {
+				t.Fatalf("%s steps=%d but %s steps=%d (failed=%v)\n%s\nproofs: %v",
+					o.name, o.steps, want.name, want.steps, o.failed, prog.Disassemble(), rep.Proofs)
 			}
 			if o.failed {
 				continue

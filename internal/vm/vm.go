@@ -1,21 +1,27 @@
 // Package vm executes verified RMT bytecode programs.
 //
-// Two execution engines are provided, mirroring §3.1 of the paper ("the
+// Two bytecode engines are provided, mirroring §3.1 of the paper ("the
 // program runs in the virtual machine in interpreted mode or it is
 // just-in-time (JIT) compiled to machine code for efficiency"):
 //
 //   - Interpreter: decodes the wire-format byte stream instruction by
-//     instruction, like an in-kernel bytecode interpreter.
-//   - JIT: ahead-of-time translates each instruction into a Go closure with
-//     all operands, jump targets and resource handles pre-resolved, which is
-//     the closest safe analogue of JIT-compiled machine code available to a
-//     pure-Go reproduction.
+//     instruction, like an in-kernel bytecode interpreter. exec.step is the
+//     reference semantics of the ISA; the proof-stripped checked variant is
+//     what every other engine is differentially tested against.
+//   - JIT: lowers the program through internal/aot/lower — the same IR the
+//     build-time AOT compiler prints as Go, so proof-elided checks are
+//     dropped and opcode pairs fused into superinstructions for dynamically
+//     installed programs too — and translates each lowered node into a Go
+//     closure with all operands, jump targets and resource handles
+//     pre-resolved, which is the closest safe analogue of JIT-compiled
+//     machine code available to a pure-Go reproduction.
 //
 // Both engines enforce the same runtime safety envelope: a step budget, a
 // bounded tail-call depth, bounds-checked stack/vector accesses, and trapping
-// division. A trap aborts the program cleanly; the kernel then applies the
-// hook's default action, so a buggy program can degrade performance but not
-// correctness (§3.3).
+// division, and both report the same executed-step count (a fused node
+// charges the instructions it was fused from). A trap aborts the program
+// cleanly; the kernel then applies the hook's default action, so a buggy
+// program can degrade performance but not correctness (§3.3).
 package vm
 
 import (
@@ -96,6 +102,7 @@ type State struct {
 	vecs  [isa.NumVRegs][]int64 // live slices into vbuf
 	vbuf  [isa.NumVRegs][isa.MaxVecLen]int64
 	steps int64
+	x     exec // the JIT's per-Run invocation record (see JIT.Run)
 }
 
 // NewState returns a fresh machine state.

@@ -437,7 +437,8 @@ func TestTailCycleRejectedByJIT(t *testing.T) {
 
 func TestStepBudgetOnUnverifiedLoop(t *testing.T) {
 	// The interpreter is defense-in-depth: a raw backward jump (which the
-	// verifier would reject) must hit the step budget, not hang.
+	// verifier would reject) must hit the step budget, not hang. The JIT
+	// refuses the back-edge outright: lowering only admits forward jumps.
 	env := newFakeEnv()
 	prog := &isa.Program{Name: "loop", Insns: []isa.Instr{
 		{Op: isa.OpMovImm, Dst: 0, Imm: 1},
@@ -451,12 +452,25 @@ func TestStepBudgetOnUnverifiedLoop(t *testing.T) {
 	if _, err := ip.Run(env, NewState(), 0, 0, 0); !errors.Is(err, ErrStepBudget) {
 		t.Fatalf("err = %v, want ErrStepBudget", err)
 	}
-	j, err := Compile(env, prog)
+	if _, err := Compile(env, prog); !errors.Is(err, ErrBadJump) {
+		t.Fatalf("jit compile err = %v, want ErrBadJump", err)
+	}
+
+	// The JIT's own budget check: an uncertified segment stops before the
+	// node that would overrun, reporting budget+1 steps like the interpreter
+	// — here in the middle of a fused pair (mulimm+addimm charges 2).
+	j, err := Compile(env, &isa.Program{Name: "straight", Insns: isa.MustAssemble(
+		"movimm r0, 1\nmulimm r0, 3\naddimm r0, 4\nexit")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Run(env, NewState(), 0, 0, 0); !errors.Is(err, ErrStepBudget) {
+	st := NewState()
+	st.reset(0, 0, 0)
+	if _, err := j.run(&exec{env: env, st: st, budget: 2}); !errors.Is(err, ErrStepBudget) {
 		t.Fatalf("jit err = %v, want ErrStepBudget", err)
+	}
+	if st.Steps() != 3 {
+		t.Fatalf("jit steps at budget trap = %d, want budget+1 = 3", st.Steps())
 	}
 }
 
