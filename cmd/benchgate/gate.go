@@ -184,6 +184,17 @@ func AOTSpeedup(current map[string]float64) (ratio float64, n int) {
 	return math.Exp(logSum / float64(n)), n
 }
 
+// MissTax reports what a verdict-cache miss adds to an uncached AOT fire in
+// one run: coldflows (cache on, every flow new) minus uncached (cache off) at
+// one goroutine. ok is false when the run lacks either arm. CI prints it next
+// to the AOT speedup: the cached arm only ever hits and the uncached arm never
+// probes, so without this line the cost of a miss is priced nowhere.
+func MissTax(current map[string]float64) (ns float64, ok bool) {
+	cold, okc := current["BenchmarkHotPath/aot/coldflows/g1"]
+	unc, oku := current["BenchmarkHotPath/aot/uncached/g1"]
+	return cold - unc, okc && oku
+}
+
 // Compare gates current medians against the baseline.
 func Compare(baseline, current map[string]float64, threshold float64) Report {
 	rep := Report{Threshold: threshold, Geomean: 1}

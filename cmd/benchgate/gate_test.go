@@ -107,6 +107,22 @@ func TestAOTSpeedupNoPairs(t *testing.T) {
 	}
 }
 
+func TestMissTax(t *testing.T) {
+	current := map[string]float64{
+		"BenchmarkHotPath/aot/coldflows/g1": 260,
+		"BenchmarkHotPath/aot/uncached/g1":  185,
+		"BenchmarkHotPath/jit/coldflows/g1": 310, // the line is the AOT pair's
+		"BenchmarkHotPath/jit/uncached/g1":  225,
+	}
+	if ns, ok := MissTax(current); !ok || ns != 75 {
+		t.Fatalf("miss tax = %v, %v; want 75, true", ns, ok)
+	}
+	delete(current, "BenchmarkHotPath/aot/coldflows/g1")
+	if _, ok := MissTax(current); ok {
+		t.Fatal("miss tax reported without the coldflows arm")
+	}
+}
+
 func TestCompareSeededRegressionFails(t *testing.T) {
 	baseline := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 200}
 	// Seed a uniform 15% regression: >10% geomean, must fail the gate.

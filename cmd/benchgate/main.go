@@ -74,6 +74,9 @@ func main() {
 	if ratio, n := AOTSpeedup(current); n > 0 {
 		fmt.Printf("benchgate: AOT speedup over JIT: geomean %.2fx across %d benchmark pairs\n", ratio, n)
 	}
+	if ns, ok := MissTax(current); ok {
+		fmt.Printf("benchgate: verdict-cache miss tax = coldflows - uncached (aot, g1): %.1f ns/fire\n", ns)
+	}
 	if !rep.Pass() {
 		os.Exit(1)
 	}

@@ -3,8 +3,9 @@
 // BENCH_BASELINE.json. Each benchmark drives the shared shardscale fixture —
 // a verifier-certified pure ALU+matmul program behind a 256-entry exact
 // table — through batched fires, varying execution mode (aot/interp/jit), verdict
-// caching (cached/uncached) and firing goroutines (1/4/16). ns/op is per
-// fire.
+// caching (cached/uncached) and firing goroutines (1/4/16), plus a coldflows
+// arm (cache on, every flow new) that prices a verdict-cache miss. ns/op is
+// per fire.
 package rmtk_test
 
 import (
@@ -19,8 +20,13 @@ import (
 
 const hotPathBatch = 64
 
-// fireHotPath issues fires [from, to) as batches on k.
-func fireHotPath(k *core.Kernel, from, to int64) {
+// fireHotPath issues fires [from, to) as batches on k, over the fixture's
+// repeating flows.
+func fireHotPath(k *core.Kernel, from, to int64) { fireFlows(k, from, to, false) }
+
+// fireFlows issues fires [from, to) as batches on k. With cold set, Arg3 is
+// the fire index, so no flow key ever repeats.
+func fireFlows(k *core.Kernel, from, to int64, cold bool) {
 	events := make([]core.Event, hotPathBatch)
 	out := make([]core.FireResult, hotPathBatch)
 	for i := from; i < to; i += hotPathBatch {
@@ -31,6 +37,9 @@ func fireHotPath(k *core.Kernel, from, to int64) {
 		for j := int64(0); j < n; j++ {
 			key := (i + j) % experiments.HotPathKeys
 			events[j] = core.Event{Hook: experiments.HotPathHook, Key: key, Arg2: key & 7, Arg3: 3}
+			if cold {
+				events[j].Arg3 = i + j
+			}
 		}
 		k.FireBatch(events[:n], out[:n])
 	}
@@ -80,10 +89,24 @@ func benchHotPathK(b *testing.B, mode core.ExecMode, cached, sentinel bool, goro
 	wg.Wait()
 }
 
+// benchColdFlows is the miss arm: verdict cache on, every flow key new, so
+// each fire pays the cache probe and the doorkeeper on top of an uncached
+// fire and is never stored. coldflows − uncached is the miss tax.
+func benchColdFlows(b *testing.B, mode core.ExecMode) {
+	k, err := experiments.NewHotPathKernel(mode, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const warm = 4 * experiments.HotPathKeys
+	fireFlows(k, 0, warm, true)
+	b.ResetTimer()
+	fireFlows(k, warm, warm+int64(b.N), true)
+}
+
 // BenchmarkHotPath is the CI-gated suite: mode × caching × goroutines, plus
 // the sentinel-attached AOT variant measuring the engine-guardrail overhead
 // (health-ladder atomic load + 1-in-64 differential checking) on the
-// uncached fire path.
+// uncached fire path, plus the AOT and JIT miss arms.
 func BenchmarkHotPath(b *testing.B) {
 	for _, mode := range []core.ExecMode{core.ModeAOT, core.ModeJIT, core.ModeInterp} {
 		for _, cached := range []bool{true, false} {
@@ -103,6 +126,12 @@ func BenchmarkHotPath(b *testing.B) {
 		g := g
 		b.Run(fmt.Sprintf("aot/sentinel/g%d", g), func(b *testing.B) {
 			benchHotPathK(b, core.ModeAOT, false, true, g)
+		})
+	}
+	for _, mode := range []core.ExecMode{core.ModeAOT, core.ModeJIT} {
+		mode := mode
+		b.Run(fmt.Sprintf("%s/coldflows/g1", mode), func(b *testing.B) {
+			benchColdFlows(b, mode)
 		})
 	}
 }

@@ -1,0 +1,225 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"rmtk/internal/aot"
+	"rmtk/internal/fault"
+	"rmtk/internal/isa"
+	"rmtk/internal/table"
+	"rmtk/internal/vm"
+)
+
+// This file pins the verdict cache's second-touch admission rule: a flow's
+// first replayable miss leaves a fingerprint, its second stores, its third
+// replays — and everything that makes a fire non-replayable is decided before
+// the doorkeeper is consulted.
+
+const admitHook = "test/admit"
+
+// newAdmitKernel builds the full stack the benchmark's fire workloads run —
+// ModeAOT, verdict cache on, supervisor and sentinel attached — around one
+// pure program (verdict = key + arg2 + arg3) behind an exact table with keys
+// 0..15. The AOT function is registered by hand under the program's
+// admission-time hash, so the AOT tier is what fires.
+func newAdmitKernel(t *testing.T) (*Kernel, *Sentinel) {
+	t.Helper()
+	prog := func() *isa.Program {
+		return &isa.Program{Name: "admit_sum", Hook: admitHook,
+			Insns: isa.MustAssemble("mov r0, r1\nadd r0, r2\nadd r0, r3\nexit")}
+	}
+	scratch := NewKernel(Config{})
+	install(t, scratch, prog())
+	aot.Register(statusOf(t, scratch, "admit_sum").Hash, "admit_sum_aot",
+		func(_ vm.Env, _ *aot.Scratch, r1, r2, r3 int64) (int64, int64, error) {
+			return r1 + r2 + r3, 4, nil
+		})
+
+	k := NewKernel(Config{Mode: ModeAOT})
+	pid, rep, err := k.InstallProgram(prog())
+	if err != nil || !rep.Pure {
+		t.Fatalf("install: pure=%v err=%v", rep.Pure, err)
+	}
+	tb := table.New("admit_tab", admitHook, table.MatchExact)
+	if _, err := k.CreateTable(tb); err != nil {
+		t.Fatal(err)
+	}
+	for key := uint64(0); key < 16; key++ {
+		if err := tb.Insert(&table.Entry{Key: key, Action: table.Action{Kind: table.ActionProgram, ProgID: pid}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.Supervise(SupervisorConfig{})
+	return k, k.AttachSentinel(SentinelConfig{SampleEvery: 64})
+}
+
+// TestOneShotFlowsAreNeverStored: flows that never recur leave nothing in the
+// verdict cache — no entry, no eviction, no allocation — only declines.
+func TestOneShotFlowsAreNeverStored(t *testing.T) {
+	const n = 10000
+	k, sen := newAdmitKernel(t)
+	for i := int64(0); i < n; i++ {
+		key := i % 16
+		if res := k.Fire(admitHook, key, 1, i); res.CacheHit || res.Verdict != key+1+i {
+			t.Fatalf("one-shot fire %d = %+v", i, res)
+		}
+	}
+	// The fires the sentinel sampled are not replayable and never reach the
+	// doorkeeper; every other one is a first touch.
+	sampled := sen.Counts().Sampled
+	st := k.VerdictCacheStats()
+	if st.Entries != 0 || st.Evictions != 0 || st.Misses != n || sampled == 0 || st.Declined != n-sampled {
+		t.Fatalf("stats after %d one-shot flows (%d sampled) = %+v; want no entries, no evictions, every unsampled fire declined", n, sampled, st)
+	}
+	next := int64(n)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		k.Fire(admitHook, next%16, 1, next)
+		next++
+	}); allocs != 0 {
+		t.Fatalf("one-shot fire allocates %.1f objects; want 0", allocs)
+	}
+	if s := statusOf(t, k, "admit_sum"); s.Tier != TierAOT {
+		t.Fatalf("tier = %s, want the fires above to have run on aot", s.Tier)
+	}
+}
+
+// TestReadmissionAfterCommitTakesOneMiss: admission is generation-agnostic. A
+// flow cached under one generation is stored again on its first miss under
+// the next; only a flow's first sighting ever pays the extra miss.
+func TestReadmissionAfterCommitTakesOneMiss(t *testing.T) {
+	k, _, _, tb := newHotPathTestKernel(t, 4)
+	fire := func() FireResult { return k.Fire(hpTestHook, 1, 2, 0) }
+	for i, wantHit := range []bool{false, false, true} {
+		if res := fire(); res.CacheHit != wantHit || res.Verdict != 12 {
+			t.Fatalf("fire %d: %+v, want CacheHit=%v", i+1, res, wantHit)
+		}
+	}
+	if err := tb.Insert(&table.Entry{Key: 99, Action: table.Action{Kind: table.ActionParam, Param: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if res := fire(); res.CacheHit {
+		t.Fatalf("table mutation did not invalidate: %+v", res)
+	}
+	if res := fire(); !res.CacheHit || res.Verdict != 12 {
+		t.Fatalf("re-admission needed a second miss: %+v", res)
+	}
+	if st := k.VerdictCacheStats(); st.Declined != 1 {
+		t.Fatalf("declined = %d, want 1 (the flow's first sighting only)", st.Declined)
+	}
+}
+
+// TestTenantsDoNotAdmitEachOthersFlows: every tenant (and the admin view,
+// whose FlowKey for a tenant hook is the tenant's own) keeps its own
+// doorkeeper, so one tenant's first touch is never another's second.
+func TestTenantsDoNotAdmitEachOthersFlows(t *testing.T) {
+	k := NewKernel(Config{})
+	for _, tn := range []string{"alpha", "beta"} {
+		if err := k.RegisterTenant(tn, TenantQuota{}); err != nil {
+			t.Fatal(err)
+		}
+		addTenantTable(t, k, tn, "tab", "h", 1, 100)
+	}
+	if _, err := k.FireTenant("alpha", "h", 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := k.FireTenant("beta", "h", 1, 0, 0); err != nil || res.CacheHit {
+		t.Fatalf("beta first fire = %+v err %v", res, err)
+	}
+	k.Fire("alpha:h", 1, 0, 0)
+	for _, tn := range []string{"alpha", "beta"} {
+		st, err := k.TenantVerdictCacheStats(tn)
+		if err != nil || st.Declined != 1 || st.Entries != 0 {
+			t.Fatalf("%s after one fire: %+v err %v; want 1 declined, nothing stored", tn, st, err)
+		}
+	}
+	if st := k.VerdictCacheStats(); st.Declined != 1 || st.Entries != 0 {
+		t.Fatalf("admin view after one fire: %+v; want 1 declined, nothing stored", st)
+	}
+	// Each view's own second touch stores, its third replays.
+	if res, _ := k.FireTenant("beta", "h", 1, 0, 0); res.CacheHit {
+		t.Fatalf("beta second fire replayed: %+v", res)
+	}
+	if res, _ := k.FireTenant("beta", "h", 1, 0, 0); !res.CacheHit {
+		t.Fatalf("beta third fire not replayed: %+v", res)
+	}
+
+	// The declines are visible to an operator, summed and per tenant.
+	var line string
+	for _, l := range k.Metrics.Snapshot() {
+		if strings.HasPrefix(l, "core.verdict_cache.declined ") {
+			line = l
+		}
+	}
+	if line != "core.verdict_cache.declined 3" {
+		t.Fatalf("snapshot line = %q, want the three first touches summed", line)
+	}
+	if st, err := k.TenantStatus("alpha"); err != nil || st.VerdictCache.Declined != 1 {
+		t.Fatalf("alpha tenant status = %+v err %v, want 1 declined", st.VerdictCache, err)
+	}
+}
+
+// TestNonReplayableFiresLeaveNoFingerprint: a fire that could not have been
+// cached is not a touch. After each kind of non-replayable fire the entry is
+// made replayable, and the same key must still need two misses.
+func TestNonReplayableFiresLeaveNoFingerprint(t *testing.T) {
+	const hook = "test/noreplay"
+	param := table.Action{Kind: table.ActionParam, Param: 7}
+	cases := []struct {
+		name string
+		// arm makes key 1's fire non-replayable; disarm undoes it.
+		arm, disarm func(t *testing.T, k *Kernel, tb *table.Table)
+	}{
+		{
+			name: "emitting program",
+			arm: func(t *testing.T, k *Kernel, tb *table.Table) {
+				pid := install(t, k, &isa.Program{Name: "emits", Hook: hook,
+					Insns:   isa.MustAssemble("movimm r1, 100\ncall 1\nmovimm r0, 0\nexit"),
+					Helpers: []int64{HelperEmit}})
+				tb.UpdateAction(1, table.Action{Kind: table.ActionProgram, ProgID: pid})
+			},
+			disarm: func(t *testing.T, k *Kernel, tb *table.Table) { tb.UpdateAction(1, param) },
+		},
+		{
+			name: "collect action",
+			arm: func(t *testing.T, k *Kernel, tb *table.Table) {
+				tb.UpdateAction(1, table.Action{Kind: table.ActionCollect})
+			},
+			disarm: func(t *testing.T, k *Kernel, tb *table.Table) { tb.UpdateAction(1, param) },
+		},
+		{
+			name: "injector attached",
+			arm: func(t *testing.T, k *Kernel, tb *table.Table) {
+				k.SetFaultInjector(fault.NewInjector(1))
+			},
+			disarm: func(t *testing.T, k *Kernel, tb *table.Table) { k.SetFaultInjector(nil) },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel(Config{})
+			tb := table.New("noreplay_tab", hook, table.MatchExact)
+			if _, err := k.CreateTable(tb); err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.Insert(&table.Entry{Key: 1, Action: param}); err != nil {
+				t.Fatal(err)
+			}
+			tc.arm(t, k, tb)
+			for i := 0; i < 3; i++ {
+				if res := k.Fire(hook, 1, 0, 0); res.CacheHit {
+					t.Fatalf("non-replayable fire %d replayed: %+v", i+1, res)
+				}
+			}
+			if st := k.VerdictCacheStats(); st.Declined != 0 || st.Entries != 0 {
+				t.Fatalf("non-replayable fires reached the doorkeeper: %+v", st)
+			}
+			tc.disarm(t, k, tb)
+			for i, wantHit := range []bool{false, false, true} {
+				if res := k.Fire(hook, 1, 0, 0); res.CacheHit != wantHit || res.Verdict != 7 {
+					t.Fatalf("replayable fire %d: %+v, want CacheHit=%v", i+1, res, wantHit)
+				}
+			}
+		})
+	}
+}

@@ -66,7 +66,8 @@ type FireResult struct {
 	DelayNs int64
 	// CacheHit reports that the verdict was replayed from the verdict cache
 	// (the pipeline was memoized for these arguments under the current
-	// datapath generation).
+	// datapath generation). A new flow's first two replayable fires miss —
+	// one leaves a fingerprint, the next stores — and the third replays.
 	CacheHit bool
 }
 
@@ -119,7 +120,9 @@ type Event struct {
 // The hot path is lock-free: dispatch runs against an immutable route
 // snapshot (atomic pointer), table lookups read copy-on-write table
 // snapshots, and for verifier-certified pure pipelines the whole verdict is
-// memoized per (hook, args) and replayed until the datapath generation moves.
+// memoized per (hook, args) from a flow's second replayable miss (the first
+// only leaves a fingerprint in the cache's doorkeeper, so one-shot flows are
+// never stored) and replayed until the datapath generation moves.
 func (k *Kernel) Fire(hook string, key, arg2, arg3 int64) FireResult {
 	// Generation before route: mutators publish route-then-generation, so a
 	// verdict computed against this snapshot is cached under a generation no
@@ -199,10 +202,11 @@ type preDecision struct {
 	d      Decision
 }
 
-// replayCached replays one memoized fire. It returns ok=false when the
-// supervisor routed the program away from a plain run — the caller then
-// executes the slow path, passing along the returned preDecision (nil when
-// the miss was not supervisor-related, which cannot happen today).
+// replayCached replays one memoized fire. It returns (nil, true) when the
+// fire was replayed, and (pre, false) with the supervisor's already-taken
+// Allow decision when the breaker routed the cached program to a probe or
+// the fallback — the caller then runs the slow path with pre, so the breaker
+// clock ticks once.
 func (k *Kernel) replayCached(rt *routes, cf *cachedFire, shard int, hook string, key int64, res *FireResult) (*preDecision, bool) {
 	if cf.hasProg && rt.sup != nil {
 		d := rt.sup.Allow(cf.progID)
@@ -231,8 +235,9 @@ func (k *Kernel) replayCached(rt *routes, cf *cachedFire, shard int, hook string
 	return nil, true
 }
 
-// fireSlow runs the full pipeline and, when the fire proved replayable,
-// memoizes the outcome under (fk, gen).
+// fireSlow runs the full pipeline and, when the fire proved replayable and
+// the verdict cache's doorkeeper has seen the flow before, memoizes the
+// outcome under (fk, gen).
 func (k *Kernel) fireSlow(ts *tenantState, rt *routes, gen uint64, hr *hookRoute, shard int, hook string, key, arg2, arg3 int64, res *FireResult, record bool, fk table.FlowKey, pre *preDecision, fc *fireCtx) {
 	// The invocation is pooled because it escapes into the engine env (the
 	// env is handed to program code through the vm.Env interface); a fresh
@@ -281,8 +286,11 @@ func (k *Kernel) fireSlow(ts *tenantState, rt *routes, gen uint64, hr *hookRoute
 		k.runShadow(rt, hr.shadow, shadowEntry, inv, res)
 	}
 
+	// Admit comes last: only a fire that proved replayable leaves a
+	// fingerprint, and a flow's first such miss stops here — no cachedFire, no
+	// shard-map insert — so a flow that never recurs costs an uncached fire.
 	if rec.ok && rec.progs <= 1 && !res.Trapped && !res.FellBack &&
-		len(inv.emissions) == 0 && inv.rateHits == 0 {
+		len(inv.emissions) == 0 && inv.rateHits == 0 && ts.vcache.Admit(fk) {
 		cf := &cachedFire{
 			rows:    append([]cachedRow(nil), rec.rows[:rec.nrows]...),
 			matched: res.Matched,

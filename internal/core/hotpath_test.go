@@ -193,8 +193,13 @@ func TestVerdictCacheInvalidationOnSwap(t *testing.T) {
 	if v := fire().Verdict; v != 12 {
 		t.Fatalf("initial verdict = %d, want 12", v)
 	}
+	// Second-touch admission: the first fire left a fingerprint, the second
+	// stores, the third replays.
+	if res := fire(); res.CacheHit || res.Verdict != 12 {
+		t.Fatalf("second fire should store, not replay: %+v", res)
+	}
 	if res := fire(); !res.CacheHit || res.Verdict != 12 {
-		t.Fatalf("second fire not replayed: %+v", res)
+		t.Fatalf("third fire not replayed: %+v", res)
 	}
 
 	// Model swap: same program, new weights.

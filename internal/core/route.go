@@ -251,13 +251,11 @@ const maxRecordRows = 4
 
 // fireRec accumulates cacheability evidence during one slow-path fire.
 type fireRec struct {
-	ok       bool // still eligible for caching
-	progs    int  // program actions seen
-	progID   int64
-	steps    int64
-	nrows    int
-	rows     [maxRecordRows]cachedRow
-	overflow bool
+	ok     bool // still eligible for caching
+	progs  int  // program actions seen
+	progID int64
+	nrows  int
+	rows   [maxRecordRows]cachedRow
 }
 
 func (r *fireRec) addRow(t *table.Table, hit *table.Entry) {
@@ -266,7 +264,6 @@ func (r *fireRec) addRow(t *table.Table, hit *table.Entry) {
 	}
 	if r.nrows == maxRecordRows {
 		r.ok = false
-		r.overflow = true
 		return
 	}
 	r.rows[r.nrows] = cachedRow{t: t, hit: hit}
@@ -274,7 +271,8 @@ func (r *fireRec) addRow(t *table.Table, hit *table.Entry) {
 }
 
 // VerdictCacheStats reports the default tenant's verdict-cache
-// hit/miss/invalidation counters (TenantVerdictCacheStats for tenants').
+// hit/miss/invalidation/declined counters (TenantVerdictCacheStats for
+// tenants').
 func (k *Kernel) VerdictCacheStats() table.FlowCacheStats {
 	return k.def.vcache.Stats()
 }
@@ -297,6 +295,7 @@ func (k *Kernel) hotStatLines() []string {
 			vs.Misses += tvs.Misses
 			vs.Invalidations += tvs.Invalidations
 			vs.Evictions += tvs.Evictions
+			vs.Declined += tvs.Declined
 		}
 	}
 	out = append(out,
@@ -304,6 +303,7 @@ func (k *Kernel) hotStatLines() []string {
 		fmt.Sprintf("core.verdict_cache.misses %d", vs.Misses),
 		fmt.Sprintf("core.verdict_cache.invalidations %d", vs.Invalidations),
 		fmt.Sprintf("core.verdict_cache.evictions %d", vs.Evictions),
+		fmt.Sprintf("core.verdict_cache.declined %d", vs.Declined),
 	)
 	rt := k.def.route.Load()
 	out = append(out,

@@ -30,7 +30,9 @@ import (
 const nameSep = qos.NameSeparator
 
 // tenantVCacheCap is the per-shard verdict-cache capacity of one tenant
-// (smaller than the default tenant's: many tenants share the heap).
+// (smaller than the default tenant's: many tenants share the heap). It also
+// bounds the cache's admission doorkeeper: 16 KB once a tenant fires, growing
+// with the flows it sees to at most 128 KB.
 const tenantVCacheCap = 1024
 
 // tenantSeriesCap bounds the per-tenant telemetry series the registry holds

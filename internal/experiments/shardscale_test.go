@@ -38,7 +38,8 @@ func TestShardScale(t *testing.T) {
 
 // TestNewHotPathKernel asserts the shared bench fixture is cacheable end to
 // end: the workload program is certified pure and a repeated fire replays
-// from the verdict cache.
+// from the verdict cache (from the third fire: the first leaves a
+// fingerprint, the second stores).
 func TestNewHotPathKernel(t *testing.T) {
 	k, err := NewHotPathKernel(core.ModeInterp, true)
 	if err != nil {
@@ -48,9 +49,12 @@ func TestNewHotPathKernel(t *testing.T) {
 	if first.Matched == 0 || first.Trapped {
 		t.Fatalf("fixture fire failed: %+v", first)
 	}
-	second := k.Fire(HotPathHook, 7, 7&7, 3)
-	if !second.CacheHit || second.Verdict != first.Verdict {
-		t.Fatalf("fixture fire not memoized: first %+v, second %+v", first, second)
+	if second := k.Fire(HotPathHook, 7, 7&7, 3); second.CacheHit {
+		t.Fatalf("fixture fire stored on its first touch: %+v", second)
+	}
+	third := k.Fire(HotPathHook, 7, 7&7, 3)
+	if !third.CacheHit || third.Verdict != first.Verdict {
+		t.Fatalf("fixture fire not memoized: first %+v, third %+v", first, third)
 	}
 
 	ku, err := NewHotPathKernel(core.ModeInterp, false)

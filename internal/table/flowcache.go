@@ -19,6 +19,26 @@ import (
 // generation, and the next Get of a stale entry counts an invalidation and
 // drops it. Shards are power-of-two sized and selected by key hash, so
 // concurrent lookups on different flow keys land on different locks.
+//
+// Admission. A miss followed by a Put walks a shard map that is far larger
+// than the CPU's caches, allocates the stored value and, once the shard
+// fills, clears it wholesale — several times the cost of the engine run the
+// verdict cache exists to skip. A flow that never recurs pays all of that to
+// serve zero hits, so the verdict cache asks Admit before it stores: the
+// first miss of a flow leaves only a fingerprint of its FlowKey in a flat
+// array (the doorkeeper), and a later miss that finds the fingerprint is
+// admitted. Admit decides nothing but whether to store; a hit still needs
+// full FlowKey and generation equality in Get. The fingerprint is of the
+// FlowKey alone, not the generation: a commit invalidates what a flow's
+// verdict was, not the evidence that the flow recurs. Get makes that exact:
+// when it drops a stale entry it leaves the flow's fingerprint behind, so a
+// flow that was cached before a commit is stored again on its first miss
+// after it, however crowded the doorkeeper is.
+//
+// Put itself stays unconditional. The scan memo's misses cost a linear table
+// scan, which a map insert always beats, and its key space is the table's
+// match keys rather than every (key, args) combination a hook can see — it
+// has no one-hit-wonder problem for a filter to solve.
 
 // FlowKey identifies one cached decision. Hook is the kernel's interned hook
 // id (zero for per-table memos); Key is the match key; Arg2/Arg3 are the
@@ -29,7 +49,8 @@ type FlowKey struct {
 	Arg2, Arg3 int64
 }
 
-// hash mixes the key material (splitmix64-style) for shard selection.
+// hash mixes the key material (splitmix64-style). The low bits select the
+// shard; the doorkeeper slices the same hash differently (doorkeeper.slot).
 func (k FlowKey) hash() uint64 {
 	h := k.Key*0x9E3779B97F4A7C15 ^ k.Hook*0xBF58476D1CE4E5B9 ^
 		uint64(k.Arg2)*0x94D049BB133111EB ^ uint64(k.Arg3)
@@ -55,8 +76,9 @@ type flowShard[V any] struct {
 	misses        atomic.Int64
 	invalidations atomic.Int64
 	evictions     atomic.Int64
+	declined      atomic.Int64
 
-	_ [24]byte // pad the struct toward a cache-line multiple
+	_ [16]byte // pad the struct toward a cache-line multiple
 }
 
 // FlowCache is a sharded decision cache with lazy generation invalidation.
@@ -67,6 +89,11 @@ type FlowCache[V any] struct {
 	mask     uint64
 	perShard int
 	shards   []flowShard[V]
+
+	// door is the admission filter, nil until the first Admit (the scan memos
+	// never call it and carry none); doorCap is the size it may grow to.
+	door    atomic.Pointer[doorkeeper]
+	doorCap int
 }
 
 // FlowCacheStats aggregates the per-shard counters.
@@ -75,7 +102,10 @@ type FlowCacheStats struct {
 	Misses        int64
 	Invalidations int64
 	Evictions     int64
-	Entries       int64
+	// Declined counts the misses Admit turned away; Declined ÷ Misses is the
+	// share of misses that were a flow's first sighting.
+	Declined int64
+	Entries  int64
 }
 
 // NewFlowCache builds a cache with shards rounded up to a power of two
@@ -91,7 +121,11 @@ func NewFlowCache[V any](shards, perShard int) *FlowCache[V] {
 	if perShard <= 0 {
 		perShard = 4096
 	}
-	c := &FlowCache[V]{mask: uint64(n - 1), perShard: perShard, shards: make([]flowShard[V], n)}
+	doorCap := 1
+	for doorCap < n*perShard {
+		doorCap <<= 1
+	}
+	c := &FlowCache[V]{mask: uint64(n - 1), perShard: perShard, shards: make([]flowShard[V], n), doorCap: doorCap}
 	for i := range c.shards {
 		c.shards[i].m = make(map[FlowKey]flowVal[V])
 	}
@@ -106,7 +140,8 @@ func (c *FlowCache[V]) Get(k FlowKey, gen uint64) (V, bool) {
 	if c == nil {
 		return zero, false
 	}
-	s := &c.shards[k.hash()&c.mask]
+	h := k.hash()
+	s := &c.shards[h&c.mask]
 	s.mu.Lock()
 	e, ok := s.m[k]
 	if ok && e.gen == gen {
@@ -117,6 +152,13 @@ func (c *FlowCache[V]) Get(k FlowKey, gen uint64) (V, bool) {
 	if ok {
 		delete(s.m, k)
 		s.mu.Unlock()
+		if d := c.door.Load(); d != nil {
+			// A stale entry is proof the flow recurs: vouch for it, so
+			// storing it again takes this one miss.
+			if slot, fp := d.slot(h); slot.Load() != fp {
+				slot.Store(fp)
+			}
+		}
 		s.invalidations.Add(1)
 		s.misses.Add(1)
 		return zero, false
@@ -143,7 +185,98 @@ func (c *FlowCache[V]) Put(k FlowKey, gen uint64, v V) {
 	s.mu.Unlock()
 }
 
-// Reset drops every cached entry (counted as evictions).
+// doorkeeper is the admission filter: a direct-mapped array of flow
+// fingerprints. A slot holds one fingerprint (bit 0 always set, so zero is an
+// empty slot) with a two-bit grace count in bits 1–2. Each other flow that
+// lands on an occupied slot spends one grace instead of overwriting; the flow
+// that finds none left takes the slot. Without the grace count two candidates
+// sharing a slot overwrite each other on every round of a cyclic working set
+// and neither is ever admitted; with it the slot's holder survives until it
+// returns, releases the slot on admission, and the next candidate moves in.
+// It is also the filter's only ageing: a fingerprint nobody comes back for
+// lasts four collisions, so there is no reset timer.
+//
+// The array starts at four pages and is replaced by an empty one of twice the
+// size whenever a quarter of its slots have been claimed, up to one slot per
+// entry of the cache's capacity: a working set that fits the cache fits the
+// filter, a cache that only ever sees a few hundred flows pays for a few
+// hundred slots, and the size is derived from the traffic, not configured.
+// Growing forgets the candidates in flight (each pays one more miss), never
+// a cached flow. At full size nothing is counted any more.
+//
+// used is the one word callers share, and only while the array can still
+// grow: over a cache's whole life it is incremented fewer than doorCap/2
+// times. It sits on its own cache line so those increments never invalidate
+// the slots header every Admit reads.
+type doorkeeper struct {
+	slots []atomic.Uint32
+	_     [64 - 24]byte
+	used  atomic.Int64 // empty slots claimed since this array was made
+	_     [64 - 8]byte
+}
+
+const (
+	doorGraceUnit = 1 << 1 // one grace, in slot bits
+	doorGraceMask = 3 << 1 // a new holder's three graces
+
+	doorMinSlots = 4096
+)
+
+// slot returns the slot and fingerprint of the flow whose FlowKey hashes to
+// h: the slot from the hash's high half (the low bits chose the shard), the
+// fingerprint from its low half.
+func (d *doorkeeper) slot(h uint64) (*atomic.Uint32, uint32) {
+	return &d.slots[(h>>32)&uint64(len(d.slots)-1)], uint32(h)&^doorGraceMask | 1
+}
+
+// growDoor replaces old (nil: none yet) with an empty doorkeeper of twice its
+// size and returns the current one; of racing callers one wins.
+func (c *FlowCache[V]) growDoor(old *doorkeeper) *doorkeeper {
+	n := doorMinSlots
+	if old != nil {
+		n = 2 * len(old.slots)
+	}
+	c.door.CompareAndSwap(old, &doorkeeper{slots: make([]atomic.Uint32, min(n, c.doorCap))})
+	return c.door.Load()
+}
+
+// Admit reports whether a value for k is worth storing: true once k has
+// missed before and its fingerprint is still in the doorkeeper, false (and
+// counted as declined) on a first sighting, which only leaves the
+// fingerprint. It takes no lock and allocates only when the doorkeeper
+// grows: slots are independent atomics, and a racing pair of callers can at
+// worst admit a flow one miss early or late.
+func (c *FlowCache[V]) Admit(k FlowKey) bool {
+	if c == nil {
+		return false
+	}
+	d := c.door.Load()
+	if d == nil {
+		d = c.growDoor(nil)
+	}
+	h := k.hash()
+	slot, fp := d.slot(h)
+	cur := slot.Load()
+	if cur&^doorGraceMask == fp {
+		if cur != fp {
+			slot.Store(fp) // admitted: the slot is free for the next candidate
+		}
+		return true
+	}
+	if cur&doorGraceMask != 0 {
+		slot.Store(cur - doorGraceUnit)
+	} else {
+		slot.Store(fp | doorGraceMask)
+		if n := len(d.slots); cur == 0 && n < c.doorCap && d.used.Add(1) > int64(n/4) {
+			c.growDoor(d)
+		}
+	}
+	c.shards[h&c.mask].declined.Add(1)
+	return false
+}
+
+// Reset drops every cached entry (counted as evictions). Fingerprints stay:
+// a flow seen before Reset is still a flow that recurs.
 func (c *FlowCache[V]) Reset() {
 	if c == nil {
 		return
@@ -169,6 +302,7 @@ func (c *FlowCache[V]) Stats() FlowCacheStats {
 		st.Misses += s.misses.Load()
 		st.Invalidations += s.invalidations.Load()
 		st.Evictions += s.evictions.Load()
+		st.Declined += s.declined.Load()
 		s.mu.Lock()
 		st.Entries += int64(len(s.m))
 		s.mu.Unlock()

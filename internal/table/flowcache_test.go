@@ -2,6 +2,7 @@ package table
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -50,6 +51,9 @@ func TestFlowCacheNilSafe(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	c.Put(FlowKey{Key: 1}, 0, 5) // must not panic
+	if c.Admit(FlowKey{Key: 1}) || c.Admit(FlowKey{Key: 1}) {
+		t.Fatal("nil cache admitted a flow")
+	}
 	c.Reset()
 	if st := c.Stats(); st != (FlowCacheStats{}) {
 		t.Fatalf("nil stats = %+v", st)
@@ -74,6 +78,158 @@ func TestFlowCacheConcurrent(t *testing.T) {
 		}(uint64(g))
 	}
 	wg.Wait()
+}
+
+// TestFlowCacheAdmitSecondTouch: the first offer of a flow only leaves its
+// fingerprint, the second is admitted, and neither Reset nor the generation
+// is part of the decision.
+func TestFlowCacheAdmitSecondTouch(t *testing.T) {
+	c := NewFlowCache[int](4, 8)
+	k := FlowKey{Hook: 1, Key: 42, Arg2: 7}
+	if c.Admit(k) {
+		t.Fatal("first sighting admitted")
+	}
+	if !c.Admit(k) {
+		t.Fatal("second sighting declined")
+	}
+	c.Reset()
+	if !c.Admit(k) {
+		t.Fatal("Reset forgot a flow that recurs")
+	}
+	if c.Admit(FlowKey{Hook: 1, Key: 42, Arg2: 8}) {
+		t.Fatal("a different flow rode on another's fingerprint")
+	}
+	if st := c.Stats(); st.Declined != 2 || st.Entries != 0 {
+		t.Fatalf("stats = %+v; want 2 declined and nothing stored by Admit", st)
+	}
+}
+
+// TestFlowCacheDoorGrowsWithTraffic: the doorkeeper is sized by the flows it
+// has seen — a small array for a few flows, one slot per entry of capacity
+// under a flood, never more.
+func TestFlowCacheDoorGrowsWithTraffic(t *testing.T) {
+	c := NewFlowCache[int](32, 4096)
+	if c.door.Load() != nil {
+		t.Fatal("doorkeeper allocated before the first Admit")
+	}
+	for i := uint64(0); i < 512; i++ {
+		c.Admit(FlowKey{Key: i})
+	}
+	if n := len(c.door.Load().slots); n != doorMinSlots {
+		t.Fatalf("door after 512 flows = %d slots, want %d", n, doorMinSlots)
+	}
+	for i := uint64(0); i < 1<<18; i++ {
+		c.Admit(FlowKey{Key: i, Arg2: 1})
+	}
+	if n := len(c.door.Load().slots); n != 32*4096 {
+		t.Fatalf("door under a flood = %d slots, want the cache's capacity %d", n, 32*4096)
+	}
+	small := NewFlowCache[int](4, 8)
+	for i := uint64(0); i < 1000; i++ {
+		small.Admit(FlowKey{Key: i})
+	}
+	if n := len(small.door.Load().slots); n != 32 {
+		t.Fatalf("door of a 32-entry cache = %d slots", n)
+	}
+}
+
+// TestFlowCacheReadmitsSharersOnOneMiss: two cached flows that share a
+// doorkeeper slot both come back after a generation bump on their first miss,
+// because Get vouches for a flow whose stale entry it drops.
+func TestFlowCacheReadmitsSharersOnOneMiss(t *testing.T) {
+	c := NewFlowCache[uint64](4, 1024)
+	a := FlowKey{Hook: 1, Key: 0}
+	c.Admit(a)
+	slotOf := func(k FlowKey) *atomic.Uint32 { s, _ := c.door.Load().slot(k.hash()); return s }
+	b := FlowKey{Hook: 1, Key: 1}
+	for slotOf(b) != slotOf(a) {
+		b.Key++
+	}
+	for _, k := range []FlowKey{a, b} {
+		for i := 0; i < 2 && !c.Admit(k); i++ {
+		}
+		c.Put(k, 1, k.Key)
+	}
+	for round := 0; round < 3; round++ {
+		gen := uint64(2 + round)
+		for _, k := range []FlowKey{a, b} {
+			if _, ok := admitGetPut(c, k, gen); ok {
+				t.Fatalf("round %d: stale hit for %+v", round, k)
+			}
+			if v, ok := c.Get(k, gen); !ok || v != k.Key {
+				t.Fatalf("round %d: %+v not stored again on its first miss", round, k)
+			}
+		}
+	}
+}
+
+// admitGetPut is the verdict cache's use of the filter: probe, and on a miss
+// store only what Admit lets through.
+func admitGetPut(c *FlowCache[uint64], k FlowKey, gen uint64) (uint64, bool) {
+	v, ok := c.Get(k, gen)
+	if !ok && c.Admit(k) {
+		c.Put(k, gen, k.Key)
+	}
+	return v, ok
+}
+
+// TestFlowCacheAdmitConcurrent hammers the filter and the store from 8
+// goroutines over overlapping keys (run under -race): slots are independent
+// atomics, so the worst a race may do is admit a flow one miss early or late
+// — never corrupt a value.
+func TestFlowCacheAdmitConcurrent(t *testing.T) {
+	c := NewFlowCache[uint64](8, 256)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g uint64) {
+			defer wg.Done()
+			for i := uint64(0); i < 4000; i++ {
+				k := FlowKey{Hook: g % 2, Key: i % 197}
+				if v, ok := admitGetPut(c, k, i/1000); ok && v != k.Key {
+					t.Errorf("corrupted value %d for key %d", v, k.Key)
+					return
+				}
+			}
+		}(uint64(g))
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Hits == 0 || st.Declined == 0 || st.Declined > st.Misses {
+		t.Fatalf("stats = %+v; want hits, declines, and no more declines than misses", st)
+	}
+}
+
+// TestFlowCacheAdmitDoesNotStarveFullWorkingSet: a cyclic working set that
+// exactly fills every shard must end up cached. With one filter slot per
+// entry of capacity many flows share a slot; if sharers simply overwrote one
+// another, none of them would ever find its fingerprint on the next round.
+func TestFlowCacheAdmitDoesNotStarveFullWorkingSet(t *testing.T) {
+	const shards, perShard, rounds = 8, 512, 5
+	c := NewFlowCache[uint64](shards, perShard)
+	var fill [shards]int
+	var keys []FlowKey
+	for i := uint64(0); len(keys) < shards*perShard; i++ {
+		k := FlowKey{Hook: 3, Key: i, Arg3: int64(i % 5)}
+		if s := k.hash() & c.mask; fill[s] < perShard {
+			fill[s]++
+			keys = append(keys, k)
+		}
+	}
+	var ratio float64
+	for r := 0; r < rounds; r++ {
+		before := c.Stats().Hits
+		for _, k := range keys {
+			admitGetPut(c, k, 1)
+		}
+		ratio = float64(c.Stats().Hits-before) / float64(len(keys))
+	}
+	if ratio < 0.9 {
+		t.Fatalf("hit ratio in round %d = %.3f; want >= 0.9", rounds, ratio)
+	}
+	if st := c.Stats(); st.Evictions != 0 {
+		t.Fatalf("working set sized to capacity evicted %d entries", st.Evictions)
+	}
 }
 
 // TestTableScanMemo verifies that non-exact lookups are memoized per version
