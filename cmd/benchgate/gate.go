@@ -195,6 +195,17 @@ func MissTax(current map[string]float64) (ns float64, ok bool) {
 	return cold - unc, okc && oku
 }
 
+// SupervisorTax reports what an attached supervisor adds to an uncached AOT
+// fire in one run: supervised/uncached minus uncached at one goroutine — one
+// Allow and one RecordRun on a closed breaker. ok is false when the run lacks
+// either arm. No other arm supervises, so without this line the breaker's
+// cost on the healthy path is priced nowhere.
+func SupervisorTax(current map[string]float64) (ns float64, ok bool) {
+	sup, oks := current["BenchmarkHotPath/aot/supervised/uncached/g1"]
+	unc, oku := current["BenchmarkHotPath/aot/uncached/g1"]
+	return sup - unc, oks && oku
+}
+
 // Compare gates current medians against the baseline.
 func Compare(baseline, current map[string]float64, threshold float64) Report {
 	rep := Report{Threshold: threshold, Geomean: 1}

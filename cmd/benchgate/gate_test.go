@@ -123,6 +123,21 @@ func TestMissTax(t *testing.T) {
 	}
 }
 
+func TestSupervisorTax(t *testing.T) {
+	current := map[string]float64{
+		"BenchmarkHotPath/aot/supervised/uncached/g1": 172,
+		"BenchmarkHotPath/aot/supervised/cached/g1":   120, // not part of the line
+		"BenchmarkHotPath/aot/uncached/g1":            165,
+	}
+	if ns, ok := SupervisorTax(current); !ok || ns != 7 {
+		t.Fatalf("supervisor tax = %v, %v; want 7, true", ns, ok)
+	}
+	delete(current, "BenchmarkHotPath/aot/supervised/uncached/g1")
+	if _, ok := SupervisorTax(current); ok {
+		t.Fatal("supervisor tax reported without the supervised arm")
+	}
+}
+
 func TestCompareSeededRegressionFails(t *testing.T) {
 	baseline := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 200}
 	// Seed a uniform 15% regression: >10% geomean, must fail the gate.

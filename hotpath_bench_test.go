@@ -4,8 +4,8 @@
 // a verifier-certified pure ALU+matmul program behind a 256-entry exact
 // table — through batched fires, varying execution mode (aot/interp/jit), verdict
 // caching (cached/uncached) and firing goroutines (1/4/16), plus a coldflows
-// arm (cache on, every flow new) that prices a verdict-cache miss. ns/op is
-// per fire.
+// arm (cache on, every flow new) that prices a verdict-cache miss and a
+// supervised arm that prices a closed breaker. ns/op is per fire.
 package rmtk_test
 
 import (
@@ -46,13 +46,18 @@ func fireFlows(k *core.Kernel, from, to int64, cold bool) {
 }
 
 func benchHotPath(b *testing.B, mode core.ExecMode, cached bool, goroutines int) {
-	benchHotPathK(b, mode, cached, false, goroutines)
+	benchHotPathK(b, mode, cached, false, false, goroutines)
 }
 
-func benchHotPathK(b *testing.B, mode core.ExecMode, cached, sentinel bool, goroutines int) {
+func benchHotPathK(b *testing.B, mode core.ExecMode, cached, sentinel, supervised bool, goroutines int) {
 	k, err := experiments.NewHotPathKernel(mode, cached)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if supervised {
+		// Default breakers, never tripped: every fire pays one Allow and one
+		// RecordRun on a closed breaker, cached (replay) or not.
+		k.Supervise(core.SupervisorConfig{})
 	}
 	if sentinel {
 		// Guardrail overhead at the default 1-in-64 differential sampling
@@ -106,7 +111,8 @@ func benchColdFlows(b *testing.B, mode core.ExecMode) {
 // BenchmarkHotPath is the CI-gated suite: mode × caching × goroutines, plus
 // the sentinel-attached AOT variant measuring the engine-guardrail overhead
 // (health-ladder atomic load + 1-in-64 differential checking) on the
-// uncached fire path, plus the AOT and JIT miss arms.
+// uncached fire path, plus the supervised AOT arms (supervised/uncached −
+// uncached is the supervisor tax), plus the AOT and JIT miss arms.
 func BenchmarkHotPath(b *testing.B) {
 	for _, mode := range []core.ExecMode{core.ModeAOT, core.ModeJIT, core.ModeInterp} {
 		for _, cached := range []bool{true, false} {
@@ -125,7 +131,17 @@ func BenchmarkHotPath(b *testing.B) {
 	for _, g := range []int{1, 4, 16} {
 		g := g
 		b.Run(fmt.Sprintf("aot/sentinel/g%d", g), func(b *testing.B) {
-			benchHotPathK(b, core.ModeAOT, false, true, g)
+			benchHotPathK(b, core.ModeAOT, false, true, false, g)
+		})
+	}
+	for _, cached := range []bool{true, false} {
+		cached := cached
+		name := "aot/supervised/uncached/g1"
+		if cached {
+			name = "aot/supervised/cached/g1"
+		}
+		b.Run(name, func(b *testing.B) {
+			benchHotPathK(b, core.ModeAOT, cached, false, true, 1)
 		})
 	}
 	for _, mode := range []core.ExecMode{core.ModeAOT, core.ModeJIT} {

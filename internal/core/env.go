@@ -107,7 +107,7 @@ func (e *env) Call(helperID int64, args *[5]int64) (ret int64, err error) {
 	// must stay inside the invocation (§3.3).
 	defer func() {
 		if r := recover(); r != nil {
-			e.k.Metrics.Counter("core.helper_panics").Inc()
+			e.k.cHelperPanics.Inc()
 			err = fmt.Errorf("%w: helper %d: %v", ErrHelperPanic, helperID, r)
 		}
 	}()
@@ -147,10 +147,11 @@ func (e *env) MatOutLen(id int64) (int, error) {
 func (e *env) Infer(modelID int64, features []int64) (int64, error) {
 	m, ok := e.overlay[modelID]
 	if !ok {
-		m, ok = e.rt.models[modelID]
-		if !ok {
+		mb := e.rt.model(modelID)
+		if mb == nil {
 			return 0, fmt.Errorf("%w: model %d", ErrNotFound, modelID)
 		}
+		m = mb.Model
 	}
 	if e.inv != nil {
 		e.inv.inferences++
@@ -208,8 +209,8 @@ func (e *env) VecStore(id int64, src []int64) error {
 }
 
 func (e *env) TailProgram(id int64) (*isa.Program, error) {
-	p, ok := e.rt.progs[id]
-	if !ok {
+	p := e.rt.prog(id)
+	if p == nil {
 		return nil, fmt.Errorf("%w: program %d", ErrNotFound, id)
 	}
 	return p.prog, nil

@@ -32,6 +32,12 @@ type Invocation struct {
 	// non-replayable (a demoted tier ran, a re-promotion probe ran, or the
 	// differential checker sampled it): the ladder must see every fire.
 	noCache bool
+
+	// fallback is the hook's resolved baseline (hookRoute.fallback).
+	fallback Fallback
+	// feats is ActionInfer's history window; it stays with the pooled
+	// invocation across fires.
+	feats []int64
 }
 
 // Emissions returns the values emitted during the invocation.
@@ -173,45 +179,39 @@ func (k *Kernel) fireOne(ts *tenantState, rt *routes, gen uint64, hook string, k
 	shard := shardIndex(key)
 	k.ctrFires.Inc(shard)
 
-	// The verdict cache applies only when nothing non-replayable is attached:
-	// no fault injector (scheduled faults must strike), no shadow (the
-	// candidate must observe real runs).
-	cacheable := ts.vcache != nil && rt.inj == nil && hr.shadow == nil
 	var fk table.FlowKey
-	if cacheable {
+	var pre *preDecision
+	record := hr.cacheable
+	if record {
 		fk = table.FlowKey{Hook: hr.id, Key: uint64(key), Arg2: arg2, Arg3: arg3}
 		if cf, ok := ts.vcache.Get(fk, gen); ok {
-			if pre, ok := k.replayCached(rt, cf, shard, hook, key, res); ok {
-				return
-			} else if pre != nil {
-				// The supervisor re-routed the cached program (probe or
-				// fallback); run the slow path, handing it the already-taken
-				// Allow decision so the breaker clock ticks exactly once.
-				k.fireSlow(ts, rt, gen, hr, shard, hook, key, arg2, arg3, res, false, fk, pre, fc)
+			if pre = k.replayCached(cf, shard, hook, key, res); pre == nil {
 				return
 			}
+			// The breaker re-routed the cached program (probe or fallback):
+			// run the slow path unrecorded, handing it the already-taken
+			// decision so the breaker clock ticks exactly once.
+			record = false
 		}
 	}
-	k.fireSlow(ts, rt, gen, hr, shard, hook, key, arg2, arg3, res, cacheable, fk, nil, fc)
+	k.fireSlow(ts, rt, gen, hr, shard, hook, key, arg2, arg3, res, record, fk, pre, fc)
 }
 
 // preDecision hands a supervisor Allow verdict taken during cache replay to
 // the slow path, so the breaker is consulted exactly once per fire.
 type preDecision struct {
-	progID int64
-	d      Decision
+	prog *progBinding
+	d    Decision
 }
 
-// replayCached replays one memoized fire. It returns (nil, true) when the
-// fire was replayed, and (pre, false) with the supervisor's already-taken
-// Allow decision when the breaker routed the cached program to a probe or
-// the fallback — the caller then runs the slow path with pre, so the breaker
-// clock ticks once.
-func (k *Kernel) replayCached(rt *routes, cf *cachedFire, shard int, hook string, key int64, res *FireResult) (*preDecision, bool) {
-	if cf.hasProg && rt.sup != nil {
-		d := rt.sup.Allow(cf.progID)
-		if d != DecisionRun {
-			return &preDecision{progID: cf.progID, d: d}, false
+// replayCached replays one memoized fire and returns nil — or, when the
+// breaker routed the cached program to a probe or the fallback, replays
+// nothing and returns the decision it took.
+func (k *Kernel) replayCached(cf *cachedFire, shard int, hook string, key int64, res *FireResult) *preDecision {
+	pb := cf.prog
+	if pb != nil {
+		if d := pb.brk.allow(); d != DecisionRun {
+			return &preDecision{prog: pb, d: d}
 		}
 	}
 	for i := range cf.rows {
@@ -221,18 +221,18 @@ func (k *Kernel) replayCached(rt *routes, cf *cachedFire, shard int, hook string
 	res.Verdict = cf.verdict
 	res.Steps = cf.steps
 	res.CacheHit = true
-	if cf.hasProg {
+	if pb != nil {
 		k.histSteps.Observe(shard, cf.steps)
-		if rt.sup != nil {
-			if failure, _ := rt.sup.RecordRun(cf.progID, hook, cf.steps, 0, nil); failure != nil {
-				k.Metrics.Counter("core.slo_violations").Inc()
+		if pb.brk != nil {
+			if failure, _ := pb.brk.record(hook, cf.steps, 0, nil); failure != nil {
+				k.cSLOViolations.Inc()
 			}
 		}
 	}
 	if cf.infers > 0 {
 		k.ctrInfers.Add(shard, cf.infers)
 	}
-	return nil, true
+	return nil
 }
 
 // fireSlow runs the full pipeline and, when the fire proved replayable and
@@ -245,7 +245,7 @@ func (k *Kernel) fireSlow(ts *tenantState, rt *routes, gen uint64, hr *hookRoute
 	inv := k.invPool.Get().(*Invocation)
 	*inv = Invocation{
 		Hook: hook, Key: key, Arg2: arg2, Arg3: arg3,
-		emitBudget: k.cfg.RateLimit,
+		emitBudget: k.cfg.RateLimit, fallback: hr.fallback, feats: inv.feats,
 	}
 
 	// One injector decision per firing index of this hook; whether it
@@ -289,7 +289,7 @@ func (k *Kernel) fireSlow(ts *tenantState, rt *routes, gen uint64, hr *hookRoute
 	// Admit comes last: only a fire that proved replayable leaves a
 	// fingerprint, and a flow's first such miss stops here — no cachedFire, no
 	// shard-map insert — so a flow that never recurs costs an uncached fire.
-	if rec.ok && rec.progs <= 1 && !res.Trapped && !res.FellBack &&
+	if rec.ok && !res.Trapped && !res.FellBack &&
 		len(inv.emissions) == 0 && inv.rateHits == 0 && ts.vcache.Admit(fk) {
 		cf := &cachedFire{
 			rows:    append([]cachedRow(nil), rec.rows[:rec.nrows]...),
@@ -297,8 +297,7 @@ func (k *Kernel) fireSlow(ts *tenantState, rt *routes, gen uint64, hr *hookRoute
 			verdict: res.Verdict,
 			steps:   res.Steps,
 			infers:  inv.inferences,
-			progID:  rec.progID,
-			hasProg: rec.progs > 0,
+			prog:    rec.prog,
 		}
 		ts.vcache.Put(fk, gen, cf)
 	}
@@ -325,15 +324,16 @@ func (k *Kernel) runAction(rt *routes, shard int, entry *table.Entry, inv *Invoc
 	case table.ActionInfer:
 		// Reads the mutable history ring: not cacheable.
 		rec.ok = false
-		m, ok := rt.models[entry.Action.ModelID]
-		if !ok {
-			k.Metrics.Counter("core.infer_missing_model").Inc()
+		m := rt.model(entry.Action.ModelID)
+		if m == nil {
+			k.cInferMissing.Inc()
 			return
 		}
-		n := m.NumFeatures()
-		feats := make([]int64, n)
-		got := k.ctx.Hist(inv.Key, feats)
-		if got < n {
+		if cap(inv.feats) < m.nfeat {
+			inv.feats = make([]int64, m.nfeat)
+		}
+		feats := inv.feats[:m.nfeat]
+		if k.ctx.Hist(inv.Key, feats) < m.nfeat {
 			return // not enough history yet; default behaviour applies
 		}
 		res.Verdict = m.Predict(feats)
@@ -343,32 +343,36 @@ func (k *Kernel) runAction(rt *routes, shard int, entry *table.Entry, inv *Invoc
 	}
 }
 
-// runProgramAction routes one program action through the supervisor (if
-// attached), applies scheduled faults, and records the outcome.
+// runProgramAction routes one program action through its bound breaker (if
+// supervised), applies scheduled faults, and records the outcome.
 func (k *Kernel) runProgramAction(rt *routes, shard int, entry *table.Entry, inv *Invocation, res *FireResult, rec *fireRec, pre *preDecision, out *fault.Outcome, fc *fireCtx) {
-	progID := entry.Action.ProgID
-	sup := rt.sup
+	pb := rt.prog(entry.Action.ProgID)
+	if pb == nil {
+		// A dangling entry (its program was removed) fails soft: no program,
+		// so no breaker to consult and nothing to memoize.
+		rec.ok = false
+		k.cProgMissing.Inc()
+		return
+	}
 
-	if sup != nil {
-		d := DecisionRun
-		if pre != nil && pre.progID == progID {
-			d = pre.d
-			pre.progID = -1 // consumed
-		} else {
-			d = sup.Allow(progID)
-		}
-		if d != DecisionRun {
-			// A probe or fallback run must not be memoized: the breaker's
-			// state machine has to see every subsequent fire.
-			rec.ok = false
-			if d == DecisionFallback {
-				k.runFallback(inv, res)
-				return
-			}
+	var d Decision
+	if pre != nil && pre.prog == pb {
+		d = pre.d
+		pre.prog = nil // consumed
+	} else {
+		d = pb.brk.allow()
+	}
+	if d != DecisionRun {
+		// A probe or fallback run must not be memoized: the breaker's state
+		// machine has to see every subsequent fire.
+		rec.ok = false
+		if d == DecisionFallback {
+			k.runFallback(inv, res)
+			return
 		}
 	}
 
-	verdict, steps, trapped, err := k.runProgram(rt, shard, progID, inv, entry.Action.Param, out, fc)
+	verdict, steps, trapped, err := k.runProgram(rt, shard, pb, inv, entry.Action.Param, out, fc)
 	if inv.noCache {
 		rec.ok = false
 		inv.noCache = false
@@ -391,21 +395,16 @@ func (k *Kernel) runProgramAction(rt *routes, shard int, entry *table.Entry, inv
 		res.DelayNs += latency
 	}
 
-	rec.progs++
-	rec.progID = progID
-	if p, ok := rt.progs[progID]; !ok || !p.prog.Pure {
-		rec.ok = false
+	if !pb.pure || rec.prog != nil {
+		rec.ok = false // impure, or a second program: only one breaker replays
 	}
+	rec.prog = pb
 
-	var runErr error
-	if trapped {
-		runErr = err
-	}
-	if sup != nil {
-		if failure, _ := sup.RecordRun(progID, inv.Hook, steps, latency, runErr); failure != nil && runErr == nil {
+	if pb.brk != nil {
+		if failure, _ := pb.brk.record(inv.Hook, steps, latency, err); failure != nil && err == nil {
 			// SLO violation on an otherwise successful fire: the verdict
 			// stands (the program behaved), but the breaker has seen it.
-			k.Metrics.Counter("core.slo_violations").Inc()
+			k.cSLOViolations.Inc()
 		}
 	}
 
@@ -413,19 +412,14 @@ func (k *Kernel) runProgramAction(rt *routes, shard int, entry *table.Entry, inv
 		rec.ok = false
 		res.Trapped = true
 		res.TrapErr = err
-		k.Metrics.Counter("core.traps").Inc()
-		return
-	}
-	if err != nil {
-		rec.ok = false
-		k.Metrics.Counter("core.program_missing").Inc()
+		k.cTraps.Inc()
 		return
 	}
 	if out != nil && out.Corrupt {
 		// Silent result corruption: no error for the breaker to see — this
 		// is the fault class only accuracy monitoring can catch.
 		verdict = out.CorruptVal
-		k.Metrics.Counter("core.corrupted_verdicts").Inc()
+		k.cCorrupted.Inc()
 	}
 	res.Verdict = verdict
 }
@@ -435,7 +429,7 @@ func (k *Kernel) runProgramAction(rt *routes, shard int, entry *table.Entry, inv
 // budget: the baseline lives inside the same resource envelope the verifier
 // imposed on the program it replaces.
 func (k *Kernel) runFallback(inv *Invocation, res *FireResult) {
-	fb := k.fallbackFor(inv.Hook)
+	fb := inv.fallback
 	if fb == nil {
 		return // no baseline registered: default action applies
 	}
@@ -444,13 +438,13 @@ func (k *Kernel) runFallback(inv *Invocation, res *FireResult) {
 	for _, e := range emissions {
 		if len(inv.emissions) >= inv.emitBudget {
 			inv.rateHits++
-			k.Metrics.Counter("core.rate_limited").Inc()
+			k.cRateLimited.Inc()
 			break
 		}
 		inv.emissions = append(inv.emissions, e)
 	}
 	res.FellBack = true
-	k.Metrics.Counter("core.fallback_decisions").Inc()
+	k.cFallbackDecisions.Inc()
 }
 
 // runProgram executes an installed program under the engine tier the health
@@ -460,11 +454,8 @@ func (k *Kernel) runFallback(inv *Invocation, res *FireResult) {
 // down with it. With a sentinel attached, sampled executions run the checked
 // differential pair, and an exhausted ladder returns ErrEngineQuarantined so
 // the caller routes to the baseline fallback.
-func (k *Kernel) runProgram(rt *routes, shard int, progID int64, inv *Invocation, param int64, out *fault.Outcome, fc *fireCtx) (verdict int64, steps int64, trapped bool, err error) {
-	p, ok := rt.progs[progID]
-	if !ok {
-		return 0, 0, false, fmt.Errorf("%w: program %d", ErrNotFound, progID)
-	}
+func (k *Kernel) runProgram(rt *routes, shard int, pb *progBinding, inv *Invocation, param int64, out *fault.Outcome, fc *fireCtx) (verdict int64, steps int64, trapped bool, err error) {
+	p := pb.progEntry
 	if out != nil {
 		if out.Trap {
 			return 0, 0, true, out.TrapErr
@@ -478,18 +469,12 @@ func (k *Kernel) runProgram(rt *routes, shard int, progID int64, inv *Invocation
 		arg3 = param
 	}
 
-	// Engine-health ladder, hand-inlined: no sentinel costs two branches, a
-	// healthy program one atomic pointer load plus one atomic tier compare.
-	// Guard on the snapshot's sentinel, not just the health pointer: a
-	// concurrent detach can nil the entry's record under an older snapshot
-	// (benign — the ladder simply stops applying), and a concurrent attach
-	// can populate it before this snapshot knows a sentinel exists.
-	pref := rt.preferredTier(p)
-	tier, h, probe := pref, (*engineHealth)(nil), false
-	if rt.sentinel != nil {
-		if h = p.health.Load(); h != nil && EngineTier(h.tier.Load()) < pref {
-			tier, h, probe = demotedTier(h, pref)
-		}
+	// Engine-health ladder, hand-inlined: no sentinel costs one branch, a
+	// healthy program one atomic tier compare.
+	pref, h := pb.pref, pb.health
+	tier, probe := pref, false
+	if h != nil && EngineTier(h.tier.Load()) < pref {
+		tier, probe = h.decideSlow(pref)
 	}
 	if probe || tier != pref {
 		inv.noCache = true
@@ -499,16 +484,14 @@ func (k *Kernel) runProgram(rt *routes, shard int, progID int64, inv *Invocation
 	}
 	fireIdx := int64(-1)
 	if h != nil && tier >= TierJIT && p.checkable && sampleEligible(out) {
-		if probe {
-			// A probed execution is always checked (promotion evidence must
-			// be trustworthy) and never advances the sampler clock.
-			inv.noCache = true
-			return k.runCheckedPair(rt, shard, p, tier, h, probe, fireIdx, inv, arg3, out)
+		// A probed execution is always checked (promotion evidence must be
+		// trustworthy) and never advances the sampler clock.
+		checked := probe
+		if !probe {
+			fireIdx, checked = rt.sentinel.sampleTicket(h, fc)
+			fireIdx++ // 1-based index recorded in demotion events
 		}
-		var hit bool
-		fireIdx, hit = rt.sentinel.sampleTicket(h, fc)
-		fireIdx++ // 1-based index recorded in demotion events
-		if hit {
+		if checked {
 			inv.noCache = true
 			return k.runCheckedPair(rt, shard, p, tier, h, probe, fireIdx, inv, arg3, out)
 		}
@@ -629,9 +612,13 @@ func (k *Kernel) RunProgramByName(name string, r1, r2, r3 int64) (int64, []int64
 		return 0, nil, fmt.Errorf("%w: program %q", ErrQuarantined, name)
 	}
 	rt := k.def.route.Load()
+	pb := rt.prog(id)
+	if pb == nil {
+		return 0, nil, fmt.Errorf("%w: program %d", ErrNotFound, id)
+	}
 	inv := Invocation{Key: r1, Arg2: r2, Arg3: r3, emitBudget: k.cfg.RateLimit}
 	var fc fireCtx
-	verdict, _, trapped, err := k.runProgram(rt, shardIndex(r1), id, &inv, 0, nil, &fc)
+	verdict, _, trapped, err := k.runProgram(rt, shardIndex(r1), pb, &inv, 0, nil, &fc)
 	fc.release()
 	if inv.inferences > 0 {
 		k.ctrInfers.Add(shardIndex(r1), inv.inferences)

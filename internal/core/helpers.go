@@ -72,7 +72,7 @@ func helperEmit(k *Kernel, inv *Invocation, args *[5]int64) (int64, error) {
 	}
 	if len(inv.emissions) >= inv.emitBudget {
 		inv.rateHits++
-		k.Metrics.Counter("core.rate_limited").Inc()
+		k.cRateLimited.Inc()
 		return 0, nil
 	}
 	if inv.emissions == nil {

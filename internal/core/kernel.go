@@ -158,8 +158,8 @@ type progEntry struct {
 	// binding is install-time (a reswap admits a fresh program and
 	// rehashes, so a stale function can never survive a program change);
 	// the *tier* that runs is re-resolved from the engine-health ladder at
-	// every snapshot publish, so a reswap cannot resurrect a quarantined
-	// native func either (sentinel.go).
+	// every snapshot publish (progBinding.health), so a reswap cannot
+	// resurrect a quarantined native func either (sentinel.go).
 	aot aot.Func
 	// hash is the content hash (aot.Hash) — the engine-health key.
 	hash string
@@ -171,13 +171,6 @@ type progEntry struct {
 	// the tail-call closure (re-running those would double-charge the
 	// privacy budget and diverge on fresh noise).
 	checkable bool
-	// health is the engine-health record resolved for this program's content
-	// hash — published under k.mu at every snapshot rebuild and nil without
-	// a sentinel. An atomic pointer on the entry rather than a per-snapshot
-	// map keeps runProgram's tier resolution to one pointer load; the
-	// publish-time re-resolution is what lets a reswap of previously-demoted
-	// content re-adopt the demoted record (sentinel.go).
-	health atomic.Pointer[engineHealth]
 }
 
 // Kernel is the in-kernel RMT virtual machine instance.
@@ -197,9 +190,9 @@ type Kernel struct {
 	vecs     map[int64]*vecSlot
 	helpers  map[int64]helper
 
-	// Fault containment: the supervisor's circuit breakers, the per-hook
-	// baseline fallbacks, and the (test/chaos-only) fault injector.
-	sup       *Supervisor
+	// Fault containment: the per-hook baseline fallbacks and the
+	// (test/chaos-only) fault injector; each tenantState, the default one
+	// included, carries its own supervisor.
 	fallbacks map[string]Fallback
 	inj       *fault.Injector
 
@@ -243,6 +236,10 @@ type Kernel struct {
 	ctrTierFires [TierAOT + 1]*telemetry.ShardedCounter
 
 	Metrics *telemetry.Registry
+	// Failure-path counters, resolved once (Registry.Bind) so counting a trap,
+	// an SLO violation or a dropped emission never takes the registry lock.
+	cTraps, cSLOViolations, cRateLimited, cFallbackDecisions, cCorrupted,
+	cProgMissing, cInferMissing, cHelperPanics *telemetry.Counter
 
 	// enginePool holds the *engineState buffers every engine run borrows
 	// (live fires on any tier and shadow runs), keeping them allocation-free.
@@ -299,6 +296,14 @@ func NewKernel(cfg Config) *Kernel {
 	for i := range k.ctrTierFires {
 		k.ctrTierFires[i] = telemetry.NewShardedCounter(coreShards)
 	}
+	k.cTraps = k.Metrics.Bind("core.traps")
+	k.cSLOViolations = k.Metrics.Bind("core.slo_violations")
+	k.cRateLimited = k.Metrics.Bind("core.rate_limited")
+	k.cFallbackDecisions = k.Metrics.Bind("core.fallback_decisions")
+	k.cCorrupted = k.Metrics.Bind("core.corrupted_verdicts")
+	k.cProgMissing = k.Metrics.Bind("core.program_missing")
+	k.cInferMissing = k.Metrics.Bind("core.infer_missing_model")
+	k.cHelperPanics = k.Metrics.Bind("core.helper_panics")
 	k.def = &tenantState{}
 	if !cfg.DisableVerdictCache {
 		k.def.vcache = table.NewFlowCache[*cachedFire](coreShards, 4096)

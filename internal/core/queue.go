@@ -98,7 +98,7 @@ func (q *FireQueue) Drain(max int, out []FireResult) int {
 		}
 		if item.degrade {
 			ts.markDegraded()
-			out[n] = q.k.fireDegraded(item.ev.Hook, item.ev.Key, item.ev.Arg2, item.ev.Arg3)
+			out[n] = q.k.fireDegraded(ts, item.ev.Hook, item.ev.Key, item.ev.Arg2, item.ev.Arg3)
 			n++
 			continue
 		}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"strings"
 	"sync"
 
 	"rmtk/internal/fault"
@@ -11,10 +13,18 @@ import (
 // This file implements the sharded, lock-free hot path: the kernel's
 // registries are mirrored into an immutable routes snapshot behind an atomic
 // pointer, rebuilt by every control-plane mutation, so Fire never takes the
-// kernel lock. A datapath generation counter is bumped after each snapshot
-// publish (and after every table mutation); the per-(hook,args) verdict cache
-// keys memoized fire outcomes by that generation, so any table/model/program
-// swap invalidates them lazily.
+// kernel lock — and linked, not just copied: what a fire would look up per
+// event (a program's breaker, health, purity and tier; a model's width; a
+// hook's baseline and cacheability) is resolved once, at publish. A datapath
+// generation counter is bumped after each snapshot publish (and after every
+// table mutation); the per-(hook,args) verdict cache keys memoized fire
+// outcomes by that generation, so any table/model/program swap invalidates
+// them lazily.
+//
+// Lifetime: bindings live and die with one snapshot. A cachedFire holds a
+// *progBinding but is keyed by generation, which moves after every publish, so
+// a stale binding never replays. What a binding points at outlives it: breaker
+// identity is per (supervisor, program id), health identity per content hash.
 
 // coreShards is the number of hot-path stripes for counters, step accounting
 // and the verdict cache. Power of two; fires are striped by flow-key hash so
@@ -38,61 +48,75 @@ type hookRoute struct {
 	id     uint64 // interned hook id, stable across rebuilds (FlowKey.Hook)
 	tables []*table.Table
 	shadow *Shadow
+	// cacheable: the verdict cache is on and nothing non-replayable is attached
+	// (an injector's scheduled faults must strike, a shadow must observe real
+	// runs). Entry replayability is a per-fire fact: inserts bump the
+	// generation without republishing.
+	cacheable bool
+	// fallback is the hook's baseline (exact pattern, then longest prefix, on
+	// the tenant-relative name); nil when none matches.
+	fallback Fallback
+}
+
+// progBinding is one program as one snapshot sees it.
+type progBinding struct {
+	*progEntry
+	brk    *breaker      // this tenant's supervisor's; nil when unsupervised
+	health *engineHealth // by content hash; nil without a sentinel
+	pure   bool
+	// pref is the tier the configuration selects absent any health demotion
+	// (ModeAOT without a registered native function prefers the JIT).
+	pref EngineTier
+}
+
+// modelBinding is one model with the width ActionInfer sizes its window by.
+type modelBinding struct {
+	Model
+	nfeat int
 }
 
 // routes is the immutable hot-path view of the kernel registries. Fire loads
 // it once (per call or per batch) and never looks at the mutable maps.
 type routes struct {
-	hooks   map[string]*hookRoute
-	tables  map[int64]*table.Table
-	progs   map[int64]*progEntry
-	models  map[int64]Model
+	hooks  map[string]*hookRoute
+	tables map[int64]*table.Table
+	// progs and models are indexed by id (ids are dense: k.nextProg,
+	// k.nextModel); a nil progEntry / Model marks an id this tenant cannot see.
+	progs   []progBinding
+	models  []modelBinding
 	mats    map[int64]*Matrix
 	helpers map[int64]helper
 	vecs    map[int64]*vecSlot
-	sup     *Supervisor
 	inj     *fault.Injector
-	mode    ExecMode
 	// sentinel carries the engine sentinel into the hot path; the per-
-	// program health records it consults live on each progEntry (published
-	// at every snapshot rebuild, so tier selection is re-evaluated then —
-	// a program reswap resolves to the same content-hash record and cannot
-	// resurrect a quarantined native tier).
+	// program health records it consults are bound in progs.
 	sentinel *Sentinel
 }
 
-// preferredTier is the engine tier the configuration would select for a
-// program absent any health demotion. ModeAOT without a registered native
-// function falls back to the JIT per program.
-func (rt *routes) preferredTier(p *progEntry) EngineTier {
-	t := modeTier(rt.mode)
-	if t == TierAOT && p.aot == nil {
-		return TierJIT
+// prog resolves a program id against the snapshot (nil when absent).
+func (rt *routes) prog(id int64) *progBinding {
+	if uint64(id) < uint64(len(rt.progs)) && rt.progs[id].progEntry != nil {
+		return &rt.progs[id]
 	}
-	return t
+	return nil
 }
 
-// demotedTier is the out-of-line slow path of the tier resolution inlined in
-// runProgram, for programs the ladder holds below their preferred tier.
-func demotedTier(h *engineHealth, pref EngineTier) (EngineTier, *engineHealth, bool) {
-	tier, probe := h.decideSlow(pref)
-	return tier, h, probe
+// model resolves a model id against the snapshot (nil when absent).
+func (rt *routes) model(id int64) *modelBinding {
+	if uint64(id) < uint64(len(rt.models)) && rt.models[id].Model != nil {
+		return &rt.models[id]
+	}
+	return nil
 }
 
 // rebuildRoutesLocked republishes every tenant's route snapshot from the
-// registries and bumps every tenant's datapath generation — the global-
-// mutation path (mode, injector, helpers, supervisor, shadows, default-owned
-// resources: all of them visible to every tenant). Caller holds k.mu. Each
-// snapshot is stored before its generation bump, mirroring the table layer's
-// publish order: a reader that loads generation g sees a snapshot at least as
-// new as g's, so a verdict computed against an older snapshot can only be
-// cached under an older generation.
+// registries — the global-mutation path (mode, injector, helpers, fallbacks,
+// supervisor, shadows, default-owned resources: all of them visible to every
+// tenant). Caller holds k.mu.
 func (k *Kernel) rebuildRoutesLocked() {
 	k.publishTenantLocked(k.def)
-	k.def.gen.Add(1)
 	for _, ts := range k.tenants {
 		k.publishTenantLocked(ts)
-		ts.gen.Add(1)
 	}
 }
 
@@ -109,36 +133,32 @@ func (k *Kernel) rebuildOwnedLocked(owner string) {
 		return
 	}
 	k.publishTenantLocked(k.def)
-	k.def.gen.Add(1)
 	if ts, ok := k.tenants[owner]; ok {
 		k.publishTenantLocked(ts)
-		ts.gen.Add(1)
 	}
 }
 
-// publishTenantLocked stores one tenant's immutable route snapshot (without
-// bumping its generation; callers bump after the store). The default tenant
-// sees every resource under its full name. A tenant sees its own hooks under
-// their plain (prefix-stripped) names — so fallback patterns and supervisor
-// metrics are tenant-relative — and its own plus default-owned tables,
-// programs and models. Caller holds k.mu.
+// publishTenantLocked stores one tenant's immutable route snapshot, then bumps
+// its generation — in that order, mirroring the table layer's publish: a
+// reader that loads generation g sees a snapshot at least as new as g's, so a
+// verdict computed against an older snapshot can only be cached under an
+// older generation. The default tenant sees every resource under its full
+// name. A tenant sees its own hooks under their plain (prefix-stripped) names
+// — so fallback patterns and supervisor metrics are tenant-relative — and its
+// own plus default-owned tables, programs and models. Caller holds k.mu.
 func (k *Kernel) publishTenantLocked(ts *tenantState) {
 	def := ts == k.def
 	visible := func(owner string) bool { return def || owner == "" || owner == ts.name }
 	rt := &routes{
-		hooks:   make(map[string]*hookRoute, len(k.hooks)),
-		tables:  make(map[int64]*table.Table, len(k.tables)),
-		progs:   make(map[int64]*progEntry, len(k.progs)),
-		models:  make(map[int64]Model, len(k.models)),
-		mats:    make(map[int64]*Matrix, len(k.mats)),
-		helpers: make(map[int64]helper, len(k.helpers)),
-		vecs:    make(map[int64]*vecSlot, len(k.vecs)),
-		sup:     k.sup,
-		inj:     k.inj,
-		mode:    k.cfg.Mode,
-	}
-	if !def {
-		rt.sup = ts.sup
+		hooks:    make(map[string]*hookRoute, len(k.hooks)),
+		tables:   make(map[int64]*table.Table, len(k.tables)),
+		progs:    make([]progBinding, k.nextProg+1),
+		models:   make([]modelBinding, k.nextModel+1),
+		mats:     maps.Clone(k.mats),
+		helpers:  maps.Clone(k.helpers),
+		vecs:     maps.Clone(k.vecs),
+		inj:      k.inj,
+		sentinel: k.sentinel,
 	}
 	for id, t := range k.tables {
 		if visible(tenantOf(t.Name)) {
@@ -149,12 +169,13 @@ func (k *Kernel) publishTenantLocked(ts *tenantState) {
 	for hook, ids := range k.hooks {
 		key := hook
 		if !def {
-			if len(hook) < len(prefix) || hook[:len(prefix)] != prefix {
+			if !strings.HasPrefix(hook, prefix) {
 				continue // tenants route only their own hooks
 			}
 			key = hook[len(prefix):]
 		}
-		hr := &hookRoute{id: k.hookIDs[hook], shadow: k.shadows[hook]}
+		hr := &hookRoute{id: k.hookIDs[hook], shadow: k.shadows[hook], fallback: resolveFallback(k.fallbacks, key)}
+		hr.cacheable = ts.vcache != nil && k.inj == nil && hr.shadow == nil
 		for _, tid := range ids {
 			// Visibility here is defense in depth: chargeTableLocked already
 			// rejects tables whose hook lives in a foreign namespace, so a
@@ -166,35 +187,28 @@ func (k *Kernel) publishTenantLocked(ts *tenantState) {
 		rt.hooks[key] = hr
 	}
 	for id, p := range k.progs {
-		if visible(tenantOf(p.prog.Name)) {
-			rt.progs[id] = p
+		if !visible(tenantOf(p.prog.Name)) {
+			continue
 		}
-	}
-	if k.sentinel != nil {
-		rt.sentinel = k.sentinel
-		for _, p := range rt.progs {
-			p.health.Store(k.sentinel.healthFor(p))
+		pb := progBinding{progEntry: p, pure: p.prog.Pure, pref: modeTier(k.cfg.Mode)}
+		if pb.pref == TierAOT && p.aot == nil {
+			pb.pref = TierJIT
 		}
-	} else {
-		for _, p := range rt.progs {
-			p.health.Store(nil)
+		if ts.sup != nil {
+			pb.brk = ts.sup.bind(id)
 		}
+		if k.sentinel != nil {
+			pb.health = k.sentinel.healthFor(p)
+		}
+		rt.progs[id] = pb
 	}
 	for id, m := range k.models {
 		if visible(k.modelOwner[id]) {
-			rt.models[id] = m
+			rt.models[id] = modelBinding{Model: m, nfeat: m.NumFeatures()}
 		}
 	}
-	for id, m := range k.mats {
-		rt.mats[id] = m
-	}
-	for id, h := range k.helpers {
-		rt.helpers[id] = h
-	}
-	for id, v := range k.vecs {
-		rt.vecs[id] = v
-	}
 	ts.route.Store(rt)
+	ts.gen.Add(1)
 }
 
 // bumpGenFor invalidates the cached verdicts a table mutation can affect: the
@@ -205,10 +219,7 @@ func (k *Kernel) publishTenantLocked(ts *tenantState) {
 // they do not republish route snapshots.
 func (k *Kernel) bumpGenFor(owner string) {
 	k.def.gen.Add(1)
-	dir := k.tdir.Load()
-	if dir == nil {
-		return
-	}
+	dir := k.tdir.Load() // stored by NewKernel, never nil
 	if owner == "" {
 		for _, ts := range *dir {
 			ts.gen.Add(1)
@@ -241,8 +252,7 @@ type cachedFire struct {
 	verdict int64
 	steps   int64
 	infers  int64
-	progID  int64
-	hasProg bool
+	prog    *progBinding // the one program the pipeline ran, or nil
 }
 
 // maxRecordRows bounds the per-fire row recorder; pipelines longer than this
@@ -251,11 +261,10 @@ const maxRecordRows = 4
 
 // fireRec accumulates cacheability evidence during one slow-path fire.
 type fireRec struct {
-	ok     bool // still eligible for caching
-	progs  int  // program actions seen
-	progID int64
-	nrows  int
-	rows   [maxRecordRows]cachedRow
+	ok    bool         // still eligible for caching
+	prog  *progBinding // the last program action run (a second one clears ok)
+	nrows int
+	rows  [maxRecordRows]cachedRow
 }
 
 func (r *fireRec) addRow(t *table.Table, hit *table.Entry) {
@@ -288,15 +297,13 @@ func (k *Kernel) hotStatLines() []string {
 		k.histSteps.SnapshotLine("core.program_steps"),
 	}
 	vs := k.def.vcache.Stats()
-	if dir := k.tdir.Load(); dir != nil {
-		for _, ts := range *dir {
-			tvs := ts.vcache.Stats()
-			vs.Hits += tvs.Hits
-			vs.Misses += tvs.Misses
-			vs.Invalidations += tvs.Invalidations
-			vs.Evictions += tvs.Evictions
-			vs.Declined += tvs.Declined
-		}
+	for _, ts := range *k.tdir.Load() {
+		tvs := ts.vcache.Stats()
+		vs.Hits += tvs.Hits
+		vs.Misses += tvs.Misses
+		vs.Invalidations += tvs.Invalidations
+		vs.Evictions += tvs.Evictions
+		vs.Declined += tvs.Declined
 	}
 	out = append(out,
 		fmt.Sprintf("core.verdict_cache.hits %d", vs.Hits),
@@ -305,13 +312,10 @@ func (k *Kernel) hotStatLines() []string {
 		fmt.Sprintf("core.verdict_cache.evictions %d", vs.Evictions),
 		fmt.Sprintf("core.verdict_cache.declined %d", vs.Declined),
 	)
+	for tier, c := range k.ctrTierFires {
+		out = append(out, fmt.Sprintf("core.engine_fires.%s %d", EngineTier(tier), c.Load()))
+	}
 	rt := k.def.route.Load()
-	out = append(out,
-		fmt.Sprintf("core.engine_fires.interp %d", k.ctrTierFires[TierInterp].Load()),
-		fmt.Sprintf("core.engine_fires.jit %d", k.ctrTierFires[TierJIT].Load()),
-		fmt.Sprintf("core.engine_fires.aot %d", k.ctrTierFires[TierAOT].Load()),
-		fmt.Sprintf("core.engine_fires.baseline %d", k.ctrTierFires[TierBaseline].Load()),
-	)
 	if rt.sentinel != nil {
 		out = append(out, rt.sentinel.statLines()...)
 	}
@@ -321,7 +325,6 @@ func (k *Kernel) hotStatLines() []string {
 		ts.Hits += s.Hits
 		ts.Misses += s.Misses
 		ts.Invalidations += s.Invalidations
-		ts.Evictions += s.Evictions
 	}
 	out = append(out,
 		fmt.Sprintf("table.scan_memo.hits %d", ts.Hits),

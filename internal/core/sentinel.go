@@ -84,7 +84,7 @@ func ParseEngineTier(s string) (EngineTier, error) {
 }
 
 // modeTier maps the configured exec mode to the tier it prefers (capability
-// permitting — ModeAOT still needs a registry hit, see preferredTier).
+// permitting — ModeAOT still needs a registry hit, see progBinding.pref).
 func modeTier(m ExecMode) EngineTier {
 	switch m {
 	case ModeAOT:

@@ -230,8 +230,8 @@ func (k *Kernel) runShadow(rt *routes, sh *Shadow, entry *table.Entry, live *Inv
 // suppression, no fault injection, and the same panic containment as live
 // runs (a panicking candidate traps, it does not take the kernel down).
 func (k *Kernel) runShadowProgram(rt *routes, sh *Shadow, progID int64, inv *Invocation, param int64) (verdict int64, steps int64, trapped bool) {
-	p, ok := rt.progs[progID]
-	if !ok {
+	p := rt.prog(progID)
+	if p == nil {
 		return DefaultVerdict, 0, true
 	}
 	arg3 := inv.Arg3
@@ -239,7 +239,7 @@ func (k *Kernel) runShadowProgram(rt *routes, sh *Shadow, progID int64, inv *Inv
 		arg3 = param
 	}
 	var engine vm.Engine = p.jit
-	if rt.mode == ModeInterp {
+	if p.pref == TierInterp {
 		engine = p.interp
 	}
 	es := k.enginePool.Get().(*engineState)
@@ -260,9 +260,11 @@ func (k *Kernel) runShadowProgram(rt *routes, sh *Shadow, progID int64, inv *Inv
 func (k *Kernel) runShadowInfer(rt *routes, sh *Shadow, modelID int64, inv *Invocation) (verdict int64, trapped bool) {
 	m, ok := sh.overlay[modelID]
 	if !ok {
-		if m, ok = rt.models[modelID]; !ok {
+		mb := rt.model(modelID)
+		if mb == nil {
 			return DefaultVerdict, true
 		}
+		m = mb.Model
 	}
 	defer func() {
 		if r := recover(); r != nil {

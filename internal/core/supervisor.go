@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -93,7 +94,9 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	if c.TripConsecutive <= 0 {
 		c.TripConsecutive = 3
 	}
-	if c.WindowK > 0 && c.WindowM < c.WindowK {
+	if c.WindowK <= 0 {
+		c.WindowM = 0
+	} else if c.WindowM < c.WindowK {
 		c.WindowM = c.WindowK
 	}
 	if c.CooldownFires <= 0 {
@@ -126,73 +129,109 @@ const (
 	DecisionFallback
 )
 
-// breaker is the per-program containment state. Each breaker carries its own
-// lock, so concurrent fires of different programs never contend; the state
-// field is additionally readable lock-free for the closed-breaker fast path
-// (the overwhelmingly common case on a healthy datapath).
+// breaker is the per-program containment state. The closed-breaker success
+// path — the overwhelmingly common case on a healthy datapath — is lock-free:
+// state, consecFails and the K-of-M window are atomics, and a success that
+// finds nothing to forget writes nothing. b.mu serializes everything else
+// (failures, open/half-open routing, the operator API), so trip/probe/cooldown
+// decisions are the single-lock machine's on every one-goroutine schedule. A
+// nil *breaker is an unsupervised program: allow always says run.
 type breaker struct {
-	mu          sync.Mutex
+	s           *Supervisor
 	state       atomic.Int32 // BreakerState
-	consecFails int
-	window      []bool // ring of recent fire outcomes (true = failed)
-	windowPos   int
-	windowN     int
-	cooldown    int64 // current backoff, in hook fires
-	wait        int64 // fires remaining before the next probe
-	probeOK     int
-	trips       int64
-	lastErr     error
+	consecFails atomic.Int32
+
+	// The K-of-M window is a ring of outcome bits (1 = failed): seq counts the
+	// outcomes pushed (slot = seq mod M, and seq >= M means the ring has
+	// filled), fails is the ring's popcount so nobody scans it. A full
+	// all-zero ring is the same ring after one more success, which is why the
+	// success path may skip the push.
+	seq   atomic.Uint64
+	fails atomic.Int32
+	bits  []atomic.Uint64
+
+	mu       sync.Mutex
+	cooldown int64 // current backoff, in hook fires
+	wait     int64 // fires remaining before the next probe
+	probeOK  int
+	lastErr  error
 }
 
-// Supervisor owns the breakers of every supervised program on one kernel.
-// Breakers live in a sync.Map keyed by program id; aggregate counters are
-// atomics, so the only locks on the fire path are per-breaker.
+// Supervisor owns the breakers of every supervised program on one kernel (or
+// one tenant). A breaker is created when a route snapshot first binds its
+// program and is never replaced: breaker identity is per (supervisor, program
+// id) and survives republish. Fires reach breakers through the snapshot's
+// bindings; the id-keyed methods below go through a copy-on-write table.
 type Supervisor struct {
 	cfg     SupervisorConfig
 	metrics *telemetry.Registry
 
-	progs sync.Map // int64 -> *breaker
+	mu    sync.Mutex                 // serializes bind
+	progs atomic.Pointer[[]*breaker] // indexed by program id; nil = never bound
 
 	rngMu sync.Mutex // jitter source; cold path (breaker opens) only
 	rng   *rand.Rand
 
-	trips      atomic.Int64
-	fallbacks  atomic.Int64
-	probes     atomic.Int64
-	recoveries atomic.Int64
+	trips, fallbacks, probes, recoveries               atomic.Int64
+	cTrips, cFallbacks, cProbes, cRecoveries, cReopens *telemetry.Counter
 }
 
 // newSupervisor builds a supervisor bound to a metrics registry.
 func newSupervisor(cfg SupervisorConfig, metrics *telemetry.Registry) *Supervisor {
 	cfg = cfg.withDefaults()
-	return &Supervisor{
-		cfg:     cfg,
-		metrics: metrics,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+	s := &Supervisor{
+		cfg:         cfg,
+		metrics:     metrics,
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		cTrips:      metrics.Bind("supervisor.trips"),
+		cFallbacks:  metrics.Bind("supervisor.fallbacks"),
+		cProbes:     metrics.Bind("supervisor.probes"),
+		cRecoveries: metrics.Bind("supervisor.recoveries"),
+		cReopens:    metrics.Bind("supervisor.reopens"),
 	}
+	s.progs.Store(new([]*breaker))
+	return s
 }
 
-func (s *Supervisor) breakerFor(progID int64) *breaker {
-	if v, ok := s.progs.Load(progID); ok {
-		return v.(*breaker)
+// breakerOf resolves a program's breaker lock-free (nil for ids no snapshot
+// of this supervisor ever bound).
+func (s *Supervisor) breakerOf(progID int64) *breaker {
+	if t := *s.progs.Load(); uint64(progID) < uint64(len(t)) {
+		return t[progID]
 	}
-	b := &breaker{cooldown: s.cfg.CooldownFires}
-	if s.cfg.WindowM > 0 {
-		b.window = make([]bool, s.cfg.WindowM)
+	return nil
+}
+
+// bind returns progID's breaker, creating it on first use. Only snapshot
+// publication calls it, so the table grows with the kernel's dense id space.
+func (s *Supervisor) bind(progID int64) *breaker {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b := s.breakerOf(progID); b != nil {
+		return b
 	}
-	v, _ := s.progs.LoadOrStore(progID, b)
-	return v.(*breaker)
+	old := *s.progs.Load()
+	tab := make([]*breaker, max(len(old), int(progID)+1))
+	copy(tab, old)
+	tab[progID] = &breaker{s: s, cooldown: s.cfg.CooldownFires, bits: make([]atomic.Uint64, (s.cfg.WindowM+63)/64)}
+	s.progs.Store(&tab)
+	return tab[progID]
 }
 
 // Allow decides how the next fire of progID is routed. Open breakers count
 // the call against their cooldown — the hook's firing rate is the
 // supervisor's clock, so quarantine and backoff are deterministic in
 // simulation. A closed breaker is recognized without taking any lock.
-func (s *Supervisor) Allow(progID int64) Decision {
-	b := s.breakerFor(progID)
-	if BreakerState(b.state.Load()) == BreakerClosed {
+func (s *Supervisor) Allow(progID int64) Decision { return s.breakerOf(progID).allow() }
+
+func (b *breaker) allow() Decision {
+	if b == nil || BreakerState(b.state.Load()) == BreakerClosed {
 		return DecisionRun
 	}
+	return b.allowSlow()
+}
+
+func (b *breaker) allowSlow() Decision {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch BreakerState(b.state.Load()) {
@@ -202,12 +241,11 @@ func (s *Supervisor) Allow(progID int64) Decision {
 		return DecisionProbe
 	default: // BreakerOpen
 		if b.wait--; b.wait > 0 {
-			s.fallbacks.Add(1)
-			s.metrics.Counter("supervisor.fallbacks").Inc()
+			b.s.fallbacks.Add(1)
+			b.s.cFallbacks.Inc()
 			return DecisionFallback
 		}
-		b.state.Store(int32(BreakerHalfOpen))
-		b.probeOK = 0
+		b.state.Store(int32(BreakerHalfOpen)) // probeOK is zero since open()
 		return DecisionProbe
 	}
 }
@@ -215,8 +253,18 @@ func (s *Supervisor) Allow(progID int64) Decision {
 // RecordRun feeds the outcome of one executed fire (normal or probe) back
 // into the breaker. steps and latencyNs are checked against the configured
 // SLOs even when runErr is nil. It returns the effective failure (nil on
-// success) and whether this outcome tripped the breaker.
+// success) and whether this outcome tripped the breaker. A success on a
+// closed breaker takes no lock and, once the window is full and clean, writes
+// nothing.
 func (s *Supervisor) RecordRun(progID int64, hook string, steps, latencyNs int64, runErr error) (failure error, tripped bool) {
+	if b := s.breakerOf(progID); b != nil {
+		return b.record(hook, steps, latencyNs, runErr)
+	}
+	return runErr, false
+}
+
+func (b *breaker) record(hook string, steps, latencyNs int64, runErr error) (failure error, tripped bool) {
+	s := b.s
 	failure = runErr
 	if failure == nil && s.cfg.StepSLO > 0 && steps > s.cfg.StepSLO {
 		failure = fmt.Errorf("%w: %d > %d steps", ErrStepSLO, steps, s.cfg.StepSLO)
@@ -224,29 +272,35 @@ func (s *Supervisor) RecordRun(progID int64, hook string, steps, latencyNs int64
 	if failure == nil && s.cfg.LatencySLONs > 0 && latencyNs > s.cfg.LatencySLONs {
 		failure = fmt.Errorf("%w: %dns > %dns", ErrLatencySLO, latencyNs, s.cfg.LatencySLONs)
 	}
-
-	b := s.breakerFor(progID)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.window) > 0 {
-		b.window[b.windowPos] = failure != nil
-		b.windowPos = (b.windowPos + 1) % len(b.window)
-		if b.windowN < len(b.window) {
-			b.windowN++
+	if failure == nil && BreakerState(b.state.Load()) == BreakerClosed {
+		if b.consecFails.Load() != 0 {
+			b.consecFails.Store(0)
 		}
+		if len(b.bits) > 0 && (b.fails.Load() != 0 || b.seq.Load() < uint64(s.cfg.WindowM)) {
+			b.push(false)
+		}
+		return nil, false
 	}
 
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.bits) > 0 {
+		b.push(failure != nil)
+	}
+	state := BreakerState(b.state.Load())
+	if state == BreakerHalfOpen {
+		s.probes.Add(1)
+		s.cProbes.Inc()
+	}
 	if failure == nil {
-		b.consecFails = 0
-		if BreakerState(b.state.Load()) == BreakerHalfOpen {
-			s.probes.Add(1)
-			s.metrics.Counter("supervisor.probes").Inc()
+		b.consecFails.Store(0)
+		if state == BreakerHalfOpen {
 			if b.probeOK++; b.probeOK >= s.cfg.HalfOpenSuccesses {
 				b.state.Store(int32(BreakerClosed))
 				b.cooldown = s.cfg.CooldownFires
 				b.lastErr = nil
 				s.recoveries.Add(1)
-				s.metrics.Counter("supervisor.recoveries").Inc()
+				s.cRecoveries.Inc()
 			}
 		}
 		return nil, false
@@ -256,42 +310,57 @@ func (s *Supervisor) RecordRun(progID int64, hook string, steps, latencyNs int64
 	s.metrics.Counter("supervisor.errors." + hook).Inc()
 	s.metrics.Histogram("supervisor.fail_steps." + hook).Observe(steps)
 
-	if BreakerState(b.state.Load()) == BreakerHalfOpen {
+	if state == BreakerHalfOpen {
 		// Failed probe: back off exponentially (with jitter) and re-open.
-		s.probes.Add(1)
-		s.metrics.Counter("supervisor.probes").Inc()
 		b.cooldown = s.nextCooldown(b.cooldown)
-		s.open(b)
-		s.metrics.Counter("supervisor.reopens").Inc()
+		b.open()
+		s.cReopens.Inc()
 		return failure, false
 	}
 
-	b.consecFails++
-	windowed := false
-	if s.cfg.WindowK > 0 && b.windowN >= s.cfg.WindowM {
-		fails := 0
-		for _, f := range b.window {
-			if f {
-				fails++
-			}
-		}
-		windowed = fails >= s.cfg.WindowK
-	}
-	if BreakerState(b.state.Load()) == BreakerClosed && (b.consecFails >= s.cfg.TripConsecutive || windowed) {
-		b.trips++
-		s.trips.Add(1)
-		s.metrics.Counter("supervisor.trips").Inc()
-		s.open(b)
+	consec := int(b.consecFails.Add(1))
+	windowed := len(b.bits) > 0 && b.seq.Load() >= uint64(s.cfg.WindowM) && int(b.fails.Load()) >= s.cfg.WindowK
+	if state == BreakerClosed && (consec >= s.cfg.TripConsecutive || windowed) {
+		b.trip()
 		return failure, true
 	}
 	return failure, false
 }
 
-// open moves a breaker into quarantine with its current cooldown (jittered).
-// Caller holds b.mu.
-func (s *Supervisor) open(b *breaker) {
+// push records one outcome in the window ring: the fetch-add claims the slot,
+// the CAS flips its bit if the outcome differs from the one it evicts.
+func (b *breaker) push(failed bool) {
+	slot := (b.seq.Add(1) - 1) % uint64(b.s.cfg.WindowM)
+	w, mask := &b.bits[slot/64], uint64(1)<<(slot%64)
+	for {
+		old := w.Load()
+		if (old&mask != 0) == failed {
+			return
+		}
+		if w.CompareAndSwap(old, old^mask) {
+			break
+		}
+	}
+	if failed {
+		b.fails.Add(1)
+	} else {
+		b.fails.Add(-1)
+	}
+}
+
+// trip counts a trip and quarantines the program. Caller holds b.mu.
+func (b *breaker) trip() {
+	b.s.trips.Add(1)
+	b.s.cTrips.Inc()
+	b.open()
+}
+
+// open moves the breaker into quarantine with its current cooldown
+// (jittered). Caller holds b.mu.
+func (b *breaker) open() {
+	s := b.s
 	b.state.Store(int32(BreakerOpen))
-	b.consecFails = 0
+	b.consecFails.Store(0)
 	b.probeOK = 0
 	wait := b.cooldown
 	if s.cfg.JitterFrac > 0 {
@@ -319,32 +388,31 @@ func (s *Supervisor) nextCooldown(cur int64) int64 {
 
 // State reports a program's breaker state (closed for unknown programs).
 func (s *Supervisor) State(progID int64) BreakerState {
-	if v, ok := s.progs.Load(progID); ok {
-		return BreakerState(v.(*breaker).state.Load())
+	if b := s.breakerOf(progID); b != nil {
+		return BreakerState(b.state.Load())
 	}
 	return BreakerClosed
 }
 
 // LastError reports the most recent failure recorded for a program.
 func (s *Supervisor) LastError(progID int64) error {
-	if v, ok := s.progs.Load(progID); ok {
-		b := v.(*breaker)
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return b.lastErr
+	b := s.breakerOf(progID)
+	if b == nil {
+		return nil
 	}
-	return nil
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.lastErr
 }
 
-// Quarantined lists programs currently open or half-open.
+// Quarantined lists programs currently open or half-open, by ascending id.
 func (s *Supervisor) Quarantined() []int64 {
 	var out []int64
-	s.progs.Range(func(id, v any) bool {
-		if BreakerState(v.(*breaker).state.Load()) != BreakerClosed {
-			out = append(out, id.(int64))
+	for id, b := range *s.progs.Load() {
+		if b != nil && BreakerState(b.state.Load()) != BreakerClosed {
+			out = append(out, int64(id))
 		}
-		return true
-	})
+	}
 	return out
 }
 
@@ -355,28 +423,29 @@ func (s *Supervisor) Counts() (trips, fallbacks, probes, recoveries int64) {
 
 // Trip force-quarantines a program (the control plane uses this when the
 // accuracy monitor degrades hard enough that conservative reconfiguration is
-// not sufficient).
+// not sufficient). Programs no snapshot has bound have no breaker to trip.
 func (s *Supervisor) Trip(progID int64) {
-	b := s.breakerFor(progID)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if BreakerState(b.state.Load()) == BreakerOpen {
+	b := s.breakerOf(progID)
+	if b == nil {
 		return
 	}
-	b.trips++
-	s.trips.Add(1)
-	s.metrics.Counter("supervisor.trips").Inc()
-	s.open(b)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if BreakerState(b.state.Load()) != BreakerOpen {
+		b.trip()
+	}
 }
 
 // Reinstate force-closes a program's breaker (operator override).
 func (s *Supervisor) Reinstate(progID int64) {
-	b := s.breakerFor(progID)
+	b := s.breakerOf(progID)
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.state.Store(int32(BreakerClosed))
-	b.consecFails = 0
-	b.probeOK = 0
+	b.consecFails.Store(0)
 	b.cooldown = s.cfg.CooldownFires
 }
 
@@ -389,7 +458,7 @@ func (s *Supervisor) Reinstate(progID int64) {
 func (k *Kernel) Supervise(cfg SupervisorConfig) *Supervisor {
 	s := newSupervisor(cfg, k.Metrics)
 	k.mu.Lock()
-	k.sup = s
+	k.def.sup = s
 	k.supCfg = &cfg
 	for _, ts := range k.tenants {
 		ts.sup = k.tenantSupervisorLocked(ts.quota)
@@ -403,7 +472,7 @@ func (k *Kernel) Supervise(cfg SupervisorConfig) *Supervisor {
 func (k *Kernel) Supervisor() *Supervisor {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
-	return k.sup
+	return k.def.sup
 }
 
 // Fallback is a baseline policy a hook degrades to while its learned program
@@ -433,31 +502,27 @@ func (f FallbackFunc) Decide(hook string, key, arg2, arg3 int64) (int64, []int64
 }
 
 // RegisterFallback registers a baseline policy for a hook. pattern is either
-// an exact hook name or a prefix ending in "*" (e.g. "mm/*"). Registering the
-// same pattern again replaces the previous baseline (fallbacks are
-// idempotent wiring, not a registry of distinct resources).
+// an exact hook name or a prefix ending in "*" (e.g. "mm/*"), matched against
+// tenant-relative hook names. Registering the same pattern again replaces the
+// previous baseline (fallbacks are idempotent wiring, not a registry of
+// distinct resources). Each hook's baseline is resolved when its route is
+// published, so registering republishes.
 func (k *Kernel) RegisterFallback(pattern string, fb Fallback) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.fallbacks[pattern] = fb
+	k.rebuildRoutesLocked()
 }
 
-// fallbackFor resolves the baseline for a hook: exact match first, then the
-// longest matching "*" prefix. Caller holds no kernel lock.
-func (k *Kernel) fallbackFor(hook string) Fallback {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	if fb, ok := k.fallbacks[hook]; ok {
-		return fb
+// resolveFallback picks the baseline for a hook: exact match first, then the
+// longest matching "*" prefix.
+func resolveFallback(fallbacks map[string]Fallback, hook string) Fallback {
+	best, bestLen := fallbacks[hook], -1
+	if best != nil {
+		return best
 	}
-	var best Fallback
-	bestLen := -1
-	for pat, fb := range k.fallbacks {
-		if len(pat) == 0 || pat[len(pat)-1] != '*' {
-			continue
-		}
-		prefix := pat[:len(pat)-1]
-		if len(prefix) > bestLen && len(hook) >= len(prefix) && hook[:len(prefix)] == prefix {
+	for pat, fb := range fallbacks {
+		if prefix, ok := strings.CutSuffix(pat, "*"); ok && len(prefix) > bestLen && strings.HasPrefix(hook, prefix) {
 			best, bestLen = fb, len(prefix)
 		}
 	}

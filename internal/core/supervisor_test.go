@@ -269,7 +269,7 @@ func TestFallbackResolution(t *testing.T) {
 		"mm/swap_cluster":   2, // longest prefix
 		"mm/lookup":         1, // shorter prefix
 	} {
-		fb := k.fallbackFor(hook)
+		fb := resolveFallback(k.fallbacks, hook)
 		if fb == nil {
 			t.Fatalf("%s: no fallback", hook)
 		}
@@ -277,7 +277,7 @@ func TestFallbackResolution(t *testing.T) {
 			t.Errorf("%s → %d, want %d", hook, v, want)
 		}
 	}
-	if k.fallbackFor("sched/can_migrate") != nil {
+	if resolveFallback(k.fallbacks, "sched/can_migrate") != nil {
 		t.Error("unmatched hook resolved a fallback")
 	}
 }

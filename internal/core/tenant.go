@@ -216,7 +216,6 @@ func (k *Kernel) RegisterTenant(name string, q TenantQuota) error {
 	k.tenants[name] = ts
 	k.storeDirLocked()
 	k.publishTenantLocked(ts)
-	ts.gen.Add(1)
 	k.syncAdmissionLocked(ts)
 	k.Metrics.Counter("core.tenants_registered").Inc()
 	return nil
@@ -237,7 +236,6 @@ func (k *Kernel) SetTenantQuota(name string, q TenantQuota) error {
 	if old.StepSLO != q.StepSLO || old.LatencySLONs != q.LatencySLONs {
 		ts.sup = k.tenantSupervisorLocked(q)
 		k.publishTenantLocked(ts)
-		ts.gen.Add(1)
 	}
 	k.syncAdmissionLocked(ts)
 	return nil
@@ -440,7 +438,7 @@ func (k *Kernel) FireTenant(tenant, hook string, key, arg2, arg3 int64) (FireRes
 			return FireResult{Verdict: DefaultVerdict}, fmt.Errorf("%w: tenant %q at %q", qos.ErrAdmissionShed, tenant, hook)
 		case qos.Degrade:
 			ts.markDegraded()
-			return k.fireDegraded(hook, key, arg2, arg3), nil
+			return k.fireDegraded(ts, hook, key, arg2, arg3), nil
 		}
 	}
 	ts.markFire()
@@ -455,11 +453,14 @@ func (k *Kernel) FireTenant(tenant, hook string, key, arg2, arg3 int64) (FireRes
 
 // fireDegraded serves one fire with the hook's baseline fallback only — the
 // burstable tier's over-quota service under overload. Without a registered
-// baseline the default verdict applies (still bounded, still not the learned
-// path).
-func (k *Kernel) fireDegraded(hook string, key, arg2, arg3 int64) FireResult {
+// baseline, or a datapath at the hook to stand in for, the default verdict
+// applies (still bounded, still not the learned path).
+func (k *Kernel) fireDegraded(ts *tenantState, hook string, key, arg2, arg3 int64) FireResult {
 	res := FireResult{Verdict: DefaultVerdict}
 	inv := Invocation{Hook: hook, Key: key, Arg2: arg2, Arg3: arg3, emitBudget: k.cfg.RateLimit}
+	if hr := ts.route.Load().hooks[hook]; hr != nil {
+		inv.fallback = hr.fallback
+	}
 	k.runFallback(&inv, &res)
 	res.Emissions = inv.emissions
 	res.RateLimited = inv.rateHits

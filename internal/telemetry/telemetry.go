@@ -15,6 +15,10 @@ import (
 // Counter is a monotonically increasing event count.
 type Counter struct {
 	v atomic.Int64
+	// bound marks a counter handed out by Registry.Bind that nobody has asked
+	// for by name yet; Snapshot omits it while it reads zero. Guarded by the
+	// registry's lock.
+	bound bool
 }
 
 // Inc adds one.
@@ -138,6 +142,23 @@ func (r *Registry) Counter(name string) *Counter {
 		c = &Counter{}
 		r.counters[name] = c
 	}
+	c.bound = false
+	return c
+}
+
+// Bind returns the named counter for a caller that resolves it once and keeps
+// the pointer, so counting an event never takes the registry lock. Unlike
+// Counter it does not make the name appear in Snapshot before the first event:
+// the line shows up exactly when a per-event Counter(name).Inc() would have
+// created it.
+func (r *Registry) Bind(name string) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c, ok := r.counters[name]
+	if !ok {
+		c = &Counter{bound: true}
+		r.counters[name] = c
+	}
 	return c
 }
 
@@ -187,6 +208,9 @@ func (r *Registry) Snapshot() []string {
 	sources := r.sources
 	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for name, c := range r.counters {
+		if c.bound && c.Load() == 0 {
+			continue
+		}
 		out = append(out, fmt.Sprintf("%s %d", name, c.Load()))
 	}
 	for name, g := range r.gauges {

@@ -102,6 +102,25 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestBindKeepsSnapshotIdentical: a counter resolved once with Bind shows in
+// the snapshot exactly when per-event Counter(name).Inc() calls would have
+// created it — not before the first event, from then on always, and as a zero
+// once somebody asks for it by name — and is the counter Counter returns.
+func TestBindKeepsSnapshotIdentical(t *testing.T) {
+	r := NewRegistry()
+	traps, asked := r.Bind("traps"), r.Bind("asked")
+	if snap := r.Snapshot(); len(snap) != 0 {
+		t.Fatalf("bound counters listed before any event: %v", snap)
+	}
+	traps.Inc()
+	if got := r.Counter("asked").Load(); got != 0 || r.Counter("asked") != asked || r.Bind("traps") != traps {
+		t.Fatalf("Bind and Counter disagree on identity (asked = %d)", got)
+	}
+	if snap := strings.Join(r.Snapshot(), "|"); snap != "asked 0|traps 1" {
+		t.Fatalf("snapshot = %q, want %q", snap, "asked 0|traps 1")
+	}
+}
+
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
