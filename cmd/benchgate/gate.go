@@ -206,6 +206,18 @@ func SupervisorTax(current map[string]float64) (ns float64, ok bool) {
 	return sup - unc, oks && oku
 }
 
+// BystanderTax reports what commits to a hook other than the one firing cost a
+// cached, supervised AOT fire in one run: bystander (a foreign-hook commit
+// every 2 048 fires) minus supervised/cached (none) at one goroutine. ok is
+// false when the run lacks either arm. Near zero is the point: before verdicts
+// were stamped with what they read, every such commit flushed the firing
+// hook's cache and this line read about +150 ns.
+func BystanderTax(current map[string]float64) (ns float64, ok bool) {
+	by, okb := current["BenchmarkHotPath/aot/bystander/g1"]
+	sup, oks := current["BenchmarkHotPath/aot/supervised/cached/g1"]
+	return by - sup, okb && oks
+}
+
 // Compare gates current medians against the baseline.
 func Compare(baseline, current map[string]float64, threshold float64) Report {
 	rep := Report{Threshold: threshold, Geomean: 1}

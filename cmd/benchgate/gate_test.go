@@ -138,6 +138,21 @@ func TestSupervisorTax(t *testing.T) {
 	}
 }
 
+func TestBystanderTax(t *testing.T) {
+	current := map[string]float64{
+		"BenchmarkHotPath/aot/bystander/g1":           131,
+		"BenchmarkHotPath/aot/supervised/cached/g1":   128,
+		"BenchmarkHotPath/aot/supervised/uncached/g1": 172, // not part of the line
+	}
+	if ns, ok := BystanderTax(current); !ok || ns != 3 {
+		t.Fatalf("bystander tax = %v, %v; want 3, true", ns, ok)
+	}
+	delete(current, "BenchmarkHotPath/aot/bystander/g1")
+	if _, ok := BystanderTax(current); ok {
+		t.Fatal("bystander tax reported without the bystander arm")
+	}
+}
+
 func TestCompareSeededRegressionFails(t *testing.T) {
 	baseline := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 200}
 	// Seed a uniform 15% regression: >10% geomean, must fail the gate.

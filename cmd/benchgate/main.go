@@ -80,6 +80,9 @@ func main() {
 	if ns, ok := SupervisorTax(current); ok {
 		fmt.Printf("benchgate: supervisor tax = supervised/uncached - uncached (aot, g1): %.1f ns/fire\n", ns)
 	}
+	if ns, ok := BystanderTax(current); ok {
+		fmt.Printf("benchgate: bystander tax = bystander - supervised/cached (aot, g1): %.1f ns/fire\n", ns)
+	}
 	if !rep.Pass() {
 		os.Exit(1)
 	}

@@ -4,8 +4,9 @@
 // a verifier-certified pure ALU+matmul program behind a 256-entry exact
 // table — through batched fires, varying execution mode (aot/interp/jit), verdict
 // caching (cached/uncached) and firing goroutines (1/4/16), plus a coldflows
-// arm (cache on, every flow new) that prices a verdict-cache miss and a
-// supervised arm that prices a closed breaker. ns/op is per fire.
+// arm (cache on, every flow new) that prices a verdict-cache miss, a
+// supervised arm that prices a closed breaker and a bystander arm that prices
+// commits to a hook other than the one firing. ns/op is per fire.
 package rmtk_test
 
 import (
@@ -16,6 +17,7 @@ import (
 
 	"rmtk/internal/core"
 	"rmtk/internal/experiments"
+	"rmtk/internal/table"
 )
 
 const hotPathBatch = 64
@@ -108,11 +110,54 @@ func benchColdFlows(b *testing.B, mode core.ExecMode) {
 	fireFlows(k, warm, warm+int64(b.N), true)
 }
 
+// bystanderEvery is the fires between two foreign-hook commits of the
+// bystander arm — the commit rate of the benchmark's ctrl_churn workload.
+const bystanderEvery = 2048
+
+// benchBystander is the supervised/cached arm with a control plane busy
+// elsewhere: 512 cached flows on the fixture hook while an entry of another
+// hook's table is rewritten every bystanderEvery fires. No such commit can
+// change a verdict of the firing hook, so bystander − supervised/cached is
+// what unrelated reconfiguration costs a cached fire: the commits themselves,
+// and any verdict the cache drops because of them.
+func benchBystander(b *testing.B) {
+	k, err := experiments.NewHotPathKernel(core.ModeAOT, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k.Supervise(core.SupervisorConfig{})
+	foreign := table.New("bystander_foreign", "bench/foreign", table.MatchExact)
+	if _, err := k.CreateTable(foreign); err != nil {
+		b.Fatal(err)
+	}
+	if err := foreign.Insert(&table.Entry{Key: 0, Action: table.Action{Kind: table.ActionParam, Param: 1}}); err != nil {
+		b.Fatal(err)
+	}
+	events := make([]core.Event, hotPathBatch)
+	out := make([]core.FireResult, hotPathBatch)
+	fire := func(from, to int64) {
+		for i := from; i < to; i += hotPathBatch {
+			for j := int64(0); j < hotPathBatch; j++ {
+				key := (i + j) % experiments.HotPathKeys
+				events[j] = core.Event{Hook: experiments.HotPathHook, Key: key, Arg2: key & 7, Arg3: 3 + (i+j)/experiments.HotPathKeys&1}
+			}
+			k.FireBatch(events, out)
+		}
+	}
+	fire(0, 3*2*experiments.HotPathKeys) // fingerprint, store, first replay
+	b.ResetTimer()
+	for i := int64(0); i < int64(b.N); i += bystanderEvery {
+		fire(i, i+bystanderEvery)
+		foreign.UpdateAction(0, table.Action{Kind: table.ActionParam, Param: i})
+	}
+}
+
 // BenchmarkHotPath is the CI-gated suite: mode × caching × goroutines, plus
 // the sentinel-attached AOT variant measuring the engine-guardrail overhead
 // (health-ladder atomic load + 1-in-64 differential checking) on the
 // uncached fire path, plus the supervised AOT arms (supervised/uncached −
-// uncached is the supervisor tax), plus the AOT and JIT miss arms.
+// uncached is the supervisor tax), plus the AOT and JIT miss arms, plus the
+// bystander arm (bystander − supervised/cached is the bystander tax).
 func BenchmarkHotPath(b *testing.B) {
 	for _, mode := range []core.ExecMode{core.ModeAOT, core.ModeJIT, core.ModeInterp} {
 		for _, cached := range []bool{true, false} {
@@ -150,4 +195,5 @@ func BenchmarkHotPath(b *testing.B) {
 			benchColdFlows(b, mode)
 		})
 	}
+	b.Run("aot/bystander/g1", benchBystander)
 }

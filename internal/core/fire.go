@@ -71,9 +71,9 @@ type FireResult struct {
 	// would simply have stalled).
 	DelayNs int64
 	// CacheHit reports that the verdict was replayed from the verdict cache
-	// (the pipeline was memoized for these arguments under the current
-	// datapath generation). A new flow's first two replayable fires miss —
-	// one leaves a fingerprint, the next stores — and the third replays.
+	// (the pipeline was memoized for these arguments and nothing it read has
+	// changed since). A new flow's first two replayable fires miss — one
+	// leaves a fingerprint, the next stores — and the third replays.
 	CacheHit bool
 }
 
@@ -128,17 +128,20 @@ type Event struct {
 // snapshots, and for verifier-certified pure pipelines the whole verdict is
 // memoized per (hook, args) from a flow's second replayable miss (the first
 // only leaves a fingerprint in the cache's doorkeeper, so one-shot flows are
-// never stored) and replayed until the datapath generation moves.
+// never stored) and replayed until something that fire read changes: an
+// entry or default of a table it consulted, a model its program declares,
+// the hook's pipeline, or the configuration as a whole. Commits elsewhere —
+// another hook's tables, a new program, an unrelated model — leave it cached.
 func (k *Kernel) Fire(hook string, key, arg2, arg3 int64) FireResult {
-	// Generation before route: mutators publish route-then-generation, so a
-	// verdict computed against this snapshot is cached under a generation no
-	// newer than the snapshot — it can go stale, never wrong.
+	// Flush count before route: mutators publish route-then-count, so a
+	// verdict computed against this snapshot is cached under a count no newer
+	// than the snapshot — it can go stale, never wrong.
 	ts := k.def
-	gen := ts.gen.Load()
+	flush := ts.flush.Load()
 	rt := ts.route.Load()
 	res := FireResult{Verdict: DefaultVerdict}
 	var fc fireCtx
-	k.fireOne(ts, rt, gen, hook, key, arg2, arg3, &res, &fc)
+	k.fireOne(ts, rt, flush, hook, key, arg2, arg3, &res, &fc)
 	fc.release()
 	return res
 }
@@ -146,16 +149,19 @@ func (k *Kernel) Fire(hook string, key, arg2, arg3 int64) FireResult {
 // FireBatch dispatches n pending events through one route-snapshot
 // acquisition and one dispatch loop, writing out[i] for events[i]. The whole
 // batch runs against a single consistent snapshot: a control-plane commit
-// that lands mid-batch applies to the next batch, exactly as if the batch had
-// fired before it. len(out) must be >= len(events); extra out entries are
-// left untouched. Each event's Prep hook (if any) runs just before that
-// event dispatches.
+// that republishes (a model, a program, a pipeline, the configuration) and
+// lands mid-batch applies to the next batch, exactly as if the batch had
+// fired before it — replayed verdicts included, which are validated against
+// the batch's own snapshot. Table entries are not part of the snapshot: an
+// entry edit is visible to the next lookup, mid-batch or not. len(out) must
+// be >= len(events); extra out entries are left untouched. Each event's Prep
+// hook (if any) runs just before that event dispatches.
 func (k *Kernel) FireBatch(events []Event, out []FireResult) {
 	if len(events) == 0 {
 		return
 	}
 	ts := k.def
-	gen := ts.gen.Load()
+	flush := ts.flush.Load()
 	rt := ts.route.Load()
 	var fc fireCtx
 	for i := range events {
@@ -164,14 +170,15 @@ func (k *Kernel) FireBatch(events []Event, out []FireResult) {
 			ev.Prep()
 		}
 		out[i] = FireResult{Verdict: DefaultVerdict}
-		k.fireOne(ts, rt, gen, ev.Hook, ev.Key, ev.Arg2, ev.Arg3, &out[i], &fc)
+		k.fireOne(ts, rt, flush, ev.Hook, ev.Key, ev.Arg2, ev.Arg3, &out[i], &fc)
 	}
 	fc.release()
 }
 
-// fireOne dispatches one event against a tenant's route snapshot. res must
-// arrive initialized to {Verdict: DefaultVerdict}.
-func (k *Kernel) fireOne(ts *tenantState, rt *routes, gen uint64, hook string, key, arg2, arg3 int64, res *FireResult, fc *fireCtx) {
+// fireOne dispatches one event against a tenant's route snapshot; flush is
+// the tenant's flush count, loaded before rt. res must arrive initialized to
+// {Verdict: DefaultVerdict}.
+func (k *Kernel) fireOne(ts *tenantState, rt *routes, flush uint64, hook string, key, arg2, arg3 int64, res *FireResult, fc *fireCtx) {
 	hr := rt.hooks[hook]
 	if hr == nil || len(hr.tables) == 0 {
 		return
@@ -184,17 +191,23 @@ func (k *Kernel) fireOne(ts *tenantState, rt *routes, gen uint64, hook string, k
 	record := hr.cacheable
 	if record {
 		fk = table.FlowKey{Hook: hr.id, Key: uint64(key), Arg2: arg2, Arg3: arg3}
-		if cf, ok := ts.vcache.Get(fk, gen); ok {
-			if pre = k.replayCached(cf, shard, hook, key, res); pre == nil {
+		if cf, ok := ts.vcache.Get(fk, flush); ok {
+			if pb, why := cf.check(rt, hr); why != fresh {
+				// Something this verdict read has changed: a miss, re-recorded.
+				ts.vcache.Reject(fk)
+				ts.rejected[why].Add(1)
+			} else if pre = k.replayCached(cf, pb, shard, hook, key, res); pre == nil {
 				return
+			} else {
+				// The breaker re-routed the cached program (probe or
+				// fallback): run the slow path unrecorded, handing it the
+				// already-taken decision so the breaker clock ticks exactly
+				// once.
+				record = false
 			}
-			// The breaker re-routed the cached program (probe or fallback):
-			// run the slow path unrecorded, handing it the already-taken
-			// decision so the breaker clock ticks exactly once.
-			record = false
 		}
 	}
-	k.fireSlow(ts, rt, gen, hr, shard, hook, key, arg2, arg3, res, record, fk, pre, fc)
+	k.fireSlow(ts, rt, flush, hr, shard, hook, key, arg2, arg3, res, record, fk, pre, fc)
 }
 
 // preDecision hands a supervisor Allow verdict taken during cache replay to
@@ -204,11 +217,11 @@ type preDecision struct {
 	d    Decision
 }
 
-// replayCached replays one memoized fire and returns nil — or, when the
-// breaker routed the cached program to a probe or the fallback, replays
-// nothing and returns the decision it took.
-func (k *Kernel) replayCached(cf *cachedFire, shard int, hook string, key int64, res *FireResult) *preDecision {
-	pb := cf.prog
+// replayCached replays one memoized fire whose stamp check passed, pb being
+// the program it ran as check resolved it (nil for none), and returns nil —
+// or, when the breaker routed the cached program to a probe or the fallback,
+// replays nothing and returns the decision it took.
+func (k *Kernel) replayCached(cf *cachedFire, pb *progBinding, shard int, hook string, key int64, res *FireResult) *preDecision {
 	if pb != nil {
 		if d := pb.brk.allow(); d != DecisionRun {
 			return &preDecision{prog: pb, d: d}
@@ -237,8 +250,8 @@ func (k *Kernel) replayCached(cf *cachedFire, shard int, hook string, key int64,
 
 // fireSlow runs the full pipeline and, when the fire proved replayable and
 // the verdict cache's doorkeeper has seen the flow before, memoizes the
-// outcome under (fk, gen).
-func (k *Kernel) fireSlow(ts *tenantState, rt *routes, gen uint64, hr *hookRoute, shard int, hook string, key, arg2, arg3 int64, res *FireResult, record bool, fk table.FlowKey, pre *preDecision, fc *fireCtx) {
+// outcome under fk with the stamp of what it read.
+func (k *Kernel) fireSlow(ts *tenantState, rt *routes, flush uint64, hr *hookRoute, shard int, hook string, key, arg2, arg3 int64, res *FireResult, record bool, fk table.FlowKey, pre *preDecision, fc *fireCtx) {
 	// The invocation is pooled because it escapes into the engine env (the
 	// env is handed to program code through the vm.Env interface); a fresh
 	// heap Invocation per fire was the hot path's dominant allocation.
@@ -261,9 +274,12 @@ func (k *Kernel) fireSlow(ts *tenantState, rt *routes, gen uint64, hr *hookRoute
 
 	rec := fireRec{ok: record}
 	for _, t := range hr.tables {
+		// Version before Lookup: the table publishes snapshot-then-version, so
+		// the row is stamped no newer than the entries it saw.
+		ver := t.Version()
 		entry := t.Lookup(uint64(key))
 		if entry == nil {
-			rec.addRow(t, nil)
+			rec.addRow(t, nil, ver)
 			continue
 		}
 		res.Matched++
@@ -271,9 +287,9 @@ func (k *Kernel) fireSlow(ts *tenantState, rt *routes, gen uint64, hr *hookRoute
 			shadowEntry = entry
 		}
 		if entry == t.Default() {
-			rec.addRow(t, nil)
+			rec.addRow(t, nil, ver)
 		} else {
-			rec.addRow(t, entry)
+			rec.addRow(t, entry, ver)
 		}
 		k.runAction(rt, shard, entry, inv, res, &rec, pre, out, fc)
 	}
@@ -297,9 +313,12 @@ func (k *Kernel) fireSlow(ts *tenantState, rt *routes, gen uint64, hr *hookRoute
 			verdict: res.Verdict,
 			steps:   res.Steps,
 			infers:  inv.inferences,
-			prog:    rec.prog,
+			epoch:   hr.epoch,
 		}
-		ts.vcache.Put(fk, gen, cf)
+		if pb := rec.prog; pb != nil {
+			cf.progID, cf.dep = pb.id, pb.dep
+		}
+		ts.vcache.Put(fk, flush, cf)
 	}
 	// Emission ownership moved to res above; drop the reference so the
 	// pooled invocation cannot pin (or leak into) a later fire's buffer.
@@ -317,7 +336,8 @@ func (k *Kernel) runAction(rt *routes, shard int, entry *table.Entry, inv *Invoc
 	case table.ActionCollect:
 		// Record the event value into the key's history — the
 		// data-collection phase of learning. Context writes are invisible to
-		// the datapath generation, so collecting fires are never cached.
+		// every stamp a cached verdict carries, so collecting fires are never
+		// cached.
 		rec.ok = false
 		k.ctx.HistPush(inv.Key, inv.Arg2)
 		k.ctrCollects.Inc(shard)

@@ -11,6 +11,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -171,6 +172,9 @@ type progEntry struct {
 	// the tail-call closure (re-running those would double-charge the
 	// privacy budget and diverge on fresh noise).
 	checkable bool
+	// modelSwaps counts the SwapModels of models prog.Models declares (under
+	// k.mu); each publish copies it into progBinding.dep.
+	modelSwaps uint64
 }
 
 // Kernel is the in-kernel RMT virtual machine instance.
@@ -211,10 +215,12 @@ type Kernel struct {
 	nextMat   int64
 	nextVec   int64
 	nextHook  uint64
+	nextEpoch uint64 // hookRoute.epoch allocator
 
 	// Tenancy: the default tenant (the admin view, carrying every resource
 	// under its full name), the registered tenants (each with its own COW
-	// route snapshot, generation and verdict cache), the lock-free directory
+	// route snapshot, generation, flush counter and verdict cache), the
+	// lock-free directory
 	// FireTenant resolves through, per-model ownership (models are id-keyed,
 	// so ownership cannot be derived from a name prefix), the supervisor
 	// config per-tenant supervisors derive from, and the attached admission
@@ -366,12 +372,11 @@ func (k *Kernel) CreateTable(t *table.Table) (int64, error) {
 	} else {
 		k.def.nTables++
 	}
-	// Entry-level mutations of an attached table invalidate cached verdicts
-	// without republishing the route snapshot — scoped to the owning tenant
-	// (plus the admin view), so one tenant's entry churn never invalidates
-	// another's cache.
+	// Entry-level mutations of an attached table advance the generation of the
+	// tenants that can see it without republishing the route snapshot (cached
+	// verdicts that consulted the table notice by its version).
 	t.SetOnMutate(func() { k.bumpGenFor(owner) })
-	k.rebuildOwnedLocked(owner)
+	k.extendOwnedLocked(owner)
 	return id, nil
 }
 
@@ -485,7 +490,7 @@ func (k *Kernel) RegisterModelOwned(owner string, m Model) (int64, error) {
 	if owner != "" {
 		k.modelOwner[k.nextModel] = owner
 	}
-	k.rebuildOwnedLocked(owner)
+	k.extendOwnedLocked(owner)
 	return k.nextModel, nil
 }
 
@@ -504,7 +509,14 @@ func (k *Kernel) SwapModel(id int64, m Model) error {
 		return fmt.Errorf("%w: model %d", ErrNotFound, id)
 	}
 	k.models[id] = m
-	k.rebuildOwnedLocked(k.modelOwner[id])
+	// The verdicts that could have read the old model are those of the
+	// programs declaring it; their dep moves, everyone else's cache stands.
+	for _, p := range k.progs {
+		if slices.Contains(p.prog.Models, id) {
+			p.modelSwaps++
+		}
+	}
+	k.extendOwnedLocked(k.modelOwner[id])
 	return nil
 }
 
@@ -545,7 +557,7 @@ func (k *Kernel) RegisterMatrix(m *Matrix) (int64, error) {
 	defer k.mu.Unlock()
 	k.nextMat++
 	k.mats[k.nextMat] = m
-	k.rebuildRoutesLocked()
+	k.extendOwnedLocked("")
 	return k.nextMat, nil
 }
 
@@ -556,14 +568,14 @@ func (k *Kernel) RegisterVec(v []int64) int64 {
 	defer k.mu.Unlock()
 	k.nextVec++
 	k.vecs[k.nextVec] = &vecSlot{v: append([]int64(nil), v...)}
-	k.rebuildRoutesLocked()
+	k.extendOwnedLocked("")
 	return k.nextVec
 }
 
 // SetVec overwrites pool vector id (the mechanism subsystems use to stage
 // per-event feature vectors). It takes only the vector's own lock — staging
-// does not touch the kernel lock and does not advance the datapath
-// generation, which is exactly why programs reading pool vectors (OpVecLd)
+// does not touch the kernel lock and moves nothing a cached verdict is
+// stamped with, which is exactly why programs reading pool vectors (OpVecLd)
 // are never certified pure.
 func (k *Kernel) SetVec(id int64, v []int64) error {
 	slot, ok := k.def.route.Load().vecs[id]
@@ -769,7 +781,8 @@ func (k *Kernel) installProgram(prog *isa.Program, forceID int64) (int64, *verif
 	} else {
 		k.def.nProgs++
 	}
-	k.rebuildOwnedLocked(owner)
+	// A restore starts every hook afresh; a live install only adds.
+	k.publishOwnedLocked(owner, forceID == 0)
 	k.Metrics.Counter("core.programs_installed").Inc()
 	return id, report, nil
 }

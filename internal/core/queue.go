@@ -106,10 +106,10 @@ func (q *FireQueue) Drain(max int, out []FireResult) int {
 			item.ev.Prep()
 		}
 		ts.markFire()
-		gen := ts.gen.Load()
+		flush := ts.flush.Load()
 		rt := ts.route.Load()
 		out[n] = FireResult{Verdict: DefaultVerdict}
-		q.k.fireOne(ts, rt, gen, item.ev.Hook, item.ev.Key, item.ev.Arg2, item.ev.Arg3, &out[n], &fc)
+		q.k.fireOne(ts, rt, flush, item.ev.Hook, item.ev.Key, item.ev.Arg2, item.ev.Arg3, &out[n], &fc)
 		n++
 	}
 	return n

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"sync"
 
@@ -15,16 +16,25 @@ import (
 // pointer, rebuilt by every control-plane mutation, so Fire never takes the
 // kernel lock — and linked, not just copied: what a fire would look up per
 // event (a program's breaker, health, purity and tier; a model's width; a
-// hook's baseline and cacheability) is resolved once, at publish. A datapath
-// generation counter is bumped after each snapshot publish (and after every
-// table mutation); the per-(hook,args) verdict cache keys memoized fire
-// outcomes by that generation, so any table/model/program swap invalidates
-// them lazily.
+// hook's baseline and cacheability) is resolved once, at publish.
 //
-// Lifetime: bindings live and die with one snapshot. A cachedFire holds a
-// *progBinding but is keyed by generation, which moves after every publish, so
-// a stale binding never replays. What a binding points at outlives it: breaker
-// identity is per (supervisor, program id), health identity per content hash.
+// The per-(hook,args) verdict cache memoizes fire outcomes under a stamp of
+// exactly what the fire read — the tenant's flush counter, the hook route's
+// epoch, the version of every table consulted, the model dependency count of
+// the program run — and a replay compares it component by component
+// (cachedFire.check), so a commit invalidates the verdicts that could have
+// read what it changed and no others: an insert into another hook's table, a
+// new program, a push of a model no cached program declares leave them alone.
+// Every writer publishes before it advances its component and every fire
+// loads the component before what it stamps, so a stamp can go stale, never
+// wrong. The datapath generation still advances on every mutation; it is
+// reporting (Generation, TenantGeneration), no longer the cache's token.
+//
+// Lifetime: bindings live and die with one snapshot, and nothing cached
+// points into one — a cachedFire names its program by id and resolves it in
+// the snapshot of the fire that replays it. What a binding points at outlives
+// it: breaker identity is per (supervisor, program id), health identity per
+// content hash.
 
 // coreShards is the number of hot-path stripes for counters, step accounting
 // and the verdict cache. Power of two; fires are striped by flow-key hash so
@@ -45,13 +55,17 @@ type vecSlot struct {
 
 // hookRoute is the resolved pipeline of one hook.
 type hookRoute struct {
-	id     uint64 // interned hook id, stable across rebuilds (FlowKey.Hook)
+	id uint64 // interned hook id, stable across rebuilds (FlowKey.Hook)
+	// epoch is unique to this object (k.nextEpoch) and part of every verdict
+	// stamp. A publish that only adds a resource or swaps a model carries the
+	// object over when tables, shadow and cacheable are unchanged; any other
+	// publish, and any edit of the pipeline, makes a new one.
+	epoch  uint64
 	tables []*table.Table
 	shadow *Shadow
 	// cacheable: the verdict cache is on and nothing non-replayable is attached
 	// (an injector's scheduled faults must strike, a shadow must observe real
-	// runs). Entry replayability is a per-fire fact: inserts bump the
-	// generation without republishing.
+	// runs). Entry replayability is a per-fire fact: inserts do not republish.
 	cacheable bool
 	// fallback is the hook's baseline (exact pattern, then longest prefix, on
 	// the tenant-relative name); nil when none matches.
@@ -67,6 +81,10 @@ type progBinding struct {
 	// pref is the tier the configuration selects absent any health demotion
 	// (ModeAOT without a registered native function prefers the JIT).
 	pref EngineTier
+	// dep is progEntry.modelSwaps as of this publish: the one mutable input of
+	// a pure program (no tail calls, helpers, context or pool-vector reads —
+	// verifier.pureOp — and matrices are write-once) is the models it declares.
+	dep uint64
 }
 
 // modelBinding is one model with the width ActionInfer sizes its window by.
@@ -110,45 +128,65 @@ func (rt *routes) model(id int64) *modelBinding {
 }
 
 // rebuildRoutesLocked republishes every tenant's route snapshot from the
-// registries — the global-mutation path (mode, injector, helpers, fallbacks,
-// supervisor, shadows, default-owned resources: all of them visible to every
-// tenant). Caller holds k.mu.
-func (k *Kernel) rebuildRoutesLocked() {
-	k.publishTenantLocked(k.def)
-	for _, ts := range k.tenants {
-		k.publishTenantLocked(ts)
-	}
-}
+// registries and flushes every verdict cache — the global-mutation path
+// (mode, injector, helpers, fallbacks, supervisor, sentinel, shadows, tenant
+// removal: all of them change what any fire may do). Caller holds k.mu.
+func (k *Kernel) rebuildRoutesLocked() { k.publishOwnedLocked("", false) }
 
-// rebuildOwnedLocked republishes only the snapshots a mutation of an
-// owner-scoped resource can change: the default (admin) view always, plus the
-// owning tenant's. Default-owned resources are visible to every tenant, so
-// owner == "" escalates to a full rebuild. This scoping is the tenant
-// isolation of the verdict cache: tenant A's table/program/model churn leaves
-// tenant B's generation — and therefore B's cached verdicts — untouched.
-// Caller holds k.mu.
-func (k *Kernel) rebuildOwnedLocked(owner string) {
+// rebuildOwnedLocked republishes, and flushes, only the snapshots a mutation
+// of an owner-scoped resource can change (publishOwnedLocked): the removal of
+// a table or program, or a restore. Caller holds k.mu.
+func (k *Kernel) rebuildOwnedLocked(owner string) { k.publishOwnedLocked(owner, false) }
+
+// extendOwnedLocked republishes after a mutation that only added a resource
+// or swapped a model (CreateTable, RegisterModel*, RegisterMatrix,
+// RegisterVec, InstallProgram, SwapModel). Nothing is flushed: a hook whose
+// pipeline the addition did not touch keeps its route object, and the verdicts
+// cached under it survive unless their own stamp says otherwise (a swapped
+// model moves the dep of the programs declaring it). Caller holds k.mu.
+func (k *Kernel) extendOwnedLocked(owner string) { k.publishOwnedLocked(owner, true) }
+
+// publishOwnedLocked republishes the snapshots that can see a resource of
+// owner: the default (admin) view always, plus the owning tenant's, or every
+// tenant's when owner is "" (default-owned resources are visible to all). This
+// scoping is the tenant isolation of the verdict cache: tenant A's
+// table/program/model churn never republishes tenant B. Caller holds k.mu.
+func (k *Kernel) publishOwnedLocked(owner string, keep bool) {
+	k.publishTenantLocked(k.def, keep)
 	if owner == "" {
-		k.rebuildRoutesLocked()
-		return
-	}
-	k.publishTenantLocked(k.def)
-	if ts, ok := k.tenants[owner]; ok {
-		k.publishTenantLocked(ts)
+		for _, ts := range k.tenants {
+			k.publishTenantLocked(ts, keep)
+		}
+	} else if ts, ok := k.tenants[owner]; ok {
+		k.publishTenantLocked(ts, keep)
 	}
 }
 
-// publishTenantLocked stores one tenant's immutable route snapshot, then bumps
-// its generation — in that order, mirroring the table layer's publish: a
-// reader that loads generation g sees a snapshot at least as new as g's, so a
-// verdict computed against an older snapshot can only be cached under an
-// older generation. The default tenant sees every resource under its full
-// name. A tenant sees its own hooks under their plain (prefix-stripped) names
-// — so fallback patterns and supervisor metrics are tenant-relative — and its
-// own plus default-owned tables, programs and models. Caller holds k.mu.
-func (k *Kernel) publishTenantLocked(ts *tenantState) {
+// samePipeline reports whether two routes of one hook would dispatch alike:
+// the same tables in the same order, the same shadow, the same cacheability.
+// (id never changes; fallback changes only through a flushing publish.)
+func (hr *hookRoute) samePipeline(o *hookRoute) bool {
+	return hr.shadow == o.shadow && hr.cacheable == o.cacheable && slices.Equal(hr.tables, o.tables)
+}
+
+// publishTenantLocked stores one tenant's immutable route snapshot, then
+// advances its generation and — unless keep — its flush counter, in that
+// order, mirroring the table layer's publish: a fire that loads flush count f
+// sees a snapshot at least as new as f's, so a verdict computed against an
+// older snapshot can only be cached under an older count. With keep, a hook
+// whose pipeline is unchanged carries its previous route object, epoch and
+// all, into the new snapshot. The default tenant sees every resource under
+// its full name. A tenant sees its own hooks under their plain
+// (prefix-stripped) names — so fallback patterns and supervisor metrics are
+// tenant-relative — and its own plus default-owned tables, programs and
+// models. Caller holds k.mu.
+func (k *Kernel) publishTenantLocked(ts *tenantState, keep bool) {
 	def := ts == k.def
 	visible := func(owner string) bool { return def || owner == "" || owner == ts.name }
+	var kept map[string]*hookRoute // the previous routes a keep publish may carry over
+	if prev := ts.route.Load(); keep && prev != nil {
+		kept = prev.hooks
+	}
 	rt := &routes{
 		hooks:    make(map[string]*hookRoute, len(k.hooks)),
 		tables:   make(map[int64]*table.Table, len(k.tables)),
@@ -174,7 +212,7 @@ func (k *Kernel) publishTenantLocked(ts *tenantState) {
 			}
 			key = hook[len(prefix):]
 		}
-		hr := &hookRoute{id: k.hookIDs[hook], shadow: k.shadows[hook], fallback: resolveFallback(k.fallbacks, key)}
+		hr := &hookRoute{id: k.hookIDs[hook], shadow: k.shadows[hook]}
 		hr.cacheable = ts.vcache != nil && k.inj == nil && hr.shadow == nil
 		for _, tid := range ids {
 			// Visibility here is defense in depth: chargeTableLocked already
@@ -184,13 +222,20 @@ func (k *Kernel) publishTenantLocked(ts *tenantState) {
 				hr.tables = append(hr.tables, t)
 			}
 		}
+		if old := kept[key]; old != nil && old.samePipeline(hr) {
+			hr = old
+		} else {
+			k.nextEpoch++
+			hr.epoch = k.nextEpoch
+			hr.fallback = resolveFallback(k.fallbacks, key)
+		}
 		rt.hooks[key] = hr
 	}
 	for id, p := range k.progs {
 		if !visible(tenantOf(p.prog.Name)) {
 			continue
 		}
-		pb := progBinding{progEntry: p, pure: p.prog.Pure, pref: modeTier(k.cfg.Mode)}
+		pb := progBinding{progEntry: p, pure: p.prog.Pure, pref: modeTier(k.cfg.Mode), dep: p.modelSwaps}
 		if pb.pref == TierAOT && p.aot == nil {
 			pb.pref = TierJIT
 		}
@@ -209,14 +254,18 @@ func (k *Kernel) publishTenantLocked(ts *tenantState) {
 	}
 	ts.route.Store(rt)
 	ts.gen.Add(1)
+	if !keep {
+		ts.flush.Add(1)
+	}
 }
 
-// bumpGenFor invalidates the cached verdicts a table mutation can affect: the
+// bumpGenFor advances the generations a table mutation is visible under: the
 // owning tenant's (when the table is tenant-owned) or every tenant's (a
 // default-owned table is readable from any tenant's programs), always
 // including the admin view. It is the tables' onMutate hook, so entry
-// inserts/deletes/rewrites flow into the datapath generations even though
-// they do not republish route snapshots.
+// inserts/deletes/rewrites show in the datapath generations even though they
+// do not republish route snapshots. Cached verdicts that consulted the table
+// die by its version, not by this.
 func (k *Kernel) bumpGenFor(owner string) {
 	k.def.gen.Add(1)
 	dir := k.tdir.Load() // stored by NewKernel, never nil
@@ -231,28 +280,84 @@ func (k *Kernel) bumpGenFor(owner string) {
 	}
 }
 
+// flushVerdicts voids every cached verdict of every tenant without
+// republishing: the sentinel's incidents call it from the firing goroutine,
+// without k.mu, which is why this stamp component is a live counter the fire
+// loads before its route rather than a field of the snapshot.
+func (k *Kernel) flushVerdicts() {
+	k.def.flush.Add(1)
+	for _, ts := range *k.tdir.Load() {
+		ts.flush.Add(1)
+	}
+	k.bumpGenFor("")
+}
+
 // Generation reports the default tenant's datapath generation: it advances on
 // every control-plane mutation (table entries, models, programs, matrices,
-// mode, shadows, supervisor) and is the validity token of the verdict cache.
-// Per-tenant generations are reported by TenantGeneration.
+// mode, shadows, supervisor). It orders what an observer saw against what was
+// committed; cached verdicts are validated by their own stamp
+// (cachedFire.check), so a generation step does not by itself cost a cache
+// miss. Per-tenant generations are reported by TenantGeneration.
 func (k *Kernel) Generation() uint64 { return k.def.gen.Load() }
 
 // cachedRow replays one table lookup's counter effects: the table that was
 // consulted and the entry the scan matched (nil when the scan missed and the
-// default action, if any, applied).
+// default action, if any, applied), stamped with the table version read
+// before that lookup.
 type cachedRow struct {
 	t   *table.Table
 	hit *table.Entry
+	ver uint64
 }
 
-// cachedFire is one memoized fire outcome for a pure pipeline.
+// cachedFire is one memoized fire outcome for a pure pipeline, with the stamp
+// of what it read: the hook route's epoch, a version per consulted table
+// (rows) and the model dependency count of the one program it ran. The flush
+// count it was computed under is the generation the FlowCache stores it by.
 type cachedFire struct {
 	rows    []cachedRow
 	matched int
 	verdict int64
 	steps   int64
 	infers  int64
-	prog    *progBinding // the one program the pipeline ran, or nil
+	epoch   uint64
+	progID  int64 // the one program the pipeline ran; 0 (never an id) for none
+	dep     uint64
+}
+
+// Why check turned a stored fire away (indices of tenantState.rejected), or
+// fresh when it did not.
+const (
+	fresh = iota - 1
+	staleHook
+	staleTable
+	staleModel
+	staleKinds
+)
+
+// check compares cf's stamp with what a fire through hr under rt reads now,
+// component by component, and resolves its program in rt — the replaying
+// fire's own snapshot, so a batch that loaded rt before a model swap keeps
+// replaying, and recording, under the dep rt carries. It returns fresh, or
+// the first component that had moved; a program rt no longer holds counts as
+// a moved model.
+func (cf *cachedFire) check(rt *routes, hr *hookRoute) (*progBinding, int) {
+	if cf.epoch != hr.epoch {
+		return nil, staleHook
+	}
+	for i := range cf.rows {
+		if cf.rows[i].t.Version() != cf.rows[i].ver {
+			return nil, staleTable
+		}
+	}
+	if cf.progID == 0 {
+		return nil, fresh
+	}
+	pb := rt.prog(cf.progID)
+	if pb == nil || pb.dep != cf.dep {
+		return nil, staleModel
+	}
+	return pb, fresh
 }
 
 // maxRecordRows bounds the per-fire row recorder; pipelines longer than this
@@ -267,7 +372,7 @@ type fireRec struct {
 	rows  [maxRecordRows]cachedRow
 }
 
-func (r *fireRec) addRow(t *table.Table, hit *table.Entry) {
+func (r *fireRec) addRow(t *table.Table, hit *table.Entry, ver uint64) {
 	if !r.ok {
 		return
 	}
@@ -275,8 +380,39 @@ func (r *fireRec) addRow(t *table.Table, hit *table.Entry) {
 		r.ok = false
 		return
 	}
-	r.rows[r.nrows] = cachedRow{t: t, hit: hit}
+	r.rows[r.nrows] = cachedRow{t: t, hit: hit, ver: ver}
 	r.nrows++
+}
+
+// StaleCounts splits a verdict cache's invalidations by the stamp component
+// that had moved when the entry was probed: Flush (a publish other than a
+// resource addition, or a sentinel incident), Hook (the pipeline was edited),
+// Table (an entry or default of a consulted table changed), Model (a model the
+// program declares was swapped, or the program is gone). They sum to
+// FlowCacheStats.Invalidations.
+type StaleCounts struct {
+	Flush, Hook, Table, Model int64
+}
+
+func (a *StaleCounts) add(b StaleCounts) {
+	a.Flush += b.Flush
+	a.Hook += b.Hook
+	a.Table += b.Table
+	a.Model += b.Model
+}
+
+// cacheStats reports the tenant's verdict-cache counters and their split.
+func (ts *tenantState) cacheStats() (table.FlowCacheStats, StaleCounts) {
+	// The rejections first, the total after: fireOne rejects (which counts in
+	// the total) before it books the reason, so Flush cannot read negative.
+	sc := StaleCounts{
+		Hook:  ts.rejected[staleHook].Load(),
+		Table: ts.rejected[staleTable].Load(),
+		Model: ts.rejected[staleModel].Load(),
+	}
+	st := ts.vcache.Stats()
+	sc.Flush = st.Invalidations - sc.Hook - sc.Table - sc.Model
+	return st, sc
 }
 
 // VerdictCacheStats reports the default tenant's verdict-cache
@@ -296,19 +432,24 @@ func (k *Kernel) hotStatLines() []string {
 		fmt.Sprintf("core.inferences %d", k.ctrInfers.Load()),
 		k.histSteps.SnapshotLine("core.program_steps"),
 	}
-	vs := k.def.vcache.Stats()
+	vs, why := k.def.cacheStats()
 	for _, ts := range *k.tdir.Load() {
-		tvs := ts.vcache.Stats()
+		tvs, twhy := ts.cacheStats()
 		vs.Hits += tvs.Hits
 		vs.Misses += tvs.Misses
 		vs.Invalidations += tvs.Invalidations
 		vs.Evictions += tvs.Evictions
 		vs.Declined += tvs.Declined
+		why.add(twhy)
 	}
 	out = append(out,
 		fmt.Sprintf("core.verdict_cache.hits %d", vs.Hits),
 		fmt.Sprintf("core.verdict_cache.misses %d", vs.Misses),
 		fmt.Sprintf("core.verdict_cache.invalidations %d", vs.Invalidations),
+		fmt.Sprintf("core.verdict_cache.invalidations.flush %d", why.Flush),
+		fmt.Sprintf("core.verdict_cache.invalidations.hook %d", why.Hook),
+		fmt.Sprintf("core.verdict_cache.invalidations.table %d", why.Table),
+		fmt.Sprintf("core.verdict_cache.invalidations.model %d", why.Model),
 		fmt.Sprintf("core.verdict_cache.evictions %d", vs.Evictions),
 		fmt.Sprintf("core.verdict_cache.declined %d", vs.Declined),
 	)

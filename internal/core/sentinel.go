@@ -599,7 +599,7 @@ func (s *Sentinel) probeFailed(h *engineHealth, probeTier EngineTier, cause, det
 // goroutine; incidents are demotion-rare, so the durability cost is paid
 // exactly where the detection happened.
 func (s *Sentinel) emitIncident(ev IncidentEvent) {
-	s.k.bumpGenFor("")
+	s.k.flushVerdicts()
 	s.incMu.Lock()
 	s.incidents = append(s.incidents, ev)
 	if len(s.incidents) > incidentRing {
@@ -743,7 +743,7 @@ func (k *Kernel) RestoreEngineQuarantine(hash string, tier EngineTier) {
 			k.quarStash[hash] = tier
 		}
 	}
-	k.bumpGenFor("")
+	k.flushVerdicts()
 }
 
 // EngineQuarantine is one durable demotion, as checkpointed.

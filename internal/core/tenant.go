@@ -19,10 +19,10 @@ import (
 // replay and restore through the existing durability machinery unchanged.
 //
 // Each tenant carries its own copy-on-write route snapshot, datapath
-// generation and verdict cache — the per-tenant form of the global COW
-// snapshot the hot path always used. Control-plane mutations republish and
-// invalidate only the owning tenant (plus the admin view), so one tenant's
-// table churn never evicts another's cached verdicts. Per-tenant supervisors
+// generation, flush counter and verdict cache — the per-tenant form of the
+// global COW snapshot the hot path always used. Control-plane mutations
+// republish only the owning tenant (plus the admin view), so one tenant's
+// churn never touches another's cached verdicts. Per-tenant supervisors
 // give the same isolation for circuit breakers: tenant A's trips never
 // quarantine tenant B's programs, even when both run the same shared program.
 
@@ -69,7 +69,8 @@ type TenantQuota struct {
 }
 
 // tenantState is one tenant's hot-path view: its own COW route snapshot,
-// datapath generation, verdict cache and supervisor, plus quota accounting.
+// datapath generation, flush counter, verdict cache and supervisor, plus quota
+// accounting.
 type tenantState struct {
 	name  string
 	quota TenantQuota // mutated under k.mu
@@ -79,10 +80,17 @@ type tenantState struct {
 	qclass  atomic.Int32
 	qweight atomic.Int32
 
-	route  atomic.Pointer[routes]
-	gen    atomic.Uint64
+	route atomic.Pointer[routes]
+	gen   atomic.Uint64
+	// flush is the coarsest component of a verdict stamp and the generation
+	// vcache stores under: every publish that is not a plain resource addition
+	// (publishTenantLocked) and every sentinel incident (flushVerdicts)
+	// advances it. Fires load it before route.
+	flush  atomic.Uint64
 	vcache *table.FlowCache[*cachedFire]
-	sup    *Supervisor // per-tenant breakers; nil when the kernel is unsupervised
+	// rejected counts the stored fires check turned away, by stale* reason.
+	rejected [staleKinds]atomic.Int64
+	sup      *Supervisor // per-tenant breakers; nil when the kernel is unsupervised
 
 	nTables int // under k.mu
 	nProgs  int // under k.mu
@@ -215,7 +223,7 @@ func (k *Kernel) RegisterTenant(name string, q TenantQuota) error {
 	ts.cShed = k.Metrics.SeriesVec("core.tenant.shed", tenantSeriesCap).Counter(name)
 	k.tenants[name] = ts
 	k.storeDirLocked()
-	k.publishTenantLocked(ts)
+	k.publishTenantLocked(ts, false)
 	k.syncAdmissionLocked(ts)
 	k.Metrics.Counter("core.tenants_registered").Inc()
 	return nil
@@ -235,7 +243,7 @@ func (k *Kernel) SetTenantQuota(name string, q TenantQuota) error {
 	ts.setQuota(q)
 	if old.StepSLO != q.StepSLO || old.LatencySLONs != q.LatencySLONs {
 		ts.sup = k.tenantSupervisorLocked(q)
-		k.publishTenantLocked(ts)
+		k.publishTenantLocked(ts, false)
 	}
 	k.syncAdmissionLocked(ts)
 	return nil
@@ -318,7 +326,9 @@ type TenantStatus struct {
 	Shed         int64
 	Generation   uint64
 	VerdictCache table.FlowCacheStats
-	Quarantined  []int64
+	// Invalidated splits VerdictCache.Invalidations by what had changed.
+	Invalidated StaleCounts
+	Quarantined []int64
 }
 
 // TenantStatus reports one tenant's state ("" reports the default tenant).
@@ -333,16 +343,16 @@ func (k *Kernel) TenantStatus(name string) (TenantStatus, error) {
 		}
 	}
 	st := TenantStatus{
-		Name:         name,
-		Quota:        ts.quota,
-		Tables:       ts.nTables,
-		Programs:     ts.nProgs,
-		Fires:        ts.fires.Load(),
-		Degraded:     ts.degraded.Load(),
-		Shed:         ts.shed.Load(),
-		Generation:   ts.gen.Load(),
-		VerdictCache: ts.vcache.Stats(),
+		Name:       name,
+		Quota:      ts.quota,
+		Tables:     ts.nTables,
+		Programs:   ts.nProgs,
+		Fires:      ts.fires.Load(),
+		Degraded:   ts.degraded.Load(),
+		Shed:       ts.shed.Load(),
+		Generation: ts.gen.Load(),
 	}
+	st.VerdictCache, st.Invalidated = ts.cacheStats()
 	if ts.sup != nil {
 		st.Quarantined = ts.sup.Quarantined()
 	}
@@ -442,11 +452,11 @@ func (k *Kernel) FireTenant(tenant, hook string, key, arg2, arg3 int64) (FireRes
 		}
 	}
 	ts.markFire()
-	gen := ts.gen.Load()
+	flush := ts.flush.Load()
 	rt := ts.route.Load()
 	res := FireResult{Verdict: DefaultVerdict}
 	var fc fireCtx
-	k.fireOne(ts, rt, gen, hook, key, arg2, arg3, &res, &fc)
+	k.fireOne(ts, rt, flush, hook, key, arg2, arg3, &res, &fc)
 	fc.release()
 	return res, nil
 }

@@ -12,24 +12,32 @@ import (
 // (internal/core's route snapshots): a value published through an
 // atomic.Pointer Store is the readers' immutable view from that moment on,
 // so mutating it afterwards is a data race with every lock-free reader; and
-// a datapath generation bump must *follow* the snapshot publication, never
-// precede it — a reader that loads generation g must be guaranteed a
-// snapshot at least as new as g's, or it caches verdicts computed against a
-// stale snapshot under a fresh generation.
+// a bump of the datapath generation or of the verdict cache's flush counter
+// must *follow* the snapshot publication, never precede it — a reader that
+// loads count c must be guaranteed a snapshot at least as new as c's, or it
+// caches verdicts computed against a stale snapshot under a fresh count. The
+// reader's half of the same rule is checked too: a version that stamps a
+// cached lookup must be read before the lookup.
 //
-// Two linear, source-order checks per function body:
+// Three linear, source-order checks per function body:
 //
 //  1. mutation-after-publish: after `ptr.Store(x)` (ptr an atomic.Pointer),
 //     any assignment through x (`x.f = ...`, `x.m[k] = ...`, x++) is
 //     flagged until x is rebound to a fresh value.
-//  2. bump-before-publish: a generation bump (`owner.gen.Add(...)`) that
-//     is followed later in the same body by a publication of the same
-//     owner's snapshot (`owner.<field>.Store(...)` on an atomic.Pointer
-//     field, or a call to a publish* helper taking owner as an argument)
-//     is flagged: the bump must move after the publication.
+//  2. bump-before-publish: a generation or flush-count bump
+//     (`owner.gen.Add(...)`, `owner.flush.Add(...)`) that is followed later
+//     in the same body by a publication of the same owner's snapshot
+//     (`owner.<field>.Store(...)` on an atomic.Pointer field, or a call to a
+//     publish* helper taking owner as an argument) is flagged: the bump must
+//     move after the publication.
+//  3. stamp-before-read: in a body that calls both `x.Version()` and
+//     `x.Lookup(...)` on the same receiver, the first Version must precede the
+//     first Lookup. Tables publish snapshot-then-version, so a version read
+//     first can only be older than what the lookup saw and the stamp goes
+//     stale, never wrong; read second, it can vouch for entries it never saw.
 var AtomicSnapshotAnalyzer = &Analyzer{
 	Name: "atomicsnapshot",
-	Doc:  "forbid mutating a snapshot after atomic.Pointer publication and bumping generations before it",
+	Doc:  "forbid mutating a snapshot after atomic.Pointer publication, bumping generations or flush counts before it, and stamping a lookup with a version read after it",
 	Run:  runAtomicSnapshot,
 }
 
@@ -45,6 +53,7 @@ func runAtomicSnapshot(pass *Pass) error {
 			}
 			checkSnapshotMutations(pass, fd.Body)
 			checkBumpOrder(pass, fd.Body)
+			checkStampOrder(pass, fd.Body)
 		}
 	}
 	return nil
@@ -152,12 +161,17 @@ func checkSnapshotMutations(pass *Pass, body *ast.BlockStmt) {
 	})
 }
 
-// checkBumpOrder flags generation bumps that precede a publication of the
-// same owner's snapshot later in the body.
+// bumpedCounters names the per-owner counters readers load before the
+// snapshot, as the diagnostics call them.
+var bumpedCounters = map[string]string{"gen": "generation", "flush": "flush-count"}
+
+// checkBumpOrder flags counter bumps that precede a publication of the same
+// owner's snapshot later in the body.
 func checkBumpOrder(pass *Pass, body *ast.BlockStmt) {
 	type event struct {
 		pos   token.Pos
 		owner string
+		what  string
 	}
 	var bumps, pubs []event
 
@@ -169,29 +183,29 @@ func checkBumpOrder(pass *Pass, body *ast.BlockStmt) {
 		switch fun := call.Fun.(type) {
 		case *ast.SelectorExpr:
 			if fun.Sel.Name == "Add" {
-				// owner.gen.Add(...): the datapath generation bump.
-				if genSel, ok := fun.X.(*ast.SelectorExpr); ok && genSel.Sel.Name == "gen" {
-					bumps = append(bumps, event{call.Pos(), types.ExprString(genSel.X)})
+				// owner.gen.Add(...), owner.flush.Add(...): the bumps.
+				if ctr, ok := fun.X.(*ast.SelectorExpr); ok && bumpedCounters[ctr.Sel.Name] != "" {
+					bumps = append(bumps, event{call.Pos(), types.ExprString(ctr.X), bumpedCounters[ctr.Sel.Name]})
 				}
 				return true
 			}
 			if fun.Sel.Name == "Store" && isAtomicPointer(pass.TypesInfo.TypeOf(fun.X)) {
 				// owner.route.Store(rt): direct snapshot publication.
 				if fieldSel, ok := fun.X.(*ast.SelectorExpr); ok {
-					pubs = append(pubs, event{call.Pos(), types.ExprString(fieldSel.X)})
+					pubs = append(pubs, event{pos: call.Pos(), owner: types.ExprString(fieldSel.X)})
 				}
 				return true
 			}
 			if strings.HasPrefix(fun.Sel.Name, "publish") {
 				// k.publishTenantLocked(ts): publication of each argument.
 				for _, a := range call.Args {
-					pubs = append(pubs, event{call.Pos(), types.ExprString(a)})
+					pubs = append(pubs, event{pos: call.Pos(), owner: types.ExprString(a)})
 				}
 			}
 		case *ast.Ident:
 			if strings.HasPrefix(fun.Name, "publish") {
 				for _, a := range call.Args {
-					pubs = append(pubs, event{call.Pos(), types.ExprString(a)})
+					pubs = append(pubs, event{pos: call.Pos(), owner: types.ExprString(a)})
 				}
 			}
 		}
@@ -203,10 +217,48 @@ func checkBumpOrder(pass *Pass, body *ast.BlockStmt) {
 		for _, p := range pubs {
 			if p.pos > b.pos && p.owner == b.owner {
 				pass.Reportf(b.pos,
-					"generation bump of %s precedes its snapshot publication; bump after the Store so readers never pair a fresh generation with a stale snapshot",
-					b.owner)
+					"%s bump of %s precedes its snapshot publication; bump after the Store so readers never pair a fresh %s with a stale snapshot",
+					b.what, b.owner, b.what)
 				break
 			}
+		}
+	}
+}
+
+// checkStampOrder flags a receiver whose first Lookup in the body precedes
+// its first Version.
+func checkStampOrder(pass *Pass, body *ast.BlockStmt) {
+	firstVersion := map[string]token.Pos{}
+	firstLookup := map[string]token.Pos{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		var first map[string]token.Pos
+		switch {
+		case sel.Sel.Name == "Version" && len(call.Args) == 0:
+			first = firstVersion
+		case sel.Sel.Name == "Lookup":
+			first = firstLookup
+		default:
+			return true
+		}
+		recv := types.ExprString(sel.X)
+		if pos, seen := first[recv]; !seen || call.Pos() < pos {
+			first[recv] = call.Pos()
+		}
+		return true
+	})
+	for recv, ver := range firstVersion {
+		if look, ok := firstLookup[recv]; ok && look < ver {
+			pass.Reportf(ver,
+				"version of %s is read after the Lookup it stamps; read Version first so the stamp can only be older than what the lookup saw",
+				recv)
 		}
 	}
 }

@@ -417,6 +417,88 @@ func badDirect(ts *tenant, rt *routes) {
 	)
 }
 
+func TestAtomicSnapshotFlagsFlushBumpBeforePublish(t *testing.T) {
+	// Rule 2 covers the verdict cache's flush counter exactly as it covers
+	// the generation: fires load it before the route snapshot.
+	const src = `package core
+
+import "sync/atomic"
+
+type routes struct{ n int }
+
+type tenant struct {
+	route atomic.Pointer[routes]
+	gen   atomic.Uint64
+	flush atomic.Uint64
+}
+
+func badFlush(ts *tenant, rt *routes) {
+	ts.flush.Add(1)
+	ts.route.Store(rt)
+	ts.gen.Add(1)
+}
+
+func goodFlush(ts *tenant, rt *routes, keep bool) {
+	ts.route.Store(rt)
+	ts.gen.Add(1)
+	if !keep {
+		ts.flush.Add(1)
+	}
+}
+`
+	diags := analyze(t, "rmtk/internal/core", src)
+	wantDiags(t, diags,
+		"atomicsnapshot: flush-count bump of ts precedes its snapshot publication")
+}
+
+func TestAtomicSnapshotFlagsStampAfterLookup(t *testing.T) {
+	// Rule 3, the reader's half: the version that stamps a cached lookup is
+	// read before the lookup, never after.
+	const src = `package core
+
+type entry struct{}
+
+type tab struct{ v uint64 }
+
+func (t *tab) Version() uint64       { return t.v }
+func (t *tab) Lookup(k uint64) *entry { return nil }
+
+type row struct {
+	t   *tab
+	hit *entry
+	ver uint64
+}
+
+func badStamp(tables []*tab, key uint64) (rows []row) {
+	for _, t := range tables {
+		e := t.Lookup(key)
+		rows = append(rows, row{t: t, hit: e, ver: t.Version()})
+	}
+	return rows
+}
+
+func goodStamp(tables []*tab, key uint64) (rows []row) {
+	for _, t := range tables {
+		ver := t.Version()
+		rows = append(rows, row{t: t, hit: t.Lookup(key), ver: ver})
+	}
+	return rows
+}
+
+func replay(rows []row) bool {
+	for i := range rows {
+		if rows[i].t.Version() != rows[i].ver {
+			return false
+		}
+	}
+	return true
+}
+`
+	diags := analyze(t, "rmtk/internal/core", src)
+	wantDiags(t, diags,
+		"atomicsnapshot: version of t is read after the Lookup it stamps")
+}
+
 func TestWALRecordFlagsMissingKindArms(t *testing.T) {
 	// A kind added to the enum but missed in a dispatch switch is a record
 	// that ships and replays as a silent no-op; `default` is exactly how the

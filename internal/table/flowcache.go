@@ -11,13 +11,17 @@ import (
 //   - each non-exact Table memoizes match→entry resolution per (table
 //     version, match key), turning the linear prefix/range/ternary scan into
 //     a map probe for recurring flow keys, and
-//   - the kernel memoizes full fire verdicts per (datapath generation, hook,
-//     key, args) for verifier-certified pure programs (internal/core).
+//   - the kernel memoizes full fire verdicts per (hook, key, args) for
+//     verifier-certified pure programs (internal/core).
 //
-// Entries are validated lazily against the caller's current generation: a
-// control-plane commit (table mutation, model push, program swap) bumps the
-// generation, and the next Get of a stale entry counts an invalidation and
-// drops it. Shards are power-of-two sized and selected by key hash, so
+// Entries are validated lazily against the caller's current generation: the
+// next Get of an entry stored under another generation counts an invalidation
+// and drops it. For a scan memo the generation is the table's version. For
+// the verdict cache it is only the coarsest part of the validity token — the
+// tenant's flush counter; the rest (which hook pipeline, which table
+// versions, which model set the fire read) is a stamp inside the stored value
+// that the kernel compares itself, handing an entry that fails it back
+// through Reject. Shards are power-of-two sized and selected by key hash, so
 // concurrent lookups on different flow keys land on different locks.
 //
 // Admission. A miss followed by a Put walks a shard map that is far larger
@@ -30,10 +34,10 @@ import (
 // admitted. Admit decides nothing but whether to store; a hit still needs
 // full FlowKey and generation equality in Get. The fingerprint is of the
 // FlowKey alone, not the generation: a commit invalidates what a flow's
-// verdict was, not the evidence that the flow recurs. Get makes that exact:
-// when it drops a stale entry it leaves the flow's fingerprint behind, so a
-// flow that was cached before a commit is stored again on its first miss
-// after it, however crowded the doorkeeper is.
+// verdict was, not the evidence that the flow recurs. Get and Reject make
+// that exact: when they drop a stale entry they leave the flow's fingerprint
+// behind, so a flow that was cached before a commit is stored again on its
+// first miss after it, however crowded the doorkeeper is.
 //
 // Put itself stays unconditional. The scan memo's misses cost a linear table
 // scan, which a map insert always beats, and its key space is the table's
@@ -152,20 +156,45 @@ func (c *FlowCache[V]) Get(k FlowKey, gen uint64) (V, bool) {
 	if ok {
 		delete(s.m, k)
 		s.mu.Unlock()
-		if d := c.door.Load(); d != nil {
-			// A stale entry is proof the flow recurs: vouch for it, so
-			// storing it again takes this one miss.
-			if slot, fp := d.slot(h); slot.Load() != fp {
-				slot.Store(fp)
-			}
-		}
-		s.invalidations.Add(1)
-		s.misses.Add(1)
+		c.invalidated(s, h)
 		return zero, false
 	}
 	s.mu.Unlock()
 	s.misses.Add(1)
 	return zero, false
+}
+
+// invalidated books one dropped stale entry of the flow hashing to h: an
+// invalidation, a miss, and the flow's fingerprint left in the doorkeeper.
+func (c *FlowCache[V]) invalidated(s *flowShard[V], h uint64) {
+	if d := c.door.Load(); d != nil {
+		// A stale entry is proof the flow recurs: vouch for it, so storing it
+		// again takes this one miss.
+		if slot, fp := d.slot(h); slot.Load() != fp {
+			slot.Store(fp)
+		}
+	}
+	s.invalidations.Add(1)
+	s.misses.Add(1)
+}
+
+// Reject takes back the hit Get just reported for k: the caller compared the
+// value against state the cache cannot see and found it stale. The entry is
+// dropped and the probe booked exactly as Get's own stale arm books one — an
+// invalidation and a miss, with the flow vouched for — never as a hit. An
+// entry a racing Put stored in between is dropped with it, which costs that
+// flow one more miss and nothing else.
+func (c *FlowCache[V]) Reject(k FlowKey) {
+	if c == nil {
+		return
+	}
+	h := k.hash()
+	s := &c.shards[h&c.mask]
+	s.mu.Lock()
+	delete(s.m, k)
+	s.mu.Unlock()
+	s.hits.Add(-1)
+	c.invalidated(s, h)
 }
 
 // Put stores v for k under generation gen. A full shard is cleared wholesale

@@ -29,6 +29,24 @@ func TestFlowCacheHitMissInvalidation(t *testing.T) {
 	if st.Entries != 0 {
 		t.Fatalf("stale entry retained: %+v", st)
 	}
+	// A hit the caller then finds stale by its own stamp is taken back: booked
+	// like the stale arm above, never as a hit, and the flow is vouched for.
+	c.Put(k, 2, 100)
+	if _, ok := c.Get(k, 2); !ok {
+		t.Fatal("fresh entry missed")
+	}
+	c.Reject(k)
+	st = c.Stats()
+	if st.Hits != 1 || st.Invalidations != 2 || st.Misses != 3 || st.Entries != 0 {
+		t.Fatalf("stats after Reject = %+v; want 1 hit, 2 invalidations, 3 misses, no entry", st)
+	}
+	c.Admit(FlowKey{Key: 1}) // the doorkeeper exists from here on
+	c.Put(k, 2, 100)
+	c.Get(k, 2)
+	c.Reject(k)
+	if !c.Admit(k) {
+		t.Fatal("a rejected flow was not vouched for")
+	}
 }
 
 func TestFlowCacheEviction(t *testing.T) {
@@ -51,6 +69,7 @@ func TestFlowCacheNilSafe(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	c.Put(FlowKey{Key: 1}, 0, 5) // must not panic
+	c.Reject(FlowKey{Key: 1})
 	if c.Admit(FlowKey{Key: 1}) || c.Admit(FlowKey{Key: 1}) {
 		t.Fatal("nil cache admitted a flow")
 	}

@@ -199,7 +199,8 @@ func (t *Table) Version() uint64 { return t.version.Load() }
 
 // SetOnMutate registers a callback invoked after every committed mutation
 // (insert, delete, update, rewrite, default change). The kernel uses it to
-// bump its datapath generation so verdict caches over this table invalidate.
+// advance its datapath generation; cached verdicts that consulted the table
+// notice the mutation by Version.
 func (t *Table) SetOnMutate(fn func()) {
 	if fn == nil {
 		t.onMutate.Store(nil)

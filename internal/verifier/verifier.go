@@ -139,8 +139,8 @@ type Report struct {
 	// fire arguments and the admitted datapath state (tables, models,
 	// matrices): no context reads/writes, no helper calls, no vector-pool
 	// or history access, no tail cascades. For pure programs a fire verdict
-	// may be memoized and replayed until any datapath mutation bumps the
-	// kernel generation (internal/core's verdict cache).
+	// may be memoized and replayed until something the fire read changes
+	// (internal/core's verdict cache).
 	Pure bool
 }
 
@@ -281,9 +281,13 @@ func verifyChain(prog *isa.Program, cfg Config, rep *Report, inChain map[string]
 
 // pureOp reports whether op is free of effects outside the fire's own
 // registers/stack/vectors and the versioned datapath state. Context loads
-// count as impure because RMT_CTXT mutates without bumping the datapath
-// generation; tail calls are conservatively impure (the cascade target is a
-// separately-admitted program).
+// count as impure because RMT_CTXT mutates without any version the verdict
+// cache could stamp; tail calls are conservatively impure (the cascade target
+// is a separately-admitted program). The cache relies on the exact list: a
+// pure program's only mutable inputs are the models it declares (matrices
+// are write-once), which is what a cached verdict's model stamp covers
+// (core.progBinding.dep) — an opcode that reads anything else, OpMatchCtxt
+// included, must stay here or bring a stamp component of its own.
 func pureOp(op isa.Opcode) bool {
 	switch op {
 	case isa.OpLdCtxt, isa.OpStCtxt, isa.OpMatchCtxt, isa.OpHistPush,
