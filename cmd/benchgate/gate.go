@@ -88,7 +88,7 @@ type baselineFile struct {
 	NsPerOp map[string]float64 `json:"ns_per_op"`
 }
 
-const baselineNote = "median ns/op per benchmark; regenerate with: go test -bench='BenchmarkHotPath|BenchmarkWALAppend|BenchmarkRecover|BenchmarkLogShip|BenchmarkFailover|BenchmarkTenantFire|BenchmarkAdmission' -benchmem -count=6 -run='^$' . | go run ./cmd/benchgate -update"
+const baselineNote = "median ns/op per benchmark; regenerate with: { go test -bench='BenchmarkHotPath|BenchmarkWALAppend|BenchmarkRecover|BenchmarkLogShip|BenchmarkFailover|BenchmarkTenantFire|BenchmarkAdmission' -benchmem -count=6 -run='^$' . ; go test -bench=BenchmarkTrain -benchmem -count=6 -run='^$' ./internal/ml/dt ; } | go run ./cmd/benchgate -update"
 
 // ReadBaseline loads a committed baseline file.
 func ReadBaseline(path string) (map[string]float64, error) {
@@ -216,6 +216,23 @@ func BystanderTax(current map[string]float64) (ns float64, ok bool) {
 	by, okb := current["BenchmarkHotPath/aot/bystander/g1"]
 	sup, oks := current["BenchmarkHotPath/aot/supervised/cached/g1"]
 	return by - sup, okb && oks
+}
+
+// RetrainCost reports the online learner's synchronous fit in one run:
+// BenchmarkTrain/window4088x8 (rmtprefetch's retrain: 4 088 overlapping
+// windows of a strided series, a few hundred distinct samples) in
+// milliseconds, and as a share of continuous4088x8 (as many rows, every one
+// distinct: what Train costs when collapsing identical samples finds nothing).
+// ok is false when the run lacks either arm. The share is the line to watch:
+// it reads about 0.02 while Train prices distinct samples and about 0.07 if it
+// goes back to pricing every row.
+func RetrainCost(current map[string]float64) (windowMs, share float64, ok bool) {
+	win, okw := current["BenchmarkTrain/window4088x8"]
+	cont, okc := current["BenchmarkTrain/continuous4088x8"]
+	if !okw || !okc {
+		return 0, 0, false
+	}
+	return win / 1e6, win / cont, true
 }
 
 // Compare gates current medians against the baseline.

@@ -153,6 +153,30 @@ func TestBystanderTax(t *testing.T) {
 	}
 }
 
+func TestRetrainCost(t *testing.T) {
+	// Two packages' outputs concatenated, as CI tees them.
+	current, err := ParseBench(strings.NewReader(sampleOutput + `pkg: rmtk/internal/ml/dt
+BenchmarkTrain/window4088x8-2         	    2365	    465000 ns/op	  108144 B/op	      35 allocs/op
+BenchmarkTrain/window4088x8-2         	    2911	    435000 ns/op	  108144 B/op	      35 allocs/op
+BenchmarkTrain/continuous4088x8-2     	      39	  22500000 ns/op	  912544 B/op	      39 allocs/op
+PASS
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, share, ok := RetrainCost(current)
+	if !ok || math.Abs(ms-0.45) > 1e-9 || math.Abs(share-0.02) > 1e-9 {
+		t.Fatalf("retrain cost = %v ms, %v of continuous, ok=%v; want 0.45, 0.02, true", ms, share, ok)
+	}
+	if current["BenchmarkHotPath/jit/cached/g1"] != 114 {
+		t.Fatalf("the first package's benchmarks were lost: %v", current)
+	}
+	delete(current, "BenchmarkTrain/continuous4088x8")
+	if _, _, ok := RetrainCost(current); ok {
+		t.Fatal("retrain cost reported without the continuous arm")
+	}
+}
+
 func TestCompareSeededRegressionFails(t *testing.T) {
 	baseline := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 200}
 	// Seed a uniform 15% regression: >10% geomean, must fail the gate.

@@ -6,6 +6,9 @@
 //	go test -bench=BenchmarkHotPath -benchmem -count=6 -run='^$' . | \
 //	    benchgate -baseline BENCH_BASELINE.json
 //
+// Outputs of several `go test -bench` runs may be concatenated: CI appends
+// ./internal/ml/dt's BenchmarkTrain to the root package's benchmarks.
+//
 // Exit status is 1 when the geomean ratio exceeds the threshold (default
 // 1.10: a >10% regression), or when a benchmark disappeared from the run.
 // Benchmarks present in the run but absent from the baseline are reported
@@ -82,6 +85,9 @@ func main() {
 	}
 	if ns, ok := BystanderTax(current); ok {
 		fmt.Printf("benchgate: bystander tax = bystander - supervised/cached (aot, g1): %.1f ns/fire\n", ns)
+	}
+	if ms, share, ok := RetrainCost(current); ok {
+		fmt.Printf("benchgate: retrain = BenchmarkTrain/window4088x8: %.2f ms/fit, %.3f of continuous4088x8 (every row distinct)\n", ms, share)
 	}
 	if !rep.Pass() {
 		os.Exit(1)

@@ -12,10 +12,7 @@
 // without requiring in-kernel execution (see DESIGN.md substitutions).
 package memsim
 
-import (
-	"container/list"
-	"fmt"
-)
+import "fmt"
 
 // Hook names fired by the simulator, matching the paper's instrumentation
 // points in mm/swap_state.c.
@@ -156,11 +153,12 @@ type pageKey struct {
 	page int64
 }
 
+// cacheEntry is one resident page, linked into the LRU order by slab index.
 type cacheEntry struct {
-	key      pageKey
-	prefetch bool  // brought in by prefetch and not yet referenced
-	arriveNs int64 // when the page's IO completes (prefetch only)
-	elem     *list.Element
+	key        pageKey
+	prefetch   bool  // brought in by prefetch and not yet referenced
+	arriveNs   int64 // when the page's IO completes (prefetch only)
+	prev, next int32 // towards the most / least recently used; -1 at the ends
 }
 
 // Sim is a single-run simulator instance.
@@ -169,8 +167,12 @@ type Sim struct {
 	policy Prefetcher
 
 	clock int64
-	cache map[pageKey]*cacheEntry
-	lru   *list.List // front = most recently used
+	// The swap cache: slab holds the resident pages, at most CacheSlots of
+	// them, and never shrinks — an eviction hands its victim's slot straight
+	// to the page that displaced it.
+	slab       []cacheEntry
+	cache      map[pageKey]int32 // page -> slab index
+	head, tail int32             // most and least recently used; -1 when empty
 
 	res Result
 }
@@ -181,8 +183,10 @@ func New(cfg Config, policy Prefetcher) *Sim {
 	return &Sim{
 		cfg:    cfg,
 		policy: policy,
-		cache:  make(map[pageKey]*cacheEntry, cfg.CacheSlots),
-		lru:    list.New(),
+		slab:   make([]cacheEntry, 0, cfg.CacheSlots),
+		cache:  make(map[pageKey]int32, cfg.CacheSlots),
+		head:   -1,
+		tail:   -1,
 		res:    Result{Policy: policy.Name()},
 	}
 }
@@ -202,9 +206,9 @@ func (s *Sim) Step(a Access) {
 	s.res.Accesses++
 	key := pageKey{a.PID, a.Page}
 
-	e, hit := s.cache[key]
+	at, hit := s.cache[key]
 	if hit {
-		if e.prefetch {
+		if e := &s.slab[at]; e.prefetch {
 			// First reference to a prefetched page: a prefetch hit.
 			s.res.PrefetchUsed++
 			if s.cfg.OutcomeFn != nil {
@@ -221,7 +225,10 @@ func (s *Sim) Step(a Access) {
 		}
 		s.res.Hits++
 		s.clock += s.cfg.HitNs
-		s.lru.MoveToFront(e.elem)
+		if at != s.head {
+			s.unlink(at)
+			s.pushFront(at)
+		}
 	} else {
 		// Demand fault: synchronous read from the backing store.
 		s.res.DemandMisses++
@@ -256,22 +263,52 @@ func (s *Sim) Step(a Access) {
 	}
 }
 
+// insert makes key resident and most recently used, evicting the least
+// recently used page when the cache is full.
 func (s *Sim) insert(key pageKey, prefetch bool, arriveNs int64) {
-	for len(s.cache) >= s.cfg.CacheSlots {
-		tail := s.lru.Back()
-		if tail == nil {
-			break
-		}
-		victim := tail.Value.(*cacheEntry)
-		s.lru.Remove(tail)
+	var at int32
+	if len(s.slab) < s.cfg.CacheSlots {
+		at = int32(len(s.slab))
+		s.slab = append(s.slab, cacheEntry{})
+	} else {
+		at = s.tail
+		victim := s.slab[at]
+		s.unlink(at)
 		delete(s.cache, victim.key)
 		if victim.prefetch && s.cfg.OutcomeFn != nil {
 			s.cfg.OutcomeFn(victim.key.pid, victim.key.page, false)
 		}
 	}
-	e := &cacheEntry{key: key, prefetch: prefetch, arriveNs: arriveNs}
-	e.elem = s.lru.PushFront(e)
-	s.cache[key] = e
+	s.slab[at] = cacheEntry{key: key, prefetch: prefetch, arriveNs: arriveNs}
+	s.pushFront(at)
+	s.cache[key] = at
+}
+
+// unlink takes slab entry at out of the LRU order.
+func (s *Sim) unlink(at int32) {
+	e := &s.slab[at]
+	if e.prev >= 0 {
+		s.slab[e.prev].next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next >= 0 {
+		s.slab[e.next].prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+}
+
+// pushFront links slab entry at in as the most recently used.
+func (s *Sim) pushFront(at int32) {
+	e := &s.slab[at]
+	e.prev, e.next = -1, s.head
+	if s.head >= 0 {
+		s.slab[s.head].prev = at
+	} else {
+		s.tail = at
+	}
+	s.head = at
 }
 
 // Clock reports the current virtual time.

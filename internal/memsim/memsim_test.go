@@ -1,6 +1,9 @@
 package memsim
 
 import (
+	"container/list"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -202,5 +205,156 @@ func TestStepwiseAPI(t *testing.T) {
 	r := s.Result()
 	if r.Accesses != 1 {
 		t.Fatalf("accesses=%d", r.Accesses)
+	}
+}
+
+// refSim is Sim as it was before the slab, kept as the reference of the
+// differential test: the swap cache is a map of pointers into a
+// container/list, a heap entry and a list element allocated per insertion.
+type refSim struct {
+	cfg    Config
+	policy Prefetcher
+	clock  int64
+	cache  map[pageKey]*refEntry
+	lru    *list.List // front = most recently used
+	res    Result
+}
+
+type refEntry struct {
+	key      pageKey
+	prefetch bool
+	arriveNs int64
+	elem     *list.Element
+}
+
+func (s *refSim) step(a Access) {
+	s.clock += a.Work
+	s.res.Accesses++
+	key := pageKey{a.PID, a.Page}
+	e, hit := s.cache[key]
+	if hit {
+		if e.prefetch {
+			s.res.PrefetchUsed++
+			if s.cfg.OutcomeFn != nil {
+				s.cfg.OutcomeFn(key.pid, key.page, true)
+			}
+			if e.arriveNs > s.clock {
+				s.res.PrefetchLate++
+				s.res.LateStallNs += e.arriveNs - s.clock
+				s.clock = e.arriveNs
+			}
+			e.prefetch = false
+		}
+		s.res.Hits++
+		s.clock += s.cfg.HitNs
+		s.lru.MoveToFront(e.elem)
+	} else {
+		s.res.DemandMisses++
+		s.clock += s.cfg.MissNs
+		s.insert(key, false, 0)
+	}
+	pages := s.policy.OnAccess(a.PID, a.Page, hit)
+	if len(pages) > s.cfg.MaxPrefetch {
+		pages = pages[:s.cfg.MaxPrefetch]
+	}
+	issued := false
+	for _, p := range pages {
+		pk := pageKey{a.PID, p}
+		if _, ok := s.cache[pk]; ok {
+			continue
+		}
+		if !issued {
+			issued = true
+			s.clock += s.cfg.PrefetchIssueNs
+		}
+		s.res.PrefetchIssued++
+		s.insert(pk, true, s.clock+s.cfg.PrefetchLatencyNs)
+	}
+}
+
+func (s *refSim) insert(key pageKey, prefetch bool, arriveNs int64) {
+	for len(s.cache) >= s.cfg.CacheSlots {
+		tail := s.lru.Back()
+		victim := tail.Value.(*refEntry)
+		s.lru.Remove(tail)
+		delete(s.cache, victim.key)
+		if victim.prefetch && s.cfg.OutcomeFn != nil {
+			s.cfg.OutcomeFn(victim.key.pid, victim.key.page, false)
+		}
+	}
+	e := &refEntry{key: key, prefetch: prefetch, arriveNs: arriveNs}
+	e.elem = s.lru.PushFront(e)
+	s.cache[key] = e
+}
+
+// strider prefetches a seeded number of pages ahead of every access: some
+// resident already, some repeated, more than MaxPrefetch now and then.
+type strider struct{ rng *rand.Rand }
+
+func (p *strider) Name() string { return "strider" }
+func (p *strider) OnAccess(pid, page int64, hit bool) []int64 {
+	var out []int64
+	for k := p.rng.Intn(12) - 4; k > 0; k-- {
+		out = append(out, page+int64(p.rng.Intn(6)))
+	}
+	return out
+}
+
+// TestLRUMatchesContainerList replays a seeded trace with prefetches through
+// Sim and through refSim, each under its own copy of the policy, and compares
+// them after every access: clock, the prefetch outcomes reported and the
+// whole LRU order, followed through the slab's links in both directions.
+func TestLRUMatchesContainerList(t *testing.T) {
+	type outcome struct {
+		pid, page int64
+		used      bool
+	}
+	for _, slots := range []int{1, 2, 7, 64} {
+		var got, want []outcome
+		cfg := cfgSmall()
+		cfg.CacheSlots = slots
+		cfg.MaxPrefetch = 5
+		cfg.OutcomeFn = func(pid, page int64, used bool) { got = append(got, outcome{pid, page, used}) }
+		s := New(cfg, &strider{rand.New(rand.NewSource(int64(slots)))})
+		cfg.OutcomeFn = func(pid, page int64, used bool) { want = append(want, outcome{pid, page, used}) }
+		ref := &refSim{cfg: cfg, policy: &strider{rand.New(rand.NewSource(int64(slots)))},
+			cache: map[pageKey]*refEntry{}, lru: list.New(), res: Result{Policy: "strider"}}
+
+		rng := rand.New(rand.NewSource(99))
+		for step := 0; step < 20000; step++ {
+			a := Access{PID: int64(rng.Intn(2)), Page: int64(rng.Intn(40)), Work: int64(rng.Intn(5))}
+			if rng.Intn(3) > 0 {
+				a.Page = int64(step/3) % 200 // a scan the prefetches can be right about
+			}
+			got, want = got[:0], want[:0]
+			s.Step(a)
+			ref.step(a)
+			if !slices.Equal(got, want) {
+				t.Fatalf("slots=%d step %d: outcomes %v, reference %v", slots, step, got, want)
+			}
+			if s.Clock() != ref.clock || s.Resident() != len(ref.cache) {
+				t.Fatalf("slots=%d step %d: clock %d resident %d, reference %d and %d",
+					slots, step, s.Clock(), s.Resident(), ref.clock, len(ref.cache))
+			}
+			at, back := s.head, int32(-1)
+			for el := ref.lru.Front(); el != nil; el = el.Next() {
+				e := el.Value.(*refEntry)
+				if at < 0 || s.slab[at].key != e.key || s.slab[at].prefetch != e.prefetch ||
+					s.slab[at].arriveNs != e.arriveNs || s.slab[at].prev != back || s.cache[e.key] != at {
+					t.Fatalf("slots=%d step %d: LRU order departs from the reference at %+v", slots, step, *e)
+				}
+				at, back = s.slab[at].next, at
+			}
+			if at != -1 || s.tail != back {
+				t.Fatalf("slots=%d step %d: slab order runs past the reference's, or tail is not its end", slots, step)
+			}
+		}
+		ref.res.ClockNs = ref.clock
+		if r := s.Result(); r != ref.res {
+			t.Fatalf("slots=%d: result %+v, reference %+v", slots, r, ref.res)
+		}
+		if r := s.Result(); r.PrefetchUsed == 0 || r.PrefetchLate == 0 || r.PrefetchIssued == r.PrefetchUsed {
+			t.Fatalf("slots=%d: %+v leaves a prefetch fate unexercised", slots, r)
+		}
 	}
 }

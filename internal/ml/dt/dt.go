@@ -12,8 +12,10 @@
 package dt
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -71,12 +73,22 @@ type Tree struct {
 // Train grows a tree on integer features X (row-major, one sample per row)
 // with integer class labels y. All rows must share len(X[0]) features.
 //
-// Labels and each feature's values are sorted once, up front, and replaced
-// by their ranks: classes 0..C-1 and value codes 0..D-1, both ascending. A
-// node is a range of one row list; pricing a feature's thresholds there is
-// one tally of the node's rows by (code, class) and one sweep over the
-// tally, so nothing is re-sorted or recounted per candidate.
+// Identical samples — the same row with the same label — are first collapsed
+// into one row carrying their count as its weight: Gini induction reads a
+// node only through integer class counts, and those cannot tell nine copies
+// of a row from one row of weight nine. Then the labels and each feature's
+// values are sorted once and replaced by their ranks: classes 0..C-1 and
+// value codes 0..D-1, both ascending. A node is a range of one list of the
+// distinct rows; pricing a feature's thresholds there is one tally of the
+// node's weights by (code, class) and one sweep over the tally, so nothing is
+// re-sorted or recounted per candidate.
 func Train(X [][]int64, y []int64, cfg Config) (*Tree, error) {
+	return train(X, y, cfg, sampleHash)
+}
+
+// train is Train with the dedupe table's hash as a parameter, so that a test
+// can make every sample collide.
+func train(X [][]int64, y []int64, cfg Config, hash func([]int64, int64) uint64) (*Tree, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, fmt.Errorf("dt: bad training set: %d samples, %d labels", len(X), len(y))
 	}
@@ -92,21 +104,28 @@ func Train(X [][]int64, y []int64, cfg Config) (*Tree, error) {
 			return nil, fmt.Errorf("dt: sample %d has %d features, want %d", i, len(row), nf)
 		}
 	}
-	n := len(X)
 	t := &Tree{NumFeats: nf, featGain: make([]float64, nf)}
-	b := builder{cfg: cfg.withDefaults(), t: t, n: n}
+	b := builder{cfg: cfg.withDefaults(), t: t}
+	first, weight := dedupe(X, y, hash)
+	n := len(first)
+	b.n, b.weight = n, weight
+	b.wbits = bits.Len32(uint32(slices.Max(weight)))
 
 	// One column at a time: the labels, then each feature.
 	col, scratch := make([]int64, n), make([]int64, n)
+	for i, s := range first {
+		col[i] = y[s]
+	}
 	b.cls = make([]int32, n)
-	b.labels = encode(b.cls, y, scratch)
+	b.labels = encode(b.cls, col, scratch)
 	nc := len(b.labels)
+	b.cbits = bits.Len(uint(nc - 1))
 	b.vals = make([][]int64, nf)
 	b.codes = make([]int32, nf*n)
 	tableLen := 0
 	for f := range b.vals {
-		for i, row := range X {
-			col[i] = row[f]
+		for i, s := range first {
+			col[i] = X[s][f]
 		}
 		b.vals[f] = encode(b.codes[f*n:(f+1)*n], col, scratch)
 		if size := len(b.vals[f]) * nc; size <= denseFactor*n {
@@ -114,7 +133,7 @@ func Train(X [][]int64, y []int64, cfg Config) (*Tree, error) {
 		}
 	}
 
-	b.rows = make([]int32, n)
+	b.rows = first // the sample indices have served; now it is the row list
 	for i := range b.rows {
 		b.rows[i] = int32(i)
 	}
@@ -127,6 +146,46 @@ func Train(X [][]int64, y []int64, cfg Config) (*Tree, error) {
 	b.runs = make([]run, n)
 	b.grow(0, n, 0)
 	return t, nil
+}
+
+// sampleHash mixes a row and its label into 64 bits.
+func sampleHash(row []int64, label int64) uint64 {
+	const m = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
+	h := uint64(label) * m
+	for _, v := range row {
+		h = (bits.RotateLeft64(h, 29) ^ uint64(v)) * m
+	}
+	return h ^ h>>32
+}
+
+// dedupe finds the distinct (row, label) samples with an open-addressing
+// table keyed by hash. A hash only picks the slot to start probing from:
+// whether two samples are the same one is decided by comparing them in full.
+// It returns the index in X of each distinct sample's first occurrence, in
+// order of occurrence, and how many times each occurs.
+func dedupe(X [][]int64, y []int64, hash func([]int64, int64) uint64) (first, weight []int32) {
+	slots := make([]int32, 2<<bits.Len(uint(len(X)))) // 1 + distinct sample id; load stays under a half
+	mask := uint64(len(slots) - 1)
+	first = make([]int32, 0, len(X))
+	weight = make([]int32, 0, len(X))
+	for i, row := range X {
+		h := hash(row, y[i]) & mask
+		for {
+			id := slots[h] - 1
+			if id < 0 {
+				slots[h] = int32(len(first)) + 1
+				first = append(first, int32(i))
+				weight = append(weight, 1)
+				break
+			}
+			if s := first[id]; y[s] == y[i] && slices.Equal(X[s], row) {
+				weight[id]++
+				break
+			}
+			h = (h + 1) & mask
+		}
+	}
+	return first, weight
 }
 
 // encode returns col's distinct values in ascending order and sets dst[i] to
@@ -157,16 +216,24 @@ const denseFactor = 8
 type run struct {
 	code int32 // rank of the feature value
 	cls  int32
-	n    int32 // rows in the group
+	n    int32 // total weight of the group
 }
 
+// builder grows a tree over n distinct rows, each standing for weight[i]
+// identical samples. Every count it keeps — of a node, of a class, of one
+// side of a split — is a sum of weights, that is, a count of samples; only
+// the row list and its ranges count rows.
 type builder struct {
 	cfg Config
 	t   *Tree
 	n   int
 
+	weight []int32 // row -> samples it stands for
+	wbits  int     // bits the largest weight takes
+
 	labels []int64 // class id -> label, ascending
 	cls    []int32 // row -> class id
+	cbits  int     // bits the largest class id takes
 	// Feature f of row i is vals[f][codes[f*n+i]]: vals[f] lists the
 	// feature's distinct values in ascending order.
 	vals  [][]int64
@@ -177,20 +244,23 @@ type builder struct {
 
 	counts []int // class counts of the node under examination
 	// lc and rc are the sweep's left and right class counts. Between sweeps
-	// lc is all zero: a sweep moves every row of the node from rc to lc and
-	// then swaps the two, so no sweep has to clear C counters first.
+	// lc is all zero: a sweep moves every sample of the node from rc to lc
+	// and then swaps the two, so no sweep has to clear C counters first.
 	lc, rc []int
 
 	table []int32  // dense (code, class) tally; all zero between uses
-	keys  []uint64 // (code, class) pairs to sort, where the table would be too sparse
+	keys  []uint64 // (code, class, weight) triples to sort, where the table would be too sparse
 	runs  []run    // the tally under the sweep; a node has at most a run per row
 }
 
 func (b *builder) grow(lo, hi, depth int) int32 {
 	counts := b.counts
 	clear(counts)
+	n := 0
 	for _, i := range b.rows[lo:hi] {
-		counts[b.cls[i]]++
+		w := int(b.weight[i])
+		counts[b.cls[i]] += w
+		n += w
 	}
 	// Majority label; the lowest class id, hence the smallest label, wins
 	// ties, for determinism.
@@ -204,37 +274,35 @@ func (b *builder) grow(lo, hi, depth int) int32 {
 	id := int32(len(b.t.Nodes))
 	b.t.Nodes = append(b.t.Nodes, Node{Feat: -1, Label: label})
 
-	if depth >= b.cfg.MaxDepth || hi-lo < b.cfg.MinSamples || counts[best] == hi-lo {
+	if depth >= b.cfg.MaxDepth || n < b.cfg.MinSamples || counts[best] == n {
 		return id
 	}
-	feat, code, thresh, nl, gain, ok := b.bestSplit(lo, hi)
+	feat, code, thresh, gain, ok := b.bestSplit(lo, hi, n)
 	if !ok {
 		return id
 	}
 	if gain > 0 {
 		b.t.featGain[feat] += gain
 	}
-	b.partition(lo, hi, feat, code)
-	l := b.grow(lo, lo+nl, depth+1)
-	r := b.grow(lo+nl, hi, depth+1)
+	mid := lo + b.partition(lo, hi, feat, code)
+	l := b.grow(lo, mid, depth+1)
+	r := b.grow(mid, hi, depth+1)
 	b.t.Nodes[id] = Node{Feat: int32(feat), Thresh: thresh, Left: l, Right: r, Label: label}
 	return id
 }
 
 // bestSplit scans every feature's candidate thresholds over the node
-// rows[lo:hi], whose class counts are in b.counts, for the largest Gini
-// impurity decrease. It returns the winning feature, the highest value code
-// it sends left, the threshold that does so and the number of rows nl that
-// go there. Zero-gain splits are admitted (the node is impure but no single
-// split helps immediately — the XOR case); depth and sample bounds keep
-// recursion finite.
+// rows[lo:hi] — n samples, whose class counts are in b.counts — for the
+// largest Gini impurity decrease. It returns the winning feature, the highest
+// value code it sends left and the threshold that does so. Zero-gain splits
+// are admitted (the node is impure but no single split helps immediately —
+// the XOR case); depth and sample bounds keep recursion finite.
 //
 // A node's impurity is priced as n·gini = n − Σc²/n over its class counts c.
-// Σc² is kept as an exact integer while rows move from right to left, so the
-// float64 gain of a candidate does not depend on the order the counts were
-// accumulated in.
-func (b *builder) bestSplit(lo, hi int) (feat int, code int32, thresh int64, nl int, gain float64, ok bool) {
-	n := hi - lo
+// Σc² is kept as an exact integer while samples move from right to left, so
+// the float64 gain of a candidate does not depend on the order the counts
+// were accumulated in, nor on how many rows carried them.
+func (b *builder) bestSplit(lo, hi, n int) (feat int, code int32, thresh int64, gain float64, ok bool) {
 	parentSq := 0
 	for _, c := range b.counts {
 		parentSq += c * c
@@ -274,14 +342,14 @@ func (b *builder) bestSplit(lo, hi int) (feat int, code int32, thresh int64, nl 
 						// unsigned because upper-lower can exceed MaxInt64.
 						lower, upper := b.vals[f][prev], b.vals[f][r.code]
 						thresh = lower + int64(uint64(upper-lower)/2)
-						bestGain, feat, code, nl, ok = g, f, prev, left, true
+						bestGain, feat, code, ok = g, f, prev, true
 					}
 					skip = step
 				}
 				skip--
 				prev = r.code
 			}
-			// Move the run's c rows of class k from right to left.
+			// Move the run's c samples of class k from right to left.
 			c, k := int(r.n), r.cls
 			sqL += c * (2*lc[k] + c)
 			lc[k] += c
@@ -291,7 +359,7 @@ func (b *builder) bestSplit(lo, hi int) (feat int, code int32, thresh int64, nl 
 		}
 		b.lc, b.rc = rc, lc
 	}
-	return feat, code, thresh, nl, bestGain, ok
+	return feat, code, thresh, bestGain, ok
 }
 
 // tally groups the node rows[lo:hi] by (value code of feature f, class) and
@@ -304,7 +372,7 @@ func (b *builder) tally(f, lo, hi int) []run {
 	if size := len(b.vals[f]) * nc; size <= denseFactor*len(rows) {
 		table := b.table[:size]
 		for _, i := range rows {
-			table[int(codes[i])*nc+int(b.cls[i])]++
+			table[int(codes[i])*nc+int(b.cls[i])] += b.weight[i]
 		}
 		for code := range b.vals[f] {
 			for k, c := range table[code*nc : (code+1)*nc] {
@@ -316,24 +384,60 @@ func (b *builder) tally(f, lo, hi int) []run {
 		clear(table)
 		return runs
 	}
+	// Sort the rows by (code, class) with their weights along. Packed into one
+	// word each — code, class, weight, from the top — they sort as plain
+	// integers, which is what makes this path affordable.
+	if bits.Len(uint(len(b.vals[f])-1))+b.cbits+b.wbits > 64 {
+		return b.tallyWide(codes, rows)
+	}
+	// Masked, so that the compiler need not provide for shifts of 64 and over.
+	wbits, pbits := uint(b.wbits)&63, uint(b.cbits+b.wbits)&63
 	keys := b.keys[:len(rows)]
 	for j, i := range rows {
-		keys[j] = uint64(codes[i])<<32 | uint64(b.cls[i])
+		keys[j] = uint64(codes[i])<<pbits | uint64(b.cls[i])<<wbits | uint64(b.weight[i])
 	}
 	slices.Sort(keys)
-	for j, k := range keys {
-		if j > 0 && k == keys[j-1] {
-			runs[len(runs)-1].n++
+	wmask, cmask := uint64(1)<<wbits-1, uint64(1)<<(pbits-wbits)-1
+	last := ^uint64(0) // no pair: one takes at most 63 bits
+	for _, k := range keys {
+		pair, w := k>>wbits, int32(k&wmask)
+		if pair == last {
+			runs[len(runs)-1].n += w
 		} else {
-			runs = append(runs, run{code: int32(k >> 32), cls: int32(uint32(k)), n: 1})
+			runs = append(runs, run{code: int32(k >> pbits), cls: int32(pair & cmask), n: w})
+			last = pair
 		}
 	}
 	return runs
 }
 
+// tallyWide is the sorting tally for a feature whose codes, the classes and
+// the weights do not fit one 64-bit key together, which takes millions of
+// samples: it sorts a run per row with a comparator and merges equal
+// neighbours in place.
+func (b *builder) tallyWide(codes, rows []int32) []run {
+	runs := b.runs[:len(rows)]
+	for j, i := range rows {
+		runs[j] = run{code: codes[i], cls: b.cls[i], n: b.weight[i]}
+	}
+	slices.SortFunc(runs, func(x, y run) int {
+		return cmp.Or(cmp.Compare(x.code, y.code), cmp.Compare(x.cls, y.cls))
+	})
+	out := runs[:0]
+	for _, r := range runs {
+		if k := len(out) - 1; k >= 0 && out[k].code == r.code && out[k].cls == r.cls {
+			out[k].n += r.n
+		} else {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // partition reorders the node rows[lo:hi] so that the rows whose feature
-// feat has a value code of at most code come first.
-func (b *builder) partition(lo, hi, feat int, code int32) {
+// feat has a value code of at most code come first, and returns how many
+// rows those are.
+func (b *builder) partition(lo, hi, feat int, code int32) int {
 	codes := b.codes[feat*b.n : (feat+1)*b.n]
 	rows := b.rows[lo:hi]
 	spill := b.spill[:len(rows)]
@@ -348,6 +452,7 @@ func (b *builder) partition(lo, hi, feat int, code int32) {
 		}
 	}
 	copy(rows[l:], spill[:r])
+	return l
 }
 
 // Predict returns the class label for feature vector x. Vectors shorter than

@@ -1,8 +1,10 @@
 package dt
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -19,17 +21,19 @@ type equivCase struct {
 	classes  int // 1..n
 	cfg      Config
 	noise    []byte // added to the features in row-major order; lets a fuzzer place ties
+	dup      int    // each row occurs 1..dup times, the copies scattered; <= 1 leaves the n rows as drawn
 }
 
 func (c equivCase) String() string {
-	return fmt.Sprintf("seed=%d n=%d nf=%d span=2^%d classes=%d cfg=%+v noise=%x",
-		c.seed, c.n, c.nf, c.spanBits, c.classes, c.cfg, c.noise)
+	return fmt.Sprintf("seed=%d n=%d nf=%d span=2^%d classes=%d cfg=%+v noise=%x dup=%d",
+		c.seed, c.n, c.nf, c.spanBits, c.classes, c.cfg, c.noise, c.dup)
 }
 
 // dataset builds the case's rows. Labels follow the features loosely (a sum
 // of two of them, bucketed) with a fifth reassigned at random, so trees grow
 // deep, pure nodes appear at every depth and gain ties are common at small
-// spans.
+// spans. With dup set, the rows are then repeated, label and all, and
+// shuffled: Train meets weights, refTrain just more rows.
 func (c equivCase) dataset() (X [][]int64, y []int64) {
 	rng := rand.New(rand.NewSource(c.seed))
 	span := int64(1) << c.spanBits
@@ -54,10 +58,22 @@ func (c equivCase) dataset() (X [][]int64, y []int64) {
 		}
 		y[i] = 7*k - 11 // labels need not be dense or non-negative
 	}
+	if c.dup > 1 {
+		for i := range X[:c.n] {
+			for rep := rng.Intn(c.dup); rep > 0; rep-- {
+				X, y = append(X, X[i]), append(y, y[i])
+			}
+		}
+		rng.Shuffle(len(X), func(i, j int) {
+			X[i], X[j] = X[j], X[i]
+			y[i], y[j] = y[j], y[i]
+		})
+	}
 	return X, y
 }
 
-// equivCases returns hand-picked corner cases followed by seeded random ones.
+// equivCases returns hand-picked corner cases followed by seeded random ones,
+// and then the same again with duplicated rows.
 func equivCases() []equivCase {
 	cases := []equivCase{
 		{seed: 1, n: 2, nf: 1, spanBits: 1, classes: 2, cfg: Config{MinSamples: 1}},
@@ -94,19 +110,47 @@ func equivCases() []equivCase {
 			},
 		})
 	}
+	cases = append(cases,
+		equivCase{seed: 15, n: 40, nf: 2, spanBits: 2, classes: 2, dup: 9, cfg: Config{MinSamples: 1}},         // at most 32 distinct samples
+		equivCase{seed: 16, n: 150, nf: 8, spanBits: 30, classes: 5, dup: 4, cfg: Config{MinSamples: 7}},       // sample bound met by weight, not by rows
+		equivCase{seed: 17, n: 100, nf: 1, spanBits: 50, classes: 4, dup: 3, cfg: Config{MaxThresholds: 48}},   // subsampled candidates
+		equivCase{seed: 18, n: 12, nf: 3, spanBits: 1, classes: 12, dup: 50, cfg: Config{MinSamples: 1}},       // heavy rows, same row under many labels
+		equivCase{seed: 19, n: 60, nf: 4, spanBits: 6, classes: 3, dup: 5, noise: []byte{1, 0xff, 2, 0xfe, 3}}, // noise before duplication
+	)
+	for len(cases) < 420 {
+		n := 2 + rng.Intn(149) // the reference is quadratic in the expanded rows
+		cases = append(cases, equivCase{
+			seed:     rng.Int63(),
+			n:        n,
+			nf:       1 + rng.Intn(8),
+			spanBits: 1 + rng.Intn(24),
+			classes:  1 + rng.Intn(min(n, 12)),
+			dup:      2 + rng.Intn(8),
+			cfg: Config{
+				MaxDepth:      1 + rng.Intn(14),
+				MinSamples:    1 + rng.Intn(12),
+				MaxThresholds: 1 + rng.Intn(60),
+			},
+		})
+	}
 	return cases
 }
 
 // checkEquivalent trains on (X, y) with both builders and requires the same
 // tree: every node's feature, threshold, children and label, and the per-
 // feature gains behind Importance, bit for bit.
-func checkEquivalent(t *testing.T, X [][]int64, y []int64, cfg Config) {
+func checkEquivalent(t *testing.T, X [][]int64, y []int64, cfg Config) *Tree {
 	t.Helper()
 	got, err := Train(X, y, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := refTrain(X, y, cfg)
+	checkSameTree(t, got, refTrain(X, y, cfg))
+	return got
+}
+
+func checkSameTree(t *testing.T, got, want *Tree) {
+	t.Helper()
 	if !slices.Equal(got.Nodes, want.Nodes) {
 		for i := range want.Nodes {
 			if i >= len(got.Nodes) || got.Nodes[i] != want.Nodes[i] {
@@ -131,6 +175,145 @@ func TestTrainMatchesReference(t *testing.T) {
 			t.Log(c)
 			checkEquivalent(t, X, y, c.cfg)
 		})
+	}
+}
+
+// TestTrainWhereOnlyWeightsDecide trains on sets whose distinct rows, counted
+// one each, would give a different tree than their samples do.
+func TestTrainWhereOnlyWeightsDecide(t *testing.T) {
+	type sample struct {
+		x, label int64
+		times    int
+	}
+	for _, tc := range []struct {
+		name      string
+		samples   []sample
+		cfg       Config
+		nodes     int
+		rootLabel int64
+	}{
+		{"one sample short of MinSamples", []sample{{1, 10, 2}, {2, 20, 2}}, Config{MinSamples: 5}, 1, 10},
+		{"MinSamples met by weight", []sample{{1, 10, 2}, {2, 20, 3}}, Config{MinSamples: 5}, 3, 20},
+		// Two rows of one class: the majority holds every sample but not "as
+		// many as there are rows".
+		{"pure by weight", []sample{{1, 10, 3}, {2, 10, 1}}, Config{MinSamples: 1}, 1, 10},
+		// The majority class has as many samples as the node has rows.
+		{"impure though majority equals row count", []sample{{1, 10, 2}, {2, 20, 1}}, Config{MinSamples: 1}, 3, 10},
+		// 2:2 by samples, 1:2 by rows.
+		{"majority tie goes to the lower label", []sample{{1, 3, 2}, {2, 5, 1}, {3, 5, 1}}, Config{MinSamples: 1}, 3, 3},
+		{"heavier row outvotes more rows", []sample{{1, 3, 1}, {2, 3, 1}, {3, 5, 3}}, Config{MinSamples: 1}, 3, 5},
+		// x=1 cannot be split further: its leaf predicts the heavier label.
+		{"same row with two labels", []sample{{1, 10, 3}, {1, 20, 5}, {2, 10, 1}}, Config{MinSamples: 1}, 3, 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var X [][]int64
+			var y []int64
+			// Interleave the copies so that no sample's are adjacent.
+			for rep := 0; ; rep++ {
+				before := len(X)
+				for _, s := range tc.samples {
+					if rep < s.times {
+						X, y = append(X, []int64{s.x}), append(y, s.label)
+					}
+				}
+				if len(X) == before {
+					break
+				}
+			}
+			tree := checkEquivalent(t, X, y, tc.cfg)
+			if tree.Size() != tc.nodes || tree.Nodes[0].Label != tc.rootLabel {
+				t.Fatalf("%d nodes, root label %d; want %d nodes, root label %d",
+					tree.Size(), tree.Nodes[0].Label, tc.nodes, tc.rootLabel)
+			}
+		})
+	}
+}
+
+// TestTrainSurvivesHashCollisions hands train a hash that sends every sample
+// to the same slot: which samples are the same one is decided by comparing
+// them, so the tree does not change (only the time to find it does).
+func TestTrainSurvivesHashCollisions(t *testing.T) {
+	collide := func([]int64, int64) uint64 { return 0 }
+	for _, c := range []equivCase{
+		{seed: 1, n: 30, nf: 2, spanBits: 2, classes: 3, dup: 6, cfg: Config{MinSamples: 1}},
+		{seed: 2, n: 200, nf: 8, spanBits: 40, classes: 5, cfg: Config{}}, // every row distinct
+		{seed: 3, n: 100, nf: 3, spanBits: 5, classes: 4, dup: 3, cfg: Config{MinSamples: 6}},
+	} {
+		X, y := c.dataset()
+		got, err := train(X, y, c.cfg, collide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Log(c)
+		checkSameTree(t, got, refTrain(X, y, c.cfg))
+	}
+}
+
+func TestDedupeKeepsFirstOccurrencesInOrder(t *testing.T) {
+	X := [][]int64{{1, 2}, {3, 4}, {1, 2}, {1, 2}, {3, 4}, {1, 2}, {5, 6}}
+	y := []int64{7, 7, 7, 8, 7, 7, 7} // sample 3 is row {1, 2} under another label
+	for name, hash := range map[string]func([]int64, int64) uint64{
+		"sampleHash": sampleHash,
+		"constant":   func([]int64, int64) uint64 { return 0 },
+	} {
+		first, weight := dedupe(X, y, hash)
+		if !slices.Equal(first, []int32{0, 1, 3, 6}) || !slices.Equal(weight, []int32{3, 2, 1, 1}) {
+			t.Errorf("%s: first %v, weights %v", name, first, weight)
+		}
+	}
+}
+
+// TestTallyWhenThePackedKeyOverflows drives the sorting tally on a hand-made
+// builder whose feature has 2^17+1 values under 2^16+1 classes. With weights
+// of a few bits the (code, class, weight) triple packs into one word; with
+// one row standing for 2^30 samples it does not and the comparator sort takes
+// over. Both must agree with a tally kept in a map.
+func TestTallyWhenThePackedKeyOverflows(t *testing.T) {
+	const n, nvals, nclasses = 2000, 1<<17 + 1, 1<<16 + 1
+	for _, heavy := range []int32{5, 1 << 30} {
+		rng := rand.New(rand.NewSource(int64(heavy)))
+		b := builder{
+			n:      n,
+			labels: make([]int64, nclasses),
+			cbits:  bits.Len(nclasses - 1),
+			vals:   [][]int64{make([]int64, nvals)},
+			codes:  make([]int32, n),
+			cls:    make([]int32, n),
+			weight: make([]int32, n),
+			rows:   make([]int32, n),
+			keys:   make([]uint64, n),
+			runs:   make([]run, n),
+		}
+		type pair struct{ code, cls int32 }
+		want := map[pair]int32{}
+		for i := range b.rows {
+			b.rows[i] = int32(i)
+			// A handful of pairs recur; the extremes of both fields occur.
+			b.codes[i] = []int32{0, nvals - 1, rng.Int31n(nvals), rng.Int31n(4)}[rng.Intn(4)]
+			b.cls[i] = []int32{0, nclasses - 1, rng.Int31n(nclasses), rng.Int31n(2)}[rng.Intn(4)]
+			b.weight[i] = 1 + rng.Int31n(4)
+		}
+		b.weight[n/2] = heavy
+		b.wbits = bits.Len32(uint32(heavy))
+		for i := range b.rows {
+			want[pair{b.codes[i], b.cls[i]}] += b.weight[i]
+		}
+		wide := bits.Len(nvals-1)+b.cbits+b.wbits > 64
+		if wide != (heavy == 1<<30) {
+			t.Fatalf("heavy=%d: wide=%v", heavy, wide)
+		}
+		runs := b.tally(0, 0, n)
+		if len(runs) != len(want) || len(runs) == n {
+			t.Fatalf("heavy=%d: %d runs, want %d (and fewer than %d rows)", heavy, len(runs), len(want), n)
+		}
+		for j, r := range runs {
+			if r.n != want[pair{r.code, r.cls}] {
+				t.Fatalf("heavy=%d: run %+v, want weight %d", heavy, r, want[pair{r.code, r.cls}])
+			}
+			if j > 0 && cmp.Or(cmp.Compare(runs[j-1].code, r.code), cmp.Compare(runs[j-1].cls, r.cls)) >= 0 {
+				t.Fatalf("heavy=%d: runs %+v and %+v out of order", heavy, runs[j-1], r)
+			}
+		}
 	}
 }
 
@@ -182,13 +365,13 @@ func TestTrainMatchesReferenceOnWindows(t *testing.T) {
 
 func FuzzTrainEquivalence(f *testing.F) {
 	for i, c := range equivCases() {
-		if i < 14 || i%16 == 0 {
+		if i < 14 || i%16 == 0 || (c.dup > 1 && i%4 == 0) {
 			f.Add(c.seed, uint16(c.n), uint8(c.nf), uint8(c.spanBits), uint16(c.classes),
-				uint8(c.cfg.MaxDepth), uint8(c.cfg.MinSamples), uint8(c.cfg.MaxThresholds), c.noise)
+				uint8(c.cfg.MaxDepth), uint8(c.cfg.MinSamples), uint8(c.cfg.MaxThresholds), c.noise, uint8(c.dup))
 		}
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, nf, spanBits uint8, classes uint16,
-		maxDepth, minSamples, maxThresholds uint8, noise []byte) {
+		maxDepth, minSamples, maxThresholds uint8, noise []byte, dup uint8) {
 		c := equivCase{
 			seed:     seed,
 			n:        2 + int(n)%599,
@@ -196,6 +379,10 @@ func FuzzTrainEquivalence(f *testing.F) {
 			spanBits: 1 + int(spanBits)%61,
 			cfg:      Config{MaxDepth: int(maxDepth) % 20, MinSamples: int(minSamples) % 20, MaxThresholds: int(maxThresholds) % 61},
 			noise:    noise,
+			dup:      int(dup) % 10,
+		}
+		if c.dup > 1 {
+			c.n = 2 + c.n%149 // the reference is quadratic in the expanded rows
 		}
 		c.classes = 1 + int(classes)%c.n
 		X, y := c.dataset()

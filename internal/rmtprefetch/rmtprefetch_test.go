@@ -1,6 +1,7 @@
 package rmtprefetch
 
 import (
+	"fmt"
 	"testing"
 
 	"rmtk/internal/core"
@@ -178,7 +179,26 @@ func TestMatchesDirectPolicy(t *testing.T) {
 // nothing per helper call — the 13 calls' argument arrays live in the pooled
 // scratch and the list is sized once, not doubled up to twelve.
 func TestAOTPrefetchFireAllocations(t *testing.T) {
-	k := core.NewKernel(core.Config{CtxHistory: 4096, Mode: core.ModeAOT})
+	if allocs := prefetchFireAllocs(t, core.ModeAOT); allocs > 2 {
+		t.Fatalf("%.1f allocations per emitting AOT fire, want at most 2", allocs)
+	}
+}
+
+// TestJITPrefetchFireAllocations: the same fire through the JIT's closures —
+// one rmt_hist_len and twelve rmt_emit calls — allocates the emission list
+// and nothing else: a helper call's argument block is a field of the pooled
+// machine state, not a local that follows Env.Call's pointer to the heap.
+func TestJITPrefetchFireAllocations(t *testing.T) {
+	if allocs := prefetchFireAllocs(t, core.ModeJIT); allocs != 1 {
+		t.Fatalf("%.1f allocations per emitting JIT fire, want 1 (the emission list)", allocs)
+	}
+}
+
+// prefetchFireAllocs trains a prefetcher on a sequential scan until its
+// program is installed, then counts the allocations of one fire that emits a
+// full burst of twelve pages, on the engine mode selects and on no other.
+func prefetchFireAllocs(t *testing.T, mode core.ExecMode) float64 {
+	k := core.NewKernel(core.Config{CtxHistory: 4096, Mode: mode})
 	p, err := New(k, ctrl.New(k), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -191,13 +211,21 @@ func TestAOTPrefetchFireAllocations(t *testing.T) {
 		}
 		p.OnAccess(pid, page, false)
 	}
-	onAOT := false
-	for _, st := range k.EngineStatus() {
-		onAOT = onAOT || st.Program == "page_prefetch_56" && st.MaxTier == core.TierAOT
+	engineFires := func() (on, off int) {
+		for _, line := range k.Metrics.Snapshot() {
+			var tier string
+			var n int
+			if _, err := fmt.Sscanf(line, "core.engine_fires.%s %d", &tier, &n); err == nil {
+				if tier == mode.String() {
+					on += n
+				} else {
+					off += n
+				}
+			}
+		}
+		return on, off
 	}
-	if !onAOT {
-		t.Fatalf("the prefetch program has no generated function: %+v", k.EngineStatus())
-	}
+	on0, off0 := engineFires()
 	var res core.FireResult
 	allocs := testing.AllocsPerRun(200, func() {
 		res = k.Fire(memsim.HookSwapClusterReadahead, pid, page, 0)
@@ -205,7 +233,8 @@ func TestAOTPrefetchFireAllocations(t *testing.T) {
 	if len(res.Emissions) != 12 || res.Emissions[0] != page+1 || res.Emissions[11] != page+12 {
 		t.Fatalf("emissions = %v, want the 12 pages after %d", res.Emissions, page)
 	}
-	if allocs > 2 {
-		t.Fatalf("%.1f allocations per emitting AOT fire, want at most 2", allocs)
+	if on, off := engineFires(); on-on0 != 201 || off != off0 { // AllocsPerRun warms up once
+		t.Fatalf("%d of 201 fires ran on %v, %d elsewhere", on-on0, mode, off-off0)
 	}
+	return allocs
 }

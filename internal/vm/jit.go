@@ -483,12 +483,12 @@ func (j *JIT) compileNode(env Env, idx int, nd *lower.Node, inProgress map[strin
 		// prove; for the rest checkHelperArgs ranges over nothing.
 		contracts := nd.Contracts
 		return func(e *exec) int {
-			r := &e.st.Regs
-			args := [5]int64{r[1], r[2], r[3], r[4], r[5]}
-			if err := checkHelperArgs(contracts, &args); err != nil {
+			r, args := &e.st.Regs, &e.st.args
+			*args = [5]int64{r[1], r[2], r[3], r[4], r[5]}
+			if err := checkHelperArgs(contracts, args); err != nil {
 				return jitFail(e, err)
 			}
-			ret, err := e.env.Call(imm, &args)
+			ret, err := e.env.Call(imm, args)
 			if err != nil {
 				return jitFail(e, fmt.Errorf("%w: helper %d: %w", ErrHelperFailed, imm, err))
 			}

@@ -103,6 +103,10 @@ type State struct {
 	vbuf  [isa.NumVRegs][isa.MaxVecLen]int64
 	steps int64
 	x     exec // the JIT's per-Run invocation record (see JIT.Run)
+	// args is the argument block of the helper call in progress. Env.Call
+	// takes it by pointer through an interface, which would move a local
+	// block to the heap on every call.
+	args [5]int64
 }
 
 // NewState returns a fresh machine state.
@@ -301,15 +305,16 @@ func (e *exec) step(in isa.Instr, pc int, progLen int, pm isa.ProofMask) (next i
 		e.env.CtxHistPush(r[in.Dst], r[in.Src])
 
 	case isa.OpCall:
-		args := [5]int64{r[1], r[2], r[3], r[4], r[5]}
+		args := &st.args
+		*args = [5]int64{r[1], r[2], r[3], r[4], r[5]}
 		if pm&isa.ProofHelperArgs == 0 && e.contracts != nil {
 			if cs, ok := e.contracts[in.Imm]; ok {
-				if herr := checkHelperArgs(cs, &args); herr != nil {
+				if herr := checkHelperArgs(cs, args); herr != nil {
 					return 0, false, -1, herr
 				}
 			}
 		}
-		ret, herr := e.env.Call(in.Imm, &args)
+		ret, herr := e.env.Call(in.Imm, args)
 		if herr != nil {
 			return 0, false, -1, fmt.Errorf("%w: helper %d: %w", ErrHelperFailed, in.Imm, herr)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rmtk/internal/isa"
@@ -290,6 +291,37 @@ func TestHelperCallAndTrap(t *testing.T) {
 	}
 	env.helpers[10] = func(*[5]int64) (int64, error) { return 0, errors.New("boom") }
 	errBoth(t, env, "call 10\nmovimm r0, 0\nexit", ErrHelperFailed)
+}
+
+// TestHelperCallsDoNotAllocate: a run that asks a history length and emits
+// twice (helpers shaped like rmt_hist_len and rmt_emit, the emission list
+// already grown) allocates nothing on either engine: the argument block
+// Env.Call takes by pointer belongs to the State.
+func TestHelperCallsDoNotAllocate(t *testing.T) {
+	env := newFakeEnv()
+	env.hist[7] = []int64{1, 2, 3}
+	emitted := make([]int64, 0, 4)
+	env.helpers[5] = func(args *[5]int64) (int64, error) { return int64(len(env.hist[args[0]])), nil }
+	env.helpers[1] = func(args *[5]int64) (int64, error) {
+		emitted = append(emitted, args[0])
+		return 1, nil
+	}
+	const src = "call 5\nmov r6, r0\nmovimm r1, 40\ncall 1\nadd r1, r6\ncall 1\nmov r0, r6\nexit"
+	for _, e := range engines(t, env, src) {
+		st := NewState()
+		allocs := testing.AllocsPerRun(100, func() {
+			emitted = emitted[:0]
+			if got, err := e.Run(env, st, 7, 0, 0); err != nil || got != 3 {
+				t.Fatalf("%s: %d, %v", e.Name(), got, err)
+			}
+		})
+		if !slices.Equal(emitted, []int64{40, 43}) {
+			t.Fatalf("%s: emitted %v", e.Name(), emitted)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations per run with three helper calls, want 0", e.Name(), allocs)
+		}
+	}
 }
 
 func TestDivModByZeroTraps(t *testing.T) {
