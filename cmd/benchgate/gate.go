@@ -195,6 +195,18 @@ func MissTax(current map[string]float64) (ns float64, ok bool) {
 	return cold - unc, okc && oku
 }
 
+// HitSaving reports what a verdict-cache hit is worth in one run: uncached
+// (cache off, the engine runs) minus cached (every fire replayed) at one
+// goroutine, AOT — the tier whose engine run is cheapest, so the arm where the
+// cache has least to skip. ok is false when the run lacks either arm. With the
+// miss tax it gives the hit ratio a hook needs before caching pays:
+// tax / (tax + saving).
+func HitSaving(current map[string]float64) (ns float64, ok bool) {
+	unc, oku := current["BenchmarkHotPath/aot/uncached/g1"]
+	hit, okh := current["BenchmarkHotPath/aot/cached/g1"]
+	return unc - hit, oku && okh
+}
+
 // SupervisorTax reports what an attached supervisor adds to an uncached AOT
 // fire in one run: supervised/uncached minus uncached at one goroutine — one
 // Allow and one RecordRun on a closed breaker. ok is false when the run lacks

@@ -123,6 +123,22 @@ func TestMissTax(t *testing.T) {
 	}
 }
 
+func TestHitSaving(t *testing.T) {
+	current := map[string]float64{
+		"BenchmarkHotPath/aot/uncached/g1": 145,
+		"BenchmarkHotPath/aot/cached/g1":   66,
+		"BenchmarkHotPath/aot/cached/g4":   110, // the line is g1's
+		"BenchmarkHotPath/jit/cached/g1":   67,  // and the AOT pair's
+	}
+	if ns, ok := HitSaving(current); !ok || ns != 79 {
+		t.Fatalf("hit saving = %v, %v; want 79, true", ns, ok)
+	}
+	delete(current, "BenchmarkHotPath/aot/cached/g1")
+	if _, ok := HitSaving(current); ok {
+		t.Fatal("hit saving reported without the cached arm")
+	}
+}
+
 func TestSupervisorTax(t *testing.T) {
 	current := map[string]float64{
 		"BenchmarkHotPath/aot/supervised/uncached/g1": 172,

@@ -80,6 +80,9 @@ func main() {
 	if ns, ok := MissTax(current); ok {
 		fmt.Printf("benchgate: verdict-cache miss tax = coldflows - uncached (aot, g1): %.1f ns/fire\n", ns)
 	}
+	if ns, ok := HitSaving(current); ok {
+		fmt.Printf("benchgate: verdict-cache hit saving = uncached - cached (aot, g1): %.1f ns/fire\n", ns)
+	}
 	if ns, ok := SupervisorTax(current); ok {
 		fmt.Printf("benchgate: supervisor tax = supervised/uncached - uncached (aot, g1): %.1f ns/fire\n", ns)
 	}

@@ -84,6 +84,38 @@ func TestOneShotFlowsAreNeverStored(t *testing.T) {
 	}
 }
 
+// TestCachedFireAndDeclinedMissAllocateNothing: the verdict cache's two
+// lock-free outcomes — a hit replayed from an entry, a first-touch miss the
+// doorkeeper declines — allocate nothing on the full stack (supervisor and
+// sentinel attached). table.TestGetTakesNoShardLock pins that neither waits
+// for a shard lock.
+func TestCachedFireAndDeclinedMissAllocateNothing(t *testing.T) {
+	k, _ := newAdmitKernel(t)
+	for i := 0; i < 3*16; i++ { // decline, store, replay: every key is cached
+		k.Fire(admitHook, int64(i%16), 1, 0)
+	}
+	var key int64
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if res := k.Fire(admitHook, key%16, 1, 0); !res.CacheHit || res.Verdict != key%16+1 {
+			t.Errorf("fire of a cached flow = %+v", res)
+		}
+		key++
+	}); allocs != 0 {
+		t.Errorf("a cached fire allocates %.1f objects, want 0", allocs)
+	}
+	declined := k.VerdictCacheStats().Declined
+	novel := int64(1 << 20)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		k.Fire(admitHook, novel%16, 1, novel)
+		novel++
+	}); allocs != 0 {
+		t.Errorf("a declined miss allocates %.1f objects, want 0", allocs)
+	}
+	if st := k.VerdictCacheStats(); st.Declined == declined || st.Entries != 16 {
+		t.Errorf("stats = %+v; want the novel flows declined (was %d) and only the 16 cached flows stored", st, declined)
+	}
+}
+
 // TestReadmissionAfterCommitTakesOneMiss: admission is generation-agnostic. A
 // flow cached under one generation is stored again on its first miss under
 // the next; only a flow's first sighting ever pays the extra miss.

@@ -565,7 +565,12 @@ func (k *Kernel) runNative(rt *routes, shard int, p *progEntry, tier EngineTier,
 			engine = p.interp
 		}
 		ret, rerr = runEngine(engine, &es.env, &es.st, poison, inv.Key, inv.Arg2, arg3)
-		steps = es.st.Steps()
+		if poison == nil {
+			// A poisoned run panics before the engine resets the pooled
+			// state, which still holds some earlier run's count: it ran no
+			// step, as on the AOT arm.
+			steps = es.st.Steps()
+		}
 	}
 	es.env.rt, es.env.inv, es.env.wcap = nil, nil, nil
 	k.enginePool.Put(es)

@@ -230,11 +230,8 @@ func (p *diffPair) compare(what string, a, b FireResult) error {
 	if b.CacheHit {
 		return fmt.Errorf("%s: the uncached kernel reports a cache hit", what)
 	}
-	// A run that panicked before its first instruction reports whatever step
-	// count the pooled engine state last held, so Steps is compared on clean
-	// fires only.
 	if a.Verdict != b.Verdict || a.Matched != b.Matched || a.Trapped != b.Trapped ||
-		a.FellBack != b.FellBack || (!a.Trapped && a.Steps != b.Steps) {
+		a.FellBack != b.FellBack || a.Steps != b.Steps {
 		return fmt.Errorf("%s: cached %+v, uncached %+v", what, a, b)
 	}
 	return nil

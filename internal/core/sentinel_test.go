@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -62,6 +63,23 @@ func TestEnginePanicContained(t *testing.T) {
 	}
 	if res := k.Fire("eng/test", 1, 0, 0); res.Trapped || res.Verdict != 9 {
 		t.Fatalf("clean fire after contained panic: %+v", res)
+	}
+}
+
+// TestPoisonedRunReportsNoSteps: an injected engine panic fires before the
+// engine is entered, so the fire ran no step — on the bytecode tiers too,
+// whose pooled machine state still holds the previous run's count.
+func TestPoisonedRunReportsNoSteps(t *testing.T) {
+	long := "movimm r0, 0\n" + strings.Repeat("addimm r0, 1\n", 40) + "exit"
+	for _, mode := range []ExecMode{ModeJIT, ModeInterp} {
+		k, _, _ := sentRig(t, mode, SentinelConfig{SampleEvery: 1 << 20, DemoteAfter: 3}, long)
+		if res := k.Fire("eng/test", 1, 0, 0); res.Trapped || res.Steps < 40 {
+			t.Fatalf("%v: clean fire of a 42-instruction program: %+v", mode, res)
+		}
+		k.SetFaultInjector(fault.NewInjector(1, fault.Rule{Target: "eng/test", Kind: fault.KindEnginePanic, Count: 1}))
+		if res := k.Fire("eng/test", 1, 0, 0); !res.Trapped || res.Steps != 0 {
+			t.Fatalf("%v: poisoned fire = %+v, want a trap that ran 0 steps", mode, res)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 //
 //   - each non-exact Table memoizes match→entry resolution per (table
 //     version, match key), turning the linear prefix/range/ternary scan into
-//     a map probe for recurring flow keys, and
+//     one probe for recurring flow keys, and
 //   - the kernel memoizes full fire verdicts per (hook, key, args) for
 //     verifier-certified pure programs (internal/core).
 //
@@ -21,11 +21,67 @@ import (
 // tenant's flush counter; the rest (which hook pipeline, which table
 // versions, which model set the fire read) is a stamp inside the stored value
 // that the kernel compares itself, handing an entry that fails it back
-// through Reject. Shards are power-of-two sized and selected by key hash, so
-// concurrent lookups on different flow keys land on different locks.
+// through Reject. Shards are power-of-two sized and selected by key hash.
 //
-// Admission. A miss followed by a Put walks a shard map that is far larger
-// than the CPU's caches, allocates the stored value and, once the shard
+// The store. A shard is an open-addressed table: a power-of-two array of
+// atomic pointers to immutable {key, gen, v} entries, probed linearly from
+// the slot the key's hash names, published through an atomic pointer in the
+// shard. A slot is empty (nil, which ends every probe), a tombstone (a
+// dropped entry's place; probes walk over it) or an entry. A shard that has
+// stored nothing has no table; tables start at flowMinSlots and double as
+// entries arrive, staying at most half used, so memory follows the flows
+// actually cached, and a shard cleared wholesale keeps the size its traffic
+// had earned.
+//
+// Readers and writers. Get's probe — one FlowKey.hash, one load of the table
+// pointer, atomic slot loads up to the first empty one, full FlowKey and
+// generation equality on the entry — takes no lock, so a hit and a plain miss
+// never wait for anything. Everything that changes a table (Put, the drop of
+// a stale entry inside Get, Reject, Reset) runs under the shard mutex, and
+// those run once per admitted miss or invalidation, never per hit. Writers
+// keep three rules:
+//
+//   - An entry is never written after it is published; a changed value is a
+//     new entry stored into the slot.
+//   - One key, one slot: an insert walks the key's whole probe chain before it
+//     claims the empty slot at its end, and tombstones are never claimed (a
+//     rebuild drops them), so dropping an entry can never uncover an older one
+//     for the same key further down the chain.
+//   - A table that would pass half used (entries plus tombstones) is rebuilt
+//     into a fresh array — twice the size when entries alone fill a quarter,
+//     the same size when tombstones did — and only then published; the old
+//     array is never written again.
+//
+// Why a lock-free Get is a legal Get of the mutex-guarded map this store
+// replaced. A hit returns an entry it loaded from a slot, whose key and
+// generation equal the caller's: some Put stored exactly that value for
+// exactly that key and generation, and the entry was the key's live one in
+// its table when it was loaded. For each thing a writer can be doing
+// meanwhile:
+//
+//   - Superseded table (a rebuild or wholesale clear published after the
+//     reader loaded the pointer): the old array is frozen at the moment it was
+//     replaced, which lies inside the Get; the reader answers as a Get ordered
+//     just before the writer.
+//   - Slot being tombstoned (stale drop, Reject): the reader sees the entry
+//     (ordered before the drop) or the tombstone, walks on and misses (after).
+//   - Slot being replaced (Put over the key): old entry or new, each whole; a
+//     generation mismatch on the old one sends the reader to the locked drop,
+//     which looks again and finds the new one.
+//   - Slot being inserted (Put of a new key at a chain's end): the reader
+//     sees empty and misses (before) or the entry (after). No other probe is
+//     disturbed: entries never move within an array and no chain is ever cut.
+//   - A reader so slow that the key was dropped and stored again further down
+//     its chain can pass both places at the wrong moments and report a miss
+//     although the key was present throughout: one extra miss, answered by a
+//     Put that replaces in place.
+//
+// A verdict-cache reader then runs the kernel's own stamp check on whatever
+// it got, so no interleaving can replay a verdict whose inputs have changed.
+// The counters are atomics bumped outside the lock, as they were.
+//
+// Admission. A miss followed by a Put allocates the stored value and its
+// entry, walks memory far larger than the CPU's caches and, once the shard
 // fills, clears it wholesale — several times the cost of the engine run the
 // verdict cache exists to skip. A flow that never recurs pays all of that to
 // serve zero hits, so the verdict cache asks Admit before it stores: the
@@ -37,12 +93,13 @@ import (
 // verdict was, not the evidence that the flow recurs. Get and Reject make
 // that exact: when they drop a stale entry they leave the flow's fingerprint
 // behind, so a flow that was cached before a commit is stored again on its
-// first miss after it, however crowded the doorkeeper is.
+// first miss after it, however crowded the doorkeeper is. None of this reads
+// or writes the store, so the store's replacement left it as it was.
 //
 // Put itself stays unconditional. The scan memo's misses cost a linear table
-// scan, which a map insert always beats, and its key space is the table's
-// match keys rather than every (key, args) combination a hook can see — it
-// has no one-hit-wonder problem for a filter to solve.
+// scan, which an insert always beats, and its key space is the table's match
+// keys rather than every (key, args) combination a hook can see — it has no
+// one-hit-wonder problem for a filter to solve.
 
 // FlowKey identifies one cached decision. Hook is the kernel's interned hook
 // id (zero for per-table memos); Key is the match key; Arg2/Arg3 are the
@@ -64,17 +121,78 @@ func (k FlowKey) hash() uint64 {
 	return h
 }
 
-// flowVal wraps a cached value with the generation it was computed against.
-type flowVal[V any] struct {
+// flowEntry is one stored decision. It is immutable once a slot points at it:
+// readers hold entries without a lock, so a new value is a new entry.
+type flowEntry[V any] struct {
+	key FlowKey
 	gen uint64
 	v   V
 }
 
-// flowShard is one lock domain of the cache. The counters live beside the
-// map they describe; padding keeps shards on separate cache lines.
+// flowTable is one shard's open-addressed store. Nothing in it but the slots'
+// contents changes once the shard points at it.
+type flowTable[V any] struct {
+	// slots has power-of-two length and at least half of it empty, so every
+	// probe chain ends.
+	slots []atomic.Pointer[flowEntry[V]]
+	// tomb is what a dropped entry's slot points at until the next rebuild.
+	// It marks by address alone; nothing reads its fields.
+	tomb flowEntry[V]
+}
+
+const (
+	flowMinSlots = 8
+	// flowSlotShift skips the hash bits that chose the shard (and would be
+	// the same for every key in it) when naming a key's home slot.
+	flowSlotShift = 16
+)
+
+func newFlowTable[V any](slots int) *flowTable[V] {
+	return &flowTable[V]{slots: make([]atomic.Pointer[flowEntry[V]], slots)}
+}
+
+// probe walks k's chain from its home slot. It returns the slot that holds k
+// and the entry loaded from it, or the empty slot that ends the chain and nil.
+func (t *flowTable[V]) probe(k FlowKey, h uint64) (*atomic.Pointer[flowEntry[V]], *flowEntry[V]) {
+	mask := uint64(len(t.slots) - 1)
+	for i := h >> flowSlotShift; ; i++ {
+		slot := &t.slots[i&mask]
+		e := slot.Load()
+		if e == nil || e != &t.tomb && e.key == k {
+			return slot, e
+		}
+	}
+}
+
+// rebuilt returns a copy of t, which holds live entries, without its
+// tombstones and at most a quarter used: twice t's size when the entries alone
+// would fill more, t's size otherwise (tombstones, not entries, used t up).
+func (t *flowTable[V]) rebuilt(live int) *flowTable[V] {
+	n := len(t.slots)
+	if live > n/4 {
+		n *= 2
+	}
+	nt := newFlowTable[V](n)
+	for i := range t.slots {
+		if e := t.slots[i].Load(); e != nil && e != &t.tomb {
+			slot, _ := nt.probe(e.key, e.key.hash())
+			slot.Store(e)
+		}
+	}
+	return nt
+}
+
+// flowShard is one writer-lock domain of the cache, laid out as two cache
+// lines: the table pointer every probe loads, which only a rebuild or a clear
+// ever writes, and the words that are written all the time — the counters
+// every probe bumps and the writers' mutex and bookkeeping. Readers of one shard on different
+// cores then share the first line and trade only the second; with both on one
+// line each hit would wait for the line twice, once to read the pointer and
+// again to own the counter (two lockstep readers of 256 flows: 27 ns per Get
+// on one line, 22 on two).
 type flowShard[V any] struct {
-	mu sync.Mutex
-	m  map[FlowKey]flowVal[V]
+	tab atomic.Pointer[flowTable[V]] // nil until the shard's first Put
+	_   [64 - 8]byte
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -82,7 +200,18 @@ type flowShard[V any] struct {
 	evictions     atomic.Int64
 	declined      atomic.Int64
 
-	_ [16]byte // pad the struct toward a cache-line multiple
+	mu sync.Mutex // serializes everything that stores to tab or its slots
+	// live and tombs count the entries and tombstones in tab's slots; mu
+	// guards them.
+	live, tombs int
+}
+
+// kill turns the entry in slot, one of t's, into a tombstone. The caller
+// holds s.mu and t is s.tab.
+func (s *flowShard[V]) kill(t *flowTable[V], slot *atomic.Pointer[flowEntry[V]]) {
+	slot.Store(&t.tomb)
+	s.live--
+	s.tombs++
 }
 
 // FlowCache is a sharded decision cache with lazy generation invalidation.
@@ -129,16 +258,12 @@ func NewFlowCache[V any](shards, perShard int) *FlowCache[V] {
 	for doorCap < n*perShard {
 		doorCap <<= 1
 	}
-	c := &FlowCache[V]{mask: uint64(n - 1), perShard: perShard, shards: make([]flowShard[V], n), doorCap: doorCap}
-	for i := range c.shards {
-		c.shards[i].m = make(map[FlowKey]flowVal[V])
-	}
-	return c
+	return &FlowCache[V]{mask: uint64(n - 1), perShard: perShard, shards: make([]flowShard[V], n), doorCap: doorCap}
 }
 
 // Get returns the cached value for k if it is present and was computed
 // against generation gen. A present-but-stale entry counts an invalidation
-// and is dropped.
+// and is dropped. Hits and plain misses take no lock.
 func (c *FlowCache[V]) Get(k FlowKey, gen uint64) (V, bool) {
 	var zero V
 	if c == nil {
@@ -146,21 +271,40 @@ func (c *FlowCache[V]) Get(k FlowKey, gen uint64) (V, bool) {
 	}
 	h := k.hash()
 	s := &c.shards[h&c.mask]
+	if t := s.tab.Load(); t != nil {
+		if _, e := t.probe(k, h); e != nil {
+			if e.gen == gen {
+				s.hits.Add(1)
+				return e.v, true
+			}
+			return c.getStale(s, k, h, gen)
+		}
+	}
+	s.misses.Add(1)
+	return zero, false
+}
+
+// getStale is Get once the lock-free probe has found k under another
+// generation: it looks again under the shard lock, because only a writer may
+// drop the entry and a racing writer may already have replaced or dropped it.
+func (c *FlowCache[V]) getStale(s *flowShard[V], k FlowKey, h, gen uint64) (V, bool) {
+	var zero V
 	s.mu.Lock()
-	e, ok := s.m[k]
-	if ok && e.gen == gen {
+	t := s.tab.Load()
+	slot, e := t.probe(k, h)
+	switch {
+	case e == nil:
+		s.mu.Unlock()
+		s.misses.Add(1)
+	case e.gen == gen:
 		s.mu.Unlock()
 		s.hits.Add(1)
 		return e.v, true
-	}
-	if ok {
-		delete(s.m, k)
+	default:
+		s.kill(t, slot)
 		s.mu.Unlock()
 		c.invalidated(s, h)
-		return zero, false
 	}
-	s.mu.Unlock()
-	s.misses.Add(1)
 	return zero, false
 }
 
@@ -191,7 +335,11 @@ func (c *FlowCache[V]) Reject(k FlowKey) {
 	h := k.hash()
 	s := &c.shards[h&c.mask]
 	s.mu.Lock()
-	delete(s.m, k)
+	if t := s.tab.Load(); t != nil {
+		if slot, e := t.probe(k, h); e != nil {
+			s.kill(t, slot)
+		}
+	}
 	s.mu.Unlock()
 	s.hits.Add(-1)
 	c.invalidated(s, h)
@@ -204,13 +352,36 @@ func (c *FlowCache[V]) Put(k FlowKey, gen uint64, v V) {
 	if c == nil {
 		return
 	}
-	s := &c.shards[k.hash()&c.mask]
+	h := k.hash()
+	s := &c.shards[h&c.mask]
+	e := &flowEntry[V]{key: k, gen: gen, v: v}
 	s.mu.Lock()
-	if _, ok := s.m[k]; !ok && len(s.m) >= c.perShard {
-		s.evictions.Add(int64(len(s.m)))
-		clear(s.m)
+	t := s.tab.Load()
+	if t == nil {
+		t = newFlowTable[V](flowMinSlots)
+		s.tab.Store(t)
 	}
-	s.m[k] = flowVal[V]{gen: gen, v: v}
+	slot, old := t.probe(k, h)
+	if old == nil {
+		// A new key takes the empty slot that ended its chain, unless the
+		// table has to be replaced first: cleared because the shard is full,
+		// or rebuilt to keep that chain short.
+		var nt *flowTable[V]
+		switch {
+		case s.live >= c.perShard:
+			s.evictions.Add(int64(s.live))
+			nt, s.live = newFlowTable[V](len(t.slots)), 0
+		case 2*(s.live+s.tombs+1) > len(t.slots):
+			nt = t.rebuilt(s.live)
+		}
+		if nt != nil {
+			slot, _ = nt.probe(k, h)
+			s.tab.Store(nt)
+			s.tombs = 0
+		}
+		s.live++
+	}
+	slot.Store(e)
 	s.mu.Unlock()
 }
 
@@ -313,8 +484,11 @@ func (c *FlowCache[V]) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.evictions.Add(int64(len(s.m)))
-		clear(s.m)
+		if t := s.tab.Load(); t != nil {
+			s.evictions.Add(int64(s.live))
+			s.tab.Store(newFlowTable[V](len(t.slots)))
+			s.live, s.tombs = 0, 0
+		}
 		s.mu.Unlock()
 	}
 }
@@ -333,7 +507,7 @@ func (c *FlowCache[V]) Stats() FlowCacheStats {
 		st.Evictions += s.evictions.Load()
 		st.Declined += s.declined.Load()
 		s.mu.Lock()
-		st.Entries += int64(len(s.m))
+		st.Entries += int64(s.live)
 		s.mu.Unlock()
 	}
 	return st

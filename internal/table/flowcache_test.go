@@ -1,9 +1,13 @@
 package table
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 func TestFlowCacheHitMissInvalidation(t *testing.T) {
@@ -348,5 +352,574 @@ func TestTableOnMutate(t *testing.T) {
 	_ = tb.Insert(&Entry{Key: 2})
 	if n != 4 {
 		t.Fatalf("onMutate fired after clear: %d", n)
+	}
+}
+
+// TestFlowShardIsWholeCacheLines: shards sit in one slice, so a shard that is
+// not a whole number of 64-byte lines shares one with its neighbour; and
+// inside a shard the table pointer readers share must not sit on the line the
+// counters dirty on every probe.
+func TestFlowShardIsWholeCacheLines(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"int64":      unsafe.Sizeof(flowShard[int64]{}),
+		"scanResult": unsafe.Sizeof(flowShard[scanResult]{}),
+		"[5]uint64":  unsafe.Sizeof(flowShard[[5]uint64]{}),
+	} {
+		if size == 0 || size%64 != 0 {
+			t.Errorf("unsafe.Sizeof(flowShard[%s]{}) = %d, want a multiple of 64", name, size)
+		}
+	}
+	var s flowShard[int64]
+	if tab, hits := unsafe.Offsetof(s.tab)/64, unsafe.Offsetof(s.hits)/64; tab == hits {
+		t.Errorf("tab and hits share cache line %d of the shard", tab)
+	}
+}
+
+// The store this file's FlowCache replaced, kept verbatim as the reference
+// model: one Go map per shard, every operation — hits included — under the
+// shard mutex. Only the admission filter is not copied: it never touched the
+// store, so the reference borrows the doorkeeper of a FlowCache it stores
+// nothing in.
+
+type flowVal[V any] struct {
+	gen uint64
+	v   V
+}
+
+type mapFlowShard[V any] struct {
+	mu sync.Mutex
+	m  map[FlowKey]flowVal[V]
+
+	hits          atomic.Int64
+	misses        atomic.Int64
+	invalidations atomic.Int64
+	evictions     atomic.Int64
+}
+
+type mapFlowCache[V any] struct {
+	mask     uint64
+	perShard int
+	shards   []mapFlowShard[V]
+	filter   *FlowCache[V]
+}
+
+func newMapFlowCache[V any](shards, perShard int) *mapFlowCache[V] {
+	f := NewFlowCache[V](shards, perShard)
+	c := &mapFlowCache[V]{mask: f.mask, perShard: f.perShard, shards: make([]mapFlowShard[V], len(f.shards)), filter: f}
+	for i := range c.shards {
+		c.shards[i].m = make(map[FlowKey]flowVal[V])
+	}
+	return c
+}
+
+func (c *mapFlowCache[V]) Get(k FlowKey, gen uint64) (V, bool) {
+	var zero V
+	h := k.hash()
+	s := &c.shards[h&c.mask]
+	s.mu.Lock()
+	e, ok := s.m[k]
+	if ok && e.gen == gen {
+		s.mu.Unlock()
+		s.hits.Add(1)
+		return e.v, true
+	}
+	if ok {
+		delete(s.m, k)
+		s.mu.Unlock()
+		c.invalidated(s, h)
+		return zero, false
+	}
+	s.mu.Unlock()
+	s.misses.Add(1)
+	return zero, false
+}
+
+func (c *mapFlowCache[V]) invalidated(s *mapFlowShard[V], h uint64) {
+	if d := c.filter.door.Load(); d != nil {
+		if slot, fp := d.slot(h); slot.Load() != fp {
+			slot.Store(fp)
+		}
+	}
+	s.invalidations.Add(1)
+	s.misses.Add(1)
+}
+
+func (c *mapFlowCache[V]) Reject(k FlowKey) {
+	h := k.hash()
+	s := &c.shards[h&c.mask]
+	s.mu.Lock()
+	delete(s.m, k)
+	s.mu.Unlock()
+	s.hits.Add(-1)
+	c.invalidated(s, h)
+}
+
+func (c *mapFlowCache[V]) Put(k FlowKey, gen uint64, v V) {
+	s := &c.shards[k.hash()&c.mask]
+	s.mu.Lock()
+	if _, ok := s.m[k]; !ok && len(s.m) >= c.perShard {
+		s.evictions.Add(int64(len(s.m)))
+		clear(s.m)
+	}
+	s.m[k] = flowVal[V]{gen: gen, v: v}
+	s.mu.Unlock()
+}
+
+func (c *mapFlowCache[V]) Admit(k FlowKey) bool { return c.filter.Admit(k) }
+
+func (c *mapFlowCache[V]) Reset() {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		s.evictions.Add(int64(len(s.m)))
+		clear(s.m)
+		s.mu.Unlock()
+	}
+}
+
+func (c *mapFlowCache[V]) Stats() FlowCacheStats {
+	st := FlowCacheStats{Declined: c.filter.Stats().Declined}
+	for i := range c.shards {
+		s := &c.shards[i]
+		st.Hits += s.hits.Load()
+		st.Misses += s.misses.Load()
+		st.Invalidations += s.invalidations.Load()
+		st.Evictions += s.evictions.Load()
+		s.mu.Lock()
+		st.Entries += int64(len(s.m))
+		s.mu.Unlock()
+	}
+	return st
+}
+
+// flowStore is what the differential schedule drives: the FlowCache, the map
+// reference, or a FlowCache with one of its rules broken.
+type flowStore interface {
+	Get(FlowKey, uint64) (uint64, bool)
+	Put(FlowKey, uint64, uint64)
+	Admit(FlowKey) bool
+	Reject(FlowKey)
+	Reset()
+	Stats() FlowCacheStats
+}
+
+// flowSchedule is one differential run: the cache's shape, how many distinct
+// flows the schedule draws from, and five bytes per operation (opcode, three
+// of flow index, generation).
+type flowSchedule struct {
+	shards, perShard, flows int
+	ops                     []byte
+}
+
+// decodeFlowSchedule reads a schedule from a byte string: three header bytes
+// choose the shape (shards 1/4/32, perShard 4/64/4096, and a flow space of 8,
+// half, once or 1.5 times the capacity), the rest are operations.
+func decodeFlowSchedule(data []byte) flowSchedule {
+	if len(data) < 3 {
+		return flowSchedule{shards: 1, perShard: 4, flows: 8}
+	}
+	sc := flowSchedule{
+		shards:   []int{1, 4, 32}[int(data[0])%3],
+		perShard: []int{4, 64, 4096}[int(data[1])%3],
+		ops:      data[3:],
+	}
+	capacity := sc.shards * sc.perShard
+	sc.flows = []int{8, capacity / 2, capacity, capacity + capacity/2}[int(data[2])%4]
+	return sc
+}
+
+func scheduleFlow(i int) FlowKey {
+	return FlowKey{Hook: uint64(1 + i%3), Key: uint64(i), Arg2: int64(i & 7), Arg3: 3}
+}
+
+// flat makes a (value, ok) return pair comparable as one value.
+func flat(v uint64, ok bool) [2]uint64 {
+	if ok {
+		return [2]uint64{v, 1}
+	}
+	return [2]uint64{v, 0}
+}
+
+// runFlowSchedule drives got and the map reference through sc and returns the
+// first difference in any return value or in Stats, which it compares after
+// every operation.
+func runFlowSchedule(sc flowSchedule, got flowStore) error {
+	want := newMapFlowCache[uint64](sc.shards, sc.perShard)
+	for n := 0; n+5 <= len(sc.ops); n += 5 {
+		b := sc.ops[n : n+5]
+		i := (int(b[1]) | int(b[2])<<8 | int(b[3])<<16) % sc.flows
+		k, gen := scheduleFlow(i), uint64(b[4]%4)
+		v := uint64(i)<<8 | gen<<4 | uint64(b[0]>>4)
+		var what string
+		var g, w [2]uint64 // return values, flattened
+		switch op := b[0] % 16; {
+		case op < 6: // the verdict cache's protocol: probe, store what Admit lets through
+			what = "Get+Admit+Put"
+			g, w = flat(got.Get(k, gen)), flat(want.Get(k, gen))
+			if g[1] == 0 && w[1] == 0 {
+				ga, wa := got.Admit(k), want.Admit(k)
+				if ga != wa {
+					return fmt.Errorf("op %d: Admit(%d) = %v, reference %v", n/5, i, ga, wa)
+				}
+				if ga {
+					got.Put(k, gen, v)
+					want.Put(k, gen, v)
+				}
+			}
+		case op < 9:
+			what = "Get"
+			g, w = flat(got.Get(k, gen)), flat(want.Get(k, gen))
+		case op < 12: // the scan memo's protocol: unconditional
+			what = "Put"
+			got.Put(k, gen, v)
+			want.Put(k, gen, v)
+		case op == 12:
+			what = "Admit"
+			g, w = flat(0, got.Admit(k)), flat(0, want.Admit(k))
+		case op < 15: // a hit the caller finds stale by its own stamp
+			what = "Get+Reject"
+			g, w = flat(got.Get(k, gen)), flat(want.Get(k, gen))
+			if g[1] == 1 && w[1] == 1 {
+				got.Reject(k)
+				want.Reject(k)
+			}
+		case b[4] < 16: // Reset is rare: one in 256 operations
+			what = "Reset"
+			got.Reset()
+			want.Reset()
+		default:
+			what = "Reject"
+			got.Reject(k)
+			want.Reject(k)
+		}
+		if g != w {
+			return fmt.Errorf("op %d: %s(flow %d, gen %d) = %v, reference %v", n/5, what, i, gen, g, w)
+		}
+		if gs, ws := got.Stats(), want.Stats(); gs != ws {
+			return fmt.Errorf("op %d: after %s(flow %d, gen %d) stats = %+v, reference %+v", n/5, what, i, gen, gs, ws)
+		}
+	}
+	return nil
+}
+
+// seededFlowSchedule builds the byte string of a schedule of n operations on
+// the given shape (the header bytes index decodeFlowSchedule's choices).
+func seededFlowSchedule(seed int64, shards, perShard, flows byte, n int) []byte {
+	data := make([]byte, 3+5*n)
+	rand.New(rand.NewSource(seed)).Read(data)
+	data[0], data[1], data[2] = shards, perShard, flows
+	return data
+}
+
+// flowScheduleCorpus calls run on the schedules the differential tests share:
+// short ones over every shape and flow-space size, and one per shape long
+// enough to fill the cache several times over (growth through every table
+// size, wholesale clears, rebuilds forced by tombstones).
+func flowScheduleCorpus(short int, run func(name string, data []byte) bool) {
+	for seed := 0; seed < short; seed++ {
+		sh, per, fl := byte(seed%3), byte(seed/3%3), byte(seed/9%4)
+		if !run(fmt.Sprintf("short seed %d", seed), seededFlowSchedule(int64(seed), sh, per, fl, 300)) {
+			return
+		}
+	}
+	for sh := byte(0); sh < 3; sh++ {
+		for per := byte(0); per < 3; per++ {
+			sc := decodeFlowSchedule([]byte{sh, per, 3})
+			n := min(4*sc.shards*sc.perShard, 200000)
+			if !run(fmt.Sprintf("long %dx%d", sc.shards, sc.perShard), seededFlowSchedule(int64(1000+3*int(sh)+int(per)), sh, per, 3, n)) {
+				return
+			}
+		}
+	}
+}
+
+// TestFlowCacheMatchesMapReference: on any single-threaded sequence of
+// Get/Put/Admit/Reject/Reset the open-addressed store returns what the
+// map-under-mutex store returned and counts what it counted — every value,
+// every hit and miss, and the whole of Stats after every operation.
+func TestFlowCacheMatchesMapReference(t *testing.T) {
+	short := 10000
+	if testing.Short() {
+		short = 1000
+	}
+	flowScheduleCorpus(short, func(name string, data []byte) bool {
+		sc := decodeFlowSchedule(data)
+		if err := runFlowSchedule(sc, NewFlowCache[uint64](sc.shards, sc.perShard)); err != nil {
+			t.Errorf("%s (%d shards x %d, %d flows): %v", name, sc.shards, sc.perShard, sc.flows, err)
+			return false
+		}
+		return true
+	})
+}
+
+// FuzzFlowCacheDifferential is the same comparison over fuzzer-chosen shapes
+// and schedules.
+func FuzzFlowCacheDifferential(f *testing.F) {
+	f.Add([]byte{0, 0, 0})
+	// Short seeds: the fuzzer's minimizer spends its budget per input byte.
+	f.Add(seededFlowSchedule(1, 0, 0, 3, 60))
+	f.Add(seededFlowSchedule(2, 1, 0, 2, 100))
+	f.Add(seededFlowSchedule(3, 2, 1, 0, 100))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := decodeFlowSchedule(data)
+		if err := runFlowSchedule(sc, NewFlowCache[uint64](sc.shards, sc.perShard)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// brokenFlowCache is a FlowCache[uint64] with one rule of the store broken,
+// for the mutation check below.
+type brokenFlowCache struct {
+	*FlowCache[uint64]
+	rule string
+}
+
+// Get without the generation compare: any entry for the key is a hit.
+func (b brokenFlowCache) Get(k FlowKey, gen uint64) (uint64, bool) {
+	c := b.FlowCache
+	h := k.hash()
+	s := &c.shards[h&c.mask]
+	if t := s.tab.Load(); b.rule == "no generation compare" && t != nil {
+		if _, e := t.probe(k, h); e != nil {
+			s.hits.Add(1)
+			return e.v, true
+		}
+	}
+	return c.Get(k, gen)
+}
+
+// Put that claims a slot without first walking the key's whole chain: either
+// it never looks for the key at all, or it stops at the first tombstone and
+// takes that. Inserts that need a new table go through the real Put.
+func (b brokenFlowCache) Put(k FlowKey, gen, v uint64) {
+	c := b.FlowCache
+	h := k.hash()
+	s := &c.shards[h&c.mask]
+	t := s.tab.Load()
+	if b.rule == "no generation compare" || t == nil || s.live >= c.perShard || 2*(s.live+s.tombs+1) > len(t.slots) {
+		c.Put(k, gen, v)
+		return
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := h >> flowSlotShift; ; i++ {
+		slot := &t.slots[i&mask]
+		switch e := slot.Load(); {
+		case e == nil:
+		case e == &t.tomb && b.rule == "tombstone reuse":
+			s.tombs--
+		case e != &t.tomb && e.key == k && b.rule != "no key scan":
+			s.live--
+		default:
+			continue
+		}
+		slot.Store(&flowEntry[uint64]{key: k, gen: gen, v: v})
+		s.live++
+		return
+	}
+}
+
+// TestFlowCacheReferenceCatchesEachMutation is the mutation check of the
+// differential test: a store that skips the generation compare, that inserts
+// without looking for the key, or that claims the first tombstone on the
+// key's chain each differs from the reference somewhere in the corpus.
+func TestFlowCacheReferenceCatchesEachMutation(t *testing.T) {
+	for _, rule := range []string{"no generation compare", "no key scan", "tombstone reuse"} {
+		caught := false
+		flowScheduleCorpus(200, func(name string, data []byte) bool {
+			sc := decodeFlowSchedule(data)
+			if err := runFlowSchedule(sc, brokenFlowCache{NewFlowCache[uint64](sc.shards, sc.perShard), rule}); err != nil {
+				t.Logf("%s, %s: %v", rule, name, err)
+				caught = true
+			}
+			return !caught
+		})
+		if !caught {
+			t.Errorf("a store with %s passes the differential corpus", rule)
+		}
+	}
+}
+
+// TestFlowCacheReadersVersusWriters (run under -race): eight goroutines Get
+// without a lock while two Put, Reject and Reset the same flows through table
+// growth, tombstone rebuilds and wholesale clears. A value encodes the flow
+// and generation it was stored for, so every hit can be checked to be
+// something some Put stored for exactly that key and generation.
+func TestFlowCacheReadersVersusWriters(t *testing.T) {
+	const (
+		shards, perShard = 4, 64
+		flows            = shards*perShard + shards*perShard/2
+		gens             = 3
+		writerOps        = 20000
+	)
+	enc := func(i int, gen uint64) uint64 { return uint64(i)<<8 | gen }
+	c := NewFlowCache[uint64](shards, perShard)
+	var writers, readers sync.WaitGroup
+	var done atomic.Bool
+	var hits atomic.Int64
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(seed int64) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for n := 0; n < writerOps; n++ {
+				i, gen := rng.Intn(flows), uint64(rng.Intn(gens))
+				switch op := rng.Intn(1000); {
+				case op == 0:
+					c.Reset()
+				case op < 150:
+					c.Reject(scheduleFlow(i))
+				default:
+					c.Put(scheduleFlow(i), gen, enc(i, gen))
+				}
+			}
+		}(int64(w))
+	}
+	for r := 0; r < 8; r++ {
+		readers.Add(1)
+		go func(seed int64) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var mine int64
+			for !done.Load() {
+				i, gen := rng.Intn(flows), uint64(rng.Intn(gens))
+				if v, ok := c.Get(scheduleFlow(i), gen); ok {
+					mine++
+					if v != enc(i, gen) {
+						t.Errorf("Get(flow %d, gen %d) = %#x, which no Put stored for it", i, gen, v)
+						return
+					}
+				}
+			}
+			hits.Add(mine)
+		}(int64(100 + r))
+	}
+	writers.Wait()
+	done.Store(true)
+	readers.Wait()
+	st := c.Stats()
+	if hits.Load() == 0 || st.Evictions == 0 || st.Invalidations == 0 {
+		t.Fatalf("%d checked hits, stats %+v; want hits, wholesale clears and stale drops to have happened", hits.Load(), st)
+	}
+	// Quiescent: one key, one slot, nothing over capacity.
+	if st.Entries > shards*perShard {
+		t.Fatalf("%d entries in a cache of %d", st.Entries, shards*perShard)
+	}
+	var live int64
+	stored := map[FlowKey]int{}
+	for s := range c.shards {
+		tab := c.shards[s].tab.Load()
+		if tab == nil {
+			continue
+		}
+		for j := range tab.slots {
+			if e := tab.slots[j].Load(); e != nil && e != &tab.tomb {
+				live++
+				if stored[e.key]++; stored[e.key] > 1 {
+					t.Fatalf("flow %+v is stored in two slots", e.key)
+				}
+			}
+		}
+	}
+	if live != st.Entries {
+		t.Fatalf("%d entries in the slots, Stats counts %d", live, st.Entries)
+	}
+}
+
+// TestGetTakesNoShardLock: with every shard's mutex held, hits, plain misses
+// and Admits still return — the fire path's three cache calls that are not a
+// store wait for no writer. (internal/core pins the other half: a cached Fire
+// and a declined miss allocate nothing.)
+func TestGetTakesNoShardLock(t *testing.T) {
+	c := NewFlowCache[uint64](8, 256)
+	for i := 0; i < 1000; i++ {
+		c.Put(scheduleFlow(i), 1, uint64(i))
+	}
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+		defer c.shards[i].mu.Unlock()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 1000; i++ {
+			if v, ok := c.Get(scheduleFlow(i), 1); !ok || v != uint64(i) {
+				t.Errorf("Get(flow %d) = %d, %v under held locks", i, v, ok)
+			}
+			if _, ok := c.Get(scheduleFlow(1000+i), 1); ok {
+				t.Errorf("flow %d was never stored and hit", 1000+i)
+			}
+			c.Admit(scheduleFlow(2000 + i))
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("Get or Admit blocked on a held shard lock")
+	}
+	hit, miss := scheduleFlow(1), scheduleFlow(1001)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.Get(hit, 1)
+		c.Get(miss, 1)
+		c.Admit(miss)
+	}); allocs != 0 {
+		t.Errorf("a hit, a miss and an Admit allocate %.1f objects, want 0", allocs)
+	}
+}
+
+// TestFlowCacheMemoryFollowsTraffic: a shard holds no slot array until
+// something is stored in it, the array doubles with the entries stored and
+// stays at most half used, a wholesale clear keeps the size the traffic had
+// earned, and invalidation churn on a full shard — every drop leaves a
+// tombstone — settles at a bounded size instead of growing or rebuilding per
+// drop.
+func TestFlowCacheMemoryFollowsTraffic(t *testing.T) {
+	const perShard = 64
+	c := NewFlowCache[int](1, perShard)
+	s := &c.shards[0]
+	c.Get(FlowKey{Key: 1}, 1)
+	c.Admit(FlowKey{Key: 1})
+	c.Reset()
+	if s.tab.Load() != nil {
+		t.Fatal("a shard that stored nothing has a table")
+	}
+	for i := 1; i <= perShard; i++ {
+		c.Put(FlowKey{Key: uint64(i)}, 1, i)
+		if n := len(s.tab.Load().slots); n < 2*i || n > max(flowMinSlots, 4*i) {
+			t.Fatalf("%d entries in %d slots; want between twice and four times the entries", i, n)
+		}
+	}
+	full := len(s.tab.Load().slots)
+	c.Put(FlowKey{Key: perShard + 1}, 1, 0) // clears the full shard
+	if st := c.Stats(); st.Evictions != perShard || st.Entries != 1 {
+		t.Fatalf("stats after overfilling = %+v; want %d evicted, 1 entry", st, perShard)
+	}
+	if n := len(s.tab.Load().slots); n != full {
+		t.Fatalf("wholesale clear resized the table from %d to %d slots", full, n)
+	}
+	for i := 2; i <= perShard; i++ {
+		c.Put(FlowKey{Key: uint64(i)}, 1, i)
+	}
+	rebuilds, last := 0, s.tab.Load()
+	for gen := uint64(2); gen < 12; gen++ {
+		for i := 2; i <= perShard+1; i++ {
+			k := FlowKey{Key: uint64(i)}
+			if _, ok := c.Get(k, gen); ok {
+				t.Fatalf("stale hit for key %d", i)
+			}
+			c.Put(k, gen, i)
+			if cur := s.tab.Load(); cur != last {
+				rebuilds, last = rebuilds+1, cur
+			}
+		}
+	}
+	if n := len(last.slots); n > 4*perShard {
+		t.Fatalf("invalidation churn grew the table to %d slots for %d entries", n, perShard)
+	}
+	if rebuilds > 12 {
+		t.Fatalf("%d rebuilds for %d drop-and-store cycles on a full shard; want one per ~%d", rebuilds, 10*perShard, perShard)
+	}
+	if st := c.Stats(); st.Entries != perShard || st.Evictions != perShard {
+		t.Fatalf("stats after churn = %+v; want the working set intact", st)
 	}
 }

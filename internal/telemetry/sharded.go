@@ -111,32 +111,11 @@ func (h *ShardedHistogram) Mean() float64 {
 
 // Quantile returns an upper bound on the q-quantile over the merged buckets.
 func (h *ShardedHistogram) Quantile(q float64) int64 {
-	var merged [48]int64
-	var n int64
+	var merged bucketCounts
 	for i := range h.stripes {
-		for b := range merged {
-			merged[b] += h.stripes[i].h.buckets[b].Load()
-		}
-		n += h.stripes[i].h.count.Load()
+		h.stripes[i].h.addTo(&merged)
 	}
-	if n == 0 {
-		return 0
-	}
-	target := int64(q * float64(n))
-	if target >= n {
-		target = n - 1
-	}
-	var seen int64
-	for b := 0; b < len(merged); b++ {
-		seen += merged[b]
-		if seen > target {
-			if b == 0 {
-				return 0
-			}
-			return int64(1) << uint(b)
-		}
-	}
-	return int64(1) << 47
+	return merged.quantile(q)
 }
 
 // SnapshotLine renders the histogram in the registry's histogram format.

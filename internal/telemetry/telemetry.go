@@ -6,6 +6,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,29 +44,28 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Histogram is a power-of-two bucketed latency/size histogram. Buckets are
-// [0,1), [1,2), [2,4), ... up to the last overflow bucket.
+// [0,1), [1,2), [2,4), ... up to the last overflow bucket. The observation
+// count is the sum of the buckets, so Observe pays for two atomic adds — the
+// bucket and the sum — and readers, who are rare, add the buckets up.
 type Histogram struct {
-	buckets [48]atomic.Int64
-	count   atomic.Int64
+	buckets [histBuckets]atomic.Int64
 	sum     atomic.Int64
 }
 
+const histBuckets = 48
+
+// bucketFor is the number of significant bits of v, capped at the overflow
+// bucket; negative values land in bucket 0.
 func bucketFor(v int64) int {
 	if v < 0 {
-		v = 0
+		return 0
 	}
-	b := 0
-	for v > 0 && b < 47 {
-		v >>= 1
-		b++
-	}
-	return b
+	return min(bits.Len64(uint64(v)), histBuckets-1)
 }
 
 // Observe records a value.
 func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketFor(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
@@ -74,15 +74,61 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Nanoseconds())
 }
 
+// bucketCounts is a point-in-time copy of one or more histograms' buckets.
+type bucketCounts [histBuckets]int64
+
+// addTo adds h's bucket counts into c.
+func (h *Histogram) addTo(c *bucketCounts) {
+	for b := range c {
+		c[b] += h.buckets[b].Load()
+	}
+}
+
+func (c *bucketCounts) count() int64 {
+	var n int64
+	for _, v := range c {
+		n += v
+	}
+	return n
+}
+
+// quantile returns an upper bound on the q-quantile (0<=q<=1) using bucket
+// upper edges.
+func (c *bucketCounts) quantile(q float64) int64 {
+	n := c.count()
+	if n == 0 {
+		return 0
+	}
+	target := int64(q * float64(n))
+	if target >= n {
+		target = n - 1
+	}
+	var seen int64
+	for b, v := range c {
+		seen += v
+		if seen > target {
+			if b == 0 {
+				return 0
+			}
+			return int64(1) << uint(b) // upper edge of bucket b
+		}
+	}
+	return int64(1) << (histBuckets - 1)
+}
+
 // Count reports total observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	var c bucketCounts
+	h.addTo(&c)
+	return c.count()
+}
 
 // Sum reports the sum of observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
 // Mean reports the average observed value (0 when empty).
 func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}
@@ -92,25 +138,9 @@ func (h *Histogram) Mean() float64 {
 // Quantile returns an upper bound on the q-quantile (0<=q<=1) using bucket
 // upper edges.
 func (h *Histogram) Quantile(q float64) int64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	target := int64(q * float64(n))
-	if target >= n {
-		target = n - 1
-	}
-	var seen int64
-	for b := 0; b < len(h.buckets); b++ {
-		seen += h.buckets[b].Load()
-		if seen > target {
-			if b == 0 {
-				return 0
-			}
-			return int64(1) << uint(b) // upper edge of bucket b
-		}
-	}
-	return int64(1) << 47
+	var c bucketCounts
+	h.addTo(&c)
+	return c.quantile(q)
 }
 
 // Registry is a named collection of counters and histograms.

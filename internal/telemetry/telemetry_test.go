@@ -1,8 +1,12 @@
 package telemetry
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -137,5 +141,118 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	if r.Counter("x").Load() != 1600 {
 		t.Fatalf("x = %d", r.Counter("x").Load())
+	}
+}
+
+// oldHistogram is the histogram as it was while Observe kept a separate
+// observation count and found the bucket with a shift loop, kept verbatim as
+// the reference for the two tests below.
+type oldHistogram struct {
+	buckets [48]atomic.Int64
+	count   atomic.Int64
+	sum     atomic.Int64
+}
+
+func oldBucketFor(v int64) int {
+	if v < 0 {
+		v = 0
+	}
+	b := 0
+	for v > 0 && b < 47 {
+		v >>= 1
+		b++
+	}
+	return b
+}
+
+func (h *oldHistogram) Observe(v int64) {
+	h.buckets[oldBucketFor(v)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
+}
+
+func (h *oldHistogram) Mean() float64 {
+	n := h.count.Load()
+	if n == 0 {
+		return 0
+	}
+	return float64(h.sum.Load()) / float64(n)
+}
+
+func (h *oldHistogram) Quantile(q float64) int64 {
+	n := h.count.Load()
+	if n == 0 {
+		return 0
+	}
+	target := int64(q * float64(n))
+	if target >= n {
+		target = n - 1
+	}
+	var seen int64
+	for b := 0; b < len(h.buckets); b++ {
+		seen += h.buckets[b].Load()
+		if seen > target {
+			if b == 0 {
+				return 0
+			}
+			return int64(1) << uint(b)
+		}
+	}
+	return int64(1) << 47
+}
+
+func (h *oldHistogram) line(name string) string {
+	return fmt.Sprintf("%s count=%d mean=%.1f p99<=%d", name, h.count.Load(), h.Mean(), h.Quantile(0.99))
+}
+
+// TestBucketForMatchesShiftLoop: the bit-length form names the bucket the
+// shift loop named on both sides of every power of two, at the extremes and
+// for negatives.
+func TestBucketForMatchesShiftLoop(t *testing.T) {
+	vals := []int64{0, math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1}
+	for s := uint(0); s < 63; s++ {
+		p := int64(1) << s
+		vals = append(vals, p-1, p, p+1, -p-1, -p, -p+1)
+	}
+	for _, v := range vals {
+		if got, want := bucketFor(v), oldBucketFor(v); got != want {
+			t.Errorf("bucketFor(%d) = %d, the shift loop says %d", v, got, want)
+		}
+	}
+}
+
+// TestHistogramOutputUnchangedWithoutCount: a histogram that derives its
+// count from the buckets renders what one that stored it rendered, byte for
+// byte, plain and sharded, over 10^5 seeded observations (compared at
+// intervals and at the end).
+func TestHistogramOutputUnchangedWithoutCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	reg := NewRegistry()
+	plain, sharded := reg.Histogram("h"), NewShardedHistogram(4)
+	reg.AddSource(func() []string { return []string{sharded.SnapshotLine("s")} })
+	var old oldHistogram
+	for i := 0; i < 100000; i++ {
+		// Magnitudes spread over every bucket, a few negatives among them.
+		v := rng.Int63() >> uint(rng.Intn(64))
+		if rng.Intn(50) == 0 {
+			v = -v
+		}
+		plain.Observe(v)
+		sharded.Observe(i, v)
+		old.Observe(v)
+		if i%9973 != 0 && i != 99999 {
+			continue
+		}
+		if got, want := strings.Join(reg.Snapshot(), "|"), old.line("h")+"|"+old.line("s"); got != want {
+			t.Fatalf("after %d observations Snapshot = %q, with a stored count %q", i+1, got, want)
+		}
+		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.999, 1} {
+			if g, s, w := plain.Quantile(q), sharded.Quantile(q), old.Quantile(q); g != w || s != w {
+				t.Fatalf("after %d observations Quantile(%v) = %d plain, %d sharded, want %d", i+1, q, g, s, w)
+			}
+		}
+	}
+	if plain.Count() != 100000 || sharded.Count() != 100000 || plain.Sum() != old.sum.Load() || sharded.Sum() != old.sum.Load() {
+		t.Fatalf("count/sum = %d/%d plain, %d/%d sharded; want 100000/%d", plain.Count(), plain.Sum(), sharded.Count(), sharded.Sum(), old.sum.Load())
 	}
 }
