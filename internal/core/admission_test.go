@@ -116,6 +116,71 @@ func TestCachedFireAndDeclinedMissAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestDispatchDrawsScratchOnce: a dispatch draws one pooled scratch, on the
+// first event that leaves the cached-hit path, and holds it to its end —
+// across hooks, engine runs and the sentinel's checked pairs — while a
+// dispatch that never leaves that path draws none.
+func TestDispatchDrawsScratchOnce(t *testing.T) {
+	k, sen := newAdmitKernel(t)
+	tb2 := table.New("admit_tab2", admitHook+"2", table.MatchExact)
+	if _, err := k.CreateTable(tb2); err != nil {
+		t.Fatal(err)
+	}
+	pid, err := k.ProgramID("admit_sum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb2.SetDefault(&table.Action{Kind: table.ActionProgram, ProgID: pid})
+
+	news := 0
+	k.pool.setNew(func() *scratch { news++; return new(scratch) })
+	var held []*scratch
+	drain := func() { // empties the pool: draws until it has to make one
+		for n := news; news == n; {
+			held = append(held, k.pool.get())
+		}
+	}
+
+	const n = 64
+	events, out := make([]Event, n), make([]FireResult, n)
+	for i := range events { // arg3 makes every flow new: all miss
+		events[i] = Event{Hook: []string{admitHook, admitHook + "2"}[i%2], Key: int64(i % 16), Arg3: int64(1000 + i)}
+	}
+	// Were the scratch returned between events, this would take it and the
+	// next event would have to make another.
+	events[n/2].Prep = drain
+	drain()
+	news = 0
+	k.FireBatch(events, out)
+	for i, res := range out {
+		if res.CacheHit || res.Verdict != int64(i%16+1000+i) {
+			t.Fatalf("event %d = %+v", i, res)
+		}
+	}
+	if news != 2 {
+		t.Errorf("an uncached batch made %d scratches, want 2: its own one and the one the mid-batch drain made", news)
+	}
+	if sen.Counts().Sampled == 0 {
+		t.Error("the batch was meant to include a sampled pair")
+	}
+
+	for i := 0; i < 3; i++ { // decline, store, replay
+		k.FireBatch(events[:16], out)
+	}
+	drain()
+	news = 0
+	k.FireBatch(events[:16], out)
+	for i, res := range out[:16] {
+		if !res.CacheHit {
+			t.Fatalf("cached event %d = %+v", i, res)
+		}
+	}
+	k.Fire("no/such/hook", 1, 0, 0)
+	if news != 0 {
+		t.Errorf("a cached batch and a fire that hits no hook made %d scratches, want 0", news)
+	}
+}
+
 // TestReadmissionAfterCommitTakesOneMiss: admission is generation-agnostic. A
 // flow cached under one generation is stored again on its first miss under
 // the next; only a flow's first sighting ever pays the extra miss.

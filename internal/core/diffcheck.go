@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rmtk/internal/fault"
-	"rmtk/internal/vm"
 )
 
 // This file implements the engine sentinel's online differential checker: a
@@ -79,9 +78,6 @@ func (w *writeCap) readHist(k *Kernel, key int64, dst []int64, app []int64) int 
 // collapsed in the ctx map; history pushes preserve per-key order; vec slots
 // are independent — so map iteration order cannot change the outcome.
 func (w *writeCap) commit(k *Kernel, rt *routes) {
-	if len(w.ctx) == 0 && len(w.hist) == 0 && len(w.vecs) == 0 {
-		return
-	}
 	for s, v := range w.ctx {
 		k.ctx.Store(s.key, s.field, v)
 	}
@@ -91,17 +87,9 @@ func (w *writeCap) commit(k *Kernel, rt *routes) {
 		}
 	}
 	for id, src := range w.vecs {
-		slot, ok := rt.vecs[id]
-		if !ok {
-			continue // slot removed since capture; nothing to write
+		if slot, ok := rt.vecs[id]; ok { // else removed since capture; nothing to write
+			slot.store(src)
 		}
-		slot.mu.Lock()
-		if len(slot.v) != len(src) {
-			slot.v = append([]int64(nil), src...)
-		} else {
-			copy(slot.v, src)
-		}
-		slot.mu.Unlock()
 	}
 }
 
@@ -109,9 +97,6 @@ func (w *writeCap) commit(k *Kernel, rt *routes) {
 func (w *writeCap) equal(o *writeCap) bool {
 	if len(w.ctx) != len(o.ctx) || len(w.hist) != len(o.hist) || len(w.vecs) != len(o.vecs) {
 		return false
-	}
-	if len(w.ctx) == 0 && len(w.hist) == 0 && len(w.vecs) == 0 {
-		return true
 	}
 	for s, v := range w.ctx {
 		if ov, ok := o.ctx[s]; !ok || ov != v {
@@ -131,16 +116,12 @@ func (w *writeCap) equal(o *writeCap) bool {
 	return true
 }
 
-// checkScratch is the pooled per-pair scratch of the differential checker:
-// both write-capture buffers, the reference run's env, invocation and VM state
-// — one pool round trip per sampled pair instead of one per piece. The capture
-// maps are cleared (not dropped) on release — a program that writes nothing,
-// the common case, pays no map work at all.
-type checkScratch struct {
-	refCap, natCap writeCap
-	env            env
-	refInv         Invocation
-	st             *vm.State
+// settle ends a checked pair or a shadow run: the captures are cleared, not
+// dropped — a program that writes nothing, the common case, pays no map work.
+func (s *scratch) settle() {
+	s.refCap.reset()
+	s.natCap.reset()
+	s.refInv = Invocation{}
 }
 
 func (w *writeCap) reset() {
@@ -155,99 +136,99 @@ func (w *writeCap) reset() {
 	}
 }
 
-func (cs *checkScratch) release(k *Kernel) {
-	cs.refCap.reset()
-	cs.natCap.reset()
-	cs.env = env{}
-	cs.refInv.emissions = nil
-	k.checkPool.Put(cs)
+// engineRun is one side of a checked pair: what the run returned, what it
+// cost, what it emitted and what it wrote.
+type engineRun struct {
+	ret, steps int64
+	err        error // non-nil iff the run trapped
+	emit       []int64
+	writes     *writeCap
 }
 
 // runCheckedPair executes one sampled (or half-open-probed) engine execution
 // differentially: the checked reference interpreter first, then the native
-// tier, both under write capture. Agreement commits the native buffer and
-// feeds the ladder a success; any disagreement commits the *reference* buffer,
-// answers the fire with the reference result, and charges a divergence to the
-// native tier — demoting it immediately.
-func (k *Kernel) runCheckedPair(rt *routes, shard int, p *progEntry, tier EngineTier, h *engineHealth, probe bool, fireIdx int64, inv *Invocation, arg3 int64, out *fault.Outcome) (int64, int64, bool, error) {
-	s := rt.sentinel
-	s.ctrSampled.Add(1)
+// tier, both under write capture and one after the other in the scratch's one
+// env and machine state. Agreement commits the native buffer and feeds the
+// ladder a success; any disagreement commits the *reference* buffer, answers
+// the fire with the reference result, and charges a divergence to the native
+// tier — demoting it immediately.
+func (d *dispatch) runCheckedPair(p *progEntry, tier EngineTier, h *engineHealth, probe bool, fireIdx, arg3 int64) (int64, int64, bool, error) {
+	k, s, sen := d.k, d.s, d.rt.sentinel
+	defer s.settle()
+	sen.ctrSampled.Add(1)
 
 	// Reference run on a private invocation carrying the remaining emission
 	// budget, so the guardrail binds identically in both runs.
-	cs := k.checkPool.Get().(*checkScratch)
-	refInv := &cs.refInv
+	inv, refInv := &s.inv, &s.refInv
 	*refInv = Invocation{
 		Hook: inv.Hook, Key: inv.Key, Arg2: inv.Arg2, Arg3: inv.Arg3,
 		emitBudget: inv.emitBudget - len(inv.emissions),
 	}
-	refCap := &cs.refCap
-	cs.env.k, cs.env.rt, cs.env.inv, cs.env.wcap = k, rt, refInv, refCap
-	refRet, refErr := runEngine(p.checked, &cs.env, cs.st, nil, inv.Key, inv.Arg2, arg3)
-	refSteps := cs.st.Steps()
-	s.ctrCheckSteps.Add(refSteps)
+	ref := engineRun{writes: &s.refCap}
+	s.env = env{k: k, rt: d.rt, inv: refInv, wcap: ref.writes}
+	ref.ret, ref.steps, ref.err = s.run(p.checked, nil, nil, inv.Key, inv.Arg2, arg3)
+	ref.emit = refInv.emissions
+	sen.ctrCheckSteps.Add(ref.steps)
 
 	// Native run under capture. Emission/rate/inference positions are marked
 	// so the native deltas can be compared — and replaced — in isolation.
 	preEmit := len(inv.emissions)
 	preRate := inv.rateHits
 	preInf := inv.inferences
-	natCap := &cs.natCap
-	ret, steps, trapped, err := k.runNative(rt, shard, p, tier, inv, arg3, out, natCap)
+	nat := engineRun{writes: &s.natCap}
+	nat.ret, nat.steps, _, nat.err = d.runNative(p, tier, arg3, nat.writes)
+	nat.emit = inv.emissions[preEmit:]
 
-	adopt := func(cause, detail string) (int64, int64, bool, error) {
-		s.engineFault(h, tier, probe, fireIdx, cause, detail)
-		refCap.commit(k, rt)
-		inv.emissions = append(inv.emissions[:preEmit], refInv.emissions...)
-		inv.rateHits = preRate + refInv.rateHits
-		inv.inferences = preInf + refInv.inferences
-		cs.release(k)
-		s.ctrCheckedVerd.Add(1)
-		if refErr != nil {
-			return 0, refSteps, true, refErr
-		}
-		return refRet, refSteps, false, nil
-	}
-
-	if trapped && errors.Is(err, ErrProgramPanic) && refErr == nil {
+	cause, detail := CauseDivergence, ""
+	if nat.err != nil && errors.Is(nat.err, ErrProgramPanic) && ref.err == nil {
 		// The native engine panicked where the reference completed: an engine
 		// fault charged as a panic, answered with the reference result.
-		return adopt(CausePanic, err.Error())
+		cause, detail = CausePanic, nat.err.Error()
+	} else if detail = diffDetail(&ref, &nat, s.out); detail == "" {
+		// Agreement: the native result stands and its writes commit.
+		nat.writes.commit(k, d.rt)
+		if probe {
+			sen.probeSucceeded(h, tier)
+		} else {
+			engineFireOK(h)
+		}
+		return nat.ret, nat.steps, nat.err != nil, nat.err
+	} else {
+		sen.ctrDiverged.Add(1)
 	}
-
-	if detail := diffDetail(refRet, refErr, refSteps, refInv.emissions, ret, err, steps, inv.emissions[preEmit:], trapped, refCap, natCap, out); detail != "" {
-		s.ctrDiverged.Add(1)
-		return adopt(CauseDivergence, detail)
+	sen.engineFault(h, tier, probe, fireIdx, cause, detail)
+	ref.writes.commit(k, d.rt)
+	inv.emissions = append(inv.emissions[:preEmit], ref.emit...)
+	inv.rateHits = preRate + refInv.rateHits
+	inv.inferences = preInf + refInv.inferences
+	sen.ctrCheckedVerd.Add(1)
+	if ref.err != nil {
+		return 0, ref.steps, true, ref.err
 	}
-
-	// Agreement: the native result stands and its writes commit.
-	natCap.commit(k, rt)
-	cs.release(k)
-	s.engineOK(h, tier, probe)
-	return ret, steps, trapped, err
+	return ref.ret, ref.steps, false, nil
 }
 
 // diffDetail compares the two runs and renders a divergence description, or
 // "" on agreement. Both-trapped runs agree when they trapped at the same cost
 // with the same writes (the verdict is moot — the default action applies).
-func diffDetail(refRet int64, refErr error, refSteps int64, refEmit []int64, ret int64, err error, steps int64, natEmit []int64, trapped bool, refCap, natCap *writeCap, out *fault.Outcome) string {
+func diffDetail(ref, nat *engineRun, out *fault.Outcome) string {
 	if out != nil && out.ForceDiverge {
 		return "injected forced divergence"
 	}
-	refTrapped := refErr != nil
+	trapped, refTrapped := nat.err != nil, ref.err != nil
 	if trapped != refTrapped {
-		return fmt.Sprintf("trap mismatch: native trapped=%v (%v), checked trapped=%v (%v)", trapped, err, refTrapped, refErr)
+		return fmt.Sprintf("trap mismatch: native trapped=%v (%v), checked trapped=%v (%v)", trapped, nat.err, refTrapped, ref.err)
 	}
-	if !trapped && ret != refRet {
-		return fmt.Sprintf("verdict mismatch: native %d, checked %d", ret, refRet)
+	if !trapped && nat.ret != ref.ret {
+		return fmt.Sprintf("verdict mismatch: native %d, checked %d", nat.ret, ref.ret)
 	}
-	if steps != refSteps {
-		return fmt.Sprintf("step mismatch: native %d, checked %d", steps, refSteps)
+	if nat.steps != ref.steps {
+		return fmt.Sprintf("step mismatch: native %d, checked %d", nat.steps, ref.steps)
 	}
-	if !int64SlicesEqual(natEmit, refEmit) {
-		return fmt.Sprintf("emission mismatch: native %v, checked %v", natEmit, refEmit)
+	if !int64SlicesEqual(nat.emit, ref.emit) {
+		return fmt.Sprintf("emission mismatch: native %v, checked %v", nat.emit, ref.emit)
 	}
-	if !natCap.equal(refCap) {
+	if !nat.writes.equal(ref.writes) {
 		return "side-effect mismatch: captured env writes differ"
 	}
 	return ""

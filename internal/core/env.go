@@ -24,17 +24,15 @@ type env struct {
 	// it before the kernel registry, so a candidate model can ride the
 	// incumbent's program without being registered.
 	overlay map[int64]Model
-	// shadow marks a shadow-lane run: globally visible writes (context store,
-	// history, vec pool) are suppressed so the candidate cannot perturb state
-	// the incumbent reads. Emissions still land in inv — they belong to the
-	// private shadow invocation and feed divergence accounting.
-	shadow bool
 	// wcap, when non-nil, buffers globally visible writes instead of
 	// committing them, with read-your-writes consistency (reads consult the
 	// buffer first). The engine sentinel's differential checker runs both
 	// the reference and the sampled native execution under capture, compares
 	// the buffers, and commits exactly one of them — so on a sampled fire a
-	// miscompiled side effect can no more escape than a miscompiled verdict.
+	// miscompiled side effect can no more escape than a miscompiled verdict. A
+	// shadow run's capture is never committed: the candidate cannot perturb
+	// state the incumbent reads (its emissions land in inv, a private
+	// invocation, and feed divergence accounting).
 	wcap *writeCap
 }
 
@@ -50,9 +48,6 @@ func (e *env) CtxLoad(key, field int64) int64 {
 }
 
 func (e *env) CtxStore(key, field, val int64) {
-	if e.shadow {
-		return
-	}
 	if e.wcap != nil {
 		e.wcap.storeCtx(key, field, val)
 		return
@@ -61,9 +56,6 @@ func (e *env) CtxStore(key, field, val int64) {
 }
 
 func (e *env) CtxHistPush(key, val int64) {
-	if e.shadow {
-		return
-	}
 	if e.wcap != nil {
 		e.wcap.pushHist(key, val)
 		return
@@ -184,27 +176,15 @@ func (e *env) VecLoad(id int64, dst []int64) (int, error) {
 }
 
 func (e *env) VecStore(id int64, src []int64) error {
-	if e.shadow {
-		return nil
-	}
-	if e.wcap != nil {
-		if _, ok := e.rt.vecs[id]; !ok {
-			return fmt.Errorf("%w: vec %d", ErrNotFound, id)
-		}
-		e.wcap.storeVec(id, src)
-		return nil
-	}
 	slot, ok := e.rt.vecs[id]
 	if !ok {
 		return fmt.Errorf("%w: vec %d", ErrNotFound, id)
 	}
-	slot.mu.Lock()
-	if len(slot.v) != len(src) {
-		slot.v = append([]int64(nil), src...)
+	if e.wcap != nil {
+		e.wcap.storeVec(id, src)
 	} else {
-		copy(slot.v, src)
+		slot.store(src)
 	}
-	slot.mu.Unlock()
 	return nil
 }
 

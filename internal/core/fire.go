@@ -28,15 +28,10 @@ type Invocation struct {
 	// (fault.KindHelperError).
 	injectHelperErr error
 
-	// noCache is set by runProgram when the engine sentinel made this fire
-	// non-replayable (a demoted tier ran, a re-promotion probe ran, or the
-	// differential checker sampled it): the ladder must see every fire.
-	noCache bool
-
 	// fallback is the hook's resolved baseline (hookRoute.fallback).
 	fallback Fallback
 	// feats is ActionInfer's history window; it stays with the pooled
-	// invocation across fires.
+	// scratch across fires.
 	feats []int64
 }
 
@@ -81,21 +76,84 @@ type FireResult struct {
 // value: the kernel's built-in behaviour applies.
 const DefaultVerdict = int64(-1)
 
-// fireCtx carries per-dispatch scratch down the fire path. It holds the
-// sentinel's sampler-ticket lease set, drawn lazily on the first sampler
-// consult and returned to the pool when the dispatch — or the whole batch,
-// which shares one fireCtx so chunk claims amortize across it — completes.
-type fireCtx struct {
-	sen    *Sentinel
-	leases *leaseSet
+// dispatch is the record one Fire, FireBatch, FireTenant, FireQueue.Drain or
+// RunProgramByName call threads through the pipeline: whose datapath it runs
+// (tenant state, route snapshot, the flush count loaded before it) and the one
+// pooled scratch it works in. It lives on the caller's stack, and the scratch
+// is drawn by the first event that leaves the cached-hit path — a fully cached
+// dispatch draws and allocates nothing — then reused by every later event,
+// engine run, checked pair and shadow run of the call; release returns it.
+type dispatch struct {
+	k     *Kernel
+	ts    *tenantState
+	rt    *routes
+	flush uint64
+	s     *scratch
 }
 
-// release returns the lease set (unused tickets stay parked in it for the
-// next fire that draws it from the recycle stack).
-func (fc *fireCtx) release() {
-	if fc.leases != nil {
-		fc.sen.leases.put(fc.leases)
-		fc.leases = nil
+// scratch is everything a dispatch needs off the cached-hit path, pooled as
+// one object (Kernel.pool) because all of it escapes: the env is handed to
+// program code through the vm.Env interface and points at the invocation, and
+// the JIT keeps its per-run record inside vm.State for the same reason. A
+// firing goroutine runs one engine at a time, so the checked reference, the
+// native run and a shadow run share the env, machine state and captures.
+type scratch struct {
+	// The event in flight (event stages it): invocation, cacheability evidence,
+	// stripe, and the injector's decision (slow's; nil between dispatches).
+	inv   Invocation
+	rec   fireRec
+	shard int
+	out   *fault.Outcome
+
+	env env
+	st  vm.State
+	aot aot.Scratch
+
+	// leases rides the scratch so a batch amortizes chunk claims and a
+	// sequential fire stream, which keeps redrawing the same scratch, consumes
+	// the sentinel's sampler tickets in order (leaseSet).
+	leases leaseSet
+
+	// The checker's reference invocation and write captures (diffcheck.go); a
+	// shadow run, which starts once the live pipeline is done with them,
+	// borrows refInv and natCap (shadow.go).
+	refInv         Invocation
+	refCap, natCap writeCap
+}
+
+// begin points d at a tenant's datapath. Flush count before route: mutators
+// publish route-then-count, so a verdict computed against this snapshot is
+// cached under a count no newer than the snapshot — it can go stale, never
+// wrong.
+func (d *dispatch) begin(ts *tenantState) {
+	d.ts = ts
+	d.flush = ts.flush.Load()
+	d.rt = ts.route.Load()
+}
+
+// event stages one event that left the cached-hit path, drawing the scratch
+// if this dispatch has none yet.
+func (d *dispatch) event(inv Invocation, record bool) *scratch {
+	s := d.s
+	if s == nil {
+		s = d.k.pool.get()
+		d.s = s
+	}
+	inv.emitBudget, inv.feats = d.k.cfg.RateLimit, s.inv.feats
+	s.inv, s.rec, s.shard = inv, fireRec{ok: record}, shardIndex(inv.Key)
+	return s
+}
+
+// release returns the scratch. Nothing of this dispatch may ride the pool into
+// the next: emission ownership moved to the results, and the snapshot, rows
+// and fallback would pin a dead configuration. Unused sampler tickets stay
+// parked in the lease set for the dispatch that draws the scratch next.
+func (d *dispatch) release() {
+	if s := d.s; s != nil {
+		s.inv = Invocation{feats: s.inv.feats}
+		s.rec, s.out, s.env = fireRec{}, nil, env{}
+		d.k.pool.put(s)
+		d.s = nil
 	}
 }
 
@@ -133,16 +191,11 @@ type Event struct {
 // the hook's pipeline, or the configuration as a whole. Commits elsewhere —
 // another hook's tables, a new program, an unrelated model — leave it cached.
 func (k *Kernel) Fire(hook string, key, arg2, arg3 int64) FireResult {
-	// Flush count before route: mutators publish route-then-count, so a
-	// verdict computed against this snapshot is cached under a count no newer
-	// than the snapshot — it can go stale, never wrong.
-	ts := k.def
-	flush := ts.flush.Load()
-	rt := ts.route.Load()
+	d := dispatch{k: k}
+	d.begin(k.def)
 	res := FireResult{Verdict: DefaultVerdict}
-	var fc fireCtx
-	k.fireOne(ts, rt, flush, hook, key, arg2, arg3, &res, &fc)
-	fc.release()
+	d.fire(hook, key, arg2, arg3, &res)
+	d.release()
 	return res
 }
 
@@ -160,73 +213,57 @@ func (k *Kernel) FireBatch(events []Event, out []FireResult) {
 	if len(events) == 0 {
 		return
 	}
-	ts := k.def
-	flush := ts.flush.Load()
-	rt := ts.route.Load()
-	var fc fireCtx
+	d := dispatch{k: k}
+	d.begin(k.def)
 	for i := range events {
 		ev := &events[i]
 		if ev.Prep != nil {
 			ev.Prep()
 		}
 		out[i] = FireResult{Verdict: DefaultVerdict}
-		k.fireOne(ts, rt, flush, ev.Hook, ev.Key, ev.Arg2, ev.Arg3, &out[i], &fc)
+		d.fire(ev.Hook, ev.Key, ev.Arg2, ev.Arg3, &out[i])
 	}
-	fc.release()
+	d.release()
 }
 
-// fireOne dispatches one event against a tenant's route snapshot; flush is
-// the tenant's flush count, loaded before rt. res must arrive initialized to
-// {Verdict: DefaultVerdict}.
-func (k *Kernel) fireOne(ts *tenantState, rt *routes, flush uint64, hook string, key, arg2, arg3 int64, res *FireResult, fc *fireCtx) {
-	hr := rt.hooks[hook]
+// fire dispatches one event against the dispatch's route snapshot. res must
+// arrive initialized to {Verdict: DefaultVerdict}.
+func (d *dispatch) fire(hook string, key, arg2, arg3 int64, res *FireResult) {
+	hr := d.rt.hooks[hook]
 	if hr == nil || len(hr.tables) == 0 {
 		return
 	}
 	shard := shardIndex(key)
-	k.ctrFires.Inc(shard)
+	d.k.ctrFires.Inc(shard)
 
 	var fk table.FlowKey
-	var pre *preDecision
 	record := hr.cacheable
 	if record {
 		fk = table.FlowKey{Hook: hr.id, Key: uint64(key), Arg2: arg2, Arg3: arg3}
-		if cf, ok := ts.vcache.Get(fk, flush); ok {
-			if pb, why := cf.check(rt, hr); why != fresh {
+		if cf, ok := d.ts.vcache.Get(fk, d.flush); ok {
+			if pb, why := cf.check(d.rt, hr); why != fresh {
 				// Something this verdict read has changed: a miss, re-recorded.
-				ts.vcache.Reject(fk)
-				ts.rejected[why].Add(1)
-			} else if pre = k.replayCached(cf, pb, shard, hook, key, res); pre == nil {
+				d.ts.vcache.Reject(fk)
+				d.ts.rejected[why].Add(1)
+			} else if pb == nil || pb.brk.closed() {
+				d.k.replayCached(cf, pb, shard, hook, key, res)
 				return
 			} else {
-				// The breaker re-routed the cached program (probe or
-				// fallback): run the slow path unrecorded, handing it the
-				// already-taken decision so the breaker clock ticks exactly
-				// once.
+				// The breaker is re-routing the cached program (probe or
+				// fallback). Asking "closed?" ticked nothing: the slow path
+				// runs unrecorded and takes the fire's one allow() there.
 				record = false
 			}
 		}
 	}
-	k.fireSlow(ts, rt, flush, hr, shard, hook, key, arg2, arg3, res, record, fk, pre, fc)
+	d.event(Invocation{Hook: hook, Key: key, Arg2: arg2, Arg3: arg3, fallback: hr.fallback}, record)
+	d.slow(hr, fk, res)
 }
 
-// preDecision hands a supervisor Allow verdict taken during cache replay to
-// the slow path, so the breaker is consulted exactly once per fire.
-type preDecision struct {
-	prog *progBinding
-	d    Decision
-}
-
-// replayCached replays one memoized fire whose stamp check passed, pb being
-// the program it ran as check resolved it (nil for none), and returns nil —
-// or, when the breaker routed the cached program to a probe or the fallback,
-// replays nothing and returns the decision it took.
-func (k *Kernel) replayCached(cf *cachedFire, pb *progBinding, shard int, hook string, key int64, res *FireResult) *preDecision {
-	if pb != nil {
-		if d := pb.brk.allow(); d != DecisionRun {
-			return &preDecision{prog: pb, d: d}
-		}
-	}
+// replayCached replays one memoized fire whose stamp check passed and whose
+// program's breaker is closed, pb being that program as check resolved it (nil
+// for none).
+func (k *Kernel) replayCached(cf *cachedFire, pb *progBinding, shard int, hook string, key int64, res *FireResult) {
 	for i := range cf.rows {
 		cf.rows[i].t.CreditLookup(uint64(key), cf.rows[i].hit)
 	}
@@ -245,26 +282,19 @@ func (k *Kernel) replayCached(cf *cachedFire, pb *progBinding, shard int, hook s
 	if cf.infers > 0 {
 		k.ctrInfers.Add(shard, cf.infers)
 	}
-	return nil
 }
 
-// fireSlow runs the full pipeline and, when the fire proved replayable and
-// the verdict cache's doorkeeper has seen the flow before, memoizes the
-// outcome under fk with the stamp of what it read.
-func (k *Kernel) fireSlow(ts *tenantState, rt *routes, flush uint64, hr *hookRoute, shard int, hook string, key, arg2, arg3 int64, res *FireResult, record bool, fk table.FlowKey, pre *preDecision, fc *fireCtx) {
-	// The invocation is pooled because it escapes into the engine env (the
-	// env is handed to program code through the vm.Env interface); a fresh
-	// heap Invocation per fire was the hot path's dominant allocation.
-	inv := k.invPool.Get().(*Invocation)
-	*inv = Invocation{
-		Hook: hook, Key: key, Arg2: arg2, Arg3: arg3,
-		emitBudget: k.cfg.RateLimit, fallback: hr.fallback, feats: inv.feats,
-	}
+// slow runs the staged event through the full pipeline and, when the fire
+// proved replayable and the verdict cache's doorkeeper has seen the flow
+// before, memoizes the outcome under fk with the stamp of what it read.
+func (d *dispatch) slow(hr *hookRoute, fk table.FlowKey, res *FireResult) {
+	k, s := d.k, d.s
+	inv, rec := &s.inv, &s.rec
 
 	// One injector decision per firing index of this hook; whether it
 	// strikes depends on the supervisor routing below (a quarantined program
 	// does not run, so scheduled faults pass it by).
-	out := rt.inj.Check(hook)
+	s.out = d.rt.inj.Check(inv.Hook)
 
 	// The shadow candidate re-runs the last decision-bearing entry (program
 	// or inference) after the live pipeline completes, so it observes exactly
@@ -272,12 +302,11 @@ func (k *Kernel) fireSlow(ts *tenantState, rt *routes, flush uint64, hr *hookRou
 	// writes — the state it would inherit if promoted.
 	var shadowEntry *table.Entry
 
-	rec := fireRec{ok: record}
 	for _, t := range hr.tables {
 		// Version before Lookup: the table publishes snapshot-then-version, so
 		// the row is stamped no newer than the entries it saw.
 		ver := t.Version()
-		entry := t.Lookup(uint64(key))
+		entry := t.Lookup(uint64(inv.Key))
 		if entry == nil {
 			rec.addRow(t, nil, ver)
 			continue
@@ -291,22 +320,22 @@ func (k *Kernel) fireSlow(ts *tenantState, rt *routes, flush uint64, hr *hookRou
 		} else {
 			rec.addRow(t, entry, ver)
 		}
-		k.runAction(rt, shard, entry, inv, res, &rec, pre, out, fc)
+		d.runAction(entry, res)
 	}
 	res.Emissions = inv.emissions
 	res.RateLimited = inv.rateHits
 	if inv.inferences > 0 {
-		k.ctrInfers.Add(shard, inv.inferences)
+		k.ctrInfers.Add(s.shard, inv.inferences)
 	}
 	if shadowEntry != nil {
-		k.runShadow(rt, hr.shadow, shadowEntry, inv, res)
+		d.runShadow(hr.shadow, shadowEntry, res)
 	}
 
 	// Admit comes last: only a fire that proved replayable leaves a
 	// fingerprint, and a flow's first such miss stops here — no cachedFire, no
 	// shard-map insert — so a flow that never recurs costs an uncached fire.
 	if rec.ok && !res.Trapped && !res.FellBack &&
-		len(inv.emissions) == 0 && inv.rateHits == 0 && ts.vcache.Admit(fk) {
+		len(inv.emissions) == 0 && inv.rateHits == 0 && d.ts.vcache.Admit(fk) {
 		cf := &cachedFire{
 			rows:    append([]cachedRow(nil), rec.rows[:rec.nrows]...),
 			matched: res.Matched,
@@ -318,16 +347,14 @@ func (k *Kernel) fireSlow(ts *tenantState, rt *routes, flush uint64, hr *hookRou
 		if pb := rec.prog; pb != nil {
 			cf.progID, cf.dep = pb.id, pb.dep
 		}
-		ts.vcache.Put(fk, flush, cf)
+		d.ts.vcache.Put(fk, d.flush, cf)
 	}
-	// Emission ownership moved to res above; drop the reference so the
-	// pooled invocation cannot pin (or leak into) a later fire's buffer.
-	inv.emissions = nil
-	k.invPool.Put(inv)
 }
 
 // runAction executes one matched entry's action.
-func (k *Kernel) runAction(rt *routes, shard int, entry *table.Entry, inv *Invocation, res *FireResult, rec *fireRec, pre *preDecision, out *fault.Outcome, fc *fireCtx) {
+func (d *dispatch) runAction(entry *table.Entry, res *FireResult) {
+	k, s := d.k, d.s
+	inv := &s.inv
 	switch entry.Action.Kind {
 	case table.ActionPass:
 		// Default behaviour; nothing to do.
@@ -338,13 +365,13 @@ func (k *Kernel) runAction(rt *routes, shard int, entry *table.Entry, inv *Invoc
 		// data-collection phase of learning. Context writes are invisible to
 		// every stamp a cached verdict carries, so collecting fires are never
 		// cached.
-		rec.ok = false
+		s.rec.ok = false
 		k.ctx.HistPush(inv.Key, inv.Arg2)
-		k.ctrCollects.Inc(shard)
+		k.ctrCollects.Inc(s.shard)
 	case table.ActionInfer:
 		// Reads the mutable history ring: not cacheable.
-		rec.ok = false
-		m := rt.model(entry.Action.ModelID)
+		s.rec.ok = false
+		m := d.rt.model(entry.Action.ModelID)
 		if m == nil {
 			k.cInferMissing.Inc()
 			return
@@ -359,14 +386,16 @@ func (k *Kernel) runAction(rt *routes, shard int, entry *table.Entry, inv *Invoc
 		res.Verdict = m.Predict(feats)
 		inv.inferences++
 	case table.ActionProgram:
-		k.runProgramAction(rt, shard, entry, inv, res, rec, pre, out, fc)
+		d.runProgramAction(entry, res)
 	}
 }
 
 // runProgramAction routes one program action through its bound breaker (if
 // supervised), applies scheduled faults, and records the outcome.
-func (k *Kernel) runProgramAction(rt *routes, shard int, entry *table.Entry, inv *Invocation, res *FireResult, rec *fireRec, pre *preDecision, out *fault.Outcome, fc *fireCtx) {
-	pb := rt.prog(entry.Action.ProgID)
+func (d *dispatch) runProgramAction(entry *table.Entry, res *FireResult) {
+	k, s := d.k, d.s
+	inv, rec, out := &s.inv, &s.rec, s.out
+	pb := d.rt.prog(entry.Action.ProgID)
 	if pb == nil {
 		// A dangling entry (its program was removed) fails soft: no program,
 		// so no breaker to consult and nothing to memoize.
@@ -375,35 +404,24 @@ func (k *Kernel) runProgramAction(rt *routes, shard int, entry *table.Entry, inv
 		return
 	}
 
-	var d Decision
-	if pre != nil && pre.prog == pb {
-		d = pre.d
-		pre.prog = nil // consumed
-	} else {
-		d = pb.brk.allow()
-	}
-	if d != DecisionRun {
+	if dec := pb.brk.allow(); dec != DecisionRun {
 		// A probe or fallback run must not be memoized: the breaker's state
 		// machine has to see every subsequent fire.
 		rec.ok = false
-		if d == DecisionFallback {
+		if dec == DecisionFallback {
 			k.runFallback(inv, res)
 			return
 		}
 	}
 
-	verdict, steps, trapped, err := k.runProgram(rt, shard, pb, inv, entry.Action.Param, out, fc)
-	if inv.noCache {
-		rec.ok = false
-		inv.noCache = false
-	}
+	verdict, steps, trapped, err := d.runProgram(pb, entry.Action.Param)
 	if err != nil && errors.Is(err, ErrEngineQuarantined) {
 		// The engine-health ladder is exhausted for this program: route to
 		// the hook's baseline fallback, exactly like a supervisor
 		// quarantine. The breaker clock is not ticked — no engine ran.
 		rec.ok = false
-		k.ctrTierFires[TierBaseline].Inc(shard)
-		rt.sentinel.ctrBaseline.Add(1)
+		k.ctrTierFires[TierBaseline].Inc(s.shard)
+		d.rt.sentinel.ctrBaseline.Add(1)
 		k.runFallback(inv, res)
 		return
 	}
@@ -467,14 +485,19 @@ func (k *Kernel) runFallback(inv *Invocation, res *FireResult) {
 	k.cFallbackDecisions.Inc()
 }
 
-// runProgram executes an installed program under the engine tier the health
-// ladder resolves (the configured mode's tier when no sentinel is attached),
-// applying any scheduled fault outcome. A panicking engine or helper is
-// recovered into a trap — a buggy learned datapath must not take the kernel
-// down with it. With a sentinel attached, sampled executions run the checked
-// differential pair, and an exhausted ladder returns ErrEngineQuarantined so
-// the caller routes to the baseline fallback.
-func (k *Kernel) runProgram(rt *routes, shard int, pb *progBinding, inv *Invocation, param int64, out *fault.Outcome, fc *fireCtx) (verdict int64, steps int64, trapped bool, err error) {
+// runProgram executes an installed program for the staged event under the
+// engine tier the health ladder resolves (the configured mode's tier when no
+// sentinel is attached), applying any scheduled fault outcome. A panicking
+// engine or helper is recovered into a trap — a buggy learned datapath must
+// not take the kernel down with it. With a sentinel attached, sampled
+// executions run the checked differential pair, and an exhausted ladder
+// returns ErrEngineQuarantined so the caller routes to the baseline fallback.
+// Whatever the sentinel makes non-replayable — a demoted tier ran, a
+// re-promotion probe ran, the checker sampled the fire — clears rec.ok: the
+// ladder must see every fire.
+func (d *dispatch) runProgram(pb *progBinding, param int64) (verdict int64, steps int64, trapped bool, err error) {
+	s := d.s
+	inv, out := &s.inv, s.out
 	p := pb.progEntry
 	if out != nil {
 		if out.Trap {
@@ -497,33 +520,38 @@ func (k *Kernel) runProgram(rt *routes, shard int, pb *progBinding, inv *Invocat
 		tier, probe = h.decideSlow(pref)
 	}
 	if probe || tier != pref {
-		inv.noCache = true
+		s.rec.ok = false
 	}
 	if tier == TierBaseline {
 		return 0, 0, false, fmt.Errorf("%w: program %q", ErrEngineQuarantined, p.prog.Name)
 	}
+	sen := d.rt.sentinel
 	fireIdx := int64(-1)
-	if h != nil && tier >= TierJIT && p.checkable && sampleEligible(out) {
+	// A fire carrying an injected helper error is never checked: the injection
+	// strikes only the native run, so the clean reference would register a
+	// guaranteed — and bogus — divergence. Program-level faults are the
+	// supervisor's domain, not the sentinel's.
+	if h != nil && tier >= TierJIT && p.checkable && (out == nil || out.HelperErr == nil) {
 		// A probed execution is always checked (promotion evidence must be
 		// trustworthy) and never advances the sampler clock.
 		checked := probe
 		if !probe {
-			fireIdx, checked = rt.sentinel.sampleTicket(h, fc)
+			fireIdx, checked = sen.sampleTicket(h, &s.leases)
 			fireIdx++ // 1-based index recorded in demotion events
 		}
 		if checked {
-			inv.noCache = true
-			return k.runCheckedPair(rt, shard, p, tier, h, probe, fireIdx, inv, arg3, out)
+			s.rec.ok = false
+			return d.runCheckedPair(p, tier, h, probe, fireIdx, arg3)
 		}
 	}
-	verdict, steps, trapped, err = k.runNative(rt, shard, p, tier, inv, arg3, out, nil)
+	verdict, steps, trapped, err = d.runNative(p, tier, arg3, nil)
 	if h != nil {
 		if trapped && errors.Is(err, ErrProgramPanic) {
-			rt.sentinel.engineFault(h, tier, probe, fireIdx, CausePanic, err.Error())
+			sen.engineFault(h, tier, probe, fireIdx, CausePanic, err.Error())
 		} else if probe {
 			// Sub-JIT probes (no checked reference below them) land here;
 			// JIT+ probes return through runCheckedPair above.
-			rt.sentinel.engineOK(h, tier, true)
+			sen.probeSucceeded(h, tier)
 		} else {
 			engineFireOK(h)
 		}
@@ -531,98 +559,67 @@ func (k *Kernel) runProgram(rt *routes, shard int, pb *progBinding, inv *Invocat
 	return verdict, steps, trapped, err
 }
 
-// sampleEligible excludes fires carrying an injected helper error from
-// differential checking: the injection strikes only the native run, so the
-// clean reference would register a guaranteed — and bogus — divergence.
-// Program-level faults are the supervisor's domain, not the sentinel's.
-func sampleEligible(out *fault.Outcome) bool {
-	return out == nil || out.HelperErr == nil
-}
-
-// runNative executes one engine invocation at an explicit tier, optionally
-// under write capture. poison (an injected engine panic) fires inside the
-// engine's recover scope, exercising the real containment path.
-func (k *Kernel) runNative(rt *routes, shard int, p *progEntry, tier EngineTier, inv *Invocation, arg3 int64, out *fault.Outcome, wcap *writeCap) (verdict int64, steps int64, trapped bool, err error) {
+// runNative executes one engine invocation of the staged event at an explicit
+// tier, optionally under write capture. poison (an injected engine panic)
+// fires inside the engine's recover scope, exercising the real containment
+// path.
+func (d *dispatch) runNative(p *progEntry, tier EngineTier, arg3 int64, wcap *writeCap) (int64, int64, bool, error) {
+	k, s := d.k, d.s
+	inv, out := &s.inv, s.out
 	var poison error
-	if out != nil && out.EnginePanic != nil {
+	if out != nil {
 		poison = out.EnginePanic
 	}
-	k.ctrTierFires[tier].Inc(shard)
-	es := k.enginePool.Get().(*engineState)
-	es.env.k, es.env.rt, es.env.inv, es.env.wcap = k, rt, inv, wcap
-	var ret int64
-	var rerr error
-	if tier == TierAOT {
-		ret, steps, rerr = runAOT(p.aot, &es.env, &es.scratch, poison, inv.Key, inv.Arg2, arg3)
-		if rerr == nil && out != nil && out.Miscompile {
-			// An injected miscompile silently perturbs the AOT result — the
-			// fault class only the differential checker can catch.
-			ret += out.MiscompileDelta
-		}
-	} else {
-		var engine vm.Engine = p.jit
-		if tier == TierInterp {
-			engine = p.interp
-		}
-		ret, rerr = runEngine(engine, &es.env, &es.st, poison, inv.Key, inv.Arg2, arg3)
-		if poison == nil {
-			// A poisoned run panics before the engine resets the pooled
-			// state, which still holds some earlier run's count: it ran no
-			// step, as on the AOT arm.
-			steps = es.st.Steps()
-		}
+	k.ctrTierFires[tier].Inc(s.shard)
+	// The whole env, every run: nothing of a reference or shadow run (its
+	// invocation, capture or model overlay) can linger into a live one.
+	s.env = env{k: k, rt: d.rt, inv: inv, wcap: wcap}
+	var engine vm.Engine
+	switch tier {
+	case TierJIT:
+		engine = p.jit
+	case TierInterp:
+		engine = p.interp
 	}
-	es.env.rt, es.env.inv, es.env.wcap = nil, nil, nil
-	k.enginePool.Put(es)
+	ret, steps, rerr := s.run(engine, p.aot, poison, inv.Key, inv.Arg2, arg3)
+	if tier == TierAOT && rerr == nil && out != nil && out.Miscompile {
+		// An injected miscompile silently perturbs the AOT result — the
+		// fault class only the differential checker can catch.
+		ret += out.MiscompileDelta
+	}
 	inv.injectHelperErr = nil // unconsumed injections do not leak across runs
-	k.histSteps.Observe(shard, steps)
+	k.histSteps.Observe(s.shard, steps)
 	if rerr != nil {
 		return 0, steps, true, rerr
 	}
 	return ret, steps, false, nil
 }
 
-// engineState is the pooled buffer set of one engine run, whatever the tier:
-// the env is embedded by value beside the bytecode engines' machine state and
-// the generated code's scratch, so a fire allocates nothing for any of them
-// (the env escapes through the vm.Env interface, and the JIT keeps its
-// per-run record inside vm.State for the same reason). Users set the env
-// fields they need and clear them before Put.
-type engineState struct {
-	env     env
-	st      vm.State
-	scratch aot.Scratch
-}
-
-// runAOT runs one generated function with panic containment. A panic loses
-// the partial step count (the generated frame is gone); the trap itself is
-// still charged to the breaker like any engine panic. poison, when non-nil,
-// is an injected engine panic raised inside the recover scope so the
-// containment path under test is the real one.
-func runAOT(fn aot.Func, e *env, m *aot.Scratch, poison error, r1, r2, r3 int64) (ret, steps int64, err error) {
+// run runs one engine invocation against s.env with panic containment: a
+// bytecode engine on the scratch's machine state or, when engine is nil, the
+// generated function fn. A panicking generated function loses its partial step
+// count (the frame is gone); the trap itself is still charged to the breaker
+// like any engine panic. poison, when non-nil, is an injected engine panic
+// raised inside the recover scope, so the containment path under test is the
+// real one — before the engine resets the pooled state, which still holds some
+// earlier run's count: a poisoned run ran no step.
+func (s *scratch) run(engine vm.Engine, fn aot.Func, poison error, r1, r2, r3 int64) (ret, steps int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: %v", ErrProgramPanic, r)
+			if engine != nil && poison == nil {
+				steps = s.st.Steps()
+			}
 		}
 	}()
 	if poison != nil {
 		panic(poison)
 	}
-	return fn(e, m, r1, r2, r3)
-}
-
-// runEngine runs one engine invocation with panic containment. poison is an
-// injected engine panic (see runAOT).
-func runEngine(engine vm.Engine, e *env, st *vm.State, poison error, r1, r2, r3 int64) (ret int64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: %v", ErrProgramPanic, r)
-		}
-	}()
-	if poison != nil {
-		panic(poison)
+	if engine == nil {
+		return fn(&s.env, &s.aot, r1, r2, r3)
 	}
-	return engine.Run(e, st, r1, r2, r3)
+	ret, err = engine.Run(&s.env, &s.st, r1, r2, r3)
+	return ret, s.st.Steps(), err
 }
 
 // RunProgramByName executes an installed program directly (outside a hook
@@ -636,20 +633,21 @@ func (k *Kernel) RunProgramByName(name string, r1, r2, r3 int64) (int64, []int64
 	if sup := k.Supervisor(); sup != nil && sup.State(id) != BreakerClosed {
 		return 0, nil, fmt.Errorf("%w: program %q", ErrQuarantined, name)
 	}
-	rt := k.def.route.Load()
-	pb := rt.prog(id)
+	d := dispatch{k: k}
+	d.begin(k.def)
+	pb := d.rt.prog(id)
 	if pb == nil {
 		return 0, nil, fmt.Errorf("%w: program %d", ErrNotFound, id)
 	}
-	inv := Invocation{Key: r1, Arg2: r2, Arg3: r3, emitBudget: k.cfg.RateLimit}
-	var fc fireCtx
-	verdict, _, trapped, err := k.runProgram(rt, shardIndex(r1), pb, &inv, 0, nil, &fc)
-	fc.release()
-	if inv.inferences > 0 {
-		k.ctrInfers.Add(shardIndex(r1), inv.inferences)
+	s := d.event(Invocation{Key: r1, Arg2: r2, Arg3: r3}, false)
+	verdict, _, trapped, err := d.runProgram(pb, 0)
+	emissions := s.inv.emissions
+	if s.inv.inferences > 0 {
+		k.ctrInfers.Add(s.shard, s.inv.inferences)
 	}
+	d.release()
 	if trapped || err != nil {
 		return 0, nil, err
 	}
-	return verdict, inv.emissions, nil
+	return verdict, emissions, nil
 }

@@ -26,41 +26,28 @@ import (
 	"rmtk/internal/vm"
 )
 
-// ExecMode selects the execution engine for admitted programs.
-type ExecMode int
+// ExecMode selects the execution engine for admitted programs: it is the
+// engine tier the configuration prefers, under its historical name.
+// TierBaseline is not a mode — a zero Config.Mode selects the JIT, and
+// ParseExecMode and SetMode refuse it.
+type ExecMode = EngineTier
 
 const (
 	// ModeJIT compiles admitted programs to closures (the default).
-	ModeJIT ExecMode = iota
+	ModeJIT = TierJIT
 	// ModeInterp runs admitted programs in the bytecode interpreter.
-	ModeInterp
+	ModeInterp = TierInterp
 	// ModeAOT prefers ahead-of-time generated native functions (cmd/rmtkgen)
 	// for programs whose content hash is in the internal/aot registry, and
 	// falls back to the JIT per program on a registry miss.
-	ModeAOT
+	ModeAOT = TierAOT
 )
-
-// String names the mode.
-func (m ExecMode) String() string {
-	switch m {
-	case ModeInterp:
-		return "interp"
-	case ModeAOT:
-		return "aot"
-	}
-	return "jit"
-}
 
 // ParseExecMode parses a mode name as printed by String (rmtkctl/rmtbench
 // flag values).
 func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "jit":
-		return ModeJIT, nil
-	case "interp":
-		return ModeInterp, nil
-	case "aot":
-		return ModeAOT, nil
+	if m, err := ParseEngineTier(s); err == nil && m != TierBaseline {
+		return m, nil
 	}
 	return ModeJIT, fmt.Errorf("core: unknown exec mode %q (want jit, interp or aot)", s)
 }
@@ -105,7 +92,7 @@ type Config struct {
 	CtxFields int
 	// CtxHistory is the per-key history capacity. <=0 selects 128.
 	CtxHistory int
-	// Mode selects interpretation or JIT compilation.
+	// Mode selects the execution engine (zero selects ModeJIT).
 	Mode ExecMode
 	// OpsBudget / MemBudget / StepBudget are the verifier budgets applied
 	// at admission (0 = verifier defaults / unlimited).
@@ -132,6 +119,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.Mode == TierBaseline {
+		c.Mode = ModeJIT
+	}
 	if c.CtxFields <= 0 {
 		c.CtxFields = 8
 	}
@@ -177,6 +167,15 @@ type progEntry struct {
 	modelSwaps uint64
 }
 
+// maxTier is the program's capability ceiling: AOT when a native function
+// exists, the JIT otherwise.
+func (p *progEntry) maxTier() EngineTier {
+	if p.aot != nil {
+		return TierAOT
+	}
+	return TierJIT
+}
+
 // Kernel is the in-kernel RMT virtual machine instance.
 type Kernel struct {
 	cfg Config
@@ -202,7 +201,10 @@ type Kernel struct {
 
 	// Engine sentinel: per-program engine-health ladder plus the sampled
 	// differential checker (sentinel.go). quarStash holds durable engine
-	// quarantines restored before a sentinel was attached.
+	// quarantines restored from WAL/checkpoint before their program's health
+	// record exists — no sentinel yet, or recovery ordering: an incident record
+	// can replay before the install it refers to — and is consulted when a
+	// health record is first created.
 	sentinel  *Sentinel
 	quarStash map[string]EngineTier
 
@@ -247,15 +249,9 @@ type Kernel struct {
 	cTraps, cSLOViolations, cRateLimited, cFallbackDecisions, cCorrupted,
 	cProgMissing, cInferMissing, cHelperPanics *telemetry.Counter
 
-	// enginePool holds the *engineState buffers every engine run borrows
-	// (live fires on any tier and shadow runs), keeping them allocation-free.
-	enginePool sync.Pool
-	// invPool recycles fireSlow's Invocations — they escape into the engine
-	// env and would otherwise be the fire path's dominant heap allocation.
-	invPool sync.Pool
-	// checkPool holds *checkScratch buffers for the differential checker's
-	// sampled pairs (diffcheck.go), keeping sampled fires allocation-free.
-	checkPool sync.Pool
+	// pool recycles the one scratch a dispatch draws when an event leaves the
+	// cached-hit path (fire.go) — the kernel's only pool.
+	pool scratchPool
 }
 
 // Sentinel errors. Callers (including the supervisor and the control plane's
@@ -291,6 +287,7 @@ func NewKernel(cfg Config) *Kernel {
 		helpers:     make(map[int64]helper),
 		fallbacks:   make(map[string]Fallback),
 		shadows:     make(map[string]*Shadow),
+		quarStash:   make(map[string]EngineTier),
 		tenants:     make(map[string]*tenantState),
 		modelOwner:  make(map[int64]string),
 		Metrics:     telemetry.NewRegistry(),
@@ -315,9 +312,7 @@ func NewKernel(cfg Config) *Kernel {
 		k.def.vcache = table.NewFlowCache[*cachedFire](coreShards, 4096)
 	}
 	k.storeDirLocked()
-	k.enginePool.New = func() any { return new(engineState) }
-	k.invPool.New = func() any { return new(Invocation) }
-	k.checkPool.New = func() any { return &checkScratch{st: vm.NewState()} }
+	k.pool.setNew(func() *scratch { return new(scratch) })
 	registerStandardHelpers(k)
 	k.mu.Lock()
 	k.rebuildRoutesLocked()
@@ -334,8 +329,12 @@ func (k *Kernel) Ctx() *table.CtxStore { return k.ctx }
 func (k *Kernel) Mode() ExecMode { return k.cfg.Mode }
 
 // SetMode switches the execution engine for subsequent Fire calls (admitted
-// programs keep both engines ready).
+// programs keep every engine ready). TierBaseline is not a mode: asking for it
+// changes nothing.
 func (k *Kernel) SetMode(m ExecMode) {
+	if m == TierBaseline {
+		return
+	}
 	k.mu.Lock()
 	k.cfg.Mode = m
 	k.rebuildRoutesLocked()
@@ -345,19 +344,40 @@ func (k *Kernel) SetMode(m ExecMode) {
 // CreateTable registers a table and attaches it to its hook's pipeline. A
 // tenant-namespaced table ("tenant:name") is charged against the owning
 // tenant's table quota; the owner must be a registered tenant.
-func (k *Kernel) CreateTable(t *table.Table) (int64, error) {
+func (k *Kernel) CreateTable(t *table.Table) (int64, error) { return k.createTable(t, 0) }
+
+// allocID advances an id allocator: to the next id, or — on the restore path,
+// forceID > 0 — to forceID, which must lie beyond every id handed out so far
+// (restored ids arrive in ascending order; ids are never recycled).
+func allocID(next *int64, forceID int64, what string) (int64, error) {
+	if forceID == 0 {
+		*next++
+	} else if forceID <= *next {
+		return 0, fmt.Errorf("%w: %s id %d already allocated", ErrDuplicate, what, forceID)
+	} else {
+		*next = forceID
+	}
+	return *next, nil
+}
+
+// createTable is CreateTable (forceID 0) and CreateTableAt. The restore path
+// replays already-admitted state: no quota cap (chargeTableLocked), and it
+// starts the owner's hooks afresh where a live create only extends them.
+func (k *Kernel) createTable(t *table.Table, forceID int64) (int64, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if _, dup := k.tableIDs[t.Name]; dup {
 		return 0, fmt.Errorf("%w: table %q", ErrDuplicate, t.Name)
 	}
 	owner := tenantOf(t.Name)
-	ts, err := k.chargeTableLocked(owner, t.Hook, true)
+	ts, err := k.chargeTableLocked(owner, t.Hook, forceID == 0)
 	if err != nil {
 		return 0, err
 	}
-	k.nextTable++
-	id := k.nextTable
+	id, err := allocID(&k.nextTable, forceID, "table")
+	if err != nil {
+		return 0, err
+	}
 	k.tables[id] = t
 	k.tableIDs[t.Name] = id
 	if t.Hook != "" {
@@ -367,32 +387,29 @@ func (k *Kernel) CreateTable(t *table.Table) (int64, error) {
 		}
 		k.hooks[t.Hook] = append(k.hooks[t.Hook], id)
 	}
-	if ts != nil {
-		ts.nTables++
-	} else {
-		k.def.nTables++
-	}
+	ts.nTables++
 	// Entry-level mutations of an attached table advance the generation of the
 	// tenants that can see it without republishing the route snapshot (cached
 	// verdicts that consulted the table notice by its version).
 	t.SetOnMutate(func() { k.bumpGenFor(owner) })
-	k.extendOwnedLocked(owner)
+	k.publishOwnedLocked(owner, forceID == 0)
 	return id, nil
 }
 
 // chargeTableLocked validates the owner of a new table against tenancy and
-// quota (nil tenantState for the default tenant). A table's hook must live in
-// the table's own namespace: an attached table executes inside the hook
-// owner's datapath, so a cross-tenant hook would let one tenant run code in
-// another's pipeline. enforceQuota is false on the checkpoint-restore path,
-// which replays already-admitted state and must succeed even after a quota
-// was lowered below the tenant's live resource count. Caller holds k.mu.
+// quota, and returns the owner's state (k.def for the default tenant). A
+// table's hook must live in the table's own namespace: an attached table
+// executes inside the hook owner's datapath, so a cross-tenant hook would let
+// one tenant run code in another's pipeline. enforceQuota is false on the
+// checkpoint-restore path, which replays already-admitted state and must
+// succeed even after a quota was lowered below the tenant's live resource
+// count. Caller holds k.mu.
 func (k *Kernel) chargeTableLocked(owner, hook string, enforceQuota bool) (*tenantState, error) {
 	if hook != "" && tenantOf(hook) != owner {
 		return nil, fmt.Errorf("%w: table of tenant %q on hook %q", qos.ErrCrossTenant, owner, hook)
 	}
 	if owner == "" {
-		return nil, nil
+		return k.def, nil
 	}
 	ts, ok := k.tenants[owner]
 	if !ok {
@@ -478,20 +495,27 @@ func (k *Kernel) RegisterModel(m Model) int64 {
 // default tenant). Tenant-owned models are visible only to their owner's
 // programs and route snapshots.
 func (k *Kernel) RegisterModelOwned(owner string, m Model) (int64, error) {
+	return k.registerModel(owner, m, 0)
+}
+
+// registerModel is RegisterModelOwned (forceID 0) and RegisterModelOwnedAt;
+// only a live registration demands that the owner is a registered tenant.
+func (k *Kernel) registerModel(owner string, m Model, forceID int64) (int64, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if owner != "" {
-		if _, ok := k.tenants[owner]; !ok {
-			return 0, fmt.Errorf("%w: %q", qos.ErrTenantUnknown, owner)
-		}
+	if _, ok := k.tenants[owner]; !ok && owner != "" && forceID == 0 {
+		return 0, fmt.Errorf("%w: %q", qos.ErrTenantUnknown, owner)
 	}
-	k.nextModel++
-	k.models[k.nextModel] = m
-	if owner != "" {
-		k.modelOwner[k.nextModel] = owner
+	id, err := allocID(&k.nextModel, forceID, "model")
+	if err != nil {
+		return 0, err
 	}
-	k.extendOwnedLocked(owner)
-	return k.nextModel, nil
+	k.models[id] = m
+	if owner != "" {
+		k.modelOwner[id] = owner
+	}
+	k.publishOwnedLocked(owner, forceID == 0)
+	return id, nil
 }
 
 // SwapModel replaces model id in place (online training pushes refreshed
@@ -549,16 +573,22 @@ func (k *Kernel) Model(id int64) (Model, error) {
 }
 
 // RegisterMatrix adds a weight matrix and returns its id.
-func (k *Kernel) RegisterMatrix(m *Matrix) (int64, error) {
+func (k *Kernel) RegisterMatrix(m *Matrix) (int64, error) { return k.registerMatrix(m, 0) }
+
+// registerMatrix is RegisterMatrix (forceID 0) and RegisterMatrixAt.
+func (k *Kernel) registerMatrix(m *Matrix, forceID int64) (int64, error) {
 	if m.In <= 0 || m.Out <= 0 || len(m.W) != m.In*m.Out || len(m.B) != m.Out {
 		return 0, fmt.Errorf("%w: %dx%d (w=%d b=%d)", ErrMalformedMatrix, m.Out, m.In, len(m.W), len(m.B))
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.nextMat++
-	k.mats[k.nextMat] = m
-	k.extendOwnedLocked("")
-	return k.nextMat, nil
+	id, err := allocID(&k.nextMat, forceID, "matrix")
+	if err != nil {
+		return 0, err
+	}
+	k.mats[id] = m
+	k.publishOwnedLocked("", forceID == 0)
+	return id, nil
 }
 
 // RegisterVec adds a pool vector (e.g. a staging buffer for feature vectors)
@@ -582,13 +612,7 @@ func (k *Kernel) SetVec(id int64, v []int64) error {
 	if !ok {
 		return fmt.Errorf("%w: vec %d", ErrNotFound, id)
 	}
-	slot.mu.Lock()
-	if len(slot.v) != len(v) {
-		slot.v = append([]int64(nil), v...)
-	} else {
-		copy(slot.v, v)
-	}
-	slot.mu.Unlock()
+	slot.store(v)
 	return nil
 }
 
@@ -706,10 +730,6 @@ func (k *Kernel) installProgram(prog *isa.Program, forceID int64) (int64, *verif
 	}
 	vcfg := k.verifierConfig(owner)
 	optimize := k.cfg.Optimize
-	if forceID > 0 && forceID <= k.nextProg {
-		k.mu.RUnlock()
-		return 0, nil, fmt.Errorf("%w: program id %d already allocated", ErrDuplicate, forceID)
-	}
 	k.mu.RUnlock()
 	if dup {
 		return 0, nil, fmt.Errorf("%w: program %q", ErrDuplicate, prog.Name)
@@ -747,11 +767,10 @@ func (k *Kernel) installProgram(prog *isa.Program, forceID int64) (int64, *verif
 	if _, dup := k.progIDs[prog.Name]; dup {
 		return 0, nil, fmt.Errorf("%w: program %q", ErrDuplicate, prog.Name)
 	}
-	var ts *tenantState
+	ts := k.def
 	if owner != "" {
 		var ok bool
-		ts, ok = k.tenants[owner]
-		if !ok {
+		if ts, ok = k.tenants[owner]; !ok {
 			return 0, nil, fmt.Errorf("%w: %q", qos.ErrTenantUnknown, owner)
 		}
 		// Recheck under the write lock: the RLock-time check can race a
@@ -760,15 +779,10 @@ func (k *Kernel) installProgram(prog *isa.Program, forceID int64) (int64, *verif
 			return 0, nil, fmt.Errorf("%w: tenant %q at %d programs", qos.ErrQuotaExceeded, owner, ts.nProgs)
 		}
 	}
-	if forceID > 0 {
-		if forceID <= k.nextProg {
-			return 0, nil, fmt.Errorf("%w: program id %d already allocated", ErrDuplicate, forceID)
-		}
-		k.nextProg = forceID
-	} else {
-		k.nextProg++
+	id, err := allocID(&k.nextProg, forceID, "program")
+	if err != nil {
+		return 0, nil, err
 	}
-	id := k.nextProg
 	hash := aot.Hash(prog)
 	aotFn, _ := aot.Lookup(hash)
 	k.progs[id] = &progEntry{
@@ -776,11 +790,7 @@ func (k *Kernel) installProgram(prog *isa.Program, forceID int64) (int64, *verif
 		aot: aotFn, hash: hash, checked: checked, checkable: k.checkableLocked(prog),
 	}
 	k.progIDs[prog.Name] = id
-	if ts != nil {
-		ts.nProgs++
-	} else {
-		k.def.nProgs++
-	}
+	ts.nProgs++
 	// A restore starts every hook afresh; a live install only adds.
 	k.publishOwnedLocked(owner, forceID == 0)
 	k.Metrics.Counter("core.programs_installed").Inc()

@@ -83,8 +83,8 @@ func (q *FireQueue) Drain(max int, out []FireResult) int {
 		max = len(out)
 	}
 	n := 0
-	var fc fireCtx // one sampler-lease draw amortized across the drain
-	defer fc.release()
+	d := dispatch{k: q.k} // one scratch draw amortized across the drain
+	defer d.release()
 	for n < max {
 		q.mu.Lock()
 		item, tenant, ok := q.q.Next()
@@ -106,10 +106,9 @@ func (q *FireQueue) Drain(max int, out []FireResult) int {
 			item.ev.Prep()
 		}
 		ts.markFire()
-		flush := ts.flush.Load()
-		rt := ts.route.Load()
+		d.begin(ts)
 		out[n] = FireResult{Verdict: DefaultVerdict}
-		q.k.fireOne(ts, rt, flush, item.ev.Hook, item.ev.Key, item.ev.Arg2, item.ev.Arg3, &out[n], &fc)
+		d.fire(item.ev.Hook, item.ev.Key, item.ev.Arg2, item.ev.Arg3, &out[n])
 		n++
 	}
 	return n

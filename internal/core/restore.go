@@ -24,37 +24,8 @@ func (k *Kernel) CreateTableAt(id int64, t *table.Table) error {
 	if id <= 0 {
 		return fmt.Errorf("core: restore table id %d: must be positive", id)
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if id <= k.nextTable {
-		return fmt.Errorf("%w: table id %d already allocated", ErrDuplicate, id)
-	}
-	if _, dup := k.tableIDs[t.Name]; dup {
-		return fmt.Errorf("%w: table %q", ErrDuplicate, t.Name)
-	}
-	owner := tenantOf(t.Name)
-	ts, err := k.chargeTableLocked(owner, t.Hook, false)
-	if err != nil {
-		return err
-	}
-	k.nextTable = id
-	k.tables[id] = t
-	k.tableIDs[t.Name] = id
-	if t.Hook != "" {
-		if _, ok := k.hookIDs[t.Hook]; !ok {
-			k.nextHook++
-			k.hookIDs[t.Hook] = k.nextHook
-		}
-		k.hooks[t.Hook] = append(k.hooks[t.Hook], id)
-	}
-	if ts != nil {
-		ts.nTables++
-	} else {
-		k.def.nTables++
-	}
-	t.SetOnMutate(func() { k.bumpGenFor(owner) })
-	k.rebuildOwnedLocked(owner)
-	return nil
+	_, err := k.createTable(t, id)
+	return err
 }
 
 // RegisterModelAt registers a model at an explicit id (ascending restore
@@ -69,18 +40,8 @@ func (k *Kernel) RegisterModelOwnedAt(id int64, owner string, m Model) error {
 	if id <= 0 {
 		return fmt.Errorf("core: restore model id %d: must be positive", id)
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if id <= k.nextModel {
-		return fmt.Errorf("%w: model id %d already allocated", ErrDuplicate, id)
-	}
-	k.nextModel = id
-	k.models[id] = m
-	if owner != "" {
-		k.modelOwner[id] = owner
-	}
-	k.rebuildOwnedLocked(owner)
-	return nil
+	_, err := k.registerModel(owner, m, id)
+	return err
 }
 
 // RegisterMatrixAt registers a weight matrix at an explicit id (ascending
@@ -89,18 +50,8 @@ func (k *Kernel) RegisterMatrixAt(id int64, m *Matrix) error {
 	if id <= 0 {
 		return fmt.Errorf("core: restore matrix id %d: must be positive", id)
 	}
-	if m.In <= 0 || m.Out <= 0 || len(m.W) != m.In*m.Out || len(m.B) != m.Out {
-		return fmt.Errorf("%w: %dx%d (w=%d b=%d)", ErrMalformedMatrix, m.Out, m.In, len(m.W), len(m.B))
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if id <= k.nextMat {
-		return fmt.Errorf("%w: matrix id %d already allocated", ErrDuplicate, id)
-	}
-	k.nextMat = id
-	k.mats[id] = m
-	k.rebuildRoutesLocked()
-	return nil
+	_, err := k.registerMatrix(m, id)
+	return err
 }
 
 // AllocState reports the id allocators' high-water marks. Together with the

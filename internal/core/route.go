@@ -53,6 +53,17 @@ type vecSlot struct {
 	v  []int64
 }
 
+// store overwrites the vector, reallocating only when the length changes.
+func (s *vecSlot) store(src []int64) {
+	s.mu.Lock()
+	if len(s.v) != len(src) {
+		s.v = append([]int64(nil), src...)
+	} else {
+		copy(s.v, src)
+	}
+	s.mu.Unlock()
+}
+
 // hookRoute is the resolved pipeline of one hook.
 type hookRoute struct {
 	id uint64 // interned hook id, stable across rebuilds (FlowKey.Hook)
@@ -79,7 +90,7 @@ type progBinding struct {
 	health *engineHealth // by content hash; nil without a sentinel
 	pure   bool
 	// pref is the tier the configuration selects absent any health demotion
-	// (ModeAOT without a registered native function prefers the JIT).
+	// (TierAOT without a registered native function prefers the JIT).
 	pref EngineTier
 	// dep is progEntry.modelSwaps as of this publish: the one mutable input of
 	// a pure program (no tail calls, helpers, context or pool-vector reads —
@@ -235,10 +246,7 @@ func (k *Kernel) publishTenantLocked(ts *tenantState, keep bool) {
 		if !visible(tenantOf(p.prog.Name)) {
 			continue
 		}
-		pb := progBinding{progEntry: p, pure: p.prog.Pure, pref: modeTier(k.cfg.Mode), dep: p.modelSwaps}
-		if pb.pref == TierAOT && p.aot == nil {
-			pb.pref = TierJIT
-		}
+		pb := progBinding{progEntry: p, pure: p.prog.Pure, pref: min(k.cfg.Mode, p.maxTier()), dep: p.modelSwaps}
 		if ts.sup != nil {
 			pb.brk = ts.sup.bind(id)
 		}
@@ -403,7 +411,7 @@ func (a *StaleCounts) add(b StaleCounts) {
 
 // cacheStats reports the tenant's verdict-cache counters and their split.
 func (ts *tenantState) cacheStats() (table.FlowCacheStats, StaleCounts) {
-	// The rejections first, the total after: fireOne rejects (which counts in
+	// The rejections first, the total after: fire rejects (which counts in
 	// the total) before it books the reason, so Flush cannot read negative.
 	sc := StaleCounts{
 		Hook:  ts.rejected[staleHook].Load(),

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,47 +53,27 @@ const (
 	TierAOT
 )
 
-// String names the tier (also the wire form used in WAL incident records).
+// tierNames are the tiers' printed names, indexed by tier (also the wire form
+// in WAL incident records, which store tiers by name so the log is
+// self-describing).
+var tierNames = [...]string{TierBaseline: "baseline", TierInterp: "interp", TierJIT: "jit", TierAOT: "aot"}
+
+// String names the tier.
 func (t EngineTier) String() string {
-	switch t {
-	case TierBaseline:
-		return "baseline"
-	case TierInterp:
-		return "interp"
-	case TierJIT:
-		return "jit"
-	case TierAOT:
-		return "aot"
+	if uint(t) < uint(len(tierNames)) {
+		return tierNames[t]
 	}
 	return fmt.Sprintf("tier(%d)", int32(t))
 }
 
-// ParseEngineTier parses a tier name as printed by String (WAL incident
-// records store tiers by name so the log is self-describing).
+// ParseEngineTier parses a tier name as printed by String.
 func ParseEngineTier(s string) (EngineTier, error) {
-	switch s {
-	case "baseline":
-		return TierBaseline, nil
-	case "interp":
-		return TierInterp, nil
-	case "jit":
-		return TierJIT, nil
-	case "aot":
-		return TierAOT, nil
+	for t, name := range tierNames {
+		if s == name {
+			return EngineTier(t), nil
+		}
 	}
 	return TierBaseline, fmt.Errorf("core: unknown engine tier %q", s)
-}
-
-// modeTier maps the configured exec mode to the tier it prefers (capability
-// permitting — ModeAOT still needs a registry hit, see progBinding.pref).
-func modeTier(m ExecMode) EngineTier {
-	switch m {
-	case ModeAOT:
-		return TierAOT
-	case ModeInterp:
-		return TierInterp
-	}
-	return TierJIT
 }
 
 // Demotion / incident causes.
@@ -265,6 +246,18 @@ func (h *engineHealth) pushHistory(ev DemotionEvent, max int) {
 	}
 }
 
+// moveTo puts the program on tier to, restarts the cooldown that must pass
+// before the next re-promotion probe, and records the transition. Caller holds
+// h.mu (or has not published h yet).
+func (s *Sentinel) moveTo(h *engineHealth, to EngineTier, cause string, fire int64) {
+	ev := DemotionEvent{From: EngineTier(h.tier.Load()), To: to, Cause: cause, Fire: fire}
+	h.tier.Store(int32(to))
+	h.cooldown = s.cfg.CooldownFires
+	h.wait = h.cooldown
+	h.probeOK = 0
+	h.pushHistory(ev, s.cfg.History)
+}
+
 // Sentinel owns the engine-health records of one kernel and the sampled
 // differential checker's configuration and counters. Attach with
 // Kernel.AttachSentinel; a kernel without one pays nothing on the fire path.
@@ -273,19 +266,6 @@ type Sentinel struct {
 	k   *Kernel
 
 	healths sync.Map // content hash (string) -> *engineHealth
-
-	// leases recycles leaseSets across fires (see leaseSet) so a sequential
-	// fire stream keeps redrawing the same set and its ticket continuity.
-	// The implementation is build-tag split — sync.Pool normally (per-P, so
-	// the per-fire draw/return is contention-free), a mutex-guarded LIFO
-	// stack under -race (see sentinel_lease.go / sentinel_lease_race.go).
-	leases leasePool
-
-	// stash holds quarantines restored from WAL/checkpoint before their
-	// program's health record exists (recovery ordering: incident records
-	// can replay before — or after — the program install they refer to).
-	// Guarded by k.mu; consulted when a health record is first created.
-	stash map[string]EngineTier
 
 	sinkMu sync.Mutex
 	sink   func(IncidentEvent)
@@ -321,6 +301,17 @@ func sampleOffset(seed int64, hash string, every int) uint64 {
 	return f.Sum64() % uint64(every)
 }
 
+// healthOfLocked resolves a content hash's live health record: nil without a
+// sentinel, or before a snapshot first bound the content. Caller holds k.mu.
+func (k *Kernel) healthOfLocked(hash string) *engineHealth {
+	if s := k.sentinel; s != nil {
+		if v, ok := s.healths.Load(hash); ok {
+			return v.(*engineHealth)
+		}
+	}
+	return nil
+}
+
 // healthFor resolves (creating on first use) the health record of an
 // installed program. Caller holds k.mu — snapshot publish and restore paths
 // only; the fire path reaches health records through the route snapshot.
@@ -328,10 +319,7 @@ func (s *Sentinel) healthFor(p *progEntry) *engineHealth {
 	if v, ok := s.healths.Load(p.hash); ok {
 		return v.(*engineHealth)
 	}
-	maxTier := TierJIT
-	if p.aot != nil {
-		maxTier = TierAOT
-	}
+	maxTier := p.maxTier()
 	h := &engineHealth{
 		hash:    p.hash,
 		name:    p.prog.Name,
@@ -339,14 +327,11 @@ func (s *Sentinel) healthFor(p *progEntry) *engineHealth {
 		offset:  sampleOffset(s.cfg.Seed, p.hash, s.cfg.SampleEvery),
 	}
 	h.tier.Store(int32(maxTier))
-	if t, ok := s.stash[p.hash]; ok && t < maxTier {
+	if t, ok := s.k.quarStash[p.hash]; ok && t < maxTier {
 		// A quarantine recorded durably before this install (recovery
 		// replay, replication, or a reswap of previously-demoted content)
 		// re-applies: the reswap cannot resurrect the native tier.
-		h.tier.Store(int32(t))
-		h.cooldown = s.cfg.CooldownFires
-		h.wait = h.cooldown
-		h.pushHistory(DemotionEvent{From: maxTier, To: t, Cause: CauseRestored}, s.cfg.History)
+		s.moveTo(h, t, CauseRestored, 0)
 	}
 	actual, _ := s.healths.LoadOrStore(p.hash, h)
 	return actual.(*engineHealth)
@@ -373,16 +358,16 @@ type engineLease struct {
 	hit       uint64
 }
 
-// leaseSet is a single-goroutine-at-a-time cache of claimed sampler tickets,
-// recycled through Sentinel.leases (per-P in normal builds, see leasePool). A
-// goroutine firing in a loop keeps drawing the same set back out of the pool
-// and consumes clock tickets strictly sequentially — the sampling schedule of
-// a sequential fire stream is therefore identical to an unchunked per-fire
-// clock. Tickets parked in a pooled set are consumed by whichever fire draws
-// the set next; they are lost only when the GC drops the set or slot
-// eviction recycles an entry, which skips at most leaseChunk-1 clock indices
-// at aperiodic moments — it cannot alias with the sampling modulus and
-// starve the checker.
+// leaseSet is a single-goroutine-at-a-time cache of claimed sampler tickets.
+// It is part of the dispatch scratch, recycled through Kernel.pool (per-P in
+// normal builds, see scratchPool). A goroutine firing in a loop keeps drawing
+// the same scratch back out of the pool and consumes clock tickets strictly
+// sequentially — the sampling schedule of a sequential fire stream is
+// therefore identical to an unchunked per-fire clock. Tickets parked in a
+// pooled set are consumed by whichever fire draws the set next; they are lost
+// only when the GC drops the set or slot eviction recycles an entry, which
+// skips at most leaseChunk-1 clock indices at aperiodic moments — it cannot
+// alias with the sampling modulus and starve the checker.
 type leaseSet struct {
 	evict  int
 	leases [leaseSlots]engineLease
@@ -419,19 +404,13 @@ func (ls *leaseSet) slot(h *engineHealth, every uint64) *engineLease {
 	return l
 }
 
-// sampleTicket draws this execution's sampler-clock ticket through the fire's
-// lease set (lazily drawn from the recycle stack) and reports the 0-based
-// ticket plus whether the deterministic 1-in-SampleEvery sampler selects it
-// for differential checking: for a fixed seed and a sequential fire stream
-// the same executions are selected.
-func (s *Sentinel) sampleTicket(h *engineHealth, fc *fireCtx) (int64, bool) {
+// sampleTicket draws this execution's sampler-clock ticket through the
+// dispatch's lease set and reports the 0-based ticket plus whether the
+// deterministic 1-in-SampleEvery sampler selects it for differential checking:
+// for a fixed seed and a sequential fire stream the same executions are
+// selected.
+func (s *Sentinel) sampleTicket(h *engineHealth, ls *leaseSet) (int64, bool) {
 	every := uint64(s.cfg.SampleEvery)
-	ls := fc.leases
-	if ls == nil {
-		ls = s.leases.get()
-		fc.leases = ls
-		fc.sen = s
-	}
 	// Single-program fire streams hit ls.leases[0] on the first probe; the
 	// slot walk and chunk claim are the off-path cases.
 	l := &ls.leases[0]
@@ -461,34 +440,12 @@ func (s *Sentinel) FirstSampled(hash string) int64 {
 	return int64((every - off) % every)
 }
 
-// nextCooldown applies exponential backoff with the configured cap.
-func (s *Sentinel) nextCooldown(cur int64) int64 {
-	next := int64(float64(cur) * s.cfg.BackoffFactor)
-	if next <= cur {
-		next = cur + 1
-	}
-	if next > s.cfg.MaxCooldownFires {
-		next = s.cfg.MaxCooldownFires
-	}
-	return next
-}
-
 // engineFireOK records a clean unprobed native fire, resetting the
 // consecutive-panic streak. Inlineable — it runs on every healthy fire.
 func engineFireOK(h *engineHealth) {
 	if h.consec.Load() != 0 {
 		h.consec.Store(0)
 	}
-}
-
-// engineOK records a clean engine execution: probes accumulate toward
-// re-promotion; normal fires reset the consecutive-panic count.
-func (s *Sentinel) engineOK(h *engineHealth, ranTier EngineTier, probe bool) {
-	if !probe {
-		engineFireOK(h)
-		return
-	}
-	s.probeSucceeded(h, ranTier)
 }
 
 // probeSucceeded applies one successful half-open probe, promoting when the
@@ -500,12 +457,10 @@ func (s *Sentinel) probeSucceeded(h *engineHealth, ranTier EngineTier) {
 	h.probeOK++
 	if h.probeOK >= s.cfg.ProbeSuccesses {
 		h.probeOK = 0
-		cur := EngineTier(h.tier.Load())
-		if ranTier > cur {
-			h.tier.Store(int32(ranTier))
-			h.cooldown = s.cfg.CooldownFires
-			h.wait = h.cooldown // settle before probing the next tier up
-			h.pushHistory(DemotionEvent{From: cur, To: ranTier, Cause: CausePromoted, Fire: h.fires.Load()}, s.cfg.History)
+		if ranTier > EngineTier(h.tier.Load()) {
+			// The fresh cooldown lets the tier settle before the next one up
+			// is probed.
+			s.moveTo(h, ranTier, CausePromoted, h.fires.Load())
 			promoted = true
 		}
 	} else {
@@ -550,18 +505,13 @@ func (s *Sentinel) demoteBelow(h *engineHealth, ranTier EngineTier, fireIdx int6
 	cur := EngineTier(h.tier.Load())
 	if cur >= ranTier && ranTier > TierBaseline {
 		to := ranTier - 1
-		h.tier.Store(int32(to))
-		h.cooldown = s.cfg.CooldownFires
-		h.wait = h.cooldown
-		h.probeOK = 0
 		h.demoted++
 		fire := fireIdx
 		if fire < 0 {
 			fire = h.fires.Load()
 		}
-		e := DemotionEvent{From: cur, To: to, Cause: cause, Fire: fire}
-		h.pushHistory(e, s.cfg.History)
-		ev = &IncidentEvent{Program: h.name, Hash: h.hash, From: cur, To: to, Cause: cause, Fire: e.Fire, Detail: detail}
+		s.moveTo(h, to, cause, fire)
+		ev = &IncidentEvent{Program: h.name, Hash: h.hash, From: cur, To: to, Cause: cause, Fire: fire, Detail: detail}
 	}
 	h.mu.Unlock()
 	if ev != nil {
@@ -579,7 +529,7 @@ func (s *Sentinel) probeFailed(h *engineHealth, probeTier EngineTier, cause, det
 	h.mu.Lock()
 	h.probing = false
 	h.probeOK = 0
-	h.cooldown = s.nextCooldown(h.cooldown)
+	h.cooldown = backoff(h.cooldown, s.cfg.BackoffFactor, s.cfg.MaxCooldownFires)
 	h.wait = h.cooldown
 	cur := EngineTier(h.tier.Load())
 	h.pushHistory(DemotionEvent{From: probeTier, To: cur, Cause: CauseProbeFailed, Fire: h.fires.Load()}, s.cfg.History)
@@ -680,11 +630,7 @@ func (s *Sentinel) statLines() []string {
 func (k *Kernel) AttachSentinel(cfg SentinelConfig) *Sentinel {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	s := &Sentinel{cfg: cfg.withDefaults(), k: k, stash: k.quarStash}
-	if s.stash == nil {
-		s.stash = make(map[string]EngineTier)
-	}
-	k.quarStash = s.stash
+	s := &Sentinel{cfg: cfg.withDefaults(), k: k}
 	k.sentinel = s
 	k.rebuildRoutesLocked()
 	return s
@@ -720,28 +666,14 @@ func (k *Kernel) RestoreEngineQuarantine(hash string, tier EngineTier) {
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if s := k.sentinel; s != nil {
-		if v, ok := s.healths.Load(hash); ok {
-			h := v.(*engineHealth)
-			h.mu.Lock()
-			if cur := EngineTier(h.tier.Load()); cur > tier {
-				h.tier.Store(int32(tier))
-				h.cooldown = s.cfg.CooldownFires
-				h.wait = h.cooldown
-				h.probeOK = 0
-				h.pushHistory(DemotionEvent{From: cur, To: tier, Cause: CauseRestored, Fire: h.fires.Load()}, s.cfg.History)
-			}
-			h.mu.Unlock()
-		} else if t, ok := s.stash[hash]; !ok || tier < t {
-			s.stash[hash] = tier
+	if h, s := k.healthOfLocked(hash), k.sentinel; h != nil {
+		h.mu.Lock()
+		if EngineTier(h.tier.Load()) > tier {
+			s.moveTo(h, tier, CauseRestored, h.fires.Load())
 		}
-	} else {
-		if k.quarStash == nil {
-			k.quarStash = make(map[string]EngineTier)
-		}
-		if t, ok := k.quarStash[hash]; !ok || tier < t {
-			k.quarStash[hash] = tier
-		}
+		h.mu.Unlock()
+	} else if t, ok := k.quarStash[hash]; !ok || tier < t {
+		k.quarStash[hash] = tier
 	}
 	k.flushVerdicts()
 }
@@ -758,7 +690,7 @@ type EngineQuarantine struct {
 func (k *Kernel) EngineQuarantines() []EngineQuarantine {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
-	seen := make(map[string]EngineTier)
+	seen := maps.Clone(k.quarStash)
 	if s := k.sentinel; s != nil {
 		s.healths.Range(func(key, v any) bool {
 			h := v.(*engineHealth)
@@ -767,15 +699,6 @@ func (k *Kernel) EngineQuarantines() []EngineQuarantine {
 			}
 			return true
 		})
-		for hash, t := range s.stash {
-			if _, ok := seen[hash]; !ok {
-				seen[hash] = t
-			}
-		}
-	} else {
-		for hash, t := range k.quarStash {
-			seen[hash] = t
-		}
 	}
 	out := make([]EngineQuarantine, 0, len(seen))
 	for hash, t := range seen {
@@ -809,25 +732,17 @@ func (k *Kernel) EngineStatus() []EngineProgramStatus {
 	for name, id := range k.progIDs {
 		p := k.progs[id]
 		st := EngineProgramStatus{Program: name, Hash: p.hash, ID: id, Checkable: p.checkable}
-		st.MaxTier = TierJIT
-		if p.aot != nil {
-			st.MaxTier = TierAOT
-		}
+		st.MaxTier = p.maxTier()
 		st.Tier = st.MaxTier
-		if s := k.sentinel; s != nil {
-			if v, ok := s.healths.Load(p.hash); ok {
-				h := v.(*engineHealth)
-				st.Fires = h.fires.Load()
-				if cur := EngineTier(h.tier.Load()); cur < st.Tier {
-					st.Tier = cur
-				}
-				h.mu.Lock()
-				st.Demotions = h.demoted
-				st.History = append([]DemotionEvent(nil), h.history...)
-				h.mu.Unlock()
-			} else if t, ok := s.stash[p.hash]; ok && t < st.Tier {
-				st.Tier = t
+		if h := k.healthOfLocked(p.hash); h != nil {
+			st.Fires = h.fires.Load()
+			if cur := EngineTier(h.tier.Load()); cur < st.Tier {
+				st.Tier = cur
 			}
+			h.mu.Lock()
+			st.Demotions = h.demoted
+			st.History = append([]DemotionEvent(nil), h.history...)
+			h.mu.Unlock()
 		} else if t, ok := k.quarStash[p.hash]; ok && t < st.Tier {
 			st.Tier = t
 		}

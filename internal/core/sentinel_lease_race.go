@@ -4,38 +4,38 @@ package core
 
 import "sync"
 
-// leasePoolCap bounds the recycled leaseSet stack (beyond it, sets — and
-// their parked tickets — are dropped to the GC).
-const leasePoolCap = 64
+// scratchPoolCap bounds the recycled scratch stack (beyond it, scratches —
+// and their parked sampler tickets — are dropped to the GC).
+const scratchPoolCap = 64
 
-// leasePool under -race is a mutex-guarded LIFO stack rather than the
-// sync.Pool normal builds use (sentinel_lease.go): the race detector makes
-// sync.Pool drop Puts at random, which would burn parked sampler tickets and
-// turn the deterministic sampling schedule nondeterministic — precisely what
-// the determinism tests run under -race to rule out. LIFO reuse keeps a
-// sequential fire stream redrawing the same set, preserving ticket
+// scratchPool under -race is a mutex-guarded LIFO stack rather than the
+// sync.Pool normal builds use (sentinel_lease.go has the reason). LIFO reuse
+// keeps a sequential fire stream redrawing the same scratch, preserving ticket
 // continuity; the extra lock cost is acceptable in race builds.
-type leasePool struct {
+type scratchPool struct {
 	mu   sync.Mutex
-	free []*leaseSet
+	free []*scratch
+	mk   func() *scratch
 }
 
-func (lp *leasePool) get() *leaseSet {
-	lp.mu.Lock()
-	if n := len(lp.free); n > 0 {
-		ls := lp.free[n-1]
-		lp.free = lp.free[:n-1]
-		lp.mu.Unlock()
-		return ls
+// setNew installs the allocator an empty pool falls back to.
+func (sp *scratchPool) setNew(mk func() *scratch) { sp.mk = mk }
+
+func (sp *scratchPool) get() *scratch {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if n := len(sp.free); n > 0 {
+		s := sp.free[n-1]
+		sp.free = sp.free[:n-1]
+		return s
 	}
-	lp.mu.Unlock()
-	return new(leaseSet)
+	return sp.mk()
 }
 
-func (lp *leasePool) put(ls *leaseSet) {
-	lp.mu.Lock()
-	if len(lp.free) < leasePoolCap {
-		lp.free = append(lp.free, ls)
+func (sp *scratchPool) put(s *scratch) {
+	sp.mu.Lock()
+	if len(sp.free) < scratchPoolCap {
+		sp.free = append(sp.free, s)
 	}
-	lp.mu.Unlock()
+	sp.mu.Unlock()
 }

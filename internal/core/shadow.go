@@ -110,9 +110,9 @@ func (s *Shadow) Report() CanaryReport {
 	return s.rep
 }
 
-// record folds one shadow run into the report and returns the result
-// callback to invoke (outside the lock).
-func (s *Shadow) record(live *FireResult, liveEmissions []int64, verdict int64, emissions []int64, steps int64, trapped bool) func(int64, int64, []int64, bool) {
+// record folds one shadow run into the report and returns whether it diverged
+// and the result callback to invoke (outside the lock).
+func (s *Shadow) record(live *FireResult, verdict int64, emissions []int64, steps int64, trapped bool) (bool, func(int64, int64, []int64, bool)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.rep.Fires++
@@ -123,10 +123,10 @@ func (s *Shadow) record(live *FireResult, liveEmissions []int64, verdict int64, 
 	}
 	if trapped {
 		s.rep.Traps++
-		return s.onResult
+		return false, s.onResult
 	}
 	verdictDiff := verdict != live.Verdict
-	emitDiff := !int64SlicesEqual(emissions, liveEmissions)
+	emitDiff := !int64SlicesEqual(emissions, live.Emissions)
 	if verdictDiff {
 		s.rep.VerdictDiffs++
 	}
@@ -136,7 +136,7 @@ func (s *Shadow) record(live *FireResult, liveEmissions []int64, verdict int64, 
 	if verdictDiff || emitDiff {
 		s.rep.Divergences++
 	}
-	return s.onResult
+	return verdictDiff || emitDiff, s.onResult
 }
 
 func int64SlicesEqual(a, b []int64) bool {
@@ -183,16 +183,20 @@ func (k *Kernel) ShadowAt(hook string) *Shadow {
 	return k.shadows[hook]
 }
 
-// runShadow executes the candidate for one hook event that already ran the
-// incumbent. It charges nothing to the datapath: emissions go to a private
-// buffer, DelayNs is untouched, fault injection does not apply, and the
-// shadow env suppresses context/pool writes so a buggy candidate cannot
-// corrupt state the incumbent reads.
-func (k *Kernel) runShadow(rt *routes, sh *Shadow, entry *table.Entry, live *Invocation, liveRes *FireResult) {
-	sinv := Invocation{
+// runShadow executes the candidate for the staged event, which already ran
+// the incumbent. It charges nothing to the datapath: emissions go to a private
+// invocation, DelayNs is untouched, fault injection does not apply, and the
+// run's context/pool writes land in a write capture that is never committed —
+// the candidate reads its own writes, as it would live, and cannot corrupt
+// state the incumbent reads.
+func (d *dispatch) runShadow(sh *Shadow, entry *table.Entry, liveRes *FireResult) {
+	k, s := d.k, d.s
+	live, sinv := &s.inv, &s.refInv
+	*sinv = Invocation{
 		Hook: live.Hook, Key: live.Key, Arg2: live.Arg2, Arg3: live.Arg3,
 		emitBudget: k.cfg.RateLimit,
 	}
+	defer s.settle()
 	verdict := DefaultVerdict
 	var steps int64
 	var trapped bool
@@ -203,22 +207,22 @@ func (k *Kernel) runShadow(rt *routes, sh *Shadow, entry *table.Entry, live *Inv
 		if sh.progID != 0 {
 			progID = sh.progID
 		}
-		verdict, steps, trapped = k.runShadowProgram(rt, sh, progID, &sinv, entry.Action.Param)
+		verdict, steps, trapped = d.runShadowProgram(sh, progID, entry.Action.Param)
 	case table.ActionInfer:
-		verdict, trapped = k.runShadowInfer(rt, sh, entry.Action.ModelID, &sinv)
+		verdict, trapped = d.runShadowInfer(sh, entry.Action.ModelID)
 	default:
 		return
 	}
 
 	if sinv.inferences > 0 {
-		k.ctrInfers.Add(shardIndex(live.Key), sinv.inferences)
+		k.ctrInfers.Add(s.shard, sinv.inferences)
 	}
 	k.Metrics.Counter("core.shadow_fires").Inc()
 	if trapped {
 		k.Metrics.Counter("core.shadow_traps").Inc()
 	}
-	cb := sh.record(liveRes, liveRes.Emissions, verdict, sinv.emissions, steps, trapped)
-	if !trapped && (verdict != liveRes.Verdict || !int64SlicesEqual(sinv.emissions, liveRes.Emissions)) {
+	diverged, cb := sh.record(liveRes, verdict, sinv.emissions, steps, trapped)
+	if diverged {
 		k.Metrics.Counter("core.shadow_divergences").Inc()
 	}
 	if cb != nil {
@@ -226,11 +230,13 @@ func (k *Kernel) runShadow(rt *routes, sh *Shadow, entry *table.Entry, live *Inv
 	}
 }
 
-// runShadowProgram is runProgram for the shadow lane: overlay models, write
-// suppression, no fault injection, and the same panic containment as live
-// runs (a panicking candidate traps, it does not take the kernel down).
-func (k *Kernel) runShadowProgram(rt *routes, sh *Shadow, progID int64, inv *Invocation, param int64) (verdict int64, steps int64, trapped bool) {
-	p := rt.prog(progID)
+// runShadowProgram is runProgram for the shadow lane: overlay models, captured
+// writes, no fault injection, and the same panic containment as live runs (a
+// panicking candidate traps, it does not take the kernel down).
+func (d *dispatch) runShadowProgram(sh *Shadow, progID, param int64) (verdict int64, steps int64, trapped bool) {
+	s := d.s
+	inv := &s.refInv
+	p := d.rt.prog(progID)
 	if p == nil {
 		return DefaultVerdict, 0, true
 	}
@@ -242,12 +248,8 @@ func (k *Kernel) runShadowProgram(rt *routes, sh *Shadow, progID int64, inv *Inv
 	if p.pref == TierInterp {
 		engine = p.interp
 	}
-	es := k.enginePool.Get().(*engineState)
-	es.env = env{k: k, rt: rt, inv: inv, overlay: sh.overlay, shadow: true}
-	ret, err := runEngine(engine, &es.env, &es.st, nil, inv.Key, inv.Arg2, arg3)
-	steps = es.st.Steps()
-	es.env = env{} // live fires set only their own fields: never pool a shadow env
-	k.enginePool.Put(es)
+	s.env = env{k: d.k, rt: d.rt, inv: inv, overlay: sh.overlay, wcap: &s.natCap}
+	ret, steps, err := s.run(engine, nil, nil, inv.Key, inv.Arg2, arg3)
 	if err != nil {
 		return DefaultVerdict, steps, true
 	}
@@ -257,10 +259,11 @@ func (k *Kernel) runShadowProgram(rt *routes, sh *Shadow, progID int64, inv *Inv
 // runShadowInfer re-runs an ActionInfer entry with the candidate model. The
 // candidate's Predict is unverified Go code until promotion, so panics are
 // contained into shadow traps.
-func (k *Kernel) runShadowInfer(rt *routes, sh *Shadow, modelID int64, inv *Invocation) (verdict int64, trapped bool) {
+func (d *dispatch) runShadowInfer(sh *Shadow, modelID int64) (verdict int64, trapped bool) {
+	k := d.k
 	m, ok := sh.overlay[modelID]
 	if !ok {
-		mb := rt.model(modelID)
+		mb := d.rt.model(modelID)
 		if mb == nil {
 			return DefaultVerdict, true
 		}
@@ -274,7 +277,7 @@ func (k *Kernel) runShadowInfer(rt *routes, sh *Shadow, modelID int64, inv *Invo
 	}()
 	n := m.NumFeatures()
 	feats := make([]int64, n)
-	if got := k.ctx.Hist(inv.Key, feats); got < n {
+	if got := k.ctx.Hist(d.s.inv.Key, feats); got < n {
 		return DefaultVerdict, false // mirrors the live not-enough-history path
 	}
 	return m.Predict(feats), false

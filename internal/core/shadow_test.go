@@ -120,6 +120,31 @@ func TestShadowWriteSuppression(t *testing.T) {
 	if rep := sh.Report(); rep.Fires != 1 || rep.Traps != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
+
+	// Suppressed is not lost: a candidate that stores a field and loads it
+	// back reads its own write, as it would live, and still leaves no trace.
+	k.DetachShadow("mm/shadow")
+	sh = NewProgramShadow("mm/shadow", install(t, k, &isa.Program{
+		Name: "readback",
+		Insns: isa.MustAssemble(`
+			movimm r4, 99
+			stctxt r1, 0, r4
+			ldctxt r0, r1, 0
+			exit`),
+	}))
+	var verdicts []int64
+	sh.SetOnResult(func(_, verdict int64, _ []int64, _ bool) { verdicts = append(verdicts, verdict) })
+	if err := k.AttachShadow(sh); err != nil {
+		t.Fatal(err)
+	}
+	k.Fire("mm/shadow", 1, 0, 0)
+	k.Fire("mm/shadow", 1, 0, 0) // and the first run's capture does not outlive it
+	if len(verdicts) != 2 || verdicts[0] != 99 || verdicts[1] != 99 {
+		t.Fatalf("shadow verdicts = %v, want [99 99]: the candidate must read the field it just stored", verdicts)
+	}
+	if got := k.Ctx().Load(1, 0); got != 0 {
+		t.Fatalf("ctx[1].field[0] = %d, want 0 (shadow write leaked)", got)
+	}
 }
 
 // TestShadowModelOverlay: an ActionInfer entry shadowed with a candidate

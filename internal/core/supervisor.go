@@ -225,10 +225,16 @@ func (s *Supervisor) bind(progID int64) *breaker {
 func (s *Supervisor) Allow(progID int64) Decision { return s.breakerOf(progID).allow() }
 
 func (b *breaker) allow() Decision {
-	if b == nil || BreakerState(b.state.Load()) == BreakerClosed {
+	if b.closed() {
 		return DecisionRun
 	}
 	return b.allowSlow()
+}
+
+// closed reports a closed (or absent) breaker: one load, and no tick of the
+// cooldown clock — which is what lets a cache replay ask before it commits.
+func (b *breaker) closed() bool {
+	return b == nil || BreakerState(b.state.Load()) == BreakerClosed
 }
 
 func (b *breaker) allowSlow() Decision {
@@ -312,7 +318,7 @@ func (b *breaker) record(hook string, steps, latencyNs int64, runErr error) (fai
 
 	if state == BreakerHalfOpen {
 		// Failed probe: back off exponentially (with jitter) and re-open.
-		b.cooldown = s.nextCooldown(b.cooldown)
+		b.cooldown = backoff(b.cooldown, s.cfg.BackoffFactor, s.cfg.MaxCooldownFires)
 		b.open()
 		s.cReopens.Inc()
 		return failure, false
@@ -375,13 +381,15 @@ func (b *breaker) open() {
 	b.wait = wait
 }
 
-func (s *Supervisor) nextCooldown(cur int64) int64 {
-	next := int64(float64(cur) * s.cfg.BackoffFactor)
+// backoff grows a cooldown (in fires) exponentially, by at least one fire, up
+// to limit — the breaker's and the engine-health ladder's shared arithmetic.
+func backoff(cur int64, factor float64, limit int64) int64 {
+	next := int64(float64(cur) * factor)
 	if next <= cur {
 		next = cur + 1
 	}
-	if next > s.cfg.MaxCooldownFires {
-		next = s.cfg.MaxCooldownFires
+	if next > limit {
+		next = limit
 	}
 	return next
 }

@@ -13,9 +13,11 @@ import (
 // supRig wires one always-succeeding program onto hook "mm/test" and returns
 // the kernel and the program id. Faults are driven via the injector so every
 // test below is fully deterministic.
-func supRig(t *testing.T) (*Kernel, int64) {
+func supRig(t *testing.T) (*Kernel, int64) { return supRigCfg(t, Config{}) }
+
+func supRigCfg(t *testing.T, cfg Config) (*Kernel, int64) {
 	t.Helper()
-	k := NewKernel(Config{})
+	k := NewKernel(cfg)
 	tb := table.New("t", "mm/test", table.MatchExact)
 	if _, err := k.CreateTable(tb); err != nil {
 		t.Fatal(err)
@@ -116,6 +118,41 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	if k.Metrics.Histogram("supervisor.fail_steps.mm/test").Count() != 3 {
 		t.Error("per-hook failure histogram not populated")
+	}
+}
+
+// TestTrippedBreakerTicksOncePerFire: the cooldown clock of a tripped breaker
+// advances exactly once per fire whether or not the flow's verdict is cached —
+// the replay path only asks "closed?", and the slow path it hands the fire to
+// takes the one allow(). CooldownFires = n: fallback on fires 1…n−1, probe on
+// fire n.
+func TestTrippedBreakerTicksOncePerFire(t *testing.T) {
+	const n = 5
+	for _, uncached := range []bool{false, true} {
+		k, pid := supRigCfg(t, Config{DisableVerdictCache: uncached})
+		sup := k.Supervise(SupervisorConfig{CooldownFires: n, JitterFrac: 0, HalfOpenSuccesses: 1})
+		k.RegisterFallback("mm/*", FallbackFunc{Label: "baseline", Fn: func(string, int64, int64, int64) (int64, []int64) {
+			return 7, nil
+		}})
+		var res FireResult
+		for i := 0; i < 3; i++ { // decline, store, replay
+			res = k.Fire("mm/test", 1, 0, 0)
+		}
+		if res.Verdict != 42 || res.CacheHit == uncached {
+			t.Fatalf("uncached=%v: warm fire = %+v", uncached, res)
+		}
+		sup.Trip(pid)
+		for i := 1; i < n; i++ {
+			if res := k.Fire("mm/test", 1, 0, 0); !res.FellBack || res.Verdict != 7 || res.CacheHit {
+				t.Fatalf("uncached=%v: cooldown fire %d = %+v, want the fallback", uncached, i, res)
+			}
+		}
+		if res := k.Fire("mm/test", 1, 0, 0); res.FellBack || res.Verdict != 42 || res.CacheHit {
+			t.Fatalf("uncached=%v: fire %d = %+v, want the probe", uncached, n, res)
+		}
+		if _, fallbacks, probes, recoveries := sup.Counts(); fallbacks != n-1 || probes != 1 || recoveries != 1 {
+			t.Fatalf("uncached=%v: fallbacks/probes/recoveries = %d/%d/%d, want %d/1/1", uncached, fallbacks, probes, recoveries, n-1)
+		}
 	}
 }
 

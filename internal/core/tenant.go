@@ -452,12 +452,11 @@ func (k *Kernel) FireTenant(tenant, hook string, key, arg2, arg3 int64) (FireRes
 		}
 	}
 	ts.markFire()
-	flush := ts.flush.Load()
-	rt := ts.route.Load()
+	d := dispatch{k: k}
+	d.begin(ts)
 	res := FireResult{Verdict: DefaultVerdict}
-	var fc fireCtx
-	k.fireOne(ts, rt, flush, hook, key, arg2, arg3, &res, &fc)
-	fc.release()
+	d.fire(hook, key, arg2, arg3, &res)
+	d.release()
 	return res, nil
 }
 
