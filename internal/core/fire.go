@@ -78,17 +78,87 @@ const DefaultVerdict = int64(-1)
 
 // dispatch is the record one Fire, FireBatch, FireTenant, FireQueue.Drain or
 // RunProgramByName call threads through the pipeline: whose datapath it runs
-// (tenant state, route snapshot, the flush count loaded before it) and the one
-// pooled scratch it works in. It lives on the caller's stack, and the scratch
-// is drawn by the first event that leaves the cached-hit path — a fully cached
-// dispatch draws and allocates nothing — then reused by every later event,
-// engine run, checked pair and shadow run of the call; release returns it.
+// (tenant state, route snapshot, the flush count loaded before it), the one
+// pooled scratch it works in, the books it keeps and the hook it resolved
+// last. It lives on the caller's stack, and the scratch is drawn by the first
+// event that leaves the cached-hit path — a fully cached dispatch draws and
+// allocates nothing — then reused by every later event, engine run, checked
+// pair and shadow run of the call; release returns it.
 type dispatch struct {
 	k     *Kernel
 	ts    *tenantState
 	rt    *routes
 	flush uint64
 	s     *scratch
+	b     books
+	// hook and hr memoize rt.hooks[hook] for the last hook fired, so a run of
+	// same-hook events resolves its hook once; begin clears the memo.
+	hook string
+	hr   *hookRoute
+}
+
+// books tally what a dispatch's events count — the striped kernel counters,
+// the tenant's verdict-cache outcomes, the replayed lookups' table statistics,
+// the step histogram run-length by value — for settle to publish once per call
+// and before begin points the record at another tenant.
+type books struct {
+	lane                   int // the stripe settle publishes on: the last event's
+	fires, infers          int64
+	tiers                  [TierAOT + 1]int64
+	hits, misses, declined int64 // of d.ts's verdict cache
+	stepV, stepN           int64 // the current run: stepN programs ran stepV steps
+	tables                 [maxRecordRows]struct {
+		t               *table.Table
+		lookups, misses int64
+	}
+}
+
+// steps books one program run's step count.
+func (d *dispatch) steps(n int64) {
+	b := &d.b
+	if b.stepV != n {
+		d.k.histSteps.ObserveN(b.lane, b.stepV, b.stepN)
+		b.stepV, b.stepN = n, 0
+	}
+	b.stepN++
+}
+
+// lookup books one replayed lookup of t that matched no entry (miss 1) or
+// one (miss 0); a table beyond the slots is credited directly.
+func (b *books) lookup(t *table.Table, miss int64) {
+	for i := range b.tables {
+		tt := &b.tables[i]
+		if tt.t == nil {
+			tt.t = t
+		}
+		if tt.t == t {
+			tt.lookups++
+			tt.misses += miss
+			return
+		}
+	}
+	t.Credit(b.lane, 1, miss)
+}
+
+// settle publishes the books and clears them (there are none before begin).
+func (d *dispatch) settle() {
+	if d.ts == nil {
+		return
+	}
+	k, b := d.k, &d.b
+	k.ctrFires.Add(b.lane, b.fires)
+	k.ctrInfers.Add(b.lane, b.infers)
+	for tier, n := range b.tiers {
+		k.ctrTierFires[tier].Add(b.lane, n)
+	}
+	k.histSteps.ObserveN(b.lane, b.stepV, b.stepN)
+	d.ts.vcache.Book(b.lane, b.hits, b.misses, b.declined)
+	for _, tt := range b.tables {
+		if tt.t != nil {
+			tt.t.Credit(b.lane, tt.lookups, tt.misses)
+		}
+	}
+	*b = books{}
 }
 
 // scratch is everything a dispatch needs off the cached-hit path, pooled as
@@ -98,12 +168,11 @@ type dispatch struct {
 // firing goroutine runs one engine at a time, so the checked reference, the
 // native run and a shadow run share the env, machine state and captures.
 type scratch struct {
-	// The event in flight (event stages it): invocation, cacheability evidence,
-	// stripe, and the injector's decision (slow's; nil between dispatches).
-	inv   Invocation
-	rec   fireRec
-	shard int
-	out   *fault.Outcome
+	// The event in flight (event stages it): invocation, cacheability evidence
+	// and the injector's decision (slow's; nil between dispatches).
+	inv Invocation
+	rec fireRec
+	out *fault.Outcome
 
 	env env
 	st  vm.State
@@ -121,34 +190,46 @@ type scratch struct {
 	refCap, natCap writeCap
 }
 
-// begin points d at a tenant's datapath. Flush count before route: mutators
-// publish route-then-count, so a verdict computed against this snapshot is
-// cached under a count no newer than the snapshot — it can go stale, never
-// wrong.
+// begin points d at a tenant's datapath, settling the books first when they
+// are another tenant's (FireQueue.Drain re-points one record per item).
+// Flush count before route: mutators publish route-then-count, so a verdict
+// computed against this snapshot is cached under a count no newer than the
+// snapshot — it can go stale, never wrong.
 func (d *dispatch) begin(ts *tenantState) {
+	if d.ts != ts {
+		d.settle()
+	}
 	d.ts = ts
 	d.flush = ts.flush.Load()
 	d.rt = ts.route.Load()
+	d.hr = nil // resolved in the snapshot just replaced
 }
 
 // event stages one event that left the cached-hit path, drawing the scratch
-// if this dispatch has none yet.
-func (d *dispatch) event(inv Invocation, record bool) *scratch {
+// if this dispatch has none yet. It writes in place: every invocation field
+// but feats (which stays with the scratch), and of the recorder only what
+// addRow reads — rows past nrows are never read, and release clears them.
+func (d *dispatch) event(hook string, key, arg2, arg3 int64, fb Fallback, record bool) *scratch {
 	s := d.s
 	if s == nil {
 		s = d.k.pool.get()
 		d.s = s
 	}
-	inv.emitBudget, inv.feats = d.k.cfg.RateLimit, s.inv.feats
-	s.inv, s.rec, s.shard = inv, fireRec{ok: record}, shardIndex(inv.Key)
+	inv := &s.inv
+	inv.Hook, inv.Key, inv.Arg2, inv.Arg3, inv.fallback = hook, key, arg2, arg3, fb
+	inv.emissions, inv.emitBudget, inv.rateHits, inv.inferences = nil, d.k.cfg.RateLimit, 0, 0
+	inv.injectHelperErr = nil
+	s.rec.ok, s.rec.prog, s.rec.nrows = record, nil, 0
 	return s
 }
 
-// release returns the scratch. Nothing of this dispatch may ride the pool into
-// the next: emission ownership moved to the results, and the snapshot, rows
-// and fallback would pin a dead configuration. Unused sampler tickets stay
-// parked in the lease set for the dispatch that draws the scratch next.
+// release settles the books and returns the scratch. Nothing of this dispatch
+// may ride the pool into the next: emission ownership moved to the results,
+// and the snapshot, rows and fallback would pin a dead configuration. Unused
+// sampler tickets stay parked in the lease set for the dispatch that draws
+// the scratch next.
 func (d *dispatch) release() {
+	d.settle()
 	if s := d.s; s != nil {
 		s.inv = Invocation{feats: s.inv.feats}
 		s.rec, s.out, s.env = fireRec{}, nil, env{}
@@ -190,6 +271,7 @@ type Event struct {
 // entry or default of a table it consulted, a model its program declares,
 // the hook's pipeline, or the configuration as a whole. Commits elsewhere —
 // another hook's tables, a new program, an unrelated model — leave it cached.
+// What the fire counts is visible when Fire returns.
 func (k *Kernel) Fire(hook string, key, arg2, arg3 int64) FireResult {
 	d := dispatch{k: k}
 	d.begin(k.def)
@@ -209,11 +291,15 @@ func (k *Kernel) Fire(hook string, key, arg2, arg3 int64) FireResult {
 // entry edit is visible to the next lookup, mid-batch or not. len(out) must
 // be >= len(events); extra out entries are left untouched. Each event's Prep
 // hook (if any) runs just before that event dispatches.
+// What the batch counts is tallied on the stack and published when FireBatch
+// returns, a panicking Prep's batch included: a Prep sees the counts as of
+// the batch's start (entry hits, breaker records, invalidations excepted).
 func (k *Kernel) FireBatch(events []Event, out []FireResult) {
 	if len(events) == 0 {
 		return
 	}
 	d := dispatch{k: k}
+	defer d.release()
 	d.begin(k.def)
 	for i := range events {
 		ev := &events[i]
@@ -223,72 +309,84 @@ func (k *Kernel) FireBatch(events []Event, out []FireResult) {
 		out[i] = FireResult{Verdict: DefaultVerdict}
 		d.fire(ev.Hook, ev.Key, ev.Arg2, ev.Arg3, &out[i])
 	}
-	d.release()
 }
 
 // fire dispatches one event against the dispatch's route snapshot. res must
 // arrive initialized to {Verdict: DefaultVerdict}.
 func (d *dispatch) fire(hook string, key, arg2, arg3 int64, res *FireResult) {
-	hr := d.rt.hooks[hook]
+	hr := d.hr
+	if hr == nil || hook != d.hook {
+		hr = d.rt.hooks[hook]
+		d.hook, d.hr = hook, hr
+	}
 	if hr == nil || len(hr.tables) == 0 {
 		return
 	}
-	shard := shardIndex(key)
-	d.k.ctrFires.Inc(shard)
+	b := &d.b
+	b.lane = shardIndex(key)
+	b.fires++
 
 	var fk table.FlowKey
 	record := hr.cacheable
 	if record {
 		fk = table.FlowKey{Hook: hr.id, Key: uint64(key), Arg2: arg2, Arg3: arg3}
-		if cf, ok := d.ts.vcache.Get(fk, d.flush); ok {
-			if pb, why := cf.check(d.rt, hr); why != fresh {
-				// Something this verdict read has changed: a miss, re-recorded.
-				d.ts.vcache.Reject(fk)
-				d.ts.rejected[why].Add(1)
-			} else if pb == nil || pb.brk.closed() {
-				d.k.replayCached(cf, pb, shard, hook, key, res)
+		if cf, ok := d.ts.vcache.Get(fk, d.flush); !ok {
+			b.misses++
+		} else if pb, why := cf.check(d.rt, hr); why != fresh {
+			// Something this verdict read has changed: a miss, re-recorded.
+			b.misses++
+			d.ts.vcache.Reject(fk)
+			d.ts.rejected[why].Add(1)
+		} else {
+			b.hits++
+			if pb == nil || pb.brk.closed() {
+				d.replay(cf, pb, hook, res)
 				return
-			} else {
-				// The breaker is re-routing the cached program (probe or
-				// fallback). Asking "closed?" ticked nothing: the slow path
-				// runs unrecorded and takes the fire's one allow() there.
-				record = false
 			}
+			// The breaker is re-routing the cached program (probe or
+			// fallback). Asking "closed?" ticked nothing: the slow path runs
+			// unrecorded and takes the fire's one allow() there.
+			record = false
 		}
 	}
-	d.event(Invocation{Hook: hook, Key: key, Arg2: arg2, Arg3: arg3, fallback: hr.fallback}, record)
+	d.event(hook, key, arg2, arg3, hr.fallback, record)
 	d.slow(hr, fk, res)
 }
 
-// replayCached replays one memoized fire whose stamp check passed and whose
+// replay replays one memoized fire whose stamp check passed and whose
 // program's breaker is closed, pb being that program as check resolved it (nil
-// for none).
-func (k *Kernel) replayCached(cf *cachedFire, pb *progBinding, shard int, hook string, key int64, res *FireResult) {
-	for i := range cf.rows {
-		cf.rows[i].t.CreditLookup(uint64(key), cf.rows[i].hit)
+// for none). Its counts go to the books; the matched entries' hit counts and
+// the breaker's record are the only shared words it writes.
+func (d *dispatch) replay(cf *cachedFire, pb *progBinding, hook string, res *FireResult) {
+	b := &d.b
+	for _, r := range cf.rows {
+		if r.hit == nil {
+			b.lookup(r.t, 1)
+		} else {
+			b.lookup(r.t, 0)
+			r.hit.CountHit()
+		}
 	}
 	res.Matched = cf.matched
 	res.Verdict = cf.verdict
 	res.Steps = cf.steps
 	res.CacheHit = true
 	if pb != nil {
-		k.histSteps.Observe(shard, cf.steps)
+		d.steps(cf.steps)
 		if pb.brk != nil {
 			if failure, _ := pb.brk.record(hook, cf.steps, 0, nil); failure != nil {
-				k.cSLOViolations.Inc()
+				d.k.cSLOViolations.Inc()
 			}
 		}
 	}
-	if cf.infers > 0 {
-		k.ctrInfers.Add(shard, cf.infers)
-	}
+	b.infers += cf.infers
 }
 
 // slow runs the staged event through the full pipeline and, when the fire
 // proved replayable and the verdict cache's doorkeeper has seen the flow
 // before, memoizes the outcome under fk with the stamp of what it read.
 func (d *dispatch) slow(hr *hookRoute, fk table.FlowKey, res *FireResult) {
-	k, s := d.k, d.s
+	s := d.s
 	inv, rec := &s.inv, &s.rec
 
 	// One injector decision per firing index of this hook; whether it
@@ -324,9 +422,7 @@ func (d *dispatch) slow(hr *hookRoute, fk table.FlowKey, res *FireResult) {
 	}
 	res.Emissions = inv.emissions
 	res.RateLimited = inv.rateHits
-	if inv.inferences > 0 {
-		k.ctrInfers.Add(s.shard, inv.inferences)
-	}
+	d.b.infers += inv.inferences
 	if shadowEntry != nil {
 		d.runShadow(hr.shadow, shadowEntry, res)
 	}
@@ -334,21 +430,25 @@ func (d *dispatch) slow(hr *hookRoute, fk table.FlowKey, res *FireResult) {
 	// Admit comes last: only a fire that proved replayable leaves a
 	// fingerprint, and a flow's first such miss stops here — no cachedFire, no
 	// shard-map insert — so a flow that never recurs costs an uncached fire.
-	if rec.ok && !res.Trapped && !res.FellBack &&
-		len(inv.emissions) == 0 && inv.rateHits == 0 && d.ts.vcache.Admit(fk) {
-		cf := &cachedFire{
-			rows:    append([]cachedRow(nil), rec.rows[:rec.nrows]...),
-			matched: res.Matched,
-			verdict: res.Verdict,
-			steps:   res.Steps,
-			infers:  inv.inferences,
-			epoch:   hr.epoch,
-		}
-		if pb := rec.prog; pb != nil {
-			cf.progID, cf.dep = pb.id, pb.dep
-		}
-		d.ts.vcache.Put(fk, d.flush, cf)
+	if !rec.ok || res.Trapped || res.FellBack || len(inv.emissions) != 0 || inv.rateHits != 0 {
+		return
 	}
+	if !d.ts.vcache.Admit(fk) {
+		d.b.declined++
+		return
+	}
+	cf := &cachedFire{
+		rows:    append([]cachedRow(nil), rec.rows[:rec.nrows]...),
+		matched: res.Matched,
+		verdict: res.Verdict,
+		steps:   res.Steps,
+		infers:  inv.inferences,
+		epoch:   hr.epoch,
+	}
+	if pb := rec.prog; pb != nil {
+		cf.progID, cf.dep = pb.id, pb.dep
+	}
+	d.ts.vcache.Put(fk, d.flush, cf)
 }
 
 // runAction executes one matched entry's action.
@@ -367,7 +467,7 @@ func (d *dispatch) runAction(entry *table.Entry, res *FireResult) {
 		// cached.
 		s.rec.ok = false
 		k.ctx.HistPush(inv.Key, inv.Arg2)
-		k.ctrCollects.Inc(s.shard)
+		k.ctrCollects.Inc(d.b.lane)
 	case table.ActionInfer:
 		// Reads the mutable history ring: not cacheable.
 		s.rec.ok = false
@@ -420,7 +520,7 @@ func (d *dispatch) runProgramAction(entry *table.Entry, res *FireResult) {
 		// the hook's baseline fallback, exactly like a supervisor
 		// quarantine. The breaker clock is not ticked — no engine ran.
 		rec.ok = false
-		k.ctrTierFires[TierBaseline].Inc(s.shard)
+		d.b.tiers[TierBaseline]++
 		d.rt.sentinel.ctrBaseline.Add(1)
 		k.runFallback(inv, res)
 		return
@@ -570,7 +670,7 @@ func (d *dispatch) runNative(p *progEntry, tier EngineTier, arg3 int64, wcap *wr
 	if out != nil {
 		poison = out.EnginePanic
 	}
-	k.ctrTierFires[tier].Inc(s.shard)
+	d.b.tiers[tier]++
 	// The whole env, every run: nothing of a reference or shadow run (its
 	// invocation, capture or model overlay) can linger into a live one.
 	s.env = env{k: k, rt: d.rt, inv: inv, wcap: wcap}
@@ -588,7 +688,7 @@ func (d *dispatch) runNative(p *progEntry, tier EngineTier, arg3 int64, wcap *wr
 		ret += out.MiscompileDelta
 	}
 	inv.injectHelperErr = nil // unconsumed injections do not leak across runs
-	k.histSteps.Observe(s.shard, steps)
+	d.steps(steps)
 	if rerr != nil {
 		return 0, steps, true, rerr
 	}
@@ -639,12 +739,10 @@ func (k *Kernel) RunProgramByName(name string, r1, r2, r3 int64) (int64, []int64
 	if pb == nil {
 		return 0, nil, fmt.Errorf("%w: program %d", ErrNotFound, id)
 	}
-	s := d.event(Invocation{Key: r1, Arg2: r2, Arg3: r3}, false)
+	s := d.event("", r1, r2, r3, nil, false)
 	verdict, _, trapped, err := d.runProgram(pb, 0)
 	emissions := s.inv.emissions
-	if s.inv.inferences > 0 {
-		k.ctrInfers.Add(s.shard, s.inv.inferences)
-	}
+	d.b.infers += s.inv.inferences
 	d.release()
 	if trapped || err != nil {
 		return 0, nil, err

@@ -95,27 +95,110 @@ func hpEvents(n, keys int) []Event {
 	return evs
 }
 
+// hpTestHook2 is a second pipeline for the batch tests: even keys run a pure
+// program shorter than hp_pure (so the step histogram sees two values), odd
+// keys answer a parameter.
+const hpTestHook2 = "test/hotpath2"
+
+func addSecondHotPathHook(t testing.TB, k *Kernel, keys int) *table.Table {
+	t.Helper()
+	progID, rep, err := k.InstallProgram(&isa.Program{Name: "hp_pure2", Hook: hpTestHook2,
+		Insns: isa.MustAssemble("mov r0, r1\naddimm r0, 7\nexit")})
+	if err != nil || !rep.Pure {
+		t.Fatalf("install hp_pure2: %v (report %+v)", err, rep)
+	}
+	tb := table.New("hp_tab2", hpTestHook2, table.MatchExact)
+	if _, err := k.CreateTable(tb); err != nil {
+		t.Fatal(err)
+	}
+	for key := 0; key < keys; key++ {
+		a := table.Action{Kind: table.ActionProgram, ProgID: progID}
+		if key%2 == 1 {
+			a = table.Action{Kind: table.ActionParam, Param: int64(key)}
+		}
+		if err := tb.Insert(&table.Entry{Key: uint64(key), Action: a}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tb
+}
+
+// hpMixedEvents is hpEvents over three hooks: the two pipelines alternating
+// event by event, then in runs of seven, with every ninth event at a hook
+// that has no tables.
+func hpMixedEvents(n, keys int) []Event {
+	evs := hpEvents(n, keys)
+	for i := range evs {
+		switch {
+		case i%9 == 8:
+			evs[i].Hook = "test/hotpath/none"
+		case i < n/2 && i%2 == 1, i >= n/2 && i/7%2 == 1:
+			evs[i].Hook = hpTestHook2
+		}
+	}
+	return evs
+}
+
 // TestFireBatchMatchesSequential: the same event sequence driven through
 // FireBatch must produce the same verdicts AND the same telemetry (fire
-// counts, step accounting, table statistics, per-entry hit counts) as
-// sequential Fire calls on an identically configured kernel.
+// counts, step accounting, table statistics, per-entry hit counts, verdict
+// cache outcomes) as sequential Fire calls on an identically configured
+// kernel — over a mix of two pipelines (alternating and in runs), a hook with
+// no tables and keys absent from the tables. A batch keeps books: its counts
+// become visible when FireBatch returns, so a Prep inside the batch reads
+// exactly what was there when the batch began, and after each batch the two
+// kernels agree again.
 func TestFireBatchMatchesSequential(t *testing.T) {
 	const keys, n = 32, 1000
 	ks, _, _, tbs := newHotPathTestKernel(t, keys)
 	kb, _, _, tbb := newHotPathTestKernel(t, keys)
-	events := hpEvents(n, keys)
+	tbs2, tbb2 := addSecondHotPathHook(t, ks, keys), addSecondHotPathHook(t, kb, keys)
+	events := hpMixedEvents(n, keys)
+
+	// What the books carry (entries stored, invalidations and entry hits are
+	// written as they happen).
+	type counts struct{ fires, hits, misses, declined int64 }
+	read := func() counts {
+		var c counts
+		for _, l := range kb.Metrics.Snapshot() {
+			fmt.Sscanf(l, "core.fires %d", &c.fires)
+		}
+		vs := kb.VerdictCacheStats()
+		c.hits, c.misses, c.declined = vs.Hits, vs.Misses, vs.Declined
+		return c
+	}
+	var atStart counts
+	preps := 0
+	for i := 5; i < n; i += 16 {
+		events[i].Prep = func() {
+			preps++
+			if got := read(); got != atStart {
+				t.Errorf("event %d: a Prep inside the batch reads %+v, want the counts at the batch's start %+v", i, got, atStart)
+			}
+		}
+	}
 
 	seq := make([]FireResult, n)
-	for i, ev := range events {
-		seq[i] = ks.Fire(ev.Hook, ev.Key, ev.Arg2, ev.Arg3)
-	}
 	bat := make([]FireResult, n)
 	for from := 0; from < n; from += 64 {
-		to := from + 64
-		if to > n {
-			to = n
+		to := min(from+64, n)
+		for i := from; i < to; i++ {
+			ev := events[i]
+			seq[i] = ks.Fire(ev.Hook, ev.Key, ev.Arg2, ev.Arg3)
 		}
+		atStart = read()
 		kb.FireBatch(events[from:to], bat[from:to])
+		for i, tb := range []*table.Table{tbb, tbb2} {
+			if got, want := readHPTelemetry(kb, tb), readHPTelemetry(ks, []*table.Table{tbs, tbs2}[i]); got != want {
+				t.Fatalf("after the batch ending at event %d, %s telemetry diverges:\n batch      %+v\n sequential %+v", to, tb.Name, got, want)
+			}
+		}
+		if got, want := kb.VerdictCacheStats(), ks.VerdictCacheStats(); got != want {
+			t.Fatalf("after the batch ending at event %d, verdict cache stats diverge:\n batch      %+v\n sequential %+v", to, got, want)
+		}
+	}
+	if preps == 0 {
+		t.Fatal("no Prep ran")
 	}
 
 	for i := range seq {
@@ -124,11 +207,32 @@ func TestFireBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("event %d diverges: sequential %+v, batch %+v", i, seq[i], bat[i])
 		}
 	}
-	if got, want := readHPTelemetry(kb, tbb), readHPTelemetry(ks, tbs); got != want {
-		t.Fatalf("telemetry diverges:\n batch      %+v\n sequential %+v", got, want)
+	if vs := kb.VerdictCacheStats(); vs.Hits == 0 || vs.Declined == 0 {
+		t.Fatalf("verdict cache stats %+v: want hits and declines on a repeating key mix", vs)
 	}
-	if vs := kb.VerdictCacheStats(); vs.Hits == 0 {
-		t.Fatal("no verdict cache hits on a repeating key mix")
+}
+
+// TestFireBatchPanickingPrepSettles: a Prep that panics ends its batch, and
+// the events that fired before it are counted all the same — FireBatch
+// settles its books on the way out.
+func TestFireBatchPanickingPrepSettles(t *testing.T) {
+	k, _, _, tb := newHotPathTestKernel(t, 4)
+	events := []Event{
+		{Hook: hpTestHook, Key: 1},
+		{Hook: hpTestHook, Key: 2},
+		{Hook: hpTestHook, Key: 3, Prep: func() { panic("prep") }},
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the Prep's panic did not reach the caller")
+			}
+		}()
+		k.FireBatch(events, make([]FireResult, len(events)))
+	}()
+	tel := readHPTelemetry(k, tb)
+	if tel.fires != 2 || tel.lookups != 2 || tel.cacheLookups != 2 || tel.stepsCount != 2 {
+		t.Fatalf("telemetry after a panicking Prep = %+v; want the two events before it counted", tel)
 	}
 }
 

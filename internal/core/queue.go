@@ -83,7 +83,7 @@ func (q *FireQueue) Drain(max int, out []FireResult) int {
 		max = len(out)
 	}
 	n := 0
-	d := dispatch{k: q.k} // one scratch draw amortized across the drain
+	d := dispatch{k: q.k} // one scratch draw across the drain; books settle per tenant run
 	defer d.release()
 	for n < max {
 		q.mu.Lock()

@@ -214,9 +214,7 @@ func (d *dispatch) runShadow(sh *Shadow, entry *table.Entry, liveRes *FireResult
 		return
 	}
 
-	if sinv.inferences > 0 {
-		k.ctrInfers.Add(s.shard, sinv.inferences)
-	}
+	d.b.infers += sinv.inferences
 	k.Metrics.Counter("core.shadow_fires").Inc()
 	if trapped {
 		k.Metrics.Counter("core.shadow_traps").Inc()

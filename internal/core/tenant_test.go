@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -502,5 +503,95 @@ func TestFireQueueOverflowDoesNotChargeAdmission(t *testing.T) {
 	st, _ := k.TenantStatus("t")
 	if st.Shed != 1 {
 		t.Fatalf("tenant shed count = %d, want 1", st.Shed)
+	}
+}
+
+// newDrainKernel registers tenants alpha and beta, each with a table at its
+// hook "h" whose keys 0..7 run one pure, inferring program of the default
+// tenant; every other key misses the table.
+func newDrainKernel(t *testing.T) *Kernel {
+	t.Helper()
+	k := NewKernel(Config{})
+	modelID := k.RegisterModel(&FuncModel{Fn: func(x []int64) int64 { return 10*x[0] + x[1] }, Feats: 2})
+	pid := install(t, k, &isa.Program{Name: "drain_pure", Models: []int64{modelID},
+		Insns: isa.MustAssemble(fmt.Sprintf("veczero v0, 2\nvecset v0, 0, r1\nvecset v0, 1, r2\nmlinfer r0, v0, %d\nexit", modelID))})
+	for _, tn := range []string{"alpha", "beta"} {
+		if err := k.RegisterTenant(tn, TenantQuota{}); err != nil {
+			t.Fatal(err)
+		}
+		tb := table.New(TenantName(tn, "tab"), TenantName(tn, "h"), table.MatchExact)
+		if _, err := k.CreateTable(tb); err != nil {
+			t.Fatal(err)
+		}
+		for key := uint64(0); key < 8; key++ {
+			if err := tb.Insert(&table.Entry{Key: key, Action: table.Action{Kind: table.ActionProgram, ProgID: pid}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return k
+}
+
+// TestDrainBooksEachTenant: a FireQueue.Drain interleaving two tenants' cached
+// and uncached fires keeps one dispatch record for the whole drain, so its
+// books must be settled whenever the record moves to the other tenant: each
+// tenant's verdict-cache stats, and the kernel-wide fire, inference and step
+// counts, must equal those of the same fires issued one by one through
+// FireTenant.
+func TestDrainBooksEachTenant(t *testing.T) {
+	kd, ks := newDrainKernel(t), newDrainKernel(t)
+	type fired struct {
+		tenant string
+		ev     Event
+	}
+	var order []fired
+	fq := kd.NewFireQueue(0)
+	for i := int64(0); i < 400; i++ {
+		tn := []string{"alpha", "beta"}[i%2]
+		ev := Event{Hook: "h", Key: i % 10, Arg2: i % 3}
+		if i%5 == 0 {
+			ev.Arg3 = 1000 + i // a new flow: declined, never replayed
+		}
+		queued := ev
+		queued.Prep = func() { order = append(order, fired{tn, ev}) }
+		if err := fq.Enqueue(tn, queued); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []FireResult
+	out := make([]FireResult, 48)
+	for fq.Len() > 0 {
+		n := fq.Drain(len(out), out)
+		got = append(got, out[:n]...)
+	}
+	if len(got) != 400 || len(order) != 400 {
+		t.Fatalf("drained %d fires (%d preps), want 400", len(got), len(order))
+	}
+	if n := fq.Drain(len(out), out); n != 0 { // a drain that never begins settles nothing
+		t.Fatalf("an empty queue drained %d fires", n)
+	}
+	for i, f := range order {
+		want, err := ks.FireTenant(f.tenant, f.ev.Hook, f.ev.Key, f.ev.Arg2, f.ev.Arg3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].Verdict != want.Verdict || got[i].Matched != want.Matched ||
+			got[i].Steps != want.Steps || got[i].CacheHit != want.CacheHit {
+			t.Fatalf("fire %d (%s) diverges: drained %+v, one by one %+v", i, f.tenant, got[i], want)
+		}
+	}
+	for _, tn := range []string{"alpha", "beta"} {
+		d, _ := kd.TenantVerdictCacheStats(tn)
+		s, _ := ks.TenantVerdictCacheStats(tn)
+		if d != s || d.Hits == 0 || d.Declined == 0 {
+			t.Errorf("%s verdict cache: drained %+v, one by one %+v (want equal, with hits and declines)", tn, d, s)
+		}
+	}
+	type kernelCounts struct{ fires, infers, steps, stepSum int64 }
+	counts := func(k *Kernel) kernelCounts {
+		return kernelCounts{k.ctrFires.Load(), k.ctrInfers.Load(), k.histSteps.Count(), k.histSteps.Sum()}
+	}
+	if d, s := counts(kd), counts(ks); d != s {
+		t.Errorf("kernel-wide counts: drained %+v, one by one %+v", d, s)
 	}
 }

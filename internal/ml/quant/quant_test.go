@@ -77,7 +77,10 @@ func TestMaxAbs(t *testing.T) {
 }
 
 // TestComputeRequantApprox: the integer rescale approximates the real ratio
-// within a small relative error across magnitudes.
+// within a small relative error across magnitudes, plus the one unit the
+// integer result may lose to flooring — which is all of the error when
+// q·ratio is small (num=0x14, den=0x933f: q·ratio ≈ 36.5 floors to 36, 1.4 %).
+// The generator is seeded, so a failure reproduces.
 func TestComputeRequantApprox(t *testing.T) {
 	f := func(num, den uint16) bool {
 		ratio := (float64(num) + 1) / (float64(den) + 1) / 16
@@ -86,10 +89,13 @@ func TestComputeRequantApprox(t *testing.T) {
 			return false
 		}
 		const q = 1 << 20
-		got := float64(rq.Apply(q)) / q
-		return math.Abs(got-ratio)/ratio < 0.01
+		want := q * ratio
+		return math.Abs(float64(rq.Apply(q))-want) <= 1+0.01*want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+	if !f(0x14, 0x933f) {
+		t.Fatal("the floor's one-unit error at q·ratio ≈ 36.5 is rejected")
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(81))}); err != nil {
 		t.Fatal(err)
 	}
 }

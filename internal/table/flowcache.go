@@ -78,7 +78,17 @@ import (
 //
 // A verdict-cache reader then runs the kernel's own stamp check on whatever
 // it got, so no interleaving can replay a verdict whose inputs have changed.
-// The counters are atomics bumped outside the lock, as they were.
+//
+// Booking. Get and Admit count nothing: the caller books each probe's outcome
+// — a hit, a miss, a declined admission — through Book, so a caller that
+// probes many times per call (the kernel's batches) publishes its tallies
+// once instead of bumping a shared counter per probe. Every Get is booked as
+// exactly one hit or one miss, which keeps Hits + Misses equal to the probes
+// made. The scan memo books its own probes (Table.Lookup). What only the cache
+// can see it counts itself: an invalidation when Get or Reject drops a stale
+// entry (under the shard lock, once per drop) and an eviction when Put or
+// Reset clears entries. A caller that Rejects what Get returned books that
+// probe as a miss, never as a hit, so Reject takes nothing back.
 //
 // Admission. A miss followed by a Put allocates the stored value and its
 // entry, walks memory far larger than the CPU's caches and, once the shard
@@ -184,12 +194,12 @@ func (t *flowTable[V]) rebuilt(live int) *flowTable[V] {
 
 // flowShard is one writer-lock domain of the cache, laid out as two cache
 // lines: the table pointer every probe loads, which only a rebuild or a clear
-// ever writes, and the words that are written all the time — the counters
-// every probe bumps and the writers' mutex and bookkeeping. Readers of one shard on different
-// cores then share the first line and trade only the second; with both on one
-// line each hit would wait for the line twice, once to read the pointer and
-// again to own the counter (two lockstep readers of 256 flows: 27 ns per Get
-// on one line, 22 on two).
+// ever writes, and the words that are written — the counters callers book
+// into and the writers' mutex and bookkeeping. Readers of one shard on
+// different cores then share the first line; with both on one line a booked
+// hit would invalidate the pointer every other reader needs (two lockstep
+// readers of 256 flows, when Get still booked its own hits: 27 ns per Get on
+// one line, 22 on two).
 type flowShard[V any] struct {
 	tab atomic.Pointer[flowTable[V]] // nil until the shard's first Put
 	_   [64 - 8]byte
@@ -235,8 +245,9 @@ type FlowCacheStats struct {
 	Misses        int64
 	Invalidations int64
 	Evictions     int64
-	// Declined counts the misses Admit turned away; Declined ÷ Misses is the
-	// share of misses that were a flow's first sighting.
+	// Declined counts the misses Admit turned away, as callers booked them;
+	// Declined ÷ Misses is the share of misses that were a flow's first
+	// sighting.
 	Declined int64
 	Entries  int64
 }
@@ -263,7 +274,8 @@ func NewFlowCache[V any](shards, perShard int) *FlowCache[V] {
 
 // Get returns the cached value for k if it is present and was computed
 // against generation gen. A present-but-stale entry counts an invalidation
-// and is dropped. Hits and plain misses take no lock.
+// and is dropped. Hits and plain misses take no lock and write nothing; the
+// caller books the outcome (Book).
 func (c *FlowCache[V]) Get(k FlowKey, gen uint64) (V, bool) {
 	var zero V
 	if c == nil {
@@ -274,13 +286,11 @@ func (c *FlowCache[V]) Get(k FlowKey, gen uint64) (V, bool) {
 	if t := s.tab.Load(); t != nil {
 		if _, e := t.probe(k, h); e != nil {
 			if e.gen == gen {
-				s.hits.Add(1)
 				return e.v, true
 			}
 			return c.getStale(s, k, h, gen)
 		}
 	}
-	s.misses.Add(1)
 	return zero, false
 }
 
@@ -295,10 +305,8 @@ func (c *FlowCache[V]) getStale(s *flowShard[V], k FlowKey, h, gen uint64) (V, b
 	switch {
 	case e == nil:
 		s.mu.Unlock()
-		s.misses.Add(1)
 	case e.gen == gen:
 		s.mu.Unlock()
-		s.hits.Add(1)
 		return e.v, true
 	default:
 		s.kill(t, slot)
@@ -309,7 +317,8 @@ func (c *FlowCache[V]) getStale(s *flowShard[V], k FlowKey, h, gen uint64) (V, b
 }
 
 // invalidated books one dropped stale entry of the flow hashing to h: an
-// invalidation, a miss, and the flow's fingerprint left in the doorkeeper.
+// invalidation, and the flow's fingerprint left in the doorkeeper. The probe
+// that found it is the caller's to book, as a miss.
 func (c *FlowCache[V]) invalidated(s *flowShard[V], h uint64) {
 	if d := c.door.Load(); d != nil {
 		// A stale entry is proof the flow recurs: vouch for it, so storing it
@@ -319,15 +328,14 @@ func (c *FlowCache[V]) invalidated(s *flowShard[V], h uint64) {
 		}
 	}
 	s.invalidations.Add(1)
-	s.misses.Add(1)
 }
 
-// Reject takes back the hit Get just reported for k: the caller compared the
-// value against state the cache cannot see and found it stale. The entry is
-// dropped and the probe booked exactly as Get's own stale arm books one — an
-// invalidation and a miss, with the flow vouched for — never as a hit. An
-// entry a racing Put stored in between is dropped with it, which costs that
-// flow one more miss and nothing else.
+// Reject drops the entry Get just returned for k: the caller compared the
+// value against state the cache cannot see and found it stale. It counts what
+// Get's own stale arm counts — an invalidation, with the flow vouched for —
+// and the caller books the probe as a miss. An entry a racing Put stored in
+// between is dropped with it, which costs that flow one more miss and nothing
+// else.
 func (c *FlowCache[V]) Reject(k FlowKey) {
 	if c == nil {
 		return
@@ -341,8 +349,26 @@ func (c *FlowCache[V]) Reject(k FlowKey) {
 		}
 	}
 	s.mu.Unlock()
-	s.hits.Add(-1)
 	c.invalidated(s, h)
+}
+
+// Book adds a caller's tallies of probe outcomes — hits, misses and declined
+// admissions — to the counters Stats reports, on the shard lane selects (any
+// value; it is masked). Nothing else writes them.
+func (c *FlowCache[V]) Book(lane int, hits, misses, declined int64) {
+	if c == nil {
+		return
+	}
+	s := &c.shards[uint64(lane)&c.mask]
+	if hits != 0 {
+		s.hits.Add(hits)
+	}
+	if misses != 0 {
+		s.misses.Add(misses)
+	}
+	if declined != 0 {
+		s.declined.Add(declined)
+	}
 }
 
 // Put stores v for k under generation gen. A full shard is cleared wholesale
@@ -441,9 +467,9 @@ func (c *FlowCache[V]) growDoor(old *doorkeeper) *doorkeeper {
 }
 
 // Admit reports whether a value for k is worth storing: true once k has
-// missed before and its fingerprint is still in the doorkeeper, false (and
-// counted as declined) on a first sighting, which only leaves the
-// fingerprint. It takes no lock and allocates only when the doorkeeper
+// missed before and its fingerprint is still in the doorkeeper, false on a
+// first sighting, which only leaves the fingerprint (the caller books it as
+// declined). It takes no lock and allocates only when the doorkeeper
 // grows: slots are independent atomics, and a racing pair of callers can at
 // worst admit a flow one miss early or late.
 func (c *FlowCache[V]) Admit(k FlowKey) bool {
@@ -471,7 +497,6 @@ func (c *FlowCache[V]) Admit(k FlowKey) bool {
 			c.growDoor(d)
 		}
 	}
-	c.shards[h&c.mask].declined.Add(1)
 	return false
 }
 

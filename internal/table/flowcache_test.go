@@ -14,16 +14,16 @@ func TestFlowCacheHitMissInvalidation(t *testing.T) {
 	c := NewFlowCache[int64](4, 8)
 	k := FlowKey{Hook: 1, Key: 42, Arg2: 7}
 
-	if _, ok := c.Get(k, 1); ok {
+	if _, ok := probe(c, k, 1); ok {
 		t.Fatal("empty cache hit")
 	}
 	c.Put(k, 1, 99)
-	v, ok := c.Get(k, 1)
+	v, ok := probe(c, k, 1)
 	if !ok || v != 99 {
 		t.Fatalf("Get = %d, %v; want 99, true", v, ok)
 	}
 	// A generation bump must invalidate lazily, counted.
-	if _, ok := c.Get(k, 2); ok {
+	if _, ok := probe(c, k, 2); ok {
 		t.Fatal("stale generation hit")
 	}
 	st := c.Stats()
@@ -33,13 +33,15 @@ func TestFlowCacheHitMissInvalidation(t *testing.T) {
 	if st.Entries != 0 {
 		t.Fatalf("stale entry retained: %+v", st)
 	}
-	// A hit the caller then finds stale by its own stamp is taken back: booked
-	// like the stale arm above, never as a hit, and the flow is vouched for.
+	// A hit the caller then finds stale by its own stamp is dropped by Reject
+	// (an invalidation, the flow vouched for) and booked by the caller as the
+	// miss it was — never as a hit, so there is nothing to take back.
 	c.Put(k, 2, 100)
 	if _, ok := c.Get(k, 2); !ok {
 		t.Fatal("fresh entry missed")
 	}
 	c.Reject(k)
+	c.Book(0, 0, 1, 0)
 	st = c.Stats()
 	if st.Hits != 1 || st.Invalidations != 2 || st.Misses != 3 || st.Entries != 0 {
 		t.Fatalf("stats after Reject = %+v; want 1 hit, 2 invalidations, 3 misses, no entry", st)
@@ -51,6 +53,23 @@ func TestFlowCacheHitMissInvalidation(t *testing.T) {
 	if !c.Admit(k) {
 		t.Fatal("a rejected flow was not vouched for")
 	}
+	// Get and Admit book nothing of their own: hits, misses and declines are
+	// exactly what callers booked.
+	if got := c.Stats(); got.Hits != st.Hits || got.Misses != st.Misses || got.Declined != 0 {
+		t.Fatalf("stats after unbooked probes = %+v; want the booked %d hits, %d misses, 0 declined", got, st.Hits, st.Misses)
+	}
+}
+
+// probe is Get as the kernel uses it: every probe booked as one hit or one
+// miss, so Hits + Misses counts the probes.
+func probe[V any](c *FlowCache[V], k FlowKey, gen uint64) (V, bool) {
+	v, ok := c.Get(k, gen)
+	if ok {
+		c.Book(0, 1, 0, 0)
+	} else {
+		c.Book(0, 0, 1, 0)
+	}
+	return v, ok
 }
 
 func TestFlowCacheEviction(t *testing.T) {
@@ -122,8 +141,8 @@ func TestFlowCacheAdmitSecondTouch(t *testing.T) {
 	if c.Admit(FlowKey{Hook: 1, Key: 42, Arg2: 8}) {
 		t.Fatal("a different flow rode on another's fingerprint")
 	}
-	if st := c.Stats(); st.Declined != 2 || st.Entries != 0 {
-		t.Fatalf("stats = %+v; want 2 declined and nothing stored by Admit", st)
+	if st := c.Stats(); st.Declined != 0 || st.Entries != 0 {
+		t.Fatalf("stats = %+v; want nothing counted (callers book declines) and nothing stored by Admit", st)
 	}
 }
 
@@ -187,11 +206,15 @@ func TestFlowCacheReadmitsSharersOnOneMiss(t *testing.T) {
 }
 
 // admitGetPut is the verdict cache's use of the filter: probe, and on a miss
-// store only what Admit lets through.
+// store only what Admit lets through, booking each outcome.
 func admitGetPut(c *FlowCache[uint64], k FlowKey, gen uint64) (uint64, bool) {
-	v, ok := c.Get(k, gen)
-	if !ok && c.Admit(k) {
-		c.Put(k, gen, k.Key)
+	v, ok := probe(c, k, gen)
+	if !ok {
+		if c.Admit(k) {
+			c.Put(k, gen, k.Key)
+		} else {
+			c.Book(0, 0, 0, 1)
+		}
 	}
 	return v, ok
 }
@@ -375,11 +398,12 @@ func TestFlowShardIsWholeCacheLines(t *testing.T) {
 	}
 }
 
-// The store this file's FlowCache replaced, kept verbatim as the reference
-// model: one Go map per shard, every operation — hits included — under the
-// shard mutex. Only the admission filter is not copied: it never touched the
-// store, so the reference borrows the doorkeeper of a FlowCache it stores
-// nothing in.
+// The store this file's FlowCache replaced, kept as the reference model: one
+// Go map per shard, every operation — hits included — under the shard mutex.
+// It is verbatim but for the booking rule, which it follows as FlowCache does
+// (Get and Admit count no outcome, callers Book, Reject takes nothing back).
+// Only the admission filter is not copied: it never touched the store, so the
+// reference borrows the doorkeeper of a FlowCache it stores nothing in.
 
 type flowVal[V any] struct {
 	gen uint64
@@ -394,6 +418,7 @@ type mapFlowShard[V any] struct {
 	misses        atomic.Int64
 	invalidations atomic.Int64
 	evictions     atomic.Int64
+	declined      atomic.Int64
 }
 
 type mapFlowCache[V any] struct {
@@ -420,7 +445,6 @@ func (c *mapFlowCache[V]) Get(k FlowKey, gen uint64) (V, bool) {
 	e, ok := s.m[k]
 	if ok && e.gen == gen {
 		s.mu.Unlock()
-		s.hits.Add(1)
 		return e.v, true
 	}
 	if ok {
@@ -430,7 +454,6 @@ func (c *mapFlowCache[V]) Get(k FlowKey, gen uint64) (V, bool) {
 		return zero, false
 	}
 	s.mu.Unlock()
-	s.misses.Add(1)
 	return zero, false
 }
 
@@ -441,7 +464,6 @@ func (c *mapFlowCache[V]) invalidated(s *mapFlowShard[V], h uint64) {
 		}
 	}
 	s.invalidations.Add(1)
-	s.misses.Add(1)
 }
 
 func (c *mapFlowCache[V]) Reject(k FlowKey) {
@@ -450,8 +472,14 @@ func (c *mapFlowCache[V]) Reject(k FlowKey) {
 	s.mu.Lock()
 	delete(s.m, k)
 	s.mu.Unlock()
-	s.hits.Add(-1)
 	c.invalidated(s, h)
+}
+
+func (c *mapFlowCache[V]) Book(lane int, hits, misses, declined int64) {
+	s := &c.shards[uint64(lane)&c.mask]
+	s.hits.Add(hits)
+	s.misses.Add(misses)
+	s.declined.Add(declined)
 }
 
 func (c *mapFlowCache[V]) Put(k FlowKey, gen uint64, v V) {
@@ -478,9 +506,10 @@ func (c *mapFlowCache[V]) Reset() {
 }
 
 func (c *mapFlowCache[V]) Stats() FlowCacheStats {
-	st := FlowCacheStats{Declined: c.filter.Stats().Declined}
+	var st FlowCacheStats
 	for i := range c.shards {
 		s := &c.shards[i]
+		st.Declined += s.declined.Load()
 		st.Hits += s.hits.Load()
 		st.Misses += s.misses.Load()
 		st.Invalidations += s.invalidations.Load()
@@ -500,6 +529,7 @@ type flowStore interface {
 	Admit(FlowKey) bool
 	Reject(FlowKey)
 	Reset()
+	Book(lane int, hits, misses, declined int64)
 	Stats() FlowCacheStats
 }
 
@@ -542,7 +572,9 @@ func flat(v uint64, ok bool) [2]uint64 {
 
 // runFlowSchedule drives got and the map reference through sc and returns the
 // first difference in any return value or in Stats, which it compares after
-// every operation.
+// every operation. Outcomes are booked as the kernel books them, from each
+// store's own return values: a Get as one hit or one miss (a hit then
+// Rejected as a miss), an Admit that declines as one decline.
 func runFlowSchedule(sc flowSchedule, got flowStore) error {
 	want := newMapFlowCache[uint64](sc.shards, sc.perShard)
 	for n := 0; n+5 <= len(sc.ops); n += 5 {
@@ -550,12 +582,23 @@ func runFlowSchedule(sc flowSchedule, got flowStore) error {
 		i := (int(b[1]) | int(b[2])<<8 | int(b[3])<<16) % sc.flows
 		k, gen := scheduleFlow(i), uint64(b[4]%4)
 		v := uint64(i)<<8 | gen<<4 | uint64(b[0]>>4)
+		book := func(s flowStore, hit, declined bool) {
+			if hit {
+				s.Book(i, 1, 0, 0)
+			} else if declined {
+				s.Book(i, 0, 0, 1)
+			} else {
+				s.Book(i, 0, 1, 0)
+			}
+		}
 		var what string
 		var g, w [2]uint64 // return values, flattened
 		switch op := b[0] % 16; {
 		case op < 6: // the verdict cache's protocol: probe, store what Admit lets through
 			what = "Get+Admit+Put"
 			g, w = flat(got.Get(k, gen)), flat(want.Get(k, gen))
+			book(got, g[1] == 1, false)
+			book(want, w[1] == 1, false)
 			if g[1] == 0 && w[1] == 0 {
 				ga, wa := got.Admit(k), want.Admit(k)
 				if ga != wa {
@@ -564,11 +607,16 @@ func runFlowSchedule(sc flowSchedule, got flowStore) error {
 				if ga {
 					got.Put(k, gen, v)
 					want.Put(k, gen, v)
+				} else {
+					book(got, false, true)
+					book(want, false, true)
 				}
 			}
 		case op < 9:
 			what = "Get"
 			g, w = flat(got.Get(k, gen)), flat(want.Get(k, gen))
+			book(got, g[1] == 1, false)
+			book(want, w[1] == 1, false)
 		case op < 12: // the scan memo's protocol: unconditional
 			what = "Put"
 			got.Put(k, gen, v)
@@ -576,6 +624,10 @@ func runFlowSchedule(sc flowSchedule, got flowStore) error {
 		case op == 12:
 			what = "Admit"
 			g, w = flat(0, got.Admit(k)), flat(0, want.Admit(k))
+			if g[1] == 0 && w[1] == 0 {
+				book(got, false, true)
+				book(want, false, true)
+			}
 		case op < 15: // a hit the caller finds stale by its own stamp
 			what = "Get+Reject"
 			g, w = flat(got.Get(k, gen)), flat(want.Get(k, gen))
@@ -583,6 +635,8 @@ func runFlowSchedule(sc flowSchedule, got flowStore) error {
 				got.Reject(k)
 				want.Reject(k)
 			}
+			book(got, false, false)
+			book(want, false, false)
 		case b[4] < 16: // Reset is rare: one in 256 operations
 			what = "Reset"
 			got.Reset()
@@ -682,7 +736,6 @@ func (b brokenFlowCache) Get(k FlowKey, gen uint64) (uint64, bool) {
 	s := &c.shards[h&c.mask]
 	if t := s.tab.Load(); b.rule == "no generation compare" && t != nil {
 		if _, e := t.probe(k, h); e != nil {
-			s.hits.Add(1)
 			return e.v, true
 		}
 	}

@@ -402,9 +402,12 @@ func (t *Table) Lookup(key uint64) *Entry {
 	case MatchExact:
 		hit = sn.exact[key]
 	default:
+		// The memo books its own probes (FlowCache's booking rule).
 		if r, ok := t.memo.Get(FlowKey{Key: key}, ver); ok {
+			t.memo.Book(stripe(key), 1, 0, 0)
 			hit = r.hit
 		} else {
+			t.memo.Book(stripe(key), 0, 1, 0)
 			hit = t.scan(sn, key)
 			t.memo.Put(FlowKey{Key: key}, ver, scanResult{hit: hit})
 		}
@@ -453,18 +456,23 @@ func (t *Table) Probe(key uint64) *Entry {
 	return t.snap.Load().exact[key]
 }
 
-// CreditLookup replays the counter effects of one Lookup that resolved to
-// hit (nil means a miss). The kernel's verdict cache calls this on cache
-// hits so table statistics and entry hit counts stay exact even when the
-// match walk itself was skipped.
-func (t *Table) CreditLookup(key uint64, hit *Entry) {
-	t.lookups[stripe(key)].n.Add(1)
-	if hit == nil {
-		t.misses[stripe(key)].n.Add(1)
-		return
+// Credit replays the table-wide counter effects of lookups whose match walk
+// was skipped — the kernel's verdict-cache replays tally them per call and
+// credit them here once — so Stats stays exact: it counts lookups lookups, of
+// which misses matched nothing, on the stripe lane selects (any value; it is
+// masked). The entries the others matched are credited one by one
+// (Entry.CountHit).
+func (t *Table) Credit(lane int, lookups, misses int64) {
+	st := lane & (statShards - 1)
+	t.lookups[st].n.Add(lookups)
+	if misses != 0 {
+		t.misses[st].n.Add(misses)
 	}
-	hit.hits.Add(1)
 }
+
+// CountHit credits the entry with one lookup it would have matched had the
+// match walk run (Table.Credit carries the table-wide half).
+func (e *Entry) CountHit() { e.hits.Add(1) }
 
 func prefixMatch(key, val uint64, plen uint8) bool {
 	if plen == 0 {

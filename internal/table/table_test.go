@@ -184,6 +184,31 @@ func TestStatsAndHits(t *testing.T) {
 	}
 }
 
+// TestCreditMatchesLookups: the lookups a verdict-cache replay skips, credited
+// in bulk per table (Credit) and one by one per matched entry (CountHit),
+// leave the statistics the lookups themselves would have.
+func TestCreditMatchesLookups(t *testing.T) {
+	looked, credited := New("t", "hook", MatchExact), New("t", "hook", MatchExact)
+	var ents [2]*Entry
+	for i, tb := range []*Table{looked, credited} {
+		ents[i] = &Entry{Key: 1, Action: Action{Kind: ActionParam, Param: 1}}
+		_ = tb.Insert(ents[i])
+	}
+	for _, key := range []uint64{1, 1, 2, 1, 3} {
+		looked.Lookup(key)
+	}
+	credited.Credit(7, 3, 0)
+	credited.Credit(200, 2, 2)
+	for i := 0; i < 3; i++ {
+		ents[1].CountHit()
+	}
+	gl, gm := credited.Stats()
+	wl, wm := looked.Stats()
+	if gl != wl || gm != wm || ents[1].Hits() != ents[0].Hits() {
+		t.Fatalf("credited %d lookups/%d misses/%d entry hits; looked up %d/%d/%d", gl, gm, ents[1].Hits(), wl, wm, ents[0].Hits())
+	}
+}
+
 func TestEntriesSnapshot(t *testing.T) {
 	tb := New("t", "hook", MatchExact)
 	for _, k := range []uint64{5, 1, 3} {

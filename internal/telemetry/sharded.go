@@ -39,8 +39,12 @@ func NewShardedCounter(lanes int) *ShardedCounter {
 // Inc adds one on the caller's lane (any value; it is masked).
 func (c *ShardedCounter) Inc(lane int) { c.stripes[uint64(lane)&c.mask].v.Add(1) }
 
-// Add adds n on the caller's lane.
-func (c *ShardedCounter) Add(lane int, n int64) { c.stripes[uint64(lane)&c.mask].v.Add(n) }
+// Add adds n on the caller's lane; adding zero writes nothing.
+func (c *ShardedCounter) Add(lane int, n int64) {
+	if n != 0 {
+		c.stripes[uint64(lane)&c.mask].v.Add(n)
+	}
+}
 
 // Load sums the stripes.
 func (c *ShardedCounter) Load() int64 {
@@ -80,6 +84,15 @@ func NewShardedHistogram(lanes int) *ShardedHistogram {
 // Observe records v on the caller's lane.
 func (h *ShardedHistogram) Observe(lane int, v int64) {
 	h.stripes[uint64(lane)&h.mask].h.Observe(v)
+}
+
+// ObserveN records n observations of v on the caller's lane: two atomic adds
+// however large n is (none when n is 0), which is how a caller that tallies a
+// run of equal values publishes it.
+func (h *ShardedHistogram) ObserveN(lane int, v, n int64) {
+	if n != 0 {
+		h.stripes[uint64(lane)&h.mask].h.ObserveN(v, n)
+	}
 }
 
 // Count reports total observations across lanes.

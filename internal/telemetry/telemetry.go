@@ -64,9 +64,12 @@ func bucketFor(v int64) int {
 }
 
 // Observe records a value.
-func (h *Histogram) Observe(v int64) {
-	h.buckets[bucketFor(v)].Add(1)
-	h.sum.Add(v)
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the same value at the price of one.
+func (h *Histogram) ObserveN(v, n int64) {
+	h.buckets[bucketFor(v)].Add(n)
+	h.sum.Add(v * n)
 }
 
 // ObserveSince records the elapsed nanoseconds since start.

@@ -256,3 +256,30 @@ func TestHistogramOutputUnchangedWithoutCount(t *testing.T) {
 		t.Fatalf("count/sum = %d/%d plain, %d/%d sharded; want 100000/%d", plain.Count(), plain.Sum(), sharded.Count(), sharded.Sum(), old.sum.Load())
 	}
 }
+
+// TestObserveNIsNObservations: a run of n equal values published at once reads
+// back — count, sum, mean and every quantile, plain and sharded — exactly as
+// n single observations do.
+func TestObserveNIsNObservations(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var one, bulk Histogram
+	ones, bulks := NewShardedHistogram(4), NewShardedHistogram(4)
+	for i := 0; i < 2000; i++ {
+		v, n := rng.Int63()>>uint(rng.Intn(64)), int64(1+rng.Intn(100))
+		for j := int64(0); j < n; j++ {
+			one.Observe(v)
+			ones.Observe(i, v)
+		}
+		bulk.ObserveN(v, n)
+		bulks.ObserveN(i, v, n)
+	}
+	if one.Count() != bulk.Count() || one.Sum() != bulk.Sum() || ones.Count() != bulks.Count() || ones.Sum() != bulks.Sum() {
+		t.Fatalf("count/sum: %d/%d single, %d/%d bulk; sharded %d/%d single, %d/%d bulk",
+			one.Count(), one.Sum(), bulk.Count(), bulk.Sum(), ones.Count(), ones.Sum(), bulks.Count(), bulks.Sum())
+	}
+	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.999, 1} {
+		if one.Quantile(q) != bulk.Quantile(q) || ones.Quantile(q) != bulks.Quantile(q) {
+			t.Fatalf("Quantile(%v): %d single, %d bulk; sharded %d single, %d bulk", q, one.Quantile(q), bulk.Quantile(q), ones.Quantile(q), bulks.Quantile(q))
+		}
+	}
+}

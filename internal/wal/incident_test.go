@@ -47,9 +47,9 @@ func TestIncidentValidate(t *testing.T) {
 	l, _ := Open(t.TempDir(), Options{})
 	defer l.Close()
 	bad := []*Record{
-		{Kind: KindIncident},                                          // no payload
-		{Kind: KindIncident, Incident: &Incident{To: "jit"}},          // no hash
-		{Kind: KindIncident, Incident: &Incident{Hash: "x"}},          // no target tier
+		{Kind: KindIncident}, // no payload
+		{Kind: KindIncident, Incident: &Incident{To: "jit"}}, // no hash
+		{Kind: KindIncident, Incident: &Incident{Hash: "x"}}, // no target tier
 		{Kind: KindTxnCommit, Sub: []*Record{{Kind: KindIncident, Incident: &Incident{Hash: "x", To: "jit"}}}},
 	}
 	for i, r := range bad {
