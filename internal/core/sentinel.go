@@ -359,15 +359,15 @@ type engineLease struct {
 }
 
 // leaseSet is a single-goroutine-at-a-time cache of claimed sampler tickets.
-// It is part of the dispatch scratch, recycled through Kernel.pool (per-P in
-// normal builds, see scratchPool). A goroutine firing in a loop keeps drawing
-// the same scratch back out of the pool and consumes clock tickets strictly
+// It is part of the dispatch scratch, recycled through Kernel.pool (a LIFO
+// stack, see scratchPool). A goroutine firing in a loop keeps drawing the same
+// scratch back out of the pool and consumes clock tickets strictly
 // sequentially — the sampling schedule of a sequential fire stream is
 // therefore identical to an unchunked per-fire clock. Tickets parked in a
 // pooled set are consumed by whichever fire draws the set next; they are lost
-// only when the GC drops the set or slot eviction recycles an entry, which
-// skips at most leaseChunk-1 clock indices at aperiodic moments — it cannot
-// alias with the sampling modulus and starve the checker.
+// only when a full pool drops the set or slot eviction recycles an entry,
+// which skips at most leaseChunk-1 clock indices at aperiodic moments — it
+// cannot alias with the sampling modulus and starve the checker.
 type leaseSet struct {
 	evict  int
 	leases [leaseSlots]engineLease

@@ -137,6 +137,56 @@ func TestTable2Shape(t *testing.T) {
 	}
 }
 
+// TestIOTailShape regenerates Extension F and checks EXPERIMENTS.md's claims:
+// the learned router has the best mean latency of any router, it retrains
+// online, and unlike hedging it issues no duplicate IOs.
+func TestIOTailShape(t *testing.T) {
+	rows, err := IOTail(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := make(map[string]IOTailRow, len(rows))
+	for _, r := range rows {
+		by[r.Policy] = r
+	}
+	ours := by["rmt-learned"]
+	for _, base := range []string{"primary", "hedge", "shortest-queue"} {
+		if b, ok := by[base]; !ok || ours.MeanUs >= b.MeanUs {
+			t.Errorf("rmt-learned mean %.1fµs not below %s's %.1fµs", ours.MeanUs, base, b.MeanUs)
+		}
+	}
+	if ours.Trains == 0 {
+		t.Error("rmt-learned never retrained")
+	}
+	if ours.ExtraIOs != 0 {
+		t.Errorf("rmt-learned issued %d duplicate IOs, want 0", ours.ExtraIOs)
+	}
+}
+
+// TestNetIsolationShape regenerates Extension G and checks EXPERIMENTS.md's
+// claims: first-packet classification misroutes no more elephant packets
+// than the reactive threshold, and keeps mice p99 below the shared queue's.
+func TestNetIsolationShape(t *testing.T) {
+	rows, err := NetIsolation(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := make(map[string]NetRow, len(rows))
+	for _, r := range rows {
+		by[r.Policy] = r
+	}
+	ours, reactive, shared := by["rmt-learned"], by["reactive-32k"], by["shared-queue"]
+	if ours.Policy == "" || reactive.Policy == "" || shared.Policy == "" {
+		t.Fatalf("missing rows: %v", rows)
+	}
+	if ours.Misrouted > reactive.Misrouted {
+		t.Errorf("rmt-learned misrouted %d elephant packets, reactive-32k %d", ours.Misrouted, reactive.Misrouted)
+	}
+	if ours.MiceP99Us >= shared.MiceP99Us {
+		t.Errorf("rmt-learned mice p99 %.1fµs not below shared-queue's %.1fµs", ours.MiceP99Us, shared.MiceP99Us)
+	}
+}
+
 // TestOnlineAdaptationShape: continuous retraining must dominate the frozen
 // model after the pattern shift, and the control-plane monitor must notice
 // the shift.

@@ -9,8 +9,6 @@ import (
 // TestBytecodeFiresAllocateNothing: an uncached, unsampled fire of the
 // fixture borrows everything it needs (invocation, env, machine state, the
 // JIT's per-run record) from pools on every tier, not just the AOT one.
-// AllocsPerRun floors its average, so the race detector's random sync.Pool
-// drops do not trip it.
 func TestBytecodeFiresAllocateNothing(t *testing.T) {
 	for _, mode := range []core.ExecMode{core.ModeJIT, core.ModeInterp} {
 		k, err := NewHotPathKernel(mode, false)

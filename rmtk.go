@@ -2,17 +2,14 @@
 // of "Toward Reconfigurable Kernel Datapaths with Learned Optimizations"
 // (HotOS '21) as a Go library.
 //
-// The package re-exports the system's public surface:
+// The package re-exports the entry points of the system's public surface:
 //
 //   - an in-kernel RMT virtual machine (match/action tables installed at
 //     kernel hook points, a verified bytecode ISA with dedicated ML vector
-//     instructions, interpreted or JIT execution);
-//   - lightweight integer ML (decision trees, quantized MLPs, integer SVMs)
-//     with training in userspace floating point and integer-only inference;
-//   - a control plane for installing programs, reconfiguring entries,
-//     pushing retrained models, and monitoring prediction accuracy;
-//   - simulated kernel substrates (a swap/memory subsystem and a CFS-style
-//     scheduler) that reproduce the paper's two case studies.
+//     instructions, interpreted, JIT or AOT execution);
+//   - a control plane for installing programs, reconfiguring entries and
+//     pushing models, optionally backed by a write-ahead log;
+//   - multi-tenant admission control.
 //
 // Quick start:
 //
@@ -24,19 +21,19 @@
 //	_ = report
 //	verdict, _, _ := k.RunProgramByName("answer", 0, 0, 0) // 42
 //
-// See examples/ for the paper's case studies end to end and DESIGN.md for
-// the system inventory.
+// The package's Examples run the paper's Figure 1 and its lean-monitoring
+// and cross-application benefits end to end; cmd/rmtbench regenerates the
+// case-study tables and every other experiment. DESIGN.md has the system
+// inventory.
 package rmtk
 
 import (
 	"rmtk/internal/core"
 	"rmtk/internal/ctrl"
 	"rmtk/internal/dp"
-	"rmtk/internal/fault"
 	"rmtk/internal/isa"
 	"rmtk/internal/qos"
 	"rmtk/internal/table"
-	"rmtk/internal/verifier"
 	"rmtk/internal/wal"
 )
 
@@ -47,39 +44,11 @@ type Kernel = core.Kernel
 // Config parameterizes kernel construction.
 type Config = core.Config
 
-// ExecMode selects interpretation, JIT compilation, or the AOT registry.
-type ExecMode = core.ExecMode
-
-// Execution modes.
-const (
-	ModeJIT    = core.ModeJIT
-	ModeInterp = core.ModeInterp
-	ModeAOT    = core.ModeAOT
-)
-
-// Model is a registered inference model callable from RMT programs.
-type Model = core.Model
-
-// FuncModel adapts a Go function to Model with declared cost.
-type FuncModel = core.FuncModel
-
-// Matrix is a registered integer weight matrix for RMT_MAT_MUL.
-type Matrix = core.Matrix
-
-// FireResult reports the outcome of one hook dispatch.
-type FireResult = core.FireResult
-
-// Invocation carries per-dispatch state visible to helpers.
-type Invocation = core.Invocation
+// ModeJIT selects closure-threaded JIT execution (Config.Mode).
+const ModeJIT = core.ModeJIT
 
 // Program is a unit of admission: bytecode plus declared resources.
 type Program = isa.Program
-
-// Instr is a single RMT instruction.
-type Instr = isa.Instr
-
-// Table is one reconfigurable match table.
-type Table = table.Table
 
 // Entry is one match/action row.
 type Entry = table.Entry
@@ -91,39 +60,26 @@ type Action = table.Action
 const (
 	MatchExact   = table.MatchExact
 	MatchPrefix  = table.MatchPrefix
-	MatchRange   = table.MatchRange
 	MatchTernary = table.MatchTernary
 )
 
 // Action kinds.
 const (
-	ActionPass    = table.ActionPass
 	ActionCollect = table.ActionCollect
-	ActionInfer   = table.ActionInfer
 	ActionProgram = table.ActionProgram
 	ActionParam   = table.ActionParam
+)
+
+// Standard helper ids available to programs.
+const (
+	HelperEmit    = core.HelperEmit
+	HelperCtxSum  = core.HelperCtxSum
+	HelperHistLen = core.HelperHistLen
 )
 
 // ControlPlane is the userland API for program/entry/model management and
 // accuracy monitoring.
 type ControlPlane = ctrl.Plane
-
-// AccuracyMonitor tracks windowed prediction accuracy and drives
-// reconfiguration.
-type AccuracyMonitor = ctrl.AccuracyMonitor
-
-// NewAccuracyMonitor builds a monitor over a sliding outcome window that
-// degrades below threshold and recovers at or above it.
-func NewAccuracyMonitor(window int, threshold float64) *AccuracyMonitor {
-	return ctrl.NewAccuracyMonitor(window, threshold)
-}
-
-// Report is the verifier's admission report.
-type Report = verifier.Report
-
-// PrivacyAccountant tracks a differential-privacy budget over aggregate
-// context queries.
-type PrivacyAccountant = dp.Accountant
 
 // New constructs a kernel with the standard helper set registered.
 func New(cfg Config) *Kernel { return core.NewKernel(cfg) }
@@ -132,203 +88,18 @@ func New(cfg Config) *Kernel { return core.NewKernel(cfg) }
 func NewControlPlane(k *Kernel) *ControlPlane { return ctrl.New(k) }
 
 // NewTable creates an empty match table for a hook point.
-func NewTable(name, hook string, kind table.MatchKind) *Table {
+func NewTable(name, hook string, kind table.MatchKind) *table.Table {
 	return table.New(name, hook, kind)
 }
 
-// NewPrivacyAccountant creates a DP budget with the given total epsilon.
-func NewPrivacyAccountant(epsilon float64, seed int64) (*PrivacyAccountant, error) {
+// Assemble parses RMT assembler text into instructions.
+func Assemble(src string) ([]isa.Instr, error) { return isa.Assemble(src) }
+
+// NewPrivacyAccountant creates a differential-privacy budget over aggregate
+// context queries with the given total epsilon (Config.Privacy).
+func NewPrivacyAccountant(epsilon float64, seed int64) (*dp.Accountant, error) {
 	return dp.NewAccountant(epsilon, seed)
 }
-
-// Assemble parses RMT assembler text into instructions.
-func Assemble(src string) ([]Instr, error) { return isa.Assemble(src) }
-
-// Verify statically checks a program against explicit registries (the
-// kernel runs this automatically at InstallProgram; this entry point serves
-// offline toolchains like rmtkctl).
-func Verify(prog *Program, cfg verifier.Config) (*Report, error) {
-	return verifier.Verify(prog, cfg)
-}
-
-// Standard helper ids available to programs.
-const (
-	HelperEmit       = core.HelperEmit
-	HelperCtxSum     = core.HelperCtxSum
-	HelperCtxCount   = core.HelperCtxCount
-	HelperClampDelta = core.HelperClampDelta
-	HelperHistLen    = core.HelperHistLen
-	HelperUserBase   = core.HelperUserBase
-)
-
-// Fault containment (see DESIGN.md "Fault containment & graceful
-// degradation"): a per-program circuit breaker quarantines a misbehaving
-// learned datapath and routes its hook to a registered baseline fallback,
-// probing half-open with exponential backoff until sustained success
-// re-admits it.
-
-// Supervisor owns the circuit breakers of every supervised program.
-type Supervisor = core.Supervisor
-
-// SupervisorConfig parameterizes the breaker state machine.
-type SupervisorConfig = core.SupervisorConfig
-
-// BreakerState is the circuit-breaker state of one program.
-type BreakerState = core.BreakerState
-
-// Breaker states.
-const (
-	BreakerClosed   = core.BreakerClosed
-	BreakerOpen     = core.BreakerOpen
-	BreakerHalfOpen = core.BreakerHalfOpen
-)
-
-// Fallback is a baseline policy a hook degrades to during quarantine.
-type Fallback = core.Fallback
-
-// FallbackFunc adapts a function to Fallback.
-type FallbackFunc = core.FallbackFunc
-
-// FaultInjector is the deterministic, seeded fault-injection framework.
-type FaultInjector = fault.Injector
-
-// FaultRule schedules one fault kind against one target.
-type FaultRule = fault.Rule
-
-// FaultKind enumerates the injectable fault classes.
-type FaultKind = fault.Kind
-
-// Injectable fault classes.
-const (
-	FaultHelperError    = fault.KindHelperError
-	FaultVMTrap         = fault.KindVMTrap
-	FaultModelSwapFail  = fault.KindModelSwapFail
-	FaultCorruptVerdict = fault.KindCorruptVerdict
-	FaultLatencySpike   = fault.KindLatencySpike
-)
-
-// NewFaultInjector builds a deterministic injector over a rule schedule.
-func NewFaultInjector(seed int64, rules ...FaultRule) *FaultInjector {
-	return fault.NewInjector(seed, rules...)
-}
-
-// BackoffConfig parameterizes the control plane's retry-with-backoff.
-type BackoffConfig = ctrl.BackoffConfig
-
-// Transactional reconfiguration and staged rollout (see DESIGN.md
-// "Transactional control plane & canary rollout"): multi-step control
-// operations stage against a versioned snapshot and commit atomically with
-// full rollback on failure; model and program pushes can ride a shadow-mode
-// canary that vets the candidate on live traffic before promotion, with
-// automatic rollback if it regresses after going live.
-
-// Txn is a staged multi-step control-plane transaction.
-type Txn = ctrl.Txn
-
-// TableRef resolves to the created table after a transaction commits.
-type TableRef = ctrl.TableRef
-
-// ProgRef resolves to the admitted program after a transaction commits.
-type ProgRef = ctrl.ProgRef
-
-// Canary drives one staged rollout through shadow vetting, promotion,
-// probation and rollback.
-type Canary = ctrl.Canary
-
-// CanaryConfig sets the promotion gates of a staged rollout.
-type CanaryConfig = ctrl.CanaryConfig
-
-// CanaryState is the lifecycle state of a staged rollout.
-type CanaryState = ctrl.CanaryState
-
-// Canary lifecycle states.
-const (
-	CanaryShadowing  = ctrl.CanaryShadowing
-	CanaryProbation  = ctrl.CanaryProbation
-	CanaryPromoted   = ctrl.CanaryPromoted
-	CanaryRejected   = ctrl.CanaryRejected
-	CanaryRolledBack = ctrl.CanaryRolledBack
-)
-
-// Shadow runs a candidate program or model alongside the incumbent at a
-// hook, observing the same invocations with writes suppressed and zero
-// virtual-clock cost.
-type Shadow = core.Shadow
-
-// CanaryReport aggregates a shadow's divergence/trap/step telemetry.
-type CanaryReport = core.CanaryReport
-
-// NewModelShadow builds a shadow substituting candidate for the model
-// modelID wherever the hook's programs invoke it.
-func NewModelShadow(hook string, modelID int64, candidate Model) *Shadow {
-	return core.NewModelShadow(hook, modelID, candidate)
-}
-
-// NewProgramShadow builds a shadow running candidate program progID in place
-// of the matched entry's program.
-func NewProgramShadow(hook string, progID int64) *Shadow {
-	return core.NewProgramShadow(hook, progID)
-}
-
-// ErrBudgetExceeded classifies model pushes rejected by the verifier's
-// FLOP/memory cost gate (wrapped alongside the specific sentinel).
-var ErrBudgetExceeded = ctrl.ErrBudgetExceeded
-
-// Multi-tenant isolation (see DESIGN.md "Multi-tenancy & admission
-// control"): tenants own name-prefixed resources behind independent route
-// snapshots, verdict caches and supervisors; a QoS admission controller
-// decides per fire whether a tenant's event runs, degrades to the hook's
-// baseline fallback, or is shed with a typed error; a weighted-fair fire
-// queue drains backlogs by strict class priority and in-class quota weight.
-
-// TenantQuota is one tenant's contract: QoS class, reserved rate and burst,
-// fair-share weight, and hard resource caps.
-type TenantQuota = core.TenantQuota
-
-// TenantStatus reports one tenant's quotas, resources and fire accounting.
-type TenantStatus = core.TenantStatus
-
-// QoSClass is a tenant's service tier.
-type QoSClass = qos.Class
-
-// QoS tiers, in strict scheduling-priority order.
-const (
-	QoSGuaranteed = qos.Guaranteed
-	QoSBurstable  = qos.Burstable
-	QoSBestEffort = qos.BestEffort
-)
-
-// AdmissionController decides admit/degrade/shed per tenant fire.
-type AdmissionController = qos.Controller
-
-// AdmissionConfig parameterizes the admission controller.
-type AdmissionConfig = qos.Config
-
-// NewAdmissionController builds an admission controller; nowNs seeds the
-// load-measurement window. Attach it with Kernel.SetAdmission.
-func NewAdmissionController(cfg AdmissionConfig, nowNs int64) *AdmissionController {
-	return qos.NewController(cfg, nowNs)
-}
-
-// FireQueue is the weighted-fair scheduler over queued tenant fires.
-type FireQueue = core.FireQueue
-
-// TenantName prefixes a resource name with a tenant namespace ("" returns
-// the name unchanged: the default tenant's resources are unprefixed).
-func TenantName(tenant, name string) string { return core.TenantName(tenant, name) }
-
-// Tenancy sentinels; branch with errors.Is.
-var (
-	// ErrAdmissionShed is wrapped when admission control sheds a fire under
-	// overload — deliberate load management, not a datapath failure.
-	ErrAdmissionShed = qos.ErrAdmissionShed
-	// ErrTenantUnknown is wrapped when an operation addresses a tenant that
-	// was never registered or has been torn down.
-	ErrTenantUnknown = qos.ErrTenantUnknown
-	// ErrQuotaExceeded is wrapped when an operation would push a tenant past
-	// a hard resource quota.
-	ErrQuotaExceeded = qos.ErrQuotaExceeded
-)
 
 // Durable control plane (see DESIGN.md "Durability & recovery"): a
 // WAL-backed plane appends every committed mutation to a CRC-framed
@@ -340,9 +111,6 @@ var (
 // WALOptions configures the durable log (sync discipline, etc.).
 type WALOptions = wal.Options
 
-// RecoveryStats reports what a recovery restored, replayed and discarded.
-type RecoveryStats = ctrl.RecoveryStats
-
 // OpenDurableControlPlane opens a WAL-backed control plane over k rooted at
 // dir. The directory must be fresh (or empty): rebuilding from existing
 // state is RecoverControlPlane's job.
@@ -352,14 +120,38 @@ func OpenDurableControlPlane(k *Kernel, dir string, opts WALOptions) (*ControlPl
 
 // RecoverControlPlane rebuilds a kernel and its control plane from a durable
 // state directory and reattaches the log for continued operation.
-func RecoverControlPlane(dir string, cfg Config, opts WALOptions) (*ControlPlane, RecoveryStats, error) {
+func RecoverControlPlane(dir string, cfg Config, opts WALOptions) (*ControlPlane, ctrl.RecoveryStats, error) {
 	return ctrl.Recover(dir, cfg, opts, nil)
 }
 
-// ErrRecoveryMismatch classifies recoveries whose replayed state failed an
-// integrity check; ErrNotReplayable classifies durable commits refused
-// because a staged operation has no log form.
-var (
-	ErrRecoveryMismatch = ctrl.ErrRecoveryMismatch
-	ErrNotReplayable    = ctrl.ErrNotReplayable
-)
+// Multi-tenant isolation (see DESIGN.md "Multi-tenancy & admission
+// control"): tenants own name-prefixed resources behind independent route
+// snapshots, verdict caches and supervisors; a QoS admission controller
+// decides per fire whether a tenant's event runs, degrades to the hook's
+// baseline fallback, or is shed with a typed error.
+
+// TenantQuota is one tenant's contract: QoS class, reserved rate and burst,
+// fair-share weight, and hard resource caps.
+type TenantQuota = core.TenantQuota
+
+// QoSGuaranteed is the highest-priority service tier: untouched inside its
+// reservation.
+const QoSGuaranteed = qos.Guaranteed
+
+// AdmissionConfig parameterizes the admission controller.
+type AdmissionConfig = qos.Config
+
+// NewAdmissionController builds an admission controller; nowNs seeds the
+// load-measurement window. Attach it with Kernel.SetAdmission.
+func NewAdmissionController(cfg AdmissionConfig, nowNs int64) *qos.Controller {
+	return qos.NewController(cfg, nowNs)
+}
+
+// TenantName prefixes a resource name with a tenant namespace ("" returns
+// the name unchanged: the default tenant's resources are unprefixed).
+func TenantName(tenant, name string) string { return core.TenantName(tenant, name) }
+
+// ErrAdmissionShed is wrapped when admission control sheds a fire under
+// overload — deliberate load management, not a datapath failure. Branch with
+// errors.Is.
+var ErrAdmissionShed = qos.ErrAdmissionShed
