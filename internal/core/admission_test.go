@@ -183,17 +183,19 @@ func TestDispatchDrawsScratchOnce(t *testing.T) {
 
 // TestReadmissionAfterCommitTakesOneMiss: admission is generation-agnostic. A
 // flow cached under one generation is stored again on its first miss under
-// the next; only a flow's first sighting ever pays the extra miss.
+// the next; only a flow's first sighting ever pays the extra miss. The commit
+// rewrites the flow's own entry (to the same action): an edit of another key
+// would leave the verdict cached.
 func TestReadmissionAfterCommitTakesOneMiss(t *testing.T) {
-	k, _, _, tb := newHotPathTestKernel(t, 4)
+	k, _, progID, tb := newHotPathTestKernel(t, 4)
 	fire := func() FireResult { return k.Fire(hpTestHook, 1, 2, 0) }
 	for i, wantHit := range []bool{false, false, true} {
 		if res := fire(); res.CacheHit != wantHit || res.Verdict != 12 {
 			t.Fatalf("fire %d: %+v, want CacheHit=%v", i+1, res, wantHit)
 		}
 	}
-	if err := tb.Insert(&table.Entry{Key: 99, Action: table.Action{Kind: table.ActionParam, Param: 1}}); err != nil {
-		t.Fatal(err)
+	if !tb.UpdateAction(1, table.Action{Kind: table.ActionProgram, ProgID: progID}) {
+		t.Fatal("key 1 has no entry")
 	}
 	if res := fire(); res.CacheHit {
 		t.Fatalf("table mutation did not invalidate: %+v", res)

@@ -20,13 +20,16 @@ import (
 //
 // The per-(hook,args) verdict cache memoizes fire outcomes under a stamp of
 // exactly what the fire read — the tenant's flush counter, the hook route's
-// epoch, the version of every table consulted, the model dependency count of
-// the program run — and a replay compares it component by component
-// (cachedFire.check), so a commit invalidates the verdicts that could have
-// read what it changed and no others: an insert into another hook's table, a
-// new program, a push of a model no cached program declares leave them alone.
-// Every writer publishes before it advances its component and every fire
-// loads the component before what it stamps, so a stamp can go stale, never
+// epoch, per table consulted either the entry an exact table matched or the
+// table's version, the model dependency count of the program run — and a
+// replay compares it component by component (cachedFire.check), so a commit
+// invalidates the verdicts that could have read what it changed and no
+// others: an insert into another hook's table, a new program, a push of a
+// model no cached program declares, an edit of another key of an exact table
+// leave them alone. Every writer publishes before it advances its component
+// (a table retires an entry after publishing the snapshot without it) and
+// every fire loads the component before what it stamps (an exact match is
+// stamped by the entry the lookup returned), so a stamp can go stale, never
 // wrong. The datapath generation still advances on every mutation; it is
 // reporting (Generation, TenantGeneration), no longer the cache's token.
 //
@@ -273,7 +276,7 @@ func (k *Kernel) publishTenantLocked(ts *tenantState, keep bool) {
 // including the admin view. It is the tables' onMutate hook, so entry
 // inserts/deletes/rewrites show in the datapath generations even though they
 // do not republish route snapshots. Cached verdicts that consulted the table
-// die by its version, not by this.
+// die by its version or their matched entry's retirement, not by this.
 func (k *Kernel) bumpGenFor(owner string) {
 	k.def.gen.Add(1)
 	dir := k.tdir.Load() // stored by NewKernel, never nil
@@ -310,18 +313,23 @@ func (k *Kernel) Generation() uint64 { return k.def.gen.Load() }
 
 // cachedRow replays one table lookup's counter effects: the table that was
 // consulted and the entry the scan matched (nil when the scan missed and the
-// default action, if any, applied), stamped with the table version read
-// before that lookup.
+// default action, if any, applied). It is stamped by that entry when byEntry
+// — an exact table's match, whose answer depends on that key's entry alone, so
+// the row is current while the entry is live — and otherwise by the table
+// version read before the lookup, since any insert or default change can move
+// a miss, a default or a prefix/range/ternary match.
 type cachedRow struct {
-	t   *table.Table
-	hit *table.Entry
-	ver uint64
+	t       *table.Table
+	hit     *table.Entry
+	ver     uint64
+	byEntry bool
 }
 
 // cachedFire is one memoized fire outcome for a pure pipeline, with the stamp
-// of what it read: the hook route's epoch, a version per consulted table
-// (rows) and the model dependency count of the one program it ran. The flush
-// count it was computed under is the generation the FlowCache stores it by.
+// of what it read: the hook route's epoch, an entry or a version per consulted
+// table (rows) and the model dependency count of the one program it ran. The
+// flush count it was computed under is the generation the FlowCache stores it
+// by.
 type cachedFire struct {
 	rows    []cachedRow
 	matched int
@@ -354,7 +362,12 @@ func (cf *cachedFire) check(rt *routes, hr *hookRoute) (*progBinding, int) {
 		return nil, staleHook
 	}
 	for i := range cf.rows {
-		if cf.rows[i].t.Version() != cf.rows[i].ver {
+		r := &cf.rows[i]
+		if r.byEntry {
+			if !r.hit.Live() {
+				return nil, staleTable
+			}
+		} else if r.t.Version() != r.ver {
 			return nil, staleTable
 		}
 	}
@@ -388,16 +401,17 @@ func (r *fireRec) addRow(t *table.Table, hit *table.Entry, ver uint64) {
 		r.ok = false
 		return
 	}
-	r.rows[r.nrows] = cachedRow{t: t, hit: hit, ver: ver}
+	r.rows[r.nrows] = cachedRow{t: t, hit: hit, ver: ver, byEntry: hit != nil && t.Kind == table.MatchExact}
 	r.nrows++
 }
 
 // StaleCounts splits a verdict cache's invalidations by the stamp component
 // that had moved when the entry was probed: Flush (a publish other than a
 // resource addition, or a sentinel incident), Hook (the pipeline was edited),
-// Table (an entry or default of a consulted table changed), Model (a model the
-// program declares was swapped, or the program is gone). They sum to
-// FlowCacheStats.Invalidations.
+// Table (an exact-table entry the fire matched was replaced or removed, or a
+// table stamped by version — a miss or default row, any prefix, range or
+// ternary match — changed), Model (a model the program declares was swapped,
+// or the program is gone). They sum to FlowCacheStats.Invalidations.
 type StaleCounts struct {
 	Flush, Hook, Table, Model int64
 }

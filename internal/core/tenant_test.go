@@ -103,14 +103,15 @@ func TestTenantVerdictCacheIsolation(t *testing.T) {
 	}
 
 	genB := k.TenantGeneration("beta")
-	// Mutate alpha's table: alpha's generation moves, beta's must not.
-	if err := ta.Insert(&table.Entry{Key: 2, Action: table.Action{Kind: table.ActionParam, Param: 101}}); err != nil {
-		t.Fatal(err)
+	// Rewrite the entry alpha's flow matched: alpha's generation moves, and its
+	// verdict dies; beta's do not.
+	if !ta.UpdateAction(1, table.Action{Kind: table.ActionParam, Param: 101}) {
+		t.Fatal("alpha's key 1 has no entry")
 	}
 	if k.TenantGeneration("beta") != genB {
 		t.Fatal("alpha's table mutation bumped beta's generation")
 	}
-	if res, _ := k.FireTenant("alpha", "h", 1, 0, 0); res.CacheHit {
+	if res, _ := k.FireTenant("alpha", "h", 1, 0, 0); res.CacheHit || res.Verdict != 101 {
 		t.Fatalf("alpha verdict not invalidated: %+v", res)
 	}
 	if res, _ := k.FireTenant("beta", "h", 1, 0, 0); !res.CacheHit {
