@@ -265,7 +265,7 @@ func TestTenantStatusCommand(t *testing.T) {
 
 func TestEngineStatusCommand(t *testing.T) {
 	dir := t.TempDir()
-	p, err := ctrl.Open(core.NewKernel(core.Config{}), dir, wal.Options{NoSync: true})
+	p, err := ctrl.Open(core.NewKernel(core.Config{Quarantine: core.QuarantineConfig{CooldownFires: 1 << 20}}), dir, wal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestEngineStatusCommand(t *testing.T) {
 	}
 	// One injected engine panic with DemoteAfter=1 demotes jit→interp and
 	// logs an incident for the offline view to find.
-	p.K.AttachSentinel(core.SentinelConfig{SampleEvery: 1 << 20, DemoteAfter: 1, CooldownFires: 1 << 20})
+	p.K.AttachSentinel(core.SentinelConfig{SampleEvery: 1 << 20, DemoteAfter: 1})
 	if err := p.EnableIncidentLog(); err != nil {
 		t.Fatal(err)
 	}

@@ -618,8 +618,10 @@ func (d *dispatch) runProgram(pb *progBinding, param int64) (verdict int64, step
 	// healthy program one atomic tier compare.
 	pref, h := pb.pref, pb.health
 	tier, probe := pref, false
-	if h != nil && EngineTier(h.tier.Load()) < pref {
-		tier, probe = h.decideSlow(pref)
+	if h != nil && h.tier() < pref {
+		var rung int32
+		rung, probe = h.decide(int32(pref))
+		tier = EngineTier(rung)
 	}
 	if probe || tier != pref {
 		s.rec.ok = false

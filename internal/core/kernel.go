@@ -116,6 +116,10 @@ type Config struct {
 	// decision caching). Benchmarks use it for the uncached arm; production
 	// kernels leave it on.
 	DisableVerdictCache bool
+	// Quarantine is the cooldown, backoff and probe policy every supervisor
+	// breaker and engine-health record of the kernel climbs back up
+	// (ladder.go).
+	Quarantine QuarantineConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -134,6 +138,7 @@ func (c Config) withDefaults() Config {
 	if c.QueryEpsilon <= 0 {
 		c.QueryEpsilon = 0.1
 	}
+	c.Quarantine = c.Quarantine.withDefaults()
 	return c
 }
 

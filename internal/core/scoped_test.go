@@ -89,7 +89,7 @@ func diffConstProg(name, hook string, c int64) *isa.Program {
 func newDiffPair(omit string) (*diffPair, error) {
 	p := &diffPair{omit: omit}
 	for i := range p.ks {
-		p.ks[i] = NewKernel(Config{DisableVerdictCache: i == 1})
+		p.ks[i] = NewKernel(Config{DisableVerdictCache: i == 1, Quarantine: QuarantineConfig{CooldownFires: 6, ProbeSuccesses: 2}})
 	}
 	err := p.both(func(k *Kernel) error {
 		for _, tn := range []string{"ta", "tb"} {
@@ -432,7 +432,7 @@ func (p *diffPair) mutate(x, y byte) error {
 		})
 	case 23:
 		return p.both(func(k *Kernel) error {
-			k.Supervise(SupervisorConfig{CooldownFires: 4 + int64(y%8), HalfOpenSuccesses: 2, Seed: int64(y)})
+			k.Supervise(SupervisorConfig{JitterFrac: float64(y%8) / 8, Seed: int64(y)})
 			return nil
 		})
 	case 24:
@@ -443,7 +443,7 @@ func (p *diffPair) mutate(x, y byte) error {
 		p.sentinel = !p.sentinel
 		return p.both(func(k *Kernel) error {
 			if p.sentinel {
-				k.AttachSentinel(SentinelConfig{SampleEvery: 1 << 30, CooldownFires: 6, ProbeSuccesses: 2, Seed: int64(y)})
+				k.AttachSentinel(SentinelConfig{SampleEvery: 1 << 30, Seed: int64(y)})
 			} else {
 				k.DetachSentinel()
 			}

@@ -493,5 +493,5 @@ func (k *Kernel) tenantSupervisorLocked(q TenantQuota) *Supervisor {
 	if q.LatencySLONs > 0 {
 		cfg.LatencySLONs = q.LatencySLONs
 	}
-	return newSupervisor(cfg, k.Metrics)
+	return newSupervisor(cfg, k.cfg.Quarantine, k.Metrics)
 }

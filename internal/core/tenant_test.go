@@ -362,8 +362,8 @@ func TestTenantTeardownRacesFires(t *testing.T) {
 // TestTenantBreakerIsolation: tenants share a default-owned program; tripping
 // it in one tenant's supervisor must not quarantine it for the other.
 func TestTenantBreakerIsolation(t *testing.T) {
-	k := NewKernel(Config{})
-	k.Supervise(SupervisorConfig{TripConsecutive: 1, CooldownFires: 1000})
+	k := NewKernel(Config{Quarantine: QuarantineConfig{CooldownFires: 1000}})
+	k.Supervise(SupervisorConfig{TripConsecutive: 1})
 	for _, tn := range []string{"alpha", "beta"} {
 		if err := k.RegisterTenant(tn, TenantQuota{}); err != nil {
 			t.Fatal(err)

@@ -31,9 +31,7 @@ func incidentRig(t *testing.T) (*Plane, string) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	p.K.AttachSentinel(core.SentinelConfig{
-		SampleEvery: 1 << 20, DemoteAfter: 1, CooldownFires: 1 << 20,
-	})
+	p.K.AttachSentinel(core.SentinelConfig{SampleEvery: 1 << 20, DemoteAfter: 1})
 	if err := p.EnableIncidentLog(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,5 +140,51 @@ func TestIncidentCheckpointed(t *testing.T) {
 	q := p2.K.EngineQuarantines()
 	if len(q) != 1 || q[0].Hash != hash || q[0].Tier != core.TierInterp {
 		t.Fatalf("checkpoint-restored quarantines = %v", q)
+	}
+}
+
+// TestRePromotionOutlivesCheckpoint: a quarantine restored at recovery that
+// the program then probes its way out of is over — the next checkpoint must
+// not carry it, so a second recovery brings the program back at its max tier.
+func TestRePromotionOutlivesCheckpoint(t *testing.T) {
+	p, hash := incidentRig(t)
+	dir := p.WAL().Dir()
+	if err := p.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	fast := core.Config{Quarantine: core.QuarantineConfig{CooldownFires: 1, ProbeSuccesses: 1}}
+	p2, _, err := Recover(dir, fast, wal.Options{NoSync: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2.K.AttachSentinel(core.SentinelConfig{SampleEvery: 1 << 20})
+	// The first fire probes jit (cooldown 1) and its one clean probe
+	// re-promotes.
+	if res := p2.K.Fire("h/inc", 1, 0, 0); res.Trapped || res.Verdict != 8 {
+		t.Fatalf("probe fire: %+v", res)
+	}
+	if st := p2.K.EngineStatus()[0]; st.Hash != hash || st.Tier != core.TierJIT {
+		t.Fatalf("after the probe: %+v, want %s back at jit", st, hash)
+	}
+	if q := p2.K.EngineQuarantines(); len(q) != 0 {
+		t.Fatalf("quarantines after re-promotion = %v", q)
+	}
+	if _, err := p2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	p3, _, err := Recover(dir, core.Config{}, wal.Options{NoSync: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p3.WAL().Close() })
+	p3.K.AttachSentinel(core.SentinelConfig{})
+	if q := p3.K.EngineQuarantines(); len(q) != 0 {
+		t.Fatalf("quarantines after a second recovery = %v", q)
+	}
+	if st := p3.K.EngineStatus()[0]; st.Tier != core.TierJIT {
+		t.Fatalf("recovered tier = %s, want jit", st.Tier)
 	}
 }

@@ -88,7 +88,13 @@ var paperTable1 = map[string][3][3]float64{
 // returns the kernel-routed prefetcher ("Ours"). Exposed so benchmarks can
 // run the full stack in either execution mode.
 func NewRMTPrefetcher(mode core.ExecMode) (*rmtprefetch.Prefetcher, *core.Kernel, error) {
-	k := core.NewKernel(core.Config{CtxHistory: 4096, Mode: mode})
+	return newRMTPrefetcher(core.Config{CtxHistory: 4096, Mode: mode})
+}
+
+// newRMTPrefetcher builds the Figure-1 prefetcher on a kernel of its own
+// configuration.
+func newRMTPrefetcher(cfg core.Config) (*rmtprefetch.Prefetcher, *core.Kernel, error) {
+	k := core.NewKernel(cfg)
 	plane := ctrl.New(k)
 	p, err := rmtprefetch.New(k, plane, rmtprefetch.Config{})
 	if err != nil {
