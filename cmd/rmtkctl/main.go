@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	rmtkctl [-O] asm <prog.rmt>                 assemble to <prog.bin>
+//	rmtkctl asm <prog.rmt>                      assemble to <prog.bin>
 //	rmtkctl dis <prog.bin>                      disassemble wire format
-//	rmtkctl [-O] [-v] verify <prog.rmt>         run the verifier, print the report
+//	rmtkctl [-v] verify <prog.rmt>              run the verifier, print the report
 //	rmtkctl verify -report [-json] [datapaths | prog.rmt ...]
 //	                                            three-stage lint/simulate/prove report
-//	rmtkctl [-O] [-engine aot|jit|interp] run <prog.rmt> [r1 [r2 [r3]]]
+//	rmtkctl [-engine aot|jit|interp] run <prog.rmt> [r1 [r2 [r3]]]
 //	                                            install and execute, print R0
 //	rmtkctl log-inspect <waldir>                print WAL records, checkpoints and damage
 //	rmtkctl [-v] recover <waldir>               replay the log, print recovery stats
@@ -20,10 +20,8 @@
 //	rmtkctl cluster-status <fleetdir>           inspect a fleet's node-* state dirs offline
 //	rmtkctl cluster-rollout <fleetdir>          run a staged canary rollout on a demo fleet
 //
-// -O runs the machine-independent optimizer (constant folding, interval
-// range folding, jump threading, dead-code elimination) before the
-// operation. verify -report generates the two-stage verification report:
-// per program, the corpus analyzer's static findings (lint), a functional
+// verify -report generates the three-stage verification report: per
+// program, the corpus analyzer's static findings (lint), a functional
 // simulation comparing both VM engines on a probe input set (simulate), and
 // the verifier's proof summary (prove). With explicit .rmt paths it reports
 // on those programs in a scratch kernel; with "datapaths" (or no paths) it
@@ -31,11 +29,10 @@
 // flow classification). -json renders the same report as JSON. The command
 // exits nonzero when any section fails — a rejected program, an engine
 // divergence, or an artifact-integrity error. -v makes verify print the
-// proof artifacts: a per-instruction
-// disassembly annotated with the runtime checks the abstract interpreter
-// discharged, the elided-check and dead-edge totals, and any helper
-// argument contracts in force. On recover, -v prints the full recovered
-// inventory instead of just its digest.
+// proof artifacts: a per-instruction disassembly annotated with the runtime
+// checks the abstract interpreter discharged, the elided-check and dead-edge
+// totals, and any helper argument contracts in force. On recover, -v prints
+// the full recovered inventory instead of just its digest.
 //
 // The durability commands operate on a control-plane state directory
 // (wal.log plus checkpoint files). log-inspect is read-only and never fails
@@ -86,9 +83,8 @@ import (
 )
 
 var (
-	optimize = flag.Bool("O", false, "optimize bytecode before the operation")
-	verbose  = flag.Bool("v", false, "verify: print per-instruction proofs and contracts")
-	engine   = flag.String("engine", "jit", "run: execution engine (aot, jit or interp; aot falls back to jit for programs outside the generated corpus)")
+	verbose = flag.Bool("v", false, "verify: print per-instruction proofs and contracts")
+	engine  = flag.String("engine", "jit", "run: execution engine (aot, jit or interp; aot falls back to jit for programs outside the generated corpus)")
 )
 
 func main() {
@@ -137,24 +133,13 @@ func usage() {
 }
 
 // loadSource reads an assembly file and parses directives + instructions
-// (isa.ParseSource), applying -O when requested.
+// (isa.ParseSource).
 func loadSource(path string) (*rmtk.Program, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := isa.ParseSource(strings.TrimSuffix(path, ".rmt"), string(data))
-	if err != nil {
-		return nil, err
-	}
-	if *optimize {
-		before := len(prog.Insns)
-		prog.Insns = isa.Optimize(prog.Insns)
-		if after := len(prog.Insns); after != before {
-			fmt.Fprintf(os.Stderr, "rmtkctl: optimized %d -> %d instructions\n", before, after)
-		}
-	}
-	return prog, nil
+	return isa.ParseSource(strings.TrimSuffix(path, ".rmt"), string(data))
 }
 
 func doAsm(path string) error {

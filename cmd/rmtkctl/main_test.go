@@ -117,30 +117,6 @@ func TestVerifyReport(t *testing.T) {
 	}
 }
 
-func TestOptimizeFlag(t *testing.T) {
-	*optimize = true
-	defer func() { *optimize = false }()
-	path := writeProg(t, "p.rmt", `
-        movimm r1, 6
-        movimm r2, 7
-        mov    r0, r1
-        mul    r0, r2
-        exit
-`)
-	prog, err := loadSource(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range prog.Insns {
-		if in.Op == isa.OpMul || in.Op == isa.OpMov {
-			t.Fatalf("optimizer left %s in a fully constant program", in.Op)
-		}
-	}
-	if err := doRun(path, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // walDir builds a small durable state directory: a table, entries on both
 // sides of a checkpoint, and a transaction — enough for every durability
 // subcommand to have something to print.

@@ -46,14 +46,9 @@ func Generate(entries []verifier.CorpusEntry) ([]byte, Stats, error) {
 			}
 			continue
 		}
-		// Re-verify to recover the interval facts: admitted programs carry
-		// proofs and contracts, but the branch/liveness/shape facts the
-		// lowering consumes are not persisted on the program.
-		rep, err := verifier.Verify(e.Prog, e.Cfg)
-		if err != nil {
-			return nil, stats, fmt.Errorf("program %q no longer verifies: %w", e.Prog.Name, err)
-		}
-		lp, err := lower.Lower(e.Prog, rep.Facts)
+		// Lowered from the artifacts the admitted program carries, the
+		// same route vm.Compile takes.
+		lp, err := lower.Lower(e.Prog)
 		if err == nil {
 			err = lp.Emittable()
 		}

@@ -1,8 +1,9 @@
 // Command rmtkgen is the build-time AOT compiler of the RMT toolchain: it
 // assembles the standard datapath corpus (the demo datapaths plus the
-// hot-path benchmark program), lowers every admitted program through the
-// proof-driven optimizer (internal/aot/lower) and emits one Go source file
-// registering a native function per program in the internal/aot registry.
+// hot-path benchmark program), lowers every admitted program from the
+// admission artifacts it carries (internal/aot/lower) and emits one Go
+// source file registering a native function per program in the internal/aot
+// registry.
 //
 // The output is committed (internal/aot/gen_datapaths.go) and guarded by the
 // codegen-drift CI job: rerunning rmtkgen must reproduce the checked-in file

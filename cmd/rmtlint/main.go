@@ -16,12 +16,12 @@
 //
 //	rmtlint -programs <dir|file.rmt>...
 //
-// Each .rmt source (directories are globbed for *.rmt) is parsed unoptimized,
-// admitted into a scratch kernel with stub resources, and cross-checked by
-// the corpus analyzer (verifier.AnalyzeCorpus): proof-mask and cost-
-// certificate integrity, unproven div/mod sites, helper-contract disposition,
-// and dead branches that isa.Optimize would have removed. Findings print one
-// per line; error-level findings and admission rejections exit nonzero.
+// Each .rmt source (directories are globbed for *.rmt) is parsed, admitted
+// into a scratch kernel with stub resources, and cross-checked by the corpus
+// analyzer (verifier.AnalyzeCorpus): proof-mask, cost-certificate and
+// interval-fact integrity, unproven div/mod sites and helper-contract
+// disposition. Findings print one per line; error-level findings and
+// admission rejections exit nonzero.
 package main
 
 import (
@@ -130,8 +130,6 @@ func runPrograms(args []string) int {
 		fmt.Fprintln(os.Stderr, "rmtlint: no .rmt programs found")
 		return 1
 	}
-	// Parse deliberately unoptimized: dead branches the optimizer would drop
-	// are exactly what the dead-branch finding reports.
 	var progs []*isa.Program
 	exit := 0
 	for _, p := range paths {

@@ -91,7 +91,10 @@ func Programs() map[string]string {
 // (inlined range checks), the static step certificate and the purity bit.
 // The program name is deliberately excluded so structurally identical
 // programs admitted under different names (per-PID prefetch datapaths, one
-// per tenant) share one compiled function.
+// per tenant) share one compiled function. The verifier's interval facts are
+// not hashed either: they are derived from the instructions under the
+// registries the program was admitted against, and verifier.AnalyzeCorpus
+// holds the attached facts to a fresh verification.
 func Hash(p *isa.Program) string {
 	h := sha256.New()
 	h.Write(p.Encode())

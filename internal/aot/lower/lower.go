@@ -7,7 +7,7 @@
 //   - proof masks (isa.ProofMask) drop the runtime checks the abstract
 //     interpreter statically discharged, exactly as the interpreter elides
 //     them;
-//   - interval facts (verifier.Facts) fold conditional branches with a
+//   - interval facts (isa.Facts) fold conditional branches with a
 //     statically dead edge into unconditional jumps (or fall-throughs) and
 //     drop unreachable instructions;
 //   - common opcode pairs fuse into superinstructions (see the table in
@@ -20,7 +20,7 @@
 // The lowered form has no executable semantics of its own in this package:
 // the interpreter (vm.exec.step) is the reference, and the soundness fuzz in
 // package vm runs lowered programs through the JIT's production closures
-// against it. The package imports only isa and verifier; vm imports it.
+// against it. The package imports only isa; vm imports it.
 //
 // Lowering statically validates what the backends would otherwise check per
 // run — forward in-range jump targets, stack slots, vector lengths — so a
@@ -33,7 +33,6 @@ import (
 	"fmt"
 
 	"rmtk/internal/isa"
-	"rmtk/internal/verifier"
 )
 
 // ErrBadProgram marks structurally invalid input (lowering expects
@@ -145,20 +144,20 @@ type Prog struct {
 	FoldedBranches, FusedPairs, DeadInsns int
 }
 
-// Lower builds the lowered form of an admitted program. facts may be nil
-// (no branch folding or dead-code removal — what vm.Compile passes: admitted
-// programs do not persist their facts); prog.Proofs may be nil likewise
-// (every runtime check kept).
-func Lower(prog *isa.Program, facts *verifier.Facts) (*Prog, error) {
+// Lower builds the lowered form of an admitted program from the admission
+// artifacts it carries. prog.Facts may be nil (no branch folding or dead-code
+// removal), and prog.Proofs likewise (every runtime check kept).
+func Lower(prog *isa.Program) (*Prog, error) {
 	n := len(prog.Insns)
 	if n == 0 {
 		return nil, fmt.Errorf("%w: empty program", ErrBadProgram)
 	}
+	facts := prog.Facts
 	if prog.Proofs != nil && len(prog.Proofs) != n {
 		return nil, fmt.Errorf("%w: %d proofs for %d instructions", ErrBadProgram, len(prog.Proofs), n)
 	}
-	if facts != nil && len(facts.Live) != n {
-		return nil, fmt.Errorf("%w: %d facts for %d instructions", ErrBadProgram, len(facts.Live), n)
+	if facts != nil && (len(facts.Live) != n || len(facts.Branches) != n) {
+		return nil, fmt.Errorf("%w: %d/%d live/branch facts for %d instructions", ErrBadProgram, len(facts.Live), len(facts.Branches), n)
 	}
 	lp := &Prog{Name: prog.Name, StaticSteps: prog.StaticSteps, OrigInsns: n}
 
@@ -189,16 +188,16 @@ func Lower(prog *isa.Program, facts *verifier.Facts) (*Prog, error) {
 			nd.Kind = KJmp
 			nd.Target = pc + 1 + int(in.Off)
 		case in.Op.IsCondJump():
-			decision := verifier.BranchBoth
+			decision := isa.BranchBoth
 			if facts != nil {
 				decision = facts.Branches[pc]
 			}
 			switch decision {
-			case verifier.BranchAlwaysTaken:
+			case isa.BranchAlwaysTaken:
 				nd.Kind = KJmp
 				nd.Target = pc + 1 + int(in.Off)
 				lp.FoldedBranches++
-			case verifier.BranchNeverTaken:
+			case isa.BranchNeverTaken:
 				// The comparison still costs its step but can only fall
 				// through: a cost-only nop.
 				nd.Kind = KInstr

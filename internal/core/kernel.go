@@ -102,10 +102,6 @@ type Config struct {
 	// RateLimit caps emissions per invocation for programs the verifier
 	// flags as resource-allocating. <=0 selects 32.
 	RateLimit int
-	// Optimize runs the machine-independent bytecode optimizer (constant
-	// folding, branch folding, jump threading, dead-code elimination) on
-	// every program before admission.
-	Optimize bool
 	// Privacy, when non-nil, gates aggregate context queries through a
 	// differential-privacy budget.
 	Privacy *dp.Accountant
@@ -734,19 +730,16 @@ func (k *Kernel) installProgram(prog *isa.Program, forceID int64) (int64, *verif
 		}
 	}
 	vcfg := k.verifierConfig(owner)
-	optimize := k.cfg.Optimize
 	k.mu.RUnlock()
 	if dup {
 		return 0, nil, fmt.Errorf("%w: program %q", ErrDuplicate, prog.Name)
 	}
 	// Clone before verification so the caller's Program is never mutated:
-	// the verifier's proof artifacts (per-instruction check proofs and
-	// helper contracts) are attached to the admitted copy only, and only
-	// after the program passed — an unadmitted program carries no proofs.
+	// the verifier's artifacts (per-instruction check proofs, helper
+	// contracts, the cost certificate and the interval facts) are attached
+	// to the admitted copy only, and only after the program passed — an
+	// unadmitted program carries none.
 	prog = prog.Clone()
-	if optimize {
-		prog.Insns = isa.Optimize(prog.Insns)
-	}
 	report, err := verifier.Verify(prog, vcfg)
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: admission of %q failed: %w", prog.Name, err)
@@ -755,6 +748,7 @@ func (k *Kernel) installProgram(prog *isa.Program, forceID int64) (int64, *verif
 	prog.HelperContracts = report.HelperContracts
 	prog.StaticSteps = report.MaxSteps
 	prog.Pure = report.Pure
+	prog.Facts = report.Facts
 	interp, err := vm.NewInterpreter(prog)
 	if err != nil {
 		return 0, nil, err

@@ -29,13 +29,22 @@ func install(t *testing.T, k *Kernel, prog *isa.Program) int64 {
 
 func TestInstallAndRunProgram(t *testing.T) {
 	k := newTestKernel(t, Config{})
-	install(t, k, &isa.Program{
+	prog := &isa.Program{
 		Name:  "sum",
 		Insns: isa.MustAssemble("mov r0, r1\nadd r0, r2\nadd r0, r3\nexit"),
-	})
+	}
+	id := install(t, k, prog)
 	got, _, err := k.RunProgramByName("sum", 1, 2, 3)
 	if err != nil || got != 6 {
 		t.Fatalf("got %d err %v", got, err)
+	}
+	// The artifacts go on the admitted copy only, never on the caller's
+	// program.
+	if prog.Proofs != nil || prog.Facts != nil || prog.StaticSteps != 0 {
+		t.Fatalf("caller's program mutated: proofs %v, facts %v, static steps %d", prog.Proofs, prog.Facts, prog.StaticSteps)
+	}
+	if a := k.progs[id].prog; a.Proofs == nil || a.Facts == nil || a.StaticSteps != 4 {
+		t.Fatalf("admitted program lacks artifacts: proofs %v, facts %v, static steps %d", a.Proofs, a.Facts, a.StaticSteps)
 	}
 }
 
@@ -558,44 +567,4 @@ func itoa(v int64) string {
 		b = append([]byte{'-'}, b...)
 	}
 	return string(b)
-}
-
-func TestOptimizeOnAdmission(t *testing.T) {
-	src := `
-        movimm r1, 6
-        movimm r2, 7
-        mov    r0, r1
-        mul    r0, r2
-        jgti   r0, 100, big
-        exit
-big:    movimm r0, 100
-        exit`
-	plain := newTestKernel(t, Config{})
-	install(t, plain, &isa.Program{Name: "p", Insns: isa.MustAssemble(src)})
-	optimized := newTestKernel(t, Config{Optimize: true})
-	install(t, optimized, &isa.Program{Name: "p", Insns: isa.MustAssemble(src)})
-
-	gp, _, err := plain.RunProgramByName("p", 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go2, _, err := optimized.RunProgramByName("p", 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gp != go2 || gp != 42 {
-		t.Fatalf("plain=%d optimized=%d", gp, go2)
-	}
-	// The optimizer must have shortened the admitted program.
-	pid, _ := optimized.ProgramID("p")
-	rep, _ := optimized.ProgramReport(pid)
-	plainID, _ := plain.ProgramID("p")
-	plainRep, _ := plain.ProgramReport(plainID)
-	if rep.MaxSteps >= plainRep.MaxSteps {
-		t.Fatalf("optimized MaxSteps %d >= plain %d", rep.MaxSteps, plainRep.MaxSteps)
-	}
-	// The caller's program must not be mutated.
-	if len(isa.MustAssemble(src)) != 8 {
-		t.Fatal("source changed")
-	}
 }

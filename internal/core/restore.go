@@ -28,12 +28,6 @@ func (k *Kernel) CreateTableAt(id int64, t *table.Table) error {
 	return err
 }
 
-// RegisterModelAt registers a model at an explicit id (ascending restore
-// order, as with CreateTableAt), owned by the default tenant.
-func (k *Kernel) RegisterModelAt(id int64, m Model) error {
-	return k.RegisterModelOwnedAt(id, "", m)
-}
-
 // RegisterModelOwnedAt registers a tenant-owned model at an explicit id — the
 // restore path for models created through RegisterModelOwned.
 func (k *Kernel) RegisterModelOwnedAt(id int64, owner string, m Model) error {

@@ -312,17 +312,6 @@ func (c *Canary) GateErr() error {
 // Report returns the shadow-execution statistics accumulated so far.
 func (c *Canary) Report() core.CanaryReport { return c.sh.Report() }
 
-// ShadowAccuracy reports the labeled shadow outcome accuracy and the label
-// count.
-func (c *Canary) ShadowAccuracy() (float64, int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.shadowTotal == 0 {
-		return 0, 0
-	}
-	return float64(c.shadowHits) / float64(c.shadowTotal), c.shadowTotal
-}
-
 // RecordShadowOutcome labels one shadow prediction as correct or not (e.g.
 // a shadow-predicted page was — or was never — actually accessed). Feeds
 // the MinShadowAccuracy gate.

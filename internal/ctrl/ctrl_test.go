@@ -194,3 +194,54 @@ func TestTrainAndPush(t *testing.T) {
 func mlpTrain() mlp.TrainConfig {
 	return mlp.TrainConfig{Epochs: 30, LR: 0.05, Seed: 2}
 }
+
+// TestLoadedProgramFoldsOnEveryTier: a program installed at runtime through
+// the plane carries the verifier's facts, so its decided branch folds on the
+// JIT tier, which returns the interpreter's verdict in the interpreter's
+// steps.
+func TestLoadedProgramFoldsOnEveryTier(t *testing.T) {
+	deadarm := isa.MustAssemble(`
+        movimm r4, 3
+        jgti   r4, 5, +2
+        movimm r0, 1
+        exit
+        movimm r0, 2
+        exit`)
+	var got []core.FireResult
+	for _, mode := range []core.ExecMode{core.ModeJIT, core.ModeInterp} {
+		p := New(core.NewKernel(core.Config{Mode: mode}))
+		if _, _, err := p.CreateTable("t", "hook/d", table.MatchExact); err != nil {
+			t.Fatal(err)
+		}
+		id, _, err := p.LoadProgram(&isa.Program{Name: "deadarm", Insns: deadarm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AddEntry("t", &table.Entry{Key: 1, Action: table.Action{Kind: table.ActionProgram, ProgID: id}}); err != nil {
+			t.Fatal(err)
+		}
+		corpus := p.K.VerifierCorpus()
+		if len(corpus) != 1 {
+			t.Fatalf("corpus holds %d programs, want 1", len(corpus))
+		}
+		f := corpus[0].Prog.Facts
+		if f == nil || len(f.Live) != len(deadarm) || len(f.Branches) != len(deadarm) {
+			t.Fatalf("admitted deadarm carries facts %+v for %d instructions", f, len(deadarm))
+		}
+		decided := 0
+		for _, b := range f.Branches {
+			if b != isa.BranchBoth {
+				decided++
+			}
+		}
+		if decided != 1 || f.Branches[1] != isa.BranchNeverTaken {
+			t.Fatalf("decided branches %v, want pc 1 never taken", f.Branches)
+		}
+		got = append(got, p.K.Fire("hook/d", 1, 0, 0))
+	}
+	jit, interp := got[0], got[1]
+	if jit.Trapped || interp.Trapped || jit.Verdict != 1 || jit.Verdict != interp.Verdict || jit.Steps != 4 || jit.Steps != interp.Steps {
+		t.Fatalf("jit (verdict %d, %d steps), interp (verdict %d, %d steps); want 1 in 4 on both",
+			jit.Verdict, jit.Steps, interp.Verdict, interp.Steps)
+	}
+}

@@ -42,11 +42,3 @@ func (p *Plane) EnableIncidentLog() error {
 	})
 	return nil
 }
-
-// DisableIncidentLog detaches the plane from the sentinel (no-op when no
-// sentinel is attached).
-func (p *Plane) DisableIncidentLog() {
-	if s := p.K.EngineSentinel(); s != nil {
-		s.SetIncidentSink(nil)
-	}
-}

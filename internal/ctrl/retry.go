@@ -106,14 +106,6 @@ func (p *Plane) PushModelRetry(id int64, m core.Model, opsBudget, memBudget int6
 	})
 }
 
-// EnableSupervision attaches a fault-containment supervisor to the plane's
-// kernel: every program action is routed through a per-program circuit
-// breaker that quarantines after repeated failures and probes half-open with
-// exponential backoff until sustained success re-admits the program.
-func (p *Plane) EnableSupervision(cfg core.SupervisorConfig) *core.Supervisor {
-	return p.K.Supervise(cfg)
-}
-
 // Quarantined lists program ids currently quarantined by the supervisor.
 func (p *Plane) Quarantined() []int64 {
 	sup := p.K.Supervisor()

@@ -7,8 +7,7 @@ import (
 )
 
 // Interval is a closed range [Lo, Hi] of int64 values — the value-range
-// abstract domain shared by the verifier's abstract interpreter and the
-// optimizer's range-based folding. An Interval is never empty: operations
+// abstract domain of the verifier's abstract interpreter. An Interval is never empty: operations
 // that would produce an empty range (infeasible branch narrowing) report
 // that through a feasibility flag instead.
 //
@@ -531,31 +530,4 @@ func Narrow(rel Rel, a, b Interval) (na, nb Interval, feasible bool) {
 		nb, na, feasible = Narrow(RelLe, b, a)
 		return na, nb, feasible
 	}
-}
-
-// RelAlways reports whether "a rel b" holds for every pair of values drawn
-// from a and b (the branch is statically decided taken), and RelNever
-// whether it holds for none (statically decided not taken).
-func RelAlways(rel Rel, a, b Interval) bool {
-	switch rel {
-	case RelEq:
-		return a.IsPoint() && b.IsPoint() && a.Lo == b.Lo
-	case RelNe:
-		_, ok := a.Intersect(b)
-		return !ok
-	case RelGt:
-		return a.Lo > b.Hi
-	case RelGe:
-		return a.Lo >= b.Hi
-	case RelLt:
-		return a.Hi < b.Lo
-	default: // RelLe
-		return a.Hi <= b.Lo
-	}
-}
-
-// RelNever reports whether "a rel b" is unsatisfiable.
-func RelNever(rel Rel, a, b Interval) bool {
-	_, _, feasible := Narrow(rel, a, b)
-	return !feasible
 }

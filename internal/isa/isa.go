@@ -389,7 +389,7 @@ type Program struct {
 	Vecs    []int64 // vector-pool ids the program may OpVecLd/OpVecSt
 	Tails   []int64 // program ids the program may OpTailCall
 
-	// Admission artifacts. Both are attached by the kernel after the
+	// Admission artifacts. All are attached by the kernel after the
 	// verifier accepts the program; they are never part of the wire
 	// encoding, so a decoded or hand-built program carries none until it is
 	// re-verified.
@@ -412,6 +412,12 @@ type Program struct {
 	// is a function of only the fire arguments and versioned datapath state.
 	// The kernel's verdict cache memoizes fires of pure programs.
 	Pure bool
+	// Facts is the verifier's per-instruction fact table (Report.Facts):
+	// reachability and statically decided branches. The lowering folds the
+	// decided branches and drops dead instructions. Nil means none are known
+	// (every branch kept). Facts are immutable once attached, so Clone
+	// shares them.
+	Facts *Facts
 }
 
 // Encode returns the wire form of the program's instructions.

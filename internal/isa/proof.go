@@ -61,3 +61,53 @@ func (m ProofMask) String() string {
 	}
 	return strings.Join(parts, "|")
 }
+
+// BranchDecision classifies what the verifier's interval domain proved about
+// a conditional branch: whether both edges stay feasible or one is
+// statically dead. A dead edge is excluded from worst-case cost accounting
+// and folded away by the lowering — the branch itself still costs its one
+// step, but the comparison can never go the dead way.
+type BranchDecision int8
+
+const (
+	// BranchBoth means neither edge was proven infeasible.
+	BranchBoth BranchDecision = iota
+	// BranchAlwaysTaken means the fall-through edge is infeasible: the jump
+	// is always taken.
+	BranchAlwaysTaken
+	// BranchNeverTaken means the taken edge is infeasible: control always
+	// falls through.
+	BranchNeverTaken
+)
+
+// Static vector-length sentinels used by Facts.VecLens (mirroring the
+// abstract lattice of the verifier's shape domain).
+const (
+	// VecLenUnknown marks a vector register that is written on every path
+	// but whose length is not a single static value.
+	VecLenUnknown = -1
+	// VecLenUnset marks a vector register not written on some path reaching
+	// the instruction.
+	VecLenUnset = -2
+)
+
+// Facts is the per-instruction fact table of one verified program (indexed
+// by pc), the codegen-facing export of the verifier's abstract interpreter:
+// everything here was computed anyway to admit the program. Like the proof
+// masks, facts are an admission artifact: attached to the admitted Program,
+// never encoded on the wire, and consumed by the lowering both native
+// backends share, which folds decided branches and drops dead instructions.
+// A program's facts hold for any state its caller enters with: the verifier
+// assumes only that R1..R3 are initialized, and nothing about their values.
+type Facts struct {
+	// Live reports whether any path reaches the instruction. Dead
+	// instructions may be dropped entirely.
+	Live []bool
+	// Branches records the statically decided outcome of each conditional
+	// jump (BranchBoth for every non-branch instruction).
+	Branches []BranchDecision
+	// VecLens gives the incoming static length of every vector register at
+	// the instruction (element i of entry pc is V[i]'s length on entry to
+	// pc), or VecLenUnknown / VecLenUnset.
+	VecLens [][NumVRegs]int
+}

@@ -18,9 +18,7 @@ import (
 //	;tails   4
 //
 // The instruction text is everything Assemble accepts (directive lines are
-// comments to the assembler). ParseSource never optimizes: callers that want
-// the machine-independent optimizer run Optimize on the result, and corpus
-// analysis deliberately parses unoptimized so dead branches are visible.
+// comments to the assembler).
 func ParseSource(name, src string) (*Program, error) {
 	prog := &Program{Name: name}
 	for _, line := range strings.Split(src, "\n") {

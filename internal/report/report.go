@@ -1,11 +1,11 @@
-// Package report generates the two-stage verification report behind
+// Package report generates the three-stage verification report behind
 // `rmtkctl verify -report`: for every program a kernel builder admits, it
 // runs
 //
 //	lint     — the corpus analyzer (verifier.AnalyzeCorpus): admission
 //	           artifacts cross-checked against a fresh verification pass,
 //	           plus the latent-hazard findings (unproven divisions,
-//	           runtime-enforced helper contracts, surviving dead branches);
+//	           runtime-enforced helper contracts);
 //	simulate — a functional simulation: every probe input executed through
 //	           both VM engines (one kernel in interpreter mode, one in JIT
 //	           mode, built identically), with verdicts, emissions and trap

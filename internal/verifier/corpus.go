@@ -8,17 +8,15 @@ package verifier
 // program actually carries, surfacing the drift classes that have no other
 // detector:
 //
-//   - a program whose attached static-cost certificate (StaticSteps) or
-//     proof masks no longer match what the verifier proves today — stale
-//     artifacts mean the engines elide checks that were never re-proven;
+//   - a program whose attached static-cost certificate (StaticSteps), proof
+//     masks or interval facts no longer match what the verifier proves
+//     today — stale artifacts mean the engines elide checks that were never
+//     re-proven, or fold branches on facts nobody re-derived;
 //   - div/mod sites whose divisor the interval domain cannot show nonzero —
 //     legal, but every such site is a runtime trap waiting on input shape;
 //   - helper call sites running under runtime contract enforcement (the
 //     contract exists but the site's arguments were not provably inside it)
-//     and helpers with no declared contract at all;
-//   - conditional branches the interval domain proves infeasible that
-//     nevertheless survived into the admitted bytecode — dead weight the
-//     optimizer's foldRanges pass would have removed.
+//     and helpers with no declared contract at all.
 //
 // The report generator (internal/report) uses these findings as the lint
 // stage of `rmtkctl verify -report`.
@@ -39,8 +37,8 @@ const (
 	// warnings).
 	LevelInfo Level = iota
 	// LevelWarn findings are latent hazards: the program is admissible but
-	// carries a runtime trap risk or dead weight (unproven divisions,
-	// runtime-enforced contracts, surviving dead branches).
+	// carries a runtime trap risk (unproven divisions, runtime-enforced
+	// contracts).
 	LevelWarn
 	// LevelError findings are integrity violations: the program's admission
 	// artifacts disagree with what the verifier proves today, or the program
@@ -84,7 +82,7 @@ type CorpusEntry struct {
 	// ID is the program's kernel id (diagnostic only).
 	ID int64
 	// Prog is the admitted program, carrying its admission artifacts
-	// (Proofs, HelperContracts, StaticSteps, Pure).
+	// (Proofs, HelperContracts, StaticSteps, Pure, Facts).
 	Prog *isa.Program
 	// Cfg is the registry snapshot to verify against.
 	Cfg Config
@@ -98,10 +96,10 @@ const (
 	CodeProofMissing    = "proof-missing"    // proof masks absent or wrong length
 	CodeProofDrift      = "proof-drift"      // attached proof masks disagree with re-verification
 	CodePurityDrift     = "purity-drift"     // purity certificate disagrees with re-verification
+	CodeFactsDrift      = "facts-drift"      // interval facts absent or disagree with re-verification
 	CodeUnprovenDiv     = "unproven-div"     // div/mod divisor not provably nonzero
 	CodeContractRuntime = "contract-runtime" // helper contract enforced at runtime, not proven
 	CodeContractMissing = "contract-missing" // helper declares no argument contract
-	CodeDeadBranch      = "dead-branch"      // provably-infeasible branch edges in admitted code
 	CodeVerifierWarning = "verifier-warning" // non-fatal verifier warning
 )
 
@@ -160,6 +158,22 @@ func AnalyzeEntry(e CorpusEntry) (*Report, []Finding) {
 			e.Prog.Pure, rep.Pure)
 	}
 
+	// Interval facts: the lowering folds branches and drops instructions on
+	// their word, so drifted facts would miscompile on every native tier.
+	// Only the parts it consumes are compared.
+	if f := e.Prog.Facts; f == nil || len(f.Live) != len(e.Prog.Insns) || len(f.Branches) != len(e.Prog.Insns) {
+		add(LevelError, CodeFactsDrift,
+			"program carries no interval facts for its %d instructions", len(e.Prog.Insns))
+	} else {
+		for pc := range f.Live {
+			if f.Live[pc] != rep.Facts.Live[pc] || f.Branches[pc] != rep.Facts.Branches[pc] {
+				add(LevelError, CodeFactsDrift,
+					"pc %d: attached facts live=%v branch=%d, re-verification proves live=%v branch=%d",
+					pc, f.Live[pc], f.Branches[pc], rep.Facts.Live[pc], rep.Facts.Branches[pc])
+			}
+		}
+	}
+
 	// Per-site hazards on the fresh proofs (independent of attachment
 	// integrity, so they report even when the attached masks are stale).
 	// Uncontracted helpers aggregate to one finding per helper — a program
@@ -198,11 +212,6 @@ func AnalyzeEntry(e CorpusEntry) (*Report, []Finding) {
 			id, e.Cfg.Helpers[id].Name, uncontracted[id])
 	}
 
-	if rep.DeadEdges > 0 {
-		add(LevelWarn, CodeDeadBranch,
-			"%d provably-infeasible branch edges survived into admitted bytecode; isa.Optimize would remove them",
-			rep.DeadEdges)
-	}
 	for _, w := range rep.Warnings {
 		add(LevelInfo, CodeVerifierWarning, "%s", w)
 	}

@@ -19,6 +19,7 @@ func admit(t *testing.T, prog *isa.Program, cfg Config) CorpusEntry {
 	prog.HelperContracts = rep.HelperContracts
 	prog.StaticSteps = rep.MaxSteps
 	prog.Pure = rep.Pure
+	prog.Facts = rep.Facts
 	return CorpusEntry{ID: 1, Prog: prog, Cfg: cfg}
 }
 
@@ -174,9 +175,11 @@ func TestAnalyzeEntryHelperContracts(t *testing.T) {
 	wantFinding(t, fs, LevelInfo, CodeContractMissing, "no declared argument contract")
 }
 
-func TestAnalyzeEntryDeadBranches(t *testing.T) {
-	// R4 is the constant 3: the jgti 5 edge is provably never taken, and the
-	// unoptimized program keeps the dead arm.
+// TestAnalyzeEntryFactsDrift: the lowering folds branches on the attached
+// facts, so facts that are missing or disagree with a fresh verification are
+// integrity errors like drifted proofs.
+func TestAnalyzeEntryFactsDrift(t *testing.T) {
+	// R4 is the constant 3: the jgti 5 edge is provably never taken.
 	prog := &isa.Program{
 		Name: "deadarm",
 		Insns: isa.MustAssemble(`
@@ -189,8 +192,23 @@ exit
 `),
 	}
 	e := admit(t, prog, Config{})
+	if _, fs := AnalyzeEntry(e); MaxLevel(fs) != LevelInfo {
+		t.Fatalf("admitted deadarm has findings %v", fs)
+	}
+	if got := e.Prog.Facts.Branches[1]; got != isa.BranchNeverTaken {
+		t.Fatalf("branch at pc 1 = %d, want never taken", got)
+	}
+
+	stale := *e.Prog.Facts
+	stale.Branches = append([]isa.BranchDecision(nil), stale.Branches...)
+	stale.Branches[1] = isa.BranchAlwaysTaken
+	e.Prog.Facts = &stale
 	_, fs := AnalyzeEntry(e)
-	wantFinding(t, fs, LevelWarn, CodeDeadBranch, "isa.Optimize would remove them")
+	wantFinding(t, fs, LevelError, CodeFactsDrift, "pc 1: attached facts live=true branch=1, re-verification proves live=true branch=2")
+
+	e.Prog.Facts = nil
+	_, fs = AnalyzeEntry(e)
+	wantFinding(t, fs, LevelError, CodeFactsDrift, "no interval facts for its 6 instructions")
 }
 
 func TestAnalyzeCorpusAndMaxLevel(t *testing.T) {

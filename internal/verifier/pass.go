@@ -112,11 +112,11 @@ func (p *pass) run() ([]int64, error) {
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooLong, n, isa.MaxProgInsns)
 	}
 	p.proofs = make([]isa.ProofMask, n)
-	var facts *Facts
+	var facts *isa.Facts
 	if p.collect {
-		facts = &Facts{
+		facts = &isa.Facts{
 			Live:     make([]bool, n),
-			Branches: make([]BranchDecision, n),
+			Branches: make([]isa.BranchDecision, n),
 			VecLens:  make([][isa.NumVRegs]int, n),
 		}
 	}
@@ -176,9 +176,9 @@ func (p *pass) run() ([]int64, error) {
 			for i, vl := range st.vecs {
 				switch vl {
 				case vecUnset:
-					facts.VecLens[pc][i] = VecLenUnset
+					facts.VecLens[pc][i] = isa.VecLenUnset
 				case vecUnknown:
-					facts.VecLens[pc][i] = VecLenUnknown
+					facts.VecLens[pc][i] = isa.VecLenUnknown
 				default:
 					facts.VecLens[pc][i] = vl
 				}
@@ -234,9 +234,9 @@ func (p *pass) run() ([]int64, error) {
 					}
 					if facts != nil {
 						if taken {
-							facts.Branches[pc] = BranchNeverTaken
+							facts.Branches[pc] = isa.BranchNeverTaken
 						} else {
-							facts.Branches[pc] = BranchAlwaysTaken
+							facts.Branches[pc] = isa.BranchAlwaysTaken
 						}
 					}
 					p.warnf("pc %d branch edge to %d infeasible: %s", pc, to, in)

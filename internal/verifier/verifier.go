@@ -129,11 +129,11 @@ type Report struct {
 	HelperContracts map[int64][]isa.Interval
 	// Facts carries the abstract interpreter's per-instruction facts for the
 	// root program, beyond the boolean proofs above: reachability, statically
-	// decided branches, and static vector-register lengths. Ahead-of-time
-	// code generation (internal/aot) consumes them to fold proven-dead
-	// branches and emit fixed-length vector loops; they are advisory for
-	// every other consumer.
-	Facts *Facts
+	// decided branches, and static vector-register lengths. The kernel
+	// attaches them to the admitted program beside Proofs; the lowering both
+	// native backends share folds the decided branches and drops the dead
+	// instructions.
+	Facts *isa.Facts
 
 	// Pure is set when the whole program chain is a pure function of the
 	// fire arguments and the admitted datapath state (tables, models,
@@ -142,53 +142,6 @@ type Report struct {
 	// may be memoized and replayed until something the fire read changes
 	// (internal/core's verdict cache).
 	Pure bool
-}
-
-// BranchDecision classifies what the interval domain proved about a
-// conditional branch: whether both edges stay feasible or one is statically
-// dead. A dead edge is excluded from worst-case cost accounting and may be
-// folded away by code generators — the branch itself still costs its one
-// step, but the comparison can never go the dead way.
-type BranchDecision int8
-
-const (
-	// BranchBoth means neither edge was proven infeasible.
-	BranchBoth BranchDecision = iota
-	// BranchAlwaysTaken means the fall-through edge is infeasible: the jump
-	// is always taken.
-	BranchAlwaysTaken
-	// BranchNeverTaken means the taken edge is infeasible: control always
-	// falls through.
-	BranchNeverTaken
-)
-
-// Static vector-length sentinels used by Facts.VecLens (mirroring the
-// abstract lattice of the shape domain).
-const (
-	// VecLenUnknown marks a vector register that is written on every path
-	// but whose length is not a single static value.
-	VecLenUnknown = -1
-	// VecLenUnset marks a vector register not written on some path reaching
-	// the instruction.
-	VecLenUnset = -2
-)
-
-// Facts is the per-instruction fact table of one verified program (indexed
-// by pc over the root program's instructions). It is the codegen-facing
-// export of the abstract interpreter's fixed point: everything here was
-// computed anyway to admit the program; recording it costs one slice per
-// domain.
-type Facts struct {
-	// Live reports whether any path reaches the instruction. Dead
-	// instructions may be dropped entirely.
-	Live []bool
-	// Branches records the statically decided outcome of each conditional
-	// jump (BranchBoth for every non-branch instruction).
-	Branches []BranchDecision
-	// VecLens gives the incoming static length of every vector register at
-	// the instruction (element i of entry pc is V[i]'s length on entry to
-	// pc), or VecLenUnknown / VecLenUnset.
-	VecLens [][isa.NumVRegs]int
 }
 
 // Sentinel verification errors (wrapped with position detail).

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"rmtk/internal/aot/lower"
 	"rmtk/internal/isa"
 	"rmtk/internal/verifier"
 )
@@ -76,10 +75,11 @@ func proofRandomProgram(rng *rand.Rand) *isa.Program {
 // production path: the interpreter eliding the statically proven checks, and
 // the JIT's closures over the lowered program — checked, elided, and elided
 // with the verifier's facts (branch folding and dead-code removal on top of
-// the fusion every JIT arm already has; this is the lowering rmtkgen emits as
-// Go). Any divergence — result, register file, error presence, or environment
-// side effects — means the verifier granted a proof for a check that could
-// actually fire, or the lowering miscompiled the program.
+// the fusion every JIT arm already has; this is the program as admission
+// compiles it, and the lowering rmtkgen emits as Go). Any divergence —
+// result, register file, error presence, or environment side effects — means
+// the verifier granted a proof for a check that could actually fire, or the
+// lowering miscompiled the program.
 func FuzzVerifierSoundness(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
 		f.Add(seed, int64(3), int64(5), int64(7))
@@ -122,25 +122,19 @@ func FuzzVerifierSoundness(f *testing.F) {
 		interp := func(p *isa.Program) func(Env) (Engine, error) {
 			return func(Env) (Engine, error) { return NewInterpreter(p) }
 		}
-		jit := func(p *isa.Program, facts *verifier.Facts) func(Env) (Engine, error) {
-			return func(env Env) (Engine, error) {
-				if facts == nil {
-					return Compile(env, p)
-				}
-				lp, err := lower.Lower(p, facts)
-				if err != nil {
-					return nil, err
-				}
-				return compileLowered(env, p, lp, map[string]bool{})
-			}
+		jit := func(p *isa.Program) func(Env) (Engine, error) {
+			return func(env Env) (Engine, error) { return Compile(env, p) }
 		}
+		// As admitted: the proofs plus the verifier's interval facts.
+		folded := elided.Clone()
+		folded.Facts = rep.Facts
 
 		want := run("interp/checked", checked, interp(checked))
 		for _, o := range []outcome{
 			run("interp/elided", elided, interp(elided)),
-			run("jit/checked", checked, jit(checked, nil)),
-			run("jit/elided", elided, jit(elided, nil)),
-			run("jit/elided+facts", elided, jit(elided, rep.Facts)),
+			run("jit/checked", checked, jit(checked)),
+			run("jit/elided", elided, jit(elided)),
+			run("jit/elided+facts", folded, jit(folded)),
 		} {
 			if o.failed != want.failed {
 				t.Fatalf("%s failed=%v but %s failed=%v\n%s\nproofs: %v",

@@ -41,11 +41,11 @@ type jitTail struct {
 }
 
 // JIT is a verified program lowered by internal/aot/lower — proof-elided
-// checks dropped, superinstructions fused — and compiled into one Go closure
-// per lowered node, with all operand decoding and jump-target resolution done
-// at compile time. This stands in for JIT compilation to machine code (§3.1):
-// the per-instruction interpreter decode/dispatch cost disappears, leaving
-// only the operation itself.
+// checks dropped, decided branches folded, superinstructions fused — and
+// compiled into one Go closure per lowered node, with all operand decoding
+// and jump-target resolution done at compile time. This stands in for JIT
+// compilation to machine code (§3.1): the per-instruction interpreter
+// decode/dispatch cost disappears, leaving only the operation itself.
 type JIT struct {
 	prog  *isa.Program
 	code  []jitNode
@@ -65,9 +65,9 @@ func compile(env Env, prog *isa.Program, inProgress map[string]bool) (*JIT, erro
 	if len(prog.Insns) > isa.MaxProgInsns {
 		return nil, ErrProgramTooBig
 	}
-	// No facts: admitted programs do not persist them, and tail targets
-	// arrive as bare programs (isa.Optimize already folds at admission).
-	lp, err := lower.Lower(prog, nil)
+	// An admitted program carries the verifier's facts, and so does every
+	// tail target, itself admitted: decided branches fold on this tier too.
+	lp, err := lower.Lower(prog)
 	if err != nil {
 		for _, m := range lowerErrClass {
 			if errors.Is(err, m.cause) {
@@ -77,20 +77,6 @@ func compile(env Env, prog *isa.Program, inProgress map[string]bool) (*JIT, erro
 		}
 		return nil, fmt.Errorf("vm: compile %q: %w", prog.Name, err)
 	}
-	return compileLowered(env, prog, lp, inProgress)
-}
-
-// lowerErrClass files Lower's refusals under the error classes the run-time
-// checks they replace would have reported (first match wins).
-var lowerErrClass = []struct{ cause, class error }{
-	{lower.ErrJump, ErrBadJump},
-	{lower.ErrStackSlot, ErrStackBounds},
-	{lower.ErrVecLength, ErrVecTooLong},
-	{lower.ErrBadProgram, ErrBadInstr},
-}
-
-// compileLowered builds the closures of lp, the lowered form of prog.
-func compileLowered(env Env, prog *isa.Program, lp *lower.Prog, inProgress map[string]bool) (*JIT, error) {
 	if inProgress[prog.Name] {
 		return nil, fmt.Errorf("vm: tail-call cycle through %q", prog.Name)
 	}
@@ -112,6 +98,15 @@ func compileLowered(env Env, prog *isa.Program, lp *lower.Prog, inProgress map[s
 		j.code[idx] = jitNode{op: op, cost: nd.Cost, pc: nd.PC}
 	}
 	return j, nil
+}
+
+// lowerErrClass files Lower's refusals under the error classes the run-time
+// checks they replace would have reported (first match wins).
+var lowerErrClass = []struct{ cause, class error }{
+	{lower.ErrJump, ErrBadJump},
+	{lower.ErrStackSlot, ErrStackBounds},
+	{lower.ErrVecLength, ErrVecTooLong},
+	{lower.ErrBadProgram, ErrBadInstr},
 }
 
 // Name implements Engine.

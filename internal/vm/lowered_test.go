@@ -9,44 +9,108 @@ import (
 	"rmtk/internal/verifier"
 )
 
-// TestCompileLoweredFoldsBranches runs a facts-lowered program — a proven
-// branch folded to a jump, its dead arm dropped — through the JIT closures
-// (production Compile lowers without facts; rmtkgen and the soundness fuzz
-// lower with them).
-func TestCompileLoweredFoldsBranches(t *testing.T) {
-	prog := &isa.Program{
-		Name: "const-branch",
-		Insns: isa.MustAssemble(`
-        movimm r1, 5
-        jgti   r1, 3, taken
-        movimm r0, 111
+// deadarm keeps a branch the verifier decides: R4 is the constant 3, so the
+// jgti 5 edge is never taken and the last two instructions are dead.
+const deadarm = `
+        movimm r4, 3
+        jgti   r4, 5, +2
+        movimm r0, 1
         exit
-taken:  movimm r0, 222
-        exit`),
-	}
-	rep, err := verifier.Verify(prog, verifier.Config{})
+        movimm r0, 2
+        exit`
+
+// admitted verifies prog and attaches its artifacts the way the kernel's
+// admission does.
+func admitted(t *testing.T, prog *isa.Program, cfg verifier.Config) *isa.Program {
+	t.Helper()
+	rep, err := verifier.Verify(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp, err := lower.Lower(prog, rep.Facts)
-	if err != nil {
-		t.Fatal(err)
+	prog = prog.Clone()
+	prog.Proofs = rep.Proofs
+	prog.HelperContracts = rep.HelperContracts
+	prog.StaticSteps = rep.MaxSteps
+	prog.Facts = rep.Facts
+	return prog
+}
+
+// TestCompileLoweredFoldsBranches: Compile lowers with the facts the
+// program carries. Without them deadarm compiles to 6 nodes; with them the
+// decided branch becomes a cost-only nop and the dead arm is dropped, 4
+// nodes, for the same result, steps and registers.
+func TestCompileLoweredFoldsBranches(t *testing.T) {
+	bare := &isa.Program{Name: "deadarm", Insns: isa.MustAssemble(deadarm)}
+	withFacts := admitted(t, bare, verifier.Config{})
+	type run struct {
+		nodes int
+		r0    int64
+		steps int64
+		regs  [isa.NumRegs]int64
 	}
-	if lp.FoldedBranches != 1 || lp.DeadInsns != 2 {
-		t.Fatalf("folded %d branches, dropped %d insns; want 1, 2", lp.FoldedBranches, lp.DeadInsns)
+	var got [2]run
+	for i, p := range []*isa.Program{bare, withFacts} {
+		env := newFakeEnv()
+		j, err := Compile(env, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewState()
+		r0, err := j.Run(env, st, 7, 8, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = run{nodes: len(j.code), r0: r0, steps: st.Steps(), regs: st.Regs}
 	}
-	env := newFakeEnv()
-	j, err := compileLowered(env, prog, lp, map[string]bool{})
-	if err != nil {
-		t.Fatal(err)
+	if got[0].nodes != 6 || got[1].nodes != 4 {
+		t.Errorf("nodes without/with facts = %d/%d, want 6/4", got[0].nodes, got[1].nodes)
 	}
-	st := NewState()
-	got, err := j.Run(env, st, 0, 0, 0)
-	if err != nil || got != 222 {
-		t.Errorf("Run = (%d, %v), want (222, nil)", got, err)
+	if got[0].r0 != 1 || got[0].steps != 4 {
+		t.Errorf("deadarm = (%d, %d steps), want (1, 4)", got[0].r0, got[0].steps)
 	}
-	if st.Steps() != 4 {
-		t.Errorf("steps = %d, want 4 (the folded branch still costs its step)", st.Steps())
+	if got[0].r0 != got[1].r0 || got[0].steps != got[1].steps || got[0].regs != got[1].regs {
+		t.Errorf("folding changed the run: without facts %+v, with %+v", got[0], got[1])
+	}
+}
+
+// TestCompileFoldsTailTarget: a tail target is itself an admitted program
+// and carries its own facts. A root with no dead edge tail-calls deadarm;
+// the target's compiled nodes shrink, and the chain runs as the interpreter
+// runs it.
+func TestCompileFoldsTailTarget(t *testing.T) {
+	cfg := verifier.Config{Tails: map[int64]*isa.Program{}}
+	root := &isa.Program{Name: "root", Insns: isa.MustAssemble("addimm r1, 1\ntailcall 4"), Tails: []int64{4}}
+	for _, target := range []*isa.Program{
+		{Name: "deadarm", Insns: isa.MustAssemble(deadarm)},
+		admitted(t, &isa.Program{Name: "deadarm", Insns: isa.MustAssemble(deadarm)}, cfg),
+	} {
+		env := newFakeEnv()
+		env.tails[4] = target
+		cfg.Tails[4] = target
+		r := admitted(t, root, cfg)
+		j, err := Compile(env, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 6
+		if target.Facts != nil {
+			want = 4
+		}
+		if len(j.code) != 2 || len(j.tails) != 1 || len(j.tails[0].jit.code) != want {
+			t.Errorf("target facts=%v: root %d nodes, target %d nodes; want 2, %d",
+				target.Facts != nil, len(j.code), len(j.tails[0].jit.code), want)
+		}
+		ip, err := NewInterpreter(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sj, si := NewState(), NewState()
+		jr, jerr := j.Run(env, sj, 7, 0, 0)
+		ir, ierr := ip.Run(env, si, 7, 0, 0)
+		if jerr != nil || ierr != nil || jr != 1 || ir != 1 || sj.Steps() != 6 || si.Steps() != 6 || sj.Regs != si.Regs {
+			t.Errorf("target facts=%v: jit (%d, %d steps, %v), interp (%d, %d steps, %v); want r0 1 in 6 steps on both",
+				target.Facts != nil, jr, sj.Steps(), jerr, ir, si.Steps(), ierr)
+		}
 	}
 }
 
@@ -59,7 +123,7 @@ func TestMatVecSumTrapChargesOneStep(t *testing.T) {
         matmul  v1, v0, 7
         vecsum  r0, v1
         exit`
-	lp, err := lower.Lower(&isa.Program{Name: "mvs", Insns: isa.MustAssemble(src)}, nil)
+	lp, err := lower.Lower(&isa.Program{Name: "mvs", Insns: isa.MustAssemble(src)})
 	if err != nil {
 		t.Fatal(err)
 	}

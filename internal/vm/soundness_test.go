@@ -167,102 +167,3 @@ func richRandomProgram(rng *rand.Rand) *isa.Program {
 		Vecs:    []int64{1},
 	}
 }
-
-// TestOptimizerPreservesSemantics: for random verified programs, the
-// optimized form must verify too and compute the same R0 and register file
-// on both engines.
-func TestOptimizerPreservesSemantics(t *testing.T) {
-	env := newFakeEnv()
-	env.vecs[1] = []int64{5, -3, 9, 2}
-	env.mats[7] = fakeMat{in: 4, out: 4, w: make([]int64, 16), b: []int64{1, 2, 3, 4}}
-	for i := range env.mats[7].w {
-		env.mats[7].w[i] = int64(i%3 - 1)
-	}
-	env.models[3] = func(x []int64) int64 { return int64(len(x)) }
-	env.helpers[5] = func(args *[5]int64) (int64, error) { return args[0] + 1, nil }
-	env.match = func(table, key int64) int64 { return key % 7 }
-
-	vcfg := verifier.Config{
-		Helpers: map[int64]verifier.HelperSpec{5: {Name: "inc", Cost: 1}},
-		Models:  map[int64]verifier.ModelCost{3: {Ops: 4, Bytes: 64}},
-		Mats:    map[int64]verifier.MatShape{7: {In: 4, Out: 4, Bytes: 160}},
-		Tables:  map[int64]bool{2: true},
-		Vecs:    map[int64]int{1: 4},
-		Tails:   map[int64]*isa.Program{},
-	}
-	rng := rand.New(rand.NewSource(23))
-	checked := 0
-	for trial := 0; trial < 1200; trial++ {
-		prog := richRandomProgram(rng)
-		if _, err := verifier.Verify(prog, vcfg); err != nil {
-			continue
-		}
-		opt := &isa.Program{
-			Name: prog.Name, Insns: isa.Optimize(prog.Insns),
-			Helpers: prog.Helpers, Models: prog.Models, Mats: prog.Mats,
-			Tables: prog.Tables, Vecs: prog.Vecs,
-		}
-		if _, err := verifier.Verify(opt, vcfg); err != nil {
-			t.Fatalf("trial %d: optimized program rejected: %v\noriginal:\n%s\noptimized:\n%s",
-				trial, err, prog.Disassemble(), opt.Disassemble())
-		}
-		ipO, err := NewInterpreter(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jitO, err := Compile(env, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stA, stB := NewState(), NewState()
-		r1, r2, r3 := rng.Int63n(20), rng.Int63n(20), rng.Int63n(20)
-		// Compare original-interpreted against optimized-JIT — crossing the
-		// engines catches both optimizer and engine divergence at once.
-		gotA, errA := ipO.Run(env, stA, r1, r2, r3)
-		gotB, errB := jitO.Run(env, stB, r1, r2, r3)
-		if errA != nil || errB != nil {
-			t.Fatalf("trial %d: errA=%v errB=%v", trial, errA, errB)
-		}
-		if gotA != gotB {
-			t.Fatalf("trial %d: original=%d optimized=%d\noriginal:\n%s\noptimized:\n%s",
-				trial, gotA, gotB, prog.Disassemble(), opt.Disassemble())
-		}
-		checked++
-	}
-	if checked < 150 {
-		t.Fatalf("only %d programs checked", checked)
-	}
-}
-
-// TestOptimizerNeverSlower: optimized programs execute no more steps than
-// the original on the same inputs.
-func TestOptimizerNeverSlower(t *testing.T) {
-	env := newFakeEnv()
-	env.vecs[1] = []int64{5, -3, 9, 2}
-	env.mats[7] = fakeMat{in: 4, out: 4, w: make([]int64, 16), b: make([]int64, 4)}
-	env.models[3] = func(x []int64) int64 { return 0 }
-	env.helpers[5] = func(args *[5]int64) (int64, error) { return 0, nil }
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 400; trial++ {
-		prog := richRandomProgram(rng)
-		opt := isa.Optimize(prog.Insns)
-		ipA, err := NewInterpreter(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ipB, err := NewInterpreter(&isa.Program{Name: "opt", Insns: opt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stA, stB := NewState(), NewState()
-		r1 := rng.Int63n(20)
-		_, errA := ipA.Run(env, stA, r1, 0, 0)
-		_, errB := ipB.Run(env, stB, r1, 0, 0)
-		if errA != nil || errB != nil {
-			continue // unverified programs may trap; semantics test covers the rest
-		}
-		if stB.Steps() > stA.Steps() {
-			t.Fatalf("trial %d: optimized ran %d steps vs %d", trial, stB.Steps(), stA.Steps())
-		}
-	}
-}
