@@ -188,94 +188,45 @@ target: vecset  v0, 0, r2
 }
 
 // TestLowerFoldsProvenBranches: a program carrying the verifier's facts
-// lowers with every decided branch folded and its dead arm dropped, whether
-// a constant, a join of two ranges or the narrowing of earlier branches
-// decided it. A branch on a fire argument, or a trap, is never folded away.
-// The JIT runs the folded form with the interpreter's result and steps.
+// lowers with its decided branch folded and the dead arm dropped, and the
+// JIT runs the folded form with the interpreter's result and steps. The
+// cases of what decides a branch, and what must never fold, are
+// internal/isa's facts tests.
 func TestLowerFoldsProvenBranches(t *testing.T) {
-	for _, tc := range []struct {
-		name         string
-		src          string
-		r1, r2       int64
-		folded, dead int
-		r0, steps    int64
-		trap         error
-	}{
-		{name: "always taken", src: `
+	prog := &isa.Program{
+		Name: "const-branch",
+		Insns: isa.MustAssemble(`
         movimm r1, 5
         jgti   r1, 3, taken
         movimm r0, 111
         exit
 taken:  movimm r0, 222
-        exit`, folded: 1, dead: 2, r0: 222, steps: 4},
-		{name: "never taken", src: `
-        movimm r1, 1
-        jgti   r1, 3, taken
-        movimm r0, 111
-        exit
-taken:  movimm r0, 222
-        exit`, folded: 1, dead: 2, r0: 111, steps: 4},
-		// r1 is 2 on one arm and 7 on the other: no single constant, but
-		// its range [2,7] decides the second branch.
-		{name: "range across a join", src: `
-        movimm r1, 2
-        jgti   r2, 0, a
-        movimm r1, 7
-a:      jgti   r1, 0, good
-        movimm r0, 111
-        exit
-good:   movimm r0, 222
-        exit`, folded: 1, dead: 2, r0: 222, steps: 6},
-		// The two fall-throughs pin r1 to [1,100]: r1 > 0 always holds.
-		{name: "narrowed by earlier branches", src: `
-        jgti   r1, 100, big
-        jlei   r1, 0, small
-        jgti   r1, 0, mid
-        movimm r0, 111
-        exit
-big:    movimm r0, 1
-        exit
-small:  movimm r0, 2
-        exit
-mid:    movimm r0, 3
-        exit`, r1: 50, folded: 1, dead: 2, r0: 3, steps: 5},
-		{name: "fire argument", src: `
-        jgti   r1, 5, a
-        movimm r0, 1
-        exit
-a:      movimm r0, 2
-        exit`, r1: 7, r0: 2, steps: 3},
-		{name: "trapping division", src: `
-        movimm r1, 10
-        movimm r2, 0
-        div    r1, r2
-        movimm r0, 0
-        exit`, steps: 3, trap: vm.ErrDivByZero},
-	} {
-		prog := &isa.Program{Name: tc.name, Insns: isa.MustAssemble(tc.src)}
-		rep, err := verifier.Verify(prog, verifier.Config{})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		prog.Facts = rep.Facts
-		lp, err := lower.Lower(prog)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if lp.FoldedBranches != tc.folded || lp.DeadInsns != tc.dead {
-			t.Errorf("%s: folded %d branches and dropped %d insns; want %d, %d",
-				tc.name, lp.FoldedBranches, lp.DeadInsns, tc.folded, tc.dead)
-		}
-		jit, interp, jerr, ierr := runBoth(t, stubEnv{}, prog, tc.r1, tc.r2, 0)
-		if !errors.Is(jerr, tc.trap) || !errors.Is(ierr, tc.trap) {
-			t.Fatalf("%s: jit err = %v, interp err = %v; want %v", tc.name, jerr, ierr, tc.trap)
-		}
-		if tc.trap != nil {
-			jit[0], interp[0] = 0, 0 // R0 of a trapped run is not a result
-		}
-		if want := [2]int64{tc.r0, tc.steps}; jit != want || interp != want {
-			t.Errorf("%s: (r0, steps): jit %v, interp %v; want %v", tc.name, jit, interp, want)
-		}
+        exit`),
+	}
+	rep, err := verifier.Verify(prog, verifier.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Facts == nil {
+		t.Fatal("verifier exported no facts")
+	}
+	prog.Facts = rep.Facts
+	lp, err := lower.Lower(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lp.FoldedBranches != 1 {
+		t.Errorf("FoldedBranches = %d, want 1", lp.FoldedBranches)
+	}
+	if lp.DeadInsns != 2 {
+		t.Errorf("DeadInsns = %d, want 2 (the infeasible fall-through)", lp.DeadInsns)
+	}
+	jit, interp, jerr, ierr := runBoth(t, stubEnv{}, prog, 0, 0, 0)
+	if jerr != nil || ierr != nil {
+		t.Fatal(jerr, ierr)
+	}
+	if want := [2]int64{222, 4}; jit != want || interp != want {
+		t.Errorf("(r0, steps): jit %v, interp %v; want %v", jit, interp, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"rmtk/internal/aot/lower"
 	"rmtk/internal/dp"
 	"rmtk/internal/isa"
 	"rmtk/internal/ml/mlp"
@@ -567,4 +568,40 @@ func itoa(v int64) string {
 		b = append([]byte{'-'}, b...)
 	}
 	return string(b)
+}
+
+// TestOptimizeOnAdmission: admission, on by default, attaches the
+// verifier's facts to the admitted program, so the branch the constant
+// product decides folds on the compiled tiers and costs nothing in the
+// certified bound.
+func TestOptimizeOnAdmission(t *testing.T) {
+	src := `
+        movimm r1, 6
+        movimm r2, 7
+        mov    r0, r1
+        mul    r0, r2
+        jgti   r0, 100, big
+        exit
+big:    movimm r0, 100
+        exit`
+	k := newTestKernel(t, Config{})
+	id := install(t, k, &isa.Program{Name: "p", Insns: isa.MustAssemble(src)})
+	got, _, err := k.RunProgramByName("p", 0, 0, 0)
+	if err != nil || got != 42 {
+		t.Fatalf("got %d err %v, want 42", got, err)
+	}
+	a := k.progs[id].prog
+	if a.Facts == nil || a.Facts.Branches[4] != isa.BranchNeverTaken {
+		t.Fatalf("admitted program does not carry the decided branch: %+v", a.Facts)
+	}
+	if rep, _ := k.ProgramReport(id); rep.MaxSteps != 6 || a.StaticSteps != 6 {
+		t.Fatalf("MaxSteps %d, StaticSteps %d; want 6 (the dead arm excluded)", rep.MaxSteps, a.StaticSteps)
+	}
+	lp, err := lower.Lower(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lp.FoldedBranches != 1 || lp.DeadInsns != 2 {
+		t.Fatalf("admitted program lowers with %d folded branches and %d dead insns, want 1, 2", lp.FoldedBranches, lp.DeadInsns)
+	}
 }

@@ -167,3 +167,95 @@ func richRandomProgram(rng *rand.Rand) *isa.Program {
 		Vecs:    []int64{1},
 	}
 }
+
+// TestOptimizerPreservesSemantics: for random verified programs, the
+// admitted form (proofs and the verifier's facts attached, so the JIT folds
+// decided branches and drops dead code) must compute on the JIT the same
+// R0, register file and steps as the original program on the interpreter.
+// Crossing the engines catches folding and engine divergence at once.
+func TestOptimizerPreservesSemantics(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	checked, folded := 0, 0
+	for trial := 0; trial < 1200; trial++ {
+		prog := richRandomProgram(rng)
+		if _, err := verifier.Verify(prog, soundCfg()); err != nil {
+			continue
+		}
+		adm := admitted(t, prog, soundCfg())
+		ip, err := NewInterpreter(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envA, envB := soundEnv(), soundEnv()
+		jit, err := Compile(envB, adm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stA, stB := NewState(), NewState()
+		r1, r2, r3 := rng.Int63n(20), rng.Int63n(20), rng.Int63n(20)
+		gotA, errA := ip.Run(envA, stA, r1, r2, r3)
+		gotB, errB := jit.Run(envB, stB, r1, r2, r3)
+		if errA != nil || errB != nil {
+			t.Fatalf("trial %d: errA=%v errB=%v", trial, errA, errB)
+		}
+		if gotA != gotB || stA.Regs != stB.Regs || stA.Steps() != stB.Steps() {
+			t.Fatalf("trial %d: original (%d, %d steps) admitted (%d, %d steps)\n%s",
+				trial, gotA, stA.Steps(), gotB, stB.Steps(), prog.Disassemble())
+		}
+		checked++
+		for _, d := range adm.Facts.Branches {
+			if d != isa.BranchBoth {
+				folded++
+				break
+			}
+		}
+	}
+	if checked < 150 || folded == 0 {
+		t.Fatalf("only %d programs checked, %d of them with a decided branch", checked, folded)
+	}
+}
+
+// TestOptimizerNeverSlower: the facts only ever remove work. For random
+// verified programs, the admitted form compiles to no more JIT nodes than
+// the same program without facts, and runs in the same steps: a folded
+// branch still charges its one step.
+func TestOptimizerNeverSlower(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	checked, shrunk := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		prog := richRandomProgram(rng)
+		if _, err := verifier.Verify(prog, soundCfg()); err != nil {
+			continue
+		}
+		adm := admitted(t, prog, soundCfg())
+		bare := adm.Clone()
+		bare.Facts = nil
+		envA, envB := soundEnv(), soundEnv()
+		jitA, err := Compile(envA, bare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jitB, err := Compile(envB, adm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stA, stB := NewState(), NewState()
+		r1 := rng.Int63n(20)
+		_, errA := jitA.Run(envA, stA, r1, 0, 0)
+		_, errB := jitB.Run(envB, stB, r1, 0, 0)
+		if errA != nil || errB != nil {
+			t.Fatalf("trial %d: errA=%v errB=%v", trial, errA, errB)
+		}
+		if len(jitB.code) > len(jitA.code) || stB.Steps() != stA.Steps() {
+			t.Fatalf("trial %d: with facts %d nodes, %d steps; without %d nodes, %d steps\n%s",
+				trial, len(jitB.code), stB.Steps(), len(jitA.code), stA.Steps(), prog.Disassemble())
+		}
+		checked++
+		if len(jitB.code) < len(jitA.code) {
+			shrunk++
+		}
+	}
+	if checked < 50 || shrunk == 0 {
+		t.Fatalf("only %d programs checked, %d of them shrunk by the facts", checked, shrunk)
+	}
+}
