@@ -263,8 +263,8 @@ type Event struct {
 // re-admit it.
 //
 // The hot path is lock-free: dispatch runs against an immutable route
-// snapshot (atomic pointer), table lookups read copy-on-write table
-// snapshots, and for verifier-certified pure pipelines the whole verdict is
+// snapshot (atomic pointer), table lookups read lock-free table entry sets
+// (internal/table), and for verifier-certified pure pipelines the whole verdict is
 // memoized per (hook, args) from a flow's second replayable miss (the first
 // only leaves a fingerprint in the cache's doorkeeper, so one-shot flows are
 // never stored) and replayed until something that fire read changes: an

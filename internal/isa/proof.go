@@ -80,17 +80,6 @@ const (
 	BranchNeverTaken
 )
 
-// Static vector-length sentinels used by Facts.VecLens (mirroring the
-// abstract lattice of the verifier's shape domain).
-const (
-	// VecLenUnknown marks a vector register that is written on every path
-	// but whose length is not a single static value.
-	VecLenUnknown = -1
-	// VecLenUnset marks a vector register not written on some path reaching
-	// the instruction.
-	VecLenUnset = -2
-)
-
 // Facts is the per-instruction fact table of one verified program (indexed
 // by pc), the codegen-facing export of the verifier's abstract interpreter:
 // everything here was computed anyway to admit the program. Like the proof
@@ -106,8 +95,4 @@ type Facts struct {
 	// Branches records the statically decided outcome of each conditional
 	// jump (BranchBoth for every non-branch instruction).
 	Branches []BranchDecision
-	// VecLens gives the incoming static length of every vector register at
-	// the instruction (element i of entry pc is V[i]'s length on entry to
-	// pc), or VecLenUnknown / VecLenUnset.
-	VecLens [][NumVRegs]int
 }

@@ -32,10 +32,11 @@ import (
 //     move after the publication. A table entry's liveness (Entry.Live, the
 //     per-entry component a cached exact-table verdict is stamped by) has no
 //     rule of its own: its flag is unexported in internal/table and written
-//     only by Table.publish, after its snapshot Store, from a diff of the old
-//     and new snapshots. Every mutator reaches it through Table.mutate, so no
-//     second site that could order a revival before the Store can exist
-//     without editing publish itself.
+//     only by Table.publish, after the mutation's store (a new snapshot, or
+//     an exact-index slot stored in place) and the version bump. Every
+//     mutator ends in publish under the table's mutex, so no second site
+//     that could order a revival before the store can exist without editing
+//     publish itself.
 //  3. stamp-before-read: in a body that calls both `x.Version()` and
 //     `x.Lookup(...)` (or `x.LookupMatch(...)`) on the same receiver, the
 //     first Version must precede the first lookup. Tables publish snapshot-then-version, so a version read

@@ -117,7 +117,6 @@ func (p *pass) run() ([]int64, error) {
 		facts = &isa.Facts{
 			Live:     make([]bool, n),
 			Branches: make([]isa.BranchDecision, n),
-			VecLens:  make([][isa.NumVRegs]int, n),
 		}
 	}
 
@@ -173,16 +172,6 @@ func (p *pass) run() ([]int64, error) {
 		}
 		if facts != nil {
 			facts.Live[pc] = true
-			for i, vl := range st.vecs {
-				switch vl {
-				case vecUnset:
-					facts.VecLens[pc][i] = isa.VecLenUnset
-				case vecUnknown:
-					facts.VecLens[pc][i] = isa.VecLenUnknown
-				default:
-					facts.VecLens[pc][i] = vl
-				}
-			}
 		}
 		out := st
 		opCost := int64(0)

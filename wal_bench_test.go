@@ -34,8 +34,8 @@ func BenchmarkWALAppend(b *testing.B) {
 	defer p.WAL().Close()
 	b.ResetTimer()
 	// Bounded key space: each append overwrites one of 256 rows, so the
-	// table's copy-on-write cost stays constant and ns/op tracks the logging
-	// path, not table growth.
+	// table's size stays constant and ns/op tracks the logging path, not
+	// table growth.
 	for i := 0; i < b.N; i++ {
 		e := &table.Entry{
 			Key:    uint64(i % 256),
