@@ -88,7 +88,7 @@ type baselineFile struct {
 	NsPerOp map[string]float64 `json:"ns_per_op"`
 }
 
-const baselineNote = "median ns/op per benchmark; regenerate with: { go test -bench='BenchmarkHotPath|BenchmarkWALAppend|BenchmarkRecover|BenchmarkLogShip|BenchmarkFailover|BenchmarkTenantFire|BenchmarkAdmission' -benchmem -count=6 -run='^$' . ; go test -bench=BenchmarkTrain -benchmem -count=6 -run='^$' ./internal/ml/dt ; } | go run ./cmd/benchgate -update"
+const baselineNote = "median ns/op per benchmark; regenerate with: { go test -bench='BenchmarkHotPath|BenchmarkWALAppend|BenchmarkRecover|BenchmarkLogShip|BenchmarkFailover|BenchmarkTenantFire|BenchmarkAdmission|BenchmarkTableInsert' -benchmem -count=6 -run='^$' . ; go test -bench=BenchmarkTrain -benchmem -count=6 -run='^$' ./internal/ml/dt ; } | go run ./cmd/benchgate -update"
 
 // ReadBaseline loads a committed baseline file.
 func ReadBaseline(path string) (map[string]float64, error) {

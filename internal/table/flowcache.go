@@ -23,34 +23,20 @@ import (
 // that the kernel compares itself, handing an entry that fails it back
 // through Reject. Shards are power-of-two sized and selected by key hash.
 //
-// The store. A shard is an open-addressed table: a power-of-two array of
-// atomic pointers to immutable {key, gen, v} entries, probed linearly from
-// the slot the key's hash names, published through an atomic pointer in the
-// shard. A slot is empty (nil, which ends every probe), a tombstone (a
-// dropped entry's place; probes walk over it) or an entry. A shard that has
-// stored nothing has no table; tables start at flowMinSlots and double as
-// entries arrive, staying at most half used, so memory follows the flows
-// actually cached, and a shard cleared wholesale keeps the size its traffic
-// had earned.
+// The store. A shard's entries are immutable {key, gen, v} records in a
+// slotTable (slots.go, which states the writers' rules), published through an
+// atomic pointer in the shard. A shard that has stored nothing has no table;
+// tables start at minSlots and are sized to the flows actually cached, and a
+// shard cleared wholesale keeps the size its traffic had earned.
 //
 // Readers and writers. Get's probe — one FlowKey.hash, one load of the table
 // pointer, atomic slot loads up to the first empty one, full FlowKey and
 // generation equality on the entry — takes no lock, so a hit and a plain miss
 // never wait for anything. Everything that changes a table (Put, the drop of
 // a stale entry inside Get, Reject, Reset) runs under the shard mutex, and
-// those run once per admitted miss or invalidation, never per hit. Writers
-// keep three rules:
-//
-//   - An entry is never written after it is published; a changed value is a
-//     new entry stored into the slot.
-//   - One key, one slot: an insert walks the key's whole probe chain before it
-//     claims the empty slot at its end, and tombstones are never claimed (a
-//     rebuild drops them), so dropping an entry can never uncover an older one
-//     for the same key further down the chain.
-//   - A table that would pass half used (entries plus tombstones) is rebuilt
-//     into a fresh array — twice the size when entries alone fill a quarter,
-//     the same size when tombstones did — and only then published; the old
-//     array is never written again.
+// those run once per admitted miss or invalidation, never per hit. An entry
+// is never written after it is published: a changed value is a new entry
+// stored into the slot.
 //
 // Why a lock-free Get is a legal Get of the mutex-guarded map this store
 // replaced. A hit returns an entry it loaded from a slot, whose key and
@@ -139,31 +125,22 @@ type flowEntry[V any] struct {
 	v   V
 }
 
-// flowTable is one shard's open-addressed store. Nothing in it but the slots'
-// contents changes once the shard points at it.
-type flowTable[V any] struct {
-	// slots has power-of-two length and at least half of it empty, so every
-	// probe chain ends.
-	slots []atomic.Pointer[flowEntry[V]]
-	// tomb is what a dropped entry's slot points at until the next rebuild.
-	// It marks by address alone; nothing reads its fields.
-	tomb flowEntry[V]
+func (e *flowEntry[V]) slotHome() uint64 { return e.key.hash() >> flowSlotShift }
+
+// flowSlotShift skips the hash bits that chose the shard (and would be the
+// same for every key in it) when naming a key's home slot.
+const flowSlotShift = 16
+
+// newFlowTable returns an empty store for one shard (slots.go). Nothing in it
+// but the slots' contents changes once the shard points at it.
+func newFlowTable[V any](slots int) *slotTable[flowEntry[V], *flowEntry[V]] {
+	return newSlotTable[flowEntry[V]](slots)
 }
 
-const (
-	flowMinSlots = 8
-	// flowSlotShift skips the hash bits that chose the shard (and would be
-	// the same for every key in it) when naming a key's home slot.
-	flowSlotShift = 16
-)
-
-func newFlowTable[V any](slots int) *flowTable[V] {
-	return &flowTable[V]{slots: make([]atomic.Pointer[flowEntry[V]], slots)}
-}
-
-// probe walks k's chain from its home slot. It returns the slot that holds k
-// and the entry loaded from it, or the empty slot that ends the chain and nil.
-func (t *flowTable[V]) probe(k FlowKey, h uint64) (*atomic.Pointer[flowEntry[V]], *flowEntry[V]) {
+// probeFlow walks k's chain in t from its home slot (h is k's hash). It
+// returns the slot that holds k and the entry loaded from it, or the empty
+// slot that ends the chain and nil.
+func probeFlow[V any](t *slotTable[flowEntry[V], *flowEntry[V]], k FlowKey, h uint64) (*atomic.Pointer[flowEntry[V]], *flowEntry[V]) {
 	mask := uint64(len(t.slots) - 1)
 	for i := h >> flowSlotShift; ; i++ {
 		slot := &t.slots[i&mask]
@@ -172,24 +149,6 @@ func (t *flowTable[V]) probe(k FlowKey, h uint64) (*atomic.Pointer[flowEntry[V]]
 			return slot, e
 		}
 	}
-}
-
-// rebuilt returns a copy of t, which holds live entries, without its
-// tombstones and at most a quarter used: twice t's size when the entries alone
-// would fill more, t's size otherwise (tombstones, not entries, used t up).
-func (t *flowTable[V]) rebuilt(live int) *flowTable[V] {
-	n := len(t.slots)
-	if live > n/4 {
-		n *= 2
-	}
-	nt := newFlowTable[V](n)
-	for i := range t.slots {
-		if e := t.slots[i].Load(); e != nil && e != &t.tomb {
-			slot, _ := nt.probe(e.key, e.key.hash())
-			slot.Store(e)
-		}
-	}
-	return nt
 }
 
 // flowShard is one writer-lock domain of the cache, laid out as two cache
@@ -201,7 +160,7 @@ func (t *flowTable[V]) rebuilt(live int) *flowTable[V] {
 // readers of 256 flows, when Get still booked its own hits: 27 ns per Get on
 // one line, 22 on two).
 type flowShard[V any] struct {
-	tab atomic.Pointer[flowTable[V]] // nil until the shard's first Put
+	tab atomic.Pointer[slotTable[flowEntry[V], *flowEntry[V]]] // nil until the shard's first Put
 	_   [64 - 8]byte
 
 	hits          atomic.Int64
@@ -218,8 +177,8 @@ type flowShard[V any] struct {
 
 // kill turns the entry in slot, one of t's, into a tombstone. The caller
 // holds s.mu and t is s.tab.
-func (s *flowShard[V]) kill(t *flowTable[V], slot *atomic.Pointer[flowEntry[V]]) {
-	slot.Store(&t.tomb)
+func (s *flowShard[V]) kill(t *slotTable[flowEntry[V], *flowEntry[V]], slot *atomic.Pointer[flowEntry[V]]) {
+	t.kill(slot)
 	s.live--
 	s.tombs++
 }
@@ -284,7 +243,7 @@ func (c *FlowCache[V]) Get(k FlowKey, gen uint64) (V, bool) {
 	h := k.hash()
 	s := &c.shards[h&c.mask]
 	if t := s.tab.Load(); t != nil {
-		if _, e := t.probe(k, h); e != nil {
+		if _, e := probeFlow(t, k, h); e != nil {
 			if e.gen == gen {
 				return e.v, true
 			}
@@ -301,7 +260,7 @@ func (c *FlowCache[V]) getStale(s *flowShard[V], k FlowKey, h, gen uint64) (V, b
 	var zero V
 	s.mu.Lock()
 	t := s.tab.Load()
-	slot, e := t.probe(k, h)
+	slot, e := probeFlow(t, k, h)
 	switch {
 	case e == nil:
 		s.mu.Unlock()
@@ -344,7 +303,7 @@ func (c *FlowCache[V]) Reject(k FlowKey) {
 	s := &c.shards[h&c.mask]
 	s.mu.Lock()
 	if t := s.tab.Load(); t != nil {
-		if slot, e := t.probe(k, h); e != nil {
+		if slot, e := probeFlow(t, k, h); e != nil {
 			s.kill(t, slot)
 		}
 	}
@@ -384,24 +343,24 @@ func (c *FlowCache[V]) Put(k FlowKey, gen uint64, v V) {
 	s.mu.Lock()
 	t := s.tab.Load()
 	if t == nil {
-		t = newFlowTable[V](flowMinSlots)
+		t = newFlowTable[V](minSlots)
 		s.tab.Store(t)
 	}
-	slot, old := t.probe(k, h)
+	slot, old := probeFlow(t, k, h)
 	if old == nil {
 		// A new key takes the empty slot that ended its chain, unless the
 		// table has to be replaced first: cleared because the shard is full,
 		// or rebuilt to keep that chain short.
-		var nt *flowTable[V]
+		var nt *slotTable[flowEntry[V], *flowEntry[V]]
 		switch {
 		case s.live >= c.perShard:
 			s.evictions.Add(int64(s.live))
 			nt, s.live = newFlowTable[V](len(t.slots)), 0
-		case 2*(s.live+s.tombs+1) > len(t.slots):
-			nt = t.rebuilt(s.live)
+		case t.full(s.live, s.tombs):
+			nt = t.rebuilt(s.live, nil)
 		}
 		if nt != nil {
-			slot, _ = nt.probe(k, h)
+			slot, _ = probeFlow(nt, k, h)
 			s.tab.Store(nt)
 			s.tombs = 0
 		}
