@@ -701,14 +701,14 @@ func (k *Kernel) InstallProgram(prog *isa.Program) (int64, *verifier.Report, err
 
 // InstallProgramAt admits a program at an explicit id — the checkpoint
 // restore path, where removed programs may have left holes in the id space
-// that replayed references must line up with. Restored ids must arrive in
-// ascending order; the allocator resumes after the highest.
-func (k *Kernel) InstallProgramAt(id int64, prog *isa.Program) (*verifier.Report, error) {
-	if id <= 0 {
-		return nil, fmt.Errorf("core: restore program id %d: must be positive", id)
+// that replayed references must line up with — or at the next id when id is
+// 0 (InstallProgram). Restored ids must arrive in ascending order; the
+// allocator resumes after the highest.
+func (k *Kernel) InstallProgramAt(id int64, prog *isa.Program) (int64, *verifier.Report, error) {
+	if id < 0 {
+		return 0, nil, fmt.Errorf("core: restore program id %d: negative", id)
 	}
-	_, rep, err := k.installProgram(prog, id)
-	return rep, err
+	return k.installProgram(prog, id)
 }
 
 func (k *Kernel) installProgram(prog *isa.Program, forceID int64) (int64, *verifier.Report, error) {

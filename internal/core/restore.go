@@ -11,41 +11,41 @@ import (
 // This file is the kernel's side of crash recovery (internal/wal +
 // internal/ctrl): explicit-id registration so a checkpoint can rebuild an
 // id space with holes (removed tables/programs never recycle ids), and
-// inventory enumerators so the control plane can snapshot every registry
-// deterministically. Only the restore path uses the *At registrars; normal
-// operation allocates ids sequentially.
+// inventory enumerators so the control plane can checkpoint every registry
+// deterministically. The *At registrars take id 0 as "allocate the next id"
+// with live semantics, so one call serves the log records (no id) and the
+// checkpoint records (explicit ids) the control plane applies.
 
-// CreateTableAt registers a table at an explicit id. Restored ids must
-// arrive in ascending order; the table allocator resumes after the highest.
-// Quota caps are not enforced here: restore replays already-admitted state,
-// and a checkpoint taken after a quota was lowered below the tenant's live
-// table count must still recover.
-func (k *Kernel) CreateTableAt(id int64, t *table.Table) error {
-	if id <= 0 {
-		return fmt.Errorf("core: restore table id %d: must be positive", id)
+// CreateTableAt registers a table at an explicit id, or at the next one when
+// id is 0 (CreateTable), and returns the id. Restored ids must arrive in
+// ascending order; the table allocator resumes after the highest. Quota caps
+// are not enforced at an explicit id: restore replays already-admitted
+// state, and a checkpoint taken after a quota was lowered below the tenant's
+// live table count must still recover.
+func (k *Kernel) CreateTableAt(id int64, t *table.Table) (int64, error) {
+	if id < 0 {
+		return 0, fmt.Errorf("core: restore table id %d: negative", id)
 	}
-	_, err := k.createTable(t, id)
-	return err
+	return k.createTable(t, id)
 }
 
-// RegisterModelOwnedAt registers a tenant-owned model at an explicit id — the
-// restore path for models created through RegisterModelOwned.
-func (k *Kernel) RegisterModelOwnedAt(id int64, owner string, m Model) error {
-	if id <= 0 {
-		return fmt.Errorf("core: restore model id %d: must be positive", id)
+// RegisterModelOwnedAt registers a tenant-owned model at an explicit id, or
+// at the next one when id is 0 (RegisterModelOwned), and returns the id.
+func (k *Kernel) RegisterModelOwnedAt(id int64, owner string, m Model) (int64, error) {
+	if id < 0 {
+		return 0, fmt.Errorf("core: restore model id %d: negative", id)
 	}
-	_, err := k.registerModel(owner, m, id)
-	return err
+	return k.registerModel(owner, m, id)
 }
 
 // RegisterMatrixAt registers a weight matrix at an explicit id (ascending
-// restore order).
-func (k *Kernel) RegisterMatrixAt(id int64, m *Matrix) error {
-	if id <= 0 {
-		return fmt.Errorf("core: restore matrix id %d: must be positive", id)
+// restore order), or at the next one when id is 0 (RegisterMatrix), and
+// returns the id.
+func (k *Kernel) RegisterMatrixAt(id int64, m *Matrix) (int64, error) {
+	if id < 0 {
+		return 0, fmt.Errorf("core: restore matrix id %d: negative", id)
 	}
-	_, err := k.registerMatrix(m, id)
-	return err
+	return k.registerMatrix(m, id)
 }
 
 // AllocState reports the id allocators' high-water marks. Together with the

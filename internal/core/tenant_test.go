@@ -468,7 +468,7 @@ func TestCrossTenantHookRejected(t *testing.T) {
 		if _, err := k.CreateTable(table.New(tc.name, tc.hook, table.MatchExact)); !errors.Is(err, qos.ErrCrossTenant) {
 			t.Fatalf("CreateTable(%q on %q) err = %v, want ErrCrossTenant", tc.name, tc.hook, err)
 		}
-		if err := k.CreateTableAt(99, table.New(tc.name, tc.hook, table.MatchExact)); !errors.Is(err, qos.ErrCrossTenant) {
+		if _, err := k.CreateTableAt(99, table.New(tc.name, tc.hook, table.MatchExact)); !errors.Is(err, qos.ErrCrossTenant) {
 			t.Fatalf("CreateTableAt(%q on %q) err = %v, want ErrCrossTenant", tc.name, tc.hook, err)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"rmtk/internal/core"
-	"rmtk/internal/verifier"
 	"rmtk/internal/wal"
 )
 
@@ -132,9 +131,11 @@ type Canary struct {
 	// replicated commit.
 	gateOnly bool
 
-	sh       *core.Shadow
-	promote  func() error
-	rollback func() error
+	sh *core.Shadow
+	// promote and rollback are the committed reconfigurations (Bump set)
+	// the lifecycle submits; nil on a gate-only canary.
+	promote  *mut
+	rollback *mut
 	monitor  *AccuracyMonitor
 
 	mu          sync.Mutex
@@ -156,20 +157,16 @@ type Canary struct {
 // lifecycle by calling Advance from its event loop and labels shadow
 // predictions via RecordShadowOutcome when using the accuracy gate.
 func (p *Plane) PushModelCanary(hook string, id int64, candidate core.Model, opsBudget, memBudget int64, cfg CanaryConfig) (*Canary, error) {
-	ops, bytes := candidate.Cost()
-	if opsBudget > 0 && ops > opsBudget {
-		return nil, fmt.Errorf("%w: %w: model %d: %d > %d", ErrBudgetExceeded, verifier.ErrOpsBudget, id, ops, opsBudget)
+	if err := checkModelBudgets(candidate, opsBudget, memBudget); err != nil {
+		return nil, fmt.Errorf("model %d: %w", id, err)
 	}
-	if memBudget > 0 && bytes > memBudget {
-		return nil, fmt.Errorf("%w: %w: model %d: %d > %d", ErrBudgetExceeded, verifier.ErrMemBudget, id, bytes, memBudget)
-	}
-	if cfg.MaxStaticOps > 0 && ops > cfg.MaxStaticOps {
+	if ops, _ := candidate.Cost(); cfg.MaxStaticOps > 0 && ops > cfg.MaxStaticOps {
 		return nil, fmt.Errorf("%w: model %d: %d ops > %d", ErrStaticCost, id, ops, cfg.MaxStaticOps)
 	}
 	if _, err := p.K.Model(id); err != nil {
 		return nil, err
 	}
-	if p.wal != nil {
+	if p.Durable() {
 		// Fail fast: a candidate with no durable codec could never be
 		// promoted (promotion must be logged), so reject it before any
 		// shadow traffic is spent on it.
@@ -183,15 +180,31 @@ func (p *Plane) PushModelCanary(hook string, id int64, candidate core.Model, ops
 	}
 	c := &Canary{
 		p: p, cfg: cfg.withDefaults(), hook: hook, sh: sh,
-		monitor: p.Monitor(id),
-		promote: func() error {
-			// Budgets already admitted; log as a committed reconfiguration.
-			return p.pushModelRec(id, candidate, 0, 0, true)
-		},
-		rollback: func() error { return p.rollbackModelRec(id, true) },
+		monitor:  p.Monitor(id),
+		promote:  &mut{rec: &wal.Record{Kind: wal.KindPushModel, ModelID: id, Bump: true}, model: candidate},
+		rollback: &mut{rec: &wal.Record{Kind: wal.KindRollbackModel, ModelID: id, Bump: true}},
 	}
 	p.K.Metrics.Counter("ctrl.canary_staged").Inc()
 	return c, nil
+}
+
+// checkStaticCost rejects program candID at staging when its admission
+// report proves a worst case above cfg's static ceilings.
+func (p *Plane) checkStaticCost(candID int64, cfg CanaryConfig) error {
+	if cfg.MaxStaticSteps <= 0 && cfg.MaxStaticOps <= 0 {
+		return nil
+	}
+	rep, err := p.K.ProgramReport(candID)
+	if err != nil {
+		return err
+	}
+	if cfg.MaxStaticSteps > 0 && rep.MaxSteps > cfg.MaxStaticSteps {
+		return fmt.Errorf("%w: program %d: %d steps > %d", ErrStaticCost, candID, rep.MaxSteps, cfg.MaxStaticSteps)
+	}
+	if cfg.MaxStaticOps > 0 && rep.MLOps > cfg.MaxStaticOps {
+		return fmt.Errorf("%w: program %d: %d ML ops > %d", ErrStaticCost, candID, rep.MLOps, cfg.MaxStaticOps)
+	}
+	return nil
 }
 
 // PushProgramCanary stages candidate program candID as a replacement for
@@ -205,32 +218,15 @@ func (p *Plane) PushProgramCanary(hook, tableName string, incID, candID int64, c
 	if _, _, err := p.K.TableByName(tableName); err != nil {
 		return nil, err
 	}
-	if cfg.MaxStaticSteps > 0 || cfg.MaxStaticOps > 0 {
-		rep, err := p.K.ProgramReport(candID)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.MaxStaticSteps > 0 && rep.MaxSteps > cfg.MaxStaticSteps {
-			return nil, fmt.Errorf("%w: program %d: %d steps > %d",
-				ErrStaticCost, candID, rep.MaxSteps, cfg.MaxStaticSteps)
-		}
-		if cfg.MaxStaticOps > 0 && rep.MLOps > cfg.MaxStaticOps {
-			return nil, fmt.Errorf("%w: program %d: %d ML ops > %d",
-				ErrStaticCost, candID, rep.MLOps, cfg.MaxStaticOps)
-		}
+	if err := p.checkStaticCost(candID, cfg); err != nil {
+		return nil, err
 	}
 	sh := core.NewProgramShadow(hook, candID)
 	if err := p.K.AttachShadow(sh); err != nil {
 		return nil, err
 	}
-	retarget := func(from, to int64) func() error {
-		return func() error {
-			if p.wal == nil {
-				return p.applyRetarget(tableName, from, to)
-			}
-			rec := &wal.Record{Kind: wal.KindRetarget, Table: tableName, From: from, To: to, Bump: true}
-			return p.logApply(rec, func() error { return p.applyRetarget(tableName, from, to) })
-		}
+	retarget := func(from, to int64) *mut {
+		return &mut{rec: &wal.Record{Kind: wal.KindRetarget, Table: tableName, From: from, To: to, Bump: true}}
 	}
 	c := &Canary{
 		p: p, cfg: cfg.withDefaults(), hook: hook, sh: sh,
@@ -253,19 +249,8 @@ func (p *Plane) StageProgramGate(hook string, candID int64, cfg CanaryConfig) (*
 	if _, err := p.K.Program(candID); err != nil {
 		return nil, err
 	}
-	if cfg.MaxStaticSteps > 0 || cfg.MaxStaticOps > 0 {
-		rep, err := p.K.ProgramReport(candID)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.MaxStaticSteps > 0 && rep.MaxSteps > cfg.MaxStaticSteps {
-			return nil, fmt.Errorf("%w: program %d: %d steps > %d",
-				ErrStaticCost, candID, rep.MaxSteps, cfg.MaxStaticSteps)
-		}
-		if cfg.MaxStaticOps > 0 && rep.MLOps > cfg.MaxStaticOps {
-			return nil, fmt.Errorf("%w: program %d: %d ML ops > %d",
-				ErrStaticCost, candID, rep.MLOps, cfg.MaxStaticOps)
-		}
+	if err := p.checkStaticCost(candID, cfg); err != nil {
+		return nil, err
 	}
 	sh := core.NewProgramShadow(hook, candID)
 	if err := p.K.AttachShadow(sh); err != nil {
@@ -416,10 +401,7 @@ func (c *Canary) advanceShadowing() {
 	// Gates cleared: go live.
 	c.p.K.DetachShadow(c.hook)
 	c.p.commitMu.Lock()
-	err := c.promote()
-	if err == nil {
-		c.p.version.Add(1)
-	}
+	err := c.p.submit(c.promote)
 	c.p.commitMu.Unlock()
 	if err != nil {
 		c.state = CanaryRejected
@@ -464,10 +446,7 @@ func (c *Canary) reject(reason error) {
 // doRollback restores the prior version. Caller holds c.mu.
 func (c *Canary) doRollback(reason error) error {
 	c.p.commitMu.Lock()
-	err := c.rollback()
-	if err == nil {
-		c.p.version.Add(1)
-	}
+	err := c.p.submit(c.rollback)
 	c.p.commitMu.Unlock()
 	if err != nil {
 		return err

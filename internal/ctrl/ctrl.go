@@ -62,21 +62,16 @@ type Plane struct {
 	// wal, when non-nil, makes the plane durable: every mutation is
 	// appended (and fsynced) before it applies. walMu keeps log order
 	// identical to apply order. crashAfter is the test-only crash point
-	// between append and apply (durable.go).
+	// between append and apply (crashPoint).
 	wal        *wal.Log
 	walMu      sync.Mutex
 	crashAfter func(wal.Kind) bool
 
 	// Replication state (replica.go). recordEpoch stamps every appended
-	// record with the leader epoch it was logged under; replicaMu serializes
-	// ApplyReplicated; replaying suppresses re-logging while a shipped
-	// record replays through the regular mutator paths.
-	recordEpoch atomic.Uint64
-	replicaMu   sync.Mutex
-	replaying   atomic.Bool
-	// pendingAbort (guarded by replicaMu) is the sequence of a shipped
-	// record that failed to apply locally and awaits the leader's
-	// compensating abort record.
+	// record with the leader epoch it was logged under. pendingAbort (guarded
+	// by commitMu) is the sequence of a shipped record that failed to apply
+	// locally and awaits the leader's compensating abort record.
+	recordEpoch  atomic.Uint64
 	pendingAbort uint64
 }
 
@@ -130,21 +125,11 @@ func (p *Plane) ModelHistoryLen(id int64) int {
 // RollbackModel restores model id's most recent prior version — the manual
 // form of the rollback the canary controller performs automatically.
 func (p *Plane) RollbackModel(id int64) error {
-	return p.rollbackModelRec(id, false)
+	return p.submit(&mut{rec: &wal.Record{Kind: wal.KindRollbackModel, ModelID: id}})
 }
 
-// rollbackModelRec logs and applies a model rollback; bump marks a canary
-// rollback (a committed reconfiguration) so replay restores the version
-// counter.
-func (p *Plane) rollbackModelRec(id int64, bump bool) error {
-	if p.wal == nil {
-		return p.applyRollbackModel(id)
-	}
-	rec := &wal.Record{Kind: wal.KindRollbackModel, ModelID: id, Bump: bump}
-	return p.logApply(rec, func() error { return p.applyRollbackModel(id) })
-}
-
-func (p *Plane) applyRollbackModel(id int64) error {
+// rollbackModel swaps model id's most recent prior version back in.
+func (p *Plane) rollbackModel(id int64) error {
 	prior, ok := p.popHistory(id)
 	if !ok {
 		return fmt.Errorf("%w: model %d", ErrNoHistory, id)
@@ -163,143 +148,47 @@ func (p *Plane) applyRollbackModel(id int64) error {
 // the wire bytecode and resource declarations are logged; replay re-runs the
 // verifier, which regenerates the admission artifacts deterministically.
 func (p *Plane) LoadProgram(prog *isa.Program) (int64, *verifier.Report, error) {
-	if p.wal == nil {
-		return p.K.InstallProgram(prog)
-	}
-	var (
-		id  int64
-		rep *verifier.Report
-	)
-	rec := &wal.Record{Kind: wal.KindLoadProgram, Program: walProgram(prog)}
-	err := p.logApply(rec, func() error {
-		var aerr error
-		id, rep, aerr = p.K.InstallProgram(prog)
-		return aerr
-	})
-	return id, rep, err
+	m := &mut{rec: &wal.Record{Kind: wal.KindLoadProgram}, prog: prog}
+	err := p.submit(m)
+	return m.id, m.report, err
 }
 
 // CreateTable registers a table on its hook.
 func (p *Plane) CreateTable(name, hook string, kind table.MatchKind) (*table.Table, int64, error) {
-	if p.wal == nil {
-		return p.applyCreateTable(name, hook, kind)
-	}
-	var (
-		t  *table.Table
-		id int64
-	)
-	rec := &wal.Record{Kind: wal.KindCreateTable, Table: name, Hook: hook, Match: uint8(kind)}
-	err := p.logApply(rec, func() error {
-		var aerr error
-		t, id, aerr = p.applyCreateTable(name, hook, kind)
-		return aerr
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, id, nil
-}
-
-func (p *Plane) applyCreateTable(name, hook string, kind table.MatchKind) (*table.Table, int64, error) {
-	t := table.New(name, hook, kind)
-	id, err := p.K.CreateTable(t)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, id, nil
+	m := &mut{rec: &wal.Record{Kind: wal.KindCreateTable, Table: name, Hook: hook, Match: uint8(kind)}}
+	err := p.submit(m)
+	return m.tbl, m.id, err
 }
 
 // AddEntry inserts a match/action entry into a named table.
 func (p *Plane) AddEntry(tableName string, e *table.Entry) error {
-	if p.wal == nil {
-		return p.applyAddEntry(tableName, e)
-	}
-	rec := &wal.Record{Kind: wal.KindAddEntry, Table: tableName, Entry: walEntry(e)}
-	return p.logApply(rec, func() error { return p.applyAddEntry(tableName, e) })
-}
-
-func (p *Plane) applyAddEntry(tableName string, e *table.Entry) error {
-	t, _, err := p.K.TableByName(tableName)
-	if err != nil {
-		return err
-	}
-	return t.Insert(e)
+	return p.submit(&mut{rec: &wal.Record{Kind: wal.KindAddEntry, Table: tableName}, entry: e})
 }
 
 // RemoveEntry deletes an entry from a named table.
 func (p *Plane) RemoveEntry(tableName string, e *table.Entry) error {
-	if p.wal == nil {
-		return p.applyRemoveEntry(tableName, e)
-	}
-	rec := &wal.Record{Kind: wal.KindRemoveEntry, Table: tableName, Entry: walEntry(e)}
-	return p.logApply(rec, func() error { return p.applyRemoveEntry(tableName, e) })
-}
-
-func (p *Plane) applyRemoveEntry(tableName string, e *table.Entry) error {
-	t, _, err := p.K.TableByName(tableName)
-	if err != nil {
-		return err
-	}
-	if !t.Delete(e) {
-		return fmt.Errorf("%w in %q", ErrNoEntry, tableName)
-	}
-	return nil
+	return p.submit(&mut{rec: &wal.Record{Kind: wal.KindRemoveEntry, Table: tableName}, entry: e})
 }
 
 // UpdateAction atomically replaces the action of an exact-match entry —
 // the runtime reconfiguration primitive (e.g. dialing a prefetch degree
 // down).
 func (p *Plane) UpdateAction(tableName string, key uint64, a table.Action) error {
-	if p.wal == nil {
-		return p.applyUpdateAction(tableName, key, a)
-	}
 	wa := walAction(a)
-	rec := &wal.Record{Kind: wal.KindUpdateAction, Table: tableName, Key: key, Action: &wa}
-	return p.logApply(rec, func() error { return p.applyUpdateAction(tableName, key, a) })
-}
-
-func (p *Plane) applyUpdateAction(tableName string, key uint64, a table.Action) error {
-	t, _, err := p.K.TableByName(tableName)
-	if err != nil {
-		return err
-	}
-	if !t.UpdateAction(key, a) {
-		return fmt.Errorf("%w with key %d in %q", ErrNoEntry, key, tableName)
-	}
-	return nil
-}
-
-// applyRetarget atomically rewrites every ActionProgram entry in tableName
-// from program `from` to program `to` — the canary promotion/rollback
-// mutation (KindRetarget in the log).
-func (p *Plane) applyRetarget(tableName string, from, to int64) error {
-	t, _, err := p.K.TableByName(tableName)
-	if err != nil {
-		return err
-	}
-	n := t.RewriteActions(func(a table.Action) (table.Action, bool) {
-		if a.Kind != table.ActionProgram || a.ProgID != from {
-			return a, false
-		}
-		a.ProgID = to
-		return a, true
-	})
-	if n == 0 {
-		return fmt.Errorf("%w: no entries running program %d in %q", ErrNoEntry, from, tableName)
-	}
-	return nil
+	return p.submit(&mut{rec: &wal.Record{Kind: wal.KindUpdateAction, Table: tableName, Key: key, Action: &wa}})
 }
 
 // checkModelBudgets applies the verifier's model-efficiency admission to a
-// pushed model. Budget rejections wrap both ErrBudgetExceeded and the
+// model — the one check PushModel, Txn.PushModel, PushModelCanary and
+// TrainAndPush share. Budget rejections wrap both ErrBudgetExceeded and the
 // specific verifier sentinel.
-func checkModelBudgets(id int64, m core.Model, opsBudget, memBudget int64) error {
+func checkModelBudgets(m core.Model, opsBudget, memBudget int64) error {
 	ops, bytes := m.Cost()
 	if opsBudget > 0 && ops > opsBudget {
-		return fmt.Errorf("%w: %w: model %d: %d > %d", ErrBudgetExceeded, verifier.ErrOpsBudget, id, ops, opsBudget)
+		return fmt.Errorf("%w: %w: %d > %d", ErrBudgetExceeded, verifier.ErrOpsBudget, ops, opsBudget)
 	}
 	if memBudget > 0 && bytes > memBudget {
-		return fmt.Errorf("%w: %w: model %d: %d > %d", ErrBudgetExceeded, verifier.ErrMemBudget, id, bytes, memBudget)
+		return fmt.Errorf("%w: %w: %d > %d", ErrBudgetExceeded, verifier.ErrMemBudget, bytes, memBudget)
 	}
 	return nil
 }
@@ -312,56 +201,16 @@ func checkModelBudgets(id int64, m core.Model, opsBudget, memBudget int64) error
 // plane the model must have a codec (ErrUnsupportedModel otherwise): a model
 // that cannot be logged cannot be recovered.
 func (p *Plane) PushModel(id int64, m core.Model, opsBudget, memBudget int64) error {
-	return p.pushModelRec(id, m, opsBudget, memBudget, false)
-}
-
-// pushModelRec logs and applies a model push; bump marks a canary promotion.
-func (p *Plane) pushModelRec(id int64, m core.Model, opsBudget, memBudget int64, bump bool) error {
-	if err := checkModelBudgets(id, m, opsBudget, memBudget); err != nil {
-		return err
+	if err := checkModelBudgets(m, opsBudget, memBudget); err != nil {
+		return fmt.Errorf("model %d: %w", id, err)
 	}
-	if p.wal == nil {
-		return p.applyPushModel(id, m)
-	}
-	enc, err := encodeModel(m)
-	if err != nil {
-		return err
-	}
-	rec := &wal.Record{Kind: wal.KindPushModel, ModelID: id, Model: enc, Bump: bump}
-	return p.logApply(rec, func() error { return p.applyPushModel(id, m) })
-}
-
-func (p *Plane) applyPushModel(id int64, m core.Model) error {
-	prior, err := p.K.Model(id)
-	if err != nil {
-		return err
-	}
-	if err := p.K.SwapModel(id, m); err != nil {
-		return err
-	}
-	p.pushHistory(id, prior)
-	return nil
+	return p.submit(&mut{rec: &wal.Record{Kind: wal.KindPushModel, ModelID: id}, model: m})
 }
 
 // RegisterModel registers a fresh model through the plane. On an in-memory
 // plane this is equivalent to K.RegisterModel; a durable plane logs the
 // codec-encoded model so recovery restores it at the same id.
-func (p *Plane) RegisterModel(m core.Model) (int64, error) {
-	if p.wal == nil {
-		return p.K.RegisterModel(m), nil
-	}
-	enc, err := encodeModel(m)
-	if err != nil {
-		return 0, err
-	}
-	var id int64
-	rec := &wal.Record{Kind: wal.KindRegisterModel, Model: enc}
-	err = p.logApply(rec, func() error {
-		id = p.K.RegisterModel(m)
-		return nil
-	})
-	return id, err
-}
+func (p *Plane) RegisterModel(m core.Model) (int64, error) { return p.RegisterModelOwned("", m) }
 
 // TrainPushConfig parameterizes the offline train→quantize→push pipeline.
 type TrainPushConfig struct {
@@ -408,32 +257,12 @@ func (p *Plane) TrainAndPush(X [][]float64, y []int, cfg TrainPushConfig) (model
 		return 0, nil, nil, err
 	}
 	model := &core.QMLPModel{Net: q}
-	ops, bytes := model.Cost()
-	if cfg.OpsBudget > 0 && ops > cfg.OpsBudget {
-		return 0, nil, nil, fmt.Errorf("%w: %w: %d > %d", ErrBudgetExceeded, verifier.ErrOpsBudget, ops, cfg.OpsBudget)
-	}
-	if cfg.MemBudget > 0 && bytes > cfg.MemBudget {
-		return 0, nil, nil, fmt.Errorf("%w: %w: %d > %d", ErrBudgetExceeded, verifier.ErrMemBudget, bytes, cfg.MemBudget)
-	}
-	if p.wal == nil {
-		matIDs, modelID, err = p.K.RegisterQMLP(q)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		return modelID, matIDs, q, nil
-	}
-	enc, err := encodeQMLP(q)
-	if err != nil {
+	if err := checkModelBudgets(model, cfg.OpsBudget, cfg.MemBudget); err != nil {
 		return 0, nil, nil, err
 	}
-	rec := &wal.Record{Kind: wal.KindRegisterQMLP, Model: enc}
-	err = p.logApply(rec, func() error {
-		var aerr error
-		matIDs, modelID, aerr = p.K.RegisterQMLP(q)
-		return aerr
-	})
-	if err != nil {
+	m := &mut{rec: &wal.Record{Kind: wal.KindRegisterQMLP}, model: model}
+	if err := p.submit(m); err != nil {
 		return 0, nil, nil, err
 	}
-	return modelID, matIDs, q, nil
+	return m.id, m.matIDs, q, nil
 }

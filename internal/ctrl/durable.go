@@ -1,25 +1,25 @@
 package ctrl
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"rmtk/internal/core"
-	"rmtk/internal/isa"
-	"rmtk/internal/table"
 	"rmtk/internal/wal"
 )
 
-// This file makes the control plane durable: every committed mutation is
-// appended to a write-ahead log (internal/wal) before it is applied to the
-// kernel, full-state checkpoints bound replay time, and Recover rebuilds a
-// plane from the newest valid checkpoint plus the intact log suffix. The
-// invariants are
+// This file makes the control plane durable: every committed mutation's
+// record is appended to a write-ahead log (internal/wal) before it is
+// applied to the kernel (submit, mutation.go), checkpoints bound replay
+// time, and Recover rebuilds a plane from the newest valid checkpoint plus
+// the intact log suffix. A checkpoint is itself a record sequence — the
+// compacted log that rebuilds the state from an empty kernel — so restore
+// and replay both run the apply live mutations ran. The invariants are
 //
 //	appended   ⇒ replay applies it (unless a later abort record cancels it)
 //	not appended ⇒ replay never observes it
@@ -76,210 +76,6 @@ func (p *Plane) WAL() *wal.Log { return p.wal }
 // Durable reports whether mutations are write-ahead logged.
 func (p *Plane) Durable() bool { return p.wal != nil }
 
-// logApply is the write-ahead discipline shared by every logged mutation:
-// append rec durably, then run apply. walMu keeps log order identical to
-// apply order. An apply failure appends a compensating abort record so
-// replay skips the mutation (append-then-fail is the one case where the log
-// runs ahead of memory). With no log attached this is just apply().
-func (p *Plane) logApply(rec *wal.Record, apply func() error) error {
-	l := p.logTarget()
-	if l == nil {
-		return apply()
-	}
-	crash := p.crashAfter
-	p.walMu.Lock()
-	defer p.walMu.Unlock()
-	p.stampEpoch(rec)
-	seq, err := l.Append(rec)
-	if err != nil {
-		return fmt.Errorf("ctrl: wal append: %w", err)
-	}
-	if crash != nil && crash(rec.Kind) {
-		return errSimulatedCrash
-	}
-	if err := apply(); err != nil {
-		abort := &wal.Record{Kind: wal.KindAbort, Ref: seq}
-		p.stampEpoch(abort)
-		if _, aerr := l.Append(abort); aerr != nil {
-			err = errors.Join(err, fmt.Errorf("ctrl: wal abort append: %w", aerr))
-		}
-		return err
-	}
-	return nil
-}
-
-// --- record conversion helpers -------------------------------------------
-
-func walAction(a table.Action) wal.Action {
-	return wal.Action{Kind: uint8(a.Kind), Param: a.Param, ProgID: a.ProgID, ModelID: a.ModelID}
-}
-
-func ctrlAction(a wal.Action) table.Action {
-	return table.Action{Kind: table.ActionKind(a.Kind), Param: a.Param, ProgID: a.ProgID, ModelID: a.ModelID}
-}
-
-func walEntry(e *table.Entry) *wal.Entry {
-	return &wal.Entry{
-		Key: e.Key, PrefixLen: e.PrefixLen, Lo: e.Lo, Hi: e.Hi,
-		Mask: e.Mask, Priority: e.Priority, Action: walAction(e.Action),
-	}
-}
-
-func ctrlEntry(e *wal.Entry) *table.Entry {
-	return &table.Entry{
-		Key: e.Key, PrefixLen: e.PrefixLen, Lo: e.Lo, Hi: e.Hi,
-		Mask: e.Mask, Priority: e.Priority, Action: ctrlAction(e.Action),
-	}
-}
-
-func walProgram(prog *isa.Program) *wal.Program {
-	cp := func(s []int64) []int64 {
-		if len(s) == 0 {
-			return nil
-		}
-		return append([]int64(nil), s...)
-	}
-	return &wal.Program{
-		Name: prog.Name, Hook: prog.Hook, Code: prog.Encode(),
-		Helpers: cp(prog.Helpers), Models: cp(prog.Models), Mats: cp(prog.Mats),
-		Tables: cp(prog.Tables), Vecs: cp(prog.Vecs), Tails: cp(prog.Tails),
-	}
-}
-
-func ctrlProgram(wp *wal.Program) (*isa.Program, error) {
-	insns, err := isa.DecodeProgram(wp.Code)
-	if err != nil {
-		return nil, err
-	}
-	return &isa.Program{
-		Name: wp.Name, Hook: wp.Hook, Insns: insns,
-		Helpers: wp.Helpers, Models: wp.Models, Mats: wp.Mats,
-		Tables: wp.Tables, Vecs: wp.Vecs, Tails: wp.Tails,
-	}, nil
-}
-
-// --- replay ---------------------------------------------------------------
-
-// applyRecord replays one logged mutation against the plane. The plane must
-// not have a log attached while replaying (Recover attaches it afterwards),
-// so nothing is re-logged. Transaction records go through the regular Txn
-// machinery and therefore apply all-or-nothing even on replay.
-func (p *Plane) applyRecord(rec *wal.Record) error {
-	switch rec.Kind {
-	case wal.KindCreateTable:
-		_, _, err := p.applyCreateTable(rec.Table, rec.Hook, table.MatchKind(rec.Match))
-		return err
-	case wal.KindAddEntry:
-		return p.applyAddEntry(rec.Table, ctrlEntry(rec.Entry))
-	case wal.KindRemoveEntry:
-		return p.applyRemoveEntry(rec.Table, ctrlEntry(rec.Entry))
-	case wal.KindUpdateAction:
-		return p.applyUpdateAction(rec.Table, rec.Key, ctrlAction(*rec.Action))
-	case wal.KindLoadProgram:
-		prog, err := ctrlProgram(rec.Program)
-		if err != nil {
-			return err
-		}
-		_, _, err = p.K.InstallProgram(prog)
-		return err
-	case wal.KindRegisterModel:
-		m, err := decodeModel(rec.Model)
-		if err != nil {
-			return err
-		}
-		_, err = p.K.RegisterModelOwned(rec.Tenant, m)
-		return err
-	case wal.KindRegisterQMLP:
-		q, err := decodeQMLP(rec.Model)
-		if err != nil {
-			return err
-		}
-		_, _, err = p.K.RegisterQMLP(q)
-		return err
-	case wal.KindPushModel:
-		m, err := decodeModel(rec.Model)
-		if err != nil {
-			return err
-		}
-		return p.applyPushModel(rec.ModelID, m)
-	case wal.KindRollbackModel:
-		return p.applyRollbackModel(rec.ModelID)
-	case wal.KindRetarget:
-		return p.applyRetarget(rec.Table, rec.From, rec.To)
-	case wal.KindTxnCommit:
-		t := p.Begin()
-		for _, sub := range rec.Sub {
-			if err := t.stageRecord(sub); err != nil {
-				return err
-			}
-		}
-		return t.Commit()
-	case wal.KindRegisterTenant:
-		return p.K.RegisterTenant(rec.Tenant, ctrlQuota(rec.Quota))
-	case wal.KindSetQuota:
-		return p.K.SetTenantQuota(rec.Tenant, ctrlQuota(rec.Quota))
-	case wal.KindRemoveTenant:
-		return p.applyRemoveTenant(rec.Tenant)
-	case wal.KindIncident:
-		// Re-applying the quarantine is idempotent and order-independent
-		// with respect to program installs: content not yet resolved is
-		// stashed by hash and applied when its health record first exists.
-		tier, err := core.ParseEngineTier(rec.Incident.To)
-		if err != nil {
-			return err
-		}
-		p.K.RestoreEngineQuarantine(rec.Incident.Hash, tier)
-		return nil
-	case wal.KindAbort:
-		return nil // handled by the pre-scan in Recover
-	case wal.KindEpoch:
-		return nil // leadership marker: no state, bytes only
-	default:
-		return fmt.Errorf("%w: unknown record kind %d", wal.ErrCorruptRecord, rec.Kind)
-	}
-}
-
-// stageRecord stages one replayed transaction sub-record on t. The arms
-// are deliberately the transaction-legal subset of record kinds: Txn stages
-// exactly these mutations (wal.Record.validate refuses aborts and nested
-// commits inside a transaction, and the remaining kinds are only ever
-// logged as top-level records), so an unknown kind here is corruption, not
-// a missing feature.
-func (t *Txn) stageRecord(rec *wal.Record) error {
-	//lint:ignore walrecord transactions stage only the Txn-legal record kinds; the rest are top-level-only by construction
-	switch rec.Kind {
-	case wal.KindCreateTable:
-		t.CreateTable(rec.Table, rec.Hook, table.MatchKind(rec.Match))
-	case wal.KindAddEntry:
-		t.AddEntry(rec.Table, ctrlEntry(rec.Entry))
-	case wal.KindRemoveEntry:
-		e := ctrlEntry(rec.Entry)
-		t.Do(fmt.Sprintf("remove entry from %q", rec.Table),
-			func() error { return t.p.applyRemoveEntry(rec.Table, e) },
-			func() error { return t.p.applyAddEntry(rec.Table, e) })
-		t.steps[len(t.steps)-1].rec = rec
-	case wal.KindUpdateAction:
-		t.UpdateAction(rec.Table, rec.Key, ctrlAction(*rec.Action))
-	case wal.KindLoadProgram:
-		prog, err := ctrlProgram(rec.Program)
-		if err != nil {
-			return err
-		}
-		t.LoadProgram(prog)
-	case wal.KindPushModel:
-		m, err := decodeModel(rec.Model)
-		if err != nil {
-			return err
-		}
-		t.PushModel(rec.ModelID, m, 0, 0)
-	case wal.KindSetQuota:
-		t.SetTenantQuota(rec.Tenant, ctrlQuota(rec.Quota))
-	default:
-		return fmt.Errorf("%w: record kind %s in transaction", wal.ErrCorruptRecord, rec.Kind)
-	}
-	return nil
-}
-
 // RecoveryStats reports what a Recover did.
 type RecoveryStats struct {
 	// CheckpointSeq is the sequence the restored checkpoint covered
@@ -330,7 +126,7 @@ func Recover(dir string, kcfg core.Config, opts wal.Options, prep func(*core.Ker
 	ckSeq, body, err := wal.LatestCheckpoint(dir)
 	switch {
 	case err == nil:
-		if rerr := p.restoreSnapshot(body); rerr != nil {
+		if rerr := p.restore(body); rerr != nil {
 			return nil, st, fmt.Errorf("ctrl: checkpoint restore: %w", rerr)
 		}
 		st.CheckpointSeq = ckSeq
@@ -369,17 +165,12 @@ func Recover(dir string, kcfg core.Config, opts wal.Options, prep func(*core.Ker
 			st.Aborted++
 			continue
 		}
-		if aerr := p.applyRecord(rec); aerr != nil {
+		if aerr := p.replay(rec); aerr != nil {
 			st.Skipped++
 			k.Metrics.Counter("ctrl.recover_skipped").Inc()
 			continue
 		}
 		st.Replayed++
-		if rec.Bump && rec.Kind != wal.KindTxnCommit {
-			// Txn commits bump inside Commit; canary promotions/rollbacks
-			// bump here so the recovered version counter matches.
-			p.version.Add(1)
-		}
 	}
 	if err := p.checkInvariants(); err != nil {
 		return nil, st, fmt.Errorf("%w: %v", ErrRecoveryMismatch, err)
@@ -448,258 +239,98 @@ func (p *Plane) checkInvariants() error {
 	return nil
 }
 
-// --- snapshot / checkpoint ------------------------------------------------
+// --- checkpoint -----------------------------------------------------------
 
-// planeSnapshot is the checkpoint payload: the full durable state of the
-// plane and its kernel registries. Runtime statistics (hit counters,
-// telemetry, monitors) are deliberately not state — recovery restores
-// decisions, not metrics.
-type planeSnapshot struct {
-	Version   uint64 `json:"version"`
-	NextTable int64  `json:"next_table"`
-	NextProg  int64  `json:"next_prog"`
-	NextModel int64  `json:"next_model"`
-	NextMat   int64  `json:"next_mat"`
-
-	Tenants  []tenantSnap  `json:"tenants,omitempty"`
-	Tables   []tableSnap   `json:"tables,omitempty"`
-	Matrices []matrixSnap  `json:"matrices,omitempty"`
-	Models   []modelSnap   `json:"models,omitempty"`
-	Programs []programSnap `json:"programs,omitempty"`
-	History  []historySnap `json:"history,omitempty"`
-	// Quarantines carries the engine sentinel's durable demotion state:
-	// content hashes held below their capability tier, so a restart does not
-	// re-trust a native tier the sentinel caught misbehaving.
-	Quarantines []quarSnap `json:"quarantines,omitempty"`
-}
-
-type tenantSnap struct {
-	Name  string    `json:"name"`
-	Quota wal.Quota `json:"quota"`
-}
-
-type tableSnap struct {
-	ID      int64       `json:"id"`
-	Name    string      `json:"name"`
-	Hook    string      `json:"hook,omitempty"`
-	Kind    uint8       `json:"kind"`
-	Entries []wal.Entry `json:"entries,omitempty"`
-	Default *wal.Action `json:"default,omitempty"`
-}
-
-type matrixSnap struct {
-	ID  int64   `json:"id"`
-	In  int     `json:"in"`
-	Out int     `json:"out"`
-	W   []int64 `json:"w"`
-	B   []int64 `json:"b"`
-}
-
-type modelSnap struct {
-	ID    int64      `json:"id"`
-	Model *wal.Model `json:"model"`
-	Owner string     `json:"owner,omitempty"`
-}
-
-type programSnap struct {
-	ID      int64        `json:"id"`
-	Program *wal.Program `json:"program"`
-}
-
-type historySnap struct {
-	ID       int64        `json:"id"`
-	Versions []*wal.Model `json:"versions"`
-}
-
-type quarSnap struct {
-	Hash string `json:"hash"`
-	Tier string `json:"tier"`
-}
-
-// snapshot captures the plane's durable state. Callers must quiesce
-// mutations (Checkpoint holds commitMu and walMu).
-func (p *Plane) snapshot() (*planeSnapshot, error) {
+// checkpointRecords renders the plane's durable state as the record sequence
+// that rebuilds it from an empty kernel, resources at their ids, in admission
+// order: engine quarantines (stashed by content hash, so their place is
+// free) and tenants first, so quota and name-prefix ownership resolve for
+// what follows; matrices; models, each as its oldest retained version
+// registered and the later ones pushed, so the rollback history comes back
+// with it; tables with their rows and default, before the programs whose
+// verification resolves them; and one alloc-state record closing the
+// sequence. Runtime statistics (hit counters, telemetry, monitors) are not
+// state: recovery restores decisions, not metrics. Callers quiesce mutations
+// (Checkpoint holds commitMu and walMu).
+func (p *Plane) checkpointRecords() ([]*wal.Record, error) {
 	k := p.K
-	snap := &planeSnapshot{Version: p.Version()}
-	snap.NextTable, snap.NextProg, snap.NextModel, snap.NextMat = k.AllocState()
-
+	var recs []*wal.Record
+	for _, q := range k.EngineQuarantines() {
+		recs = append(recs, &wal.Record{Kind: wal.KindIncident, Incident: &wal.Incident{Hash: q.Hash, To: q.Tier.String()}})
+	}
 	for _, name := range k.TenantNames() {
 		q, err := k.TenantQuotaOf(name)
 		if err != nil {
 			return nil, err
 		}
-		snap.Tenants = append(snap.Tenants, tenantSnap{Name: name, Quota: *walQuota(q)})
-	}
-	for _, id := range k.TableIDs() {
-		t, err := k.Table(id)
-		if err != nil {
-			return nil, err
-		}
-		ts := tableSnap{ID: id, Name: t.Name, Hook: t.Hook, Kind: uint8(t.Kind)}
-		for _, e := range t.Entries() {
-			ts.Entries = append(ts.Entries, *walEntry(e))
-		}
-		if d := t.Default(); d != nil {
-			a := walAction(d.Action)
-			ts.Default = &a
-		}
-		snap.Tables = append(snap.Tables, ts)
+		recs = append(recs, &wal.Record{Kind: wal.KindRegisterTenant, Tenant: name, Quota: walQuota(q)})
 	}
 	for _, id := range k.MatrixIDs() {
 		m, err := k.Matrix(id)
 		if err != nil {
 			return nil, err
 		}
-		snap.Matrices = append(snap.Matrices, matrixSnap{ID: id, In: m.In, Out: m.Out, W: m.W, B: m.B})
+		recs = append(recs, &wal.Record{Kind: wal.KindRegisterMatrix, ID: id, Matrix: &wal.Matrix{In: m.In, Out: m.Out, W: m.W, B: m.B}})
 	}
 	for _, id := range k.ModelIDs() {
-		m, err := k.Model(id)
+		cur, err := k.Model(id)
 		if err != nil {
 			return nil, err
 		}
-		enc, err := encodeModel(m)
-		if err != nil {
-			return nil, fmt.Errorf("model %d: %w", id, err)
+		p.mu.Lock()
+		versions := append(slices.Clone(p.history[id]), cur)
+		p.mu.Unlock()
+		for i, v := range versions {
+			enc, err := encodeModel(v)
+			if err != nil {
+				return nil, fmt.Errorf("model %d: %w", id, err)
+			}
+			rec := &wal.Record{Kind: wal.KindPushModel, ModelID: id, Model: enc}
+			if i == 0 {
+				rec = &wal.Record{Kind: wal.KindRegisterModel, ID: id, Tenant: k.ModelOwner(id), Model: enc}
+			}
+			recs = append(recs, rec)
 		}
-		snap.Models = append(snap.Models, modelSnap{ID: id, Model: enc, Owner: k.ModelOwner(id)})
+	}
+	for _, id := range k.TableIDs() {
+		t, err := k.Table(id)
+		if err != nil {
+			return nil, err
+		}
+		rec := &wal.Record{Kind: wal.KindCreateTable, ID: id, Table: t.Name, Hook: t.Hook, Match: uint8(t.Kind)}
+		for _, e := range t.Entries() {
+			rec.Rows = append(rec.Rows, walEntry(e))
+		}
+		if d := t.Default(); d != nil {
+			a := walAction(d.Action)
+			rec.Action = &a
+		}
+		recs = append(recs, rec)
 	}
 	for _, id := range k.ProgramIDs() {
 		prog, err := k.Program(id)
 		if err != nil {
 			return nil, err
 		}
-		snap.Programs = append(snap.Programs, programSnap{ID: id, Program: walProgram(prog)})
+		recs = append(recs, &wal.Record{Kind: wal.KindLoadProgram, ID: id, Program: walProgram(prog)})
 	}
-
-	p.mu.Lock()
-	histIDs := make([]int64, 0, len(p.history))
-	for id := range p.history {
-		histIDs = append(histIDs, id)
-	}
-	sort.Slice(histIDs, func(i, j int) bool { return histIDs[i] < histIDs[j] })
-	var herr error
-	for _, id := range histIDs {
-		hs := historySnap{ID: id}
-		for _, m := range p.history[id] {
-			enc, err := encodeModel(m)
-			if err != nil {
-				herr = fmt.Errorf("history of model %d: %w", id, err)
-				break
-			}
-			hs.Versions = append(hs.Versions, enc)
-		}
-		if herr != nil {
-			break
-		}
-		if len(hs.Versions) > 0 {
-			snap.History = append(snap.History, hs)
-		}
-	}
-	p.mu.Unlock()
-	if herr != nil {
-		return nil, herr
-	}
-	for _, q := range k.EngineQuarantines() {
-		snap.Quarantines = append(snap.Quarantines, quarSnap{Hash: q.Hash, Tier: q.Tier.String()})
-	}
-	return snap, nil
+	alloc := &wal.Alloc{Version: p.Version()}
+	alloc.Table, alloc.Prog, alloc.Model, alloc.Mat = k.AllocState()
+	return append(recs, &wal.Record{Kind: wal.KindAllocState, Alloc: alloc}), nil
 }
 
-// restoreSnapshot rebuilds kernel registries and plane state from a
-// checkpoint payload. Restore order respects admission dependencies:
-// matrices and models before tables, tables before programs (verification
-// resolves declared resource ids against the registries).
-func (p *Plane) restoreSnapshot(body []byte) error {
-	var snap planeSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return fmt.Errorf("%w: checkpoint payload: %v", wal.ErrCorruptRecord, err)
+// restore applies a checkpoint's record sequence to a fresh plane. Unlike
+// log replay, every record must apply: a checkpoint is one consistent state.
+func (p *Plane) restore(body []byte) error {
+	recs, err := wal.DecodeCheckpoint(body)
+	for i := 0; err == nil && i < len(recs); i++ {
+		err = p.replay(recs[i])
 	}
-	k := p.K
-	// Engine quarantines land before the programs they refer to on purpose:
-	// RestoreEngineQuarantine stashes by content hash, so restore order is
-	// immaterial and a program installed later still resolves demoted.
-	for _, q := range snap.Quarantines {
-		tier, err := core.ParseEngineTier(q.Tier)
-		if err != nil {
-			return err
-		}
-		k.RestoreEngineQuarantine(q.Hash, tier)
-	}
-	// Tenants land first: quota admission and name-prefix ownership must
-	// resolve when the tenant's tables, programs and models restore.
-	for _, ts := range snap.Tenants {
-		q := ts.Quota
-		if err := k.RegisterTenant(ts.Name, ctrlQuota(&q)); err != nil {
-			return err
-		}
-	}
-	for _, ms := range snap.Matrices {
-		if err := k.RegisterMatrixAt(ms.ID, &core.Matrix{In: ms.In, Out: ms.Out, W: ms.W, B: ms.B}); err != nil {
-			return err
-		}
-	}
-	for _, ms := range snap.Models {
-		m, err := decodeModel(ms.Model)
-		if err != nil {
-			return err
-		}
-		if err := k.RegisterModelOwnedAt(ms.ID, ms.Owner, m); err != nil {
-			return err
-		}
-	}
-	for _, ts := range snap.Tables {
-		t := table.New(ts.Name, ts.Hook, table.MatchKind(ts.Kind))
-		if err := k.CreateTableAt(ts.ID, t); err != nil {
-			return err
-		}
-	}
-	for _, ps := range snap.Programs {
-		prog, err := ctrlProgram(ps.Program)
-		if err != nil {
-			return err
-		}
-		if _, err := k.InstallProgramAt(ps.ID, prog); err != nil {
-			return err
-		}
-	}
-	// Entries land after programs so ActionProgram targets exist from the
-	// first Fire; default actions come with them.
-	for _, ts := range snap.Tables {
-		t, _, err := k.TableByName(ts.Name)
-		if err != nil {
-			return err
-		}
-		for i := range ts.Entries {
-			if err := t.Insert(ctrlEntry(&ts.Entries[i])); err != nil {
-				return err
-			}
-		}
-		if ts.Default != nil {
-			a := ctrlAction(*ts.Default)
-			t.SetDefault(&a)
-		}
-	}
-	if err := k.RestoreAllocState(snap.NextTable, snap.NextProg, snap.NextModel, snap.NextMat); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	for _, hs := range snap.History {
-		for _, enc := range hs.Versions {
-			m, err := decodeModel(enc)
-			if err != nil {
-				p.mu.Unlock()
-				return err
-			}
-			p.history[hs.ID] = append(p.history[hs.ID], m)
-		}
-	}
-	p.mu.Unlock()
-	p.version.Store(snap.Version)
-	return nil
+	return err
 }
 
-// Checkpoint writes a full-state snapshot covering everything logged so
-// far, then compacts the log — but only back to the OLDEST retained
+// Checkpoint writes the record sequence of the full state covering
+// everything logged so far, then compacts the log — but only back to the OLDEST retained
 // checkpoint, not the new one: the fallback path (corrupt newest checkpoint
 // → previous checkpoint + longer suffix) needs the records between the two
 // checkpoints to still be in the log. Replay after a checkpoint is restore
@@ -710,17 +341,17 @@ func (p *Plane) Checkpoint() (uint64, error) {
 		return 0, fmt.Errorf("ctrl: checkpoint requires a durable plane")
 	}
 	// commitMu quiesces transactions and canary transitions; walMu
-	// quiesces simple mutators. Together the snapshot is point-in-time
-	// consistent with the log position.
+	// quiesces simple mutators and replicas. Together the checkpoint is
+	// point-in-time consistent with the log position.
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
 	p.walMu.Lock()
 	defer p.walMu.Unlock()
-	snap, err := p.snapshot()
+	recs, err := p.checkpointRecords()
 	if err != nil {
 		return 0, err
 	}
-	body, err := json.Marshal(snap)
+	body, err := wal.EncodeCheckpoint(recs)
 	if err != nil {
 		return 0, err
 	}
@@ -832,8 +463,8 @@ func (p *Plane) InventoryDigest() uint32 {
 }
 
 // VerifyEquivalence checks that plane b is decision-equivalent to plane a:
-// identical durable inventories, and identical fire verdicts for every
-// probe key on every hook of a. Differences wrap ErrRecoveryMismatch. The
+// identical durable inventories, identical engine quarantines, and identical
+// fire verdicts for every probe key on every hook of a. Differences wrap ErrRecoveryMismatch. The
 // probe fires mutate only statistics, never decisions.
 func VerifyEquivalence(a, b *Plane, probeKeys []int64) error {
 	ai, bi := a.Inventory(), b.Inventory()
@@ -844,6 +475,9 @@ func VerifyEquivalence(a, b *Plane, probeKeys []int64) error {
 		if ai[i] != bi[i] {
 			return fmt.Errorf("%w: inventory line %d: %q vs %q", ErrRecoveryMismatch, i, ai[i], bi[i])
 		}
+	}
+	if qa, qb := a.K.EngineQuarantines(), b.K.EngineQuarantines(); !slices.Equal(qa, qb) {
+		return fmt.Errorf("%w: engine quarantines %v vs %v", ErrRecoveryMismatch, qa, qb)
 	}
 	hooks := a.K.Hooks()
 	sort.Strings(hooks)

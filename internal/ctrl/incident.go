@@ -9,16 +9,16 @@ import (
 
 // This file wires the kernel's engine sentinel into the durable control
 // plane: every sentinel incident (a demotion or detected divergence) is
-// appended as a wal.KindIncident record through the same write-ahead
-// discipline as any mutation, so it is fsynced, checkpointed, replayed on
-// recovery and shipped to replication followers. Replay re-applies the
-// quarantine by content hash (applyRecord), so a restarted — or follower —
-// kernel distrusts exactly the native tiers the incident flagged.
+// submitted as a wal.KindIncident record like any mutation, so it is
+// fsynced, checkpointed, replayed on recovery and shipped to replication
+// followers. Replay re-applies the quarantine by content hash (apply), so a
+// restarted — or follower — kernel distrusts exactly the native tiers the
+// incident flagged.
 
 // EnableIncidentLog attaches the plane as the sentinel's incident sink. The
 // kernel must already have a sentinel attached (core.AttachSentinel).
-// Incidents are observations: the in-memory apply is a no-op because the
-// sentinel demoted the tier before emitting; only replay needs the record.
+// Incidents are observations: the live apply is a no-op (mut.do) because the
+// sentinel demoted the tier before emitting; only replay applies the record.
 func (p *Plane) EnableIncidentLog() error {
 	s := p.K.EngineSentinel()
 	if s == nil {
@@ -34,7 +34,7 @@ func (p *Plane) EnableIncidentLog() error {
 			Fire:    ev.Fire,
 			Detail:  ev.Detail,
 		}}
-		if err := p.logApply(rec, func() error { return nil }); err != nil {
+		if err := p.submit(&mut{rec: rec, do: noop}); err != nil {
 			// The demotion already took effect in memory; a log failure loses
 			// only durability of this incident. Count it loudly.
 			p.K.Metrics.Counter("ctrl.incident_log_errors").Inc()
@@ -42,3 +42,5 @@ func (p *Plane) EnableIncidentLog() error {
 	})
 	return nil
 }
+
+func noop() (func() error, error) { return nil, nil }

@@ -84,20 +84,23 @@ func encodeModel(m core.Model) (*wal.Model, error) {
 	return &wal.Model{Codec: codec, Data: data}, nil
 }
 
-// encodeQMLP snapshots a bare quantized network (the RegisterQMLP record,
-// which restores layer matrices alongside the model).
-func encodeQMLP(q *mlp.QMLP) (*wal.Model, error) {
-	return encodeModel(&core.QMLPModel{Net: q})
-}
-
 // decodeModel reconstructs a model from its durable form.
 func decodeModel(s *wal.Model) (core.Model, error) {
 	switch s.Codec {
 	case "qmlp":
-		q, err := decodeQMLP(s)
-		if err != nil {
-			return nil, err
+		var snap qmlpSnap
+		if err := json.Unmarshal(s.Data, &snap); err != nil {
+			return nil, fmt.Errorf("ctrl: qmlp codec: %w", err)
 		}
+		if len(snap.Sizes) < 2 || len(snap.Wq) != len(snap.Sizes)-1 ||
+			len(snap.Bq) != len(snap.Wq) || len(snap.Req) != len(snap.Wq) {
+			return nil, fmt.Errorf("%w: qmlp payload shape mismatch", wal.ErrCorruptRecord)
+		}
+		q := &mlp.QMLP{
+			Sizes: snap.Sizes, Wq: snap.Wq, Bq: snap.Bq, Req: snap.Req,
+			InScale: snap.InScale, WeightBits: snap.WeightBits,
+		}
+		q.SetActLimit(snap.ActLimit)
 		return &core.QMLPModel{Net: q}, nil
 	case "tree":
 		var snap treeSnap
@@ -122,25 +125,4 @@ func decodeModel(s *wal.Model) (core.Model, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown codec %q", ErrUnsupportedModel, s.Codec)
 	}
-}
-
-// decodeQMLP reconstructs a quantized network from a "qmlp" payload.
-func decodeQMLP(s *wal.Model) (*mlp.QMLP, error) {
-	if s.Codec != "qmlp" {
-		return nil, fmt.Errorf("%w: want qmlp codec, got %q", ErrUnsupportedModel, s.Codec)
-	}
-	var snap qmlpSnap
-	if err := json.Unmarshal(s.Data, &snap); err != nil {
-		return nil, fmt.Errorf("ctrl: qmlp codec: %w", err)
-	}
-	if len(snap.Sizes) < 2 || len(snap.Wq) != len(snap.Sizes)-1 ||
-		len(snap.Bq) != len(snap.Wq) || len(snap.Req) != len(snap.Wq) {
-		return nil, fmt.Errorf("%w: qmlp payload shape mismatch", wal.ErrCorruptRecord)
-	}
-	q := &mlp.QMLP{
-		Sizes: snap.Sizes, Wq: snap.Wq, Bq: snap.Bq, Req: snap.Req,
-		InScale: snap.InScale, WeightBits: snap.WeightBits,
-	}
-	q.SetActLimit(snap.ActLimit)
-	return q, nil
 }

@@ -10,9 +10,9 @@ import (
 	"rmtk/internal/wal"
 )
 
-// fuzzSeedLog builds a small valid log (the happy-path seed the fuzzer
-// mutates) and returns its raw bytes.
-func fuzzSeedLog(f *testing.F) []byte {
+// fuzzSeeds builds a small valid log and a checkpoint of the same state
+// (the happy-path seeds the fuzzer mutates) and returns their raw bytes.
+func fuzzSeeds(f *testing.F) (log, ckpt []byte) {
 	f.Helper()
 	dir := f.TempDir()
 	p, err := Open(core.NewKernel(core.Config{}), dir, wal.Options{NoSync: true})
@@ -34,31 +34,47 @@ func fuzzSeedLog(f *testing.F) []byte {
 	if err := txn.Commit(); err != nil {
 		f.Fatal(err)
 	}
-	data, err := os.ReadFile(wal.LogPath(dir))
-	if err != nil {
+	if log, err = os.ReadFile(wal.LogPath(dir)); err != nil {
 		f.Fatal(err)
 	}
-	return data
+	if _, err := p.Checkpoint(); err != nil {
+		f.Fatal(err)
+	}
+	if _, ckpt, err = wal.LatestCheckpoint(dir); err != nil {
+		f.Fatal(err)
+	}
+	return log, ckpt
 }
 
 // FuzzWALReplay feeds arbitrary bytes to the full recovery pipeline
-// (scan → truncate torn tail → replay → invariant check). The properties:
-// no panic on any input, the accepted prefix always yields a plane whose
-// invariants hold, and replay accounts for every scanned record.
+// (checkpoint decode → restore → scan → truncate torn tail → replay →
+// invariant check). The log bytes are the log; non-empty checkpoint bytes
+// are written through wal.WriteCheckpoint as a checkpoint at seq 0, which
+// the whole log then replays on top of. The properties: no panic on any
+// input, the accepted prefix always yields a plane whose invariants hold,
+// and replay accounts for every scanned record.
 func FuzzWALReplay(f *testing.F) {
-	seed := fuzzSeedLog(f)
-	f.Add(seed)
-	f.Add(seed[:len(seed)-3]) // torn tail
+	seed, ckpt := fuzzSeeds(f)
+	f.Add(seed, []byte(nil))
+	f.Add(seed[:len(seed)-3], []byte(nil)) // torn tail
 	flipped := append([]byte(nil), seed...)
 	flipped[len(flipped)/2] ^= 0x10 // bit rot mid-log
-	f.Add(flipped)
-	f.Add([]byte{})
-	f.Add([]byte("not a log at all"))
+	f.Add(flipped, []byte(nil))
+	f.Add([]byte{}, []byte(nil))
+	f.Add([]byte("not a log at all"), []byte(nil))
+	f.Add([]byte{}, ckpt)                        // a real checkpoint alone
+	f.Add([]byte{}, []byte(oldFormatCheckpoint)) // refused: old format
+	f.Add(seed, ckpt[:len(ckpt)/2])              // a cut record sequence
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, ckpt []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(wal.LogPath(dir), data, 0o644); err != nil {
 			t.Fatal(err)
+		}
+		if len(ckpt) > 0 {
+			if err := wal.WriteCheckpoint(dir, 0, ckpt); err != nil {
+				t.Fatal(err)
+			}
 		}
 		sc, err := wal.Scan(dir)
 		if err != nil {
@@ -67,9 +83,10 @@ func FuzzWALReplay(f *testing.F) {
 		p, st, err := Recover(dir, core.Config{}, wal.Options{NoSync: true}, nil)
 		if err != nil {
 			// Recovery may refuse fuzzed history (e.g. a log that starts
-			// past seq 1 looks compacted-without-checkpoint), but the
-			// refusal must be a deliberate verdict, not an invariant break
-			// discovered after replay already mutated state.
+			// past seq 1 looks compacted-without-checkpoint, or a checkpoint
+			// that does not decode or apply), but the refusal must be a
+			// deliberate verdict, not an invariant break discovered after
+			// replay already mutated state.
 			if errors.Is(err, ErrRecoveryMismatch) && st.Replayed > 0 {
 				t.Fatalf("accepted prefix broke invariants: %v (%s)", err, st)
 			}

@@ -163,6 +163,21 @@ func recoverDir(t *testing.T, dir string) (*Plane, RecoveryStats) {
 	return p, st
 }
 
+// recoverCheckpoint recovers a fresh plane from p's checkpoint at seq
+// alone, with no log beside it.
+func recoverCheckpoint(t *testing.T, p *Plane, seq uint64) (*Plane, RecoveryStats) {
+	t.Helper()
+	body, err := os.ReadFile(wal.CheckpointPath(p.WAL().Dir(), seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(wal.CheckpointPath(dir, seq), body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return recoverDir(t, dir)
+}
+
 // detachWAL closes and removes the plane's log so a test can keep applying
 // records without re-logging (mirrors Recover's replay mode).
 func detachWAL(t *testing.T, p *Plane) {
@@ -203,16 +218,28 @@ func TestRecoveryEquivalence(t *testing.T) {
 		if got := int(st.LastSeq); got != i {
 			t.Fatalf("boundary %d: recovered to seq %d", i, got)
 		}
+		// Checkpoint the recovered prefix and recover from that checkpoint
+		// alone: the record sequence a checkpoint writes must rebuild
+		// exactly the state it was taken from.
+		ckSeq, err := pr.Checkpoint()
+		if err != nil {
+			t.Fatalf("boundary %d: checkpoint: %v", i, err)
+		}
+		ck, ckSt := recoverCheckpoint(t, pr, ckSeq)
+		if ckSt.Replayed != 0 || ck.Version() != pr.Version() {
+			t.Fatalf("boundary %d: checkpoint-only recovery replayed %d, version %d want %d",
+				i, ckSt.Replayed, ck.Version(), pr.Version())
+		}
+		if err := VerifyEquivalence(pr, ck, probeKeys); err != nil {
+			t.Fatalf("boundary %d: checkpoint-only recovery: %v", i, err)
+		}
 		// Replay the suffix the crash cut off; the result must land exactly
 		// on the live plane's state, proving the prefix state was on the
 		// committed trajectory (not merely self-consistent).
 		detachWAL(t, pr)
 		for _, r := range sc.Records[i:] {
-			if err := pr.applyRecord(r); err != nil {
+			if err := pr.replay(r); err != nil {
 				t.Fatalf("boundary %d: apply #%d (%s): %v", i, r.Seq, r.Kind, err)
-			}
-			if r.Bump && r.Kind != wal.KindTxnCommit {
-				pr.version.Add(1)
 			}
 		}
 		if err := VerifyEquivalence(p, pr, probeKeys); err != nil {
@@ -381,6 +408,59 @@ func TestCheckpointCorruptFallsBack(t *testing.T) {
 	}
 	if err := VerifyEquivalence(p, rec, probeKeys); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRollbackHistoryAcrossCheckpoint: a model's rollback history is state,
+// and a checkpoint carries it — after restoring, rollbacks walk back through
+// the versions pushed before the checkpoint, newest first, then run out.
+func TestRollbackHistoryAcrossCheckpoint(t *testing.T) {
+	p, _ := newDurablePlane(t)
+	mid, err := p.RegisterModel(testTree(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int64{2, 3} {
+		if err := p.PushModel(mid, testTree(v), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq, err := p.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := recoverCheckpoint(t, p, seq)
+	for _, want := range []int64{2, 1} {
+		if err := rec.RollbackModel(mid); err != nil {
+			t.Fatalf("rollback to v%d: %v", want, err)
+		}
+		m, err := rec.K.Model(mid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Predict([]int64{100}); got != want {
+			t.Fatalf("rolled back to a model predicting %d, want v%d's %d", got, want, want)
+		}
+	}
+	if err := rec.RollbackModel(mid); !errors.Is(err, ErrNoHistory) {
+		t.Fatalf("third rollback: %v, want ErrNoHistory", err)
+	}
+}
+
+// oldFormatCheckpoint is a checkpoint payload as written before checkpoints
+// became record sequences: a JSON state snapshot of one table and its entry.
+const oldFormatCheckpoint = `{"version":0,"next_table":1,"next_prog":0,"next_model":0,"next_mat":0,` +
+	`"tables":[{"id":1,"name":"fz_tab","hook":"hook/fz","kind":0,"entries":[{"key":1,"act":{"k":4,"p":4}}]}]}`
+
+// TestCheckpointRefusesOldFormat: recovery refuses an old-format checkpoint
+// with wal.ErrCheckpointFormat rather than restoring it as an empty state.
+func TestCheckpointRefusesOldFormat(t *testing.T) {
+	dir := t.TempDir()
+	if err := wal.WriteCheckpoint(dir, 2, []byte(oldFormatCheckpoint)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Recover(dir, core.Config{}, wal.Options{NoSync: true}, nil); !errors.Is(err, wal.ErrCheckpointFormat) {
+		t.Fatalf("recover over an old-format checkpoint: %v, want ErrCheckpointFormat", err)
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 // (internal/cluster owns the fleet protocol). A leader's plane stamps every
 // appended record with its epoch; followers receive those records verbatim
 // over log shipping and apply them here — append to the local log with the
-// leader-assigned sequence number (wal.AppendReplica), then replay through
-// the same applyRecord dispatch Recover uses, so a follower's state is
-// produced by exactly the code paths a recovery would take and its log
-// stays byte-identical to the leader's.
+// leader-assigned sequence number (wal.AppendReplica), then apply through the
+// same apply the leader's mutator ran, so a follower's state is produced by
+// exactly the code that produced the leader's, and its log stays
+// byte-identical to the leader's.
 
 // SetLogEpoch sets the leader epoch stamped onto every subsequently logged
 // record (zero disables stamping — the single-node default).
@@ -30,31 +30,24 @@ func (p *Plane) stampEpoch(rec *wal.Record) {
 	}
 }
 
-// logTarget returns the log mutations should append to: nil while a shipped
-// record is replaying (the record is already in the log — re-logging it
-// would double every mutation), otherwise the attached log.
-func (p *Plane) logTarget() *wal.Log {
-	if p.replaying.Load() {
-		return nil
-	}
-	return p.wal
-}
-
 // AppendEpochMark logs a KindEpoch record announcing leadership under
 // epoch. The record applies no state; it exists so logs that diverge under
 // different leaders disagree on bytes at the divergence point, which is
 // what shipping consistency checks compare.
 func (p *Plane) AppendEpochMark(epoch uint64) error {
-	return p.logApply(&wal.Record{Kind: wal.KindEpoch, Epoch: epoch}, func() error { return nil })
+	return p.submit(&mut{rec: &wal.Record{Kind: wal.KindEpoch, Epoch: epoch}})
 }
 
 // ApplyReplicated applies one record shipped from a replication leader:
-// append it to the local log preserving its sequence number, then replay it
-// through the regular mutator paths. A sequence gap wraps wal.ErrSeqGap —
-// the follower missed records or holds a diverged suffix and must resync.
-// Any other error means the follower's state can no longer be produced by
-// replaying its log; the caller must treat the plane as diverged and
-// resync it.
+// append it to the local log preserving its sequence number, then apply it.
+// A sequence gap wraps wal.ErrSeqGap — the follower missed records or holds
+// a diverged suffix and must resync. Any other error means the follower's
+// state can no longer be produced by replaying its log; the caller must
+// treat the plane as diverged and resync it.
+//
+// Append and apply both happen under commitMu then walMu, the order
+// Checkpoint takes them in, so no checkpoint can cover this record's
+// sequence number without its state.
 //
 // The write-ahead discipline is inverted here on purpose: the leader
 // already owns the commit, so the follower's append is replication, not a
@@ -66,19 +59,19 @@ func (p *Plane) AppendEpochMark(epoch uint64) error {
 // or an abort for a record the follower applied successfully, is
 // divergence.
 func (p *Plane) ApplyReplicated(rec *wal.Record) error {
-	p.replicaMu.Lock()
-	defer p.replicaMu.Unlock()
-	p.walMu.Lock()
-	l := p.wal
-	if l == nil {
-		p.walMu.Unlock()
+	if p.wal == nil {
 		return fmt.Errorf("ctrl: replica apply requires a durable plane")
 	}
-	if _, err := l.AppendReplica(rec); err != nil {
-		p.walMu.Unlock()
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
+	p.walMu.Lock()
+	defer p.walMu.Unlock()
+	if _, err := p.wal.AppendReplica(rec); err != nil {
 		return fmt.Errorf("ctrl: replica append: %w", err)
 	}
-	p.walMu.Unlock()
+	if err := p.crashPoint(rec.Kind); err != nil {
+		return err
+	}
 
 	if p.pendingAbort != 0 {
 		if rec.Kind == wal.KindAbort && rec.Ref == p.pendingAbort {
@@ -94,19 +87,12 @@ func (p *Plane) ApplyReplicated(rec *wal.Record) error {
 		return fmt.Errorf("ctrl: replica diverged: abort of #%d, which applied locally", rec.Ref)
 	}
 
-	p.replaying.Store(true)
-	defer p.replaying.Store(false)
-	if err := p.applyRecord(rec); err != nil {
+	if err := p.replay(rec); err != nil {
 		// Deterministic replicas fail exactly where the leader failed; hold
 		// the record as pending and let the leader's abort settle it.
 		p.pendingAbort = rec.Seq
 		p.K.Metrics.Counter("ctrl.replica_apply_failures").Inc()
 		return nil
-	}
-	if rec.Bump && rec.Kind != wal.KindTxnCommit {
-		// Txn commits bump inside Commit; everything else that committed a
-		// reconfiguration on the leader bumps here, mirroring Recover.
-		p.version.Add(1)
 	}
 	p.K.Metrics.Counter("ctrl.replica_applied").Inc()
 	return nil

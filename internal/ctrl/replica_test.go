@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"rmtk/internal/core"
 	"rmtk/internal/isa"
@@ -84,6 +85,69 @@ func TestReplicaShipping(t *testing.T) {
 			t.Fatalf("record #%d epochs = %d/%d, want 3",
 				a.Records[i].Seq, a.Records[i].Epoch, b.Records[i].Epoch)
 		}
+	}
+}
+
+// TestReplicaCheckpointWaitsForApply: a Checkpoint that arrives while a
+// shipped record sits between its append and its apply waits for the apply,
+// so the checkpoint covering that record's sequence number holds its state.
+// (Were the checkpoint to run in the gap, recovering from it would skip the
+// record for good.) Run it under -race.
+func TestReplicaCheckpointWaitsForApply(t *testing.T) {
+	leader, follower := durablePlane(t), durablePlane(t)
+	if _, _, err := leader.CreateTable("t", "h/x", table.MatchExact); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.AddEntry("t", &table.Entry{
+		Key: 1, Action: table.Action{Kind: table.ActionParam, Param: 7},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := wal.Scan(leader.WAL().Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.ApplyReplicated(sc.Records[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	// The crash hook pauses the add-entry between its append and its apply.
+	paused, release := make(chan struct{}), make(chan struct{})
+	follower.crashAfter = func(k wal.Kind) bool {
+		if k == wal.KindAddEntry {
+			close(paused)
+			<-release
+		}
+		return false
+	}
+	applied := make(chan error, 1)
+	go func() { applied <- follower.ApplyReplicated(sc.Records[1]) }()
+	<-paused
+	type ckpt struct {
+		seq uint64
+		err error
+	}
+	done := make(chan ckpt, 1)
+	go func() {
+		seq, err := follower.Checkpoint()
+		done <- ckpt{seq, err}
+	}()
+	select {
+	case ck := <-done:
+		t.Fatalf("checkpoint #%d (%v) ran between a shipped record's append and its apply", ck.seq, ck.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	ck := <-done
+	if ck.err != nil || ck.seq != 2 {
+		t.Fatalf("checkpoint = #%d, %v; want #2", ck.seq, ck.err)
+	}
+	rec, _ := recoverCheckpoint(t, follower, ck.seq)
+	if res := rec.K.Fire("h/x", 1, 0, 0); res.Verdict != 7 {
+		t.Fatalf("checkpoint of #2 lacks its entry: verdict %d", res.Verdict)
 	}
 }
 

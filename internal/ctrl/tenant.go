@@ -1,18 +1,16 @@
 package ctrl
 
 import (
-	"fmt"
-
 	"rmtk/internal/core"
 	"rmtk/internal/qos"
 	"rmtk/internal/wal"
 )
 
 // This file is the control plane's tenancy surface: tenant registration,
-// quota changes and teardown go through the same write-ahead discipline as
-// every other mutation, so a recovered plane reproduces its tenant namespaces
-// — contracts, owned resources and all — before any prefixed record replays
-// against them. Tenant records restore FIRST from a checkpoint for the same
+// quota changes and teardown are records submitted like every other
+// mutation, so a recovered plane reproduces its tenant namespaces —
+// contracts, owned resources and all — before any prefixed record replays
+// against them. A checkpoint writes its tenant records FIRST for the same
 // reason: quota admission and name-prefix ownership must resolve when the
 // tenant's tables and programs land.
 
@@ -39,34 +37,22 @@ func ctrlQuota(q *wal.Quota) core.TenantQuota {
 // RegisterTenant creates a tenant namespace with the given quota, durably on
 // a logged plane.
 func (p *Plane) RegisterTenant(name string, q core.TenantQuota) error {
-	if p.wal == nil {
-		return p.K.RegisterTenant(name, q)
-	}
-	rec := &wal.Record{Kind: wal.KindRegisterTenant, Tenant: name, Quota: walQuota(q)}
-	return p.logApply(rec, func() error { return p.K.RegisterTenant(name, q) })
+	return p.submit(&mut{rec: &wal.Record{Kind: wal.KindRegisterTenant, Tenant: name, Quota: walQuota(q)}})
 }
 
 // SetTenantQuota replaces a tenant's contract, durably on a logged plane.
 func (p *Plane) SetTenantQuota(name string, q core.TenantQuota) error {
-	if p.wal == nil {
-		return p.K.SetTenantQuota(name, q)
-	}
-	rec := &wal.Record{Kind: wal.KindSetQuota, Tenant: name, Quota: walQuota(q)}
-	return p.logApply(rec, func() error { return p.K.SetTenantQuota(name, q) })
+	return p.submit(&mut{rec: &wal.Record{Kind: wal.KindSetQuota, Tenant: name, Quota: walQuota(q)}})
 }
 
 // RemoveTenant tears a tenant down, durably on a logged plane. Plane-side
 // state keyed by the tenant's models (rollback history, accuracy monitors)
 // goes with it.
 func (p *Plane) RemoveTenant(name string) error {
-	if p.wal == nil {
-		return p.applyRemoveTenant(name)
-	}
-	rec := &wal.Record{Kind: wal.KindRemoveTenant, Tenant: name}
-	return p.logApply(rec, func() error { return p.applyRemoveTenant(name) })
+	return p.submit(&mut{rec: &wal.Record{Kind: wal.KindRemoveTenant, Tenant: name}})
 }
 
-func (p *Plane) applyRemoveTenant(name string) error {
+func (p *Plane) removeTenant(name string) error {
 	var owned []int64
 	for _, id := range p.K.ModelIDs() {
 		if p.K.ModelOwner(id) == name {
@@ -89,42 +75,15 @@ func (p *Plane) applyRemoveTenant(name string) error {
 // durable plane logs the codec-encoded model with its owner so recovery
 // restores the ownership along with the weights.
 func (p *Plane) RegisterModelOwned(owner string, m core.Model) (int64, error) {
-	if p.wal == nil {
-		return p.K.RegisterModelOwned(owner, m)
-	}
-	enc, err := encodeModel(m)
-	if err != nil {
-		return 0, err
-	}
-	var id int64
-	rec := &wal.Record{Kind: wal.KindRegisterModel, Tenant: owner, Model: enc}
-	err = p.logApply(rec, func() error {
-		var aerr error
-		id, aerr = p.K.RegisterModelOwned(owner, m)
-		return aerr
-	})
-	return id, err
+	mu := &mut{rec: &wal.Record{Kind: wal.KindRegisterModel, Tenant: owner}, model: m}
+	err := p.submit(mu)
+	return mu.id, err
 }
-
-// --- transactional quota changes ------------------------------------------
 
 // SetTenantQuota stages a quota replacement; rollback restores the contract
 // found at apply time. Staging a quota change alongside the table/program
 // reconfiguration it provisions for makes the two land (or fail) together —
 // the mid-flight quota-change path.
 func (t *Txn) SetTenantQuota(name string, q core.TenantQuota) {
-	var prior core.TenantQuota
-	t.steps = append(t.steps, txnStep{
-		name: fmt.Sprintf("set quota %q", name),
-		apply: func() error {
-			old, err := t.p.K.TenantQuotaOf(name)
-			if err != nil {
-				return err
-			}
-			prior = old
-			return t.p.K.SetTenantQuota(name, q)
-		},
-		undo: func() error { return t.p.K.SetTenantQuota(name, prior) },
-		rec:  &wal.Record{Kind: wal.KindSetQuota, Tenant: name, Quota: walQuota(q)},
-	})
+	t.stage(&mut{rec: &wal.Record{Kind: wal.KindSetQuota, Tenant: name, Quota: walQuota(q)}})
 }

@@ -13,12 +13,13 @@ import (
 
 // This file implements transactional reconfiguration: a multi-step control
 // operation (create tables, add entries, push models, load programs) is
-// staged against the plane version observed at Begin and applied atomically
-// at Commit — either every step lands and the version advances, or the
-// already-applied prefix is undone in reverse and the kernel is back where
-// it started. A half-applied reconfiguration can therefore never leave a
-// hook firing against inconsistent tables (§3.1's reconfiguration loop,
-// made safe).
+// staged as records against the plane version observed at Begin and applied
+// atomically at Commit — either every step lands and the version advances, or
+// the already-applied prefix is undone in reverse (each kind's undo sits
+// beside its apply arm in mutation.go) and the kernel is back where it
+// started. A half-applied reconfiguration can therefore never leave a hook
+// firing against inconsistent tables (§3.1's reconfiguration loop, made
+// safe).
 
 // Transaction sentinels.
 var (
@@ -30,19 +31,6 @@ var (
 	// the caller should restage against current state.
 	ErrTxnConflict = errors.New("ctrl: transaction conflict")
 )
-
-// txnStep is one staged operation: apply performs it, undo reverts it.
-// undo is only called after apply succeeded. rec is the step's durable form;
-// on a durable plane Commit appends all step records as one atomic
-// transaction record, so a step without one (Txn.Do, or a model with no
-// codec — recErr carries why) cannot commit durably.
-type txnStep struct {
-	name   string
-	apply  func() error
-	undo   func() error
-	rec    *wal.Record
-	recErr error
-}
 
 // TableRef is a handle to a table staged by Txn.CreateTable; ID and T are
 // valid after a successful Commit.
@@ -64,7 +52,9 @@ type ProgRef struct {
 type Txn struct {
 	p     *Plane
 	base  uint64
-	steps []txnStep
+	steps []*mut
+	refs  []func() // resolve the TableRefs and ProgRefs after Commit
+	err   error    // a step refused at staging, reported by Commit
 	done  bool
 }
 
@@ -73,145 +63,59 @@ func (p *Plane) Begin() *Txn {
 	return &Txn{p: p, base: p.Version()}
 }
 
+func (t *Txn) stage(m *mut) *mut {
+	t.steps = append(t.steps, m)
+	return m
+}
+
 // CreateTable stages a table registration. The returned ref resolves after
 // Commit; rollback unregisters the table.
 func (t *Txn) CreateTable(name, hook string, kind table.MatchKind) *TableRef {
+	m := t.stage(&mut{rec: &wal.Record{Kind: wal.KindCreateTable, Table: name, Hook: hook, Match: uint8(kind)}})
 	ref := &TableRef{}
-	t.steps = append(t.steps, txnStep{
-		name: fmt.Sprintf("create table %q", name),
-		apply: func() error {
-			tb, id, err := t.p.applyCreateTable(name, hook, kind)
-			if err != nil {
-				return err
-			}
-			ref.T, ref.ID = tb, id
-			return nil
-		},
-		undo: func() error { return t.p.K.RemoveTable(ref.ID) },
-		rec:  &wal.Record{Kind: wal.KindCreateTable, Table: name, Hook: hook, Match: uint8(kind)},
-	})
+	t.refs = append(t.refs, func() { ref.T, ref.ID = m.tbl, m.id })
 	return ref
 }
 
 // AddEntry stages an entry insertion into a table named now or staged
-// earlier in this transaction; rollback deletes the entry. On exact-match
-// tables an insertion over an existing key replaces that row, so apply
-// snapshots the displaced entry and undo re-inserts the original pointer —
-// rolling back must not forget the incumbent row or zero its accumulated
-// hit count.
+// earlier in this transaction; rollback deletes the entry and, on an
+// exact-match table, re-inserts the row it displaced.
 func (t *Txn) AddEntry(tableName string, e *table.Entry) {
-	var displaced *table.Entry
-	t.steps = append(t.steps, txnStep{
-		name: fmt.Sprintf("add entry to %q", tableName),
-		apply: func() error {
-			if tb, _, err := t.p.K.TableByName(tableName); err == nil {
-				displaced = tb.Probe(e.Key)
-			}
-			return t.p.applyAddEntry(tableName, e)
-		},
-		undo: func() error {
-			tb, _, err := t.p.K.TableByName(tableName)
-			if err != nil {
-				return err
-			}
-			if !tb.Delete(e) {
-				return fmt.Errorf("%w in %q", ErrNoEntry, tableName)
-			}
-			if displaced != nil {
-				return tb.Insert(displaced)
-			}
-			return nil
-		},
-		rec: &wal.Record{Kind: wal.KindAddEntry, Table: tableName, Entry: walEntry(e)},
-	})
+	t.stage(&mut{rec: &wal.Record{Kind: wal.KindAddEntry, Table: tableName}, entry: e})
 }
 
 // UpdateAction stages an action replacement on an exact-match entry;
 // rollback restores the action found at apply time.
 func (t *Txn) UpdateAction(tableName string, key uint64, a table.Action) {
-	var prior table.Action
-	t.steps = append(t.steps, txnStep{
-		name: fmt.Sprintf("update action %q key %d", tableName, key),
-		apply: func() error {
-			tb, _, err := t.p.K.TableByName(tableName)
-			if err != nil {
-				return err
-			}
-			old := tb.Lookup(key)
-			if old == nil {
-				return fmt.Errorf("%w with key %d in %q", ErrNoEntry, key, tableName)
-			}
-			prior = old.Action
-			if !tb.UpdateAction(key, a) {
-				return fmt.Errorf("%w with key %d in %q", ErrNoEntry, key, tableName)
-			}
-			return nil
-		},
-		undo: func() error {
-			tb, _, err := t.p.K.TableByName(tableName)
-			if err != nil {
-				return err
-			}
-			if !tb.UpdateAction(key, prior) {
-				return fmt.Errorf("%w with key %d in %q", ErrNoEntry, key, tableName)
-			}
-			return nil
-		},
-		rec: func() *wal.Record {
-			wa := walAction(a)
-			return &wal.Record{Kind: wal.KindUpdateAction, Table: tableName, Key: key, Action: &wa}
-		}(),
-	})
+	wa := walAction(a)
+	t.stage(&mut{rec: &wal.Record{Kind: wal.KindUpdateAction, Table: tableName, Key: key, Action: &wa}})
 }
 
-// PushModel stages a model swap (with budget admission); rollback restores
-// the version the swap displaced. On a durable plane the model must have a
-// codec; Commit reports the encoding failure otherwise.
+// PushModel stages a model swap after budget admission (a rejection fails
+// Commit before anything applies); rollback restores the version the swap
+// displaced. On a durable plane the model must have a codec; Commit reports
+// the encoding failure otherwise.
 func (t *Txn) PushModel(id int64, m core.Model, opsBudget, memBudget int64) {
-	step := txnStep{
-		name: fmt.Sprintf("push model %d", id),
-		apply: func() error {
-			if err := checkModelBudgets(id, m, opsBudget, memBudget); err != nil {
-				return err
-			}
-			return t.p.applyPushModel(id, m)
-		},
-		undo: func() error { return t.p.applyRollbackModel(id) },
+	if err := checkModelBudgets(m, opsBudget, memBudget); err != nil && t.err == nil {
+		t.err = fmt.Errorf("ctrl: txn step %d (push model %d): %w", len(t.steps), id, err)
 	}
-	if t.p.wal != nil {
-		if enc, err := encodeModel(m); err != nil {
-			step.recErr = err
-		} else {
-			step.rec = &wal.Record{Kind: wal.KindPushModel, ModelID: id, Model: enc}
-		}
-	}
-	t.steps = append(t.steps, step)
+	t.stage(&mut{rec: &wal.Record{Kind: wal.KindPushModel, ModelID: id}, model: m})
 }
 
 // LoadProgram stages program admission (verify → compile → register);
 // rollback uninstalls it. The returned ref resolves after Commit.
 func (t *Txn) LoadProgram(prog *isa.Program) *ProgRef {
+	m := t.stage(&mut{rec: &wal.Record{Kind: wal.KindLoadProgram}, prog: prog})
 	ref := &ProgRef{}
-	t.steps = append(t.steps, txnStep{
-		name: fmt.Sprintf("load program %q", prog.Name),
-		apply: func() error {
-			id, rep, err := t.p.K.InstallProgram(prog)
-			if err != nil {
-				return err
-			}
-			ref.ID, ref.Report = id, rep
-			return nil
-		},
-		undo: func() error { return t.p.K.RemoveProgram(ref.ID) },
-		rec:  &wal.Record{Kind: wal.KindLoadProgram, Program: walProgram(prog)},
-	})
+	t.refs = append(t.refs, func() { ref.ID, ref.Report = m.id, m.report })
 	return ref
 }
 
 // Do stages an arbitrary apply/undo pair — the escape hatch for operations
-// the built-in steps do not cover (canary promotions use it internally).
+// the built-in steps do not cover. It has no record, so a durable plane
+// refuses to commit it (ErrNotReplayable).
 func (t *Txn) Do(name string, apply, undo func() error) {
-	t.steps = append(t.steps, txnStep{name: name, apply: apply, undo: undo})
+	t.stage(&mut{name: name, do: func() (func() error, error) { return undo, apply() }})
 }
 
 // Len reports the number of staged steps.
@@ -234,69 +138,21 @@ func (t *Txn) Commit() error {
 		return ErrTxnDone
 	}
 	t.done = true
+	if t.err != nil {
+		return t.err
+	}
 	p := t.p
-	crash := p.crashAfter
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
 	if v := p.Version(); v != t.base {
 		p.K.Metrics.Counter("ctrl.txn_conflicts").Inc()
 		return fmt.Errorf("%w: began at version %d, now %d", ErrTxnConflict, t.base, v)
 	}
-	if l := p.logTarget(); l != nil {
-		subs := make([]*wal.Record, 0, len(t.steps))
-		for i, step := range t.steps {
-			if step.rec == nil {
-				err := fmt.Errorf("%w: txn step %d (%s) has no log form", ErrNotReplayable, i, step.name)
-				if step.recErr != nil {
-					err = fmt.Errorf("%w: txn step %d (%s): %w", ErrNotReplayable, i, step.name, step.recErr)
-				}
-				return err
-			}
-			subs = append(subs, step.rec)
-		}
-		rec := &wal.Record{Kind: wal.KindTxnCommit, Sub: subs, Bump: true}
-		p.walMu.Lock()
-		defer p.walMu.Unlock()
-		p.stampEpoch(rec)
-		seq, err := l.Append(rec)
-		if err != nil {
-			return fmt.Errorf("ctrl: wal append: %w", err)
-		}
-		if crash != nil && crash(rec.Kind) {
-			return errSimulatedCrash
-		}
-		if err := t.applySteps(); err != nil {
-			abort := &wal.Record{Kind: wal.KindAbort, Ref: seq}
-			p.stampEpoch(abort)
-			if _, aerr := l.Append(abort); aerr != nil {
-				err = errors.Join(err, fmt.Errorf("ctrl: wal abort append: %w", aerr))
-			}
-			return err
-		}
-	} else if err := t.applySteps(); err != nil {
+	if err := p.submit(&mut{rec: &wal.Record{Kind: wal.KindTxnCommit, Bump: true}, subs: t.steps}); err != nil {
 		return err
 	}
-	p.version.Add(1)
-	p.K.Metrics.Counter("ctrl.txn_commits").Inc()
-	return nil
-}
-
-// applySteps runs the staged steps, undoing the applied prefix in reverse on
-// the first failure.
-func (t *Txn) applySteps() error {
-	for i, step := range t.steps {
-		err := step.apply()
-		if err == nil {
-			continue
-		}
-		err = fmt.Errorf("ctrl: txn step %d (%s): %w", i, step.name, err)
-		for j := i - 1; j >= 0; j-- {
-			if uerr := t.steps[j].undo(); uerr != nil {
-				err = errors.Join(err, fmt.Errorf("ctrl: txn rollback of step %d (%s): %w", j, t.steps[j].name, uerr))
-			}
-		}
-		t.p.K.Metrics.Counter("ctrl.txn_rollbacks").Inc()
-		return err
+	for _, resolve := range t.refs {
+		resolve()
 	}
 	return nil
 }

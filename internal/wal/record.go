@@ -5,13 +5,14 @@ import (
 	"fmt"
 )
 
-// Kind enumerates the typed control-plane mutations the log records. The
-// semantics of each kind — how it replays against a kernel — live in
+// Kind enumerates the typed control-plane mutations the log and checkpoints
+// record. The semantics of each kind — how it applies to a kernel — live in
 // internal/ctrl; this package only defines the durable schema.
 type Kind uint8
 
 const (
 	// KindCreateTable registers a match/action table (Table, Hook, Match).
+	// A checkpoint's table record also carries its Rows and default Action.
 	KindCreateTable Kind = iota + 1
 	// KindAddEntry inserts Entry into table Table.
 	KindAddEntry
@@ -57,8 +58,16 @@ const (
 	// detected divergence) of one program content hash's engine tier.
 	// Replay re-applies the quarantine (Incident.Hash held at Incident.To),
 	// so a restart — or a follower — distrusts exactly the native tiers the
-	// leader's sentinel distrusted.
+	// leader's sentinel distrusted. A checkpoint restores a quarantine as an
+	// incident carrying only Hash and To.
 	KindIncident
+	// KindRegisterMatrix registers weight matrix Matrix. Only checkpoints
+	// write it: matrices registered on the kernel behind the plane (a
+	// fixture's) are state the log never saw.
+	KindRegisterMatrix
+	// KindAllocState closes a checkpoint: it advances the id allocators past
+	// every hole the restored registries leave, and sets the plane version.
+	KindAllocState
 
 	kindEnd
 )
@@ -81,6 +90,8 @@ var kindNames = [...]string{
 	KindSetQuota:       "set-quota",
 	KindRemoveTenant:   "remove-tenant",
 	KindIncident:       "incident",
+	KindRegisterMatrix: "register-matrix",
+	KindAllocState:     "alloc-state",
 }
 
 // String names the kind.
@@ -93,6 +104,13 @@ func (k Kind) String() string {
 
 // Valid reports whether k is a defined record kind.
 func (k Kind) Valid() bool { return k >= KindCreateTable && k < kindEnd }
+
+// transactional reports whether a transaction record may carry k: the kinds
+// a ctrl.Txn stages, each of which has an undo.
+func (k Kind) transactional() bool {
+	return k == KindCreateTable || k == KindAddEntry || k == KindUpdateAction ||
+		k == KindLoadProgram || k == KindPushModel || k == KindSetQuota
+}
 
 // Action mirrors table.Action in durable form.
 type Action struct {
@@ -151,6 +169,24 @@ type Quota struct {
 	LatencySLO  int64 `json:"latency_slo_ns,omitempty"`
 }
 
+// Matrix mirrors a registered weight matrix (core.Matrix) in durable form.
+type Matrix struct {
+	In  int     `json:"in"`
+	Out int     `json:"out"`
+	W   []int64 `json:"w"`
+	B   []int64 `json:"b"`
+}
+
+// Alloc is a checkpoint's closing state: the id allocators' high-water marks
+// and the plane version.
+type Alloc struct {
+	Table   int64  `json:"table"`
+	Prog    int64  `json:"prog"`
+	Model   int64  `json:"model"`
+	Mat     int64  `json:"mat"`
+	Version uint64 `json:"version,omitempty"`
+}
+
 // Incident is the durable form of an engine-sentinel incident. Tiers are
 // stored by name ("aot", "jit", "interp", "baseline") so the log is
 // self-describing without importing engine enums.
@@ -172,6 +208,9 @@ type Record struct {
 	Seq uint64 `json:"seq"`
 	// Kind selects the mutation type.
 	Kind Kind `json:"kind"`
+	// ID is the explicit id a checkpoint record restores its table, program,
+	// model or matrix at; zero (every log record) allocates the next id.
+	ID int64 `json:"id,omitempty"`
 
 	// Table names the target table (entry ops, create, retarget).
 	Table string `json:"table,omitempty"`
@@ -181,9 +220,12 @@ type Record struct {
 	Match uint8 `json:"match,omitempty"`
 	// Entry is the row an entry op inserts or deletes.
 	Entry *Entry `json:"entry,omitempty"`
+	// Rows are a checkpointed table's entries.
+	Rows []Entry `json:"rows,omitempty"`
 	// Key addresses the exact-match row of a KindUpdateAction.
 	Key uint64 `json:"key,omitempty"`
-	// Action is KindUpdateAction's replacement action.
+	// Action is KindUpdateAction's replacement action, or a checkpointed
+	// table's default.
 	Action *Action `json:"action,omitempty"`
 	// Program is the admission unit of a KindLoadProgram.
 	Program *Program `json:"program,omitempty"`
@@ -209,6 +251,10 @@ type Record struct {
 	Bump bool `json:"bump,omitempty"`
 	// Incident is the engine-sentinel incident of a KindIncident record.
 	Incident *Incident `json:"incident,omitempty"`
+	// Matrix is the weights of a KindRegisterMatrix record.
+	Matrix *Matrix `json:"matrix,omitempty"`
+	// Alloc is the payload of a KindAllocState record.
+	Alloc *Alloc `json:"alloc,omitempty"`
 	// Epoch is the leader epoch under which a replicated record was logged
 	// (zero on single-node planes). Followers compare it against the
 	// shipping leader's view to detect diverged logs; for KindEpoch records
@@ -218,10 +264,14 @@ type Record struct {
 
 // validate checks that the fields Kind requires are present, so neither a
 // caller bug nor fuzzed log bytes can produce a record replay would crash
-// on. Transaction sub-records are validated recursively and may not nest.
+// on. A transaction's sub-records are validated recursively and must be
+// transactional kinds.
 func (r *Record) validate(sub bool) error {
 	if !r.Kind.Valid() {
 		return fmt.Errorf("invalid kind %d", r.Kind)
+	}
+	if sub && !r.Kind.transactional() {
+		return fmt.Errorf("%s inside a transaction record", r.Kind)
 	}
 	switch r.Kind {
 	case KindCreateTable:
@@ -255,28 +305,16 @@ func (r *Record) validate(sub bool) error {
 			return fmt.Errorf("retarget without a table name")
 		}
 	case KindTxnCommit:
-		if sub {
-			return fmt.Errorf("nested transaction record")
-		}
 		for _, s := range r.Sub {
 			if s == nil {
 				return fmt.Errorf("nil transaction sub-record")
-			}
-			if s.Kind == KindAbort {
-				return fmt.Errorf("abort inside a transaction record")
 			}
 			if err := s.validate(true); err != nil {
 				return err
 			}
 		}
 	case KindAbort:
-		if sub {
-			return fmt.Errorf("abort inside a transaction record")
-		}
 	case KindEpoch:
-		if sub {
-			return fmt.Errorf("epoch mark inside a transaction record")
-		}
 		if r.Epoch == 0 {
 			return fmt.Errorf("epoch mark without an epoch")
 		}
@@ -289,13 +327,16 @@ func (r *Record) validate(sub bool) error {
 			return fmt.Errorf("remove-tenant without a tenant name")
 		}
 	case KindIncident:
-		// Incidents are observations, not mutations of named resources; they
-		// never participate in transactions (nothing to atomically group).
-		if sub {
-			return fmt.Errorf("incident inside a transaction record")
-		}
 		if r.Incident == nil || r.Incident.Hash == "" || r.Incident.To == "" {
 			return fmt.Errorf("incident without hash/to")
+		}
+	case KindRegisterMatrix:
+		if r.Matrix == nil {
+			return fmt.Errorf("register-matrix without a matrix")
+		}
+	case KindAllocState:
+		if r.Alloc == nil {
+			return fmt.Errorf("alloc-state without allocators")
 		}
 	}
 	return nil
@@ -355,6 +396,10 @@ func (r *Record) String() string {
 		return fmt.Sprintf("#%d remove-tenant tenant=%q", r.Seq, r.Tenant)
 	case KindIncident:
 		return fmt.Sprintf("#%d incident %s [%s] %s->%s fire=%d", r.Seq, r.Incident.Program, r.Incident.Cause, r.Incident.From, r.Incident.To, r.Incident.Fire)
+	case KindRegisterMatrix:
+		return fmt.Sprintf("#%d register-matrix id=%d %dx%d", r.Seq, r.ID, r.Matrix.Out, r.Matrix.In)
+	case KindAllocState:
+		return fmt.Sprintf("#%d alloc-state version=%d", r.Seq, r.Alloc.Version)
 	default:
 		return fmt.Sprintf("#%d %s", r.Seq, r.Kind)
 	}

@@ -21,8 +21,10 @@
 // or a flipped bit fails the checksum and Scan cleanly discards the suffix
 // from the first bad frame on — never a half-applied record.
 //
-// Checkpoints are written to a temporary file and renamed into place, so a
-// truncated checkpoint write can never shadow a previous intact one; the
+// A checkpoint's payload is a compacted record sequence (EncodeCheckpoint):
+// the records that rebuild the state from an empty kernel, carrying explicit
+// ids. Checkpoints are written to a temporary file and renamed into place, so
+// a truncated checkpoint write can never shadow a previous intact one; the
 // newest *valid* checkpoint wins and corrupt ones are skipped. The package
 // is stdlib-only and knows nothing about the control plane's types beyond
 // the record schema — internal/ctrl owns the semantics of replay.
@@ -30,6 +32,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -58,6 +61,11 @@ var (
 	// extend the log contiguously — the follower missed records or holds a
 	// diverged suffix and must resync.
 	ErrSeqGap = errors.New("wal: replica append out of sequence")
+	// ErrCheckpointFormat is wrapped when a checkpoint payload is not a
+	// checkpointFormat record sequence — such as a state snapshot written
+	// before checkpoints became record sequences. No reader for older formats
+	// exists: recover such a directory with the build that wrote it.
+	ErrCheckpointFormat = errors.New("wal: unsupported checkpoint format")
 )
 
 const (
@@ -68,6 +76,9 @@ const (
 	// maxPayload bounds a frame's declared length so a corrupt length
 	// field cannot drive a giant allocation.
 	maxPayload = 1 << 26
+	// checkpointFormat versions the checkpoint payload. Format 1, implicit,
+	// was a JSON state snapshot; format 2 is a record sequence.
+	checkpointFormat = 2
 )
 
 // castagnoli is the CRC32C table shared by records and checkpoints.
@@ -444,6 +455,45 @@ func WriteCheckpoint(dir string, seq uint64, payload []byte) error {
 		os.Remove(filepath.Join(dir, checkpointName(seqs[i])))
 	}
 	return nil
+}
+
+// checkpointBody is the JSON checkpoint payload.
+type checkpointBody struct {
+	Format  int       `json:"format"`
+	Records []*Record `json:"records"`
+}
+
+// EncodeCheckpoint renders recs, validated like log records, as a
+// checkpoint payload for WriteCheckpoint.
+func EncodeCheckpoint(recs []*Record) ([]byte, error) {
+	for _, r := range recs {
+		if err := r.validate(false); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorruptRecord, err)
+		}
+	}
+	return json.Marshal(checkpointBody{Format: checkpointFormat, Records: recs})
+}
+
+// DecodeCheckpoint parses and validates a checkpoint payload. A payload of
+// another format wraps ErrCheckpointFormat; a malformed one wraps
+// ErrCorruptRecord.
+func DecodeCheckpoint(payload []byte) ([]*Record, error) {
+	var body checkpointBody
+	if err := json.Unmarshal(payload, &body); err != nil {
+		return nil, fmt.Errorf("%w: checkpoint payload: %v", ErrCorruptRecord, err)
+	}
+	if body.Format != checkpointFormat {
+		return nil, fmt.Errorf("%w: format %d, want %d", ErrCheckpointFormat, body.Format, checkpointFormat)
+	}
+	for i, r := range body.Records {
+		if r == nil {
+			return nil, fmt.Errorf("%w: checkpoint record %d is null", ErrCorruptRecord, i)
+		}
+		if err := r.validate(false); err != nil {
+			return nil, fmt.Errorf("%w: checkpoint record %d: %v", ErrCorruptRecord, i, err)
+		}
+	}
+	return body.Records, nil
 }
 
 // checkpointSeqs lists checkpoint sequence numbers in ascending order.

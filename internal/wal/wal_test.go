@@ -242,9 +242,12 @@ func TestMarshalRejectsMalformedRecords(t *testing.T) {
 		{Kind: 0},
 		{Kind: KindAddEntry, Table: "t"}, // no entry
 		{Kind: KindLoadProgram},          // no program
-		{Kind: KindTxnCommit, Sub: []*Record{{Kind: KindAbort, Ref: 1}}}, // abort inside txn
-		{Kind: KindTxnCommit, Sub: []*Record{{Kind: KindTxnCommit}}},     // nested txn
-		{Kind: KindPushModel, ModelID: 1},                                // no model payload
+		{Kind: KindTxnCommit, Sub: []*Record{{Kind: KindAbort, Ref: 1}}},             // abort inside txn
+		{Kind: KindTxnCommit, Sub: []*Record{{Kind: KindTxnCommit}}},                 // nested txn
+		{Kind: KindPushModel, ModelID: 1},                                            // no model payload
+		{Kind: KindTxnCommit, Sub: []*Record{{Kind: KindRemoveTenant, Tenant: "t"}}}, // not transactional
+		{Kind: KindRegisterMatrix},                                                   // no matrix
+		{Kind: KindAllocState},                                                       // no allocators
 	}
 	for i, r := range bad {
 		if _, err := l.Append(r); !errors.Is(err, ErrCorruptRecord) {
