@@ -139,7 +139,9 @@ func TestTable2Shape(t *testing.T) {
 
 // TestIOTailShape regenerates Extension F and checks EXPERIMENTS.md's claims:
 // the learned router has the best mean latency of any router, it retrains
-// online, and unlike hedging it issues no duplicate IOs.
+// online, and unlike hedging it issues no duplicate IOs. The seed-1
+// rmt-learned row is pinned exactly: a change to the retrain loop that grows
+// a different tree or pushes at a different event moves it.
 func TestIOTailShape(t *testing.T) {
 	rows, err := IOTail(1)
 	if err != nil {
@@ -161,11 +163,16 @@ func TestIOTailShape(t *testing.T) {
 	if ours.ExtraIOs != 0 {
 		t.Errorf("rmt-learned issued %d duplicate IOs, want 0", ours.ExtraIOs)
 	}
+	const golden = "rmt-learned     mean=  143.8µs p50=   84.3µs p99=  1086.7µs slow= 1628 extraIO=    0 trains=117"
+	if got := ours.String(); got != golden {
+		t.Errorf("rmt-learned row:\n got %s\nwant %s", got, golden)
+	}
 }
 
 // TestNetIsolationShape regenerates Extension G and checks EXPERIMENTS.md's
 // claims: first-packet classification misroutes no more elephant packets
 // than the reactive threshold, and keeps mice p99 below the shared queue's.
+// The seed-1 rmt-learned row is pinned exactly.
 func TestNetIsolationShape(t *testing.T) {
 	rows, err := NetIsolation(1)
 	if err != nil {
@@ -185,11 +192,15 @@ func TestNetIsolationShape(t *testing.T) {
 	if ours.MiceP99Us >= shared.MiceP99Us {
 		t.Errorf("rmt-learned mice p99 %.1fµs not below shared-queue's %.1fµs", ours.MiceP99Us, shared.MiceP99Us)
 	}
+	const golden = "rmt-learned    mice p50=   0.3µs p99=    0.7µs mean=   0.3µs misrouted=     0 reclass=   0 trains=37"
+	if got := ours.String(); got != golden {
+		t.Errorf("rmt-learned row:\n got %s\nwant %s", got, golden)
+	}
 }
 
 // TestOnlineAdaptationShape: continuous retraining must dominate the frozen
 // model after the pattern shift, and the control-plane monitor must notice
-// the shift.
+// the shift. The seed-1 result is pinned exactly.
 func TestOnlineAdaptationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adaptation run")
@@ -207,6 +218,10 @@ func TestOnlineAdaptationShape(t *testing.T) {
 	}
 	if res.OnlineTrains == 0 {
 		t.Error("no online retrains")
+	}
+	const golden = "online acc=86.63% cov=94.01% (trains=102, degrades=7) vs frozen acc=25.17% cov=91.28%"
+	if got := res.String(); got != golden {
+		t.Errorf("result:\n got %s\nwant %s", got, golden)
 	}
 }
 
@@ -313,7 +328,8 @@ func TestChaosContainment(t *testing.T) {
 // within 5% of the clean run and never lets the corruption go live (the
 // hostile rollout ends rejected or rolled back, counted in telemetry), the
 // uncanaried datapath regresses JCT by more than 10%, and good background
-// retrains still clear the shadow gates and keep accuracy high.
+// retrains still clear the shadow gates and keep accuracy high. The seed-1
+// rollout counts and the printed result are pinned exactly.
 func TestCanaryRollback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full canary run")
@@ -349,6 +365,16 @@ func TestCanaryRollback(t *testing.T) {
 	}
 	if r.CleanAccuracy < 50 {
 		t.Errorf("clean canaried accuracy %.2f%% — promoted models are not improving the policy", r.CleanAccuracy)
+	}
+	if r.Promotions != 88 || r.Rejections != 707 || r.Rollbacks != 0 || r.ShadowFires != 50910 {
+		t.Errorf("promotions=%d rejections=%d rollbacks=%d shadow-fires=%d, want 88 707 0 50910",
+			r.Promotions, r.Rejections, r.Rollbacks, r.ShadowFires)
+	}
+	const golden = "canary: clean=17.97s canaried=17.96s (100.0% of clean) uncanaried=29.25s (162.8% of clean)\n" +
+		"        accuracy: clean=91.34% canaried=89.27% uncanaried=7.36%\n" +
+		"        promotions=88 rejections=707 rollbacks=0 shadow-fires=50910 corrupt-rollout=rejected"
+	if got := r.String(); got != golden {
+		t.Errorf("result:\n got %s\nwant %s", got, golden)
 	}
 }
 
