@@ -31,37 +31,6 @@ func (m *TreeModel) Cost() (int64, int64) { return m.Tree.Cost() }
 
 var _ Model = (*TreeModel)(nil)
 
-// OnlineTreeModel wraps a windowed online tree learner; Predict uses the
-// latest trained tree and returns Default before the first training.
-type OnlineTreeModel struct {
-	Online  *dt.Online
-	Feats   int
-	Default int64
-	// MaxDepthHint bounds the verifier cost before a tree exists.
-	MaxDepthHint int
-}
-
-// Predict implements Model.
-func (m *OnlineTreeModel) Predict(x []int64) int64 { return m.Online.Predict(x, m.Default) }
-
-// NumFeatures implements Model.
-func (m *OnlineTreeModel) NumFeatures() int { return m.Feats }
-
-// Cost implements Model. Before the first training the cost is the
-// configured depth hint (the worst case the verifier admits).
-func (m *OnlineTreeModel) Cost() (int64, int64) {
-	if t := m.Online.Tree(); t != nil {
-		return t.Cost()
-	}
-	d := m.MaxDepthHint
-	if d <= 0 {
-		d = 16
-	}
-	return int64(d), int64(d) * 24
-}
-
-var _ Model = (*OnlineTreeModel)(nil)
-
 // QMLPModel wraps a quantized MLP; Predict returns the argmax class.
 type QMLPModel struct {
 	Net *mlp.QMLP

@@ -214,38 +214,65 @@ func TestCanaryBudgetRejection(t *testing.T) {
 }
 
 // TestProgramCanary: a candidate program is shadowed and, on promotion,
-// every matching entry is atomically retargeted; rollback retargets back.
+// every matching entry is atomically retargeted; a candidate that fails the
+// divergence gate is rejected and the incumbent keeps deciding. Either way a
+// second rollout is refused while one is in flight, the shadow is detached
+// once the rollout ends, and the hook then stages a follow-up cleanly.
 func TestProgramCanary(t *testing.T) {
-	p := newPlane(t)
-	inc, _, err := p.LoadProgram(&isa.Program{
-		Name: "inc", Insns: isa.MustAssemble("movimm r0, 1\nexit"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cand, _, err := p.LoadProgram(&isa.Program{
-		Name: "cand", Insns: isa.MustAssemble("movimm r0, 2\nexit"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.CreateTable("prog_tab", "sched/canary", table.MatchTernary); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddEntry("prog_tab", &table.Entry{Mask: 0, Action: table.Action{Kind: table.ActionProgram, ProgID: inc}}); err != nil {
-		t.Fatal(err)
-	}
-	c, err := p.PushProgramCanary("sched/canary", "prog_tab", inc, cand, CanaryConfig{
-		MinShadowFires:    8,
-		MaxDivergenceFrac: 1, // the candidate deliberately decides differently
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := drive(p, c, "sched/canary", 8); st != CanaryPromoted {
-		t.Fatalf("state = %v (gate err %v)", st, c.GateErr())
-	}
-	if res := p.K.Fire("sched/canary", 7, 0, 0); res.Verdict != 2 {
-		t.Fatalf("post-promotion verdict = %d, want candidate's 2", res.Verdict)
+	for _, tc := range []struct {
+		name        string
+		maxDiverge  float64
+		want        CanaryState
+		wantVerdict int64
+	}{
+		// The candidate deliberately decides differently under an open gate.
+		{"promoted", 1, CanaryPromoted, 2},
+		// The same candidate diverges on every fire under a strict gate.
+		{"rejected on divergence", 0, CanaryRejected, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPlane(t)
+			inc, _, err := p.LoadProgram(&isa.Program{
+				Name: "inc", Insns: isa.MustAssemble("movimm r0, 1\nexit"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cand, _, err := p.LoadProgram(&isa.Program{
+				Name: "cand", Insns: isa.MustAssemble("movimm r0, 2\nexit"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := p.CreateTable("prog_tab", "sched/canary", table.MatchTernary); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.AddEntry("prog_tab", &table.Entry{Mask: 0, Action: table.Action{Kind: table.ActionProgram, ProgID: inc}}); err != nil {
+				t.Fatal(err)
+			}
+			cfg := CanaryConfig{MinShadowFires: 8, MaxDivergenceFrac: tc.maxDiverge}
+			c, err := p.PushProgramCanary("sched/canary", "prog_tab", inc, cand, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.PushProgramCanary("sched/canary", "prog_tab", inc, cand, cfg); err == nil {
+				t.Fatal("a second rollout staged while one is in flight")
+			}
+			if st := drive(p, c, "sched/canary", 8); st != tc.want {
+				t.Fatalf("state = %v, want %v (gate err %v)", st, tc.want, c.GateErr())
+			}
+			if tc.want == CanaryRejected && (c.GateErr() == nil || !strings.Contains(c.GateErr().Error(), "divergence")) {
+				t.Fatalf("gate err = %v", c.GateErr())
+			}
+			if res := p.K.Fire("sched/canary", 7, 0, 0); res.Verdict != tc.wantVerdict {
+				t.Fatalf("verdict after the rollout = %d, want %d", res.Verdict, tc.wantVerdict)
+			}
+			if p.K.ShadowAt("sched/canary") != nil {
+				t.Fatal("shadow leaked after the rollout ended")
+			}
+			if _, err := p.PushProgramCanary("sched/canary", "prog_tab", inc, cand, cfg); err != nil {
+				t.Fatalf("follow-up rollout: %v", err)
+			}
+		})
 	}
 }

@@ -64,7 +64,7 @@ func (c BackoffConfig) withDefaults() BackoffConfig {
 // treats every error as transient).
 func Retry(cfg BackoffConfig, permanent func(error) bool, fn func() error) error {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	var rng *rand.Rand // made at the first retry: a first-try success allocates nothing
 	delay := cfg.Base
 	var last error
 	for attempt := 0; attempt < cfg.Attempts; attempt++ {
@@ -80,6 +80,9 @@ func Retry(cfg BackoffConfig, permanent func(error) bool, fn func() error) error
 		}
 		d := delay
 		if cfg.JitterFrac > 0 {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(cfg.Seed))
+			}
 			j := 1 + cfg.JitterFrac*(2*rng.Float64()-1)
 			d = time.Duration(float64(d) * j)
 		}

@@ -94,9 +94,9 @@ type hostilePush struct {
 
 func (h *hostilePush) OnAccess(pid, page int64, hit bool) []int64 {
 	h.seen++
-	if h.seen >= h.at && !h.inflight {
-		_, ended, _ := h.Prefetcher.CanaryState(pid)
-		if err := h.Prefetcher.PushModel(pid, h.model); err == nil {
+	if l := h.Learner(pid); l != nil && h.seen >= h.at && !h.inflight {
+		_, ended, _ := l.State()
+		if err := l.Push(h.model); err == nil {
 			h.inflight = true
 			h.endedAt = ended
 			h.pushes++
@@ -104,7 +104,7 @@ func (h *hostilePush) OnAccess(pid, page int64, hit bool) []int64 {
 	}
 	out := h.Prefetcher.OnAccess(pid, page, hit)
 	if h.inflight {
-		st, ended, ok := h.Prefetcher.CanaryState(pid)
+		st, ended, ok := h.Learner(pid).State()
 		if !ok || ended > h.endedAt {
 			h.inflight = false // resolved (or direct push): push again next access
 			if ok && ended > h.endedAt && st.Terminal() && !h.resolved {
@@ -120,7 +120,7 @@ func (h *hostilePush) OnAccess(pid, page int64, hit bool) []int64 {
 func newCanariedPrefetcher(mode core.ExecMode) (*rmtprefetch.Prefetcher, *core.Kernel, error) {
 	k := core.NewKernel(core.Config{CtxHistory: 4096, Mode: mode})
 	plane := ctrl.New(k)
-	cc := rmtprefetch.DefaultCanaryConfig()
+	cc := ctrl.AccuracyCanaryConfig()
 	p, err := rmtprefetch.New(k, plane, rmtprefetch.Config{Canary: &cc})
 	if err != nil {
 		return nil, nil, err

@@ -12,7 +12,7 @@ import (
 func canaryRouter(t *testing.T) (*core.Kernel, *Router) {
 	t.Helper()
 	k := core.NewKernel(core.Config{})
-	cc := DefaultCanaryConfig()
+	cc := ctrl.AccuracyCanaryConfig()
 	cc.MinShadowFires = 8
 	cc.MinShadowOutcomes = 4
 	r, err := New(k, ctrl.New(k), Config{Canary: &cc})
@@ -27,7 +27,7 @@ func canaryRouter(t *testing.T) (*core.Kernel, *Router) {
 // keyed on queue length labels perfectly and the placeholder incumbent
 // (constant fast) does not.
 func driveCanary(r *Router, rounds int) {
-	for i := 0; i < rounds && r.canary != nil; i++ {
+	for i := 0; i < rounds && r.learn.InFlight(); i++ {
 		qlen := i % 8 // 0..7; slow iff > 4
 		now := int64(i+1) * 1_000_000
 		feats := r.features(0, qlen, now)
@@ -51,20 +51,19 @@ func TestCanaryPromotion(t *testing.T) {
 		},
 		Feats: NumFeatures,
 	}
-	r.stageCanary(good)
-	if r.canary == nil {
-		t.Fatal("canary did not stage")
+	if err := r.learn.Push(good); err != nil {
+		t.Fatalf("canary did not stage: %v", err)
 	}
-	if st, _, ok := r.CanaryState(); !ok || st != ctrl.CanaryShadowing {
+	if st, _, ok := r.learn.State(); !ok || st != ctrl.CanaryShadowing {
 		t.Fatalf("state = %v ok=%v", st, ok)
 	}
 	driveCanary(r, 64)
-	st, ended, ok := r.CanaryState()
+	st, ended, ok := r.learn.State()
 	if !ok || st != ctrl.CanaryPromoted || ended != 1 {
 		t.Fatalf("state = %v ended=%d ok=%v", st, ended, ok)
 	}
-	if r.trains != 1 {
-		t.Fatalf("trains = %d, want 1 (counted at promotion)", r.trains)
+	if r.Trains() != 1 {
+		t.Fatalf("trains = %d, want 1 (counted at promotion)", r.Trains())
 	}
 	m, err := k.Model(r.modelID)
 	if err != nil {
@@ -85,20 +84,19 @@ func TestCanaryPromotion(t *testing.T) {
 func TestCanaryTrapRejection(t *testing.T) {
 	k, r := canaryRouter(t)
 	incumbent, _ := k.Model(r.modelID)
-	r.stageCanary(&core.FuncModel{
+	if err := r.learn.Push(&core.FuncModel{
 		Fn:    func([]int64) int64 { panic("corrupt weights") },
 		Feats: NumFeatures,
-	})
-	if r.canary == nil {
-		t.Fatal("canary did not stage")
+	}); err != nil {
+		t.Fatalf("canary did not stage: %v", err)
 	}
 	driveCanary(r, 64)
-	st, ended, ok := r.CanaryState()
+	st, ended, ok := r.learn.State()
 	if !ok || st != ctrl.CanaryRejected || ended != 1 {
 		t.Fatalf("state = %v ended=%d ok=%v", st, ended, ok)
 	}
-	if r.trains != 0 {
-		t.Fatalf("trains = %d, want 0", r.trains)
+	if r.Trains() != 0 {
+		t.Fatalf("trains = %d, want 0", r.Trains())
 	}
 	if m, _ := k.Model(r.modelID); m != incumbent {
 		t.Fatal("incumbent displaced by rejected candidate")
@@ -109,30 +107,33 @@ func TestCanaryTrapRejection(t *testing.T) {
 // stages a rollout instead of cutting the model over directly.
 func TestRetrainStagesCanary(t *testing.T) {
 	k, r := canaryRouter(t)
-	// Separable window: queue length alone decides the label.
-	for i := 0; i < 64; i++ {
+	// Separable outcomes: queue length alone decides the label. The
+	// TrainEvery-th completion retrains.
+	complete := func(i int) {
 		f := make([]int64, NumFeatures)
 		f[FQueueLen] = int64(i % 8)
-		label := int64(0)
-		if f[FQueueLen] > 4 {
-			label = 1
-		}
-		r.learner.Observe(f, label)
+		r.pending[0] = f
+		r.OnComplete(0, f[FQueueLen] > 4, 0)
 	}
 	r.dev(0) // install the device entry so shadow fires have a match
-	r.retrain()
-	if r.canary == nil {
+	for i := 0; i < r.cfg.TrainEvery; i++ {
+		complete(i)
+	}
+	if !r.learn.InFlight() {
 		t.Fatal("retrain did not stage a canary")
 	}
-	if r.trains != 0 {
+	if r.Trains() != 0 {
 		t.Fatal("retrain counted a train before promotion")
 	}
 	m, _ := k.Model(r.modelID)
 	if m.Predict(make([]int64, NumFeatures)) != 0 {
 		t.Fatal("retrain displaced the incumbent without promotion")
 	}
-	// A second retrain while the rollout is pending is skipped, not stacked.
-	r.retrain()
+	// A second retrain while the rollout is pending is skipped, not stacked:
+	// with no shadow fires the rollout cannot leave shadowing meanwhile.
+	for i := 0; i < r.cfg.TrainEvery; i++ {
+		complete(i)
+	}
 	if got := k.Metrics.Counter("ctrl.canary_staged").Load(); got != 1 {
 		t.Fatalf("canary_staged = %d, want 1", got)
 	}

@@ -62,24 +62,8 @@ type Config struct {
 	// candidate whose labeled shadow accuracy clears the gate goes live.
 	// At most one rollout is in flight; retrain boundaries hit while one
 	// is pending are skipped and retried at the next boundary.
+	// ctrl.AccuracyCanaryConfig is the gate suited to it.
 	Canary *ctrl.CanaryConfig
-}
-
-// DefaultCanaryConfig returns the gate policy suited to the IO datapath: a
-// retrained tree is *supposed* to disagree with the fast-by-default
-// incumbent on GC-phase devices, so the divergence gate is disabled and
-// promotion rides on labeled shadow accuracy — the shadow's slow/fast
-// verdict checked against the completion outcome; any shadow trap still
-// rejects.
-func DefaultCanaryConfig() ctrl.CanaryConfig {
-	return ctrl.CanaryConfig{
-		MinShadowFires:    64,
-		MaxDivergenceFrac: 1,
-		MaxTrapFrac:       0,
-		MinShadowAccuracy: 0.5,
-		MinShadowOutcomes: 32,
-		MaxStaticOps:      1 << 20,
-	}
 }
 
 func (c Config) withDefaults() Config {
@@ -107,20 +91,14 @@ type Router struct {
 	progID  int64
 
 	devs     map[int]*devState
-	learner  *dt.Online
+	samples  *dt.Online // the training window; pushes go through learn
+	learn    *ctrl.Learner
 	observed int
-	trains   int
 	routes   int
 	pending  map[int64][]int64 // features staged for in-flight primaries
 	delayNs  int64             // injected stall pending charge to the simulator
-
-	// Canary rollout state: the in-flight rollout (nil when none), whether
-	// its candidate has been observed live, the last terminal state, and
-	// the per-device shadow verdicts awaiting completion labels.
-	canary     *ctrl.Canary
-	live       bool
-	lastState  ctrl.CanaryState
-	ended      int
+	// shadowPred holds the in-flight candidate's last shadow verdict per
+	// device, awaiting its completion label.
 	shadowPred map[int64]int64
 }
 
@@ -140,13 +118,10 @@ func New(k *core.Kernel, plane *ctrl.Plane, cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	r := &Router{
 		K: k, Plane: plane, cfg: cfg,
-		devs:    make(map[int]*devState),
-		pending: make(map[int64][]int64),
-		learner: dt.NewOnline(dt.OnlineConfig{
-			Tree:         cfg.Tree,
-			Window:       4096,
-			RetrainEvery: 1 << 30, // pushes go through the control plane below
-		}),
+		devs:       make(map[int]*devState),
+		pending:    make(map[int64][]int64),
+		shadowPred: make(map[int64]int64),
+		samples:    dt.NewOnline(dt.OnlineConfig{Window: 4096, RetrainEvery: 1 << 30}),
 	}
 	// Placeholder model: predict fast until trained (route falls back to
 	// shortest queue among "fast" predictions, i.e. plain load balancing).
@@ -157,6 +132,8 @@ func New(k *core.Kernel, plane *ctrl.Plane, cfg Config) (*Router, error) {
 		Size:  8,
 	})
 	r.vecID = k.RegisterVec(make([]int64, NumFeatures))
+	r.learn = plane.NewLearner(blksim.HookSubmitIO, r.modelID, cfg.Tree, cfg.OpsBudget, cfg.MemBudget, cfg.Canary,
+		func(dev, verdict int64, _ []int64) { r.shadowPred[dev] = verdict })
 
 	if _, _, err := plane.CreateTable(SubmitTable, blksim.HookSubmitIO, table.MatchExact); err != nil {
 		return nil, err
@@ -355,99 +332,29 @@ func (r *Router) OnComplete(dev int64, slow bool, latencyNs int64) {
 	if slow {
 		label = 1
 	}
-	r.learner.Observe(feats, label)
+	r.samples.Observe(feats, label)
 	r.observed++
-	if r.canary != nil {
+	if r.learn.InFlight() {
 		// Label the shadow's last verdict for this device against the
-		// ground truth the completion just revealed, then pump the
-		// rollout lifecycle on the datapath's own event clock.
+		// ground truth the completion just revealed, then pump the rollout
+		// lifecycle on the datapath's own event clock.
 		if pred, ok := r.shadowPred[dev]; ok {
 			delete(r.shadowPred, dev)
-			r.canary.RecordShadowOutcome((pred == 1) == slow)
+			r.learn.Label((pred == 1) == slow)
 		}
-		st := r.canary.Advance()
-		if !r.live && (st == ctrl.CanaryProbation || st == ctrl.CanaryPromoted) {
-			r.live = true
-			r.trains++
-		}
-		if st.Terminal() {
-			r.lastState = st
-			r.ended++
-			r.canary = nil
-			r.live = false
-			r.shadowPred = nil
+		if r.learn.Advance() {
+			clear(r.shadowPred)
 		}
 	}
 	if r.observed%r.cfg.TrainEvery == 0 {
-		r.retrain()
-	}
-}
-
-// retrain induces a fresh tree from the learner's window and pushes it
-// through the control plane's cost-checked swap.
-func (r *Router) retrain() {
-	tree := r.trainFromWindow()
-	if tree == nil {
-		return
-	}
-	m := core.NewTreeModel(tree)
-	if r.cfg.Canary != nil {
-		r.stageCanary(m)
-		return
-	}
-	if err := r.Plane.PushModel(r.modelID, m, r.cfg.OpsBudget, r.cfg.MemBudget); err != nil {
-		return
-	}
-	r.trains++
-}
-
-// stageCanary stages a retrained model behind a shadow canary. Only one
-// rollout is in flight at a time; a push that cannot stage right now is
-// simply skipped — the next retrain boundary produces a fresher candidate.
-func (r *Router) stageCanary(m core.Model) {
-	if r.canary != nil {
-		return
-	}
-	c, err := r.Plane.PushModelCanary(blksim.HookSubmitIO, r.modelID, m,
-		r.cfg.OpsBudget, r.cfg.MemBudget, *r.cfg.Canary)
-	if err != nil {
-		return // budget-rejected, or another rollout holds the hook
-	}
-	r.canary = c
-	r.shadowPred = make(map[int64]int64)
-	c.Shadow().SetOnResult(func(key, verdict int64, _ []int64, trapped bool) {
-		if trapped || r.shadowPred == nil {
-			return
+		if X, y := r.samples.Window(); len(X) >= 32 {
+			_ = r.learn.Train(X, y)
 		}
-		r.shadowPred[key] = verdict
-	})
-}
-
-// CanaryState reports the rollout state: the in-flight canary's if one is
-// active, otherwise the last terminal state. ok is false if no rollout was
-// ever staged. Ended counts completed rollouts.
-func (r *Router) CanaryState() (st ctrl.CanaryState, ended int, ok bool) {
-	if r.canary != nil {
-		return r.canary.State(), r.ended, true
 	}
-	return r.lastState, r.ended, r.ended > 0
-}
-
-// trainFromWindow induces a fresh tree from the learner's current window.
-func (r *Router) trainFromWindow() *dt.Tree {
-	X, y := r.learner.Window()
-	if len(X) < 32 {
-		return nil
-	}
-	tree, err := dt.Train(X, y, r.cfg.Tree)
-	if err != nil {
-		return nil
-	}
-	return tree
 }
 
 // Trains reports completed model pushes.
-func (r *Router) Trains() int { return r.trains }
+func (r *Router) Trains() int { return r.learn.Trains() }
 
 var (
 	_ blksim.Router  = (*Router)(nil)

@@ -2,10 +2,10 @@
 // net/rx_flow_classify decision point runs a verified program over each new
 // flow's first-packet features and predicts whether the flow is an elephant,
 // isolating it on the bulk queue from its first byte. Labels arrive at flow
-// completion (total bytes vs. the elephant cutoff) and an integer decision
-// tree is periodically retrained and pushed through the control plane —
-// the same collect → train → cost-check → swap loop as the other
-// subsystems, applied to the domain RMT came from.
+// completion (total bytes vs. the elephant cutoff), and a ctrl.Learner
+// periodically retrains an integer decision tree and pushes it through the
+// control plane — the collect → train → cost-check → swap loop rmtprefetch
+// and rmtio share, applied to the domain RMT came from.
 package rmtnet
 
 import (
@@ -59,9 +59,9 @@ type Classifier struct {
 	modelID int64
 	vecID   int64
 
-	learner *dt.Online
+	samples *dt.Online // the training window; pushes go through learn
+	learn   *ctrl.Learner
 	done    int
-	trains  int
 }
 
 // New installs the classify table, prediction program and placeholder model.
@@ -69,9 +69,7 @@ func New(k *core.Kernel, plane *ctrl.Plane, cfg Config) (*Classifier, error) {
 	cfg = cfg.withDefaults()
 	c := &Classifier{
 		K: k, Plane: plane, cfg: cfg,
-		learner: dt.NewOnline(dt.OnlineConfig{
-			Tree: cfg.Tree, Window: 2048, RetrainEvery: 1 << 30,
-		}),
+		samples: dt.NewOnline(dt.OnlineConfig{Window: 2048, RetrainEvery: 1 << 30}),
 	}
 	c.modelID = k.RegisterModel(&core.FuncModel{
 		Fn:    func([]int64) int64 { return 0 }, // mice until trained
@@ -80,6 +78,7 @@ func New(k *core.Kernel, plane *ctrl.Plane, cfg Config) (*Classifier, error) {
 		Size:  8,
 	})
 	c.vecID = k.RegisterVec(make([]int64, netsim.NumFeatures))
+	c.learn = plane.NewLearner(netsim.HookClassify, c.modelID, cfg.Tree, cfg.OpsBudget, cfg.MemBudget, nil, nil)
 	if _, _, err := plane.CreateTable(ClassifyTable, netsim.HookClassify, table.MatchTernary); err != nil {
 		return nil, err
 	}
@@ -137,29 +136,16 @@ func (c *Classifier) OnFlowDone(info *netsim.FlowInfo, total int64) {
 	if total >= c.cfg.ElephantCutoff {
 		label = 1
 	}
-	c.learner.Observe(info.Features(), label)
+	c.samples.Observe(info.Features(), label)
 	c.done++
 	if c.done%c.cfg.TrainEvery == 0 {
-		c.retrain()
+		if X, y := c.samples.Window(); len(X) >= 16 {
+			_ = c.learn.Train(X, y)
+		}
 	}
-}
-
-func (c *Classifier) retrain() {
-	X, y := c.learner.Window()
-	if len(X) < 16 {
-		return
-	}
-	tree, err := dt.Train(X, y, c.cfg.Tree)
-	if err != nil {
-		return
-	}
-	if err := c.Plane.PushModel(c.modelID, core.NewTreeModel(tree), c.cfg.OpsBudget, c.cfg.MemBudget); err != nil {
-		return
-	}
-	c.trains++
 }
 
 // Trains reports completed model pushes.
-func (c *Classifier) Trains() int { return c.trains }
+func (c *Classifier) Trains() int { return c.learn.Trains() }
 
 var _ netsim.Classifier = (*Classifier)(nil)

@@ -12,7 +12,6 @@ package rmtprefetch
 
 import (
 	"fmt"
-	"time"
 
 	"rmtk/internal/core"
 	"rmtk/internal/ctrl"
@@ -56,10 +55,6 @@ type Config struct {
 	// OpsBudget/MemBudget gate model pushes (0 = unlimited).
 	OpsBudget int64
 	MemBudget int64
-	// PushBackoff configures retry-with-backoff on model pushes. A nil
-	// Sleep is replaced with a no-op so simulated runs never block on wall
-	// time — the backoff schedule is still exercised deterministically.
-	PushBackoff ctrl.BackoffConfig
 	// Canary, when non-nil, routes retrained model pushes through a
 	// shadow-mode canary instead of cutting the hot path over directly: the
 	// candidate tree runs in shadow on live prefetch traffic, its predicted
@@ -68,7 +63,7 @@ type Config struct {
 	// promoted (with automatic rollback if accuracy then regresses under a
 	// watched monitor). At most one rollout is in flight per hook; retrain
 	// boundaries hit while one is pending are skipped and retried at the
-	// next boundary.
+	// next boundary. ctrl.AccuracyCanaryConfig is the gate suited to it.
 	Canary *ctrl.CanaryConfig
 }
 
@@ -87,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Tree.MaxDepth <= 0 {
 		c.Tree = dt.Config{MaxDepth: 12, MinSamples: 2, MaxThresholds: 48}
-	}
-	if c.PushBackoff.Sleep == nil {
-		c.PushBackoff.Sleep = func(time.Duration) {}
 	}
 	return c
 }
@@ -174,16 +166,10 @@ type proc struct {
 	modelID  int64
 	progID   int64
 	accesses int
-	trains   int
-
-	// Canary rollout state: the in-flight rollout (nil when none), whether
-	// its candidate has been observed live, the last terminal state, and the
-	// shadow-predicted pages awaiting labeling (oldest first).
-	canary    *ctrl.Canary
-	live      bool
-	lastState ctrl.CanaryState
-	ended     int
-	pending   []int64
+	learn    *ctrl.Learner
+	// pending holds the in-flight candidate's shadow-predicted pages awaiting
+	// labeling, oldest first.
+	pending []int64
 }
 
 // pendingCap bounds the per-process set of unlabeled shadow predictions: a
@@ -191,23 +177,6 @@ type proc struct {
 // incorrect — capacity eviction is what turns never-hit predictions into
 // negative labels.
 const pendingCap = 64
-
-// DefaultCanaryConfig returns the gate policy suited to the prefetch
-// datapath: prefetch programs always return verdict 0 and a retrained tree
-// is *supposed* to emit different pages than the model it replaces, so the
-// divergence gate is disabled and promotion rides on labeled shadow accuracy
-// (predicted pages actually getting accessed); any shadow trap still
-// rejects.
-func DefaultCanaryConfig() ctrl.CanaryConfig {
-	return ctrl.CanaryConfig{
-		MinShadowFires:    64,
-		MaxDivergenceFrac: 1,
-		MaxTrapFrac:       0,
-		MinShadowAccuracy: 0.5,
-		MinShadowOutcomes: 32,
-		MaxStaticOps:      1 << 20,
-	}
-}
 
 // New installs the tables and the shared collect program on k and returns
 // the prefetcher. Per-process programs and entries are installed lazily as
@@ -303,6 +272,13 @@ func (p *Prefetcher) admit(pid int64) (*proc, error) {
 		return nil, err
 	}
 	pr := &proc{modelID: modelID, progID: progID}
+	pr.learn = p.Plane.NewLearner(memsim.HookSwapClusterReadahead, modelID, p.cfg.Tree,
+		p.cfg.OpsBudget, p.cfg.MemBudget, p.cfg.Canary,
+		func(key, _ int64, emissions []int64) {
+			if key == pid {
+				p.addPending(pr, emissions)
+			}
+		})
 	p.procs[pid] = pr
 	return pr, nil
 }
@@ -321,7 +297,7 @@ func (p *Prefetcher) OnAccess(pid, page int64, hit bool) []int64 {
 	// Label in-flight shadow predictions against this real access before
 	// anything else sees it: a pending predicted page being accessed is a
 	// shadow hit.
-	if pr.canary != nil {
+	if pr.learn.InFlight() {
 		p.labelAccess(pr, page)
 	}
 
@@ -363,19 +339,8 @@ func (p *Prefetcher) OnAccess(pid, page int64, hit bool) []int64 {
 	}
 
 	// Pump the rollout lifecycle on the datapath's own event clock.
-	if pr.canary != nil {
-		st := pr.canary.Advance()
-		if !pr.live && (st == ctrl.CanaryProbation || st == ctrl.CanaryPromoted) {
-			pr.live = true
-			pr.trains++
-		}
-		if st.Terminal() {
-			pr.lastState = st
-			pr.ended++
-			pr.canary = nil
-			pr.live = false
-			pr.pending = nil
-		}
+	if pr.learn.Advance() {
+		pr.pending = nil
 	}
 	return res.Emissions
 }
@@ -385,7 +350,7 @@ func (p *Prefetcher) labelAccess(pr *proc, page int64) {
 	for i, pg := range pr.pending {
 		if pg == page {
 			pr.pending = append(pr.pending[:i], pr.pending[i+1:]...)
-			pr.canary.RecordShadowOutcome(true)
+			pr.learn.Label(true)
 			return
 		}
 	}
@@ -397,9 +362,6 @@ func (p *Prefetcher) labelAccess(pr *proc, page int64) {
 // not re-queued — without dedupe a healthy candidate's own overlap would
 // evict (and mislabel) its deeper predictions.
 func (p *Prefetcher) addPending(pr *proc, pages []int64) {
-	if pr.canary == nil {
-		return
-	}
 next:
 	for _, pg := range pages {
 		for _, have := range pr.pending {
@@ -409,69 +371,10 @@ next:
 		}
 		if len(pr.pending) >= pendingCap {
 			pr.pending = pr.pending[1:]
-			pr.canary.RecordShadowOutcome(false)
+			pr.learn.Label(false)
 		}
 		pr.pending = append(pr.pending, pg)
 	}
-}
-
-// stageCanary stages a retrained model behind a shadow canary. Only one
-// rollout is in flight per process (and per hook); a push that cannot stage
-// right now is simply skipped — the next retrain boundary produces a fresher
-// candidate anyway.
-func (p *Prefetcher) stageCanary(pid int64, pr *proc, m core.Model) {
-	if pr.canary != nil {
-		return
-	}
-	c, err := p.Plane.PushModelCanary(memsim.HookSwapClusterReadahead, pr.modelID, m,
-		p.cfg.OpsBudget, p.cfg.MemBudget, *p.cfg.Canary)
-	if err != nil {
-		return // budget-rejected, or another process's rollout holds the hook
-	}
-	pr.canary = c
-	pr.pending = nil
-	c.Shadow().SetOnResult(func(key, verdict int64, emissions []int64, trapped bool) {
-		if key != pid || trapped {
-			return
-		}
-		p.addPending(pr, emissions)
-	})
-}
-
-// PushModel pushes an externally supplied model for pid through the same
-// path the background trainer uses: behind the shadow canary when Canary is
-// configured, as a direct cost-checked swap otherwise. With a canary it
-// fails if a rollout is already in flight — callers retry at a later event.
-func (p *Prefetcher) PushModel(pid int64, m core.Model) error {
-	pr, ok := p.procs[pid]
-	if !ok {
-		return fmt.Errorf("rmtprefetch: unknown pid %d", pid)
-	}
-	if p.cfg.Canary != nil {
-		if pr.canary != nil {
-			return fmt.Errorf("rmtprefetch: rollout already in flight for pid %d", pid)
-		}
-		p.stageCanary(pid, pr, m)
-		if pr.canary == nil {
-			return fmt.Errorf("rmtprefetch: canary staging failed for pid %d", pid)
-		}
-		return nil
-	}
-	return p.Plane.PushModel(pr.modelID, m, p.cfg.OpsBudget, p.cfg.MemBudget)
-}
-
-// CanaryState reports the process's rollout state: the in-flight canary's
-// if one is active, otherwise the last terminal state. ok is false if no
-// rollout was ever staged. Ended counts completed rollouts.
-func (p *Prefetcher) CanaryState(pid int64) (st ctrl.CanaryState, ended int, ok bool) {
-	pr, found := p.procs[pid]
-	if !found {
-		return 0, 0, false
-	}
-	if pr.canary != nil {
-		return pr.canary.State(), pr.ended, true
-	}
-	return pr.lastState, pr.ended, pr.ended > 0
 }
 
 // TakeDelay implements memsim.Delayer: it drains injected stall accumulated
@@ -483,8 +386,10 @@ func (p *Prefetcher) TakeDelay() int64 {
 }
 
 // retrain pulls the process's collected delta history out of the execution
-// context, induces a fresh tree, and pushes it through the control plane's
-// cost-checked model swap — the paper's periodic background training loop.
+// context and hands the rows to the process's learner, which induces a fresh
+// tree and pushes it through the control plane — the paper's periodic
+// background training loop. A tree over budget or a push that keeps failing
+// leaves the previous model serving.
 func (p *Prefetcher) retrain(pid int64, pr *proc) {
 	if p.hist == nil {
 		p.hist = make([]int64, p.K.Ctx().HistCap())
@@ -502,19 +407,7 @@ func (p *Prefetcher) retrain(pid int64, pr *proc) {
 		X = append(X, hist[j:j+w])
 	}
 	p.rows = X
-	tree, err := dt.Train(X, hist[w:], p.cfg.Tree)
-	if err != nil {
-		return
-	}
-	m := core.NewTreeModel(tree)
-	if p.cfg.Canary != nil {
-		p.stageCanary(pid, pr, m)
-		return
-	}
-	if err := p.Plane.PushModelRetry(pr.modelID, m, p.cfg.OpsBudget, p.cfg.MemBudget, p.cfg.PushBackoff); err != nil {
-		return // over budget or persistently failing: keep the previous model
-	}
-	pr.trains++
+	_ = pr.learn.Train(X, hist[w:])
 }
 
 // SetDepth reconfigures a process's prefetch degree at runtime by updating
@@ -539,10 +432,20 @@ func (p *Prefetcher) ModelID(pid int64) (int64, bool) {
 	return pr.modelID, true
 }
 
+// Learner returns the learner that retrains and pushes a process's model —
+// the way to push an external model (Push) or read its rollout (State) — or
+// nil for an unknown process.
+func (p *Prefetcher) Learner(pid int64) *ctrl.Learner {
+	if pr, ok := p.procs[pid]; ok {
+		return pr.learn
+	}
+	return nil
+}
+
 // Trains reports how many model pushes a process has completed.
 func (p *Prefetcher) Trains(pid int64) int {
 	if pr, ok := p.procs[pid]; ok {
-		return pr.trains
+		return pr.learn.Trains()
 	}
 	return 0
 }

@@ -1,6 +1,7 @@
 package rmtprefetch
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -128,6 +129,23 @@ func TestModelIDExposed(t *testing.T) {
 	}
 	if p.Trains(99) != 0 {
 		t.Fatal("unknown pid trains")
+	}
+}
+
+// TestPushKeepsBudgetCause: an external push of an over-budget model fails
+// with the cost check's cause, on a direct push and behind a canary alike.
+func TestPushKeepsBudgetCause(t *testing.T) {
+	cc := ctrl.AccuracyCanaryConfig()
+	for _, canary := range []*ctrl.CanaryConfig{nil, &cc} {
+		_, p := newStack(t, Config{OpsBudget: 100, Canary: canary})
+		if p.Learner(56) != nil {
+			t.Fatal("unknown pid has a learner")
+		}
+		p.OnAccess(56, 1, false)
+		big := &core.FuncModel{Fn: func([]int64) int64 { return 0 }, Feats: 8, Ops: 1000}
+		if err := p.Learner(56).Push(big); !errors.Is(err, ctrl.ErrBudgetExceeded) {
+			t.Errorf("canary=%v: err = %v, want ErrBudgetExceeded", canary != nil, err)
+		}
 	}
 }
 

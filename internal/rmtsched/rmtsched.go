@@ -11,7 +11,6 @@ import (
 
 	"rmtk/internal/core"
 	"rmtk/internal/ctrl"
-	"rmtk/internal/isa"
 	"rmtk/internal/ml/feature"
 	"rmtk/internal/ml/mlp"
 	"rmtk/internal/schedsim"
@@ -29,45 +28,15 @@ const (
 // entry runs the compiled MLP program, and R0's argmax class is the verdict.
 type Decider struct {
 	K     *core.Kernel
-	plane *ctrl.Plane
 	label string
 	vecID int64
 	cols  []int // optional lean-feature projection
-
-	progID int64  // incumbent migrate program
-	table  string // ternary table holding the catch-all entry
-
-	// Canary rollout state: the in-flight rollout (nil when none), the
-	// candidate program it would promote, the last terminal state, and how
-	// many rollouts completed.
-	canary    *ctrl.Canary
-	candID    int64
-	lastState ctrl.CanaryState
-	ended     int
-	gen       int // candidate program name uniquifier
 
 	// lastFeatures is the raw feature struct staged by the in-flight
 	// CanMigrate call; the registered sched/* fallback closes over it so the
 	// stock CFS heuristic can decide from the same inputs when the learned
 	// program is quarantined.
 	lastFeatures *schedsim.Features
-}
-
-// DefaultCanaryConfig returns the gate policy suited to the migrate
-// datapath: the MLP's verdict *is* the decision, so divergence against the
-// incumbent is meaningful — a retrained policy may legitimately flip some
-// decisions, but one that flips more than half of them is rejected, and any
-// shadow trap rejects outright. A candidate whose verifier-proven worst
-// case exceeds one program's instruction budget or a million ML ops is
-// rejected before any shadow traffic is spent on it.
-func DefaultCanaryConfig() ctrl.CanaryConfig {
-	return ctrl.CanaryConfig{
-		MinShadowFires:    64,
-		MaxDivergenceFrac: 0.5,
-		MaxTrapFrac:       0,
-		MaxStaticSteps:    isa.MaxProgInsns,
-		MaxStaticOps:      1 << 20,
-	}
 }
 
 // Install compiles the quantized network to bytecode, admits it, creates the
@@ -89,12 +58,9 @@ func Install(k *core.Kernel, plane *ctrl.Plane, q *mlp.QMLP, label string, cols 
 			return nil, fmt.Errorf("rmtsched: non-contiguous matrix ids %v", matIDs)
 		}
 	}
-	if _, _, err := plane.LoadProgram(prog); err != nil {
-		return nil, fmt.Errorf("rmtsched: admission: %w", err)
-	}
-	progID, err := k.ProgramID(prog.Name)
+	progID, _, err := plane.LoadProgram(prog)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rmtsched: admission: %w", err)
 	}
 
 	t := table.New(MigrateTable+"_"+label, Hook, table.MatchTernary)
@@ -108,10 +74,7 @@ func Install(k *core.Kernel, plane *ctrl.Plane, q *mlp.QMLP, label string, cols 
 	}); err != nil {
 		return nil, err
 	}
-	d := &Decider{
-		K: k, plane: plane, label: label, vecID: vecID, cols: cols,
-		progID: progID, table: t.Name,
-	}
+	d := &Decider{K: k, label: label, vecID: vecID, cols: cols}
 
 	// Baseline fallback for the sched/* hooks: the stock CFS
 	// can_migrate_task heuristic, fed the raw features CanMigrate staged just
@@ -136,51 +99,6 @@ func Install(k *core.Kernel, plane *ctrl.Plane, q *mlp.QMLP, label string, cols 
 // Name implements schedsim.Decider.
 func (d *Decider) Name() string { return d.label }
 
-// PushCanary compiles the retrained network to a fresh program, admits it,
-// and stages it behind a shadow-mode canary on the migrate hook: the
-// candidate decides every CanMigrate call in shadow, and only when the
-// divergence/trap gates clear is the table's entry retargeted to it (the
-// incumbent program stays admitted for rollback). At most one rollout is in
-// flight; staging while one is pending fails with ctrl's ErrDuplicate via
-// the shadow attach.
-func (d *Decider) PushCanary(q *mlp.QMLP, cfg ctrl.CanaryConfig) error {
-	if d.canary != nil {
-		return fmt.Errorf("rmtsched: rollout already in flight")
-	}
-	matIDs, _, err := d.K.RegisterQMLP(q)
-	if err != nil {
-		return err
-	}
-	for i, id := range matIDs {
-		if id != matIDs[0]+int64(i) {
-			return fmt.Errorf("rmtsched: non-contiguous matrix ids %v", matIDs)
-		}
-	}
-	d.gen++
-	prog := q.BuildProgram(fmt.Sprintf("can_migrate_%s_v%d", d.label, d.gen), Hook, d.vecID, matIDs[0])
-	candID, _, err := d.plane.LoadProgram(prog)
-	if err != nil {
-		return fmt.Errorf("rmtsched: candidate admission: %w", err)
-	}
-	c, err := d.plane.PushProgramCanary(Hook, d.table, d.progID, candID, cfg)
-	if err != nil {
-		return err
-	}
-	d.canary = c
-	d.candID = candID
-	return nil
-}
-
-// CanaryState reports the rollout state: the in-flight canary's if one is
-// active, otherwise the last terminal state. ok is false if no rollout was
-// ever staged. Ended counts completed rollouts.
-func (d *Decider) CanaryState() (st ctrl.CanaryState, ended int, ok bool) {
-	if d.canary != nil {
-		return d.canary.State(), d.ended, true
-	}
-	return d.lastState, d.ended, d.ended > 0
-}
-
 // CanMigrate implements schedsim.Decider.
 func (d *Decider) CanMigrate(f *schedsim.Features) bool {
 	x := f.Normalized()
@@ -193,8 +111,6 @@ func (d *Decider) CanMigrate(f *schedsim.Features) bool {
 	d.lastFeatures = f
 	res := d.K.Fire(Hook, 0, 0, 0)
 	d.lastFeatures = nil
-	// Pump the rollout lifecycle on the scheduler's own event clock.
-	d.pumpCanary()
 	return res.Verdict == 1
 }
 
@@ -225,26 +141,8 @@ func (d *Decider) CanMigrateBatch(fs []*schedsim.Features) []bool {
 	verdicts := make([]bool, len(fs))
 	for i := range out {
 		verdicts[i] = out[i].Verdict == 1
-		d.pumpCanary()
 	}
 	return verdicts
-}
-
-// pumpCanary advances an in-flight rollout one event on the scheduler's own
-// clock and folds a terminal state back into the decider.
-func (d *Decider) pumpCanary() {
-	if d.canary == nil {
-		return
-	}
-	st := d.canary.Advance()
-	if st.Terminal() {
-		if st == ctrl.CanaryPromoted {
-			d.progID = d.candID // candidate is the new incumbent
-		}
-		d.lastState = st
-		d.ended++
-		d.canary = nil
-	}
 }
 
 var (
