@@ -206,10 +206,11 @@ func (d *dispatch) begin(ts *tenantState) {
 }
 
 // event stages one event that left the cached-hit path, drawing the scratch
-// if this dispatch has none yet. It writes in place: every invocation field
-// but feats (which stays with the scratch), and of the recorder only what
-// addRow reads — rows past nrows are never read, and release clears them.
-func (d *dispatch) event(hook string, key, arg2, arg3 int64, fb Fallback, record bool) *scratch {
+// if this dispatch has none yet. Emissions append to emit, the caller's
+// buffer (nil for none). It writes in place: every invocation field but feats
+// (which stays with the scratch), and of the recorder only what addRow reads —
+// rows past nrows are never read, and release clears them.
+func (d *dispatch) event(hook string, key, arg2, arg3 int64, fb Fallback, record bool, emit []int64) *scratch {
 	s := d.s
 	if s == nil {
 		s = d.k.pool.get()
@@ -217,7 +218,7 @@ func (d *dispatch) event(hook string, key, arg2, arg3 int64, fb Fallback, record
 	}
 	inv := &s.inv
 	inv.Hook, inv.Key, inv.Arg2, inv.Arg3, inv.fallback = hook, key, arg2, arg3, fb
-	inv.emissions, inv.emitBudget, inv.rateHits, inv.inferences = nil, d.k.cfg.RateLimit, 0, 0
+	inv.emissions, inv.emitBudget, inv.rateHits, inv.inferences = emit, d.k.cfg.RateLimit, 0, 0
 	inv.injectHelperErr = nil
 	s.rec.ok, s.rec.prog, s.rec.nrows = record, nil, 0
 	return s
@@ -289,7 +290,11 @@ func (k *Kernel) Fire(hook string, key, arg2, arg3 int64) FireResult {
 // fired before it — replayed verdicts included, which are validated against
 // the batch's own snapshot. Table entries are not part of the snapshot: an
 // entry edit is visible to the next lookup, mid-batch or not. len(out) must
-// be >= len(events); extra out entries are left untouched. Each event's Prep
+// be >= len(events); extra out entries are left untouched. out[i].Emissions'
+// backing array, when there is one, is reused for events[i]'s emissions: a
+// caller that keeps its out slice across batches allocates no emission buffer
+// once they have grown, and must be done reading a batch's emissions before
+// it passes the same out to the next batch. Each event's Prep
 // hook (if any) runs just before that event dispatches.
 // What the batch counts is tallied on the stack and published when FireBatch
 // returns, a panicking Prep's batch included: a Prep sees the counts as of
@@ -306,13 +311,14 @@ func (k *Kernel) FireBatch(events []Event, out []FireResult) {
 		if ev.Prep != nil {
 			ev.Prep()
 		}
-		out[i] = FireResult{Verdict: DefaultVerdict}
+		out[i] = FireResult{Verdict: DefaultVerdict, Emissions: out[i].Emissions[:0]}
 		d.fire(ev.Hook, ev.Key, ev.Arg2, ev.Arg3, &out[i])
 	}
 }
 
 // fire dispatches one event against the dispatch's route snapshot. res must
-// arrive initialized to {Verdict: DefaultVerdict}.
+// arrive initialized to {Verdict: DefaultVerdict}, with an empty (or nil)
+// Emissions buffer for the event's emissions to append to.
 func (d *dispatch) fire(hook string, key, arg2, arg3 int64, res *FireResult) {
 	hr := d.hr
 	if hr == nil || hook != d.hook {
@@ -349,7 +355,7 @@ func (d *dispatch) fire(hook string, key, arg2, arg3 int64, res *FireResult) {
 			record = false
 		}
 	}
-	d.event(hook, key, arg2, arg3, hr.fallback, record)
+	d.event(hook, key, arg2, arg3, hr.fallback, record, res.Emissions)
 	d.slow(hr, fk, res)
 }
 
@@ -743,7 +749,7 @@ func (k *Kernel) RunProgramByName(name string, r1, r2, r3 int64) (int64, []int64
 	if pb == nil {
 		return 0, nil, fmt.Errorf("%w: program %d", ErrNotFound, id)
 	}
-	s := d.event("", r1, r2, r3, nil, false)
+	s := d.event("", r1, r2, r3, nil, false, nil)
 	verdict, _, trapped, err := d.runProgram(pb, 0)
 	emissions := s.inv.emissions
 	d.b.infers += s.inv.inferences

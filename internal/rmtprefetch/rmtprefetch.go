@@ -170,6 +170,11 @@ type proc struct {
 	// pending holds the in-flight candidate's shadow-predicted pages awaiting
 	// labeling, oldest first.
 	pending []int64
+	// out is the common path's results, reused across the process's
+	// accesses: FireBatch appends each event's emissions into its result's
+	// buffer, so once the prefetch result's buffer has grown an access
+	// allocates none.
+	out [2]core.FireResult
 }
 
 // pendingCap bounds the per-process set of unlabeled shadow predictions: a
@@ -285,7 +290,8 @@ func (p *Prefetcher) admit(pid int64) (*proc, error) {
 
 // OnAccess implements memsim.Prefetcher: fire the collection hook, retrain
 // periodically from the collected history, then fire the prefetch hook and
-// return its emissions.
+// return its emissions. The returned slice is valid until the next OnAccess
+// for the same pid.
 func (p *Prefetcher) OnAccess(pid, page int64, hit bool) []int64 {
 	pr, ok := p.procs[pid]
 	if !ok {
@@ -328,14 +334,13 @@ func (p *Prefetcher) OnAccess(pid, page int64, hit bool) []int64 {
 		// run in order, and context-store writes (the collect program's
 		// history push) are live state, not snapshotted, so the prefetch
 		// program still observes this access's history.
-		events := []core.Event{
+		events := [2]core.Event{
 			{Hook: memsim.HookLookupSwapCache, Key: pid, Arg2: page},
 			{Hook: memsim.HookSwapClusterReadahead, Key: pid, Arg2: page, Arg3: hitArg},
 		}
-		out := make([]core.FireResult, 2)
-		p.K.FireBatch(events, out)
-		p.delayNs += out[0].DelayNs + out[1].DelayNs
-		res = out[1]
+		p.K.FireBatch(events[:], pr.out[:])
+		p.delayNs += pr.out[0].DelayNs + pr.out[1].DelayNs
+		res = pr.out[1]
 	}
 
 	// Pump the rollout lifecycle on the datapath's own event clock.

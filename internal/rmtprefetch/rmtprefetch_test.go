@@ -256,3 +256,30 @@ func prefetchFireAllocs(t *testing.T, mode core.ExecMode) float64 {
 	}
 	return allocs
 }
+
+// TestOnAccessAllocatesNothing: between retrains, an access that emits a full
+// burst allocates nothing — the batch's events and results, the emission
+// buffer and the model's inference memo are all reused — and each returned
+// burst is the right one.
+func TestOnAccessAllocatesNothing(t *testing.T) {
+	_, p := newStack(t, Config{FreezeAfter: 600})
+	const pid = 56
+	page := int64(1000)
+	for ; page < 1700; page++ { // a sequential scan, trained once at access 512
+		p.OnAccess(pid, page, false)
+	}
+	if p.Trains(pid) != 1 {
+		t.Fatalf("%d trains, want 1", p.Trains(pid))
+	}
+	var got []int64
+	allocs := testing.AllocsPerRun(200, func() {
+		got = p.OnAccess(pid, page, false)
+		if len(got) != 12 || got[0] != page+1 || got[11] != page+12 {
+			t.Fatalf("page %d: emissions %v, want the 12 pages after it", page, got)
+		}
+		page++
+	})
+	if allocs != 0 {
+		t.Fatalf("%.2f allocations per access, want 0", allocs)
+	}
+}

@@ -66,16 +66,11 @@ func (c *CtxStore) shard(key int64) *ctxShard {
 	return &c.shards[(uint64(key)*0x9E3779B97F4A7C15)>>60]
 }
 
-func (c *CtxStore) rec(s *ctxShard, key int64, create bool) *ctxRec {
-	s.mu.RLock()
+// rec returns key's record, creating it if missing. The caller holds s.mu
+// for writing.
+func (c *CtxStore) rec(s *ctxShard, key int64) *ctxRec {
 	r := s.recs[key]
-	s.mu.RUnlock()
-	if r != nil || !create {
-		return r
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r = s.recs[key]; r == nil {
+	if r == nil {
 		r = &ctxRec{
 			fields: make([]int64, c.numFields),
 			hist:   make([]int64, c.histCap),
@@ -89,12 +84,12 @@ func (c *CtxStore) rec(s *ctxShard, key int64, create bool) *ctxRec {
 // read as zero (matching the VM's fail-soft semantics).
 func (c *CtxStore) Load(key, field int64) int64 {
 	s := c.shard(key)
-	r := c.rec(s, key, false)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r := s.recs[key]
 	if r == nil || field < 0 || int(field) >= len(r.fields) {
 		return 0
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return r.fields[field]
 }
 
@@ -105,9 +100,8 @@ func (c *CtxStore) Store(key, field, val int64) {
 		return
 	}
 	s := c.shard(key)
-	r := c.rec(s, key, true)
 	s.mu.Lock()
-	r.fields[field] = val
+	c.rec(s, key).fields[field] = val
 	s.mu.Unlock()
 }
 
@@ -118,8 +112,8 @@ func (c *CtxStore) Add(key, field, delta int64) int64 {
 		return 0
 	}
 	s := c.shard(key)
-	r := c.rec(s, key, true)
 	s.mu.Lock()
+	r := c.rec(s, key)
 	r.fields[field] += delta
 	v := r.fields[field]
 	s.mu.Unlock()
@@ -129,8 +123,8 @@ func (c *CtxStore) Add(key, field, delta int64) int64 {
 // HistPush appends v to key's history ring.
 func (c *CtxStore) HistPush(key, v int64) {
 	s := c.shard(key)
-	r := c.rec(s, key, true)
 	s.mu.Lock()
+	r := c.rec(s, key)
 	r.hist[r.head] = v
 	r.head = (r.head + 1) % len(r.hist)
 	if r.n < len(r.hist) {
@@ -142,13 +136,16 @@ func (c *CtxStore) HistPush(key, v int64) {
 // Hist copies up to len(dst) most recent history values of key into dst,
 // oldest first, and returns the number copied.
 func (c *CtxStore) Hist(key int64, dst []int64) int {
-	s := c.shard(key)
-	r := c.rec(s, key, false)
-	if r == nil || len(dst) == 0 {
+	if len(dst) == 0 {
 		return 0
 	}
+	s := c.shard(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	r := s.recs[key]
+	if r == nil {
+		return 0
+	}
 	n := r.n
 	if n > len(dst) {
 		n = len(dst)
@@ -167,13 +164,12 @@ func (c *CtxStore) Hist(key int64, dst []int64) int {
 // HistLen reports how many history values key currently holds.
 func (c *CtxStore) HistLen(key int64) int {
 	s := c.shard(key)
-	r := c.rec(s, key, false)
-	if r == nil {
-		return 0
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return r.n
+	if r := s.recs[key]; r != nil {
+		return r.n
+	}
+	return 0
 }
 
 // Keys returns a sorted snapshot of all keys with records.
