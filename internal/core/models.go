@@ -36,7 +36,7 @@ func NewTreeModel(t *dt.Tree) *TreeModel { return &TreeModel{Tree: t, Feats: t.N
 // and the slot is not mid-write; every other call walks the tree, which reads
 // missing features as zero.
 func (m *TreeModel) Predict(x []int64) int64 {
-	if len(x) != m.Feats || len(x) > memoMaxFeats || len(x) == 0 {
+	if len(x) != m.Feats || len(x) > memoMaxFeats {
 		return m.Tree.Predict(x)
 	}
 	memo := m.memo.Load()

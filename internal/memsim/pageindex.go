@@ -50,22 +50,16 @@ func (x *pageIndex) get(key pageKey) (int32, bool) {
 	}
 }
 
-// put maps key to slab index at, replacing any previous mapping. The caller
-// keeps the index within its sizing bound.
+// put maps key, which must be absent, to slab index at. The caller keeps
+// the index within its sizing bound.
 func (x *pageIndex) put(key pageKey, at int32) {
 	mask := len(x.slots) - 1
-	for i := x.home(key); ; i = (i + 1) & mask {
-		sl := &x.slots[i]
-		if sl.at == 0 {
-			*sl = pageSlot{key: key, at: at + 1}
-			x.n++
-			return
-		}
-		if sl.key == key {
-			sl.at = at + 1
-			return
-		}
+	i := x.home(key)
+	for x.slots[i].at != 0 {
+		i = (i + 1) & mask
 	}
+	x.slots[i] = pageSlot{key: key, at: at + 1}
+	x.n++
 }
 
 // del removes key if present. Backward-shift deletion: every later entry of

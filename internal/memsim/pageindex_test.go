@@ -32,15 +32,15 @@ func checkIndex(t *testing.T, x *pageIndex, ref map[pageKey]int32, step int) {
 }
 
 // applyIndexOps drives x and a map reference through one op per three bytes:
-// an op byte (insert, overwrite or evict), a pid byte and a page byte. The
-// small key space makes probe runs collide, wrap and shift back.
+// an op byte (insert or evict), a pid byte and a page byte. The small key
+// space makes probe runs collide, wrap and shift back.
 func applyIndexOps(t *testing.T, x *pageIndex, max int, ops []byte) {
 	ref := map[pageKey]int32{}
 	for i := 0; i+2 < len(ops); i += 3 {
 		k := pageKey{pid: int64(ops[i+1] % 3), page: int64(ops[i+2]) - 100}
 		switch ops[i] % 3 {
-		case 0, 1: // insert or overwrite, within the sizing bound
-			if _, ok := ref[k]; ok || len(ref) < max {
+		case 0, 1: // insert an absent key, within the sizing bound
+			if _, ok := ref[k]; !ok && len(ref) < max {
 				at := int32(ops[i]) + int32(i)
 				x.put(k, at)
 				ref[k] = at
