@@ -34,7 +34,9 @@ func NewTreeModel(t *dt.Tree) *TreeModel { return &TreeModel{Tree: t, Feats: t.N
 // Predict implements Model. A vector of exactly Feats features (Feats at most
 // memoMaxFeats) is answered from the memo when this tree has scored it before
 // and the slot is not mid-write; every other call walks the tree, which reads
-// missing features as zero.
+// missing features as zero. A memo that hits less than half of its first
+// memoTrial lookups is dropped, and the model walks the tree from then
+// on.
 func (m *TreeModel) Predict(x []int64) int64 {
 	if len(x) != m.Feats || len(x) > memoMaxFeats {
 		return m.Tree.Predict(x)
@@ -46,11 +48,18 @@ func (m *TreeModel) Predict(x []int64) int64 {
 			memo = m.memo.Load()
 		}
 	}
+	if memo == memoOff {
+		return m.Tree.Predict(x)
+	}
 	slot := memo.slot(x)
-	if v, ok := slot.load(x); ok {
+	v, hit := slot.load(x)
+	if memo.seen.Load() < memoTrial && memo.judge(hit) {
+		m.memo.CompareAndSwap(memo, memoOff)
+	}
+	if hit {
 		return v
 	}
-	v := m.Tree.Predict(x)
+	v = m.Tree.Predict(x)
 	slot.store(x, v)
 	return v
 }
@@ -72,7 +81,18 @@ const (
 	// repeat the previous access's: 128 slots answer 94–97 % of calls, within
 	// 3 points of an unbounded memo.
 	memoSlots = 128
+	// memoTrial is how many lookups a new memo counts before it judges
+	// itself. A miss costs about two tree walks and a hit under half of one
+	// (BenchmarkTreeModelPredict), so a memo that hits less than half its
+	// lookups costs more than it saves. Over their first 128 lookups, nine
+	// in ten Table-1 prefetch trees hit 70–93 % of the time and 248 of 249
+	// at least half; rmtio's trees, whose inputs rarely repeat, hit at most
+	// 12 %.
+	memoTrial = 128
 )
+
+// memoOff replaces a memo that failed its trial: the model walks the tree.
+var memoOff = &treeMemo{}
 
 // memoMul are odd multipliers for the memo's key hash, one per feature, so
 // the window's words are mixed independently of each other.
@@ -93,6 +113,9 @@ var memoMul = [memoMaxFeats]uint64{
 type treeMemo struct {
 	shift uint // 64 - log2(slots)
 	words []atomic.Uint64
+
+	// seen and hits count the first memoTrial lookups.
+	seen, hits atomic.Int32
 }
 
 // newTreeMemo allocates a memo for windows of feats words; slots is a power
@@ -102,6 +125,15 @@ func newTreeMemo(feats, slots int) *treeMemo {
 		shift: uint(64 - bits.TrailingZeros(uint(slots))),
 		words: make([]atomic.Uint64, slots*(feats+2)),
 	}
+}
+
+// judge counts one trial lookup and reports whether it ended the trial with
+// fewer than half the lookups hitting.
+func (t *treeMemo) judge(hit bool) bool {
+	if hit {
+		t.hits.Add(1)
+	}
+	return t.seen.Add(1) == memoTrial && 2*t.hits.Load() < memoTrial
 }
 
 // memoSlot is one slot's words: version, feats key words, value.

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rmtk/internal/ml/dt"
@@ -86,6 +87,14 @@ func memoInputs(src *byteSource, feats, n int) [][]int64 {
 	return inputs
 }
 
+// trustedMemo is a memo of the given size that has passed its trial, so it
+// stays in use however rarely it hits.
+func trustedMemo(feats, slots int) *treeMemo {
+	memo := newTreeMemo(feats, slots)
+	memo.seen.Store(memoTrial)
+	return memo
+}
+
 func TestTreeMemoMatchesTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	b := make([]byte, 1<<16)
@@ -99,7 +108,7 @@ func TestTreeMemoMatchesTree(t *testing.T) {
 			// A two-slot memo: nearly every store evicts another window.
 			m := NewTreeModel(tree)
 			if feats <= memoMaxFeats {
-				m.memo.Store(newTreeMemo(feats, 2))
+				m.memo.Store(trustedMemo(feats, 2))
 			}
 			checkMemo(t, m, inputs)
 		}
@@ -144,6 +153,44 @@ func TestTreeMemoIsLazy(t *testing.T) {
 	}
 }
 
+// TestTreeMemoTrial: a memo that rarely hits over its first memoTrial
+// lookups is dropped and the model keeps answering from the tree; one that
+// mostly hits stays.
+func TestTreeMemoTrial(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	b := make([]byte, 1<<12)
+	rng.Read(b)
+	tree := randomTree(&byteSource{b: b}, 4, 8)
+	distinct := make([][]int64, 4*memoTrial)
+	for i := range distinct {
+		distinct[i] = []int64{int64(i), int64(i / 3), -int64(i), 1}
+	}
+	m := NewTreeModel(tree)
+	for _, x := range distinct[:memoTrial-1] {
+		if got, want := m.Predict(x), tree.Predict(x); got != want {
+			t.Fatalf("Predict(%v) = %d, tree says %d", x, got, want)
+		}
+	}
+	if m.memo.Load() == memoOff {
+		t.Fatal("memo dropped before its trial ended")
+	}
+	checkMemo(t, m, distinct)
+	if m.memo.Load() != memoOff {
+		t.Fatal("a memo that never hit was kept")
+	}
+	checkMemo(t, m, distinct)
+
+	// Four windows in turn: after the first round every lookup hits.
+	m = NewTreeModel(tree)
+	checkMemo(t, m, distinct[:4])
+	for i := 0; i < memoTrial; i++ {
+		checkMemo(t, m, distinct[:4])
+	}
+	if memo := m.memo.Load(); memo == memoOff || memo.seen.Load() < memoTrial {
+		t.Fatalf("a memo that hit was dropped or is still on trial (%v)", memo == memoOff)
+	}
+}
+
 // TestTreeMemoConcurrent drives one model from several goroutines through a
 // two-slot memo, so readers race writers on the same slots all the time.
 // Every answer must be the tree's; run it under -race.
@@ -155,7 +202,7 @@ func TestTreeMemoConcurrent(t *testing.T) {
 	const feats = 4
 	tree := randomTree(src, feats, 8)
 	m := NewTreeModel(tree)
-	m.memo.Store(newTreeMemo(feats, 2))
+	m.memo.Store(trustedMemo(feats, 2))
 	windows := make([][]int64, 16)
 	want := make([]int64, len(windows))
 	for i := range windows {
@@ -215,8 +262,90 @@ func FuzzTreeMemo(f *testing.F) {
 		checkMemo(t, NewTreeModel(tree), inputs)
 		if nf <= memoMaxFeats {
 			m := NewTreeModel(tree)
-			m.memo.Store(newTreeMemo(nf, 2))
+			m.memo.Store(trustedMemo(nf, 2))
 			checkMemo(t, m, inputs)
 		}
 	})
+}
+
+// benchSink keeps the benchmarked predictions live.
+var benchSink int64
+
+// BenchmarkTreeModelPredict prices the memo against the bare tree walk on a
+// trained 8-wide tree (rmtprefetch's window width, depth up to 12):
+//
+//   - tree_repeat and memo_hit cycle through 8 windows that sit in distinct
+//     memo slots, so after the first pass every memo call is a hit;
+//   - tree_distinct, memo_miss and memo_off cycle through 4096 windows, far
+//     more than the memo's slots, so no lookup hits. memo_miss runs a memo
+//     that has passed its trial, so every call pays for the hash, the failed
+//     compare and the store on top of the walk; memo_off starts from a fresh
+//     model, whose memo fails its trial and is dropped.
+func BenchmarkTreeModelPredict(b *testing.B) {
+	const feats = 8
+	rng := rand.New(rand.NewSource(3))
+	window := func() []int64 {
+		x := make([]int64, feats)
+		for j := range x {
+			x[j] = int64(rng.Intn(7) - 3)
+		}
+		return x
+	}
+	X := make([][]int64, 4096)
+	y := make([]int64, len(X))
+	for i := range X {
+		X[i] = window()
+		y[i] = (X[i][0] + 2*X[i][1] - X[i][3] + int64(rng.Intn(2)) + 16) % 7
+	}
+	tree, err := dt.Train(X, y, dt.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	distinct := make([][]int64, 4096)
+	for i := range distinct {
+		distinct[i] = window()
+	}
+	// repeat: 8 windows in 8 different slots of a full-size memo.
+	slots := newTreeMemo(feats, memoSlots)
+	used := map[*atomic.Uint64]bool{}
+	var repeat [][]int64
+	for len(repeat) < 8 {
+		x := window()
+		if s := &slots.slot(x)[0]; !used[s] {
+			used[s] = true
+			repeat = append(repeat, x)
+		}
+	}
+	for _, bc := range []struct {
+		name    string
+		memo    bool
+		trusted bool
+		inputs  [][]int64
+	}{
+		{"tree_repeat", false, false, repeat},
+		{"memo_hit", true, false, repeat},
+		{"tree_distinct", false, false, distinct},
+		{"memo_miss", true, true, distinct},
+		{"memo_off", true, false, distinct},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := NewTreeModel(tree)
+			if bc.trusted {
+				m.memo.Store(trustedMemo(feats, memoSlots))
+			}
+			predict := m.Tree.Predict
+			if bc.memo {
+				predict = m.Predict
+			}
+			for _, x := range bc.inputs {
+				predict(x)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			n := len(bc.inputs)
+			for i := 0; i < b.N; i++ {
+				benchSink += predict(bc.inputs[i%n])
+			}
+		})
+	}
 }

@@ -173,8 +173,8 @@ type Sim struct {
 	// them, and never shrinks — an eviction hands its victim's slot straight
 	// to the page that displaced it.
 	slab       []cacheEntry
-	cache      pageIndex // page -> slab index
-	head, tail int32     // most and least recently used; -1 when empty
+	cache      map[pageKey]int32 // page -> slab index
+	head, tail int32             // most and least recently used; -1 when empty
 
 	res Result
 }
@@ -186,7 +186,7 @@ func New(cfg Config, policy Prefetcher) *Sim {
 		cfg:    cfg,
 		policy: policy,
 		slab:   make([]cacheEntry, 0, cfg.CacheSlots),
-		cache:  newPageIndex(cfg.CacheSlots),
+		cache:  make(map[pageKey]int32, cfg.CacheSlots),
 		head:   -1,
 		tail:   -1,
 		res:    Result{Policy: policy.Name()},
@@ -208,7 +208,7 @@ func (s *Sim) Step(a Access) {
 	s.res.Accesses++
 	key := pageKey{a.PID, a.Page}
 
-	at, hit := s.cache.get(key)
+	at, hit := s.cache[key]
 	if hit {
 		if e := &s.slab[at]; e.prefetch {
 			// First reference to a prefetched page: a prefetch hit.
@@ -253,7 +253,7 @@ func (s *Sim) Step(a Access) {
 	issued := false
 	for _, p := range pages {
 		pk := pageKey{a.PID, p}
-		if _, ok := s.cache.get(pk); ok {
+		if _, ok := s.cache[pk]; ok {
 			continue // already resident or in flight
 		}
 		if !issued {
@@ -276,14 +276,14 @@ func (s *Sim) insert(key pageKey, prefetch bool, arriveNs int64) {
 		at = s.tail
 		victim := s.slab[at]
 		s.unlink(at)
-		s.cache.del(victim.key)
+		delete(s.cache, victim.key)
 		if victim.prefetch && s.cfg.OutcomeFn != nil {
 			s.cfg.OutcomeFn(victim.key.pid, victim.key.page, false)
 		}
 	}
 	s.slab[at] = cacheEntry{key: key, prefetch: prefetch, arriveNs: arriveNs}
 	s.pushFront(at)
-	s.cache.put(key, at)
+	s.cache[key] = at
 }
 
 // unlink takes slab entry at out of the LRU order.
@@ -317,7 +317,7 @@ func (s *Sim) pushFront(at int32) {
 func (s *Sim) Clock() int64 { return s.clock }
 
 // Resident reports the number of cached pages.
-func (s *Sim) Resident() int { return s.cache.n }
+func (s *Sim) Resident() int { return len(s.cache) }
 
 // Result finalizes and returns the run metrics.
 func (s *Sim) Result() Result {

@@ -340,7 +340,7 @@ func TestLRUMatchesContainerList(t *testing.T) {
 			for el := ref.lru.Front(); el != nil; el = el.Next() {
 				e := el.Value.(*refEntry)
 				if at < 0 || s.slab[at].key != e.key || s.slab[at].prefetch != e.prefetch ||
-					s.slab[at].arriveNs != e.arriveNs || s.slab[at].prev != back || indexed(s, e.key) != at {
+					s.slab[at].arriveNs != e.arriveNs || s.slab[at].prev != back || s.cache[e.key] != at {
 					t.Fatalf("slots=%d step %d: LRU order departs from the reference at %+v", slots, step, *e)
 				}
 				at, back = s.slab[at].next, at
@@ -357,13 +357,4 @@ func TestLRUMatchesContainerList(t *testing.T) {
 			t.Fatalf("slots=%d: %+v leaves a prefetch fate unexercised", slots, r)
 		}
 	}
-}
-
-// indexed returns the slab index the swap-cache index holds for key, or -1.
-func indexed(s *Sim, key pageKey) int32 {
-	at, ok := s.cache.get(key)
-	if !ok {
-		return -1
-	}
-	return at
 }
