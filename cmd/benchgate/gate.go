@@ -230,9 +230,10 @@ func BystanderTax(current map[string]float64) (ns float64, ok bool) {
 	return by - sup, okb && oks
 }
 
-// RetrainCost reports the online learner's synchronous fit in one run:
-// BenchmarkTrain/window4088x8 (rmtprefetch's retrain: 4 088 overlapping
-// windows of a strided series, a few hundred distinct samples) in
+// RetrainCost reports a one-shot fit in one run: BenchmarkTrain/window4088x8
+// (dt.Train on the shape of rmtprefetch's window: 4 088 overlapping windows
+// of a strided series, a few hundred distinct samples; rmtprefetch's own
+// retrain fits its warm window, BenchmarkOnlineFit) in
 // milliseconds, and as a share of continuous4088x8 (as many rows, every one
 // distinct: what Train costs when collapsing identical samples finds nothing).
 // ok is false when the run lacks either arm. The share is the line to watch:

@@ -190,9 +190,11 @@ type Kernel struct {
 	progs    map[int64]*progEntry
 	progIDs  map[string]int64
 	models   map[int64]Model
-	mats     map[int64]*Matrix
-	vecs     map[int64]*vecSlot
-	helpers  map[int64]helper
+	// mats, vecs and helpers are copy-on-write (withEntry): route snapshots
+	// share them, so a registration replaces the map instead of writing it.
+	mats    map[int64]*Matrix
+	vecs    map[int64]*vecSlot
+	helpers map[int64]helper
 
 	// Fault containment: the per-hook baseline fallbacks and the
 	// (test/chaos-only) fault injector; each tenantState, the default one
@@ -587,7 +589,7 @@ func (k *Kernel) registerMatrix(m *Matrix, forceID int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	k.mats[id] = m
+	k.mats = withEntry(k.mats, id, m)
 	k.publishOwnedLocked("", forceID == 0)
 	return id, nil
 }
@@ -598,7 +600,7 @@ func (k *Kernel) RegisterVec(v []int64) int64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.nextVec++
-	k.vecs[k.nextVec] = &vecSlot{v: append([]int64(nil), v...)}
+	k.vecs = withEntry(k.vecs, k.nextVec, &vecSlot{v: append([]int64(nil), v...)})
 	k.extendOwnedLocked("")
 	return k.nextVec
 }
@@ -625,7 +627,7 @@ func (k *Kernel) RegisterHelper(id int64, spec verifier.HelperSpec, fn HelperFn)
 	if _, dup := k.helpers[id]; dup {
 		return fmt.Errorf("%w: helper %d", ErrDuplicate, id)
 	}
-	k.helpers[id] = helper{spec: spec, fn: fn}
+	k.helpers = withEntry(k.helpers, id, helper{spec: spec, fn: fn})
 	k.rebuildRoutesLocked()
 	return nil
 }

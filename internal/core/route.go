@@ -125,6 +125,17 @@ type routes struct {
 	sentinel *Sentinel
 }
 
+// withEntry returns a copy of m with m[k] = v: the registries that route
+// snapshots share are never written in place.
+func withEntry[V any](m map[int64]V, k int64, v V) map[int64]V {
+	m = maps.Clone(m)
+	if m == nil {
+		m = make(map[int64]V, 1)
+	}
+	m[k] = v
+	return m
+}
+
 // prog resolves a program id against the snapshot (nil when absent).
 func (rt *routes) prog(id int64) *progBinding {
 	if uint64(id) < uint64(len(rt.progs)) && rt.progs[id].progEntry != nil {
@@ -206,9 +217,9 @@ func (k *Kernel) publishTenantLocked(ts *tenantState, keep bool) {
 		tables:   make(map[int64]*table.Table, len(k.tables)),
 		progs:    make([]progBinding, k.nextProg+1),
 		models:   make([]modelBinding, k.nextModel+1),
-		mats:     maps.Clone(k.mats),
-		helpers:  maps.Clone(k.helpers),
-		vecs:     maps.Clone(k.vecs),
+		mats:     k.mats, // copy-on-write: shared until the next registration
+		helpers:  k.helpers,
+		vecs:     k.vecs,
 		inj:      k.inj,
 		sentinel: k.sentinel,
 	}

@@ -12,6 +12,7 @@ import (
 	"rmtk/internal/fault"
 	"rmtk/internal/isa"
 	"rmtk/internal/table"
+	"rmtk/internal/verifier"
 )
 
 // This file checks the verdict cache's invariant — a cached verdict equals
@@ -928,5 +929,64 @@ func TestInvalidationReasonsReported(t *testing.T) {
 		if !got[line] {
 			t.Errorf("registry snapshot lacks %q", line)
 		}
+	}
+}
+
+// TestRegistrationLeavesPublishedSnapshotsAlone: route snapshots share the
+// matrix, vector and helper registries instead of cloning them, so a
+// registration must replace a registry, never write it. Readers of an old
+// snapshot run beside the registrations (go test -race watches the maps);
+// afterwards the old snapshot still lacks what was registered and the new one
+// has it.
+func TestRegistrationLeavesPublishedSnapshotsAlone(t *testing.T) {
+	k := NewKernel(Config{})
+	old := k.def.route.Load()
+	const helperID = HelperUserBase + 7
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, _ = old.mats[1], old.vecs[1]
+				_ = old.helpers[helperID]
+				for range old.helpers {
+				}
+			}
+		}()
+	}
+	mid, err := k.RegisterMatrix(&Matrix{In: 1, Out: 1, W: []int64{1}, B: []int64{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vid := k.RegisterVec([]int64{1, 2})
+	if err := k.RegisterHelper(helperID, verifier.HelperSpec{Name: "noop", Cost: 1},
+		func(*Kernel, *Invocation, *[5]int64) (int64, error) { return 0, nil }); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	wg.Wait()
+
+	if _, ok := old.mats[mid]; ok {
+		t.Error("matrix registered after the publish shows in the old snapshot")
+	}
+	if _, ok := old.vecs[vid]; ok {
+		t.Error("vector registered after the publish shows in the old snapshot")
+	}
+	if _, ok := old.helpers[helperID]; ok {
+		t.Error("helper registered after the publish shows in the old snapshot")
+	}
+	now := k.def.route.Load()
+	if now.mats[mid] == nil || now.vecs[vid] == nil {
+		t.Errorf("new snapshot lacks matrix %d or vector %d", mid, vid)
+	}
+	if _, ok := now.helpers[helperID]; !ok {
+		t.Error("new snapshot lacks the helper")
 	}
 }

@@ -11,10 +11,11 @@ import (
 
 // This file is the learn loop every learned datapath shares (§3.1/§4):
 // collect, train, cost-check, swap. The datapath owns its features, its
-// training rows and the labeling of shadow predictions; a Learner owns the
-// rest of one model's lifecycle — it trains the tree, pushes it directly or
-// stages it behind a shadow canary, advances the rollout on the datapath's
-// own event clock, and counts the trains that went live.
+// training window (a dt.Online, which also carries the induction config) and
+// the labeling of shadow predictions; a Learner owns the rest of one model's
+// lifecycle — it fits the window, pushes the tree directly or stages it
+// behind a shadow canary, advances the rollout on the datapath's own event
+// clock, and counts the trains that went live.
 
 // ErrRolloutInFlight refuses a push while the model's previous candidate is
 // still in its rollout.
@@ -49,7 +50,6 @@ type Learner struct {
 	p        *Plane
 	hook     string
 	id       int64
-	tree     dt.Config
 	ops, mem int64
 	gate     *CanaryConfig
 	label    func(key, verdict int64, emissions []int64)
@@ -61,23 +61,24 @@ type Learner struct {
 	trains    int
 }
 
-// NewLearner returns the learner for model id, pushing trees induced with
-// tree under the opsBudget/memBudget cost check. A non-nil gate stages every
+// NewLearner returns the learner for model id, pushing trees under the
+// opsBudget/memBudget cost check. A non-nil gate stages every
 // push behind a shadow canary on hook; label, when non-nil, is called with
 // each staged candidate's shadow runs that did not trap, so the datapath can
 // label them against the outcomes it later observes (Label).
-func (p *Plane) NewLearner(hook string, id int64, tree dt.Config, opsBudget, memBudget int64,
+func (p *Plane) NewLearner(hook string, id int64, opsBudget, memBudget int64,
 	gate *CanaryConfig, label func(key, verdict int64, emissions []int64)) *Learner {
-	return &Learner{p: p, hook: hook, id: id, tree: tree, ops: opsBudget, mem: memBudget, gate: gate, label: label}
+	return &Learner{p: p, hook: hook, id: id, ops: opsBudget, mem: memBudget, gate: gate, label: label}
 }
 
-// Train induces a tree from (X, y) and pushes it. A retrain while a rollout
-// is in flight is skipped: the next retrain produces a fresher candidate.
-func (l *Learner) Train(X [][]int64, y []int64) error {
+// Train fits a tree to the training window and pushes it. A retrain while a
+// rollout is in flight is skipped: the next retrain produces a fresher
+// candidate.
+func (l *Learner) Train(window *dt.Online) error {
 	if l.c != nil {
 		return nil
 	}
-	tree, err := dt.Train(X, y, l.tree)
+	tree, err := window.Fit()
 	if err != nil {
 		return err
 	}

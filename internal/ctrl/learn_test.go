@@ -12,8 +12,10 @@ import (
 // behind a canary, and checks when a train is counted, what the rollout state
 // reports, and which pushes are skipped or refused.
 func TestLearner(t *testing.T) {
-	X := [][]int64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
-	y := []int64{10, 10, 20, 20}
+	window := dt.NewOnline(dt.OnlineConfig{Tree: dt.Config{MaxDepth: 4, MinSamples: 1}, RetrainEvery: 1 << 30})
+	for i, x := range [][]int64{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+		window.Observe(x, []int64{10, 10, 20, 20}[i])
+	}
 	agree := &core.FuncModel{Fn: func([]int64) int64 { return 10 }, Feats: 2}
 	trap := &core.FuncModel{Fn: func([]int64) int64 { panic("corrupt weights") }, Feats: 2}
 	costly := &core.FuncModel{Fn: func([]int64) int64 { return 10 }, Feats: 2, Ops: 1000}
@@ -38,7 +40,7 @@ func TestLearner(t *testing.T) {
 	}{
 		{
 			name: "direct train counts a train",
-			push: func(l *Learner) error { return l.Train(X, y) }, staged: 1,
+			push: func(l *Learner) error { return l.Train(window) }, staged: 1,
 			wantTrains: 1,
 		},
 		{
@@ -47,7 +49,7 @@ func TestLearner(t *testing.T) {
 		},
 		{
 			name: "train counts at go-live, not at staging",
-			gate: gate, push: func(l *Learner) error { return l.Train(X, y) }, fires: 8,
+			gate: gate, push: func(l *Learner) error { return l.Train(window) }, fires: 8,
 			wantTrains: 1, wantState: CanaryPromoted, wantEnded: 1, wantOK: true, wantStaged: 1,
 		},
 		{
@@ -57,7 +59,7 @@ func TestLearner(t *testing.T) {
 				if err := l.Push(agree); err != nil {
 					return err
 				}
-				return l.Train(X, y)
+				return l.Train(window)
 			},
 			wantState: CanaryShadowing, wantOK: true, wantStaged: 1,
 		},
@@ -91,7 +93,7 @@ func TestLearner(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, mid := canaryRig(t)
-			l := p.NewLearner("mm/canary", mid, dt.Config{MaxDepth: 4, MinSamples: 1}, tc.ops, 0, tc.gate, nil)
+			l := p.NewLearner("mm/canary", mid, tc.ops, 0, tc.gate, nil)
 			if err := tc.push(l); !errors.Is(err, tc.wantErr) {
 				t.Fatalf("push err = %v, want %v", err, tc.wantErr)
 			}

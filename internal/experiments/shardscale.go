@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rmtk/internal/core"
@@ -137,6 +138,35 @@ func measureSingle(k *core.Kernel, iters, batch int) float64 {
 	return float64(time.Since(start).Nanoseconds()) / float64(fires)
 }
 
+// throughputAt measures cached fires/sec with g goroutines firing into one
+// fresh kernel, each after a warm-up of its own.
+func throughputAt(mode core.ExecMode, g, iters, batch int) (float64, error) {
+	k, err := NewHotPathKernel(mode, true)
+	if err != nil {
+		return 0, err
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < g; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fireLoop(k, w, iters/10+1, batch)
+		}(w)
+	}
+	wg.Wait()
+	start := time.Now()
+	var total atomic.Int64
+	for w := 0; w < g; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			total.Add(fireLoop(k, w, iters, batch))
+		}(w)
+	}
+	wg.Wait()
+	return float64(total.Load()) / time.Since(start).Seconds(), nil
+}
+
 // ShardScale runs the scaling experiment: single-thread cached vs uncached
 // ns/fire, then cached throughput at 1/2/4/8 goroutines.
 func ShardScale(mode core.ExecMode) (ShardScaleResult, []string, error) {
@@ -158,35 +188,9 @@ func ShardScale(mode core.ExecMode) (ShardScaleResult, []string, error) {
 	res.UncachedNsPerFire = measureSingle(ku, iters, batch)
 
 	for _, g := range []int{1, 2, 4, 8} {
-		k, err := NewHotPathKernel(mode, true)
-		if err != nil {
+		if res.Throughput[g], err = throughputAt(mode, g, iters, batch); err != nil {
 			return res, nil, err
 		}
-		// Per-goroutine warmup, then a timed parallel run.
-		var wg sync.WaitGroup
-		for w := 0; w < g; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				fireLoop(k, w, iters/10+1, batch)
-			}(w)
-		}
-		wg.Wait()
-		start := time.Now()
-		var total int64
-		var mu sync.Mutex
-		for w := 0; w < g; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				n := fireLoop(k, w, iters, batch)
-				mu.Lock()
-				total += n
-				mu.Unlock()
-			}(w)
-		}
-		wg.Wait()
-		res.Throughput[g] = float64(total) / time.Since(start).Seconds()
 	}
 
 	lines := []string{

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"rmtk/internal/core"
@@ -29,10 +30,29 @@ func TestShardScale(t *testing.T) {
 		}
 	}
 	// Sharding must not make contention worse than a single firer: allow
-	// scheduler noise but fail on collapse.
-	if res.Throughput[8] < 0.8*res.Throughput[1] {
-		t.Errorf("throughput collapses under 8 goroutines: %.0f vs %.0f fires/s",
-			res.Throughput[8], res.Throughput[1])
+	// scheduler noise but fail on collapse. One reading of each arm flakes
+	// when other packages' tests load the machine, so the 1- and 8-goroutine
+	// arms alternate over several rounds and their medians are compared.
+	const rounds = 7
+	var one, eight []float64
+	for r := 0; r < rounds; r++ {
+		for _, g := range []int{1, 8} {
+			tp, err := throughputAt(core.ModeJIT, g, 2000, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g == 1 {
+				one = append(one, tp)
+			} else {
+				eight = append(eight, tp)
+			}
+		}
+	}
+	slices.Sort(one)
+	slices.Sort(eight)
+	if m1, m8 := one[rounds/2], eight[rounds/2]; m8 < 0.8*m1 {
+		t.Errorf("throughput collapses under 8 goroutines: median %.0f vs %.0f fires/s over %d rounds (1: %.0f, 8: %.0f)",
+			m8, m1, rounds, one, eight)
 	}
 }
 

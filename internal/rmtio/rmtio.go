@@ -121,7 +121,7 @@ func New(k *core.Kernel, plane *ctrl.Plane, cfg Config) (*Router, error) {
 		devs:       make(map[int]*devState),
 		pending:    make(map[int64][]int64),
 		shadowPred: make(map[int64]int64),
-		samples:    dt.NewOnline(dt.OnlineConfig{Window: 4096, RetrainEvery: 1 << 30}),
+		samples:    dt.NewOnline(dt.OnlineConfig{Tree: cfg.Tree, Window: 4096, RetrainEvery: 1 << 30}),
 	}
 	// Placeholder model: predict fast until trained (route falls back to
 	// shortest queue among "fast" predictions, i.e. plain load balancing).
@@ -132,7 +132,7 @@ func New(k *core.Kernel, plane *ctrl.Plane, cfg Config) (*Router, error) {
 		Size:  8,
 	})
 	r.vecID = k.RegisterVec(make([]int64, NumFeatures))
-	r.learn = plane.NewLearner(blksim.HookSubmitIO, r.modelID, cfg.Tree, cfg.OpsBudget, cfg.MemBudget, cfg.Canary,
+	r.learn = plane.NewLearner(blksim.HookSubmitIO, r.modelID, cfg.OpsBudget, cfg.MemBudget, cfg.Canary,
 		func(dev, verdict int64, _ []int64) { r.shadowPred[dev] = verdict })
 
 	if _, _, err := plane.CreateTable(SubmitTable, blksim.HookSubmitIO, table.MatchExact); err != nil {
@@ -347,8 +347,8 @@ func (r *Router) OnComplete(dev int64, slow bool, latencyNs int64) {
 		}
 	}
 	if r.observed%r.cfg.TrainEvery == 0 {
-		if X, y := r.samples.Window(); len(X) >= 32 {
-			_ = r.learn.Train(X, y)
+		if r.samples.WindowSize() >= 32 {
+			_ = r.learn.Train(r.samples)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func New(k *core.Kernel, plane *ctrl.Plane, cfg Config) (*Classifier, error) {
 	cfg = cfg.withDefaults()
 	c := &Classifier{
 		K: k, Plane: plane, cfg: cfg,
-		samples: dt.NewOnline(dt.OnlineConfig{Window: 2048, RetrainEvery: 1 << 30}),
+		samples: dt.NewOnline(dt.OnlineConfig{Tree: cfg.Tree, Window: 2048, RetrainEvery: 1 << 30}),
 	}
 	c.modelID = k.RegisterModel(&core.FuncModel{
 		Fn:    func([]int64) int64 { return 0 }, // mice until trained
@@ -78,7 +78,7 @@ func New(k *core.Kernel, plane *ctrl.Plane, cfg Config) (*Classifier, error) {
 		Size:  8,
 	})
 	c.vecID = k.RegisterVec(make([]int64, netsim.NumFeatures))
-	c.learn = plane.NewLearner(netsim.HookClassify, c.modelID, cfg.Tree, cfg.OpsBudget, cfg.MemBudget, nil, nil)
+	c.learn = plane.NewLearner(netsim.HookClassify, c.modelID, cfg.OpsBudget, cfg.MemBudget, nil, nil)
 	if _, _, err := plane.CreateTable(ClassifyTable, netsim.HookClassify, table.MatchTernary); err != nil {
 		return nil, err
 	}
@@ -139,8 +139,8 @@ func (c *Classifier) OnFlowDone(info *netsim.FlowInfo, total int64) {
 	c.samples.Observe(info.Features(), label)
 	c.done++
 	if c.done%c.cfg.TrainEvery == 0 {
-		if X, y := c.samples.Window(); len(X) >= 16 {
-			_ = c.learn.Train(X, y)
+		if c.samples.WindowSize() >= 16 {
+			_ = c.learn.Train(c.samples)
 		}
 	}
 }

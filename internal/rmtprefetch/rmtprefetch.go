@@ -12,6 +12,7 @@ package rmtprefetch
 
 import (
 	"fmt"
+	"math"
 
 	"rmtk/internal/core"
 	"rmtk/internal/ctrl"
@@ -156,10 +157,7 @@ type Prefetcher struct {
 	procs     map[int64]*proc
 	delayNs   int64 // injected stall pending charge to the simulator clock
 
-	// Retrain scratch, reused across retrains (dt.Train keeps neither): the
-	// history read out of the context store and the sample rows over it.
-	hist []int64
-	rows [][]int64
+	hist []int64 // retrain scratch: the history read out of the context store
 }
 
 type proc struct {
@@ -167,6 +165,10 @@ type proc struct {
 	progID   int64
 	accesses int
 	learn    *ctrl.Learner
+	// window holds the training rows over the process's delta history as of
+	// its last retrain step, when the history's push count read pushes.
+	window *dt.Online
+	pushes uint64
 	// pending holds the in-flight candidate's shadow-predicted pages awaiting
 	// labeling, oldest first.
 	pending []int64
@@ -276,8 +278,8 @@ func (p *Prefetcher) admit(pid int64) (*proc, error) {
 	}); err != nil {
 		return nil, err
 	}
-	pr := &proc{modelID: modelID, progID: progID}
-	pr.learn = p.Plane.NewLearner(memsim.HookSwapClusterReadahead, modelID, p.cfg.Tree,
+	pr := &proc{modelID: modelID, progID: progID, window: p.newWindow()}
+	pr.learn = p.Plane.NewLearner(memsim.HookSwapClusterReadahead, modelID,
 		p.cfg.OpsBudget, p.cfg.MemBudget, p.cfg.Canary,
 		func(key, _ int64, emissions []int64) {
 			if key == pid {
@@ -390,29 +392,60 @@ func (p *Prefetcher) TakeDelay() int64 {
 	return d
 }
 
-// retrain pulls the process's collected delta history out of the execution
-// context and hands the rows to the process's learner, which induces a fresh
-// tree and pushes it through the control plane — the paper's periodic
-// background training loop. A tree over budget or a push that keeps failing
-// leaves the previous model serving.
+// newWindow returns an empty training window as wide as the rows a full
+// history holds.
+func (p *Prefetcher) newWindow() *dt.Online {
+	return dt.NewOnline(dt.OnlineConfig{
+		Tree:         p.cfg.Tree,
+		Window:       p.K.Ctx().HistCap() - p.cfg.Hist,
+		RetrainEvery: math.MaxInt,
+	})
+}
+
+// retrain brings the process's training window up to its collected delta
+// history and hands it to the process's learner, which fits a fresh tree and
+// pushes it through the control plane — the paper's periodic background
+// training loop. A tree over budget or a push that keeps failing leaves the
+// previous model serving.
+//
+// Row j of a history h is the window h[j:j+Hist] and its label the delta
+// that followed, h[j+Hist]. Only the rows whose label the history gained
+// since the last step are added; the window's capacity, the rows a full
+// history holds, evicts the ones its history has lost. The window is folded
+// forward even when the learner skips the fit, so it never falls behind.
 func (p *Prefetcher) retrain(pid int64, pr *proc) {
+	ctx := p.K.Ctx()
 	if p.hist == nil {
-		p.hist = make([]int64, p.K.Ctx().HistCap())
+		p.hist = make([]int64, ctx.HistCap())
 	}
-	n := p.K.Ctx().Hist(pid, p.hist)
-	w := p.cfg.Hist
-	if n < w+2 {
+	pushes := ctx.HistPushes(pid)
+	if !p.fold(pr, pid, pushes-pr.pushes) {
+		// The history is not the one the window was folded from (it was
+		// dropped and refilled): start over from all of it.
+		pr.window = p.newWindow()
+		p.fold(pr, pid, pushes)
+	}
+	pr.pushes = pushes
+	if pr.window.WindowSize() < 2 {
 		return
 	}
-	// Row j is the window hist[j:j+w] and its label the delta that followed,
-	// hist[j+w]: the rows and the labels are views of the one history.
+	_ = pr.learn.Train(pr.window)
+}
+
+// fold adds to the process's window the rows over the newest gained values
+// of its history and reports whether the window then holds as many rows as
+// the history has. As gained is never short of the values pushed since the
+// last fold (table.CtxStore.HistPushes), equal counts mean equal rows: a
+// history dropped and refilled since is read back whole, so any surplus is
+// rows left over from before the drop.
+func (p *Prefetcher) fold(pr *proc, pid int64, gained uint64) bool {
+	ctx, w := p.K.Ctx(), p.cfg.Hist
+	n := ctx.Hist(pid, p.hist[:min(uint64(len(p.hist)), gained+uint64(w))])
 	hist := p.hist[:n]
-	X := p.rows[:0]
 	for j := 0; j+w < n; j++ {
-		X = append(X, hist[j:j+w])
+		pr.window.Observe(hist[j:j+w], hist[j+w])
 	}
-	p.rows = X
-	_ = pr.learn.Train(X, hist[w:])
+	return pr.window.WindowSize() == min(len(p.hist)-w, max(0, ctx.HistLen(pid)-w))
 }
 
 // SetDepth reconfigures a process's prefetch degree at runtime by updating
@@ -443,6 +476,16 @@ func (p *Prefetcher) ModelID(pid int64) (int64, bool) {
 func (p *Prefetcher) Learner(pid int64) *ctrl.Learner {
 	if pr, ok := p.procs[pid]; ok {
 		return pr.learn
+	}
+	return nil
+}
+
+// Window returns a process's training window — the rows over its delta
+// history as of its last retrain step, which that step fitted — or nil for
+// an unknown process.
+func (p *Prefetcher) Window(pid int64) *dt.Online {
+	if pr, ok := p.procs[pid]; ok {
+		return pr.window
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package rmtprefetch
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"rmtk/internal/core"
@@ -281,5 +282,50 @@ func TestOnAccessAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("%.2f allocations per access, want 0", allocs)
+	}
+}
+
+// TestWindowFollowsTheHistory checks the training window against the rows
+// over the delta history at retrain steps: while the history fills, once it
+// wraps, and after the process's context is dropped and refilled — to fewer
+// values than it held, then to more — when the push count and the window
+// disagree and the window is rebuilt from the whole history.
+func TestWindowFollowsTheHistory(t *testing.T) {
+	const pid, trainEvery, hist = 56, 64, 4
+	k := core.NewKernel(core.Config{CtxHistory: 256})
+	p, err := New(k, ctrl.New(k), Config{Hist: hist, TrainEvery: trainEvery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := int64(0)
+	steps := 0
+	access := func(n int) {
+		for range n {
+			page += []int64{1, 1, 3, 1, 7}[page%5]
+			p.OnAccess(pid, page, false)
+			if p.procs[pid].accesses%trainEvery != 0 {
+				continue
+			}
+			steps++
+			buf := make([]int64, k.Ctx().HistCap())
+			h := buf[:k.Ctx().Hist(pid, buf)]
+			X, y := p.Window(pid).Window()
+			if len(X) != max(0, len(h)-hist) {
+				t.Fatalf("step %d: %d rows over a history of %d", steps, len(X), len(h))
+			}
+			for j := range X {
+				if !slices.Equal(X[j], h[j:j+hist]) || y[j] != h[j+hist] {
+					t.Fatalf("step %d: row %d is %v→%d, want %v→%d", steps, j, X[j], y[j], h[j:j+hist], h[j+hist])
+				}
+			}
+		}
+	}
+	access(640) // fills the 256-value history, then wraps it
+	k.Ctx().Drop(pid)
+	access(64 * 2) // refills to fewer values than the window held
+	k.Ctx().Drop(pid)
+	access(64 * 6) // and to more
+	if steps != (640+128+384)/trainEvery {
+		t.Fatalf("%d retrain steps checked", steps)
 	}
 }

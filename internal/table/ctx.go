@@ -29,7 +29,10 @@ type CtxStore struct {
 type ctxShard struct {
 	mu   sync.RWMutex
 	recs map[int64]*ctxRec
-	_    [16]byte // keep neighbouring shards off one cache line
+	// dropped is the largest push count of a record Drop removed: a record
+	// created after it counts on from there, so a key's count never falls.
+	dropped uint64
+	_       [8]byte // keep neighbouring shards off one cache line
 }
 
 type ctxRec struct {
@@ -37,6 +40,7 @@ type ctxRec struct {
 	hist   []int64 // ring buffer
 	head   int     // next write position
 	n      int     // number of valid entries (<= cap)
+	pushes uint64  // values ever pushed (HistPushes)
 }
 
 // NewCtxStore creates a context store with the given number of scalar fields
@@ -74,6 +78,7 @@ func (c *CtxStore) rec(s *ctxShard, key int64) *ctxRec {
 		r = &ctxRec{
 			fields: make([]int64, c.numFields),
 			hist:   make([]int64, c.histCap),
+			pushes: s.dropped,
 		}
 		s.recs[key] = r
 	}
@@ -130,6 +135,7 @@ func (c *CtxStore) HistPush(key, v int64) {
 	if r.n < len(r.hist) {
 		r.n++
 	}
+	r.pushes++
 	s.mu.Unlock()
 }
 
@@ -172,6 +178,21 @@ func (c *CtxStore) HistLen(key int64) int {
 	return 0
 }
 
+// HistPushes counts the values ever pushed to key's history. The count never
+// falls, not even across a Drop, so the difference of two readings is at
+// least the number of values pushed in between, and exactly that when key
+// had a record at the first reading and was not dropped since: the values a
+// reader of the history that took the first reading has not seen.
+func (c *CtxStore) HistPushes(key int64) uint64 {
+	s := c.shard(key)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if r := s.recs[key]; r != nil {
+		return r.pushes
+	}
+	return s.dropped
+}
+
 // Keys returns a sorted snapshot of all keys with records.
 func (c *CtxStore) Keys() []int64 {
 	var out []int64
@@ -191,7 +212,10 @@ func (c *CtxStore) Keys() []int64 {
 func (c *CtxStore) Drop(key int64) {
 	s := c.shard(key)
 	s.mu.Lock()
-	delete(s.recs, key)
+	if r := s.recs[key]; r != nil {
+		s.dropped = max(s.dropped, r.pushes)
+		delete(s.recs, key)
+	}
 	s.mu.Unlock()
 }
 

@@ -62,6 +62,30 @@ func TestCtxHistRing(t *testing.T) {
 	}
 }
 
+// TestCtxHistPushesNeverFalls: the push count goes on past the ring's
+// capacity, survives a Drop (a key's new record counts on from the dropped
+// one's), and a key that never pushed reads its shard's floor.
+func TestCtxHistPushesNeverFalls(t *testing.T) {
+	c := NewCtxStore(1, 4)
+	if got := c.HistPushes(7); got != 0 {
+		t.Fatalf("fresh key: %d pushes", got)
+	}
+	for i := int64(1); i <= 6; i++ {
+		c.HistPush(7, i)
+	}
+	if got := c.HistPushes(7); got != 6 {
+		t.Fatalf("%d pushes after 6 into a ring of 4", got)
+	}
+	c.Drop(7)
+	if got := c.HistPushes(7); got != 6 {
+		t.Fatalf("dropped key: %d pushes, want 6", got)
+	}
+	c.HistPush(7, 1)
+	if got, n := c.HistPushes(7), c.HistLen(7); got != 7 || n != 1 {
+		t.Fatalf("after a drop and one push: %d pushes, %d values; want 7, 1", got, n)
+	}
+}
+
 // TestCtxHistProperty checks ring semantics against a reference slice.
 func TestCtxHistProperty(t *testing.T) {
 	f := func(vals []int64, capSel uint8) bool {
