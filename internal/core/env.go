@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rmtk/internal/isa"
+	"rmtk/internal/table"
 	"rmtk/internal/vm"
 )
 
@@ -34,9 +35,36 @@ type env struct {
 	// state the incumbent reads (its emissions land in inv, a private
 	// invocation, and feed divergence accounting).
 	wcap *writeCap
+	// ctxKey and ctx memoize the context record the run last resolved, so a
+	// program that touches one key (the collect program's pid, five times)
+	// finds its record once. The env is rebuilt for every run, so the memo
+	// dies with the run: a Drop between two runs is seen by the second.
+	ctxKey int64
+	ctx    *table.CtxRec
 }
 
 var _ vm.Env = (*env)(nil)
+
+// ctxFind returns key's context record, or nil when it has none. A miss is
+// not memoized: a record a later write creates is found.
+func (e *env) ctxFind(key int64) *table.CtxRec {
+	if e.ctx != nil && e.ctxKey == key {
+		return e.ctx
+	}
+	r := e.k.ctx.Find(key)
+	if r != nil {
+		e.ctxKey, e.ctx = key, r
+	}
+	return r
+}
+
+// ctxRec returns key's context record, creating it on first touch.
+func (e *env) ctxRec(key int64) *table.CtxRec {
+	if e.ctx == nil || e.ctxKey != key {
+		e.ctxKey, e.ctx = key, e.k.ctx.Rec(key)
+	}
+	return e.ctx
+}
 
 func (e *env) CtxLoad(key, field int64) int64 {
 	if e.wcap != nil {
@@ -44,7 +72,7 @@ func (e *env) CtxLoad(key, field int64) int64 {
 			return v
 		}
 	}
-	return e.k.ctx.Load(key, field)
+	return e.ctxFind(key).Load(field)
 }
 
 func (e *env) CtxStore(key, field, val int64) {
@@ -52,7 +80,9 @@ func (e *env) CtxStore(key, field, val int64) {
 		e.wcap.storeCtx(key, field, val)
 		return
 	}
-	e.k.ctx.Store(key, field, val)
+	if uint64(field) < uint64(e.k.ctx.NumFields()) { // an out-of-range store creates no record
+		e.ctxRec(key).Store(field, val)
+	}
 }
 
 func (e *env) CtxHistPush(key, val int64) {
@@ -60,7 +90,7 @@ func (e *env) CtxHistPush(key, val int64) {
 		e.wcap.pushHist(key, val)
 		return
 	}
-	e.k.ctx.HistPush(key, val)
+	e.ctxRec(key).HistPush(val)
 }
 
 func (e *env) CtxHist(key int64, dst []int64) int {
@@ -69,7 +99,7 @@ func (e *env) CtxHist(key int64, dst []int64) int {
 			return e.wcap.readHist(e.k, key, dst, app)
 		}
 	}
-	return e.k.ctx.Hist(key, dst)
+	return e.ctxFind(key).Hist(dst)
 }
 
 func (e *env) Match(tableID, key int64) int64 {
@@ -103,6 +133,9 @@ func (e *env) Call(helperID int64, args *[5]int64) (ret int64, err error) {
 			err = fmt.Errorf("%w: helper %d: %v", ErrHelperPanic, helperID, r)
 		}
 	}()
+	if e.inv != nil {
+		e.inv.env = e
+	}
 	return h.fn(e.k, e.inv, args)
 }
 

@@ -33,6 +33,9 @@ type Invocation struct {
 	// feats is ActionInfer's history window; it stays with the pooled
 	// scratch across fires.
 	feats []int64
+	// env is the env of the run calling a helper, set by env.Call, so a
+	// helper reads the context through the run's record memo.
+	env *env
 }
 
 // Emissions returns the values emitted during the invocation.
@@ -91,7 +94,7 @@ type dispatch struct {
 	flush uint64
 	s     *scratch
 	b     books
-	// hook and hr memoize rt.hooks[hook] for the last hook fired, so a run of
+	// hook and hr memoize rt.hook(hook) for the last hook fired, so a run of
 	// same-hook events resolves its hook once; begin clears the memo.
 	hook string
 	hr   *hookRoute
@@ -322,7 +325,7 @@ func (k *Kernel) FireBatch(events []Event, out []FireResult) {
 func (d *dispatch) fire(hook string, key, arg2, arg3 int64, res *FireResult) {
 	hr := d.hr
 	if hr == nil || hook != d.hook {
-		hr = d.rt.hooks[hook]
+		hr = d.rt.hook(hook)
 		d.hook, d.hr = hook, hr
 	}
 	if hr == nil || len(hr.tables) == 0 {

@@ -127,6 +127,17 @@ func helperClampDelta(_ *Kernel, _ *Invocation, args *[5]int64) (int64, error) {
 	return v, nil
 }
 
-func helperHistLen(k *Kernel, _ *Invocation, args *[5]int64) (int64, error) {
-	return int64(k.ctx.HistLen(args[0])), nil
+// helperHistLen implements rmt_hist_len through the calling run's record
+// memo. Under write capture the run's own pending pushes count, as CtxHist
+// reads them: a checked fire answers as an unchecked one would.
+func helperHistLen(k *Kernel, inv *Invocation, args *[5]int64) (int64, error) {
+	if inv == nil || inv.env == nil {
+		return int64(k.ctx.HistLen(args[0])), nil
+	}
+	e := inv.env
+	n := e.ctxFind(args[0]).HistLen()
+	if e.wcap != nil {
+		n = min(n+len(e.wcap.hist[args[0]]), k.ctx.HistCap())
+	}
+	return int64(n), nil
 }

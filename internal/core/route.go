@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"rmtk/internal/fault"
 	"rmtk/internal/table"
@@ -69,7 +70,8 @@ func (s *vecSlot) store(src []int64) {
 
 // hookRoute is the resolved pipeline of one hook.
 type hookRoute struct {
-	id uint64 // interned hook id, stable across rebuilds (FlowKey.Hook)
+	id   uint64 // interned hook id, stable across rebuilds (FlowKey.Hook)
+	name string // the name the snapshot routes it under (routes.hook)
 	// epoch is unique to this object (k.nextEpoch) and part of every verdict
 	// stamp. A publish that only adds a resource or swaps a model carries the
 	// object over when tables, shadow and cacheable are unchanged; any other
@@ -123,6 +125,8 @@ type routes struct {
 	// sentinel carries the engine sentinel into the hot path; the per-
 	// program health records it consults are bound in progs.
 	sentinel *Sentinel
+	// recent holds the two hooks hook resolved last, most recent first.
+	recent [2]atomic.Pointer[hookRoute]
 }
 
 // withEntry returns a copy of m with m[k] = v: the registries that route
@@ -142,6 +146,25 @@ func (rt *routes) prog(id int64) *progBinding {
 		return &rt.progs[id]
 	}
 	return nil
+}
+
+// hook resolves a hook name against the snapshot (nil when absent), through
+// the two hooks it resolved last before the map: a Table-1 access fires the
+// collect and the prefetch hook, one batch of two per access, so a memo of
+// one hook, or one kept per call, would miss on every event.
+func (rt *routes) hook(name string) *hookRoute {
+	if hr := rt.recent[0].Load(); hr != nil && hr.name == name {
+		return hr
+	}
+	if hr := rt.recent[1].Load(); hr != nil && hr.name == name {
+		return hr
+	}
+	hr := rt.hooks[name]
+	if hr != nil {
+		rt.recent[1].Store(rt.recent[0].Load())
+		rt.recent[0].Store(hr)
+	}
+	return hr
 }
 
 // model resolves a model id against the snapshot (nil when absent).
@@ -237,7 +260,7 @@ func (k *Kernel) publishTenantLocked(ts *tenantState, keep bool) {
 			}
 			key = hook[len(prefix):]
 		}
-		hr := &hookRoute{id: k.hookIDs[hook], shadow: k.shadows[hook]}
+		hr := &hookRoute{id: k.hookIDs[hook], name: key, shadow: k.shadows[hook]}
 		hr.cacheable = ts.vcache != nil && k.inj == nil && hr.shadow == nil
 		for _, tid := range ids {
 			// Visibility here is defense in depth: chargeTableLocked already

@@ -171,10 +171,12 @@ type Sim struct {
 	clock int64
 	// The swap cache: slab holds the resident pages, at most CacheSlots of
 	// them, and never shrinks — an eviction hands its victim's slot straight
-	// to the page that displaced it.
+	// to the page that displaced it. cache indexes them per process, so an
+	// access finds its process's pages once and then probes by page number
+	// alone; a process's map stays behind when its last page leaves.
 	slab       []cacheEntry
-	cache      map[pageKey]int32 // page -> slab index
-	head, tail int32             // most and least recently used; -1 when empty
+	cache      map[int64]map[int64]int32 // pid -> page -> slab index
+	head, tail int32                     // most and least recently used; -1 when empty
 
 	res Result
 }
@@ -186,7 +188,7 @@ func New(cfg Config, policy Prefetcher) *Sim {
 		cfg:    cfg,
 		policy: policy,
 		slab:   make([]cacheEntry, 0, cfg.CacheSlots),
-		cache:  make(map[pageKey]int32, cfg.CacheSlots),
+		cache:  make(map[int64]map[int64]int32),
 		head:   -1,
 		tail:   -1,
 		res:    Result{Policy: policy.Name()},
@@ -206,15 +208,19 @@ func Run(cfg Config, policy Prefetcher, trace []Access) Result {
 func (s *Sim) Step(a Access) {
 	s.clock += a.Work
 	s.res.Accesses++
-	key := pageKey{a.PID, a.Page}
+	pages := s.cache[a.PID]
+	if pages == nil {
+		pages = make(map[int64]int32)
+		s.cache[a.PID] = pages
+	}
 
-	at, hit := s.cache[key]
+	at, hit := pages[a.Page]
 	if hit {
 		if e := &s.slab[at]; e.prefetch {
 			// First reference to a prefetched page: a prefetch hit.
 			s.res.PrefetchUsed++
 			if s.cfg.OutcomeFn != nil {
-				s.cfg.OutcomeFn(key.pid, key.page, true)
+				s.cfg.OutcomeFn(a.PID, a.Page, true)
 			}
 			if e.arriveNs > s.clock {
 				// IO still in flight; stall for the remainder. A late but
@@ -235,25 +241,24 @@ func (s *Sim) Step(a Access) {
 		// Demand fault: synchronous read from the backing store.
 		s.res.DemandMisses++
 		s.clock += s.cfg.MissNs
-		s.insert(key, false, 0)
+		s.insert(pages, pageKey{a.PID, a.Page}, false, 0)
 	}
 
-	pages := s.policy.OnAccess(a.PID, a.Page, hit)
+	emitted := s.policy.OnAccess(a.PID, a.Page, hit)
 	if d, ok := s.policy.(Delayer); ok {
 		// A policy that stalled synchronously (injected latency spike) holds
 		// the fault path for that long.
 		s.clock += d.TakeDelay()
 	}
-	if len(pages) == 0 {
+	if len(emitted) == 0 {
 		return
 	}
-	if len(pages) > s.cfg.MaxPrefetch {
-		pages = pages[:s.cfg.MaxPrefetch]
+	if len(emitted) > s.cfg.MaxPrefetch {
+		emitted = emitted[:s.cfg.MaxPrefetch]
 	}
 	issued := false
-	for _, p := range pages {
-		pk := pageKey{a.PID, p}
-		if _, ok := s.cache[pk]; ok {
+	for _, p := range emitted {
+		if _, ok := pages[p]; ok {
 			continue // already resident or in flight
 		}
 		if !issued {
@@ -261,13 +266,13 @@ func (s *Sim) Step(a Access) {
 			s.clock += s.cfg.PrefetchIssueNs // one batch submission
 		}
 		s.res.PrefetchIssued++
-		s.insert(pk, true, s.clock+s.cfg.PrefetchLatencyNs)
+		s.insert(pages, pageKey{a.PID, p}, true, s.clock+s.cfg.PrefetchLatencyNs)
 	}
 }
 
 // insert makes key resident and most recently used, evicting the least
-// recently used page when the cache is full.
-func (s *Sim) insert(key pageKey, prefetch bool, arriveNs int64) {
+// recently used page when the cache is full; pages is key's process's map.
+func (s *Sim) insert(pages map[int64]int32, key pageKey, prefetch bool, arriveNs int64) {
 	var at int32
 	if len(s.slab) < s.cfg.CacheSlots {
 		at = int32(len(s.slab))
@@ -276,14 +281,18 @@ func (s *Sim) insert(key pageKey, prefetch bool, arriveNs int64) {
 		at = s.tail
 		victim := s.slab[at]
 		s.unlink(at)
-		delete(s.cache, victim.key)
+		if victim.key.pid == key.pid { // the usual victim: no second pid lookup
+			delete(pages, victim.key.page)
+		} else {
+			delete(s.cache[victim.key.pid], victim.key.page)
+		}
 		if victim.prefetch && s.cfg.OutcomeFn != nil {
 			s.cfg.OutcomeFn(victim.key.pid, victim.key.page, false)
 		}
 	}
 	s.slab[at] = cacheEntry{key: key, prefetch: prefetch, arriveNs: arriveNs}
 	s.pushFront(at)
-	s.cache[key] = at
+	pages[key.page] = at
 }
 
 // unlink takes slab entry at out of the LRU order.
@@ -316,8 +325,8 @@ func (s *Sim) pushFront(at int32) {
 // Clock reports the current virtual time.
 func (s *Sim) Clock() int64 { return s.clock }
 
-// Resident reports the number of cached pages.
-func (s *Sim) Resident() int { return len(s.cache) }
+// Resident reports the number of cached pages: every slab entry is one.
+func (s *Sim) Resident() int { return len(s.slab) }
 
 // Result finalizes and returns the run metrics.
 func (s *Sim) Result() Result {

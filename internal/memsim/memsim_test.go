@@ -302,8 +302,10 @@ func (p *strider) OnAccess(pid, page int64, hit bool) []int64 {
 
 // TestLRUMatchesContainerList replays a seeded trace with prefetches through
 // Sim and through refSim, each under its own copy of the policy, and compares
-// them after every access: clock, the prefetch outcomes reported and the
-// whole LRU order, followed through the slab's links in both directions.
+// them after every access: clock, the prefetch outcomes reported, the
+// whole LRU order, followed through the slab's links in both directions, and
+// the per-process index, which must name each resident page's slot and
+// nothing else.
 func TestLRUMatchesContainerList(t *testing.T) {
 	type outcome struct {
 		pid, page int64
@@ -332,15 +334,20 @@ func TestLRUMatchesContainerList(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("slots=%d step %d: outcomes %v, reference %v", slots, step, got, want)
 			}
-			if s.Clock() != ref.clock || s.Resident() != len(ref.cache) {
-				t.Fatalf("slots=%d step %d: clock %d resident %d, reference %d and %d",
-					slots, step, s.Clock(), s.Resident(), ref.clock, len(ref.cache))
+			indexed := 0
+			for _, pages := range s.cache {
+				indexed += len(pages)
+			}
+			if s.Clock() != ref.clock || s.Resident() != len(ref.cache) || indexed != len(ref.cache) {
+				t.Fatalf("slots=%d step %d: clock %d resident %d indexed %d, reference %d and %d",
+					slots, step, s.Clock(), s.Resident(), indexed, ref.clock, len(ref.cache))
 			}
 			at, back := s.head, int32(-1)
 			for el := ref.lru.Front(); el != nil; el = el.Next() {
 				e := el.Value.(*refEntry)
+				idx, ok := s.cache[e.key.pid][e.key.page]
 				if at < 0 || s.slab[at].key != e.key || s.slab[at].prefetch != e.prefetch ||
-					s.slab[at].arriveNs != e.arriveNs || s.slab[at].prev != back || s.cache[e.key] != at {
+					s.slab[at].arriveNs != e.arriveNs || s.slab[at].prev != back || !ok || idx != at {
 					t.Fatalf("slots=%d step %d: LRU order departs from the reference at %+v", slots, step, *e)
 				}
 				at, back = s.slab[at].next, at

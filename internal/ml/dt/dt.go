@@ -98,12 +98,15 @@ func train(X [][]int64, y []int64, cfg Config, hash func([]int64, int64) uint64)
 	if len(X) > math.MaxInt32 {
 		return nil, fmt.Errorf("dt: %d samples exceed the trainer's limit of %d", len(X), math.MaxInt32)
 	}
-	o := NewOnline(OnlineConfig{Tree: cfg, Window: len(X)})
-	o.w.hash = hash
+	w := window{cap: len(X), hash: hash}
 	for i, row := range X {
-		o.w.add(row, y[i])
+		w.add(row, y[i])
 	}
-	return o.Fit()
+	var b builder
+	if err := b.load(&w); err != nil {
+		return nil, err
+	}
+	return b.fit(cfg, false), nil
 }
 
 // sampleHash mixes a row and its label into 64 bits.
@@ -241,13 +244,24 @@ func (b *builder) load(w *window) error {
 	return nil
 }
 
-// fit grows the tree on the loaded samples.
-func (b *builder) fit(cfg Config) *Tree {
+// fit grows the tree on the loaded samples. With reuse, the nodes grow in
+// scratch room for the largest tree, which the builder keeps for its next
+// fit, and the tree gets a copy; a tree over n distinct rows has at most n
+// leaves, as no split leaves a side empty, so 2n-1 nodes. Without, a
+// one-shot builder grows the tree's own array.
+func (b *builder) fit(cfg Config, reuse bool) *Tree {
 	b.prepare(cfg)
 	t := &Tree{NumFeats: b.nf, featGain: make([]float64, b.nf)}
 	b.t = t
+	if reuse {
+		b.nodes = resize(b.nodes, 2*b.n-1)[:0]
+	}
 	b.grow(0, b.n, 0, b.feats)
-	t.Nodes = slices.Clone(b.nodes)
+	if reuse {
+		t.Nodes = slices.Clone(b.nodes)
+	} else {
+		t.Nodes, b.nodes = b.nodes, nil
+	}
 	b.t = nil
 	return t
 }
@@ -286,9 +300,7 @@ func (b *builder) prepare(cfg Config) {
 		b.table = make([]int32, tableLen) // a reused one is all zero already
 	}
 	b.keys, b.runs = resize(b.keys, n), resize(b.runs, n)
-	// A tree over n distinct rows has at most n leaves: no split leaves a
-	// side empty. Its depth is under n as well.
-	b.nodes = resize(b.nodes, 2*n-1)[:0]
+	// A tree over n distinct rows is less than n deep.
 	b.feats = resize(b.feats, nf*(min(b.cfg.MaxDepth, n)+2))[:0]
 	for f := range nf {
 		b.feats = append(b.feats, int32(f))

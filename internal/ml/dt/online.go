@@ -111,7 +111,7 @@ func (o *Online) Fit() (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return o.b.fit(o.cfg), nil
+	return o.b.fit(o.cfg, true), nil
 }
 
 // Predict returns the current tree's prediction, or def when no tree has
