@@ -372,45 +372,8 @@ func (c *Cluster) Propose(fn func(*ctrl.Plane) error) error {
 	return fn(n.plane)
 }
 
-// ProposeFenced is Propose with epoch fencing: the caller passes the
-// leader epoch it believes current, and the write is refused with wrapped
-// ErrStaleEpoch if leadership has moved on — the staged-rollout path uses
-// this so a deposed controller cannot commit into a newer epoch blind.
-func (c *Cluster) ProposeFenced(epoch uint64, fn func(*ctrl.Plane) error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.leaderLocked()
-	if n == nil {
-		return fmt.Errorf("%w: no live leader", ErrNotLeader)
-	}
-	if !epochMatches(n.epoch, epoch) {
-		return fmt.Errorf("%w: proposed under epoch %d, leader is at %d", ErrStaleEpoch, epoch, n.epoch)
-	}
-	return fn(n.plane)
-}
-
-// ProposeAt runs fn against one specific node — the API a client pinned to
-// a replica sees. Followers and degraded nodes refuse writes: wrapped
-// ErrNotLeader (redirect to leaderID) and ErrPartitioned respectively.
-func (c *Cluster) ProposeAt(id int, fn func(*ctrl.Plane) error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.nodes[id]
-	if !n.alive {
-		return fmt.Errorf("%w: node %d is down", ErrNotLeader, id)
-	}
-	switch n.role {
-	case RoleLeader:
-		return fn(n.plane)
-	case RoleDegraded:
-		return fmt.Errorf("%w: node %d refuses writes", ErrPartitioned, id)
-	default:
-		return fmt.Errorf("%w: node %d follows node %d", ErrNotLeader, id, n.leaderID)
-	}
-}
-
 // ProposeRetry retries fn through leadership changes: on wrapped
-// ErrNotLeader, ErrPartitioned, or ErrStaleEpoch it ticks the fleet with
+// ErrNotLeader or ErrPartitioned it ticks the fleet with
 // exponential backoff plus seeded jitter (elections need ticks to run) and
 // tries again, for at most maxTicks ticks of waiting.
 func (c *Cluster) ProposeRetry(fn func(*ctrl.Plane) error, maxTicks int64) error {

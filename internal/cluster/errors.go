@@ -14,10 +14,6 @@ var (
 	// cut off from quorum, it keeps serving its last-known-good state
 	// read-only and refuses writes that could diverge from the majority.
 	ErrPartitioned = errors.New("cluster: partitioned from quorum (read-only)")
-	// ErrStaleEpoch is wrapped when a fenced proposal carries an epoch older
-	// than the current leader's — leadership changed under the caller, who
-	// must re-read cluster state before retrying.
-	ErrStaleEpoch = errors.New("cluster: stale leader epoch")
 	// ErrDivergedLog is wrapped when two replica logs disagree on the bytes
 	// of a shared sequence number — history forked and the lagging side
 	// needs a full resync.

@@ -282,24 +282,3 @@ func (c *Cluster) retarget(spec RolloutSpec, from, to int, prog int64) error {
 	}
 	return c.WaitCommit(seq, spec.CommitTicks)
 }
-
-// RouteTargets reads back the routing table's key->program mapping on one
-// node (verification helper for tests and rmtkctl).
-func (c *Cluster) RouteTargets(id int, tableName string) (map[uint64]int64, error) {
-	c.mu.Lock()
-	n := c.nodes[id]
-	alive, plane := n.alive, n.plane
-	c.mu.Unlock()
-	if !alive {
-		return nil, fmt.Errorf("%w: node %d is down", ErrNotLeader, id)
-	}
-	tbl, _, err := plane.K.TableByName(tableName)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[uint64]int64)
-	for _, e := range tbl.Entries() {
-		out[e.Key] = e.Action.ProgID
-	}
-	return out, nil
-}

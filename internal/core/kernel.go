@@ -194,7 +194,7 @@ type Kernel struct {
 	// share them, so a registration replaces the map instead of writing it.
 	mats    map[int64]*Matrix
 	vecs    map[int64]*vecSlot
-	helpers map[int64]helper
+	helpers map[int64]*helper
 
 	// Fault containment: the per-hook baseline fallbacks and the
 	// (test/chaos-only) fault injector; each tenantState, the default one
@@ -287,7 +287,7 @@ func NewKernel(cfg Config) *Kernel {
 		models:      make(map[int64]Model),
 		mats:        make(map[int64]*Matrix),
 		vecs:        make(map[int64]*vecSlot),
-		helpers:     make(map[int64]helper),
+		helpers:     make(map[int64]*helper),
 		fallbacks:   make(map[string]Fallback),
 		shadows:     make(map[string]*Shadow),
 		quarStash:   make(map[string]EngineTier),
@@ -627,7 +627,7 @@ func (k *Kernel) RegisterHelper(id int64, spec verifier.HelperSpec, fn HelperFn)
 	if _, dup := k.helpers[id]; dup {
 		return fmt.Errorf("%w: helper %d", ErrDuplicate, id)
 	}
-	k.helpers = withEntry(k.helpers, id, helper{spec: spec, fn: fn})
+	k.helpers = withEntry(k.helpers, id, &helper{spec: spec, fn: fn})
 	k.rebuildRoutesLocked()
 	return nil
 }

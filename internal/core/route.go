@@ -32,7 +32,7 @@ import (
 // every fire loads the component before what it stamps (an exact match is
 // stamped by the entry the lookup returned), so a stamp can go stale, never
 // wrong. The datapath generation still advances on every mutation; it is
-// reporting (Generation, TenantGeneration), no longer the cache's token.
+// reporting (Generation), no longer the cache's token.
 //
 // Lifetime: bindings live and die with one snapshot, and nothing cached
 // points into one — a cachedFire names its program by id and resolves it in
@@ -119,7 +119,7 @@ type routes struct {
 	progs   []progBinding
 	models  []modelBinding
 	mats    map[int64]*Matrix
-	helpers map[int64]helper
+	helpers map[int64]*helper
 	vecs    map[int64]*vecSlot
 	inj     *fault.Injector
 	// sentinel carries the engine sentinel into the hot path; the per-
@@ -342,7 +342,7 @@ func (k *Kernel) flushVerdicts() {
 // mode, shadows, supervisor). It orders what an observer saw against what was
 // committed; cached verdicts are validated by their own stamp
 // (cachedFire.check), so a generation step does not by itself cost a cache
-// miss. Per-tenant generations are reported by TenantGeneration.
+// miss.
 func (k *Kernel) Generation() uint64 { return k.def.gen.Load() }
 
 // cachedRow replays one table lookup's counter effects: the table that was
@@ -472,8 +472,7 @@ func (ts *tenantState) cacheStats() (table.FlowCacheStats, StaleCounts) {
 }
 
 // VerdictCacheStats reports the default tenant's verdict-cache
-// hit/miss/invalidation/declined counters (TenantVerdictCacheStats for
-// tenants').
+// hit/miss/invalidation/declined counters.
 func (k *Kernel) VerdictCacheStats() table.FlowCacheStats {
 	return k.def.vcache.Stats()
 }

@@ -357,27 +357,9 @@ func (p *diffPair) mutate(x, y byte) error {
 		return nil
 	case 3:
 		return onTab(func(t *table.Table) { t.Delete(&table.Entry{Key: uint64(y/8) % diffKeys}) })
-	case 4, 5, 6:
+	case 4, 5, 6, 7:
 		dt := tab()
 		return onTab(func(t *table.Table) { t.UpdateAction(uint64(y/8)%4, p.action(hookOf(dt), y/2)) })
-	case 7:
-		// Every program entry retargeted at once (a canary promotion), and on
-		// even y every parameter (the default's too) moved.
-		to := p.progFor(hookOf(tab()), y)
-		return onTab(func(t *table.Table) {
-			t.RewriteActions(func(a table.Action) (table.Action, bool) {
-				switch a.Kind {
-				case table.ActionProgram:
-					changed := a.ProgID != to
-					a.ProgID = to
-					return a, changed
-				case table.ActionParam:
-					a.Param++
-					return a, y%2 == 0
-				}
-				return a, false
-			})
-		})
 	case 8:
 		return onTab(func(t *table.Table) {
 			if y%5 == 0 {
@@ -624,9 +606,9 @@ func FuzzScopedInvalidation(f *testing.F) {
 	f.Add(each)
 	// flow (d/a, 1) warmed, then each entry-liveness step on its table, each
 	// followed by that flow: delete and reinsert the same pointer, the same
-	// with fires between, a rewrite of every action.
+	// with fires between.
 	entry := []byte{0, 0, 1, 0, 0, 1, 0, 0, 1}
-	for _, m := range [][2]byte{{2, 8}, {2, 12}, {7, 8}, {7, 9}} {
+	for _, m := range [][2]byte{{2, 8}, {2, 12}} {
 		entry = append(entry, 31, m[0], m[1], 0, 0, 1, 0, 0, 1, 0, 0, 1)
 	}
 	f.Add(entry)

@@ -8,17 +8,17 @@ import (
 	"rmtk/internal/wal"
 )
 
-// This file implements staged rollout: a candidate model (or program) is
-// first run in shadow against live hook traffic (core/shadow.go), promoted
-// only after its shadow record clears configurable gates, watched through a
-// post-promotion probation window, and automatically rolled back to the
-// prior version if probation regresses. The lifecycle is
+// This file implements staged rollout: a candidate model is first run in
+// shadow against live hook traffic (core/shadow.go) and promoted only after
+// its shadow record clears configurable gates. The lifecycle is
 //
-//	stage → shadow → (gates) → promote → probation → promoted
-//	                    ↓ fail                ↓ regress
-//	                 rejected             rolled back
+//	stage → shadow → (gates) → promoted
+//	                    ↓ fail
+//	                 rejected
 //
-// All timing is event-driven (shadow fires, monitor outcomes), never
+// A program candidate is staged gate-only (StageProgramGate): the gates
+// render a verdict and a fleet controller commits the retarget itself.
+// All timing is event-driven (shadow fires, labeled outcomes), never
 // wall-clock: canary decisions are deterministic under the repo's seeded
 // virtual-clock workloads.
 
@@ -28,15 +28,10 @@ type CanaryState int
 const (
 	// CanaryShadowing: the candidate runs in shadow; gates not yet cleared.
 	CanaryShadowing CanaryState = iota
-	// CanaryProbation: promoted to live, still watched for regression.
-	CanaryProbation
-	// CanaryPromoted: probation passed; the rollout is complete.
+	// CanaryPromoted: the gates cleared and the candidate is live.
 	CanaryPromoted
 	// CanaryRejected: the candidate failed a shadow gate and never went live.
 	CanaryRejected
-	// CanaryRolledBack: the candidate regressed during probation and the
-	// prior version was restored.
-	CanaryRolledBack
 	// CanaryReleased: a gate-only canary (StageProgramGate) was released by
 	// its controller; the shadow is detached and no verdict was rendered
 	// here — the fleet controller owns the commit decision.
@@ -48,14 +43,10 @@ func (s CanaryState) String() string {
 	switch s {
 	case CanaryShadowing:
 		return "shadowing"
-	case CanaryProbation:
-		return "probation"
 	case CanaryPromoted:
 		return "promoted"
 	case CanaryRejected:
 		return "rejected"
-	case CanaryRolledBack:
-		return "rolled-back"
 	case CanaryReleased:
 		return "released"
 	default:
@@ -65,13 +56,12 @@ func (s CanaryState) String() string {
 
 // Terminal reports whether the state is final.
 func (s CanaryState) Terminal() bool {
-	return s == CanaryPromoted || s == CanaryRejected || s == CanaryRolledBack ||
-		s == CanaryReleased
+	return s != CanaryShadowing
 }
 
 // CanaryConfig parameterizes the rollout gates. The zero value is the
 // strictest sensible policy: no shadow traps, no divergence from the
-// incumbent, no accuracy gate, one monitor window of probation.
+// incumbent, no accuracy gate.
 type CanaryConfig struct {
 	// MinShadowFires is how many shadow firings must accumulate before the
 	// gates are evaluated. <=0 selects 256.
@@ -91,11 +81,6 @@ type CanaryConfig struct {
 	// MinShadowOutcomes is how many labeled outcomes the accuracy gate
 	// needs; shadowing continues until they accumulate. <=0 selects 64.
 	MinShadowOutcomes int64
-	// ProbationOutcomes is how many post-promotion AccuracyMonitor outcomes
-	// must pass without a degraded window before the canary graduates. <=0
-	// selects one full monitor window. Without a monitor attached to the
-	// model, probation completes immediately.
-	ProbationOutcomes int
 	// MaxStaticSteps, when >0, rejects a program canary at staging if the
 	// candidate's admission report proves a worst-case instruction count
 	// above it. The bound comes from the verifier's interval analysis —
@@ -126,36 +111,26 @@ type Canary struct {
 	cfg  CanaryConfig
 	hook string
 
-	// gateOnly canaries (StageProgramGate) evaluate gates but never promote
-	// or roll back — a fleet controller reads the verdict and owns the
-	// replicated commit.
-	gateOnly bool
-
 	sh *core.Shadow
-	// promote and rollback are the committed reconfigurations (Bump set)
-	// the lifecycle submits; nil on a gate-only canary.
-	promote  *mut
-	rollback *mut
-	monitor  *AccuracyMonitor
+	// promote is the committed reconfiguration (Bump set) the lifecycle
+	// submits; nil on a gate-only canary (StageProgramGate), which never
+	// promotes — a fleet controller reads the verdict and owns the
+	// replicated commit.
+	promote *mut
 
 	mu          sync.Mutex
 	state       CanaryState
 	shadowHits  int64
 	shadowTotal int64
 	gateErr     error
-
-	baseDegrades int
-	baseOutcomes int
-	baseWindows  int
 }
 
 // PushModelCanary stages candidate as a replacement for model id behind a
 // shadow canary on hook: the candidate is budget-checked immediately, then
-// shadow-executed on live traffic until cfg's gates pass, then promoted with
-// the displaced version kept for rollback, then watched through probation
-// via the monitor attached to the model (if any). The caller drives the
-// lifecycle by calling Advance from its event loop and labels shadow
-// predictions via RecordShadowOutcome when using the accuracy gate.
+// shadow-executed on live traffic until cfg's gates pass, then promoted. The
+// caller drives the lifecycle by calling Advance from its event loop and
+// labels shadow predictions via RecordShadowOutcome when using the accuracy
+// gate.
 func (p *Plane) PushModelCanary(hook string, id int64, candidate core.Model, opsBudget, memBudget int64, cfg CanaryConfig) (*Canary, error) {
 	if err := checkModelBudgets(candidate, opsBudget, memBudget); err != nil {
 		return nil, fmt.Errorf("model %d: %w", id, err)
@@ -180,9 +155,7 @@ func (p *Plane) PushModelCanary(hook string, id int64, candidate core.Model, ops
 	}
 	c := &Canary{
 		p: p, cfg: cfg.withDefaults(), hook: hook, sh: sh,
-		monitor:  p.Monitor(id),
-		promote:  &mut{rec: &wal.Record{Kind: wal.KindPushModel, ModelID: id, Bump: true}, model: candidate},
-		rollback: &mut{rec: &wal.Record{Kind: wal.KindRollbackModel, ModelID: id, Bump: true}},
+		promote: &mut{rec: &wal.Record{Kind: wal.KindPushModel, ModelID: id, Bump: true}, model: candidate},
 	}
 	p.K.Metrics.Counter("ctrl.canary_staged").Inc()
 	return c, nil
@@ -207,44 +180,13 @@ func (p *Plane) checkStaticCost(candID int64, cfg CanaryConfig) error {
 	return nil
 }
 
-// PushProgramCanary stages candidate program candID as a replacement for
-// program incID behind a shadow canary on hook. Promotion atomically
-// retargets every ActionProgram entry in tableName from incID to candID;
-// rollback retargets them back. Program canaries gate on divergence and
-// traps (there is no model accuracy to monitor), so a candidate that agrees
-// with — or deliberately improves on — the incumbent should be gated with an
-// appropriate MaxDivergenceFrac.
-func (p *Plane) PushProgramCanary(hook, tableName string, incID, candID int64, cfg CanaryConfig) (*Canary, error) {
-	if _, _, err := p.K.TableByName(tableName); err != nil {
-		return nil, err
-	}
-	if err := p.checkStaticCost(candID, cfg); err != nil {
-		return nil, err
-	}
-	sh := core.NewProgramShadow(hook, candID)
-	if err := p.K.AttachShadow(sh); err != nil {
-		return nil, err
-	}
-	retarget := func(from, to int64) *mut {
-		return &mut{rec: &wal.Record{Kind: wal.KindRetarget, Table: tableName, From: from, To: to, Bump: true}}
-	}
-	c := &Canary{
-		p: p, cfg: cfg.withDefaults(), hook: hook, sh: sh,
-		promote:  retarget(incID, candID),
-		rollback: retarget(candID, incID),
-	}
-	p.K.Metrics.Counter("ctrl.canary_staged").Inc()
-	return c, nil
-}
-
 // StageProgramGate attaches candidate program candID in shadow on hook and
 // returns a gate-only canary: EvalGates renders the verdict, but promotion
-// and rollback never happen here — a fleet rollout controller
-// (internal/cluster) reads the per-node verdicts and commits the retarget
-// through the replicated log, so every node's state change flows through
-// the same shipped records. Static-cost ceilings reject at staging exactly
-// as PushProgramCanary does; Release detaches the shadow when the
-// controller is done.
+// never happens here — a fleet rollout controller (internal/cluster) reads
+// the per-node verdicts and commits the retarget through the replicated log,
+// so every node's state change flows through the same shipped records.
+// cfg's static-cost ceilings reject at staging; Release detaches the shadow
+// when the controller is done.
 func (p *Plane) StageProgramGate(hook string, candID int64, cfg CanaryConfig) (*Canary, error) {
 	if _, err := p.K.Program(candID); err != nil {
 		return nil, err
@@ -256,7 +198,7 @@ func (p *Plane) StageProgramGate(hook string, candID int64, cfg CanaryConfig) (*
 	if err := p.K.AttachShadow(sh); err != nil {
 		return nil, err
 	}
-	c := &Canary{p: p, cfg: cfg.withDefaults(), hook: hook, sh: sh, gateOnly: true}
+	c := &Canary{p: p, cfg: cfg.withDefaults(), hook: hook, sh: sh}
 	p.K.Metrics.Counter("ctrl.canary_staged").Inc()
 	return c, nil
 }
@@ -270,9 +212,7 @@ func (c *Canary) Release() {
 	if c.state.Terminal() {
 		return
 	}
-	if c.state == CanaryShadowing {
-		c.p.K.DetachShadow(c.hook)
-	}
+	c.p.K.DetachShadow(c.hook)
 	c.state = CanaryReleased
 }
 
@@ -287,7 +227,7 @@ func (c *Canary) State() CanaryState {
 	return c.state
 }
 
-// GateErr explains a rejection or rollback, or nil.
+// GateErr explains a rejection, or nil.
 func (c *Canary) GateErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -309,36 +249,14 @@ func (c *Canary) RecordShadowOutcome(correct bool) {
 	}
 }
 
-// Abort cancels the rollout: a shadowing canary is detached and rejected; a
-// canary in probation is rolled back. Terminal canaries are left alone.
-func (c *Canary) Abort() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch c.state {
-	case CanaryShadowing:
-		c.p.K.DetachShadow(c.hook)
-		c.state = CanaryRejected
-		c.gateErr = fmt.Errorf("ctrl: canary aborted")
-		c.p.K.Metrics.Counter("ctrl.canary_rejections").Inc()
-		return nil
-	case CanaryProbation:
-		return c.doRollback(fmt.Errorf("ctrl: canary aborted during probation"))
-	default:
-		return nil
-	}
-}
-
 // Advance evaluates the lifecycle against current statistics and performs
-// any due transition (gate evaluation, promotion, rollback, graduation). It
+// any due transition (gate evaluation, then promotion or rejection). It
 // returns the resulting state. Call it from the datapath event loop.
 func (c *Canary) Advance() CanaryState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch c.state {
-	case CanaryShadowing:
+	if c.state == CanaryShadowing {
 		c.advanceShadowing()
-	case CanaryProbation:
-		c.advanceProbation()
 	}
 	return c.state
 }
@@ -387,8 +305,8 @@ func (c *Canary) EvalGates() (pass, pending bool, reason error) {
 }
 
 func (c *Canary) advanceShadowing() {
-	if c.gateOnly {
-		return // the fleet controller polls EvalGates and owns transitions
+	if c.promote == nil {
+		return // gate-only: the fleet controller polls EvalGates and owns transitions
 	}
 	pass, pending, reason := c.evalGatesLocked()
 	if pending {
@@ -410,29 +328,7 @@ func (c *Canary) advanceShadowing() {
 		return
 	}
 	c.p.K.Metrics.Counter("ctrl.canary_promotions").Inc()
-	if c.monitor == nil {
-		c.state = CanaryPromoted
-		return
-	}
-	c.state = CanaryProbation
-	c.baseDegrades = c.monitor.Degrades()
-	c.baseOutcomes = c.monitor.TotalOutcomes()
-	c.baseWindows = c.monitor.Windows()
-}
-
-func (c *Canary) advanceProbation() {
-	if c.monitor.Degrades() > c.baseDegrades {
-		_ = c.doRollback(fmt.Errorf("ctrl: accuracy degraded during probation (window accuracy %.3f)",
-			c.monitor.LastWindowAccuracy()))
-		return
-	}
-	need := c.cfg.ProbationOutcomes
-	if need <= 0 {
-		need = c.monitor.Window
-	}
-	if c.monitor.TotalOutcomes()-c.baseOutcomes >= need && c.monitor.Windows() > c.baseWindows {
-		c.state = CanaryPromoted
-	}
+	c.state = CanaryPromoted
 }
 
 // reject detaches the shadow and finalizes a gate failure.
@@ -441,18 +337,4 @@ func (c *Canary) reject(reason error) {
 	c.state = CanaryRejected
 	c.gateErr = reason
 	c.p.K.Metrics.Counter("ctrl.canary_rejections").Inc()
-}
-
-// doRollback restores the prior version. Caller holds c.mu.
-func (c *Canary) doRollback(reason error) error {
-	c.p.commitMu.Lock()
-	err := c.p.submit(c.rollback)
-	c.p.commitMu.Unlock()
-	if err != nil {
-		return err
-	}
-	c.state = CanaryRolledBack
-	c.gateErr = reason
-	c.p.K.Metrics.Counter("ctrl.canary_rollbacks").Inc()
-	return nil
 }

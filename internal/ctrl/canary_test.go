@@ -41,12 +41,10 @@ func drive(p *Plane, c *Canary, hook string, fires int) CanaryState {
 	return st
 }
 
-// TestCanaryPromotion: an agreeing candidate clears the gates, survives
-// probation, and ends up live.
+// TestCanaryPromotion: an agreeing candidate clears the gates and ends up
+// live.
 func TestCanaryPromotion(t *testing.T) {
 	p, mid := canaryRig(t)
-	mon := NewAccuracyMonitor(4, 0.5)
-	p.WatchModel(mid, mon)
 	candidate := &core.FuncModel{Fn: func([]int64) int64 { return 10 }, Feats: 2}
 	c, err := p.PushModelCanary("mm/canary", mid, candidate, 0, 0, CanaryConfig{
 		MinShadowFires: 8,
@@ -54,7 +52,7 @@ func TestCanaryPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := drive(p, c, "mm/canary", 8); st != CanaryProbation {
+	if st := drive(p, c, "mm/canary", 8); st != CanaryPromoted {
 		t.Fatalf("after shadow fires state = %v (gate err %v)", st, c.GateErr())
 	}
 	if p.K.ShadowAt("mm/canary") != nil {
@@ -63,14 +61,6 @@ func TestCanaryPromotion(t *testing.T) {
 	m, _ := p.K.Model(mid)
 	if m != core.Model(candidate) {
 		t.Fatal("candidate not live after promotion")
-	}
-	// A clean probation window graduates the canary.
-	for i := 0; i < 4 && c.State() == CanaryProbation; i++ {
-		p.RecordOutcome(mid, true)
-		c.Advance()
-	}
-	if st := c.State(); st != CanaryPromoted {
-		t.Fatalf("after probation state = %v", st)
 	}
 	if got := p.K.Metrics.Counter("ctrl.canary_promotions").Load(); got != 1 {
 		t.Fatalf("canary_promotions = %d", got)
@@ -162,42 +152,6 @@ func TestCanaryAccuracyGate(t *testing.T) {
 	}
 }
 
-// TestCanaryProbationRollback: a candidate that looks fine in shadow but
-// degrades the accuracy monitor after promotion is rolled back to the
-// incumbent, and the rollback is counted.
-func TestCanaryProbationRollback(t *testing.T) {
-	p, mid := canaryRig(t)
-	incumbent, _ := p.K.Model(mid)
-	mon := NewAccuracyMonitor(4, 0.5)
-	p.WatchModel(mid, mon)
-	candidate := &core.FuncModel{Fn: func([]int64) int64 { return 10 }, Feats: 2}
-	c, err := p.PushModelCanary("mm/canary", mid, candidate, 0, 0, CanaryConfig{
-		MinShadowFires: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := drive(p, c, "mm/canary", 8); st != CanaryProbation {
-		t.Fatalf("state = %v (gate err %v)", st, c.GateErr())
-	}
-	// Probation regresses: a full window of misses.
-	for i := 0; i < 4; i++ {
-		p.RecordOutcome(mid, false)
-	}
-	if st := c.Advance(); st != CanaryRolledBack {
-		t.Fatalf("state = %v", st)
-	}
-	if m, _ := p.K.Model(mid); m != incumbent {
-		t.Fatal("incumbent not restored by rollback")
-	}
-	if got := p.K.Metrics.Counter("ctrl.canary_rollbacks").Load(); got != 1 {
-		t.Fatalf("canary_rollbacks = %d", got)
-	}
-	if p.Version() != 2 { // promotion + rollback
-		t.Fatalf("version = %d", p.Version())
-	}
-}
-
 // TestCanaryBudgetRejection: budget-violating candidates are refused at
 // staging with the ErrBudgetExceeded classification.
 func TestCanaryBudgetRejection(t *testing.T) {
@@ -213,22 +167,24 @@ func TestCanaryBudgetRejection(t *testing.T) {
 	}
 }
 
-// TestProgramCanary: a candidate program is shadowed and, on promotion,
-// every matching entry is atomically retargeted; a candidate that fails the
-// divergence gate is rejected and the incumbent keeps deciding. Either way a
-// second rollout is refused while one is in flight, the shadow is detached
-// once the rollout ends, and the hook then stages a follow-up cleanly.
+// TestProgramCanary: a program rollout on one plane, as the fleet controller
+// runs it on each node. The candidate program is staged gate-only; when its
+// gates pass, the controller retargets the routing entry in a transaction,
+// and when they fail it releases the canary and the incumbent keeps
+// deciding. Either way a second rollout is refused while one is in flight,
+// the shadow is detached once the rollout ends, and the hook then stages a
+// follow-up cleanly.
 func TestProgramCanary(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		maxDiverge  float64
-		want        CanaryState
+		wantPass    bool
 		wantVerdict int64
 	}{
 		// The candidate deliberately decides differently under an open gate.
-		{"promoted", 1, CanaryPromoted, 2},
+		{"promoted", 1, true, 2},
 		// The same candidate diverges on every fire under a strict gate.
-		{"rejected on divergence", 0, CanaryRejected, 1},
+		{"rejected on divergence", 0, false, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newPlane(t)
@@ -244,25 +200,37 @@ func TestProgramCanary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := p.CreateTable("prog_tab", "sched/canary", table.MatchTernary); err != nil {
+			if _, _, err := p.CreateTable("prog_tab", "sched/canary", table.MatchExact); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.AddEntry("prog_tab", &table.Entry{Mask: 0, Action: table.Action{Kind: table.ActionProgram, ProgID: inc}}); err != nil {
+			if err := p.AddEntry("prog_tab", &table.Entry{Key: 7, Action: table.Action{Kind: table.ActionProgram, ProgID: inc}}); err != nil {
 				t.Fatal(err)
 			}
 			cfg := CanaryConfig{MinShadowFires: 8, MaxDivergenceFrac: tc.maxDiverge}
-			c, err := p.PushProgramCanary("sched/canary", "prog_tab", inc, cand, cfg)
+			c, err := p.StageProgramGate("sched/canary", cand, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := p.PushProgramCanary("sched/canary", "prog_tab", inc, cand, cfg); err == nil {
+			if _, err := p.StageProgramGate("sched/canary", cand, cfg); err == nil {
 				t.Fatal("a second rollout staged while one is in flight")
 			}
-			if st := drive(p, c, "sched/canary", 8); st != tc.want {
-				t.Fatalf("state = %v, want %v (gate err %v)", st, tc.want, c.GateErr())
+			for i := 0; i < 8; i++ {
+				p.K.Fire("sched/canary", 7, 0, 0)
 			}
-			if tc.want == CanaryRejected && (c.GateErr() == nil || !strings.Contains(c.GateErr().Error(), "divergence")) {
-				t.Fatalf("gate err = %v", c.GateErr())
+			pass, pending, reason := c.EvalGates()
+			if pending || pass != tc.wantPass {
+				t.Fatalf("EvalGates = (%v, %v, %v), want pass=%v", pass, pending, reason, tc.wantPass)
+			}
+			if !pass && (reason == nil || !strings.Contains(reason.Error(), "divergence")) {
+				t.Fatalf("gate err = %v", reason)
+			}
+			c.Release()
+			if pass {
+				txn := p.Begin()
+				txn.UpdateAction("prog_tab", 7, table.Action{Kind: table.ActionProgram, ProgID: cand})
+				if err := txn.Commit(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if res := p.K.Fire("sched/canary", 7, 0, 0); res.Verdict != tc.wantVerdict {
 				t.Fatalf("verdict after the rollout = %d, want %d", res.Verdict, tc.wantVerdict)
@@ -270,7 +238,7 @@ func TestProgramCanary(t *testing.T) {
 			if p.K.ShadowAt("sched/canary") != nil {
 				t.Fatal("shadow leaked after the rollout ended")
 			}
-			if _, err := p.PushProgramCanary("sched/canary", "prog_tab", inc, cand, cfg); err != nil {
+			if _, err := p.StageProgramGate("sched/canary", cand, cfg); err != nil {
 				t.Fatalf("follow-up rollout: %v", err)
 			}
 		})

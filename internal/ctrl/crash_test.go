@@ -109,16 +109,6 @@ func TestCrashBetweenAppendAndApply(t *testing.T) {
 			},
 		},
 		{
-			name: "rollback-model",
-			kind: wal.KindRollbackModel,
-			do:   func(p *Plane) error { return p.RollbackModel(1) },
-			post: func(t *testing.T, p *Plane) {
-				if n := p.ModelHistoryLen(1); n != 1 {
-					t.Fatalf("history depth %d after recovered rollback, want 1", n)
-				}
-			},
-		},
-		{
 			name: "txn-commit",
 			kind: wal.KindTxnCommit,
 			do: func(p *Plane) error {
@@ -143,8 +133,8 @@ func TestCrashBetweenAppendAndApply(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p, dir := newDurablePlane(t)
-			// Base state: a table with entries and a model with one pushed
-			// version (so rollback has history to pop).
+			// Base state: a table with entries and a model with two pushed
+			// versions.
 			if _, _, err := p.CreateTable("flow_tab", "hook/rec", table.MatchExact); err != nil {
 				t.Fatal(err)
 			}

@@ -2,12 +2,10 @@ package ctrl
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"rmtk/internal/core"
 	"rmtk/internal/isa"
-	"rmtk/internal/ml/mlp"
 	"rmtk/internal/table"
 	"rmtk/internal/verifier"
 )
@@ -81,118 +79,32 @@ func TestPushModelBudgets(t *testing.T) {
 	}
 }
 
+// TestAccuracyMonitorDegradeRecover: every below-threshold window counts as
+// a degrade, consecutive ones included, and a window back above the
+// threshold counts none.
 func TestAccuracyMonitorDegradeRecover(t *testing.T) {
-	var degraded, recovered []float64
 	m := NewAccuracyMonitor(10, 0.6)
-	m.OnDegrade = func(a float64) { degraded = append(degraded, a) }
-	m.OnRecover = func(a float64) { recovered = append(recovered, a) }
-
-	// Window 1: 90% accurate — no events.
-	for i := 0; i < 10; i++ {
-		m.Record(i != 0)
+	window := func(hits int) {
+		for i := 0; i < 10; i++ {
+			m.Record(i < hits)
+		}
 	}
-	if len(degraded) != 0 || m.Degraded() {
+	window(9) // 90% accurate
+	if m.Degrades() != 0 {
 		t.Fatal("spurious degrade")
 	}
-	// Window 2: 20% accurate — degrade fires.
-	for i := 0; i < 10; i++ {
-		m.Record(i < 2)
+	window(2) // 20% accurate
+	if m.Degrades() != 1 {
+		t.Fatalf("degrades = %d after one bad window", m.Degrades())
 	}
-	if len(degraded) != 1 || degraded[0] != 0.2 || !m.Degraded() {
-		t.Fatalf("degrade = %v", degraded)
-	}
-	// Window 3: still bad — degrade fires again, no recover.
-	for i := 0; i < 10; i++ {
-		m.Record(false)
-	}
-	if len(degraded) != 2 || len(recovered) != 0 {
-		t.Fatalf("degraded=%v recovered=%v", degraded, recovered)
-	}
-	// Window 4: good again — recover fires.
-	for i := 0; i < 10; i++ {
-		m.Record(true)
-	}
-	if len(recovered) != 1 || recovered[0] != 1.0 || m.Degraded() {
-		t.Fatalf("recovered = %v", recovered)
-	}
+	window(0) // still bad
 	if m.Degrades() != 2 {
-		t.Fatalf("degrades = %d", m.Degrades())
+		t.Fatalf("degrades = %d after two bad windows", m.Degrades())
 	}
-	if m.LastWindowAccuracy() != 1.0 {
-		t.Fatalf("last window = %v", m.LastWindowAccuracy())
+	window(10) // good again
+	if m.Degrades() != 2 {
+		t.Fatalf("degrades = %d after recovering", m.Degrades())
 	}
-	if acc := m.LifetimeAccuracy(); acc < 0.5 || acc > 0.6 {
-		t.Fatalf("lifetime = %v", acc) // (9+2+0+10)/40 = 0.525
-	}
-}
-
-func TestWatchAndRecordOutcome(t *testing.T) {
-	p := newPlane(t)
-	mon := NewAccuracyMonitor(4, 0.5)
-	p.WatchModel(7, mon)
-	if p.Monitor(7) != mon || p.Monitor(8) != nil {
-		t.Fatal("monitor registry")
-	}
-	p.RecordOutcome(7, true)
-	p.RecordOutcome(7, false)
-	p.RecordOutcome(8, true) // unknown: ignored
-	if mon.LifetimeAccuracy() != 0.5 {
-		t.Fatalf("lifetime = %v", mon.LifetimeAccuracy())
-	}
-}
-
-func TestTrainAndPush(t *testing.T) {
-	p := newPlane(t)
-	rng := rand.New(rand.NewSource(1))
-	var X [][]float64
-	var y []int
-	for i := 0; i < 400; i++ {
-		a, b := rng.Float64()*40, rng.Float64()*40
-		label := 0
-		if a > b {
-			label = 1
-		}
-		X = append(X, []float64{a, b})
-		y = append(y, label)
-	}
-	modelID, matIDs, q, err := p.TrainAndPush(X, y, TrainPushConfig{
-		Hidden: []int{8},
-		Train:  mlpTrain(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if modelID == 0 || len(matIDs) != 2 || q == nil {
-		t.Fatalf("ids: model=%d mats=%v", modelID, matIDs)
-	}
-	// The registered model answers like the quantized network.
-	m, err := p.K.Model(modelID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit := 0
-	for i := 0; i < 200; i++ {
-		x := []int64{rng.Int63n(40), rng.Int63n(40)}
-		if m.Predict(x) == int64(q.Predict(x)) {
-			hit++
-		}
-	}
-	if hit != 200 {
-		t.Fatalf("registered model diverges: %d/200", hit)
-	}
-	// Budgets reject oversized requests.
-	if _, _, _, err := p.TrainAndPush(X, y, TrainPushConfig{
-		Hidden: []int{8}, Train: mlpTrain(), OpsBudget: 1,
-	}); !errors.Is(err, verifier.ErrOpsBudget) {
-		t.Fatalf("ops budget err = %v", err)
-	}
-	if _, _, _, err := p.TrainAndPush(nil, nil, TrainPushConfig{}); err == nil {
-		t.Fatal("empty set accepted")
-	}
-}
-
-func mlpTrain() mlp.TrainConfig {
-	return mlp.TrainConfig{Epochs: 30, LR: 0.05, Seed: 2}
 }
 
 // TestLoadedProgramFoldsOnEveryTier: a program installed at runtime through

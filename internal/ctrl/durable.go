@@ -245,11 +245,10 @@ func (p *Plane) checkInvariants() error {
 // that rebuilds it from an empty kernel, resources at their ids, in admission
 // order: engine quarantines (stashed by content hash, so their place is
 // free) and tenants first, so quota and name-prefix ownership resolve for
-// what follows; matrices; models, each as its oldest retained version
-// registered and the later ones pushed, so the rollback history comes back
-// with it; tables with their rows and default, before the programs whose
+// what follows; matrices; models, each registered at its current version;
+// tables with their rows and default, before the programs whose
 // verification resolves them; and one alloc-state record closing the
-// sequence. Runtime statistics (hit counters, telemetry, monitors) are not
+// sequence. Runtime statistics (hit counters, telemetry) are not
 // state: recovery restores decisions, not metrics. Callers quiesce mutations
 // (Checkpoint holds commitMu and walMu).
 func (p *Plane) checkpointRecords() ([]*wal.Record, error) {
@@ -273,24 +272,15 @@ func (p *Plane) checkpointRecords() ([]*wal.Record, error) {
 		recs = append(recs, &wal.Record{Kind: wal.KindRegisterMatrix, ID: id, Matrix: &wal.Matrix{In: m.In, Out: m.Out, W: m.W, B: m.B}})
 	}
 	for _, id := range k.ModelIDs() {
-		cur, err := k.Model(id)
+		m, err := k.Model(id)
 		if err != nil {
 			return nil, err
 		}
-		p.mu.Lock()
-		versions := append(slices.Clone(p.history[id]), cur)
-		p.mu.Unlock()
-		for i, v := range versions {
-			enc, err := encodeModel(v)
-			if err != nil {
-				return nil, fmt.Errorf("model %d: %w", id, err)
-			}
-			rec := &wal.Record{Kind: wal.KindPushModel, ModelID: id, Model: enc}
-			if i == 0 {
-				rec = &wal.Record{Kind: wal.KindRegisterModel, ID: id, Tenant: k.ModelOwner(id), Model: enc}
-			}
-			recs = append(recs, rec)
+		enc, err := encodeModel(m)
+		if err != nil {
+			return nil, fmt.Errorf("model %d: %w", id, err)
 		}
+		recs = append(recs, &wal.Record{Kind: wal.KindRegisterModel, ID: id, Tenant: k.ModelOwner(id), Model: enc})
 	}
 	for _, id := range k.TableIDs() {
 		t, err := k.Table(id)
@@ -442,18 +432,6 @@ func (p *Plane) Inventory() []string {
 		}
 		lines = append(lines, fmt.Sprintf("matrix %d %dx%d bytes=%d", id, m.Out, m.In, m.Bytes()))
 	}
-	p.mu.Lock()
-	histIDs := make([]int64, 0, len(p.history))
-	for id := range p.history {
-		if len(p.history[id]) > 0 {
-			histIDs = append(histIDs, id)
-		}
-	}
-	sort.Slice(histIDs, func(i, j int) bool { return histIDs[i] < histIDs[j] })
-	for _, id := range histIDs {
-		lines = append(lines, fmt.Sprintf("history %d n=%d", id, len(p.history[id])))
-	}
-	p.mu.Unlock()
 	return lines
 }
 

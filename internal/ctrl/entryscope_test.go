@@ -76,12 +76,6 @@ func TestEntryScopedInvalidation(t *testing.T) {
 				t.Fatal("no key 1")
 			}
 		}, map[int64]int64{1: 900, 9: 900}},
-		{"RewriteActions", func(t *testing.T, tb *table.Table) {
-			n := tb.RewriteActions(func(a table.Action) (table.Action, bool) { return param(501), a.Param == 101 })
-			if n != 1 {
-				t.Fatalf("rewrote %d entries, want 1", n)
-			}
-		}, map[int64]int64{1: 501, 9: 900}},
 		{"InsertNewKey", func(t *testing.T, tb *table.Table) {
 			if err := tb.Insert(&table.Entry{Key: 9, Action: param(509)}); err != nil {
 				t.Fatal(err)

@@ -55,7 +55,6 @@ type Learner struct {
 	label    func(key, verdict int64, emissions []int64)
 
 	c         *Canary // the in-flight rollout, nil when none
-	live      bool    // c's candidate has gone live
 	lastState CanaryState
 	ended     int
 	trains    int
@@ -134,14 +133,13 @@ func (l *Learner) Advance() (ended bool) {
 		return false
 	}
 	st := l.c.Advance()
-	if !l.live && (st == CanaryProbation || st == CanaryPromoted) {
-		l.live = true
-		l.trains++
-	}
 	if !st.Terminal() {
 		return false
 	}
-	l.c, l.live, l.lastState = nil, false, st
+	if st == CanaryPromoted {
+		l.trains++
+	}
+	l.c, l.lastState = nil, st
 	l.ended++
 	return true
 }

@@ -2,47 +2,25 @@ package ctrl
 
 import "sync"
 
-// AccuracyMonitor tracks a model's windowed prediction accuracy and triggers
-// reconfiguration when it degrades — the control-plane loop of §3.1: "if the
-// prefetching accuracy falls below a threshold, the control plane will
-// recompute ML decisions to be more conservative in prefetching, and
+// AccuracyMonitor tracks a model's windowed prediction accuracy and counts
+// the windows in which it degraded — the signal of §3.1's control-plane loop:
+// "if the prefetching accuracy falls below a threshold, the control plane
+// will recompute ML decisions to be more conservative in prefetching, and
 // reconfigure the RMT tables to reflect the workload changes".
 type AccuracyMonitor struct {
 	// Window is the number of outcomes per evaluation window.
 	Window int
-	// Threshold is the accuracy below which OnDegrade fires. Exactly 0 is
-	// the "never degrade" sentinel: window accuracy can never be < 0, so the
-	// monitor only accumulates statistics. (Degradation at literally-zero
-	// accuracy is indistinguishable from "off": a window with any hits is
-	// above 0, and a window with none compares 0 < 0, false.)
+	// Threshold is the accuracy below which a window counts as degraded.
+	// Exactly 0 is the "never degrade" sentinel: window accuracy can never
+	// be < 0, so the monitor only accumulates statistics. (Degradation at
+	// literally-zero accuracy is indistinguishable from "off": a window with
+	// any hits is above 0, and a window with none compares 0 < 0, false.)
 	Threshold float64
-	// OnDegrade is invoked at the end of each window whose accuracy fell
-	// below Threshold. Callbacks are serialized under their own lock, so
-	// degrade/recover events are observed in the exact order the windows
-	// closed; a callback must not call Record on the same monitor.
-	OnDegrade func(accuracy float64)
-	// OnRecover is invoked at the end of each window at/above Threshold
-	// following a degraded window.
-	OnRecover func(accuracy float64)
-
-	// cbMu serializes window evaluation and callback invocation so that a
-	// degrade and the recover that follows it cannot be delivered out of
-	// order when Record is called concurrently. mu alone cannot give that
-	// guarantee: callbacks fire outside mu (so readers don't block on user
-	// code), and two goroutines finishing adjacent windows could otherwise
-	// race to the callback.
-	cbMu sync.Mutex
 
 	mu       sync.Mutex
 	hits     int
 	total    int
-	degraded bool
-
-	windows   int
-	degrades  int
-	lastAcc   float64
-	everTotal int
-	everHits  int
+	degrades int
 }
 
 // NewAccuracyMonitor creates a monitor; window <=0 selects 256. threshold <0
@@ -57,77 +35,21 @@ func NewAccuracyMonitor(window int, threshold float64) *AccuracyMonitor {
 	return &AccuracyMonitor{Window: window, Threshold: threshold}
 }
 
-// Record feeds one prediction outcome. At each window boundary the
-// accuracy is evaluated and the degrade/recover callbacks fire.
+// Record feeds one prediction outcome. At each window boundary the window's
+// accuracy is evaluated against Threshold.
 func (m *AccuracyMonitor) Record(correct bool) {
-	// cbMu is taken first and held across the callback: evaluation order and
-	// delivery order stay identical even under concurrent Record calls.
-	// Readers (LastWindowAccuracy etc.) only need mu and never block on a
-	// slow callback.
-	m.cbMu.Lock()
-	defer m.cbMu.Unlock()
-
-	var (
-		fire func(float64)
-		acc  float64
-	)
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.total++
-	m.everTotal++
 	if correct {
 		m.hits++
-		m.everHits++
 	}
 	if m.total >= m.Window {
-		acc = float64(m.hits) / float64(m.total)
-		m.lastAcc = acc
-		m.windows++
-		if acc < m.Threshold {
+		if float64(m.hits)/float64(m.total) < m.Threshold {
 			m.degrades++
-			m.degraded = true
-			fire = m.OnDegrade
-		} else if m.degraded {
-			m.degraded = false
-			fire = m.OnRecover
 		}
 		m.hits, m.total = 0, 0
 	}
-	m.mu.Unlock()
-	if fire != nil {
-		fire(acc)
-	}
-}
-
-// LastWindowAccuracy reports the most recent completed window's accuracy.
-func (m *AccuracyMonitor) LastWindowAccuracy() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastAcc
-}
-
-// LifetimeAccuracy reports accuracy over all recorded outcomes.
-func (m *AccuracyMonitor) LifetimeAccuracy() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.everTotal == 0 {
-		return 0
-	}
-	return float64(m.everHits) / float64(m.everTotal)
-}
-
-// TotalOutcomes reports how many outcomes have ever been recorded (the
-// canary controller uses it to size probation windows in event time).
-func (m *AccuracyMonitor) TotalOutcomes() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.everTotal
-}
-
-// Windows reports how many evaluation windows have completed.
-func (m *AccuracyMonitor) Windows() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.windows
 }
 
 // Degrades reports how many windows fell below the threshold.
@@ -135,37 +57,4 @@ func (m *AccuracyMonitor) Degrades() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.degrades
-}
-
-// Degraded reports whether the monitor is currently in the degraded state.
-func (m *AccuracyMonitor) Degraded() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.degraded
-}
-
-// WatchModel attaches a monitor to a model id on the plane so subsystems can
-// report outcomes via RecordOutcome.
-func (p *Plane) WatchModel(modelID int64, m *AccuracyMonitor) {
-	p.mu.Lock()
-	p.monitors[modelID] = m
-	p.mu.Unlock()
-}
-
-// RecordOutcome reports whether model id's prediction turned out correct
-// (e.g. a prefetched page was used). Unknown ids are ignored.
-func (p *Plane) RecordOutcome(modelID int64, correct bool) {
-	p.mu.Lock()
-	m := p.monitors[modelID]
-	p.mu.Unlock()
-	if m != nil {
-		m.Record(correct)
-	}
-}
-
-// Monitor returns the monitor attached to a model id, if any.
-func (p *Plane) Monitor(modelID int64) *AccuracyMonitor {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.monitors[modelID]
 }

@@ -1,30 +1,20 @@
 package ctrl
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // TestMonitorNeverDegradeSentinel: Threshold == 0 must be preserved (not
-// coerced to 0.5) and must never fire OnDegrade, even for all-miss windows.
+// coerced to 0.5) and must never count a degraded window, even for all-miss
+// windows.
 func TestMonitorNeverDegradeSentinel(t *testing.T) {
 	m := NewAccuracyMonitor(4, 0)
 	if m.Threshold != 0 {
 		t.Fatalf("threshold 0 coerced to %v; want sentinel preserved", m.Threshold)
 	}
-	degrades := 0
-	m.OnDegrade = func(float64) { degrades++ }
 	for i := 0; i < 64; i++ {
 		m.Record(false) // every window is 0.0 accuracy
 	}
-	if degrades != 0 {
-		t.Fatalf("threshold-0 monitor degraded %d times; want never", degrades)
-	}
-	if m.Degrades() != 0 || m.Degraded() {
-		t.Fatalf("degrade state leaked: degrades=%d degraded=%v", m.Degrades(), m.Degraded())
-	}
-	if m.LifetimeAccuracy() != 0 {
-		t.Fatalf("lifetime accuracy = %v, want 0", m.LifetimeAccuracy())
+	if m.Degrades() != 0 {
+		t.Fatalf("threshold-0 monitor degraded %d times; want never", m.Degrades())
 	}
 }
 
@@ -36,134 +26,43 @@ func TestMonitorNegativeThresholdDefaults(t *testing.T) {
 	}
 }
 
-// TestMonitorCallbackOrdering hammers Record from many goroutines (run under
-// -race) and asserts the degrade/recover event stream is well formed.
-// OnDegrade fires at the end of every below-threshold window, so consecutive
-// degrades are legal; but a recover only ever follows a degrade — so the
-// stream must start with 'd' and can never contain "rr". Without callback
-// serialization, two goroutines closing adjacent windows can deliver a
-// recover before the degrade that preceded it and violate both.
-func TestMonitorCallbackOrdering(t *testing.T) {
-	const (
-		window     = 8
-		goroutines = 8
-		perG       = 4000
-	)
-	m := NewAccuracyMonitor(window, 0.5)
-	var events []byte // 'd' = degrade, 'r' = recover, appended in delivery order
-	m.OnDegrade = func(float64) { events = append(events, 'd') }
-	m.OnRecover = func(float64) { events = append(events, 'r') }
-
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				// Phase-shifted blocks of hits and misses: windows land on
-				// both sides of the threshold, so both callbacks fire many
-				// times under any interleaving.
-				m.Record(((g*5+i)/16)%2 == 0)
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	if len(events) == 0 {
-		t.Fatal("no degrade/recover events fired")
-	}
-	if events[0] != 'd' {
-		t.Fatalf("first event = %q, want degrade (recover delivered out of order)", events[0])
-	}
-	recovers := 0
-	for i := 1; i < len(events); i++ {
-		if events[i] == 'r' {
-			recovers++
-			if events[i-1] == 'r' {
-				t.Fatalf("event %d: recover follows recover; a recover must follow a degrade", i)
-			}
-		}
-	}
-	if recovers == 0 {
-		t.Fatal("stream never recovered; workload should cross the threshold both ways")
-	}
-}
-
-// TestMonitorPartialWindow: before the first window completes, the monitor
-// must report zero statistics — LastWindowAccuracy stays 0 and no callback
-// fires, no matter how the partial window looks.
+// TestMonitorPartialWindow: before the first window completes, no window is
+// judged, no matter how the partial window looks.
 func TestMonitorPartialWindow(t *testing.T) {
 	m := NewAccuracyMonitor(8, 0.5)
-	fired := false
-	m.OnDegrade = func(float64) { fired = true }
-	m.OnRecover = func(float64) { fired = true }
 	for i := 0; i < 7; i++ {
 		m.Record(false) // 7 straight misses: still no completed window
-		if got := m.LastWindowAccuracy(); got != 0 {
-			t.Fatalf("LastWindowAccuracy = %v before first window", got)
-		}
-		if m.Windows() != 0 {
-			t.Fatalf("windows = %d before boundary", m.Windows())
-		}
-		if fired {
-			t.Fatal("callback fired inside a partial window")
+		if m.Degrades() != 0 {
+			t.Fatal("a partial window was judged degraded")
 		}
 	}
-	// Lifetime statistics do accumulate inside the partial window.
-	if m.TotalOutcomes() != 7 {
-		t.Fatalf("TotalOutcomes = %d", m.TotalOutcomes())
-	}
-	if m.LifetimeAccuracy() != 0 {
-		t.Fatalf("LifetimeAccuracy = %v", m.LifetimeAccuracy())
-	}
-	// The eighth outcome closes the window: now everything updates at once.
+	// The eighth outcome closes the window.
 	m.Record(false)
-	if !fired || m.Windows() != 1 || m.LastWindowAccuracy() != 0 || !m.Degraded() {
-		t.Fatalf("boundary: fired=%v windows=%d acc=%v degraded=%v",
-			fired, m.Windows(), m.LastWindowAccuracy(), m.Degraded())
+	if m.Degrades() != 1 {
+		t.Fatalf("boundary: degrades = %d, want 1", m.Degrades())
 	}
 }
 
-// TestMonitorThresholdBoundary: degrade is strictly-below, recover is
-// at-or-above — a window landing exactly on the threshold must not degrade,
-// and must recover a degraded monitor.
+// TestMonitorThresholdBoundary: degrade is strictly below the threshold — a
+// window landing exactly on it does not count.
 func TestMonitorThresholdBoundary(t *testing.T) {
 	m := NewAccuracyMonitor(4, 0.5)
-	var events []byte
-	m.OnDegrade = func(acc float64) {
-		if acc >= 0.5 {
-			t.Errorf("OnDegrade at accuracy %v >= threshold", acc)
-		}
-		events = append(events, 'd')
-	}
-	m.OnRecover = func(acc float64) {
-		if acc < 0.5 {
-			t.Errorf("OnRecover at accuracy %v < threshold", acc)
-		}
-		events = append(events, 'r')
-	}
 	window := func(hits int) {
 		for i := 0; i < 4; i++ {
 			m.Record(i < hits)
 		}
 	}
-	window(2) // exactly 0.5: not a degrade, and nothing to recover from
-	if len(events) != 0 || m.Degraded() {
-		t.Fatalf("exact-threshold window degraded: events=%q degraded=%v", events, m.Degraded())
+	window(2) // exactly 0.5: not a degrade
+	if m.Degrades() != 0 {
+		t.Fatalf("exact-threshold window degraded: degrades = %d", m.Degrades())
 	}
 	window(1) // 0.25 < 0.5: degrade
-	if string(events) != "d" || !m.Degraded() {
-		t.Fatalf("below-threshold window: events=%q degraded=%v", events, m.Degraded())
+	if m.Degrades() != 1 {
+		t.Fatalf("below-threshold window: degrades = %d", m.Degrades())
 	}
-	window(2) // exactly 0.5 again: recovers the degraded monitor
-	if string(events) != "dr" || m.Degraded() {
-		t.Fatalf("exact-threshold recovery: events=%q degraded=%v", events, m.Degraded())
-	}
-	window(2) // still at threshold: steady state, no duplicate recover
-	if string(events) != "dr" {
-		t.Fatalf("steady state re-fired: events=%q", events)
-	}
-	if m.Windows() != 4 || m.Degrades() != 1 {
-		t.Fatalf("windows=%d degrades=%d", m.Windows(), m.Degrades())
+	window(2) // exactly 0.5 again
+	window(4)
+	if m.Degrades() != 1 {
+		t.Fatalf("at-or-above-threshold windows degraded: degrades = %d", m.Degrades())
 	}
 }

@@ -38,7 +38,6 @@ type mut struct {
 
 	// What apply produced, for the caller.
 	id     int64            // the table, program or model created
-	matIDs []int64          // a registered QMLP's layer matrices
 	tbl    *table.Table     // the table created
 	report *verifier.Report // the admitted program's report
 }
@@ -241,14 +240,6 @@ func (p *Plane) apply(m *mut) (undo func() error, err error) {
 		if m.id, err = k.RegisterModelOwnedAt(rec.ID, rec.Tenant, m.model); err != nil {
 			return nil, err
 		}
-	case wal.KindRegisterQMLP:
-		q, ok := m.model.(*core.QMLPModel)
-		if !ok {
-			return nil, fmt.Errorf("%w: register-qmlp of a %T", ErrUnsupportedModel, m.model)
-		}
-		if m.matIDs, m.id, err = k.RegisterQMLP(q.Net); err != nil {
-			return nil, err
-		}
 	case wal.KindRegisterMatrix:
 		w := rec.Matrix
 		if m.id, err = k.RegisterMatrixAt(rec.ID, &core.Matrix{In: w.In, Out: w.Out, W: w.W, B: w.B}); err != nil {
@@ -262,27 +253,7 @@ func (p *Plane) apply(m *mut) (undo func() error, err error) {
 		if err := k.SwapModel(rec.ModelID, m.model); err != nil {
 			return nil, err
 		}
-		p.pushHistory(rec.ModelID, prior)
-		undo = func() error { return p.rollbackModel(rec.ModelID) }
-	case wal.KindRollbackModel:
-		if err := p.rollbackModel(rec.ModelID); err != nil {
-			return nil, err
-		}
-	case wal.KindRetarget:
-		t, _, err := k.TableByName(rec.Table)
-		if err != nil {
-			return nil, err
-		}
-		n := t.RewriteActions(func(a table.Action) (table.Action, bool) {
-			if a.Kind != table.ActionProgram || a.ProgID != rec.From {
-				return a, false
-			}
-			a.ProgID = rec.To
-			return a, true
-		})
-		if n == 0 {
-			return nil, fmt.Errorf("%w: no entries running program %d in %q", ErrNoEntry, rec.From, rec.Table)
-		}
+		undo = func() error { return k.SwapModel(rec.ModelID, prior) }
 	case wal.KindTxnCommit:
 		if err := p.applyTxn(m.subs); err != nil {
 			return nil, err
@@ -301,7 +272,7 @@ func (p *Plane) apply(m *mut) (undo func() error, err error) {
 		}
 		undo = func() error { return k.SetTenantQuota(rec.Tenant, prior) }
 	case wal.KindRemoveTenant:
-		if err := p.removeTenant(rec.Tenant); err != nil {
+		if err := k.RemoveTenant(rec.Tenant); err != nil {
 			return nil, err
 		}
 	case wal.KindIncident:

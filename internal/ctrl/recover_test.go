@@ -39,8 +39,8 @@ func testTree(label int64) *core.TreeModel {
 
 // buildWorkload drives one of every durable mutation kind through p:
 // tables across match disciplines, entries, programs, model registration,
-// pushes and a rollback, an action update, an entry removal, a committed
-// transaction, and a canary-promoted program retarget.
+// pushes, an action update, an entry removal, a committed transaction, a
+// canary-promoted model and a program retarget.
 func buildWorkload(t *testing.T, p *Plane) {
 	t.Helper()
 	if _, _, err := p.CreateTable("flow_tab", "hook/rec", table.MatchExact); err != nil {
@@ -97,9 +97,6 @@ func buildWorkload(t *testing.T, p *Plane) {
 	if err := p.PushModel(mid, testTree(3), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RollbackModel(mid); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.UpdateAction("flow_tab", 2, table.Action{Kind: table.ActionParam, Param: 99}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,16 +112,20 @@ func buildWorkload(t *testing.T, p *Plane) {
 		t.Fatal(err)
 	}
 
-	// Canary-promote rec_b over rec_a: gates wide open, one shadow fire.
-	c, err := p.PushProgramCanary("hook/rec", "flow_tab", progA, progB, CanaryConfig{
+	// Canary-promote a fifth model version: gates wide open, one shadow fire.
+	c, err := p.PushModelCanary("hook/rec", mid, testTree(5), 0, 0, CanaryConfig{
 		MinShadowFires: 1, MaxDivergenceFrac: 1, MaxTrapFrac: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.K.Fire("hook/rec", 5, 0, 0)
+	p.K.Fire("hook/rec", 6, 0, 0)
 	if st := c.Advance(); st != CanaryPromoted {
 		t.Fatalf("canary state = %v, err = %v", st, c.GateErr())
+	}
+	// Retarget rec_a's entry to rec_b, as a fleet rollout commits a program.
+	if err := p.UpdateAction("flow_tab", 5, table.Action{Kind: table.ActionProgram, ProgID: progB}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -411,10 +412,39 @@ func TestCheckpointCorruptFallsBack(t *testing.T) {
 	}
 }
 
-// TestRollbackHistoryAcrossCheckpoint: a model's rollback history is state,
-// and a checkpoint carries it — after restoring, rollbacks walk back through
-// the versions pushed before the checkpoint, newest first, then run out.
-func TestRollbackHistoryAcrossCheckpoint(t *testing.T) {
+// TestCheckpointReplaysModelPushes: a checkpoint registers each model once,
+// at its current version, and a checkpoint that registers a model and then
+// pushes later versions over it (how model history was once checkpointed)
+// still restores the last version pushed.
+func TestCheckpointReplaysModelPushes(t *testing.T) {
+	predicts := func(t *testing.T, p *Plane, id, want int64) {
+		t.Helper()
+		m, err := p.K.Model(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Predict([]int64{100}); got != want {
+			t.Fatalf("model %d predicts %d, want v%d's %d", id, got, want, want)
+		}
+	}
+	modelRecords := func(t *testing.T, p *Plane, seq uint64) (kinds []wal.Kind) {
+		t.Helper()
+		latest, body, err := wal.LatestCheckpoint(p.WAL().Dir())
+		if err != nil || latest != seq {
+			t.Fatalf("latest checkpoint #%d (%v), want #%d", latest, err, seq)
+		}
+		recs, err := wal.DecodeCheckpoint(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if r.Kind == wal.KindRegisterModel || r.Kind == wal.KindPushModel {
+				kinds = append(kinds, r.Kind)
+			}
+		}
+		return kinds
+	}
+
 	p, _ := newDurablePlane(t)
 	mid, err := p.RegisterModel(testTree(1))
 	if err != nil {
@@ -429,21 +459,41 @@ func TestRollbackHistoryAcrossCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if kinds := modelRecords(t, p, seq); len(kinds) != 1 || kinds[0] != wal.KindRegisterModel {
+		t.Fatalf("checkpoint holds model records %v, want one register-model", kinds)
+	}
 	rec, _ := recoverCheckpoint(t, p, seq)
-	for _, want := range []int64{2, 1} {
-		if err := rec.RollbackModel(mid); err != nil {
-			t.Fatalf("rollback to v%d: %v", want, err)
-		}
-		m, err := rec.K.Model(mid)
+	predicts(t, rec, mid, 3)
+
+	// The older shape: register v1, then push v2 and v3 over it.
+	var recs []*wal.Record
+	for v := int64(1); v <= 3; v++ {
+		enc, err := encodeModel(testTree(v))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Predict([]int64{100}); got != want {
-			t.Fatalf("rolled back to a model predicting %d, want v%d's %d", got, want, want)
+		r := &wal.Record{Kind: wal.KindPushModel, ModelID: 1, Model: enc}
+		if v == 1 {
+			r = &wal.Record{Kind: wal.KindRegisterModel, ID: 1, Model: enc}
 		}
+		recs = append(recs, r)
 	}
-	if err := rec.RollbackModel(mid); !errors.Is(err, ErrNoHistory) {
-		t.Fatalf("third rollback: %v, want ErrNoHistory", err)
+	recs = append(recs, &wal.Record{Kind: wal.KindAllocState, Alloc: &wal.Alloc{Model: 1}})
+	body, err := wal.EncodeCheckpoint(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := wal.WriteCheckpoint(dir, 3, body); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := recoverDir(t, dir)
+	predicts(t, old, 1, 3)
+	if seq, err = old.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if kinds := modelRecords(t, old, seq); len(kinds) != 1 || kinds[0] != wal.KindRegisterModel {
+		t.Fatalf("re-checkpoint holds model records %v, want one register-model", kinds)
 	}
 }
 

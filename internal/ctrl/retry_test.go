@@ -147,9 +147,6 @@ func TestCtrlSentinelErrors(t *testing.T) {
 	if err := p.UpdateAction("t", 1, table.Action{}); !errors.Is(err, ErrNoEntry) {
 		t.Fatalf("update err = %v, want ErrNoEntry", err)
 	}
-	if _, _, _, err := p.TrainAndPush(nil, nil, TrainPushConfig{}); !errors.Is(err, ErrEmptyTrainingSet) {
-		t.Fatalf("train err = %v, want ErrEmptyTrainingSet", err)
-	}
 }
 
 // TestErrBudgetExceededClassification: budget rejections wrap both the
@@ -181,12 +178,5 @@ func TestErrBudgetExceededClassification(t *testing.T) {
 	// A transient swap fault is NOT classified as a budget error.
 	if errors.Is(errors.Join(ErrRetriesExhausted), ErrBudgetExceeded) {
 		t.Fatal("unrelated error classified as budget exceeded")
-	}
-	// TrainAndPush rejections carry the same classification.
-	X := [][]float64{{0, 1}, {1, 0}, {0, 0}, {1, 1}}
-	y := []int{0, 1, 0, 1}
-	_, _, _, err = p.TrainAndPush(X, y, TrainPushConfig{OpsBudget: 1})
-	if !errors.Is(err, ErrBudgetExceeded) || !errors.Is(err, verifier.ErrOpsBudget) {
-		t.Fatalf("train err = %v, want ErrBudgetExceeded and ErrOpsBudget", err)
 	}
 }

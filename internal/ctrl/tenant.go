@@ -45,30 +45,9 @@ func (p *Plane) SetTenantQuota(name string, q core.TenantQuota) error {
 	return p.submit(&mut{rec: &wal.Record{Kind: wal.KindSetQuota, Tenant: name, Quota: walQuota(q)}})
 }
 
-// RemoveTenant tears a tenant down, durably on a logged plane. Plane-side
-// state keyed by the tenant's models (rollback history, accuracy monitors)
-// goes with it.
+// RemoveTenant tears a tenant down, durably on a logged plane.
 func (p *Plane) RemoveTenant(name string) error {
 	return p.submit(&mut{rec: &wal.Record{Kind: wal.KindRemoveTenant, Tenant: name}})
-}
-
-func (p *Plane) removeTenant(name string) error {
-	var owned []int64
-	for _, id := range p.K.ModelIDs() {
-		if p.K.ModelOwner(id) == name {
-			owned = append(owned, id)
-		}
-	}
-	if err := p.K.RemoveTenant(name); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	for _, id := range owned {
-		delete(p.history, id)
-		delete(p.monitors, id)
-	}
-	p.mu.Unlock()
-	return nil
 }
 
 // RegisterModelOwned registers a tenant-owned model through the plane; a

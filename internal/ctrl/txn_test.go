@@ -78,9 +78,6 @@ func TestTxnRollback(t *testing.T) {
 	if m.Predict(nil) != 1 {
 		t.Fatalf("model push survived rollback: predict = %d", m.Predict(nil))
 	}
-	if p.ModelHistoryLen(mid) != 0 {
-		t.Fatalf("history len = %d after rollback", p.ModelHistoryLen(mid))
-	}
 	if p.Version() != 0 {
 		t.Fatalf("version = %d after failed commit", p.Version())
 	}
@@ -131,37 +128,6 @@ func TestTxnConflict(t *testing.T) {
 	}
 	if _, _, terr := p.K.TableByName("stale_tab"); !errors.Is(terr, core.ErrNotFound) {
 		t.Fatalf("stale txn applied steps: %v", terr)
-	}
-}
-
-// TestModelHistoryBounded: pushes beyond ModelHistoryLimit discard the
-// oldest versions; rollback walks back newest-first.
-func TestModelHistoryBounded(t *testing.T) {
-	p := newPlane(t)
-	mk := func(v int64) core.Model {
-		return &core.FuncModel{Fn: func([]int64) int64 { return v }, Feats: 1}
-	}
-	mid := p.K.RegisterModel(mk(0))
-	for v := int64(1); v <= 6; v++ {
-		if err := p.PushModel(mid, mk(v), 0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := p.ModelHistoryLen(mid); got != ModelHistoryLimit {
-		t.Fatalf("history len = %d, want %d", got, ModelHistoryLimit)
-	}
-	// Roll back through the bounded history: 6 → 5 → 4 → 3 → 2, then empty.
-	for want := int64(5); want >= 2; want-- {
-		if err := p.RollbackModel(mid); err != nil {
-			t.Fatal(err)
-		}
-		m, _ := p.K.Model(mid)
-		if got := m.Predict(nil); got != want {
-			t.Fatalf("after rollback predict = %d, want %d", got, want)
-		}
-	}
-	if err := p.RollbackModel(mid); !errors.Is(err, ErrNoHistory) {
-		t.Fatalf("exhausted rollback err = %v", err)
 	}
 }
 

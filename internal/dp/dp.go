@@ -22,25 +22,48 @@ var ErrBudgetExhausted = errors.New("dp: privacy budget exhausted")
 // through the Laplace mechanism. Queries occur at well-defined points (RMT
 // tables), which is what makes this accounting tractable in the paper's
 // design.
+//
+// The books are kept in whole units of 1e-9 epsilon, each epsilon converted
+// once where it enters, so the charges sum exactly: in float64, ten
+// minus 199 charges of 0.05 leaves 0.04999999999999236, which would refuse
+// the 200th query of a budget that holds exactly 200.
 type Accountant struct {
 	mu     sync.Mutex
-	budget float64 // remaining epsilon
-	total  float64
+	budget int64 // remaining epsilon, in units
+	total  int64
 	rng    *rand.Rand
-	spends map[string]float64 // per-table epsilon spent, for reporting
+	spends map[string]int64 // per-table epsilon spent, in units, for reporting
 }
 
+// unitsPerEpsilon is the books' resolution: one unit is 1e-9 epsilon.
+const unitsPerEpsilon = 1e9
+
+// toUnits converts a positive epsilon to units with the given rounding,
+// capped at math.MaxInt64 units (about 9.2e9 epsilon), the books' range.
+func toUnits(epsilon float64, round func(float64) float64) int64 {
+	x := round(epsilon * unitsPerEpsilon)
+	if x >= math.MaxInt64 { // float64(math.MaxInt64) is 2^63
+		return math.MaxInt64
+	}
+	return int64(x)
+}
+
+func epsilonOf(n int64) float64 { return float64(n) / unitsPerEpsilon }
+
 // NewAccountant creates an accountant with the given total epsilon budget
-// and deterministic noise seed.
+// and deterministic noise seed. The budget is rounded down to whole units,
+// and one past the books' range (about 9.2e9 epsilon) is capped there, so
+// the budget kept is never more than the one asked for.
 func NewAccountant(epsilon float64, seed int64) (*Accountant, error) {
-	if epsilon <= 0 || math.IsNaN(epsilon) || math.IsInf(epsilon, 0) {
+	if !(epsilon > 0) || math.IsInf(epsilon, 1) {
 		return nil, fmt.Errorf("dp: bad budget %v", epsilon)
 	}
+	total := toUnits(epsilon, math.Floor)
 	return &Accountant{
-		budget: epsilon,
-		total:  epsilon,
+		budget: total,
+		total:  total,
 		rng:    rand.New(rand.NewSource(seed)),
-		spends: make(map[string]float64),
+		spends: make(map[string]int64),
 	}, nil
 }
 
@@ -48,38 +71,47 @@ func NewAccountant(epsilon float64, seed int64) (*Accountant, error) {
 func (a *Accountant) Remaining() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.budget
+	return epsilonOf(a.budget)
 }
 
 // Spent reports total epsilon consumed so far.
 func (a *Accountant) Spent() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.total - a.budget
+	return epsilonOf(a.total - a.budget)
 }
 
 // SpentBy reports epsilon consumed by a given table/query name.
 func (a *Accountant) SpentBy(table string) float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.spends[table]
+	return epsilonOf(a.spends[table])
 }
 
 // Query releases value under (epsilon)-DP with the given L1 sensitivity,
 // charging epsilon against the budget. table names the RMT table issuing the
-// query (for per-table accounting).
+// query (for per-table accounting). epsilon is rounded to the nearest unit
+// and the noise is drawn at the rounded epsilon, so a query's charge is
+// exactly the privacy its answer spends; an epsilon below half a unit is
+// refused.
 func (a *Accountant) Query(table string, value float64, sensitivity, epsilon float64) (float64, error) {
-	if epsilon <= 0 || sensitivity <= 0 {
+	if !(epsilon > 0) || sensitivity <= 0 {
 		return 0, fmt.Errorf("dp: bad query parameters sensitivity=%v epsilon=%v", sensitivity, epsilon)
+	}
+	charge := toUnits(epsilon, math.Round)
+	if charge == 0 {
+		return 0, fmt.Errorf("dp: bad query parameters: epsilon=%v is below the books' resolution of %v", epsilon, epsilonOf(1))
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if epsilon > a.budget {
-		return 0, fmt.Errorf("%w: need %v, have %v", ErrBudgetExhausted, epsilon, a.budget)
+	// A charge at the cap stands for an epsilon past the books' range,
+	// which no budget can pay.
+	if charge > a.budget || charge == math.MaxInt64 {
+		return 0, fmt.Errorf("%w: need %v, have %v", ErrBudgetExhausted, epsilon, epsilonOf(a.budget))
 	}
-	a.budget -= epsilon
-	a.spends[table] += epsilon
-	return value + a.laplace(sensitivity/epsilon), nil
+	a.budget -= charge
+	a.spends[table] += charge
+	return value + a.laplace(sensitivity/epsilonOf(charge)), nil
 }
 
 // QueryCount is Query specialized for counting queries (sensitivity 1).

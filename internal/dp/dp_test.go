@@ -23,6 +23,67 @@ func TestBudgetAccounting(t *testing.T) {
 	if a.SpentBy("t1") != 0.4 || a.SpentBy("t2") != 0 {
 		t.Fatal("per-table accounting wrong")
 	}
+
+	// A budget of 10 holds exactly 200 queries at epsilon 0.05: the last
+	// one is answered, the next refused, and nothing is left over.
+	a, err = NewAccountant(10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for ; n < 201; n++ {
+		if _, err := a.QueryCount("t", 1, 0.05); err != nil {
+			if !errors.Is(err, ErrBudgetExhausted) {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	if n != 200 || a.Remaining() != 0 || a.Spent() != 10 || a.SpentBy("t") != 10 {
+		t.Fatalf("answered %d queries at epsilon 0.05 of 10 (remaining %v, spent %v), want 200 leaving 0",
+			n, a.Remaining(), a.Spent())
+	}
+
+	// A budget past the books' range (about 9.2e9 epsilon) is capped there,
+	// not refused, and still answers queries.
+	a, err = NewAccountant(1e12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := a.Remaining()
+	if before > 1e12 || before < 9e9 {
+		t.Fatalf("budget 1e12 kept as %v, want the cap near 9.2e9", before)
+	}
+	if _, err := a.QueryCount("t", 1000, 1e-6); err != nil {
+		t.Fatal(err)
+	}
+	if a.Spent() != 1e-6 {
+		t.Fatalf("spent %v of a capped budget, want 1e-6", a.Spent())
+	}
+}
+
+// TestChargeMatchesNoise: a query is charged the epsilon its noise is drawn
+// at, even when the asked-for epsilon falls between two units of the books:
+// 1.4e-9 is charged one unit, 1e-9, so its answers must be those of 1e-9.
+func TestChargeMatchesNoise(t *testing.T) {
+	asked, _ := NewAccountant(1, 3)
+	exact, _ := NewAccountant(1, 3)
+	for i := 0; i < 20; i++ {
+		va, err := asked.Query("t", 0, 1, 1.4e-9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ve, err := exact.Query("t", 0, 1, 1e-9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if va != ve {
+			t.Fatalf("query %d: epsilon 1.4e-9 answered %v, but the epsilon it was charged answers %v", i, va, ve)
+		}
+	}
+	if asked.Spent() != exact.Spent() {
+		t.Fatalf("epsilon 1.4e-9 spent %v, 1e-9 spent %v", asked.Spent(), exact.Spent())
+	}
 }
 
 func TestBudgetExhaustion(t *testing.T) {

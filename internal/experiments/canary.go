@@ -39,7 +39,6 @@ type CanaryResult struct {
 
 	Promotions   int64            // rollouts promoted in the canaried run
 	Rejections   int64            // rollouts rejected at the shadow gate (>=1: the corruption)
-	Rollbacks    int64            // post-promotion probation rollbacks
 	ShadowFires  int64            // shadow executions in the canaried run (zero-latency)
 	CorruptState ctrl.CanaryState // terminal state of the hostile rollout
 }
@@ -48,11 +47,11 @@ func (r CanaryResult) String() string {
 	return fmt.Sprintf(
 		"canary: clean=%.2fs canaried=%.2fs (%.1f%% of clean) uncanaried=%.2fs (%.1f%% of clean)\n"+
 			"        accuracy: clean=%.2f%% canaried=%.2f%% uncanaried=%.2f%%\n"+
-			"        promotions=%d rejections=%d rollbacks=%d shadow-fires=%d corrupt-rollout=%s",
+			"        promotions=%d rejections=%d shadow-fires=%d corrupt-rollout=%s",
 		r.CleanJCT, r.CanariedJCT, 100*r.CanariedJCT/r.CleanJCT,
 		r.UncanariedJCT, 100*r.UncanariedJCT/r.CleanJCT,
 		r.CleanAccuracy, r.CanariedAccuracy, r.UncanariedAccuracy,
-		r.Promotions, r.Rejections, r.Rollbacks, r.ShadowFires, r.CorruptState)
+		r.Promotions, r.Rejections, r.ShadowFires, r.CorruptState)
 }
 
 // corruptDelta is the corrupted tree's constant prediction: a large prime
@@ -159,7 +158,6 @@ func CanaryRollout(seed int64, mode core.ExecMode) (CanaryResult, error) {
 	out.CanariedAccuracy = 100 * canaried.Accuracy()
 	out.Promotions = k2.Metrics.Counter("ctrl.canary_promotions").Load()
 	out.Rejections = k2.Metrics.Counter("ctrl.canary_rejections").Load()
-	out.Rollbacks = k2.Metrics.Counter("ctrl.canary_rollbacks").Load()
 	out.ShadowFires = k2.Metrics.Counter("core.shadow_fires").Load()
 	out.CorruptState = hostile.state
 

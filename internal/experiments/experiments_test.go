@@ -347,11 +347,11 @@ func TestCanaryRollback(t *testing.T) {
 		t.Errorf("uncanaried JCT %.2fs not measurably worse than clean %.2fs — corruption too weak to test the canary",
 			r.UncanariedJCT, r.CleanJCT)
 	}
-	if r.CorruptState != ctrl.CanaryRejected && r.CorruptState != ctrl.CanaryRolledBack {
-		t.Errorf("hostile rollout ended %v, want rejected or rolled back", r.CorruptState)
+	if r.CorruptState != ctrl.CanaryRejected {
+		t.Errorf("hostile rollout ended %v, want rejected", r.CorruptState)
 	}
-	if r.Rejections == 0 && r.Rollbacks == 0 {
-		t.Error("no rejections or rollbacks counted — the gate never fired")
+	if r.Rejections == 0 {
+		t.Error("no rejections counted — the gate never fired")
 	}
 	if r.Promotions == 0 {
 		t.Error("no promotions counted — good retrains never cleared the shadow gate")
@@ -366,13 +366,13 @@ func TestCanaryRollback(t *testing.T) {
 	if r.CleanAccuracy < 50 {
 		t.Errorf("clean canaried accuracy %.2f%% — promoted models are not improving the policy", r.CleanAccuracy)
 	}
-	if r.Promotions != 88 || r.Rejections != 707 || r.Rollbacks != 0 || r.ShadowFires != 50910 {
-		t.Errorf("promotions=%d rejections=%d rollbacks=%d shadow-fires=%d, want 88 707 0 50910",
-			r.Promotions, r.Rejections, r.Rollbacks, r.ShadowFires)
+	if r.Promotions != 88 || r.Rejections != 707 || r.ShadowFires != 50910 {
+		t.Errorf("promotions=%d rejections=%d shadow-fires=%d, want 88 707 50910",
+			r.Promotions, r.Rejections, r.ShadowFires)
 	}
 	const golden = "canary: clean=17.97s canaried=17.96s (100.0% of clean) uncanaried=29.25s (162.8% of clean)\n" +
 		"        accuracy: clean=91.34% canaried=89.27% uncanaried=7.36%\n" +
-		"        promotions=88 rejections=707 rollbacks=0 shadow-fires=50910 corrupt-rollout=rejected"
+		"        promotions=88 rejections=707 shadow-fires=50910 corrupt-rollout=rejected"
 	if got := r.String(); got != golden {
 		t.Errorf("result:\n got %s\nwant %s", got, golden)
 	}

@@ -285,10 +285,10 @@ func bad(w int) error { return fmt.Errorf("100%% over %*d: %v", w, 3, ErrGate) }
 }
 
 func TestCtrlErrorsCoversClusterSentinels(t *testing.T) {
-	// Replication sentinels (ErrNotLeader, ErrPartitioned, ErrStaleEpoch,
-	// ErrDivergedLog) drive retry/redirect/resync decisions in callers;
-	// stringifying one silently disables that branch, so the discipline
-	// extends to internal/cluster.
+	// Replication sentinels (ErrNotLeader, ErrPartitioned, ErrDivergedLog)
+	// drive retry/redirect/resync decisions in callers; stringifying one
+	// silently disables that branch, so the discipline extends to
+	// internal/cluster.
 	const src = `package cluster
 
 import (

@@ -13,8 +13,7 @@ import "sync/atomic"
 //   - A rebuilt index is published with a new snapshot. An insert that would
 //     pass half used rebuilds; so does a delete that leaves the entries
 //     filling less than a sixteenth of the slots, which gives a table emptied
-//     from its peak its memory back. RewriteActions publishes a rebuilt index
-//     of clones the same way, so a rewrite stays whole-table atomic.
+//     from its peak its memory back.
 //
 // A lookup racing an in-place edit sees the slot's old content or its new
 // one, each whole: the answer of the table just before the edit or just

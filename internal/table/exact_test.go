@@ -75,31 +75,6 @@ func (r *mapTable) UpdateAction(key uint64, a Action) bool {
 	return true
 }
 
-func (r *mapTable) RewriteActions(fn func(Action) (Action, bool)) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	rewrite := func(e *Entry) *Entry {
-		a, ok := fn(e.Action)
-		if !ok {
-			return e
-		}
-		n++
-		c := e.clone()
-		c.Action = a
-		e.retired.Store(true)
-		return c
-	}
-	for k, e := range r.m {
-		r.m[k] = rewrite(e)
-	}
-	if r.deflt != nil {
-		r.deflt = rewrite(r.deflt)
-	}
-	r.version++
-	return n
-}
-
 func (r *mapTable) SetDefault(a *Action) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -273,22 +248,10 @@ func runExactSchedule(sc exactSchedule) error {
 			if g, w := got.Delete(&Entry{Key: k}), want.Delete(k); g != w {
 				err = fmt.Errorf("removed %v, reference %v", g, w)
 			}
-		case op < 9:
+		case op < 10:
 			what = "UpdateAction"
 			if g, w := got.UpdateAction(k, act), want.UpdateAction(k, act); g != w {
 				err = fmt.Errorf("updated %v, reference %v", g, w)
-			}
-		case op == 9:
-			what = "RewriteActions"
-			fn := func(a Action) (Action, bool) {
-				if a.Param%3 != int64(b[2])%3 {
-					return a, false
-				}
-				a.Param += 7
-				return a, true
-			}
-			if g, w := got.RewriteActions(fn), want.RewriteActions(fn); g != w {
-				err = fmt.Errorf("rewrote %d, reference %d", g, w)
 			}
 		case op == 10:
 			what = "SetDefault"
@@ -416,8 +379,8 @@ func FuzzExactTableDifferential(f *testing.F) {
 
 // TestExactIndexReadersVersusWriters (run under -race): readers look keys up
 // without a lock while a writer inserts and deletes through several growth
-// and tombstone rebuilds, updates the keys that stay, and rewrites the whole
-// table. A key present throughout is never missed, and every entry a lookup
+// and tombstone rebuilds and updates the keys that stay. A key present
+// throughout is never missed, and every entry a lookup
 // returns carries the probed key.
 func TestExactIndexReadersVersusWriters(t *testing.T) {
 	const (
@@ -467,8 +430,6 @@ func TestExactIndexReadersVersusWriters(t *testing.T) {
 	for n := 0; n < writerOps; n++ {
 		k := scheduleKey(stable + rng.Intn(churn))
 		switch op := rng.Intn(100); {
-		case op == 0:
-			tb.RewriteActions(func(a Action) (Action, bool) { a.Param++; return a, true })
 		case op < 10:
 			tb.UpdateAction(scheduleKey(rng.Intn(stable)), Action{Kind: ActionParam, Param: int64(n)})
 		case op < 55:

@@ -357,7 +357,7 @@ func (c *FlowCache[V]) Put(k FlowKey, gen uint64, v V) {
 			s.evictions.Add(int64(s.live))
 			nt, s.live = newFlowTable[V](len(t.slots)), 0
 		case t.full(s.live, s.tombs):
-			nt = t.rebuilt(s.live, nil)
+			nt = t.rebuilt(s.live)
 		}
 		if nt != nil {
 			slot, _ = probeFlow(nt, k, h)

@@ -349,14 +349,6 @@ func TestTableSnapshotPreservesHits(t *testing.T) {
 	if h := tb.Probe(1).Hits(); h != 5 {
 		t.Fatalf("hits after UpdateAction = %d; want 5", h)
 	}
-	// RewriteActions likewise.
-	tb.RewriteActions(func(a Action) (Action, bool) {
-		a.Param++
-		return a, true
-	})
-	if h := tb.Probe(1).Hits(); h != 5 {
-		t.Fatalf("hits after RewriteActions = %d; want 5", h)
-	}
 }
 
 func TestTableOnMutate(t *testing.T) {

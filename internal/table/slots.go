@@ -81,9 +81,8 @@ func (t *slotTable[E, P]) kill(slot *atomic.Pointer[E]) {
 }
 
 // rebuilt returns a copy of t, which holds live entries, without its
-// tombstones and sized to them (the file comment's rule). Each entry is stored
-// as each returns it (nil each: as it is).
-func (t *slotTable[E, P]) rebuilt(live int, each func(*E) *E) *slotTable[E, P] {
+// tombstones and sized to them (the file comment's rule).
+func (t *slotTable[E, P]) rebuilt(live int) *slotTable[E, P] {
 	n := len(t.slots)
 	if live > n/4 {
 		n *= 2
@@ -94,9 +93,6 @@ func (t *slotTable[E, P]) rebuilt(live int, each func(*E) *E) *slotTable[E, P] {
 	nt := newSlotTable[E, P](n)
 	mask := uint64(n - 1)
 	t.walk(func(e *E) {
-		if each != nil {
-			e = each(e)
-		}
 		// The fresh array holds each key once and no tombstone, so an
 		// entry's place is the first empty slot of its chain.
 		i := P(e).slotHome()

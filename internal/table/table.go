@@ -118,7 +118,7 @@ type Entry struct {
 	// Priority breaks ties for range/ternary tables; larger wins.
 	Priority int32
 	// Action is taken on match. It is immutable once the entry is inserted:
-	// every rewrite (UpdateAction, RewriteActions) publishes a clone.
+	// a rewrite (UpdateAction) publishes a clone.
 	Action Action
 
 	hits atomic.Int64
@@ -132,7 +132,7 @@ func (e *Entry) Hits() int64 { return e.hits.Load() }
 
 // Live reports whether the entry is in its table's live entry set: false from
 // the moment a mutator that replaced or removed it (UpdateAction, Insert over
-// its exact key, Delete, RewriteActions, SetDefault for a default) has
+// its exact key, Delete, SetDefault for a default) has
 // published, true again once it is re-inserted (a transaction rollback
 // restores the displaced pointer). Since
 // an exact-table lookup of key K returns the live entry for K, a verdict that
@@ -155,9 +155,8 @@ func (e *Entry) clone() *Entry {
 // lock. The exact index is shared between successive snapshots and edited in
 // place (exact.go); a snapshot is replaced when the index is rebuilt, when a
 // prefix/range/ternary entry or the default changes (those fields are
-// immutable: the mutator publishes a shallow copy), and by RewriteActions.
-// Entry pointers are shared between successive snapshots (only rewritten rows
-// are cloned), so hit counters survive snapshot churn.
+// immutable: the mutator publishes a shallow copy). Entry pointers are shared
+// between successive snapshots, so hit counters survive snapshot churn.
 type tableSnap struct {
 	exact   *exactIndex // exact-table entries; empty for the other kinds
 	entries []*Entry    // prefix/range/ternary entries, sorted by specificity
@@ -225,7 +224,7 @@ func New(name, hook string, kind MatchKind) *Table {
 func (t *Table) Version() uint64 { return t.version.Load() }
 
 // SetOnMutate registers a callback invoked after every committed mutation
-// (insert, delete, update, rewrite, default change). The kernel uses it to
+// (insert, delete, update, default change). The kernel uses it to
 // advance its datapath generation; cached verdicts that consulted the table
 // notice the mutation by Version.
 func (t *Table) SetOnMutate(fn func()) {
@@ -316,11 +315,11 @@ func (t *Table) editExact(key uint64, fn func(cur *Entry) *Entry) *Entry {
 		live--
 		t.exactTombs++
 		if x.sparse(live) {
-			x, t.exactTombs = x.rebuilt(live, nil), 0
+			x, t.exactTombs = x.rebuilt(live), 0
 		}
 	case cur == nil:
 		if x.full(live, t.exactTombs) {
-			x, t.exactTombs = x.rebuilt(live, nil), 0
+			x, t.exactTombs = x.rebuilt(live), 0
 			slot, _ = probeExact(x, key)
 		}
 		slot.Store(e)
@@ -433,45 +432,6 @@ func (t *Table) UpdateAction(key uint64, a Action) bool {
 		c.Action = a
 		return c
 	}) != nil
-}
-
-// RewriteActions applies fn to every entry's action (including the default
-// entry, if set) in one atomic snapshot swap: fn returns the replacement
-// action and whether to rewrite. Rewritten entries are cloned (hit counts
-// carried over) into a fresh snapshot — for an exact table a rebuilt index —
-// so concurrent Lookup callers see either the whole old table or the whole
-// new one, never a torn mix; the rewritten originals are retired.
-// It returns the number of entries rewritten. This is the promotion primitive
-// for program canaries: retargeting every ActionProgram entry from the
-// incumbent to the promoted candidate is one atomic step, on any match kind.
-func (t *Table) RewriteActions(fn func(Action) (Action, bool)) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := t.snap.Load()
-	var out []*Entry // the rewritten originals, for publish to retire
-	rewrite := func(e *Entry) *Entry {
-		a, ok := fn(e.Action)
-		if !ok {
-			return e
-		}
-		out = append(out, e)
-		c := e.clone()
-		c.Action = a
-		return c
-	}
-	sn := &tableSnap{exact: old.exact, entries: make([]*Entry, len(old.entries)), deflt: old.deflt}
-	if t.Kind == MatchExact {
-		sn.exact = old.exact.rebuilt(int(t.exactLen.Load()), rewrite)
-		t.exactTombs = 0
-	}
-	for i, e := range old.entries {
-		sn.entries[i] = rewrite(e)
-	}
-	if sn.deflt != nil {
-		sn.deflt = rewrite(sn.deflt)
-	}
-	t.publish(sn, nil, out...)
-	return len(out)
 }
 
 // stripe selects the stat counter stripe for a key (fibonacci hashing).

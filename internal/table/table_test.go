@@ -231,17 +231,12 @@ func TestEntryLiveness(t *testing.T) {
 	if b.Live() || !c.Live() {
 		t.Fatalf("Insert over a key: displaced live %v, new live %v", b.Live(), c.Live())
 	}
-	tb.RewriteActions(func(Action) (Action, bool) { return p(4), true })
-	d := tb.Probe(1)
-	if c.Live() || !d.Live() {
-		t.Fatalf("RewriteActions: original live %v, clone live %v", c.Live(), d.Live())
-	}
 	tb.Delete(&Entry{Key: 1})
-	if d.Live() {
+	if c.Live() {
 		t.Fatal("a deleted entry is live")
 	}
-	_ = tb.Insert(d)
-	if !d.Live() || tb.Probe(1) != d {
+	_ = tb.Insert(c)
+	if !c.Live() || tb.Probe(1) != c {
 		t.Fatal("re-inserting a retired entry did not revive it")
 	}
 

@@ -7,7 +7,9 @@ import (
 
 // Kind enumerates the typed control-plane mutations the log and checkpoints
 // record. The semantics of each kind — how it applies to a kernel — live in
-// internal/ctrl; this package only defines the durable schema.
+// internal/ctrl; this package only defines the durable schema. A kind is
+// numbered by its place in the list below, on disk too, so a retired kind
+// keeps its slot as a blank placeholder, has no name, and is not Valid.
 type Kind uint8
 
 const (
@@ -24,18 +26,11 @@ const (
 	KindLoadProgram
 	// KindRegisterModel registers Model as a fresh inference model.
 	KindRegisterModel
-	// KindRegisterQMLP registers a quantized MLP: its layer matrices plus
-	// the whole network as a model (Model carries the "qmlp" codec).
-	KindRegisterQMLP
-	// KindPushModel swaps model ModelID for Model, keeping the displaced
-	// version in the rollback history.
+	_ // retired: register-qmlp
+	// KindPushModel swaps model ModelID for Model.
 	KindPushModel
-	// KindRollbackModel restores model ModelID's most recent prior version
-	// from the rollback history.
-	KindRollbackModel
-	// KindRetarget atomically rewrites every ActionProgram entry in Table
-	// from program From to program To (canary promotion / rollback).
-	KindRetarget
+	_ // retired: rollback-model
+	_ // retired: retarget
 	// KindTxnCommit applies Sub in order as one atomic transaction; replay
 	// observes all of it or (via a later KindAbort) none of it.
 	KindTxnCommit
@@ -68,8 +63,6 @@ const (
 	// KindAllocState closes a checkpoint: it advances the id allocators past
 	// every hole the restored registries leave, and sets the plane version.
 	KindAllocState
-
-	kindEnd
 )
 
 var kindNames = [...]string{
@@ -79,10 +72,7 @@ var kindNames = [...]string{
 	KindUpdateAction:   "update-action",
 	KindLoadProgram:    "load-program",
 	KindRegisterModel:  "register-model",
-	KindRegisterQMLP:   "register-qmlp",
 	KindPushModel:      "push-model",
-	KindRollbackModel:  "rollback-model",
-	KindRetarget:       "retarget",
 	KindTxnCommit:      "txn-commit",
 	KindAbort:          "abort",
 	KindEpoch:          "epoch",
@@ -102,8 +92,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Valid reports whether k is a defined record kind.
-func (k Kind) Valid() bool { return k >= KindCreateTable && k < kindEnd }
+// Valid reports whether k is a defined record kind that is not retired.
+func (k Kind) Valid() bool { return int(k) < len(kindNames) && kindNames[k] != "" }
 
 // transactional reports whether a transaction record may carry k: the kinds
 // a ctrl.Txn stages, each of which has an undo.
@@ -212,7 +202,7 @@ type Record struct {
 	// model or matrix at; zero (every log record) allocates the next id.
 	ID int64 `json:"id,omitempty"`
 
-	// Table names the target table (entry ops, create, retarget).
+	// Table names the target table (entry ops, create).
 	Table string `json:"table,omitempty"`
 	// Hook is the created table's hook point.
 	Hook string `json:"hook,omitempty"`
@@ -231,11 +221,8 @@ type Record struct {
 	Program *Program `json:"program,omitempty"`
 	// Model is the codec-encoded model of a register/push record.
 	Model *Model `json:"model,omitempty"`
-	// ModelID addresses the model slot of push/rollback records.
+	// ModelID addresses the model slot of a KindPushModel.
 	ModelID int64 `json:"model_id,omitempty"`
-	// From and To are KindRetarget's program ids.
-	From int64 `json:"from,omitempty"`
-	To   int64 `json:"to,omitempty"`
 	// Tenant names the target of a tenant record, or the owning tenant of a
 	// KindRegisterModel ("" for default-owned).
 	Tenant string `json:"tenant,omitempty"`
@@ -246,7 +233,7 @@ type Record struct {
 	// Ref is the sequence number a KindAbort cancels.
 	Ref uint64 `json:"ref,omitempty"`
 	// Bump records that the mutation advanced the plane version (committed
-	// reconfiguration: transaction commit, canary promotion or rollback),
+	// reconfiguration: transaction commit or canary promotion),
 	// so replay restores the same version counter.
 	Bump bool `json:"bump,omitempty"`
 	// Incident is the engine-sentinel incident of a KindIncident record.
@@ -290,19 +277,9 @@ func (r *Record) validate(sub bool) error {
 		if r.Program == nil || r.Program.Name == "" {
 			return fmt.Errorf("load-program without a program")
 		}
-	case KindRegisterModel, KindRegisterQMLP, KindPushModel:
+	case KindRegisterModel, KindPushModel:
 		if r.Model == nil || r.Model.Codec == "" {
 			return fmt.Errorf("%s without a model payload", r.Kind)
-		}
-	case KindRollbackModel:
-		// Model ids are 1-based; a rollback without a target slot would
-		// replay as "restore model 0" and fail far from the writer bug.
-		if r.ModelID <= 0 {
-			return fmt.Errorf("rollback-model without a model id")
-		}
-	case KindRetarget:
-		if r.Table == "" {
-			return fmt.Errorf("retarget without a table name")
 		}
 	case KindTxnCommit:
 		for _, s := range r.Sub {
@@ -374,16 +351,12 @@ func (r *Record) String() string {
 		return fmt.Sprintf("#%d update-action table=%q key=%d", r.Seq, r.Table, r.Key)
 	case KindLoadProgram:
 		return fmt.Sprintf("#%d load-program %q hook=%q (%dB code)", r.Seq, r.Program.Name, r.Program.Hook, len(r.Program.Code))
-	case KindRegisterModel, KindRegisterQMLP, KindPushModel:
+	case KindRegisterModel, KindPushModel:
 		codec := "?"
 		if r.Model != nil {
 			codec = r.Model.Codec
 		}
 		return fmt.Sprintf("#%d %s model=%d codec=%s", r.Seq, r.Kind, r.ModelID, codec)
-	case KindRollbackModel:
-		return fmt.Sprintf("#%d rollback-model model=%d", r.Seq, r.ModelID)
-	case KindRetarget:
-		return fmt.Sprintf("#%d retarget table=%q %d->%d", r.Seq, r.Table, r.From, r.To)
 	case KindTxnCommit:
 		return fmt.Sprintf("#%d txn-commit (%d steps)", r.Seq, len(r.Sub))
 	case KindAbort:

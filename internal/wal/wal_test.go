@@ -248,11 +248,30 @@ func TestMarshalRejectsMalformedRecords(t *testing.T) {
 		{Kind: KindTxnCommit, Sub: []*Record{{Kind: KindRemoveTenant, Tenant: "t"}}}, // not transactional
 		{Kind: KindRegisterMatrix},                                                   // no matrix
 		{Kind: KindAllocState},                                                       // no allocators
+		// Retired kinds, each with the payload its writer gave it.
+		{Kind: 7, Model: &Model{Codec: "qmlp", Data: []byte(`{}`)}}, // register-qmlp
+		{Kind: 9, ModelID: 1},  // rollback-model
+		{Kind: 10, Table: "t"}, // retarget
 	}
 	for i, r := range bad {
 		if _, err := l.Append(r); !errors.Is(err, ErrCorruptRecord) {
 			t.Fatalf("bad record %d: err = %v, want ErrCorruptRecord", i, err)
 		}
+	}
+	// A retired kind read back from disk is refused too, and the kinds
+	// around the retired slots keep their numbers.
+	for _, payload := range []string{
+		`{"seq":1,"kind":7,"model":{"codec":"qmlp","data":{}}}`,
+		`{"seq":1,"kind":9,"model_id":1}`,
+		`{"seq":1,"kind":10,"table":"t","from":1,"to":2}`,
+	} {
+		if _, err := unmarshalRecord([]byte(payload)); err == nil {
+			t.Fatalf("decoded a retired kind: %s", payload)
+		}
+	}
+	if KindRegisterModel != 6 || KindPushModel != 8 || KindTxnCommit != 11 || KindAllocState != 19 {
+		t.Fatalf("kind numbers moved: register-model=%d push-model=%d txn-commit=%d alloc-state=%d",
+			KindRegisterModel, KindPushModel, KindTxnCommit, KindAllocState)
 	}
 }
 

@@ -263,24 +263,3 @@ func PatternShift(first, second []memsim.Access) []memsim.Access {
 	out = append(out, second...)
 	return out
 }
-
-// Interleave merges several traces round-robin, preserving each trace's
-// internal order — a multi-programmed workload for cross-application
-// experiments.
-func Interleave(traces ...[]memsim.Access) []memsim.Access {
-	total := 0
-	for _, t := range traces {
-		total += len(t)
-	}
-	out := make([]memsim.Access, 0, total)
-	idx := make([]int, len(traces))
-	for len(out) < total {
-		for i, t := range traces {
-			if idx[i] < len(t) {
-				out = append(out, t[idx[i]])
-				idx[i]++
-			}
-		}
-	}
-	return out
-}

@@ -179,25 +179,6 @@ func TestPatternShift(t *testing.T) {
 	}
 }
 
-func TestInterleave(t *testing.T) {
-	a := []memsim.Access{{PID: 1, Page: 1}, {PID: 1, Page: 2}, {PID: 1, Page: 3}}
-	b := []memsim.Access{{PID: 2, Page: 10}}
-	got := Interleave(a, b)
-	if len(got) != 4 {
-		t.Fatalf("len = %d", len(got))
-	}
-	// Each trace's internal order is preserved.
-	var seqA []int64
-	for _, x := range got {
-		if x.PID == 1 {
-			seqA = append(seqA, x.Page)
-		}
-	}
-	if seqA[0] != 1 || seqA[1] != 2 || seqA[2] != 3 {
-		t.Fatalf("order broken: %v", seqA)
-	}
-}
-
 func TestSchedBenchmarks(t *testing.T) {
 	wls := SchedBenchmarks(SchedConfig{Seed: 1})
 	if len(wls) != 4 {
