@@ -40,7 +40,7 @@ import (
 	"rmtk/internal/wal"
 )
 
-// Options parameterizes a fleet. All intervals are in ticks.
+// Options parameterizes a fleet.
 type Options struct {
 	// Nodes is the fleet size. <=0 selects 3.
 	Nodes int
@@ -50,65 +50,36 @@ type Options struct {
 	Seed int64
 	// Net is the injectable message fabric; nil is a clean network.
 	Net *fault.Network
-	// KernelConfig builds each node's kernel; Prep runs against each fresh
-	// kernel before any replay (helper registration and the like).
-	KernelConfig core.Config
-	Prep         func(*core.Kernel) error
+	// Prep runs against each node's fresh kernel before any replay (helper
+	// registration and the like).
+	Prep func(*core.Kernel) error
 	// WAL selects the per-node log durability options.
 	WAL wal.Options
-
-	// HeartbeatEvery is the leader's shipping cadence. <=0 selects 1.
-	HeartbeatEvery int64
-	// ElectionTimeout is how long a follower waits without a heartbeat
-	// before attempting election. <=0 selects 10.
-	ElectionTimeout int64
-	// LeaseTimeout is how long a leader tolerates an unreachable majority
-	// before degrading to read-only. <=0 selects 2*ElectionTimeout.
-	LeaseTimeout int64
-	// DegradeTimeout is how long a leaderless follower waits before
-	// degrading to read-only. <=0 selects 3*ElectionTimeout.
-	DegradeTimeout int64
-	// RPCTimeout is how long a sender waits before treating a shipping RPC
-	// as lost. <=0 selects 4.
-	RPCTimeout int64
-	// MaxShipBatch bounds records per shipping RPC. <=0 selects 64.
-	MaxShipBatch int
-	// MaxBackoff caps the per-follower retry backoff. <=0 selects 16.
-	MaxBackoff int64
-	// TickNs is the virtual time one tick represents. <=0 selects 1ms.
-	TickNs int64
 }
 
-func (o Options) withDefaults() Options {
-	if o.Nodes <= 0 {
-		o.Nodes = 3
-	}
-	if o.HeartbeatEvery <= 0 {
-		o.HeartbeatEvery = 1
-	}
-	if o.ElectionTimeout <= 0 {
-		o.ElectionTimeout = 10
-	}
-	if o.LeaseTimeout <= 0 {
-		o.LeaseTimeout = 2 * o.ElectionTimeout
-	}
-	if o.DegradeTimeout <= 0 {
-		o.DegradeTimeout = 3 * o.ElectionTimeout
-	}
-	if o.RPCTimeout <= 0 {
-		o.RPCTimeout = 4
-	}
-	if o.MaxShipBatch <= 0 {
-		o.MaxShipBatch = 64
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 16
-	}
-	if o.TickNs <= 0 {
-		o.TickNs = 1_000_000
-	}
-	return o
-}
+// The protocol's timers, in ticks, and its batching bounds.
+const (
+	// heartbeatEvery is the leader's shipping cadence.
+	heartbeatEvery = 1
+	// electionTimeout is how long a follower waits without a heartbeat
+	// before attempting election.
+	electionTimeout = 10
+	// leaseTimeout is how long a leader tolerates an unreachable majority
+	// before degrading to read-only.
+	leaseTimeout = 2 * electionTimeout
+	// degradeTimeout is how long a leaderless follower waits before
+	// degrading to read-only.
+	degradeTimeout = 3 * electionTimeout
+	// rpcTimeout is how long a sender waits before treating a shipping RPC
+	// as lost.
+	rpcTimeout = 4
+	// maxShipBatch bounds records per shipping RPC.
+	maxShipBatch = 64
+	// maxBackoff caps the per-follower retry backoff.
+	maxBackoff = 16
+	// tickNs is the virtual time one tick represents.
+	tickNs = 1_000_000
+)
 
 // call is one in-flight message: deliver runs when the virtual clock
 // reaches at. order is the FIFO tiebreak before the per-tick shuffle.
@@ -151,7 +122,9 @@ type Cluster struct {
 // leader of epoch 1 with an epoch mark in its log, everyone else follows
 // from the first heartbeat.
 func New(opts Options) (*Cluster, error) {
-	opts = opts.withDefaults()
+	if opts.Nodes <= 0 {
+		opts.Nodes = 3
+	}
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("cluster: Options.Dir is required")
 	}
@@ -162,7 +135,7 @@ func New(opts Options) (*Cluster, error) {
 	}
 	for i := 0; i < opts.Nodes; i++ {
 		dir := filepath.Join(opts.Dir, fmt.Sprintf("node-%d", i))
-		k := core.NewKernel(opts.KernelConfig)
+		k := core.NewKernel(core.Config{})
 		if opts.Prep != nil {
 			if err := opts.Prep(k); err != nil {
 				c.Close()
@@ -227,11 +200,11 @@ func (c *Cluster) majority() int { return len(c.nodes)/2 + 1 }
 // rpc models one round-trip: the fabric decides loss and latency at send
 // time, partition and liveness are re-checked at delivery (a link can die
 // with the message in flight), and a lost message surfaces to the sender
-// as a timeout RPCTimeout ticks later.
+// as a timeout rpcTimeout ticks later.
 func (c *Cluster) rpc(from, to int, exec, fail func()) {
 	delay, ok := c.net.Send(from, to)
 	if !ok {
-		c.enqueue(c.tickNum+c.opts.RPCTimeout, fail)
+		c.enqueue(c.tickNum+rpcTimeout, fail)
 		return
 	}
 	c.enqueue(c.tickNum+1+delay, func() {
@@ -256,7 +229,7 @@ func (c *Cluster) Tick() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tickNum++
-	c.clockNs += c.opts.TickNs
+	c.clockNs += tickNs
 
 	var due []*call
 	rest := c.msgs[:0]
@@ -390,8 +363,8 @@ func (c *Cluster) ProposeRetry(fn func(*ctrl.Plane) error, maxTicks int64) error
 		if backoff < 1 {
 			backoff = 1
 		}
-		if backoff > c.opts.MaxBackoff {
-			backoff = c.opts.MaxBackoff
+		if backoff > maxBackoff {
+			backoff = maxBackoff
 		}
 		step := backoff + c.jitter(backoff)
 		c.TickN(int(step))
@@ -464,7 +437,7 @@ func (c *Cluster) Restart(id int) error {
 	if n.alive {
 		return nil
 	}
-	p, _, err := ctrl.Recover(n.dir, c.opts.KernelConfig, c.opts.WAL, c.opts.Prep)
+	p, _, err := ctrl.Recover(n.dir, core.Config{}, c.opts.WAL, c.opts.Prep)
 	if err != nil {
 		return fmt.Errorf("cluster: restart node %d: %w", id, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"rmtk/internal/core"
 	"rmtk/internal/ctrl"
 	"rmtk/internal/wal"
 )
@@ -260,7 +261,7 @@ func (n *Node) leaderTick() {
 	// rather than keep accepting writes the majority may never see.
 	reachable := 1
 	for _, f := range c.nodes {
-		if f.id != n.id && c.tickNum-n.lastOK[f.id] <= c.opts.LeaseTimeout {
+		if f.id != n.id && c.tickNum-n.lastOK[f.id] <= leaseTimeout {
 			reachable++
 		}
 	}
@@ -301,7 +302,7 @@ func (n *Node) sendAppend(f *Node) {
 		}
 		prevEpoch, _ := n.epochOf(match)
 		args.prevSeq, args.prevEpoch = match, prevEpoch
-		args.recs = n.cacheFrom(match, c.opts.MaxShipBatch)
+		args.recs = n.cacheFrom(match, maxShipBatch)
 	}
 	n.inflight[f.id] = true
 	epoch := n.epoch
@@ -328,8 +329,8 @@ func (n *Node) onDropped(fid int) {
 	if b < 2 {
 		b = 2
 	}
-	if b > c.opts.MaxBackoff {
-		b = c.opts.MaxBackoff
+	if b > maxBackoff {
+		b = maxBackoff
 	}
 	n.backoff[fid] = b
 	n.nextSend[fid] = c.tickNum + b + c.rng.Int63n(b)
@@ -420,7 +421,7 @@ func (f *Node) onResync(a appendArgs) appendReply {
 	if err := l.Close(); err != nil {
 		return fail(err)
 	}
-	p, _, err := ctrl.Recover(f.dir, f.c.opts.KernelConfig, f.c.opts.WAL, f.c.opts.Prep)
+	p, _, err := ctrl.Recover(f.dir, core.Config{}, f.c.opts.WAL, f.c.opts.Prep)
 	if err != nil {
 		return fail(err)
 	}
@@ -439,7 +440,7 @@ func (n *Node) onAppendReply(fid int, r appendReply) {
 	n.inflight[fid] = false
 	n.lastOK[fid] = c.tickNum
 	n.backoff[fid] = 0
-	n.nextSend[fid] = c.tickNum + c.opts.HeartbeatEvery
+	n.nextSend[fid] = c.tickNum + heartbeatEvery
 	if r.stale {
 		// A higher epoch exists: step down and wait for its leader.
 		n.epoch = r.epoch
@@ -511,8 +512,8 @@ func (n *Node) recomputeCommit() {
 // sees no leader long enough degrades to read-only.
 func (f *Node) maybeElect() {
 	c := f.c
-	timeout := c.opts.ElectionTimeout + int64(f.id) // deterministic stagger
-	if c.tickNum-f.lastHB <= timeout || c.tickNum-f.lastElect < c.opts.ElectionTimeout {
+	timeout := electionTimeout + int64(f.id) // deterministic stagger
+	if c.tickNum-f.lastHB <= timeout || c.tickNum-f.lastElect < electionTimeout {
 		return
 	}
 	f.lastElect = c.tickNum
@@ -567,10 +568,10 @@ func (f *Node) maybeElect() {
 }
 
 // maybeDegrade drops a leaderless follower to read-only once it has gone
-// without a leader for DegradeTimeout ticks.
+// without a leader for degradeTimeout ticks.
 func (f *Node) maybeDegrade() {
 	c := f.c
-	if f.role == RoleFollower && c.tickNum-f.lastHB > c.opts.DegradeTimeout {
+	if f.role == RoleFollower && c.tickNum-f.lastHB > degradeTimeout {
 		f.role = RoleDegraded
 		f.lastFault = fmt.Errorf("%w: no leader heard for %d ticks", ErrPartitioned, c.tickNum-f.lastHB)
 		c.metrics.degrades++

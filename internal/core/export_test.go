@@ -5,6 +5,7 @@ import (
 
 	"rmtk/internal/qos"
 	"rmtk/internal/table"
+	"rmtk/internal/verifier"
 )
 
 // Per-tenant views only tests read.
@@ -39,4 +40,15 @@ func (k *Kernel) TenantSupervisor(name string) *Supervisor {
 		return ts.sup
 	}
 	return nil
+}
+
+// ProgramReport returns the admission report of an installed program.
+func (k *Kernel) ProgramReport(id int64) (*verifier.Report, error) {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	p, ok := k.progs[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: program %d", ErrNotFound, id)
+	}
+	return p.report, nil
 }

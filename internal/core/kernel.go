@@ -858,17 +858,6 @@ func (k *Kernel) ProgramID(name string) (int64, error) {
 	return id, nil
 }
 
-// ProgramReport returns the admission report of an installed program.
-func (k *Kernel) ProgramReport(id int64) (*verifier.Report, error) {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	p, ok := k.progs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: program %d", ErrNotFound, id)
-	}
-	return p.report, nil
-}
-
 // Hooks lists hook names with attached datapaths.
 func (k *Kernel) Hooks() []string {
 	k.mu.RLock()

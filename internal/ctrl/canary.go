@@ -81,15 +81,8 @@ type CanaryConfig struct {
 	// MinShadowOutcomes is how many labeled outcomes the accuracy gate
 	// needs; shadowing continues until they accumulate. <=0 selects 64.
 	MinShadowOutcomes int64
-	// MaxStaticSteps, when >0, rejects a program canary at staging if the
-	// candidate's admission report proves a worst-case instruction count
-	// above it. The bound comes from the verifier's interval analysis —
-	// statically dead branches are excluded — so policies can be tightened
-	// to the real worst case rather than the structural one.
-	MaxStaticSteps int64
-	// MaxStaticOps, when >0, rejects a canary at staging if the candidate's
-	// statically proven worst-case ML ops (program report MLOps, or model
-	// Cost) exceed it.
+	// MaxStaticOps, when >0, rejects a model canary at staging if the
+	// candidate's ML ops (its Cost) exceed it.
 	MaxStaticOps int64
 }
 
@@ -161,37 +154,14 @@ func (p *Plane) PushModelCanary(hook string, id int64, candidate core.Model, ops
 	return c, nil
 }
 
-// checkStaticCost rejects program candID at staging when its admission
-// report proves a worst case above cfg's static ceilings.
-func (p *Plane) checkStaticCost(candID int64, cfg CanaryConfig) error {
-	if cfg.MaxStaticSteps <= 0 && cfg.MaxStaticOps <= 0 {
-		return nil
-	}
-	rep, err := p.K.ProgramReport(candID)
-	if err != nil {
-		return err
-	}
-	if cfg.MaxStaticSteps > 0 && rep.MaxSteps > cfg.MaxStaticSteps {
-		return fmt.Errorf("%w: program %d: %d steps > %d", ErrStaticCost, candID, rep.MaxSteps, cfg.MaxStaticSteps)
-	}
-	if cfg.MaxStaticOps > 0 && rep.MLOps > cfg.MaxStaticOps {
-		return fmt.Errorf("%w: program %d: %d ML ops > %d", ErrStaticCost, candID, rep.MLOps, cfg.MaxStaticOps)
-	}
-	return nil
-}
-
 // StageProgramGate attaches candidate program candID in shadow on hook and
 // returns a gate-only canary: EvalGates renders the verdict, but promotion
 // never happens here — a fleet rollout controller (internal/cluster) reads
 // the per-node verdicts and commits the retarget through the replicated log,
 // so every node's state change flows through the same shipped records.
-// cfg's static-cost ceilings reject at staging; Release detaches the shadow
-// when the controller is done.
+// Release detaches the shadow when the controller is done.
 func (p *Plane) StageProgramGate(hook string, candID int64, cfg CanaryConfig) (*Canary, error) {
 	if _, err := p.K.Program(candID); err != nil {
-		return nil, err
-	}
-	if err := p.checkStaticCost(candID, cfg); err != nil {
 		return nil, err
 	}
 	sh := core.NewProgramShadow(hook, candID)

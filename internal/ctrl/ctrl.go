@@ -28,10 +28,10 @@ var (
 	// a FLOP or memory budget. Callers that only care about "too expensive,
 	// do not retry" branch on this one sentinel.
 	ErrBudgetExceeded = errors.New("ctrl: model budget exceeded")
-	// ErrStaticCost is wrapped when a canary is rejected up front because
-	// the candidate's verifier-proven worst-case cost (steps or ML ops)
-	// exceeds the rollout policy's static ceiling, before any shadow
-	// traffic is spent on it.
+	// ErrStaticCost is wrapped when a model canary is rejected up front
+	// because the candidate's ML ops exceed the rollout policy's static
+	// ceiling (CanaryConfig.MaxStaticOps), before any shadow traffic is
+	// spent on it.
 	ErrStaticCost = errors.New("ctrl: static worst-case cost exceeds canary policy")
 )
 

@@ -3,7 +3,6 @@ package ctrl
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"rmtk/internal/core"
 	"rmtk/internal/ml/dt"
@@ -37,22 +36,17 @@ func AccuracyCanaryConfig() CanaryConfig {
 	}
 }
 
-// noSleep keeps a direct push's retries off the wall clock: simulated runs
-// never block, and the backoff schedule stays deterministic.
-var noSleep = BackoffConfig{Sleep: func(time.Duration) {}}
-
 // Learner drives the retrain → push lifecycle of model id, which a program
-// on hook consults. Without a canary policy a push is a cost-checked swap,
-// retried on transient failure; with one it is a staged rollout, of which at
+// on hook consults. Without a canary policy a push is a swap, retried on
+// transient failure; with one it is a staged rollout, of which at
 // most one is in flight. A Learner is driven from its datapath's event loop
 // and is not safe for concurrent use.
 type Learner struct {
-	p        *Plane
-	hook     string
-	id       int64
-	ops, mem int64
-	gate     *CanaryConfig
-	label    func(key, verdict int64, emissions []int64)
+	p     *Plane
+	hook  string
+	id    int64
+	gate  *CanaryConfig
+	label func(key, verdict int64, emissions []int64)
 
 	c         *Canary // the in-flight rollout, nil when none
 	lastState CanaryState
@@ -60,14 +54,14 @@ type Learner struct {
 	trains    int
 }
 
-// NewLearner returns the learner for model id, pushing trees under the
-// opsBudget/memBudget cost check. A non-nil gate stages every
-// push behind a shadow canary on hook; label, when non-nil, is called with
-// each staged candidate's shadow runs that did not trap, so the datapath can
-// label them against the outcomes it later observes (Label).
-func (p *Plane) NewLearner(hook string, id int64, opsBudget, memBudget int64,
-	gate *CanaryConfig, label func(key, verdict int64, emissions []int64)) *Learner {
-	return &Learner{p: p, hook: hook, id: id, ops: opsBudget, mem: memBudget, gate: gate, label: label}
+// NewLearner returns the learner for model id. A non-nil gate stages every
+// push behind a shadow canary on hook, whose static ceiling (MaxStaticOps)
+// is the only cost check; label, when non-nil, is called with each staged
+// candidate's shadow runs that did not trap, so the datapath can label them
+// against the outcomes it later observes (Label).
+func (p *Plane) NewLearner(hook string, id int64, gate *CanaryConfig,
+	label func(key, verdict int64, emissions []int64)) *Learner {
+	return &Learner{p: p, hook: hook, id: id, gate: gate, label: label}
 }
 
 // Train fits a tree to the training window and pushes it. A retrain while a
@@ -86,20 +80,20 @@ func (l *Learner) Train(window *dt.Online) error {
 
 // Push pushes candidate m: a direct push counts a train at once, a staged
 // one when its candidate goes live. It fails with ErrRolloutInFlight while a
-// rollout is in flight, and a budget rejection satisfies
-// errors.Is(err, ErrBudgetExceeded) on either path.
+// rollout is in flight, and a canary refuses a candidate above the gate's
+// MaxStaticOps with ErrStaticCost before any shadow attaches.
 func (l *Learner) Push(m core.Model) error {
 	if l.c != nil {
 		return fmt.Errorf("%w: model %d", ErrRolloutInFlight, l.id)
 	}
 	if l.gate == nil {
-		if err := l.p.PushModelRetry(l.id, m, l.ops, l.mem, noSleep); err != nil {
+		if err := l.p.PushModelRetry(l.id, m, 0, 0); err != nil {
 			return err
 		}
 		l.trains++
 		return nil
 	}
-	c, err := l.p.PushModelCanary(l.hook, l.id, m, l.ops, l.mem, *l.gate)
+	c, err := l.p.PushModelCanary(l.hook, l.id, m, 0, 0, *l.gate)
 	if err != nil {
 		return fmt.Errorf("ctrl: staging a canary on %s: %w", l.hook, err)
 	}

@@ -64,7 +64,7 @@ func IOTail(seed int64) ([]IOTailRow, error) {
 	add(blksim.Run(cfg, blksim.ShortestQueueRouter{}, reqs), 0)
 
 	k := core.NewKernel(core.Config{})
-	router, err := rmtio.New(k, ctrl.New(k), rmtio.Config{})
+	router, err := rmtio.New(k, ctrl.New(k))
 	if err != nil {
 		return nil, err
 	}

@@ -52,7 +52,7 @@ func NetIsolation(seed int64) ([]NetRow, error) {
 	add(netsim.Run(cfg, netsim.ReactiveThreshold{}, w), 0)
 
 	k := core.NewKernel(core.Config{})
-	cls, err := rmtnet.New(k, ctrl.New(k), rmtnet.Config{})
+	cls, err := rmtnet.New(k, ctrl.New(k))
 	if err != nil {
 		return nil, err
 	}

@@ -245,22 +245,6 @@ func TestOnlineRetrainsAndAdapts(t *testing.T) {
 	}
 }
 
-func TestOnlineTrainHook(t *testing.T) {
-	calls := 0
-	o := NewOnline(OnlineConfig{
-		Tree:         Config{MaxDepth: 3, MinSamples: 1},
-		Window:       64,
-		RetrainEvery: 16,
-		OnTrain:      func(*Tree) { calls++ },
-	})
-	for i := 0; i < 64; i++ {
-		o.Observe([]int64{int64(i)}, int64(i%2))
-	}
-	if calls != 4 {
-		t.Fatalf("OnTrain calls = %d, want 4", calls)
-	}
-}
-
 // TestOnlineWindowSlidesInOrder streams three windows' worth of samples and
 // checks, after every one, that Window returns exactly the most recent
 // samples, oldest first.

@@ -19,9 +19,8 @@ import (
 // their weights, so a fit (Fit, or Observe's own retrain) starts from the
 // distinct samples instead of the raw rows (DESIGN.md "The training window").
 type Online struct {
-	cfg       Config
-	retrain   int
-	trainHook func(*Tree) // optional; invoked after each retrain
+	cfg     Config
+	retrain int
 
 	mu      sync.Mutex
 	w       window
@@ -44,9 +43,6 @@ type OnlineConfig struct {
 	// RetrainEvery triggers training after this many new observations.
 	// <=0 selects Window/4.
 	RetrainEvery int
-	// OnTrain, when non-nil, is called with each newly trained tree (used
-	// by the control plane to re-verify and re-install models).
-	OnTrain func(*Tree)
 }
 
 // NewOnline creates an online learner.
@@ -62,7 +58,7 @@ func NewOnline(cfg OnlineConfig) *Online {
 			r = 1
 		}
 	}
-	return &Online{cfg: cfg.Tree, retrain: r, trainHook: cfg.OnTrain, w: window{cap: w, hash: sampleHash}}
+	return &Online{cfg: cfg.Tree, retrain: r, w: window{cap: w, hash: sampleHash}}
 }
 
 // Observe records a labelled sample and retrains when due. A sample of another
@@ -91,9 +87,6 @@ func (o *Online) train() {
 	o.tree = t
 	o.trains++
 	o.mu.Unlock()
-	if o.trainHook != nil {
-		o.trainHook(t)
-	}
 }
 
 // Fit grows a tree on the window's samples with the learner's induction

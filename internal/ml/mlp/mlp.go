@@ -129,8 +129,6 @@ type TrainConfig struct {
 	LR float64
 	// Seed drives shuffling.
 	Seed int64
-	// L2 is the weight-decay coefficient (0 disables).
-	L2 float64
 }
 
 // Train fits the network to X (rows of Sizes[0] features) with integer class
@@ -163,14 +161,14 @@ func (m *MLP) Train(X [][]float64, y []int, cfg TrainConfig) error {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		lr := cfg.LR / (1 + 0.05*float64(epoch)) // mild decay
 		for _, s := range order {
-			m.sgdStep(X[s], y[s], lr, cfg.L2)
+			m.sgdStep(X[s], y[s], lr)
 		}
 	}
 	return nil
 }
 
 // sgdStep performs one backpropagation update.
-func (m *MLP) sgdStep(x []float64, label int, lr, l2 float64) {
+func (m *MLP) sgdStep(x []float64, label int, lr float64) {
 	acts := m.forward(x)
 	L := m.Layers()
 	// Output delta: softmax cross-entropy gradient = p - onehot.
@@ -195,9 +193,6 @@ func (m *MLP) sgdStep(x []float64, label int, lr, l2 float64) {
 					prev[i] += d * row[i]
 				}
 				g := d * a
-				if l2 > 0 {
-					g += l2 * row[i]
-				}
 				row[i] -= lr * g
 			}
 			m.B[l][o] -= lr * d

@@ -19,6 +19,9 @@ const (
 	MLClamp = 1 << 17
 )
 
+// MLTree configures the induction of the ML policy's decision tree.
+var MLTree = dt.Config{MaxDepth: 12, MinSamples: 2, MaxThresholds: 48}
+
 func clampDelta(d int64) int64 {
 	if d > MLClamp {
 		return MLClamp
@@ -51,7 +54,7 @@ type OnlineTreeModel struct {
 // learner used in case study #1.
 func NewOnlineTreeModel() *OnlineTreeModel {
 	return &OnlineTreeModel{Online: dt.NewOnline(dt.OnlineConfig{
-		Tree:         dt.Config{MaxDepth: 12, MinSamples: 2, MaxThresholds: 48},
+		Tree:         MLTree,
 		Window:       4096,
 		RetrainEvery: 512,
 	})}

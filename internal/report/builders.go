@@ -26,10 +26,10 @@ func DatapathBuilder(mode core.ExecMode) (*core.Kernel, []Rejection, error) {
 	// One page access admits the per-process prefetch program (programs are
 	// installed lazily as processes appear).
 	pf.OnAccess(1, 100, false)
-	if _, err := rmtio.New(k, plane, rmtio.Config{}); err != nil {
+	if _, err := rmtio.New(k, plane); err != nil {
 		return nil, nil, fmt.Errorf("rmtio: %w", err)
 	}
-	if _, err := rmtnet.New(k, plane, rmtnet.Config{}); err != nil {
+	if _, err := rmtnet.New(k, plane); err != nil {
 		return nil, nil, fmt.Errorf("rmtnet: %w", err)
 	}
 	return k, nil, nil

@@ -5,8 +5,8 @@
 // the next IO on that device will hit a garbage-collection stall — the
 // LinnOS-style learned policy the paper cites as motivating in-kernel ML
 // (§2, [24]). Training is fully online: outcomes label the features staged
-// at submit time, and the control plane periodically pushes a fresh integer
-// decision tree after a cost check.
+// at submit time, and a ctrl.Learner periodically pushes a fresh integer
+// decision tree through the control plane.
 package rmtio
 
 import (
@@ -40,51 +40,23 @@ const (
 // SubmitTable is the table name at blk/submit_io.
 const SubmitTable = "io_predict_tab"
 
-// Config parameterizes the learned router.
-type Config struct {
-	// TrainEvery retrains after this many labelled outcomes. <=0 selects
-	// 256.
-	TrainEvery int
-	// ExploreEvery routes every Nth request round-robin regardless of the
+const (
+	// trainEvery retrains after this many labelled outcomes.
+	trainEvery = 256
+	// exploreEvery routes every Nth request round-robin regardless of the
 	// prediction, so the training data covers all devices and phases
-	// (otherwise the policy only ever labels its own choices). <=0
-	// selects 8.
-	ExploreEvery int
-	// Tree configures induction.
-	Tree dt.Config
-	// OpsBudget/MemBudget gate model pushes.
-	OpsBudget int64
-	MemBudget int64
-	// Canary, when non-nil, routes retrained model pushes through a
-	// shadow-mode canary: the candidate tree predicts in shadow on live
-	// submit traffic, its per-device verdicts are labeled against the
-	// completion outcomes the simulator later reports, and only a
-	// candidate whose labeled shadow accuracy clears the gate goes live.
-	// At most one rollout is in flight; retrain boundaries hit while one
-	// is pending are skipped and retried at the next boundary.
-	// ctrl.AccuracyCanaryConfig is the gate suited to it.
-	Canary *ctrl.CanaryConfig
-}
+	// (otherwise the policy only ever labels its own choices).
+	exploreEvery = 8
+)
 
-func (c Config) withDefaults() Config {
-	if c.TrainEvery <= 0 {
-		c.TrainEvery = 256
-	}
-	if c.ExploreEvery <= 0 {
-		c.ExploreEvery = 8
-	}
-	if c.Tree.MaxDepth <= 0 {
-		c.Tree = dt.Config{MaxDepth: 10, MinSamples: 4, MaxThresholds: 64}
-	}
-	return c
-}
+// treeConfig configures induction.
+var treeConfig = dt.Config{MaxDepth: 10, MinSamples: 4, MaxThresholds: 64}
 
 // Router is the kernel-routed learned IO router; it implements
 // blksim.Router.
 type Router struct {
 	K     *core.Kernel
 	Plane *ctrl.Plane
-	cfg   Config
 
 	modelID int64
 	vecID   int64
@@ -97,9 +69,6 @@ type Router struct {
 	routes   int
 	pending  map[int64][]int64 // features staged for in-flight primaries
 	delayNs  int64             // injected stall pending charge to the simulator
-	// shadowPred holds the in-flight candidate's last shadow verdict per
-	// device, awaiting its completion label.
-	shadowPred map[int64]int64
 }
 
 type devState struct {
@@ -114,14 +83,12 @@ type devState struct {
 
 // New installs the submit-path table, the shared prediction model and its
 // program on k.
-func New(k *core.Kernel, plane *ctrl.Plane, cfg Config) (*Router, error) {
-	cfg = cfg.withDefaults()
+func New(k *core.Kernel, plane *ctrl.Plane) (*Router, error) {
 	r := &Router{
-		K: k, Plane: plane, cfg: cfg,
-		devs:       make(map[int]*devState),
-		pending:    make(map[int64][]int64),
-		shadowPred: make(map[int64]int64),
-		samples:    dt.NewOnline(dt.OnlineConfig{Tree: cfg.Tree, Window: 4096, RetrainEvery: 1 << 30}),
+		K: k, Plane: plane,
+		devs:    make(map[int]*devState),
+		pending: make(map[int64][]int64),
+		samples: dt.NewOnline(dt.OnlineConfig{Tree: treeConfig, Window: 4096, RetrainEvery: 1 << 30}),
 	}
 	// Placeholder model: predict fast until trained (route falls back to
 	// shortest queue among "fast" predictions, i.e. plain load balancing).
@@ -132,8 +99,7 @@ func New(k *core.Kernel, plane *ctrl.Plane, cfg Config) (*Router, error) {
 		Size:  8,
 	})
 	r.vecID = k.RegisterVec(make([]int64, NumFeatures))
-	r.learn = plane.NewLearner(blksim.HookSubmitIO, r.modelID, cfg.OpsBudget, cfg.MemBudget, cfg.Canary,
-		func(dev, verdict int64, _ []int64) { r.shadowPred[dev] = verdict })
+	r.learn = plane.NewLearner(blksim.HookSubmitIO, r.modelID, nil, nil)
 
 	if _, _, err := plane.CreateTable(SubmitTable, blksim.HookSubmitIO, table.MatchExact); err != nil {
 		return nil, err
@@ -262,12 +228,12 @@ func (r *Router) TakeDelay() int64 {
 // Route implements blksim.Router: pick the shortest-queue device among
 // those predicted fast; if every replica is predicted slow, take the one
 // with the most headroom anyway (no hedging — the prediction replaces it).
-// Every ExploreEvery-th request is routed round-robin so labels cover all
+// Every exploreEvery-th request is routed round-robin so labels cover all
 // devices and GC phases.
 func (r *Router) Route(now int64, devs []*blksim.Device) (int, bool, int) {
 	r.routes++
-	if r.routes%r.cfg.ExploreEvery == 0 {
-		choice := (r.routes / r.cfg.ExploreEvery) % len(devs)
+	if r.routes%exploreEvery == 0 {
+		choice := (r.routes / exploreEvery) % len(devs)
 		r.pending[int64(choice)] = r.features(choice, devs[choice].QueueLen(), now)
 		return choice, false, -1
 	}
@@ -334,19 +300,7 @@ func (r *Router) OnComplete(dev int64, slow bool, latencyNs int64) {
 	}
 	r.samples.Observe(feats, label)
 	r.observed++
-	if r.learn.InFlight() {
-		// Label the shadow's last verdict for this device against the
-		// ground truth the completion just revealed, then pump the rollout
-		// lifecycle on the datapath's own event clock.
-		if pred, ok := r.shadowPred[dev]; ok {
-			delete(r.shadowPred, dev)
-			r.learn.Label((pred == 1) == slow)
-		}
-		if r.learn.Advance() {
-			clear(r.shadowPred)
-		}
-	}
-	if r.observed%r.cfg.TrainEvery == 0 {
+	if r.observed%trainEvery == 0 {
 		if r.samples.WindowSize() >= 32 {
 			_ = r.learn.Train(r.samples)
 		}

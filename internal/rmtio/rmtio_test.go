@@ -11,7 +11,7 @@ import (
 func newRouter(t *testing.T) (*core.Kernel, *Router) {
 	t.Helper()
 	k := core.NewKernel(core.Config{})
-	r, err := New(k, ctrl.New(k), Config{})
+	r, err := New(k, ctrl.New(k))
 	if err != nil {
 		t.Fatal(err)
 	}

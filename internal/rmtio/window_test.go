@@ -22,7 +22,7 @@ type checkedRouter struct {
 
 func (c *checkedRouter) OnComplete(dev int64, slow bool, latencyNs int64) {
 	c.Router.OnComplete(dev, slow, latencyNs)
-	if c.Observed()%c.TrainEvery() != 0 || c.Window().WindowSize() < 32 {
+	if c.Observed()%rmtio.TrainEvery != 0 || c.Window().WindowSize() < 32 {
 		return
 	}
 	got, err := c.Window().Fit()
@@ -30,7 +30,7 @@ func (c *checkedRouter) OnComplete(dev int64, slow bool, latencyNs int64) {
 		c.t.Fatal(err)
 	}
 	X, y := c.Window().Window()
-	want, err := dt.Train(X, y, c.TreeConfig())
+	want, err := dt.Train(X, y, rmtio.TreeConfig)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestIOWindowMatchesTrain(t *testing.T) {
 	cfg := blksim.Config{Replicas: 3, Device: experiments.IODeviceConfig(), Seed: seed, HedgeAfterNs: 300_000}
 	reqs := blksim.GenRequests(30_000, 300_000, seed+1)
 	k := core.NewKernel(core.Config{})
-	r, err := rmtio.New(k, ctrl.New(k), rmtio.Config{})
+	r, err := rmtio.New(k, ctrl.New(k))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,11 @@ package rmtnet
 
 import "rmtk/internal/ml/dt"
 
-// Window, TreeConfig, Done and TrainEvery let the external tests check the
+// TrainEvery, TreeConfig, Window and Done let the external tests check the
 // training window at every retrain.
-func (c *Classifier) Window() *dt.Online    { return c.samples }
-func (c *Classifier) TreeConfig() dt.Config { return c.cfg.Tree }
-func (c *Classifier) Done() int             { return c.done }
-func (c *Classifier) TrainEvery() int       { return c.cfg.TrainEvery }
+const TrainEvery = trainEvery
+
+var TreeConfig = treeConfig
+
+func (c *Classifier) Window() *dt.Online { return c.samples }
+func (c *Classifier) Done() int          { return c.done }

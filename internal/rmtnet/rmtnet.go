@@ -22,39 +22,22 @@ import (
 // ClassifyTable is the table name at net/rx_flow_classify.
 const ClassifyTable = "flow_class_tab"
 
-// Config parameterizes the learned classifier.
-type Config struct {
-	// ElephantCutoff is the flow size (bytes) labelling a flow as an
-	// elephant. <=0 selects 64_000.
-	ElephantCutoff int64
-	// TrainEvery retrains after this many completed flows. <=0 selects 64.
-	TrainEvery int
-	// Tree configures induction.
-	Tree dt.Config
-	// OpsBudget/MemBudget gate model pushes.
-	OpsBudget int64
-	MemBudget int64
-}
+const (
+	// elephantCutoff is the flow size (bytes) labelling a flow as an
+	// elephant.
+	elephantCutoff = 64_000
+	// trainEvery retrains after this many completed flows.
+	trainEvery = 64
+)
 
-func (c Config) withDefaults() Config {
-	if c.ElephantCutoff <= 0 {
-		c.ElephantCutoff = 64_000
-	}
-	if c.TrainEvery <= 0 {
-		c.TrainEvery = 64
-	}
-	if c.Tree.MaxDepth <= 0 {
-		c.Tree = dt.Config{MaxDepth: 6, MinSamples: 2, MaxThresholds: 32}
-	}
-	return c
-}
+// treeConfig configures induction.
+var treeConfig = dt.Config{MaxDepth: 6, MinSamples: 2, MaxThresholds: 32}
 
 // Classifier is the kernel-routed learned flow classifier; it implements
 // netsim.Classifier.
 type Classifier struct {
 	K     *core.Kernel
 	Plane *ctrl.Plane
-	cfg   Config
 
 	modelID int64
 	vecID   int64
@@ -65,11 +48,10 @@ type Classifier struct {
 }
 
 // New installs the classify table, prediction program and placeholder model.
-func New(k *core.Kernel, plane *ctrl.Plane, cfg Config) (*Classifier, error) {
-	cfg = cfg.withDefaults()
+func New(k *core.Kernel, plane *ctrl.Plane) (*Classifier, error) {
 	c := &Classifier{
-		K: k, Plane: plane, cfg: cfg,
-		samples: dt.NewOnline(dt.OnlineConfig{Tree: cfg.Tree, Window: 2048, RetrainEvery: 1 << 30}),
+		K: k, Plane: plane,
+		samples: dt.NewOnline(dt.OnlineConfig{Tree: treeConfig, Window: 2048, RetrainEvery: 1 << 30}),
 	}
 	c.modelID = k.RegisterModel(&core.FuncModel{
 		Fn:    func([]int64) int64 { return 0 }, // mice until trained
@@ -78,7 +60,7 @@ func New(k *core.Kernel, plane *ctrl.Plane, cfg Config) (*Classifier, error) {
 		Size:  8,
 	})
 	c.vecID = k.RegisterVec(make([]int64, netsim.NumFeatures))
-	c.learn = plane.NewLearner(netsim.HookClassify, c.modelID, cfg.OpsBudget, cfg.MemBudget, nil, nil)
+	c.learn = plane.NewLearner(netsim.HookClassify, c.modelID, nil, nil)
 	if _, _, err := plane.CreateTable(ClassifyTable, netsim.HookClassify, table.MatchTernary); err != nil {
 		return nil, err
 	}
@@ -133,12 +115,12 @@ func (c *Classifier) OnFlowBytes(int64, int64) int { return -1 }
 // OnFlowDone implements netsim.Classifier: label and periodically retrain.
 func (c *Classifier) OnFlowDone(info *netsim.FlowInfo, total int64) {
 	label := int64(0)
-	if total >= c.cfg.ElephantCutoff {
+	if total >= elephantCutoff {
 		label = 1
 	}
 	c.samples.Observe(info.Features(), label)
 	c.done++
-	if c.done%c.cfg.TrainEvery == 0 {
+	if c.done%trainEvery == 0 {
 		if c.samples.WindowSize() >= 16 {
 			_ = c.learn.Train(c.samples)
 		}

@@ -11,7 +11,7 @@ import (
 func newClassifier(t *testing.T) (*core.Kernel, *Classifier) {
 	t.Helper()
 	k := core.NewKernel(core.Config{})
-	c, err := New(k, ctrl.New(k), Config{})
+	c, err := New(k, ctrl.New(k))
 	if err != nil {
 		t.Fatal(err)
 	}

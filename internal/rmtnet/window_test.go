@@ -22,7 +22,7 @@ type checkedClassifier struct {
 
 func (c *checkedClassifier) OnFlowDone(info *netsim.FlowInfo, total int64) {
 	c.Classifier.OnFlowDone(info, total)
-	if c.Done()%c.TrainEvery() != 0 || c.Window().WindowSize() < 16 {
+	if c.Done()%rmtnet.TrainEvery != 0 || c.Window().WindowSize() < 16 {
 		return
 	}
 	got, err := c.Window().Fit()
@@ -30,7 +30,7 @@ func (c *checkedClassifier) OnFlowDone(info *netsim.FlowInfo, total int64) {
 		c.t.Fatal(err)
 	}
 	X, y := c.Window().Window()
-	want, err := dt.Train(X, y, c.TreeConfig())
+	want, err := dt.Train(X, y, rmtnet.TreeConfig)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestNetWindowMatchesTrain(t *testing.T) {
 	const seed = 1
 	cfg := netsim.Config{LatencyBytesPerUs: 1000, BulkBytesPerUs: 8000}
 	k := core.NewKernel(core.Config{})
-	cls, err := rmtnet.New(k, ctrl.New(k), rmtnet.Config{})
+	cls, err := rmtnet.New(k, ctrl.New(k))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,15 +35,10 @@ const (
 	PrefetchTable = "page_prefetch_tab"
 )
 
-// Config parameterizes the RMT prefetcher.
+// Config parameterizes the RMT prefetcher. The delta-history width, the
+// rollout depth, the far-jump clamp and the tree induction are the direct
+// policy's: prefetch.MLHistory, MLDepth, MLClamp and MLTree.
 type Config struct {
-	// Hist is the delta-history feature width. <=0 selects 8.
-	Hist int
-	// Depth is the rollout depth (the prefetch degree parameter carried in
-	// the table entry). <=0 selects 12.
-	Depth int
-	// Clamp is the far-jump sentinel magnitude. <=0 selects 1<<17.
-	Clamp int64
 	// TrainEvery retrains a process's tree after this many of its
 	// accesses. <=0 selects 512.
 	TrainEvery int
@@ -51,38 +46,20 @@ type Config struct {
 	// many accesses (the frozen-model baseline of the online-adaptation
 	// ablation).
 	FreezeAfter int
-	// Tree configures tree induction.
-	Tree dt.Config
-	// OpsBudget/MemBudget gate model pushes (0 = unlimited).
-	OpsBudget int64
-	MemBudget int64
 	// Canary, when non-nil, routes retrained model pushes through a
 	// shadow-mode canary instead of cutting the hot path over directly: the
 	// candidate tree runs in shadow on live prefetch traffic, its predicted
 	// pages are labeled against the pages the process actually accesses
 	// next, and only a candidate whose shadow accuracy clears the gate is
-	// promoted (with automatic rollback if accuracy then regresses under a
-	// watched monitor). At most one rollout is in flight per hook; retrain
+	// promoted. At most one rollout is in flight per hook; retrain
 	// boundaries hit while one is pending are skipped and retried at the
 	// next boundary. ctrl.AccuracyCanaryConfig is the gate suited to it.
 	Canary *ctrl.CanaryConfig
 }
 
 func (c Config) withDefaults() Config {
-	if c.Hist <= 0 {
-		c.Hist = 8
-	}
-	if c.Depth <= 0 {
-		c.Depth = 12
-	}
-	if c.Clamp <= 0 {
-		c.Clamp = 1 << 17
-	}
 	if c.TrainEvery <= 0 {
 		c.TrainEvery = 512
-	}
-	if c.Tree.MaxDepth <= 0 {
-		c.Tree = dt.Config{MaxDepth: 12, MinSamples: 2, MaxThresholds: 48}
 	}
 	return c
 }
@@ -199,7 +176,7 @@ func New(k *core.Kernel, plane *ctrl.Plane, cfg Config) (*Prefetcher, error) {
 	if _, _, err := plane.CreateTable(PrefetchTable, memsim.HookSwapClusterReadahead, table.MatchExact); err != nil {
 		return nil, err
 	}
-	insns, err := isa.Assemble(CollectProgramSource(cfg.Clamp))
+	insns, err := isa.Assemble(CollectProgramSource(prefetch.MLClamp))
 	if err != nil {
 		return nil, fmt.Errorf("rmtprefetch: collect program: %w", err)
 	}
@@ -243,11 +220,11 @@ func (p *Prefetcher) admit(pid int64) (*proc, error) {
 	// prefetch program then exits without emitting.
 	modelID := p.K.RegisterModel(&core.FuncModel{
 		Fn:    func([]int64) int64 { return 0 },
-		Feats: p.cfg.Hist,
+		Feats: prefetch.MLHistory,
 		Ops:   1,
 		Size:  8,
 	})
-	src := PrefetchProgramSource(modelID, p.cfg.Hist, p.cfg.Depth, p.cfg.Clamp)
+	src := PrefetchProgramSource(modelID, prefetch.MLHistory, prefetch.MLDepth, prefetch.MLClamp)
 	insns, err := isa.Assemble(src)
 	if err != nil {
 		return nil, fmt.Errorf("rmtprefetch: prefetch program: %w", err)
@@ -274,13 +251,12 @@ func (p *Prefetcher) admit(pid int64) (*proc, error) {
 	}
 	if err := p.Plane.AddEntry(PrefetchTable, &table.Entry{
 		Key:    uint64(pid),
-		Action: table.Action{Kind: table.ActionProgram, ProgID: progID, Param: int64(p.cfg.Depth)},
+		Action: table.Action{Kind: table.ActionProgram, ProgID: progID, Param: prefetch.MLDepth},
 	}); err != nil {
 		return nil, err
 	}
 	pr := &proc{modelID: modelID, progID: progID, window: p.newWindow()}
-	pr.learn = p.Plane.NewLearner(memsim.HookSwapClusterReadahead, modelID,
-		p.cfg.OpsBudget, p.cfg.MemBudget, p.cfg.Canary,
+	pr.learn = p.Plane.NewLearner(memsim.HookSwapClusterReadahead, modelID, p.cfg.Canary,
 		func(key, _ int64, emissions []int64) {
 			if key == pid {
 				p.addPending(pr, emissions)
@@ -396,8 +372,8 @@ func (p *Prefetcher) TakeDelay() int64 {
 // history holds.
 func (p *Prefetcher) newWindow() *dt.Online {
 	return dt.NewOnline(dt.OnlineConfig{
-		Tree:         p.cfg.Tree,
-		Window:       p.K.Ctx().HistCap() - p.cfg.Hist,
+		Tree:         prefetch.MLTree,
+		Window:       p.K.Ctx().HistCap() - prefetch.MLHistory,
 		RetrainEvery: math.MaxInt,
 	})
 }
@@ -408,8 +384,8 @@ func (p *Prefetcher) newWindow() *dt.Online {
 // training loop. A tree over budget or a push that keeps failing leaves the
 // previous model serving.
 //
-// Row j of a history h is the window h[j:j+Hist] and its label the delta
-// that followed, h[j+Hist]. Only the rows whose label the history gained
+// Row j of a history h is the window h[j:j+MLHistory] and its label the delta
+// that followed, h[j+MLHistory]. Only the rows whose label the history gained
 // since the last step are added; the window's capacity, the rows a full
 // history holds, evicts the ones its history has lost. The window is folded
 // forward even when the learner skips the fit, so it never falls behind.
@@ -439,7 +415,7 @@ func (p *Prefetcher) retrain(pid int64, pr *proc) {
 // history dropped and refilled since is read back whole, so any surplus is
 // rows left over from before the drop.
 func (p *Prefetcher) fold(pr *proc, pid int64, gained uint64) bool {
-	ctx, w := p.K.Ctx(), p.cfg.Hist
+	ctx, w := p.K.Ctx(), prefetch.MLHistory
 	n := ctx.Hist(pid, p.hist[:min(uint64(len(p.hist)), gained+uint64(w))])
 	hist := p.hist[:n]
 	for j := 0; j+w < n; j++ {
@@ -461,7 +437,7 @@ func (p *Prefetcher) SetDepth(pid int64, depth int) error {
 	})
 }
 
-// ModelID returns the model id serving a process (for monitor attachment).
+// ModelID returns the model id serving a process.
 func (p *Prefetcher) ModelID(pid int64) (int64, bool) {
 	pr, ok := p.procs[pid]
 	if !ok {

@@ -35,15 +35,15 @@ func TestProgramsAssembleAndVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal("prefetch program missing")
 	}
-	rep, err := k.ProgramReport(progID)
+	// admit refuses a prefetch program the verifier did not flag for rate
+	// limiting; the admitted copy carries the verifier's step bound and
+	// reads the process's model.
+	prog, err := k.Program(progID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.NeedsRateLimit {
-		t.Fatal("prefetch program must be rate-limited")
-	}
-	if rep.MaxSteps <= 0 || rep.MLOps <= 0 {
-		t.Fatalf("report = %+v", rep)
+	if prog.StaticSteps <= 0 || !slices.Equal(prog.Models, []int64{p.procs[56].modelID}) {
+		t.Fatalf("admitted program: %d static steps, models %v", prog.StaticSteps, prog.Models)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestLearnsStrideAndEmits(t *testing.T) {
 }
 
 func TestDepthParameterControlsRollout(t *testing.T) {
-	_, p := newStack(t, Config{TrainEvery: 128, Depth: 12})
+	_, p := newStack(t, Config{TrainEvery: 128})
 	page := int64(0)
 	for i := 0; i < 1000; i++ {
 		page += 5
@@ -133,20 +133,25 @@ func TestModelIDExposed(t *testing.T) {
 	}
 }
 
-// TestPushKeepsBudgetCause: an external push of an over-budget model fails
-// with the cost check's cause, on a direct push and behind a canary alike.
+// TestPushKeepsBudgetCause: an external push behind a canary of a model above
+// the gate's static ceiling fails with the cost check's cause before any
+// shadow attaches.
 func TestPushKeepsBudgetCause(t *testing.T) {
 	cc := ctrl.AccuracyCanaryConfig()
-	for _, canary := range []*ctrl.CanaryConfig{nil, &cc} {
-		_, p := newStack(t, Config{OpsBudget: 100, Canary: canary})
-		if p.Learner(56) != nil {
-			t.Fatal("unknown pid has a learner")
-		}
-		p.OnAccess(56, 1, false)
-		big := &core.FuncModel{Fn: func([]int64) int64 { return 0 }, Feats: 8, Ops: 1000}
-		if err := p.Learner(56).Push(big); !errors.Is(err, ctrl.ErrBudgetExceeded) {
-			t.Errorf("canary=%v: err = %v, want ErrBudgetExceeded", canary != nil, err)
-		}
+	k, p := newStack(t, Config{Canary: &cc})
+	if p.Learner(56) != nil {
+		t.Fatal("unknown pid has a learner")
+	}
+	p.OnAccess(56, 1, false)
+	big := &core.FuncModel{Fn: func([]int64) int64 { return 0 }, Feats: 8, Ops: cc.MaxStaticOps + 1}
+	if err := p.Learner(56).Push(big); !errors.Is(err, ctrl.ErrStaticCost) {
+		t.Fatalf("err = %v, want ErrStaticCost", err)
+	}
+	if got := k.Metrics.Counter("ctrl.canary_staged").Load(); got != 0 {
+		t.Fatalf("canary_staged = %d, want 0", got)
+	}
+	if k.ShadowAt(memsim.HookSwapClusterReadahead) != nil {
+		t.Fatal("shadow attached for a refused candidate")
 	}
 }
 
@@ -291,9 +296,9 @@ func TestOnAccessAllocatesNothing(t *testing.T) {
 // values than it held, then to more — when the push count and the window
 // disagree and the window is rebuilt from the whole history.
 func TestWindowFollowsTheHistory(t *testing.T) {
-	const pid, trainEvery, hist = 56, 64, 4
+	const pid, trainEvery, hist = 56, 64, prefetch.MLHistory
 	k := core.NewKernel(core.Config{CtxHistory: 256})
-	p, err := New(k, ctrl.New(k), Config{Hist: hist, TrainEvery: trainEvery})
+	p, err := New(k, ctrl.New(k), Config{TrainEvery: trainEvery})
 	if err != nil {
 		t.Fatal(err)
 	}

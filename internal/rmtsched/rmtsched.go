@@ -114,38 +114,4 @@ func (d *Decider) CanMigrate(f *schedsim.Features) bool {
 	return res.Verdict == 1
 }
 
-// CanMigrateBatch implements schedsim.BatchDecider: all candidates of one
-// balance pass run through a single core.FireBatch, paying one route-snapshot
-// acquisition for the whole pass. Each event's Prep closure stages that
-// candidate's normalized features into the pool vector (and the raw struct
-// into the fallback's staging slot) immediately before its run.
-func (d *Decider) CanMigrateBatch(fs []*schedsim.Features) []bool {
-	events := make([]core.Event, len(fs))
-	for i := range fs {
-		f := fs[i]
-		events[i] = core.Event{
-			Hook: Hook,
-			Prep: func() {
-				x := f.Normalized()
-				if len(d.cols) > 0 {
-					x = feature.SelectRow(x, d.cols)
-				}
-				_ = d.K.SetVec(d.vecID, x)
-				d.lastFeatures = f
-			},
-		}
-	}
-	out := make([]core.FireResult, len(events))
-	d.K.FireBatch(events, out)
-	d.lastFeatures = nil
-	verdicts := make([]bool, len(fs))
-	for i := range out {
-		verdicts[i] = out[i].Verdict == 1
-	}
-	return verdicts
-}
-
-var (
-	_ schedsim.Decider      = (*Decider)(nil)
-	_ schedsim.BatchDecider = (*Decider)(nil)
-)
+var _ schedsim.Decider = (*Decider)(nil)

@@ -127,51 +127,3 @@ func TestEndToEndSchedulerRun(t *testing.T) {
 		t.Fatalf("finished %d tasks", r.Tasks)
 	}
 }
-
-// TestBatchDecideMatchesSequential: CanMigrateBatch must return exactly the
-// verdicts CanMigrate would, feature vector by feature vector.
-func TestBatchDecideMatchesSequential(t *testing.T) {
-	q := trainToy(t, nil)
-	k := core.NewKernel(core.Config{})
-	dec, err := Install(k, ctrl.New(k), q, "toy", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	var fs []*schedsim.Features
-	for i := 0; i < 64; i++ {
-		var f schedsim.Features
-		f.V[schedsim.FImbalance] = rng.Int63n(4096)
-		f.V[schedsim.FCacheHot] = rng.Int63n(2)
-		f.V[schedsim.FSrcNrRunning] = rng.Int63n(8)
-		fs = append(fs, &f)
-	}
-	got := dec.CanMigrateBatch(fs)
-	if len(got) != len(fs) {
-		t.Fatalf("batch returned %d verdicts for %d features", len(got), len(fs))
-	}
-	for i, f := range fs {
-		if want := dec.CanMigrate(f); got[i] != want {
-			t.Fatalf("verdict %d diverges: batch %v, sequential %v (%s)", i, got[i], want, f.String())
-		}
-	}
-}
-
-// TestEndToEndBatchBalance: the whole scheduler runs with the batched
-// balance pass enabled and still finishes the workload.
-func TestEndToEndBatchBalance(t *testing.T) {
-	q := trainToy(t, nil)
-	k := core.NewKernel(core.Config{})
-	dec, err := Install(k, ctrl.New(k), q, "toy", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl := workload.Blackscholes(workload.SchedConfig{Seed: 3})
-	r := schedsim.Run(schedsim.Config{CPUs: 4, Seed: 2, BatchBalance: true}, wl, dec)
-	if r.Tasks != 64 {
-		t.Fatalf("finished %d tasks", r.Tasks)
-	}
-	if r.Decisions == 0 {
-		t.Fatal("batched balance consulted no candidates")
-	}
-}

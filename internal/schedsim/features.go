@@ -72,18 +72,6 @@ type Decider interface {
 	CanMigrate(f *Features) bool
 }
 
-// BatchDecider is an optional Decider extension: a policy backed by a batched
-// datapath (core.FireBatch) answers every candidate of one balance pass in a
-// single call, amortizing per-fire dispatch. Opt in via Config.BatchBalance —
-// batched passes evaluate all candidates against the loads observed at pass
-// entry, whereas the sequential path refreshes features after each accepted
-// migration, so the two modes can legitimately decide differently.
-type BatchDecider interface {
-	Decider
-	// CanMigrateBatch returns one verdict per feature vector, in order.
-	CanMigrateBatch(fs []*Features) []bool
-}
-
 // CFS heuristic thresholds (ticks / weight units).
 const (
 	cfsCacheHotTicks   = 4   // a task is cache-hot if it ran on src this recently

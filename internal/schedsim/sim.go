@@ -58,10 +58,6 @@ type Config struct {
 	Seed int64
 	// CollectDecisions records every can_migrate_task consultation.
 	CollectDecisions bool
-	// BatchBalance consults a BatchDecider once per balance pass instead of
-	// once per candidate (all features built against pass-entry loads).
-	// Ignored when the decider does not implement BatchDecider.
-	BatchBalance bool
 }
 
 func (c Config) withDefaults() Config {
@@ -362,12 +358,6 @@ func (s *Sim) balance(dst int) {
 	// Examine a snapshot of candidates; stop once the imbalance is halved.
 	cand := append([]*task(nil), src.tasks...)
 	targetImb := (src.load - dq.load) / 2
-	if s.cfg.BatchBalance {
-		if bd, ok := s.decider.(BatchDecider); ok {
-			s.balanceBatch(bd, cand, busiest, dst, targetImb)
-			return
-		}
-	}
 	var moved int64
 	for _, t := range cand {
 		if moved >= targetImb {
@@ -387,44 +377,6 @@ func (s *Sim) balance(dst int) {
 			s.res.Log = append(s.res.Log, Decision{X: append([]int64(nil), f.V[:]...), Y: y})
 		}
 		if !ok {
-			continue
-		}
-		s.migrate(t, busiest, dst)
-		moved += t.spec.Weight
-	}
-}
-
-// balanceBatch is the BatchBalance variant of the pull loop: every eligible
-// candidate's features are built against the loads at pass entry, the decider
-// answers them in one batch, and accepted migrations apply in order until the
-// imbalance target is met.
-func (s *Sim) balanceBatch(bd BatchDecider, cand []*task, busiest, dst int, targetImb int64) {
-	src := s.queues[busiest]
-	eligible := cand[:0]
-	var feats []*Features
-	for _, t := range cand {
-		if t.heapIdx == 0 && src.Len() > 0 && src.tasks[0] == t {
-			continue // currently "running"; CFS skips on-CPU tasks
-		}
-		eligible = append(eligible, t)
-		feats = append(feats, s.features(t, busiest, dst))
-	}
-	if len(eligible) == 0 {
-		return
-	}
-	oks := bd.CanMigrateBatch(feats)
-	var moved int64
-	for i, t := range eligible {
-		ok := i < len(oks) && oks[i]
-		s.res.Decisions++
-		if s.cfg.CollectDecisions {
-			y := int64(0)
-			if ok {
-				y = 1
-			}
-			s.res.Log = append(s.res.Log, Decision{X: append([]int64(nil), feats[i].V[:]...), Y: y})
-		}
-		if !ok || moved >= targetImb {
 			continue
 		}
 		s.migrate(t, busiest, dst)
