@@ -107,7 +107,7 @@ func BenchmarkTable2Scheduler(b *testing.B) {
 func benchEngineFire(b *testing.B, mode core.ExecMode) {
 	k := core.NewKernel(core.Config{CtxHistory: 4096, Mode: mode})
 	plane := ctrl.New(k)
-	p, err := rmtprefetch.New(k, plane, rmtprefetch.Config{TrainEvery: 256})
+	p, err := rmtprefetch.New(k, plane, rmtprefetch.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -543,7 +543,6 @@ func (nopEnv) CtxHist(key int64, dst []int64) int               { return 0 }
 func (nopEnv) Match(table, key int64) int64                     { return -1 }
 func (nopEnv) Call(helper int64, args *[5]int64) (int64, error) { return 0, nil }
 func (nopEnv) MatVec(id int64, in, out []int64) (int, error)    { return 0, nil }
-func (nopEnv) MatOutLen(id int64) (int, error)                  { return 0, nil }
 func (nopEnv) Infer(model int64, f []int64) (int64, error)      { return 0, nil }
 func (nopEnv) VecLoad(id int64, dst []int64) (int, error)       { return 0, nil }
 func (nopEnv) VecStore(id int64, src []int64) error             { return nil }

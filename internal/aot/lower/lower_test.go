@@ -29,7 +29,6 @@ func (stubEnv) MatVec(id int64, in, out []int64) (int, error) {
 	copy(out, in)
 	return len(in), nil
 }
-func (stubEnv) MatOutLen(id int64) (int, error)             { return 4, nil }
 func (stubEnv) Infer(model int64, x []int64) (int64, error) { return 0, nil }
 func (stubEnv) VecLoad(id int64, dst []int64) (int, error)  { return 0, nil }
 func (stubEnv) VecStore(id int64, src []int64) error        { return nil }

@@ -273,14 +273,6 @@ func (c *Cluster) Now() int64 {
 	return c.clockNs
 }
 
-// ChargeNs advances the virtual clock by extra work performed outside the
-// protocol (experiments charge request service time here).
-func (c *Cluster) ChargeNs(ns int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.clockNs += ns
-}
-
 // Metrics snapshots the protocol event counters.
 func (c *Cluster) Metrics() Metrics {
 	c.mu.Lock()

@@ -71,3 +71,26 @@ func (c *Cluster) RouteTargets(id int, tableName string) (map[uint64]int64, erro
 	}
 	return out, nil
 }
+
+// One node's role, epoch and plane, as the replication tests read them.
+
+// Role reports the node's current replication role.
+func (n *Node) Role() Role {
+	n.c.mu.Lock()
+	defer n.c.mu.Unlock()
+	return n.role
+}
+
+// Epoch reports the highest leader epoch the node has acknowledged.
+func (n *Node) Epoch() uint64 {
+	n.c.mu.Lock()
+	defer n.c.mu.Unlock()
+	return n.epoch
+}
+
+// Plane exposes the node's control plane for read-side inspection.
+func (n *Node) Plane() *ctrl.Plane {
+	n.c.mu.Lock()
+	defer n.c.mu.Unlock()
+	return n.plane
+}

@@ -111,32 +111,8 @@ type Node struct {
 	cache logCache
 }
 
-// ID reports the node's fleet id.
-func (n *Node) ID() int { return n.id }
-
 // Dir reports the node's durable directory.
 func (n *Node) Dir() string { return n.dir }
-
-// Role reports the node's current replication role.
-func (n *Node) Role() Role {
-	n.c.mu.Lock()
-	defer n.c.mu.Unlock()
-	return n.role
-}
-
-// Epoch reports the highest leader epoch the node has acknowledged.
-func (n *Node) Epoch() uint64 {
-	n.c.mu.Lock()
-	defer n.c.mu.Unlock()
-	return n.epoch
-}
-
-// Plane exposes the node's control plane for read-side inspection.
-func (n *Node) Plane() *ctrl.Plane {
-	n.c.mu.Lock()
-	defer n.c.mu.Unlock()
-	return n.plane
-}
 
 // seq reports the node's log position (0 when the plane is down).
 func (n *Node) seq() uint64 {

@@ -114,7 +114,7 @@ func TestRolloutGateTripRollsBackFleet(t *testing.T) {
 	requireRoutes(t, c, spec.Table, spec.Incumbent)
 	// No shadow left attached anywhere.
 	for id := 0; id < c.Nodes(); id++ {
-		if sh := c.Node(id).Plane().K.ShadowAt(spec.Hook); sh != nil {
+		if sh := c.Node(id).Plane().K.DetachShadow(spec.Hook); sh != nil {
 			t.Fatalf("node %d still has a shadow attached", id)
 		}
 	}

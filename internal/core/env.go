@@ -161,14 +161,6 @@ func (e *env) MatVec(id int64, in []int64, out []int64) (int, error) {
 	return m.Out, nil
 }
 
-func (e *env) MatOutLen(id int64) (int, error) {
-	m, ok := e.rt.mats[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: matrix %d", ErrNotFound, id)
-	}
-	return m.Out, nil
-}
-
 func (e *env) Infer(modelID int64, features []int64) (int64, error) {
 	m, ok := e.overlay[modelID]
 	if !ok {

@@ -5,7 +5,6 @@ import (
 
 	"rmtk/internal/qos"
 	"rmtk/internal/table"
-	"rmtk/internal/verifier"
 )
 
 // Per-tenant views only tests read.
@@ -42,13 +41,61 @@ func (k *Kernel) TenantSupervisor(name string) *Supervisor {
 	return nil
 }
 
-// ProgramReport returns the admission report of an installed program.
-func (k *Kernel) ProgramReport(id int64) (*verifier.Report, error) {
+// Sentinel and shadow operations only tests perform or read.
+
+// DetachSentinel removes the sentinel; subsequent fires select engines from
+// the configured mode alone. Its quarantines are stashed as restores, as
+// EngineQuarantines reported them, for the next sentinel to adopt.
+func (k *Kernel) DetachSentinel() {
+	k.mu.Lock()
+	k.foldLiveLocked(k.quarStash)
+	k.sentinel = nil
+	k.rebuildRoutesLocked()
+	k.mu.Unlock()
+}
+
+// ShadowAt returns the shadow attached at hook, or nil.
+func (k *Kernel) ShadowAt(hook string) *Shadow {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
-	p, ok := k.progs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: program %d", ErrNotFound, id)
+	return k.shadows[hook]
+}
+
+// Breaker overrides and the failure view the breaker tests drive and read.
+
+// LastError reports the most recent failure recorded for a program.
+func (s *Supervisor) LastError(progID int64) error {
+	b := s.breakerOf(progID)
+	if b == nil {
+		return nil
 	}
-	return p.report, nil
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.lastErr
+}
+
+// Trip force-quarantines a program. Programs no snapshot has bound have no
+// breaker to trip.
+func (s *Supervisor) Trip(progID int64) {
+	b := s.breakerOf(progID)
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state() != BreakerOpen {
+		b.trip()
+	}
+}
+
+// Reinstate force-closes a program's breaker (operator override).
+func (s *Supervisor) Reinstate(progID int64) {
+	b := s.breakerOf(progID)
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.consecFails.Store(0)
+	b.settle(rungClosed)
 }

@@ -38,9 +38,6 @@ type Invocation struct {
 	env *env
 }
 
-// Emissions returns the values emitted during the invocation.
-func (inv *Invocation) Emissions() []int64 { return inv.emissions }
-
 // FireResult reports the outcome of one hook dispatch.
 type FireResult struct {
 	// Matched is how many tables had a matching entry.

@@ -138,13 +138,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// progEntry is an admitted program with its engines and admission report.
+// progEntry is an admitted program with its engines.
 type progEntry struct {
 	id     int64
 	prog   *isa.Program
 	interp *vm.Interpreter
 	jit    *vm.JIT
-	report *verifier.Report
 	// aot is the ahead-of-time compiled native function, or nil when the
 	// program's content hash missed the generated registry. The *function*
 	// binding is install-time (a reswap admits a fresh program and
@@ -787,7 +786,7 @@ func (k *Kernel) installProgram(prog *isa.Program, forceID int64) (int64, *verif
 	hash := aot.Hash(prog)
 	aotFn, _ := aot.Lookup(hash)
 	k.progs[id] = &progEntry{
-		id: id, prog: prog, interp: interp, jit: jit, report: report,
+		id: id, prog: prog, interp: interp, jit: jit,
 		aot: aotFn, hash: hash, checked: checked, checkable: k.checkableLocked(prog),
 	}
 	k.progIDs[prog.Name] = id

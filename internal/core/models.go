@@ -4,10 +4,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"rmtk/internal/ml/conv"
 	"rmtk/internal/ml/dt"
 	"rmtk/internal/ml/mlp"
-	"rmtk/internal/ml/svm"
 )
 
 // Adapters that wrap the ML packages' models into the kernel's Model
@@ -199,22 +197,6 @@ func (m *QMLPModel) Cost() (int64, int64) { return m.Net.Cost() }
 
 var _ Model = (*QMLPModel)(nil)
 
-// SVMModel wraps an integer linear SVM.
-type SVMModel struct {
-	Machine *svm.SVM
-}
-
-// Predict implements Model.
-func (m *SVMModel) Predict(x []int64) int64 { return int64(m.Machine.Predict(x)) }
-
-// NumFeatures implements Model.
-func (m *SVMModel) NumFeatures() int { return m.Machine.NumFeats }
-
-// Cost implements Model.
-func (m *SVMModel) Cost() (int64, int64) { return m.Machine.Cost() }
-
-var _ Model = (*SVMModel)(nil)
-
 // FuncModel adapts an arbitrary prediction function (tests, composites).
 type FuncModel struct {
 	Fn    func(x []int64) int64
@@ -248,20 +230,3 @@ func (k *Kernel) RegisterQMLP(q *mlp.QMLP) (matIDs []int64, modelID int64, err e
 	modelID = k.RegisterModel(&QMLPModel{Net: q})
 	return matIDs, modelID, nil
 }
-
-// CNNModel wraps a quantized convolutional network ("action_cnn", §3.2);
-// Predict consumes a flat CHW feature vector and returns the argmax channel.
-type CNNModel struct {
-	Net *conv.CNN
-}
-
-// Predict implements Model.
-func (m *CNNModel) Predict(x []int64) int64 { return m.Net.Predict(x) }
-
-// NumFeatures implements Model.
-func (m *CNNModel) NumFeatures() int { return m.Net.NumFeatures() }
-
-// Cost implements Model: the verifier's height×width×channels MAC count.
-func (m *CNNModel) Cost() (int64, int64) { return m.Net.Cost() }
-
-var _ Model = (*CNNModel)(nil)

@@ -551,7 +551,7 @@ func (s *Sentinel) statLines() []string {
 // programs climb back up the kernel's Config.Quarantine ladder.
 // Quarantines restored (RestoreEngineQuarantine) before attachment are
 // adopted. Re-attaching replaces the sentinel: the replaced one's quarantines
-// stay (they are stashed as restores, see DetachSentinel), the rest of its
+// stay (folded into the stash of restores), the rest of its
 // health state — counters, histories, cooldowns — does not.
 func (k *Kernel) AttachSentinel(cfg SentinelConfig) *Sentinel {
 	k.mu.Lock()
@@ -561,17 +561,6 @@ func (k *Kernel) AttachSentinel(cfg SentinelConfig) *Sentinel {
 	k.sentinel = s
 	k.rebuildRoutesLocked()
 	return s
-}
-
-// DetachSentinel removes the sentinel; subsequent fires select engines from
-// the configured mode alone. Its quarantines are stashed as restores, as
-// EngineQuarantines reported them, for the next sentinel to adopt.
-func (k *Kernel) DetachSentinel() {
-	k.mu.Lock()
-	k.foldLiveLocked(k.quarStash)
-	k.sentinel = nil
-	k.rebuildRoutesLocked()
-	k.mu.Unlock()
 }
 
 // foldLiveLocked lays the attached sentinel's health records over a map of

@@ -88,9 +88,6 @@ func NewProgramShadow(hook string, progID int64) *Shadow {
 	return &Shadow{hook: hook, progID: progID}
 }
 
-// Hook reports the hook the shadow attaches to.
-func (s *Shadow) Hook() string { return s.hook }
-
 // SetOnResult installs a callback invoked after every shadow run with the
 // invocation key (e.g. the pid) and the candidate's verdict, emissions and
 // trap flag — datapaths use it to label shadow predictions against real
@@ -174,13 +171,6 @@ func (k *Kernel) DetachShadow(hook string) *Shadow {
 	delete(k.shadows, hook)
 	k.rebuildRoutesLocked()
 	return s
-}
-
-// ShadowAt returns the shadow attached at hook, or nil.
-func (k *Kernel) ShadowAt(hook string) *Shadow {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.shadows[hook]
 }
 
 // runShadow executes the candidate for the staged event, which already ran

@@ -376,17 +376,6 @@ func (s *Supervisor) State(progID int64) BreakerState {
 	return b.state()
 }
 
-// LastError reports the most recent failure recorded for a program.
-func (s *Supervisor) LastError(progID int64) error {
-	b := s.breakerOf(progID)
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lastErr
-}
-
 // Quarantined lists programs currently open or half-open, by ascending id.
 func (s *Supervisor) Quarantined() []int64 {
 	var out []int64
@@ -401,33 +390,6 @@ func (s *Supervisor) Quarantined() []int64 {
 // Counts reports aggregate trip / fallback / probe / recovery totals.
 func (s *Supervisor) Counts() (trips, fallbacks, probes, recoveries int64) {
 	return s.trips.Load(), s.fallbacks.Load(), s.probes.Load(), s.recoveries.Load()
-}
-
-// Trip force-quarantines a program (the control plane uses this when the
-// accuracy monitor degrades hard enough that conservative reconfiguration is
-// not sufficient). Programs no snapshot has bound have no breaker to trip.
-func (s *Supervisor) Trip(progID int64) {
-	b := s.breakerOf(progID)
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state() != BreakerOpen {
-		b.trip()
-	}
-}
-
-// Reinstate force-closes a program's breaker (operator override).
-func (s *Supervisor) Reinstate(progID int64) {
-	b := s.breakerOf(progID)
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consecFails.Store(0)
-	b.settle(rungClosed)
 }
 
 // Supervise attaches a fault-containment supervisor to the kernel; subsequent

@@ -381,14 +381,6 @@ func (k *Kernel) SetAdmission(ctl *qos.Controller, now func() int64) {
 	}
 }
 
-// Admission returns the attached admission controller, or nil.
-func (k *Kernel) Admission() *qos.Controller {
-	if a := k.adm.Load(); a != nil {
-		return a.ctl
-	}
-	return nil
-}
-
 // syncAdmissionLocked pushes one tenant's contract into the attached
 // controller. Caller holds k.mu.
 func (k *Kernel) syncAdmissionLocked(ts *tenantState) {

@@ -487,7 +487,8 @@ func TestFireQueueOverflowDoesNotChargeAdmission(t *testing.T) {
 	if err := k.RegisterTenant("t", TenantQuota{Class: qos.Guaranteed, RatePerSec: 1, Burst: 1}); err != nil {
 		t.Fatal(err)
 	}
-	k.SetAdmission(qos.NewController(qos.Config{CapacityPerSec: 1000}, 0), func() int64 { return 0 })
+	ctl := qos.NewController(qos.Config{CapacityPerSec: 1000}, 0)
+	k.SetAdmission(ctl, func() int64 { return 0 })
 	fq := k.NewFireQueue(1)
 	if err := fq.Enqueue("t", Event{Hook: "h", Key: 1}); err != nil {
 		t.Fatal(err)
@@ -496,7 +497,7 @@ func TestFireQueueOverflowDoesNotChargeAdmission(t *testing.T) {
 	if !errors.Is(err, qos.ErrAdmissionShed) || !errors.Is(err, qos.ErrQueueOverflow) {
 		t.Fatalf("overflow err = %v, want ErrAdmissionShed+ErrQueueOverflow", err)
 	}
-	for _, st := range k.Admission().Stats() {
+	for _, st := range ctl.Stats() {
 		if st.Name == "t" && (st.Offered != 1 || st.Admitted != 1 || st.Shed != 0) {
 			t.Fatalf("controller charged for the overflow-shed fire: %+v", st)
 		}

@@ -197,16 +197,6 @@ func (c *Canary) State() CanaryState {
 	return c.state
 }
 
-// GateErr explains a rejection, or nil.
-func (c *Canary) GateErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gateErr
-}
-
-// Report returns the shadow-execution statistics accumulated so far.
-func (c *Canary) Report() core.CanaryReport { return c.sh.Report() }
-
 // RecordShadowOutcome labels one shadow prediction as correct or not (e.g.
 // a shadow-predicted page was — or was never — actually accessed). Feeds
 // the MinShadowAccuracy gate.

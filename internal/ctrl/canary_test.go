@@ -55,7 +55,7 @@ func TestCanaryPromotion(t *testing.T) {
 	if st := drive(p, c, "mm/canary", 8); st != CanaryPromoted {
 		t.Fatalf("after shadow fires state = %v (gate err %v)", st, c.GateErr())
 	}
-	if p.K.ShadowAt("mm/canary") != nil {
+	if p.K.DetachShadow("mm/canary") != nil {
 		t.Fatal("shadow still attached after promotion")
 	}
 	m, _ := p.K.Model(mid)
@@ -90,7 +90,7 @@ func TestCanaryTrapGate(t *testing.T) {
 	if m, _ := p.K.Model(mid); m != incumbent {
 		t.Fatal("incumbent displaced by rejected candidate")
 	}
-	if p.K.ShadowAt("mm/canary") != nil {
+	if p.K.DetachShadow("mm/canary") != nil {
 		t.Fatal("shadow leaked after rejection")
 	}
 	if got := p.K.Metrics.Counter("ctrl.canary_rejections").Load(); got != 1 {
@@ -162,7 +162,7 @@ func TestCanaryBudgetRejection(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExceeded) || !errors.Is(err, verifier.ErrOpsBudget) {
 		t.Fatalf("err = %v", err)
 	}
-	if p.K.ShadowAt("mm/canary") != nil {
+	if p.K.DetachShadow("mm/canary") != nil {
 		t.Fatal("shadow attached for rejected staging")
 	}
 }
@@ -235,7 +235,7 @@ func TestProgramCanary(t *testing.T) {
 			if res := p.K.Fire("sched/canary", 7, 0, 0); res.Verdict != tc.wantVerdict {
 				t.Fatalf("verdict after the rollout = %d, want %d", res.Verdict, tc.wantVerdict)
 			}
-			if p.K.ShadowAt("sched/canary") != nil {
+			if p.K.DetachShadow("sched/canary") != nil {
 				t.Fatal("shadow leaked after the rollout ended")
 			}
 			if _, err := p.StageProgramGate("sched/canary", cand, cfg); err != nil {

@@ -90,11 +90,6 @@ func (p *Plane) AddEntry(tableName string, e *table.Entry) error {
 	return p.submit(&mut{rec: &wal.Record{Kind: wal.KindAddEntry, Table: tableName}, entry: e})
 }
 
-// RemoveEntry deletes an entry from a named table.
-func (p *Plane) RemoveEntry(tableName string, e *table.Entry) error {
-	return p.submit(&mut{rec: &wal.Record{Kind: wal.KindRemoveEntry, Table: tableName}, entry: e})
-}
-
 // UpdateAction atomically replaces the action of an exact-match entry —
 // the runtime reconfiguration primitive (e.g. dialing a prefetch degree
 // down).

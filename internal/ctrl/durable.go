@@ -36,8 +36,8 @@ var (
 	// recovered state diverging from the reference plane.
 	ErrRecoveryMismatch = errors.New("ctrl: recovered state mismatch")
 	// ErrNotReplayable is wrapped when a durable plane is asked to commit
-	// an operation that cannot be encoded into the log (a Txn.Do escape
-	// hatch, or a model with no durable codec).
+	// a transaction step that cannot be encoded into the log (a model with
+	// no durable codec).
 	ErrNotReplayable = errors.New("ctrl: operation not replayable")
 	// errSimulatedCrash marks the test-only crash point between the log
 	// append and the in-memory apply (the torn-state window the recovery

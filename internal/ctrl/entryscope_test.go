@@ -1,7 +1,6 @@
 package ctrl
 
 import (
-	"errors"
 	"testing"
 
 	"rmtk/internal/table"
@@ -11,8 +10,9 @@ import (
 // entry dies with that entry and only with it. Each mutator of key 1 misses
 // key 1's flow and leaves keys 0, 2 and 3 replaying; a miss or default row
 // (key 9 has no entry) dies with every mutation of its table, as does every
-// row of a prefix table; and a transaction that takes key 1's entry out and
-// rolls back puts the same entry back live, so its verdict replays again.
+// row of a prefix table; and a rolled-back insert over key 1, or a delete and
+// re-insert of its entry, puts the same entry back live, so its verdict
+// replays again.
 func TestEntryScopedInvalidation(t *testing.T) {
 	const hook = "scope/h"
 	param := func(v int64) table.Action { return table.Action{Kind: table.ActionParam, Param: v} }
@@ -115,38 +115,38 @@ func TestEntryScopedInvalidation(t *testing.T) {
 		}
 	})
 
-	// The rollbacks: an insert over key 1 undone (ctrl.Txn's AddEntry undo
-	// deletes the new entry and re-inserts the displaced pointer), and a
-	// delete of key 1 undone by re-inserting it. Either way key 1's verdict,
-	// stamped by the entry that is back, replays.
+	// The restores: an insert over key 1 undone by a transaction that fails
+	// (ctrl.Txn's AddEntry undo deletes the new entry and re-inserts the
+	// displaced pointer), and key 1's entry deleted and re-inserted. Either
+	// way key 1's verdict, stamped by the entry that is back, replays.
 	for _, tc := range []struct {
-		name  string
-		stage func(txn *Txn, tb *table.Table)
+		name    string
+		restore func(t *testing.T, p *Plane, tb *table.Table)
 	}{
-		{"TxnAddEntryRollback", func(txn *Txn, _ *table.Table) {
+		{"TxnAddEntryRollback", func(t *testing.T, p *Plane, _ *table.Table) {
+			txn := p.Begin()
 			txn.AddEntry("scope_tab", &table.Entry{Key: 1, Action: param(777)})
+			txn.AddEntry("no_such_table", &table.Entry{Key: 1, Action: param(778)})
+			if err := txn.Commit(); err == nil {
+				t.Fatal("commit of a refusing transaction succeeded")
+			}
 		}},
-		{"TxnDeleteRollback", func(txn *Txn, tb *table.Table) {
+		{"DeleteReinsert", func(t *testing.T, _ *Plane, tb *table.Table) {
 			e := tb.Probe(1)
-			txn.Do("delete key 1", func() error {
-				if !tb.Delete(e) {
-					return ErrNoEntry
-				}
-				return nil
-			}, func() error { return tb.Insert(e) })
+			if !tb.Delete(e) {
+				t.Fatal("delete of key 1 failed")
+			}
+			if err := tb.Insert(e); err != nil {
+				t.Fatal(err)
+			}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, tb := setup(t)
 			e := tb.Probe(1)
-			txn := p.Begin()
-			tc.stage(txn, tb)
-			txn.Do("refuse", func() error { return errors.New("refused") }, func() error { return nil })
-			if err := txn.Commit(); err == nil {
-				t.Fatal("commit of a refusing transaction succeeded")
-			}
+			tc.restore(t, p, tb)
 			if got := tb.Probe(1); got != e || !e.Live() {
-				t.Fatalf("rollback left key 1 as %p, want the original %p live (live: %v)", got, e, e.Live())
+				t.Fatalf("restore left key 1 as %p, want the original %p live (live: %v)", got, e, e.Live())
 			}
 			expect(t, p, map[int64]int64{9: 900})
 		})

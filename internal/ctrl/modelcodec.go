@@ -9,16 +9,15 @@ import (
 	"rmtk/internal/ml/dt"
 	"rmtk/internal/ml/mlp"
 	"rmtk/internal/ml/quant"
-	"rmtk/internal/ml/svm"
 	"rmtk/internal/wal"
 )
 
 // Model codecs: the durable control plane persists models by value, so
 // every pushed or registered model must round-trip through a codec. The
-// three learned-model families the substrates deploy (quantized MLPs,
-// decision trees, linear SVMs) all serialize; ad-hoc FuncModels (closures)
-// cannot, and a durable plane rejects them up front — better a loud install
-// failure than a log that silently cannot be replayed.
+// two learned-model families the substrates deploy (quantized MLPs and
+// decision trees) both serialize; ad-hoc FuncModels (closures) cannot, and a
+// durable plane rejects them up front — better a loud install failure than a
+// log that silently cannot be replayed.
 
 // ErrUnsupportedModel is wrapped when a model has no durable codec. Only
 // durable planes (ctrl.Open / ctrl.Recover) hit it; in-memory planes accept
@@ -43,15 +42,6 @@ type treeSnap struct {
 	Feats    int       `json:"feats"`
 }
 
-// svmSnap is the "svm" codec payload.
-type svmSnap struct {
-	NumFeats   int       `json:"num_feats"`
-	NumClasses int       `json:"num_classes"`
-	Wq         [][]int64 `json:"wq"`
-	Bq         []int64   `json:"bq"`
-	Scale      float64   `json:"scale"`
-}
-
 // encodeModel snapshots a model into its codec-tagged durable form.
 func encodeModel(m core.Model) (*wal.Model, error) {
 	var (
@@ -68,12 +58,6 @@ func encodeModel(m core.Model) (*wal.Model, error) {
 	case *core.TreeModel:
 		codec = "tree"
 		payload = treeSnap{Nodes: mm.Tree.Nodes, NumFeats: mm.Tree.NumFeats, Feats: mm.Feats}
-	case *core.SVMModel:
-		codec = "svm"
-		payload = svmSnap{
-			NumFeats: mm.Machine.NumFeats, NumClasses: mm.Machine.NumClasses,
-			Wq: mm.Machine.Wq, Bq: mm.Machine.Bq, Scale: mm.Machine.Scale,
-		}
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrUnsupportedModel, m)
 	}
@@ -113,15 +97,6 @@ func decodeModel(s *wal.Model) (core.Model, error) {
 			feats = snap.NumFeats
 		}
 		return &core.TreeModel{Tree: t, Feats: feats}, nil
-	case "svm":
-		var snap svmSnap
-		if err := json.Unmarshal(s.Data, &snap); err != nil {
-			return nil, fmt.Errorf("ctrl: svm codec: %w", err)
-		}
-		return &core.SVMModel{Machine: &svm.SVM{
-			NumFeats: snap.NumFeats, NumClasses: snap.NumClasses,
-			Wq: snap.Wq, Bq: snap.Bq, Scale: snap.Scale,
-		}}, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown codec %q", ErrUnsupportedModel, s.Codec)
 	}

@@ -30,11 +30,9 @@ type mut struct {
 	model core.Model
 	// subs are a transaction's steps.
 	subs []*mut
-	// do, when set, is what applying m means instead of rec: Txn.Do's escape
-	// hatch (no record, named by name), or nothing at all for an engine
-	// incident the sentinel already applied before logging it.
-	do   func() (undo func() error, err error)
-	name string
+	// do, when set, is what applying m means instead of rec: nothing at all
+	// for an engine incident the sentinel already applied before logging it.
+	do func() (undo func() error, err error)
 
 	// What apply produced, for the caller.
 	id     int64            // the table, program or model created
@@ -43,12 +41,7 @@ type mut struct {
 }
 
 // String names m in transaction errors.
-func (m *mut) String() string {
-	if m.rec == nil {
-		return m.name
-	}
-	return m.rec.Kind.String()
-}
+func (m *mut) String() string { return m.rec.Kind.String() }
 
 // encode fills the record's payload in from the live values.
 func (m *mut) encode() error {
@@ -67,11 +60,7 @@ func (m *mut) encode() error {
 		m.rec.Model = enc
 	}
 	for i, s := range m.subs {
-		err := errors.New("no log form")
-		if s.rec != nil {
-			err = s.encode()
-		}
-		if err != nil {
+		if err := s.encode(); err != nil {
 			return fmt.Errorf("%w: txn step %d (%s): %w", ErrNotReplayable, i, s, err)
 		}
 		m.rec.Sub = append(m.rec.Sub, s.rec)

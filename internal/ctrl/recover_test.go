@@ -585,8 +585,9 @@ func TestRecoveryRespectsIDHoles(t *testing.T) {
 }
 
 // TestDurableRejectsNonReplayable: operations the log cannot carry are
-// refused up front on a durable plane — a model with no codec, a Txn.Do
-// escape hatch — and Open refuses a directory that already has history.
+// refused up front on a durable plane — a model with no codec, pushed
+// directly or in a transaction — and Open refuses a directory that already
+// has history.
 func TestDurableRejectsNonReplayable(t *testing.T) {
 	p, dir := newDurablePlane(t)
 	opaque := &core.FuncModel{Fn: func([]int64) int64 { return 1 }, Feats: 1}
@@ -606,13 +607,8 @@ func TestDurableRejectsNonReplayable(t *testing.T) {
 	}
 
 	txn := p.Begin()
-	txn.Do("opaque", func() error { return nil }, func() error { return nil })
-	if err := txn.Commit(); !errors.Is(err, ErrNotReplayable) {
-		t.Fatalf("txn with Do: %v", err)
-	}
-	txn2 := p.Begin()
-	txn2.PushModel(mid, opaque, 0, 0)
-	if err := txn2.Commit(); !errors.Is(err, ErrNotReplayable) ||
+	txn.PushModel(mid, opaque, 0, 0)
+	if err := txn.Commit(); !errors.Is(err, ErrNotReplayable) ||
 		!errors.Is(err, ErrUnsupportedModel) {
 		t.Fatalf("txn with opaque model: %v", err)
 	}

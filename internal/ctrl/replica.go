@@ -19,9 +19,6 @@ import (
 // record (zero disables stamping — the single-node default).
 func (p *Plane) SetLogEpoch(epoch uint64) { p.recordEpoch.Store(epoch) }
 
-// LogEpoch reports the epoch currently stamped onto logged records.
-func (p *Plane) LogEpoch() uint64 { return p.recordEpoch.Load() }
-
 // stampEpoch stamps rec with the plane's record epoch unless the record
 // already carries one (shipped records keep the leader's stamp).
 func (p *Plane) stampEpoch(rec *wal.Record) {

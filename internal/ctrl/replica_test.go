@@ -303,7 +303,7 @@ func TestStageProgramGateLifecycle(t *testing.T) {
 	if st := c.State(); st != CanaryReleased || !st.Terminal() {
 		t.Fatalf("state = %v, want terminal released", st)
 	}
-	if p.K.ShadowAt("h/gate") != nil {
+	if p.K.DetachShadow("h/gate") != nil {
 		t.Fatal("shadow still attached after release")
 	}
 	if _, _, reason := c.EvalGates(); reason == nil {

@@ -50,23 +50,3 @@ func (p *Plane) PushModelRetry(id int64, m core.Model, opsBudget, memBudget int6
 		return p.PushModel(id, m, opsBudget, memBudget)
 	})
 }
-
-// Quarantined lists program ids currently quarantined by the supervisor.
-func (p *Plane) Quarantined() []int64 {
-	sup := p.K.Supervisor()
-	if sup == nil {
-		return nil
-	}
-	return sup.Quarantined()
-}
-
-// Reinstate force-closes a program's breaker (operator override after a
-// manual fix).
-func (p *Plane) Reinstate(progID int64) error {
-	sup := p.K.Supervisor()
-	if sup == nil {
-		return fmt.Errorf("ctrl: no supervisor attached")
-	}
-	sup.Reinstate(progID)
-	return nil
-}

@@ -111,16 +111,6 @@ func (t *Txn) LoadProgram(prog *isa.Program) *ProgRef {
 	return ref
 }
 
-// Do stages an arbitrary apply/undo pair — the escape hatch for operations
-// the built-in steps do not cover. It has no record, so a durable plane
-// refuses to commit it (ErrNotReplayable).
-func (t *Txn) Do(name string, apply, undo func() error) {
-	t.stage(&mut{name: name, do: func() (func() error, error) { return undo, apply() }})
-}
-
-// Len reports the number of staged steps.
-func (t *Txn) Len() int { return len(t.steps) }
-
 // Commit applies the staged steps in order. If any step fails, every
 // already-applied step is undone in reverse and the first failure is
 // returned (undo failures are joined onto it); the plane version is only
@@ -129,10 +119,9 @@ func (t *Txn) Len() int { return len(t.steps) }
 // On a durable plane Commit first appends ONE transaction record carrying
 // every staged step: the framing makes the commit atomic on disk, so replay
 // observes either the whole transaction or none of it — never a prefix. A
-// transaction holding a step with no durable form (Txn.Do, or a model with
-// no codec) refuses to commit durably with ErrNotReplayable. If the staged
-// steps then fail to apply, a compensating abort record cancels the
-// transaction for replay.
+// transaction pushing a model with no codec refuses to commit durably with
+// ErrNotReplayable. If the staged steps then fail to apply, a compensating
+// abort record cancels the transaction for replay.
 func (t *Txn) Commit() error {
 	if t.done {
 		return ErrTxnDone

@@ -23,8 +23,8 @@ func TestTxnCommit(t *testing.T) {
 	tbl := txn.CreateTable("txn_tab", "hook/txn", table.MatchExact)
 	txn.AddEntry("txn_tab", &table.Entry{Key: 1, Action: table.Action{Kind: table.ActionParam, Param: 9}})
 	txn.PushModel(mid, &core.FuncModel{Fn: func([]int64) int64 { return 2 }, Feats: 1}, 0, 0)
-	if txn.Len() != 4 {
-		t.Fatalf("staged %d steps", txn.Len())
+	if len(txn.steps) != 4 {
+		t.Fatalf("staged %d steps", len(txn.steps))
 	}
 	if p.Version() != 0 {
 		t.Fatalf("version advanced before commit")

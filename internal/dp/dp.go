@@ -67,27 +67,6 @@ func NewAccountant(epsilon float64, seed int64) (*Accountant, error) {
 	}, nil
 }
 
-// Remaining reports the unspent epsilon.
-func (a *Accountant) Remaining() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return epsilonOf(a.budget)
-}
-
-// Spent reports total epsilon consumed so far.
-func (a *Accountant) Spent() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return epsilonOf(a.total - a.budget)
-}
-
-// SpentBy reports epsilon consumed by a given table/query name.
-func (a *Accountant) SpentBy(table string) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return epsilonOf(a.spends[table])
-}
-
 // Query releases value under (epsilon)-DP with the given L1 sensitivity,
 // charging epsilon against the budget. table names the RMT table issuing the
 // query (for per-table accounting). epsilon is rounded to the nearest unit

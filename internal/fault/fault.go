@@ -182,7 +182,6 @@ type Injector struct {
 	rules []Rule
 	index map[string]int64
 	hits  [numKinds]int64
-	total int64
 }
 
 // NewInjector builds an injector with a deterministic seed.
@@ -213,7 +212,6 @@ func (inj *Injector) Check(target string) *Outcome {
 			continue
 		}
 		inj.hits[r.Kind]++
-		inj.total++
 		switch r.Kind {
 		case KindHelperError:
 			out.HelperErr = fmt.Errorf("%w: %s fire %d", ErrInjectedHelper, target, idx)
@@ -252,18 +250,4 @@ func (inj *Injector) Injected(k Kind) int64 {
 		return 0
 	}
 	return inj.hits[k]
-}
-
-// Total reports the overall injected-fault count.
-func (inj *Injector) Total() int64 {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.total
-}
-
-// Fires reports how many times a target has been checked.
-func (inj *Injector) Fires(target string) int64 {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.index[target]
 }

@@ -25,7 +25,6 @@ type Network struct {
 	rng *rand.Rand
 
 	group   map[int]int // partition group per node; empty: fully connected
-	drop    map[netLink]float64
 	dropAll float64
 	delay   map[netLink]int64
 
@@ -38,7 +37,6 @@ func NewNetwork(seed int64) *Network {
 	return &Network{
 		rng:   rand.New(rand.NewSource(seed)),
 		group: make(map[int]int),
-		drop:  make(map[netLink]float64),
 		delay: make(map[netLink]int64),
 	}
 }
@@ -65,15 +63,7 @@ func (n *Network) Heal() {
 	n.group = make(map[int]int)
 }
 
-// SetLinkDrop sets the drop probability of the directed link from→to.
-func (n *Network) SetLinkDrop(from, to int, prob float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.drop[netLink{from, to}] = prob
-}
-
-// SetDropAll sets a fabric-wide drop probability applied to every link that
-// has no per-link override.
+// SetDropAll sets a fabric-wide drop probability applied to every link.
 func (n *Network) SetDropAll(prob float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -113,11 +103,7 @@ func (n *Network) Send(from, to int) (delay int64, ok bool) {
 		n.drops++
 		return 0, false
 	}
-	prob, has := n.drop[netLink{from, to}]
-	if !has {
-		prob = n.dropAll
-	}
-	if prob > 0 && n.rng.Float64() < prob {
+	if n.dropAll > 0 && n.rng.Float64() < n.dropAll {
 		n.drops++
 		return 0, false
 	}

@@ -29,7 +29,6 @@ func (inertEnv) CtxHist(key int64, dst []int64) int               { return 0 }
 func (inertEnv) Match(table, key int64) int64                     { return -1 }
 func (inertEnv) Call(helper int64, args *[5]int64) (int64, error) { return 0, nil }
 func (inertEnv) MatVec(id int64, in, out []int64) (int, error)    { return 0, errors.New("no matrices") }
-func (inertEnv) MatOutLen(id int64) (int, error)                  { return 0, errors.New("no matrices") }
 func (inertEnv) Infer(model int64, x []int64) (int64, error)      { return 0, errors.New("no models") }
 func (inertEnv) VecLoad(id int64, dst []int64) (int, error)       { return 0, errors.New("no vectors") }
 func (inertEnv) VecStore(id int64, src []int64) error             { return errors.New("no vectors") }

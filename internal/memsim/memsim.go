@@ -322,12 +322,6 @@ func (s *Sim) pushFront(at int32) {
 	s.head = at
 }
 
-// Clock reports the current virtual time.
-func (s *Sim) Clock() int64 { return s.clock }
-
-// Resident reports the number of cached pages: every slab entry is one.
-func (s *Sim) Resident() int { return len(s.slab) }
-
 // Result finalizes and returns the run metrics.
 func (s *Sim) Result() Result {
 	r := s.res

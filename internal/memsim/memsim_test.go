@@ -199,8 +199,8 @@ func TestResultString(t *testing.T) {
 func TestStepwiseAPI(t *testing.T) {
 	s := New(cfgSmall(), nonePolicy{})
 	s.Step(Access{PID: 1, Page: 5})
-	if s.Resident() != 1 || s.Clock() == 0 {
-		t.Fatalf("resident=%d clock=%d", s.Resident(), s.Clock())
+	if len(s.slab) != 1 || s.clock == 0 {
+		t.Fatalf("resident=%d clock=%d", len(s.slab), s.clock)
 	}
 	r := s.Result()
 	if r.Accesses != 1 {
@@ -338,9 +338,9 @@ func TestLRUMatchesContainerList(t *testing.T) {
 			for _, pages := range s.cache {
 				indexed += len(pages)
 			}
-			if s.Clock() != ref.clock || s.Resident() != len(ref.cache) || indexed != len(ref.cache) {
+			if s.clock != ref.clock || len(s.slab) != len(ref.cache) || indexed != len(ref.cache) {
 				t.Fatalf("slots=%d step %d: clock %d resident %d indexed %d, reference %d and %d",
-					slots, step, s.Clock(), s.Resident(), indexed, ref.clock, len(ref.cache))
+					slots, step, s.clock, len(s.slab), indexed, ref.clock, len(ref.cache))
 			}
 			at, back := s.head, int32(-1)
 			for el := ref.lru.Front(); el != nil; el = el.Next() {

@@ -70,17 +70,6 @@ func Permutation(m Classifier, X [][]int64, y []int64, seed int64) ([]Importance
 	return out, nil
 }
 
-// FromGini converts a per-feature gain vector (e.g. dt.Tree.Importance) to a
-// sorted importance ranking.
-func FromGini(gains []float64) []Importance {
-	out := make([]Importance, len(gains))
-	for i, g := range gains {
-		out[i] = Importance{Feature: i, Score: g}
-	}
-	sortImportances(out)
-	return out
-}
-
 func sortImportances(imp []Importance) {
 	sort.SliceStable(imp, func(i, j int) bool {
 		if imp[i].Score != imp[j].Score {

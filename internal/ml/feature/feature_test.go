@@ -71,13 +71,6 @@ func TestPermutationValidation(t *testing.T) {
 	}
 }
 
-func TestFromGini(t *testing.T) {
-	imp := FromGini([]float64{0.1, 0.7, 0.2})
-	if imp[0].Feature != 1 || imp[1].Feature != 2 || imp[2].Feature != 0 {
-		t.Fatalf("ranking = %v", imp)
-	}
-}
-
 func TestTopKStableAndSorted(t *testing.T) {
 	imp := []Importance{{Feature: 5, Score: 1}, {Feature: 2, Score: 1}, {Feature: 9, Score: 0.5}}
 	sortImportances(imp)

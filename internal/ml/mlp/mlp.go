@@ -92,11 +92,6 @@ func (m *MLP) Predict(x []float64) int {
 	return argmax(m.Logits(x))
 }
 
-// Proba returns the softmax class distribution for x.
-func (m *MLP) Proba(x []float64) []float64 {
-	return softmax(m.Logits(x))
-}
-
 func argmax(v []float64) int {
 	best := 0
 	for i := 1; i < len(v); i++ {

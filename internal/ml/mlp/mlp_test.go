@@ -74,7 +74,7 @@ func TestTrainValidation(t *testing.T) {
 func TestProbaSumsToOne(t *testing.T) {
 	m, _ := New([]int{3, 5, 4}, 9)
 	f := func(a, b, c int8) bool {
-		p := m.Proba([]float64{float64(a), float64(b), float64(c)})
+		p := softmax(m.Logits([]float64{float64(a), float64(b), float64(c)}))
 		sum := 0.0
 		for _, v := range p {
 			if v < 0 || v > 1 || math.IsNaN(v) {

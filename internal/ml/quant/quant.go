@@ -65,9 +65,6 @@ func (p Params) Quantize(x float64) int64 {
 	return int64(q)
 }
 
-// Dequantize converts an integer representation back to a real value.
-func (p Params) Dequantize(q int64) float64 { return float64(q) * p.Scale }
-
 // QuantizeSlice quantizes all of xs into a fresh slice.
 func (p Params) QuantizeSlice(xs []float64) []int64 {
 	out := make([]int64, len(xs))

@@ -49,13 +49,6 @@ func (b *Bucket) Take(nowNs int64) bool {
 	return true
 }
 
-// Tokens reports the whole tokens available at nowNs (refills as a side
-// effect).
-func (b *Bucket) Tokens(nowNs int64) int64 {
-	b.refill(nowNs)
-	return b.tokensNs / 1e9
-}
-
 // SetRate replaces the bucket's rate and burst (a quota change mid-flight).
 // Accumulated tokens are clamped to the new burst; the refill clock is
 // advanced so the new rate applies from nowNs forward only.

@@ -111,17 +111,6 @@ func (c *Controller) RemoveTenant(name string) {
 	c.mu.Unlock()
 }
 
-// Spec returns a tenant's contract.
-func (c *Controller) Spec(name string) (TenantSpec, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.tenants[name]
-	if !ok {
-		return TenantSpec{}, false
-	}
-	return t.spec, true
-}
-
 // observe charges one offered fire to the demand window and rolls the
 // overload EWMA at window boundaries. The gap since the last observation is
 // closed in O(1) regardless of idle time: the first elapsed window carries

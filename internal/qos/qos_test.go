@@ -56,11 +56,11 @@ func TestBucketZeroRateNeverAdmits(t *testing.T) {
 
 func TestBucketSetRateClampsTokens(t *testing.T) {
 	b := NewBucket(1000, 100, 0)
-	if got := b.Tokens(0); got != 100 {
+	if got := b.tokensNs / 1e9; got != 100 {
 		t.Fatalf("initial tokens = %d, want 100", got)
 	}
 	b.SetRate(10, 2, 0)
-	if got := b.Tokens(0); got != 2 {
+	if got := b.tokensNs / 1e9; got != 2 {
 		t.Fatalf("tokens after shrink = %d, want 2 (clamped to new burst)", got)
 	}
 }

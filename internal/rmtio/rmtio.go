@@ -185,16 +185,6 @@ func clampBucket(ns int64) int64 {
 	return b
 }
 
-// predict consults the datapath for one device.
-func (r *Router) predict(i int, feats []int64) bool {
-	if err := r.K.SetVec(r.vecID, feats); err != nil {
-		return false
-	}
-	res := r.K.Fire(blksim.HookSubmitIO, int64(i), 0, 0)
-	r.delayNs += res.DelayNs
-	return res.Verdict == 1
-}
-
 // predictAll consults the datapath for every device in one batched fire:
 // each event's Prep closure stages that device's features into the shared
 // pool vector just before its run, so the whole sweep pays one route-snapshot

@@ -29,6 +29,9 @@ const (
 	fieldHasLast  = 1
 )
 
+// trainEvery retrains a process's tree after this many of its accesses.
+const trainEvery = 512
+
 // Table names (after Figure 1).
 const (
 	AccessTable   = "page_access_tab"
@@ -39,9 +42,6 @@ const (
 // rollout depth, the far-jump clamp and the tree induction are the direct
 // policy's: prefetch.MLHistory, MLDepth, MLClamp and MLTree.
 type Config struct {
-	// TrainEvery retrains a process's tree after this many of its
-	// accesses. <=0 selects 512.
-	TrainEvery int
 	// FreezeAfter, when >0, stops retraining after a process has made this
 	// many accesses (the frozen-model baseline of the online-adaptation
 	// ablation).
@@ -55,13 +55,6 @@ type Config struct {
 	// boundaries hit while one is pending are skipped and retried at the
 	// next boundary. ctrl.AccuracyCanaryConfig is the gate suited to it.
 	Canary *ctrl.CanaryConfig
-}
-
-func (c Config) withDefaults() Config {
-	if c.TrainEvery <= 0 {
-		c.TrainEvery = 512
-	}
-	return c
 }
 
 // CollectProgramSource returns the assembler source of the shared
@@ -167,7 +160,6 @@ const pendingCap = 64
 // processes appear ("new entries are inserted when applications are
 // created", §3.1).
 func New(k *core.Kernel, plane *ctrl.Plane, cfg Config) (*Prefetcher, error) {
-	cfg = cfg.withDefaults()
 	p := &Prefetcher{K: k, Plane: plane, cfg: cfg, name: "rmt-ml", procs: make(map[int64]*proc)}
 
 	if _, _, err := plane.CreateTable(AccessTable, memsim.HookLookupSwapCache, table.MatchExact); err != nil {
@@ -294,7 +286,7 @@ func (p *Prefetcher) OnAccess(pid, page int64, hit bool) []int64 {
 	}
 
 	pr.accesses++
-	retrainStep := pr.accesses%p.cfg.TrainEvery == 0 &&
+	retrainStep := pr.accesses%trainEvery == 0 &&
 		(p.cfg.FreezeAfter <= 0 || pr.accesses <= p.cfg.FreezeAfter)
 
 	var res core.FireResult
@@ -422,19 +414,6 @@ func (p *Prefetcher) fold(pr *proc, pid int64, gained uint64) bool {
 		pr.window.Observe(hist[j:j+w], hist[j+w])
 	}
 	return pr.window.WindowSize() == min(len(p.hist)-w, max(0, ctx.HistLen(pid)-w))
-}
-
-// SetDepth reconfigures a process's prefetch degree at runtime by updating
-// its table entry's parameter — the control plane's "more conservative in
-// prefetching" move when accuracy degrades.
-func (p *Prefetcher) SetDepth(pid int64, depth int) error {
-	pr, ok := p.procs[pid]
-	if !ok {
-		return fmt.Errorf("rmtprefetch: unknown pid %d", pid)
-	}
-	return p.Plane.UpdateAction(PrefetchTable, uint64(pid), table.Action{
-		Kind: table.ActionProgram, ProgID: pr.progID, Param: int64(depth),
-	})
 }
 
 // ModelID returns the model id serving a process.

@@ -66,10 +66,10 @@ func TestCollectsDeltasIntoContext(t *testing.T) {
 }
 
 func TestLearnsStrideAndEmits(t *testing.T) {
-	_, p := newStack(t, Config{TrainEvery: 128})
+	_, p := newStack(t, Config{})
 	var emissions []int64
 	page := int64(0)
-	for i := 0; i < 1500; i++ {
+	for i := 0; i < 6000; i++ {
 		page += 5
 		emissions = p.OnAccess(56, page, false)
 	}
@@ -87,9 +87,9 @@ func TestLearnsStrideAndEmits(t *testing.T) {
 }
 
 func TestDepthParameterControlsRollout(t *testing.T) {
-	_, p := newStack(t, Config{TrainEvery: 128})
+	_, p := newStack(t, Config{})
 	page := int64(0)
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 4000; i++ {
 		page += 5
 		p.OnAccess(56, page, false)
 	}
@@ -108,13 +108,13 @@ func TestDepthParameterControlsRollout(t *testing.T) {
 }
 
 func TestFreezeAfterStopsTraining(t *testing.T) {
-	_, p := newStack(t, Config{TrainEvery: 128, FreezeAfter: 300})
+	_, p := newStack(t, Config{FreezeAfter: 1200})
 	page := int64(0)
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < 8000; i++ {
 		page += 5
 		p.OnAccess(56, page, false)
 	}
-	if got := p.Trains(56); got != 2 { // at accesses 128 and 256 only
+	if got := p.Trains(56); got != 2 { // at accesses 512 and 1024 only
 		t.Fatalf("trains = %d, want 2", got)
 	}
 }
@@ -150,17 +150,17 @@ func TestPushKeepsBudgetCause(t *testing.T) {
 	if got := k.Metrics.Counter("ctrl.canary_staged").Load(); got != 0 {
 		t.Fatalf("canary_staged = %d, want 0", got)
 	}
-	if k.ShadowAt(memsim.HookSwapClusterReadahead) != nil {
+	if k.DetachShadow(memsim.HookSwapClusterReadahead) != nil {
 		t.Fatal("shadow attached for a refused candidate")
 	}
 }
 
 func TestMultiProcessIsolation(t *testing.T) {
-	_, p := newStack(t, Config{TrainEvery: 128})
+	_, p := newStack(t, Config{})
 	// PID 1 strides by 3, PID 2 strides by 11; both must learn their own.
 	p1, p2 := int64(0), int64(1<<20)
 	var e1, e2 []int64
-	for i := 0; i < 1500; i++ {
+	for i := 0; i < 6000; i++ {
 		p1 += 3
 		p2 += 11
 		e1 = p.OnAccess(1, p1, false)
@@ -296,9 +296,9 @@ func TestOnAccessAllocatesNothing(t *testing.T) {
 // values than it held, then to more — when the push count and the window
 // disagree and the window is rebuilt from the whole history.
 func TestWindowFollowsTheHistory(t *testing.T) {
-	const pid, trainEvery, hist = 56, 64, prefetch.MLHistory
+	const pid, hist = 56, prefetch.MLHistory
 	k := core.NewKernel(core.Config{CtxHistory: 256})
-	p, err := New(k, ctrl.New(k), Config{TrainEvery: trainEvery})
+	p, err := New(k, ctrl.New(k), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,12 +325,12 @@ func TestWindowFollowsTheHistory(t *testing.T) {
 			}
 		}
 	}
-	access(640) // fills the 256-value history, then wraps it
+	access(trainEvery + 412) // fills the 256-value history, then wraps it
 	k.Ctx().Drop(pid)
-	access(64 * 2) // refills to fewer values than the window held
+	access(100) // refills to fewer values than the window held
 	k.Ctx().Drop(pid)
-	access(64 * 6) // and to more
-	if steps != (640+128+384)/trainEvery {
+	access(trainEvery) // and to more
+	if steps != 3 {
 		t.Fatalf("%d retrain steps checked", steps)
 	}
 }

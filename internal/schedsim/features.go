@@ -48,9 +48,6 @@ type Features struct {
 	V [NumFeatures]int64
 }
 
-// Vector returns the feature vector as a slice (aliasing the struct).
-func (f *Features) Vector() []int64 { return f.V[:] }
-
 // String renders the features for diagnostics.
 func (f *Features) String() string {
 	s := ""
@@ -114,21 +111,6 @@ func (CFSDecider) CanMigrate(f *Features) bool {
 }
 
 var _ Decider = CFSDecider{}
-
-// FuncDecider adapts a function (e.g. a quantized-MLP or RMT-routed
-// prediction) to Decider.
-type FuncDecider struct {
-	Label string
-	Fn    func(f *Features) bool
-}
-
-// Name implements Decider.
-func (d FuncDecider) Name() string { return d.Label }
-
-// CanMigrate implements Decider.
-func (d FuncDecider) CanMigrate(f *Features) bool { return d.Fn(f) }
-
-var _ Decider = FuncDecider{}
 
 // AlwaysDecider migrates everything (ablation lower bound on locality).
 type AlwaysDecider struct{}

@@ -28,17 +28,6 @@ type Workload struct {
 	Phases [][]TaskSpec
 }
 
-// TotalWork sums the work of all tasks across phases.
-func (w *Workload) TotalWork() int64 {
-	var sum int64
-	for _, ph := range w.Phases {
-		for _, t := range ph {
-			sum += t.Work
-		}
-	}
-	return sum
-}
-
 // Config parameterizes the simulator.
 type Config struct {
 	// CPUs is the processor count. <=0 selects 8.

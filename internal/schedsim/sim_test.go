@@ -38,7 +38,12 @@ func TestWorkConservation(t *testing.T) {
 	// total work (serial execution).
 	wl := uniform(16, 100)
 	r := Run(Config{CPUs: 4}, wl, CFSDecider{})
-	total := wl.TotalWork()
+	var total int64
+	for _, ph := range wl.Phases {
+		for _, task := range ph {
+			total += task.Work
+		}
+	}
 	if r.Ticks < total/4 {
 		t.Fatalf("makespan %d below work bound %d", r.Ticks, total/4)
 	}

@@ -82,13 +82,6 @@ func (v *SeriesVec) Len() int {
 	return len(v.series)
 }
 
-// Evictions reports how many series capacity pressure has dropped.
-func (v *SeriesVec) Evictions() int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.evictions
-}
-
 // snapshotLines renders every live series plus the eviction count.
 func (v *SeriesVec) snapshotLines(out []string) []string {
 	v.mu.Lock()

@@ -18,8 +18,8 @@ func TestSeriesVecBounded(t *testing.T) {
 	if v.Len() != 3 {
 		t.Fatalf("vec holds %d series, want 3", v.Len())
 	}
-	if v.Evictions() != 7 {
-		t.Fatalf("evictions = %d, want 7", v.Evictions())
+	if v.evictions != 7 {
+		t.Fatalf("evictions = %d, want 7", v.evictions)
 	}
 	// LRU order: the last three touched labels survive.
 	for _, label := range []string{"tenant7", "tenant8", "tenant9"} {
@@ -46,8 +46,8 @@ func TestSeriesVecLRUTouch(t *testing.T) {
 	if got := v.Counter("a"); got != a || got.Load() != 5 {
 		t.Fatalf("touched series lost state: %d", got.Load())
 	}
-	if v.Evictions() != 1 {
-		t.Fatalf("evictions = %d, want 1", v.Evictions())
+	if v.evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", v.evictions)
 	}
 	// b comes back fresh: dropped counts are not resurrected.
 	if got := v.Counter("b").Load(); got != 0 {
@@ -59,8 +59,8 @@ func TestSeriesVecForget(t *testing.T) {
 	v := NewRegistry().SeriesVec("m", 4)
 	v.Counter("gone").Inc()
 	v.Forget("gone")
-	if v.Len() != 0 || v.Evictions() != 0 {
-		t.Fatalf("forget: len=%d evictions=%d, want 0/0", v.Len(), v.Evictions())
+	if v.Len() != 0 || v.evictions != 0 {
+		t.Fatalf("forget: len=%d evictions=%d, want 0/0", v.Len(), v.evictions)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing event count.
@@ -70,11 +69,6 @@ func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
 func (h *Histogram) ObserveN(v, n int64) {
 	h.buckets[bucketFor(v)].Add(n)
 	h.sum.Add(v * n)
-}
-
-// ObserveSince records the elapsed nanoseconds since start.
-func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(time.Since(start).Nanoseconds())
 }
 
 // bucketCounts is a point-in-time copy of one or more histograms' buckets.

@@ -249,14 +249,3 @@ func AnalyzeCorpus(entries []CorpusEntry) []Finding {
 	}
 	return out
 }
-
-// MaxLevel returns the highest level among findings (LevelInfo when empty).
-func MaxLevel(findings []Finding) Level {
-	max := LevelInfo
-	for _, f := range findings {
-		if f.Level > max {
-			max = f.Level
-		}
-	}
-	return max
-}

@@ -55,8 +55,6 @@ type Env interface {
 	// MatVec computes out = W·in + b for weight-matrix id and returns the
 	// output length. out must have capacity for the matrix's output size.
 	MatVec(id int64, in []int64, out []int64) (int, error)
-	// MatOutLen returns the output length of weight-matrix id.
-	MatOutLen(id int64) (int, error)
 	// Infer runs registered model id on the feature vector and returns its
 	// scalar prediction.
 	Infer(model int64, features []int64) (int64, error)
@@ -123,10 +121,6 @@ func (s *State) reset(r1, r2, r3 int64) {
 
 // Steps reports how many instructions the last Run executed.
 func (s *State) Steps() int64 { return s.steps }
-
-// Vec returns the current contents of vector register v (for tests and
-// diagnostics); the returned slice aliases the state.
-func (s *State) Vec(v int) []int64 { return s.vecs[v] }
 
 func (s *State) setVecLen(v int, n int) ([]int64, error) {
 	if n < 0 || n > isa.MaxVecLen {

@@ -79,7 +79,6 @@ func (f *fakeEnv) MatVec(id int64, in, out []int64) (int, error) {
 	}
 	return m.out, nil
 }
-func (f *fakeEnv) MatOutLen(id int64) (int, error) { return f.mats[id].out, nil }
 func (f *fakeEnv) Infer(model int64, feats []int64) (int64, error) {
 	m, ok := f.models[model]
 	if !ok {

@@ -138,7 +138,7 @@ type Program struct {
 }
 
 // Model is a codec-tagged model snapshot. Codec selects the decoder (e.g.
-// "qmlp", "tree", "svm"); Data is the codec's own JSON payload.
+// "qmlp", "tree"); Data is the codec's own JSON payload.
 type Model struct {
 	Codec string          `json:"codec"`
 	Data  json.RawMessage `json:"data"`

@@ -227,17 +227,6 @@ func (l *Log) writeFrame(r *Record) error {
 	return nil
 }
 
-// Sync flushes buffered appends to stable storage (a no-op when every
-// append already syncs).
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	return l.f.Sync()
-}
-
 // Close syncs and closes the log file.
 func (l *Log) Close() error {
 	l.mu.Lock()

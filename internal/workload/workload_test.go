@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rmtk/internal/memsim"
+	"rmtk/internal/schedsim"
 )
 
 // deltas extracts the page-delta sequence of a single-PID trace.
@@ -189,7 +190,7 @@ func TestSchedBenchmarks(t *testing.T) {
 		if wl.Name != names[i] {
 			t.Fatalf("benchmark %d = %s, want %s", i, wl.Name, names[i])
 		}
-		if wl.TotalWork() <= 0 {
+		if totalWork(wl) <= 0 {
 			t.Fatalf("%s has no work", wl.Name)
 		}
 	}
@@ -212,9 +213,20 @@ func TestSchedBenchmarks(t *testing.T) {
 	}
 	// Scale parameter scales work.
 	scaled := SchedBenchmarks(SchedConfig{Seed: 1, Scale: 2})
-	if scaled[0].TotalWork() < wls[0].TotalWork()*3/2 {
+	if totalWork(scaled[0]) < totalWork(wls[0])*3/2 {
 		t.Fatal("scale did not scale work")
 	}
+}
+
+// totalWork sums the work of all of w's tasks across phases.
+func totalWork(w *schedsim.Workload) int64 {
+	var sum int64
+	for _, ph := range w.Phases {
+		for _, t := range ph {
+			sum += t.Work
+		}
+	}
+	return sum
 }
 
 func TestSchedDeterministic(t *testing.T) {
