@@ -442,7 +442,7 @@ func BenchmarkDPQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := acct.QueryCount("bench", 1000, 1e-6); err != nil {
+		if _, err := acct.QueryCount(1000, 1e-6); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -35,7 +35,6 @@ type refBreaker struct {
 	cooldown    int64
 	wait        int64
 	probeOK     int
-	lastErr     error
 
 	trips, fallbacks, probes, recoveries int64
 }
@@ -87,13 +86,11 @@ func (r *refBreaker) record(steps, latencyNs int64, runErr error) (failure error
 			if r.probeOK++; r.probeOK >= r.q.ProbeSuccesses {
 				r.state = BreakerClosed
 				r.cooldown = r.q.CooldownFires
-				r.lastErr = nil
 				r.recoveries++
 			}
 		}
 		return nil, false
 	}
-	r.lastErr = failure
 	if r.state == BreakerHalfOpen {
 		r.probes++
 		next := r.cooldown * backoffFactor
@@ -199,9 +196,6 @@ func diffBreakers(t testing.TB, cfg SupervisorConfig, q QuarantineConfig, ops []
 		if tr != ref.trips || fb != ref.fallbacks || pr != ref.probes || rc != ref.recoveries {
 			t.Fatalf("op %d: counts %d/%d/%d/%d, reference %d/%d/%d/%d (cfg %+v)",
 				i, tr, fb, pr, rc, ref.trips, ref.fallbacks, ref.probes, ref.recoveries, c)
-		}
-		if (sup.LastError(pid) == nil) != (ref.lastErr == nil) {
-			t.Fatalf("op %d: last error %v, reference %v", i, sup.LastError(pid), ref.lastErr)
 		}
 	}
 }

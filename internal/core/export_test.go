@@ -61,18 +61,7 @@ func (k *Kernel) ShadowAt(hook string) *Shadow {
 	return k.shadows[hook]
 }
 
-// Breaker overrides and the failure view the breaker tests drive and read.
-
-// LastError reports the most recent failure recorded for a program.
-func (s *Supervisor) LastError(progID int64) error {
-	b := s.breakerOf(progID)
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lastErr
-}
+// Breaker overrides the breaker tests drive.
 
 // Trip force-quarantines a program. Programs no snapshot has bound have no
 // breaker to trip.

@@ -98,19 +98,15 @@ type dispatch struct {
 }
 
 // books tally what a dispatch's events count — the striped kernel counters,
-// the tenant's verdict-cache outcomes, the replayed lookups' table statistics,
-// the step histogram run-length by value — for settle to publish once per call
-// and before begin points the record at another tenant.
+// the tenant's verdict-cache outcomes, the step histogram run-length by value —
+// for settle to publish once per call and before begin points the record at
+// another tenant.
 type books struct {
 	lane                   int // the stripe settle publishes on: the last event's
 	fires, infers          int64
 	tiers                  [TierAOT + 1]int64
 	hits, misses, declined int64 // of d.ts's verdict cache
 	stepV, stepN           int64 // the current run: stepN programs ran stepV steps
-	tables                 [maxRecordRows]struct {
-		t               *table.Table
-		lookups, misses int64
-	}
 }
 
 // steps books one program run's step count.
@@ -121,23 +117,6 @@ func (d *dispatch) steps(n int64) {
 		b.stepV, b.stepN = n, 0
 	}
 	b.stepN++
-}
-
-// lookup books one replayed lookup of t that matched no entry (miss 1) or
-// one (miss 0); a table beyond the slots is credited directly.
-func (b *books) lookup(t *table.Table, miss int64) {
-	for i := range b.tables {
-		tt := &b.tables[i]
-		if tt.t == nil {
-			tt.t = t
-		}
-		if tt.t == t {
-			tt.lookups++
-			tt.misses += miss
-			return
-		}
-	}
-	t.Credit(b.lane, 1, miss)
 }
 
 // settle publishes the books and clears them (there are none before begin).
@@ -153,11 +132,6 @@ func (d *dispatch) settle() {
 	}
 	k.histSteps.ObserveN(b.lane, b.stepV, b.stepN)
 	d.ts.vcache.Book(b.lane, b.hits, b.misses, b.declined)
-	for _, tt := range b.tables {
-		if tt.t != nil {
-			tt.t.Credit(b.lane, tt.lookups, tt.misses)
-		}
-	}
 	*b = books{}
 }
 
@@ -298,7 +272,7 @@ func (k *Kernel) Fire(hook string, key, arg2, arg3 int64) FireResult {
 // hook (if any) runs just before that event dispatches.
 // What the batch counts is tallied on the stack and published when FireBatch
 // returns, a panicking Prep's batch included: a Prep sees the counts as of
-// the batch's start (entry hits, breaker records, invalidations excepted).
+// the batch's start (breaker records and invalidations excepted).
 func (k *Kernel) FireBatch(events []Event, out []FireResult) {
 	if len(events) == 0 {
 		return
@@ -361,18 +335,9 @@ func (d *dispatch) fire(hook string, key, arg2, arg3 int64, res *FireResult) {
 
 // replay replays one memoized fire whose stamp check passed and whose
 // program's breaker is closed, pb being that program as check resolved it (nil
-// for none). Its counts go to the books; the matched entries' hit counts and
-// the breaker's record are the only shared words it writes.
+// for none). Its counts go to the books; the breaker's record is the only
+// shared word it writes.
 func (d *dispatch) replay(cf *cachedFire, pb *progBinding, hook string, res *FireResult) {
-	b := &d.b
-	for _, r := range cf.rows {
-		if r.hit == nil {
-			b.lookup(r.t, 1)
-		} else {
-			b.lookup(r.t, 0)
-			r.hit.CountHit()
-		}
-	}
 	res.Matched = cf.matched
 	res.Verdict = cf.verdict
 	res.Steps = cf.steps
@@ -385,7 +350,7 @@ func (d *dispatch) replay(cf *cachedFire, pb *progBinding, hook string, res *Fir
 			}
 		}
 	}
-	b.infers += cf.infers
+	d.b.infers += cf.infers
 }
 
 // slow runs the staged event through the full pipeline and, when the fire

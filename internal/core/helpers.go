@@ -95,7 +95,7 @@ func helperCtxSum(k *Kernel, _ *Invocation, args *[5]int64) (int64, error) {
 	if sens <= 0 {
 		sens = 1
 	}
-	noised, err := k.cfg.Privacy.Query("rmt_ctx_sum", float64(sum), sens, k.cfg.QueryEpsilon)
+	noised, err := k.cfg.Privacy.Query(float64(sum), sens, k.cfg.QueryEpsilon)
 	if err != nil {
 		return 0, err
 	}
@@ -106,7 +106,7 @@ func helperCtxCount(k *Kernel, _ *Invocation, args *[5]int64) (int64, error) {
 	if k.cfg.Privacy == nil {
 		return 0, ErrNoPrivacyBudget
 	}
-	noised, err := k.cfg.Privacy.QueryCount("rmt_ctx_count", int64(k.ctx.Len()), k.cfg.QueryEpsilon)
+	noised, err := k.cfg.Privacy.QueryCount(int64(k.ctx.Len()), k.cfg.QueryEpsilon)
 	if err != nil {
 		return 0, err
 	}

@@ -59,29 +59,24 @@ func newHotPathTestKernel(t testing.TB, keys int) (*Kernel, int64, int64, *table
 
 type hpTelemetry struct {
 	fires, infers       int64
+	tierFires           [TierAOT + 1]int64
 	stepsCount, stepSum int64
-	lookups, misses     int64
-	entryHits           int64
 	cacheLookups        int64 // verdict cache hits+misses
 }
 
-func readHPTelemetry(k *Kernel, tb *table.Table) hpTelemetry {
-	lookups, misses := tb.Stats()
-	var hits int64
-	for _, e := range tb.Entries() {
-		hits += e.Hits()
-	}
+func readHPTelemetry(k *Kernel) hpTelemetry {
 	vs := k.VerdictCacheStats()
-	return hpTelemetry{
+	tel := hpTelemetry{
 		fires:        k.ctrFires.Load(),
 		infers:       k.ctrInfers.Load(),
 		stepsCount:   k.histSteps.Count(),
 		stepSum:      k.histSteps.Sum(),
-		lookups:      lookups,
-		misses:       misses,
-		entryHits:    hits,
 		cacheLookups: vs.Hits + vs.Misses,
 	}
+	for tier, c := range k.ctrTierFires {
+		tel.tierFires[tier] = c.Load()
+	}
+	return tel
 }
 
 // hpEvents builds a deterministic event mix: mostly present keys (cache
@@ -100,7 +95,7 @@ func hpEvents(n, keys int) []Event {
 // keys answer a parameter.
 const hpTestHook2 = "test/hotpath2"
 
-func addSecondHotPathHook(t testing.TB, k *Kernel, keys int) *table.Table {
+func addSecondHotPathHook(t testing.TB, k *Kernel, keys int) {
 	t.Helper()
 	progID, rep, err := k.InstallProgram(&isa.Program{Name: "hp_pure2", Hook: hpTestHook2,
 		Insns: isa.MustAssemble("mov r0, r1\naddimm r0, 7\nexit")})
@@ -120,7 +115,6 @@ func addSecondHotPathHook(t testing.TB, k *Kernel, keys int) *table.Table {
 			t.Fatal(err)
 		}
 	}
-	return tb
 }
 
 // hpMixedEvents is hpEvents over three hooks: the two pipelines alternating
@@ -141,8 +135,8 @@ func hpMixedEvents(n, keys int) []Event {
 
 // TestFireBatchMatchesSequential: the same event sequence driven through
 // FireBatch must produce the same verdicts AND the same telemetry (fire
-// counts, step accounting, table statistics, per-entry hit counts, verdict
-// cache outcomes) as sequential Fire calls on an identically configured
+// counts, engine fires per tier, step accounting, verdict cache outcomes) as
+// sequential Fire calls on an identically configured
 // kernel — over a mix of two pipelines (alternating and in runs), a hook with
 // no tables and keys absent from the tables. A batch keeps books: its counts
 // become visible when FireBatch returns, so a Prep inside the batch reads
@@ -150,13 +144,14 @@ func hpMixedEvents(n, keys int) []Event {
 // kernels agree again.
 func TestFireBatchMatchesSequential(t *testing.T) {
 	const keys, n = 32, 1000
-	ks, _, _, tbs := newHotPathTestKernel(t, keys)
-	kb, _, _, tbb := newHotPathTestKernel(t, keys)
-	tbs2, tbb2 := addSecondHotPathHook(t, ks, keys), addSecondHotPathHook(t, kb, keys)
+	ks, _, _, _ := newHotPathTestKernel(t, keys)
+	kb, _, _, _ := newHotPathTestKernel(t, keys)
+	addSecondHotPathHook(t, ks, keys)
+	addSecondHotPathHook(t, kb, keys)
 	events := hpMixedEvents(n, keys)
 
-	// What the books carry (entries stored, invalidations and entry hits are
-	// written as they happen).
+	// What the books carry (entries stored and invalidations are written as
+	// they happen).
 	type counts struct{ fires, hits, misses, declined int64 }
 	read := func() counts {
 		var c counts
@@ -188,10 +183,8 @@ func TestFireBatchMatchesSequential(t *testing.T) {
 		}
 		atStart = read()
 		kb.FireBatch(events[from:to], bat[from:to])
-		for i, tb := range []*table.Table{tbb, tbb2} {
-			if got, want := readHPTelemetry(kb, tb), readHPTelemetry(ks, []*table.Table{tbs, tbs2}[i]); got != want {
-				t.Fatalf("after the batch ending at event %d, %s telemetry diverges:\n batch      %+v\n sequential %+v", to, tb.Name, got, want)
-			}
+		if got, want := readHPTelemetry(kb), readHPTelemetry(ks); got != want {
+			t.Fatalf("after the batch ending at event %d, telemetry diverges:\n batch      %+v\n sequential %+v", to, got, want)
 		}
 		if got, want := kb.VerdictCacheStats(), ks.VerdictCacheStats(); got != want {
 			t.Fatalf("after the batch ending at event %d, verdict cache stats diverge:\n batch      %+v\n sequential %+v", to, got, want)
@@ -216,7 +209,7 @@ func TestFireBatchMatchesSequential(t *testing.T) {
 // the events that fired before it are counted all the same — FireBatch
 // settles its books on the way out.
 func TestFireBatchPanickingPrepSettles(t *testing.T) {
-	k, _, _, tb := newHotPathTestKernel(t, 4)
+	k, _, _, _ := newHotPathTestKernel(t, 4)
 	events := []Event{
 		{Hook: hpTestHook, Key: 1},
 		{Hook: hpTestHook, Key: 2},
@@ -230,8 +223,8 @@ func TestFireBatchPanickingPrepSettles(t *testing.T) {
 		}()
 		k.FireBatch(events, make([]FireResult, len(events)))
 	}()
-	tel := readHPTelemetry(k, tb)
-	if tel.fires != 2 || tel.lookups != 2 || tel.cacheLookups != 2 || tel.stepsCount != 2 {
+	tel := readHPTelemetry(k)
+	if tel.fires != 2 || tel.cacheLookups != 2 || tel.stepsCount != 2 {
 		t.Fatalf("telemetry after a panicking Prep = %+v; want the two events before it counted", tel)
 	}
 }
@@ -239,12 +232,12 @@ func TestFireBatchPanickingPrepSettles(t *testing.T) {
 // TestFireBatchConcurrentEquivalence: concurrent FireBatch callers must
 // produce, per event, the verdict sequential Fire produces, and the summed
 // telemetry must come out exact — cache-hit/miss splits may vary with
-// interleaving, but fires, steps, lookups and entry hits must not. Run under
-// -race this is also the hot path's data-race proof.
+// interleaving (and engine fires per tier with them), but fires and steps
+// must not. Run under -race this is also the hot path's data-race proof.
 func TestFireBatchConcurrentEquivalence(t *testing.T) {
 	const keys, n, workers = 32, 1024, 8
-	ks, _, _, tbs := newHotPathTestKernel(t, keys)
-	kc, _, _, tbc := newHotPathTestKernel(t, keys)
+	ks, _, _, _ := newHotPathTestKernel(t, keys)
+	kc, _, _, _ := newHotPathTestKernel(t, keys)
 	events := hpEvents(n, keys)
 
 	want := make([]FireResult, n)
@@ -274,11 +267,9 @@ func TestFireBatchConcurrentEquivalence(t *testing.T) {
 			t.Fatalf("event %d diverges: sequential %+v, concurrent %+v", i, want[i], got[i])
 		}
 	}
-	seqTel, conTel := readHPTelemetry(ks, tbs), readHPTelemetry(kc, tbc)
+	seqTel, conTel := readHPTelemetry(ks), readHPTelemetry(kc)
 	if seqTel.fires != conTel.fires || seqTel.infers != conTel.infers ||
-		seqTel.stepsCount != conTel.stepsCount || seqTel.stepSum != conTel.stepSum ||
-		seqTel.lookups != conTel.lookups || seqTel.misses != conTel.misses ||
-		seqTel.entryHits != conTel.entryHits {
+		seqTel.stepsCount != conTel.stepsCount || seqTel.stepSum != conTel.stepSum {
 		t.Fatalf("telemetry sums diverge:\n concurrent %+v\n sequential %+v", conTel, seqTel)
 	}
 	// Every fire either hit or missed the verdict cache.

@@ -345,18 +345,16 @@ func (k *Kernel) flushVerdicts() {
 // miss.
 func (k *Kernel) Generation() uint64 { return k.def.gen.Load() }
 
-// cachedRow replays one table lookup's counter effects: the table that was
-// consulted and the entry the scan matched (nil when the scan missed and the
-// default action, if any, applied). It is stamped by that entry when byEntry
-// — an exact table's match, whose answer depends on that key's entry alone, so
-// the row is current while the entry is live — and otherwise by the table
-// version read before the lookup, since any insert or default change can move
-// a miss, a default or a prefix/range/ternary match.
+// cachedRow is the stamp of one table lookup. An exact table's match is
+// stamped by its entry (hit), whose answer depends on that key's entry alone,
+// so the row is current while the entry is live. Any other outcome — a miss,
+// the default, a prefix/range/ternary match — is stamped by the table (t) and
+// the version read before the lookup (ver), since any insert or default
+// change can move it.
 type cachedRow struct {
-	t       *table.Table
-	hit     *table.Entry
-	ver     uint64
-	byEntry bool
+	t   *table.Table
+	hit *table.Entry // nil: stamped by t's version
+	ver uint64
 }
 
 // cachedFire is one memoized fire outcome for a pure pipeline, with the stamp
@@ -397,7 +395,7 @@ func (cf *cachedFire) check(rt *routes, hr *hookRoute) (*progBinding, int) {
 	}
 	for i := range cf.rows {
 		r := &cf.rows[i]
-		if r.byEntry {
+		if r.hit != nil {
 			if !r.hit.Live() {
 				return nil, staleTable
 			}
@@ -427,6 +425,8 @@ type fireRec struct {
 	rows  [maxRecordRows]cachedRow
 }
 
+// addRow records the stamp of a lookup of t that read version ver and
+// matched hit (nil: no entry matched).
 func (r *fireRec) addRow(t *table.Table, hit *table.Entry, ver uint64) {
 	if !r.ok {
 		return
@@ -435,7 +435,10 @@ func (r *fireRec) addRow(t *table.Table, hit *table.Entry, ver uint64) {
 		r.ok = false
 		return
 	}
-	r.rows[r.nrows] = cachedRow{t: t, hit: hit, ver: ver, byEntry: hit != nil && t.Kind == table.MatchExact}
+	if t.Kind != table.MatchExact {
+		hit = nil
+	}
+	r.rows[r.nrows] = cachedRow{t: t, hit: hit, ver: ver}
 	r.nrows++
 }
 
@@ -478,8 +481,8 @@ func (k *Kernel) VerdictCacheStats() table.FlowCacheStats {
 }
 
 // hotStatLines renders the lazily-aggregated hot-path metrics for the
-// telemetry registry snapshot: the sharded fire counters, the verdict cache,
-// and the per-table scan memos.
+// telemetry registry snapshot: the sharded fire counters and the verdict
+// cache.
 func (k *Kernel) hotStatLines() []string {
 	out := []string{
 		fmt.Sprintf("core.fires %d", k.ctrFires.Load()),
@@ -515,17 +518,5 @@ func (k *Kernel) hotStatLines() []string {
 	if rt.sentinel != nil {
 		out = append(out, rt.sentinel.statLines()...)
 	}
-	var ts table.FlowCacheStats
-	for _, t := range rt.tables {
-		s := t.CacheStats()
-		ts.Hits += s.Hits
-		ts.Misses += s.Misses
-		ts.Invalidations += s.Invalidations
-	}
-	out = append(out,
-		fmt.Sprintf("table.scan_memo.hits %d", ts.Hits),
-		fmt.Sprintf("table.scan_memo.misses %d", ts.Misses),
-		fmt.Sprintf("table.scan_memo.invalidations %d", ts.Invalidations),
-	)
 	return out
 }

@@ -220,8 +220,8 @@ func (p *diffPair) blind(tenant, hook string, key, arg2, arg3 int64) {
 		// Restamp exact matches by the current version: the row passes now,
 		// whether or not its entry was retired.
 		for i := range cf.rows {
-			if r := &cf.rows[i]; r.byEntry {
-				r.byEntry, r.ver = false, r.t.Version()
+			if r := &cf.rows[i]; r.hit != nil {
+				r.hit, r.ver = nil, r.t.Version()
 			}
 		}
 	case "dep":

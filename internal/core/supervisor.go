@@ -130,8 +130,6 @@ type breaker struct {
 	seq   atomic.Uint64
 	fails atomic.Int32
 	bits  []atomic.Uint64
-
-	lastErr error // under ladder.mu
 }
 
 // A breaker's rungs.
@@ -279,14 +277,12 @@ func (b *breaker) record(hook string, steps, latencyNs int64, runErr error) (fai
 		b.consecFails.Store(0)
 		if b.passed(rungClosed) {
 			b.settle(rungClosed)
-			b.lastErr = nil
 			s.recoveries.Add(1)
 			s.cRecoveries.Inc()
 		}
 		return nil, false
 	}
 
-	b.lastErr = failure
 	s.metrics.Counter("supervisor.errors." + hook).Inc()
 	s.metrics.Histogram("supervisor.fail_steps." + hook).Observe(steps)
 

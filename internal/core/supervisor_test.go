@@ -65,9 +65,6 @@ func TestBreakerLifecycle(t *testing.T) {
 	if sup.State(pid) != BreakerOpen {
 		t.Fatalf("state = %v, want open", sup.State(pid))
 	}
-	if !errors.Is(sup.LastError(pid), fault.ErrInjectedTrap) {
-		t.Fatalf("last error = %v", sup.LastError(pid))
-	}
 	if q := sup.Quarantined(); len(q) != 1 || q[0] != pid {
 		t.Fatalf("quarantined = %v", q)
 	}
@@ -249,9 +246,6 @@ func TestStepSLOFailsBreakerButKeepsVerdict(t *testing.T) {
 	if sup.State(pid) != BreakerOpen {
 		t.Fatal("step SLO violations did not trip the breaker")
 	}
-	if !errors.Is(sup.LastError(pid), ErrStepSLO) {
-		t.Fatalf("last error = %v, want ErrStepSLO", sup.LastError(pid))
-	}
 	if got := k.Metrics.Counter("core.slo_violations").Load(); got != 3 {
 		t.Fatalf("slo_violations = %d, want 3", got)
 	}
@@ -278,8 +272,10 @@ func TestLatencySLO(t *testing.T) {
 	if sup.State(pid) != BreakerOpen {
 		t.Fatal("latency SLO violations did not trip the breaker")
 	}
-	if !errors.Is(sup.LastError(pid), ErrLatencySLO) {
-		t.Fatalf("last error = %v, want ErrLatencySLO", sup.LastError(pid))
+	// The fires ran clean, so each failure the breaker saw was the latency
+	// SLO (StepSLO is off; RecordRun's cause is checked by the differential).
+	if got := k.Metrics.Counter("core.slo_violations").Load(); got != 2 {
+		t.Fatalf("slo_violations = %d, want 2", got)
 	}
 }
 

@@ -248,8 +248,8 @@ func (p *Plane) checkInvariants() error {
 // what follows; matrices; models, each registered at its current version;
 // tables with their rows and default, before the programs whose
 // verification resolves them; and one alloc-state record closing the
-// sequence. Runtime statistics (hit counters, telemetry) are not
-// state: recovery restores decisions, not metrics. Callers quiesce mutations
+// sequence. Telemetry is not state: recovery restores decisions, not
+// metrics. Callers quiesce mutations
 // (Checkpoint holds commitMu and walMu).
 func (p *Plane) checkpointRecords() ([]*wal.Record, error) {
 	k := p.K

@@ -182,7 +182,7 @@ func (p *Plane) apply(m *mut) (undo func() error, err error) {
 			return nil, err
 		}
 		// On an exact table an insert over a key replaces that row; undo puts
-		// the displaced row itself back, hit count and all.
+		// the displaced row itself back, the same *Entry, revived.
 		e, displaced := m.entry, t.Probe(m.entry.Key)
 		if err := t.Insert(e); err != nil {
 			return nil, err

@@ -30,9 +30,7 @@ var ErrBudgetExhausted = errors.New("dp: privacy budget exhausted")
 type Accountant struct {
 	mu     sync.Mutex
 	budget int64 // remaining epsilon, in units
-	total  int64
 	rng    *rand.Rand
-	spends map[string]int64 // per-table epsilon spent, in units, for reporting
 }
 
 // unitsPerEpsilon is the books' resolution: one unit is 1e-9 epsilon.
@@ -58,22 +56,18 @@ func NewAccountant(epsilon float64, seed int64) (*Accountant, error) {
 	if !(epsilon > 0) || math.IsInf(epsilon, 1) {
 		return nil, fmt.Errorf("dp: bad budget %v", epsilon)
 	}
-	total := toUnits(epsilon, math.Floor)
 	return &Accountant{
-		budget: total,
-		total:  total,
+		budget: toUnits(epsilon, math.Floor),
 		rng:    rand.New(rand.NewSource(seed)),
-		spends: make(map[string]int64),
 	}, nil
 }
 
 // Query releases value under (epsilon)-DP with the given L1 sensitivity,
-// charging epsilon against the budget. table names the RMT table issuing the
-// query (for per-table accounting). epsilon is rounded to the nearest unit
+// charging epsilon against the budget. epsilon is rounded to the nearest unit
 // and the noise is drawn at the rounded epsilon, so a query's charge is
 // exactly the privacy its answer spends; an epsilon below half a unit is
 // refused.
-func (a *Accountant) Query(table string, value float64, sensitivity, epsilon float64) (float64, error) {
+func (a *Accountant) Query(value, sensitivity, epsilon float64) (float64, error) {
 	if !(epsilon > 0) || sensitivity <= 0 {
 		return 0, fmt.Errorf("dp: bad query parameters sensitivity=%v epsilon=%v", sensitivity, epsilon)
 	}
@@ -89,13 +83,12 @@ func (a *Accountant) Query(table string, value float64, sensitivity, epsilon flo
 		return 0, fmt.Errorf("%w: need %v, have %v", ErrBudgetExhausted, epsilon, epsilonOf(a.budget))
 	}
 	a.budget -= charge
-	a.spends[table] += charge
 	return value + a.laplace(sensitivity/epsilonOf(charge)), nil
 }
 
 // QueryCount is Query specialized for counting queries (sensitivity 1).
-func (a *Accountant) QueryCount(table string, count int64, epsilon float64) (float64, error) {
-	return a.Query(table, float64(count), 1, epsilon)
+func (a *Accountant) QueryCount(count int64, epsilon float64) (float64, error) {
+	return a.Query(float64(count), 1, epsilon)
 }
 
 // laplace draws Laplace(0, b) noise via inverse-CDF sampling. Caller holds

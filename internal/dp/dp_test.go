@@ -11,17 +11,14 @@ func TestBudgetAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Remaining() != 1.0 || a.Spent() != 0 {
+	if a.Remaining() != 1.0 {
 		t.Fatal("fresh accountant wrong")
 	}
-	if _, err := a.QueryCount("t1", 100, 0.4); err != nil {
+	if _, err := a.QueryCount(100, 0.4); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a.Remaining()-0.6) > 1e-12 || math.Abs(a.Spent()-0.4) > 1e-12 {
-		t.Fatalf("remaining %v spent %v", a.Remaining(), a.Spent())
-	}
-	if a.SpentBy("t1") != 0.4 || a.SpentBy("t2") != 0 {
-		t.Fatal("per-table accounting wrong")
+	if spent := 1.0 - a.Remaining(); math.Abs(spent-0.4) > 1e-12 {
+		t.Fatalf("remaining %v spent %v", a.Remaining(), spent)
 	}
 
 	// A budget of 10 holds exactly 200 queries at epsilon 0.05: the last
@@ -32,16 +29,16 @@ func TestBudgetAccounting(t *testing.T) {
 	}
 	n := 0
 	for ; n < 201; n++ {
-		if _, err := a.QueryCount("t", 1, 0.05); err != nil {
+		if _, err := a.QueryCount(1, 0.05); err != nil {
 			if !errors.Is(err, ErrBudgetExhausted) {
 				t.Fatal(err)
 			}
 			break
 		}
 	}
-	if n != 200 || a.Remaining() != 0 || a.Spent() != 10 || a.SpentBy("t") != 10 {
-		t.Fatalf("answered %d queries at epsilon 0.05 of 10 (remaining %v, spent %v), want 200 leaving 0",
-			n, a.Remaining(), a.Spent())
+	if n != 200 || a.Remaining() != 0 {
+		t.Fatalf("answered %d queries at epsilon 0.05 of 10 (remaining %v), want 200 leaving 0",
+			n, a.Remaining())
 	}
 
 	// A budget past the books' range (about 9.2e9 epsilon) is capped there,
@@ -50,15 +47,17 @@ func TestBudgetAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := a.Remaining()
+	before, opening := a.Remaining(), a.budget
 	if before > 1e12 || before < 9e9 {
 		t.Fatalf("budget 1e12 kept as %v, want the cap near 9.2e9", before)
 	}
-	if _, err := a.QueryCount("t", 1000, 1e-6); err != nil {
+	if _, err := a.QueryCount(1000, 1e-6); err != nil {
 		t.Fatal(err)
 	}
-	if a.Spent() != 1e-6 {
-		t.Fatalf("spent %v of a capped budget, want 1e-6", a.Spent())
+	// In the books' units: at this budget's magnitude a float64 difference
+	// of two Remaining readings cannot resolve 1e-6.
+	if spent := epsilonOf(opening - a.budget); spent != 1e-6 {
+		t.Fatalf("spent %v of a capped budget, want 1e-6", spent)
 	}
 }
 
@@ -69,11 +68,11 @@ func TestChargeMatchesNoise(t *testing.T) {
 	asked, _ := NewAccountant(1, 3)
 	exact, _ := NewAccountant(1, 3)
 	for i := 0; i < 20; i++ {
-		va, err := asked.Query("t", 0, 1, 1.4e-9)
+		va, err := asked.Query(0, 1, 1.4e-9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ve, err := exact.Query("t", 0, 1, 1e-9)
+		ve, err := exact.Query(0, 1, 1e-9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,17 +80,17 @@ func TestChargeMatchesNoise(t *testing.T) {
 			t.Fatalf("query %d: epsilon 1.4e-9 answered %v, but the epsilon it was charged answers %v", i, va, ve)
 		}
 	}
-	if asked.Spent() != exact.Spent() {
-		t.Fatalf("epsilon 1.4e-9 spent %v, 1e-9 spent %v", asked.Spent(), exact.Spent())
+	if asked.Remaining() != exact.Remaining() {
+		t.Fatalf("epsilon 1.4e-9 left %v, 1e-9 left %v", asked.Remaining(), exact.Remaining())
 	}
 }
 
 func TestBudgetExhaustion(t *testing.T) {
 	a, _ := NewAccountant(0.5, 1)
-	if _, err := a.QueryCount("t", 1, 0.5); err != nil {
+	if _, err := a.QueryCount(1, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	_, err := a.QueryCount("t", 1, 0.01)
+	_, err := a.QueryCount(1, 0.01)
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v", err)
 	}
@@ -109,10 +108,10 @@ func TestBadParameters(t *testing.T) {
 		t.Fatal("NaN budget accepted")
 	}
 	a, _ := NewAccountant(1, 1)
-	if _, err := a.Query("t", 1, 0, 0.1); err == nil {
+	if _, err := a.Query(1, 0, 0.1); err == nil {
 		t.Fatal("zero sensitivity accepted")
 	}
-	if _, err := a.Query("t", 1, 1, 0); err == nil {
+	if _, err := a.Query(1, 1, 0); err == nil {
 		t.Fatal("zero epsilon accepted")
 	}
 }
@@ -126,7 +125,7 @@ func TestNoiseScale(t *testing.T) {
 		n := 4000
 		sum := 0.0
 		for i := 0; i < n; i++ {
-			v, err := a.Query("t", truth, 1, eps)
+			v, err := a.Query(truth, 1, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +146,7 @@ func TestNoiseDecreasesWithEpsilon(t *testing.T) {
 		a, _ := NewAccountant(1e9, 7)
 		sum := 0.0
 		for i := 0; i < 2000; i++ {
-			v, _ := a.Query("t", 0, 1, eps)
+			v, _ := a.Query(0, 1, eps)
 			sum += math.Abs(v)
 		}
 		return sum / 2000
@@ -161,8 +160,8 @@ func TestDeterministicNoise(t *testing.T) {
 	a, _ := NewAccountant(10, 5)
 	b, _ := NewAccountant(10, 5)
 	for i := 0; i < 10; i++ {
-		va, _ := a.QueryCount("t", 50, 0.1)
-		vb, _ := b.QueryCount("t", 50, 0.1)
+		va, _ := a.QueryCount(50, 0.1)
+		vb, _ := b.QueryCount(50, 0.1)
 		if va != vb {
 			t.Fatal("same seed, different noise")
 		}

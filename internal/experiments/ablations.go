@@ -119,7 +119,7 @@ func DPSweep(seed int64) ([]DPPoint, error) {
 		var absErr float64
 		n := 0
 		for {
-			v, err := acct.QueryCount("sweep", truth, eps)
+			v, err := acct.QueryCount(truth, eps)
 			if err != nil {
 				break
 			}

@@ -8,8 +8,8 @@ import "sync/atomic"
 //
 //   - A single-key edit (Insert, Delete, UpdateAction) stores into the key's
 //     slot in place; the entry it displaces is retired after the version bump
-//     (Table.publish), and an entry's fields other than its counters are never
-//     written once a slot points at it.
+//     (Table.publish), and an entry's fields other than its liveness flag are
+//     never written once a slot points at it.
 //   - A rebuilt index is published with a new snapshot. An insert that would
 //     pass half used rebuilds; so does a delete that leaves the entries
 //     filling less than a sixteenth of the slots, which gives a table emptied

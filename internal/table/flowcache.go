@@ -6,19 +6,14 @@ import (
 )
 
 // This file implements the flow cache: a sharded, generation-checked
-// memoization layer for hot-path decisions. Two layers of the system use it:
-//
-//   - each non-exact Table memoizes match→entry resolution per (table
-//     version, match key), turning the linear prefix/range/ternary scan into
-//     one probe for recurring flow keys, and
-//   - the kernel memoizes full fire verdicts per (hook, key, args) for
-//     verifier-certified pure programs (internal/core).
+// memoization layer for hot-path decisions. The kernel's verdict cache
+// (internal/core) uses it to memoize full fire verdicts per (hook, key, args)
+// for verifier-certified pure programs.
 //
 // Entries are validated lazily against the caller's current generation: the
 // next Get of an entry stored under another generation counts an invalidation
-// and drops it. For a scan memo the generation is the table's version. For
-// the verdict cache it is only the coarsest part of the validity token — the
-// tenant's flush counter; the rest (which hook pipeline, which table
+// and drops it. For the verdict cache the generation is only the coarsest
+// part of the validity token — the tenant's flush counter; the rest (which hook pipeline, which table
 // versions, which model set the fire read) is a stamp inside the stored value
 // that the kernel compares itself, handing an entry that fails it back
 // through Reject. Shards are power-of-two sized and selected by key hash.
@@ -70,8 +65,7 @@ import (
 // probes many times per call (the kernel's batches) publishes its tallies
 // once instead of bumping a shared counter per probe. Every Get is booked as
 // exactly one hit or one miss, which keeps Hits + Misses equal to the probes
-// made. The scan memo books its own probes (Table.Lookup). What only the cache
-// can see it counts itself: an invalidation when Get or Reject drops a stale
+// made. What only the cache can see it counts itself: an invalidation when Get or Reject drops a stale
 // entry (under the shard lock, once per drop) and an eviction when Put or
 // Reset clears entries. A caller that Rejects what Get returned books that
 // probe as a miss, never as a hit, so Reject takes nothing back.
@@ -90,15 +84,12 @@ import (
 // that exact: when they drop a stale entry they leave the flow's fingerprint
 // behind, so a flow that was cached before a commit is stored again on its
 // first miss after it, however crowded the doorkeeper is. None of this reads
-// or writes the store, so the store's replacement left it as it was.
-//
-// Put itself stays unconditional. The scan memo's misses cost a linear table
-// scan, which an insert always beats, and its key space is the table's match
-// keys rather than every (key, args) combination a hook can see — it has no
-// one-hit-wonder problem for a filter to solve.
+// or writes the store, so the store's replacement left it as it was. Put
+// itself stays unconditional: a caller that stores without asking Admit gets
+// no filter.
 
 // FlowKey identifies one cached decision. Hook is the kernel's interned hook
-// id (zero for per-table memos); Key is the match key; Arg2/Arg3 are the
+// id; Key is the match key; Arg2/Arg3 are the
 // remaining hook arguments (zero when the decision does not depend on them).
 type FlowKey struct {
 	Hook       uint64
@@ -192,8 +183,8 @@ type FlowCache[V any] struct {
 	perShard int
 	shards   []flowShard[V]
 
-	// door is the admission filter, nil until the first Admit (the scan memos
-	// never call it and carry none); doorCap is the size it may grow to.
+	// door is the admission filter, nil until the first Admit (a cache that
+	// never calls it carries none); doorCap is the size it may grow to.
 	door    atomic.Pointer[doorkeeper]
 	doorCap int
 }

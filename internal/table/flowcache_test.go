@@ -278,79 +278,6 @@ func TestFlowCacheAdmitDoesNotStarveFullWorkingSet(t *testing.T) {
 	}
 }
 
-// TestTableScanMemo verifies that non-exact lookups are memoized per version
-// and invalidate when the table mutates.
-func TestTableScanMemo(t *testing.T) {
-	tb := New("ranges", "hk", MatchRange)
-	if err := tb.Insert(&Entry{Lo: 0, Hi: 99, Action: Action{Kind: ActionParam, Param: 1}}); err != nil {
-		t.Fatal(err)
-	}
-
-	if e := tb.Lookup(50); e == nil || e.Action.Param != 1 {
-		t.Fatalf("lookup before memo: %+v", e)
-	}
-	if e := tb.Lookup(50); e == nil || e.Action.Param != 1 {
-		t.Fatalf("memoized lookup: %+v", e)
-	}
-	if st := tb.CacheStats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("memo stats = %+v; want 1 hit, 1 miss", st)
-	}
-
-	// Mutating the table bumps the version; the memoized decision must not
-	// survive.
-	ver := tb.Version()
-	if err := tb.Insert(&Entry{Lo: 40, Hi: 60, Priority: 10, Action: Action{Kind: ActionParam, Param: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Version() == ver {
-		t.Fatal("Insert did not bump version")
-	}
-	if e := tb.Lookup(50); e == nil || e.Action.Param != 2 {
-		t.Fatalf("lookup after insert returned stale entry: %+v", e)
-	}
-
-	// Entry hit counters must be exact despite memoization.
-	ents := tb.Entries()
-	var total int64
-	for _, e := range ents {
-		total += e.Hits()
-	}
-	if total != 3 {
-		t.Fatalf("total entry hits = %d; want 3", total)
-	}
-}
-
-// TestTableSnapshotPreservesHits verifies that mutations do not reset hit
-// counters of untouched rows, and that cloned rows carry their counts over.
-func TestTableSnapshotPreservesHits(t *testing.T) {
-	tb := New("exact", "hk", MatchExact)
-	if err := tb.Insert(&Entry{Key: 1, Action: Action{Kind: ActionParam, Param: 10}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Insert(&Entry{Key: 2, Action: Action{Kind: ActionParam, Param: 20}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		tb.Lookup(1)
-	}
-	tb.Lookup(2)
-
-	// An unrelated mutation must not disturb key 1's count.
-	if err := tb.Insert(&Entry{Key: 3, Action: Action{Kind: ActionParam, Param: 30}}); err != nil {
-		t.Fatal(err)
-	}
-	if h := tb.Probe(1).Hits(); h != 5 {
-		t.Fatalf("hits after unrelated insert = %d; want 5", h)
-	}
-	// UpdateAction clones the row; the clone must carry the count.
-	if !tb.UpdateAction(1, Action{Kind: ActionParam, Param: 11}) {
-		t.Fatal("UpdateAction missed existing key")
-	}
-	if h := tb.Probe(1).Hits(); h != 5 {
-		t.Fatalf("hits after UpdateAction = %d; want 5", h)
-	}
-}
-
 func TestTableOnMutate(t *testing.T) {
 	tb := New("exact", "hk", MatchExact)
 	n := 0
@@ -375,9 +302,9 @@ func TestTableOnMutate(t *testing.T) {
 // counters dirty on every probe.
 func TestFlowShardIsWholeCacheLines(t *testing.T) {
 	for name, size := range map[string]uintptr{
-		"int64":      unsafe.Sizeof(flowShard[int64]{}),
-		"scanResult": unsafe.Sizeof(flowShard[scanResult]{}),
-		"[5]uint64":  unsafe.Sizeof(flowShard[[5]uint64]{}),
+		"int64":     unsafe.Sizeof(flowShard[int64]{}),
+		"*Entry":    unsafe.Sizeof(flowShard[*Entry]{}),
+		"[5]uint64": unsafe.Sizeof(flowShard[[5]uint64]{}),
 	} {
 		if size == 0 || size%64 != 0 {
 			t.Errorf("unsafe.Sizeof(flowShard[%s]{}) = %d, want a multiple of 64", name, size)
@@ -608,7 +535,7 @@ func runFlowSchedule(sc flowSchedule, got flowStore) error {
 			g, w = flat(got.Get(k, gen)), flat(want.Get(k, gen))
 			book(got, g[1] == 1, false)
 			book(want, w[1] == 1, false)
-		case op < 12: // the scan memo's protocol: unconditional
+		case op < 12: // a Put without Admit: unconditional
 			what = "Put"
 			got.Put(k, gen, v)
 			want.Put(k, gen, v)

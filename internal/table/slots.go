@@ -30,8 +30,9 @@ import "sync/atomic"
 // tombstone) filed under the key. A probe shared through the type parameters
 // would compare keys through a method call it cannot inline, and the probe is
 // most of a lookup's cost: on a 2-vCPU VM it added 4-6 ns to an exact-table
-// Lookup (20-22 ns) and 9-10 ns to a prefix-table Lookup its scan memo
-// answers (32-35 ns).
+// Lookup (20-22 ns) and 9-10 ns to a flow-cache probe (measured inside a
+// 32-35 ns prefix-table Lookup, when prefix tables still memoized their scans
+// in a flow cache).
 //
 // A rebuild sizes the fresh array to its entries: it doubles while they fill
 // more than a quarter of it and halves while they fill less than an eighth,

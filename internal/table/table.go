@@ -13,9 +13,9 @@
 // pointer. An exact table keeps its entries in an open-addressed index of
 // atomic slots (exact.go) that a single-key edit stores into in place; the
 // other kinds are copy-on-write. Every mutator stores, then bumps the table
-// version, then retires the entries it displaced (Entry.Live). Non-exact
-// tables additionally memoize scan results per (version, key) in a flow
-// cache, so recurring flow keys skip the linear prefix/range/ternary walk.
+// version, then retires the entries it displaced (Entry.Live). A lookup
+// writes no shared memory: it loads the snapshot and probes the exact index
+// or walks the prefix/range/ternary entries.
 package table
 
 import (
@@ -121,14 +121,9 @@ type Entry struct {
 	// a rewrite (UpdateAction) publishes a clone.
 	Action Action
 
-	hits atomic.Int64
-	// retired is set once the entry has left its table; it sits next to
-	// hits, on the cache line a replayed hit already writes.
+	// retired is set once the entry has left its table.
 	retired atomic.Bool
 }
-
-// Hits reports how many lookups this entry has matched.
-func (e *Entry) Hits() int64 { return e.hits.Load() }
 
 // Live reports whether the entry is in its table's live entry set: false from
 // the moment a mutator that replaced or removed it (UpdateAction, Insert over
@@ -140,15 +135,12 @@ func (e *Entry) Hits() int64 { return e.hits.Load() }
 // one table at a time.
 func (e *Entry) Live() bool { return !e.retired.Load() }
 
-// clone returns a live copy of the entry with a fresh hit counter carrying
-// over the old count.
+// clone returns a live copy of the entry.
 func (e *Entry) clone() *Entry {
-	c := &Entry{
+	return &Entry{
 		Key: e.Key, PrefixLen: e.PrefixLen, Lo: e.Lo, Hi: e.Hi,
 		Mask: e.Mask, Priority: e.Priority, Action: e.Action,
 	}
-	c.hits.Store(e.hits.Load())
-	return c
 }
 
 // tableSnap is the live entry set. Lookup loads it once and never takes a
@@ -156,28 +148,11 @@ func (e *Entry) clone() *Entry {
 // place (exact.go); a snapshot is replaced when the index is rebuilt, when a
 // prefix/range/ternary entry or the default changes (those fields are
 // immutable: the mutator publishes a shallow copy). Entry pointers are shared
-// between successive snapshots, so hit counters survive snapshot churn.
+// between successive snapshots, so an entry's liveness survives snapshot churn.
 type tableSnap struct {
 	exact   *exactIndex // exact-table entries; empty for the other kinds
 	entries []*Entry    // prefix/range/ternary entries, sorted by specificity
 	deflt   *Entry      // optional default entry when nothing matches
-}
-
-// statShards is the number of lookup/miss counter stripes. Striping the stats
-// keeps concurrent Fires on different flow keys off a shared cache line.
-const statShards = 16
-
-// padCounter is a cache-line-padded counter stripe.
-type padCounter struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// scanResult is a memoized scan outcome for non-exact tables. hit == nil
-// records a miss (the default entry, if any, is resolved at use time so that
-// SetDefault does not need to invalidate).
-type scanResult struct {
-	hit *Entry
 }
 
 // Table is one reconfigurable match table.
@@ -199,28 +174,20 @@ type Table struct {
 	// index; mu guards their writes, and Len reads exactLen without it.
 	exactLen   atomic.Int64
 	exactTombs int
-
-	memo *FlowCache[scanResult] // nil for exact tables
-
-	lookups [statShards]padCounter
-	misses  [statShards]padCounter
 }
 
 // New creates an empty table.
 func New(name, hook string, kind MatchKind) *Table {
 	t := &Table{Name: name, Hook: hook, Kind: kind}
 	t.snap.Store(&tableSnap{exact: newExactIndex(minSlots)})
-	if kind != MatchExact {
-		t.memo = NewFlowCache[scanResult](8, 1024)
-	}
 	return t
 }
 
-// Version reports the table's mutation counter: every mutation bumps it. The
-// scan memo keys its results by it, and a cached verdict stamps with it the
-// rows whose answer any mutation can change — a miss, the default, a match in
-// a prefix/range/ternary table. An exact-table match is stamped by its entry
-// instead (Entry.Live), so an edit of one key leaves the others' verdicts.
+// Version reports the table's mutation counter: every mutation bumps it. A
+// cached verdict stamps with it the rows whose answer any mutation can change
+// — a miss, the default, a match in a prefix/range/ternary table. An
+// exact-table match is stamped by its entry instead (Entry.Live), so an edit
+// of one key leaves the others' verdicts.
 func (t *Table) Version() uint64 { return t.version.Load() }
 
 // SetOnMutate registers a callback invoked after every committed mutation
@@ -242,7 +209,7 @@ func (t *Table) SetOnMutate(fn func()) {
 // the table (out) and revives the one it stored (in), which a transaction
 // rollback re-inserting a displaced pointer needs. The order matters for the
 // version: a reader that observes version v finds entries at least as new as
-// v's, so a stale scan can only be cached under a stale version. It matters
+// v's, so a stale lookup can only be stamped with a stale version. It matters
 // for a revival too: a revived entry's cached verdicts replay only once
 // lookups find the entry again. A retirement is safe on either side of the
 // store, since a fire only gets an entry out of a lookup, and follows it to
@@ -434,15 +401,9 @@ func (t *Table) UpdateAction(key uint64, a Action) bool {
 	}) != nil
 }
 
-// stripe selects the stat counter stripe for a key (fibonacci hashing).
-func stripe(key uint64) int {
-	return int((key * 0x9E3779B97F4A7C15) >> 60)
-}
-
 // Lookup finds the highest-priority matching entry for key, or the default
-// entry, or nil. The fast path takes no locks: it reads the snapshot pointer
-// and, for scan-based tables, consults the per-version flow cache before
-// falling back to the linear walk.
+// entry, or nil. It takes no locks and writes nothing: it reads the snapshot
+// pointer and probes the exact index or walks the entries.
 func (t *Table) Lookup(key uint64) *Entry {
 	e, _ := t.LookupMatch(key)
 	return e
@@ -453,34 +414,16 @@ func (t *Table) Lookup(key uint64) *Entry {
 // snapshot the lookup read: comparing e with Default afterwards loads the
 // snapshot again and can misjudge across a concurrent SetDefault.
 func (t *Table) LookupMatch(key uint64) (e *Entry, matched bool) {
-	t.lookups[stripe(key)].n.Add(1)
-	// Load the version before the snapshot: a concurrent mutator stores
-	// (a snapshot, or an exact-index slot in place) and then bumps the
-	// version, so the lookup below can only be *newer* than ver, and a result
-	// cached under ver is never stale for ver.
-	ver := t.version.Load()
 	sn := t.snap.Load()
-
 	var hit *Entry
-	switch t.Kind {
-	case MatchExact:
+	if t.Kind == MatchExact {
 		_, hit = probeExact(sn.exact, key)
-	default:
-		// The memo books its own probes (FlowCache's booking rule).
-		if r, ok := t.memo.Get(FlowKey{Key: key}, ver); ok {
-			t.memo.Book(stripe(key), 1, 0, 0)
-			hit = r.hit
-		} else {
-			t.memo.Book(stripe(key), 0, 1, 0)
-			hit = t.scan(sn, key)
-			t.memo.Put(FlowKey{Key: key}, ver, scanResult{hit: hit})
-		}
+	} else {
+		hit = t.scan(sn, key)
 	}
 	if hit == nil {
-		t.misses[stripe(key)].n.Add(1)
 		return sn.deflt, false
 	}
-	hit.hits.Add(1)
 	return hit, true
 }
 
@@ -509,10 +452,10 @@ func (t *Table) scan(sn *tableSnap, key uint64) *Entry {
 	return nil
 }
 
-// Probe returns the exact-match entry for key without touching any counters
-// or the default entry. The control plane uses it to capture the row an
-// Insert is about to displace, so a transaction rollback can restore it —
-// hit count and all. Non-exact tables always report nil.
+// Probe returns the exact-match entry for key, never the default entry. The
+// control plane uses it to capture the row an Insert is about to displace, so
+// a transaction rollback can restore that same entry. Non-exact tables always
+// report nil.
 func (t *Table) Probe(key uint64) *Entry {
 	if t.Kind != MatchExact {
 		return nil
@@ -520,24 +463,6 @@ func (t *Table) Probe(key uint64) *Entry {
 	_, e := probeExact(t.snap.Load().exact, key)
 	return e
 }
-
-// Credit replays the table-wide counter effects of lookups whose match walk
-// was skipped — the kernel's verdict-cache replays tally them per call and
-// credit them here once — so Stats stays exact: it counts lookups lookups, of
-// which misses matched nothing, on the stripe lane selects (any value; it is
-// masked). The entries the others matched are credited one by one
-// (Entry.CountHit).
-func (t *Table) Credit(lane int, lookups, misses int64) {
-	st := lane & (statShards - 1)
-	t.lookups[st].n.Add(lookups)
-	if misses != 0 {
-		t.misses[st].n.Add(misses)
-	}
-}
-
-// CountHit credits the entry with one lookup it would have matched had the
-// match walk run (Table.Credit carries the table-wide half).
-func (e *Entry) CountHit() { e.hits.Add(1) }
 
 func prefixMatch(key, val uint64, plen uint8) bool {
 	if plen == 0 {
@@ -577,19 +502,4 @@ func (t *Table) Entries() []*Entry {
 // Default returns the default entry, or nil.
 func (t *Table) Default() *Entry {
 	return t.snap.Load().deflt
-}
-
-// Stats reports lookup/miss counters (summed over the counter stripes).
-func (t *Table) Stats() (lookups, misses int64) {
-	for i := 0; i < statShards; i++ {
-		lookups += t.lookups[i].n.Load()
-		misses += t.misses[i].n.Load()
-	}
-	return lookups, misses
-}
-
-// CacheStats reports the scan-memo flow cache counters. Exact tables have no
-// memo (the index probe is already O(1)) and report zeros.
-func (t *Table) CacheStats() FlowCacheStats {
-	return t.memo.Stats()
 }

@@ -109,6 +109,29 @@ func TestRangePriority(t *testing.T) {
 	}
 }
 
+// TestRangeInsertAfterLookup: an overlapping range of higher priority,
+// inserted after a lookup, is what the next lookup of the same key returns,
+// and the insert bumps the version.
+func TestRangeInsertAfterLookup(t *testing.T) {
+	tb := New("ranges", "hk", MatchRange)
+	if err := tb.Insert(&Entry{Lo: 0, Hi: 99, Action: Action{Kind: ActionParam, Param: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if e := tb.Lookup(50); e == nil || e.Action.Param != 1 {
+		t.Fatalf("lookup before insert: %+v", e)
+	}
+	ver := tb.Version()
+	if err := tb.Insert(&Entry{Lo: 40, Hi: 60, Priority: 10, Action: Action{Kind: ActionParam, Param: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Version() == ver {
+		t.Fatal("Insert did not bump version")
+	}
+	if e := tb.Lookup(50); e == nil || e.Action.Param != 2 {
+		t.Fatalf("lookup after insert returned stale entry: %+v", e)
+	}
+}
+
 func TestTernary(t *testing.T) {
 	tb := New("t", "hook", MatchTernary)
 	// Match any key with low byte 0x2a.
@@ -165,47 +188,6 @@ func TestDeleteAndUpdate(t *testing.T) {
 	}
 	if tr.Len() != 0 {
 		t.Fatal("range entry survives delete")
-	}
-}
-
-func TestStatsAndHits(t *testing.T) {
-	tb := New("t", "hook", MatchExact)
-	e := &Entry{Key: 1, Action: Action{Kind: ActionParam, Param: 1}}
-	_ = tb.Insert(e)
-	tb.Lookup(1)
-	tb.Lookup(1)
-	tb.Lookup(2)
-	lookups, misses := tb.Stats()
-	if lookups != 3 || misses != 1 {
-		t.Fatalf("stats = %d/%d", lookups, misses)
-	}
-	if e.Hits() != 2 {
-		t.Fatalf("hits = %d", e.Hits())
-	}
-}
-
-// TestCreditMatchesLookups: the lookups a verdict-cache replay skips, credited
-// in bulk per table (Credit) and one by one per matched entry (CountHit),
-// leave the statistics the lookups themselves would have.
-func TestCreditMatchesLookups(t *testing.T) {
-	looked, credited := New("t", "hook", MatchExact), New("t", "hook", MatchExact)
-	var ents [2]*Entry
-	for i, tb := range []*Table{looked, credited} {
-		ents[i] = &Entry{Key: 1, Action: Action{Kind: ActionParam, Param: 1}}
-		_ = tb.Insert(ents[i])
-	}
-	for _, key := range []uint64{1, 1, 2, 1, 3} {
-		looked.Lookup(key)
-	}
-	credited.Credit(7, 3, 0)
-	credited.Credit(200, 2, 2)
-	for i := 0; i < 3; i++ {
-		ents[1].CountHit()
-	}
-	gl, gm := credited.Stats()
-	wl, wm := looked.Stats()
-	if gl != wl || gm != wm || ents[1].Hits() != ents[0].Hits() {
-		t.Fatalf("credited %d lookups/%d misses/%d entry hits; looked up %d/%d/%d", gl, gm, ents[1].Hits(), wl, wm, ents[0].Hits())
 	}
 }
 

@@ -69,10 +69,10 @@ func TestFacadePrivacy(t *testing.T) {
 	}
 	// The program's query spent half the budget: the other half pays one
 	// more query of 0.5 and nothing past it.
-	if _, err := acct.Query("check", 0, 1, 0.5); err != nil {
+	if _, err := acct.Query(0, 1, 0.5); err != nil {
 		t.Fatalf("second half of the budget refused: %v", err)
 	}
-	if _, err := acct.Query("check", 0, 1, 1e-6); err == nil {
+	if _, err := acct.Query(0, 1, 1e-6); err == nil {
 		t.Fatal("budget not exhausted after two queries of 0.5")
 	}
 }
