@@ -69,9 +69,6 @@ var experimentTable = []experiment{
 		_, lines, err := experiments.ShardScale(mode)
 		return printRows(lines, err)
 	}},
-	{"fleet", "Experiment L: replicated control plane, leader kill mid-rollout", false, func(seed int64, _ core.ExecMode, short bool) error {
-		return printOne(experiments.Fleet(seed, ifShort(short, 1200)))
-	}},
 	{"tenants", "Experiment M: multi-tenant isolation under overload", true, func(seed int64, mode core.ExecMode, short bool) error {
 		return printRows(experiments.Tenants(seed, mode, short))
 	}},

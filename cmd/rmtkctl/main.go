@@ -17,8 +17,6 @@
 //	rmtkctl tenant-status <waldir>              recover, print per-tenant quotas and resources
 //	rmtkctl engine-status <waldir>              recover, print per-program engine tiers,
 //	                                            restored quarantines and the WAL incident tail
-//	rmtkctl cluster-status <fleetdir>           inspect a fleet's node-* state dirs offline
-//	rmtkctl cluster-rollout <fleetdir>          run a staged canary rollout on a demo fleet
 //
 // verify -report generates the three-stage verification report: per
 // program, the corpus analyzer's static findings (lint), a functional
@@ -42,19 +40,6 @@
 // performs a recovery and then writes a fresh checkpoint, compacting the
 // log to the retained checkpoint window.
 //
-// The cluster commands operate on a fleet root directory holding one
-// node-<i> state directory per replica (the layout internal/cluster
-// writes). cluster-status is read-only on a stopped fleet: per node it
-// reports the persisted epoch/vote, the last log record and any damaged
-// suffix, then cross-checks every replica log for divergence
-// (byte-identical records at every shared sequence number).
-// cluster-rollout provisions a fresh three-node in-process fleet under
-// <fleetdir>, replicates an incumbent and a candidate program, and runs
-// the fleet-staged canary rollout (one canary node, then half, then all,
-// each promotion a single replicated transaction), printing the per-wave
-// verdicts and final node status. The state directories are left behind
-// for cluster-status to inspect.
-//
 // Assembly files may declare resources in directive comments:
 //
 //	;helpers 1,5
@@ -69,12 +54,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	"rmtk"
-	"rmtk/internal/cluster"
 	"rmtk/internal/core"
 	"rmtk/internal/ctrl"
 	"rmtk/internal/isa"
@@ -114,10 +97,6 @@ func main() {
 		err = doTenantStatus(path)
 	case "engine-status":
 		err = doEngineStatus(path)
-	case "cluster-status":
-		err = doClusterStatus(path)
-	case "cluster-rollout":
-		err = doClusterRollout(path)
 	default:
 		usage()
 	}
@@ -128,7 +107,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: rmtkctl asm|dis|verify|run|log-inspect|recover|snapshot|tenant-status|engine-status|cluster-status|cluster-rollout <file|waldir|fleetdir> [args]")
+	fmt.Fprintln(os.Stderr, "usage: rmtkctl asm|dis|verify|run|log-inspect|recover|snapshot|tenant-status|engine-status <file|waldir> [args]")
 	os.Exit(2)
 }
 
@@ -490,96 +469,4 @@ func capOf(v int64) string {
 		return "unlimited"
 	}
 	return strconv.FormatInt(v, 10)
-}
-
-// doClusterStatus inspects a stopped fleet's state directories: per node it
-// prints the persisted epoch/vote, the last record the replica logged and
-// any damaged log suffix, then cross-checks all replica logs for
-// divergence. Read-only; it never opens the logs for writing.
-func doClusterStatus(root string) error {
-	dirs, err := cluster.NodeDirs(root)
-	if err != nil {
-		return err
-	}
-	if len(dirs) == 0 {
-		return fmt.Errorf("%s: no node-* state directories", root)
-	}
-	for _, dir := range dirs {
-		epoch, voted, err := cluster.ReadEpochState(dir)
-		if err != nil {
-			return err
-		}
-		sc, err := wal.Scan(dir)
-		if err != nil {
-			return err
-		}
-		var lastSeq uint64
-		if n := len(sc.Records); n > 0 {
-			lastSeq = sc.Records[n-1].Seq
-		}
-		fmt.Printf("%s: epoch=%d voted=%d records=%d last=#%d intact=%dB",
-			filepath.Base(dir), epoch, voted, len(sc.Records), lastSeq, sc.ValidBytes)
-		if sc.DiscardedBytes > 0 {
-			fmt.Printf(" damaged=%dB (%v)", sc.DiscardedBytes, sc.Corruption)
-		}
-		fmt.Println()
-	}
-	if err := cluster.CompareLogs(dirs); err != nil {
-		return err
-	}
-	fmt.Printf("%d replicas, logs consistent (no divergence)\n", len(dirs))
-	return nil
-}
-
-// doClusterRollout runs the fleet-staged canary demo: a three-node
-// in-process fleet under root, an incumbent routing program replaced by a
-// candidate through the staged rollout (canary node, half, all — each
-// promotion one replicated transaction through the leader's WAL). State
-// directories are left behind for cluster-status.
-func doClusterRollout(root string) error {
-	c, err := cluster.New(cluster.Options{Nodes: 3, Dir: root, Seed: 1})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-
-	var inc, cand int64
-	err = c.Propose(func(p *ctrl.Plane) error {
-		var perr error
-		if inc, _, perr = p.LoadProgram(&isa.Program{
-			Name: "incumbent", Insns: isa.MustAssemble("movimm r0, 1\nexit"),
-		}); perr != nil {
-			return perr
-		}
-		cand, _, perr = p.LoadProgram(&isa.Program{
-			Name: "candidate", Insns: isa.MustAssemble("movimm r0, 2\nexit"),
-		})
-		return perr
-	})
-	if err != nil {
-		return err
-	}
-	const tab, hook = "demo_routes", "demo/steer"
-	if err := c.SetupRoutes(tab, hook, inc); err != nil {
-		return err
-	}
-	rep, err := c.Rollout(cluster.RolloutSpec{
-		Hook: hook, Table: tab, Incumbent: inc, Candidate: cand,
-		Gate: ctrl.CanaryConfig{MinShadowFires: 8, MaxDivergenceFrac: 1},
-	})
-	if err != nil {
-		return err
-	}
-	for _, w := range rep.Waves {
-		verdict := "promoted"
-		if !w.Promoted {
-			verdict = "rolled back: " + w.Reason
-		}
-		fmt.Printf("wave %d: nodes %v after %d ticks: %s\n", w.Wave, w.Nodes, w.Ticks, verdict)
-	}
-	fmt.Printf("rollout %s (failovers=%d)\n", rep.State, rep.Failovers)
-	for _, st := range c.Status() {
-		fmt.Println(st)
-	}
-	return nil
 }

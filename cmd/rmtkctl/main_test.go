@@ -194,22 +194,6 @@ func TestRunWithDeclaredModelStub(t *testing.T) {
 	}
 }
 
-// TestClusterCommands: cluster-rollout leaves a fleet of node-* state
-// directories behind that cluster-status can audit offline, and a root with
-// no node directories is an error rather than a silent pass.
-func TestClusterCommands(t *testing.T) {
-	root := t.TempDir()
-	if err := doClusterRollout(root); err != nil {
-		t.Fatal(err)
-	}
-	if err := doClusterStatus(root); err != nil {
-		t.Fatal(err)
-	}
-	if err := doClusterStatus(t.TempDir()); err == nil {
-		t.Fatal("cluster-status of an empty root succeeded")
-	}
-}
-
 // TestTenantStatusCommand: tenant-status recovers a plane offline and renders
 // each tenant's contract; a tenant-free state dir reports the default tenant.
 func TestTenantStatusCommand(t *testing.T) {

@@ -90,7 +90,7 @@ const (
 	// entry; not an incident).
 	CausePromoted = "promoted"
 	// CauseRestored: the quarantine was re-applied from a WAL incident
-	// record or checkpoint during recovery/replication.
+	// record or checkpoint during recovery.
 	CauseRestored = "restored"
 )
 
@@ -129,7 +129,7 @@ func (c SentinelConfig) withDefaults() SentinelConfig {
 // IncidentEvent is one transition in a program's engine-health history: a
 // demotion, promotion, failed probe or restore. Demotions and diverging probes
 // are also incidents — the in-memory form of a WAL incident record, which the
-// control plane persists and replicates.
+// control plane persists.
 type IncidentEvent struct {
 	Program string
 	Hash    string
@@ -267,7 +267,7 @@ func (s *Sentinel) healthFor(p *progEntry) *engineHealth {
 	h.start(&s.q, int32(maxTier))
 	if t, ok := s.k.quarStash[p.hash]; ok && t < maxTier {
 		// A quarantine recorded durably before this install (recovery
-		// replay, replication, or a reswap of previously-demoted content)
+		// replay, or a reswap of previously-demoted content)
 		// re-applies: the reswap cannot resurrect the native tier.
 		s.moveTo(h, t, CauseRestored, 0, "")
 	}
@@ -489,8 +489,8 @@ func (s *Sentinel) emitIncident(ev IncidentEvent) {
 	s.k.Metrics.Counter("core.engine_incidents").Inc()
 }
 
-// SetIncidentSink attaches the incident consumer (the control plane logs and
-// replicates each incident as a WAL record). At most one sink; nil detaches.
+// SetIncidentSink attaches the incident consumer (the control plane logs each
+// incident as a WAL record). At most one sink; nil detaches.
 func (s *Sentinel) SetIncidentSink(fn func(IncidentEvent)) {
 	s.sinkMu.Lock()
 	s.sink = fn
@@ -590,10 +590,10 @@ func (k *Kernel) EngineSentinel() *Sentinel {
 }
 
 // RestoreEngineQuarantine re-applies a durable engine quarantine by content
-// hash — WAL incident replay, checkpoint restore, and follower replication
-// all land here. Order-independent with respect to program installs and
-// sentinel attachment: a quarantine for content not yet resolved is stashed
-// and applied when its health record is first created.
+// hash — WAL incident replay and checkpoint restore both land here.
+// Order-independent with respect to program installs and sentinel
+// attachment: a quarantine for content not yet resolved is stashed and
+// applied when its health record is first created.
 func (k *Kernel) RestoreEngineQuarantine(hash string, tier EngineTier) {
 	if hash == "" {
 		return

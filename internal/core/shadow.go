@@ -10,10 +10,10 @@ import (
 
 // This file implements shadow execution, the update-time half of the fault
 // containment story (the supervisor in supervisor.go is the runtime half): a
-// candidate model or program rides along with the incumbent on live hook
-// traffic, charged zero virtual-clock latency and stripped of every globally
-// visible side effect, while the kernel records how the candidate's behaviour
-// diverges from the incumbent's. The control plane's Canary controller
+// candidate model rides along with the incumbent on live hook traffic,
+// charged zero virtual-clock latency and stripped of every globally visible
+// side effect, while the kernel records how the candidate's behaviour diverges
+// from the incumbent's. The control plane's Canary controller
 // (internal/ctrl) reads the accumulated CanaryReport to decide promotion or
 // rollback — a model that passes the verifier's static budget checks can
 // still be behaviourally worse than the incumbent, and shadow execution is
@@ -59,16 +59,11 @@ func (r CanaryReport) TrapFrac() float64 {
 	return float64(r.Traps) / float64(r.Fires)
 }
 
-// Shadow is a candidate attached to one hook for shadow execution. Exactly
-// one of the two candidate forms is set:
-//
-//   - a model overlay: the incumbent's matched entry re-runs with model id
-//     lookups redirected to the candidate model (the model-push canary), or
-//   - a candidate program id: the shadow runs that program instead of the
-//     matched entry's (the program-push canary).
+// Shadow is a candidate model attached to one hook for shadow execution: the
+// incumbent's matched entry re-runs with model id lookups redirected to the
+// candidate (the model-push canary).
 type Shadow struct {
 	hook    string
-	progID  int64
 	overlay map[int64]Model
 
 	mu       sync.Mutex
@@ -80,12 +75,6 @@ type Shadow struct {
 // model id modelID resolving to candidate.
 func NewModelShadow(hook string, modelID int64, candidate Model) *Shadow {
 	return &Shadow{hook: hook, overlay: map[int64]Model{modelID: candidate}}
-}
-
-// NewProgramShadow builds a shadow that runs candidate program progID in
-// place of the matched entry's program.
-func NewProgramShadow(hook string, progID int64) *Shadow {
-	return &Shadow{hook: hook, progID: progID}
 }
 
 // SetOnResult installs a callback invoked after every shadow run with the
@@ -193,11 +182,7 @@ func (d *dispatch) runShadow(sh *Shadow, entry *table.Entry, liveRes *FireResult
 
 	switch entry.Action.Kind {
 	case table.ActionProgram:
-		progID := entry.Action.ProgID
-		if sh.progID != 0 {
-			progID = sh.progID
-		}
-		verdict, steps, trapped = d.runShadowProgram(sh, progID, entry.Action.Param)
+		verdict, steps, trapped = d.runShadowProgram(sh, entry.Action.ProgID, entry.Action.Param)
 	case table.ActionInfer:
 		verdict, trapped = d.runShadowInfer(sh, entry.Action.ModelID)
 	default:

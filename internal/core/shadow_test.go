@@ -2,41 +2,55 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"rmtk/internal/isa"
 	"rmtk/internal/table"
 )
 
-// shadowRig installs an incumbent program returning verdict 1 on hook
-// "mm/shadow" and returns the kernel, table and program id.
-func shadowRig(t *testing.T) (*Kernel, *table.Table, int64) {
+// inferAsm is an incumbent program whose verdict is its model's prediction.
+const inferAsm = `
+	veczero v0, 1
+	mlinfer r0, v0, %d
+	exit`
+
+// constModel predicts v for every input.
+func constModel(v int64) *FuncModel {
+	return &FuncModel{Fn: func([]int64) int64 { return v }, Feats: 1}
+}
+
+// shadowRig registers model incumbent and installs, on hook "mm/shadow" behind
+// key 1, an incumbent program assembled from asm with %d standing for the
+// model's id. A shadow overlays that id, so it re-runs the incumbent's
+// program with the candidate model. It returns the kernel and the model id.
+func shadowRig(t *testing.T, incumbent Model, asm string, helpers ...int64) (*Kernel, int64) {
 	t.Helper()
 	k := NewKernel(Config{})
 	tb := table.New("t", "mm/shadow", table.MatchExact)
 	if _, err := k.CreateTable(tb); err != nil {
 		t.Fatal(err)
 	}
+	mid := k.RegisterModel(incumbent)
 	pid := install(t, k, &isa.Program{
-		Name:  "incumbent",
-		Insns: isa.MustAssemble("movimm r0, 1\nexit"),
+		Name:    "incumbent",
+		Insns:   isa.MustAssemble(fmt.Sprintf(asm, mid)),
+		Models:  []int64{mid},
+		Helpers: helpers,
 	})
 	if err := tb.Insert(&table.Entry{Key: 1, Action: table.Action{Kind: table.ActionProgram, ProgID: pid}}); err != nil {
 		t.Fatal(err)
 	}
-	return k, tb, pid
+	return k, mid
 }
 
-// TestShadowProgramDivergence runs a candidate program in shadow whose
-// verdict differs from the incumbent's: the live result must be untouched
-// (verdict, latency, steps), and the report must count the divergence.
+// TestShadowProgramDivergence runs, in shadow, the incumbent program with a
+// candidate model whose verdict differs from the incumbent model's: the live
+// result must be untouched (verdict, latency, steps), and the report must
+// count the divergence.
 func TestShadowProgramDivergence(t *testing.T) {
-	k, _, _ := shadowRig(t)
-	cand := install(t, k, &isa.Program{
-		Name:  "candidate",
-		Insns: isa.MustAssemble("movimm r0, 2\nexit"),
-	})
-	sh := NewProgramShadow("mm/shadow", cand)
+	k, mid := shadowRig(t, constModel(1), inferAsm)
+	sh := NewModelShadow("mm/shadow", mid, constModel(2))
 	if err := k.AttachShadow(sh); err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +82,11 @@ func TestShadowProgramDivergence(t *testing.T) {
 	}
 }
 
-// TestShadowAgreement: an identical candidate diverges never.
+// TestShadowAgreement: a candidate that predicts what the incumbent does
+// diverges never.
 func TestShadowAgreement(t *testing.T) {
-	k, _, _ := shadowRig(t)
-	cand := install(t, k, &isa.Program{
-		Name:  "same",
-		Insns: isa.MustAssemble("movimm r0, 1\nexit"),
-	})
-	sh := NewProgramShadow("mm/shadow", cand)
+	k, mid := shadowRig(t, constModel(1), inferAsm)
+	sh := NewModelShadow("mm/shadow", mid, constModel(1))
 	if err := k.AttachShadow(sh); err != nil {
 		t.Fatal(err)
 	}
@@ -91,59 +102,55 @@ func TestShadowAgreement(t *testing.T) {
 	}
 }
 
-// TestShadowWriteSuppression: a candidate that stores into the context and
-// pushes history must leave both untouched — shadow runs are side-effect
-// free with respect to state the incumbent reads.
+// TestShadowWriteSuppression: the incumbent increments a context field,
+// pushes it to the history and scores the field it stored. The shadow re-runs
+// that program after the live run, so a leaked shadow write would leave the
+// field one ahead and the history one longer — shadow runs are side-effect
+// free with respect to state the incumbent reads. Suppressed is not lost: the
+// shadow scores the field it just stored, as it would live, and its capture
+// does not outlive the run.
 func TestShadowWriteSuppression(t *testing.T) {
-	k, _, _ := shadowRig(t)
-	cand := install(t, k, &isa.Program{
-		Name: "writer",
-		Insns: isa.MustAssemble(`
-			movimm r4, 99
-			stctxt r1, 0, r4
-			histpush r1, r4
-			movimm r0, 1
-			exit`),
-	})
-	sh := NewProgramShadow("mm/shadow", cand)
-	if err := k.AttachShadow(sh); err != nil {
-		t.Fatal(err)
-	}
-	k.Fire("mm/shadow", 1, 0, 0)
-	if got := k.Ctx().Load(1, 0); got != 0 {
-		t.Fatalf("ctx[1].field[0] = %d, want 0 (shadow write leaked)", got)
-	}
-	var buf [1]int64
-	if n := k.Ctx().Hist(1, buf[:]); n != 0 {
-		t.Fatalf("history length = %d, want 0 (shadow histpush leaked)", n)
-	}
-	if rep := sh.Report(); rep.Fires != 1 || rep.Traps != 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-
-	// Suppressed is not lost: a candidate that stores a field and loads it
-	// back reads its own write, as it would live, and still leaves no trace.
-	k.DetachShadow("mm/shadow")
-	sh = NewProgramShadow("mm/shadow", install(t, k, &isa.Program{
-		Name: "readback",
-		Insns: isa.MustAssemble(`
-			movimm r4, 99
-			stctxt r1, 0, r4
-			ldctxt r0, r1, 0
-			exit`),
-	}))
+	field := &FuncModel{Fn: func(x []int64) int64 { return x[0] }, Feats: 1}
+	k, mid := shadowRig(t, field, `
+		ldctxt r4, r1, 0
+		addimm r4, 1
+		stctxt r1, 0, r4
+		histpush r1, r4
+		ldctxt r5, r1, 0
+		veczero v0, 1
+		vecset v0, 0, r5
+		mlinfer r0, v0, %d
+		exit`)
+	sh := NewModelShadow("mm/shadow", mid, field)
 	var verdicts []int64
 	sh.SetOnResult(func(_, verdict int64, _ []int64, _ bool) { verdicts = append(verdicts, verdict) })
 	if err := k.AttachShadow(sh); err != nil {
 		t.Fatal(err)
 	}
-	k.Fire("mm/shadow", 1, 0, 0)
-	k.Fire("mm/shadow", 1, 0, 0) // and the first run's capture does not outlive it
-	if len(verdicts) != 2 || verdicts[0] != 99 || verdicts[1] != 99 {
-		t.Fatalf("shadow verdicts = %v, want [99 99]: the candidate must read the field it just stored", verdicts)
+	if res := k.Fire("mm/shadow", 1, 0, 0); res.Verdict != 1 {
+		t.Fatalf("live verdict = %d, want 1", res.Verdict)
 	}
-	if got := k.Ctx().Load(1, 0); got != 0 {
-		t.Fatalf("ctx[1].field[0] = %d, want 0 (shadow write leaked)", got)
+	if got := k.Ctx().Load(1, 0); got != 1 {
+		t.Fatalf("ctx[1].field[0] = %d, want 1 (2 means the shadow write leaked)", got)
+	}
+	if n := k.Ctx().HistLen(1); n != 1 {
+		t.Fatalf("history length = %d, want 1 (2 means the shadow histpush leaked)", n)
+	}
+	if rep := sh.Report(); rep.Fires != 1 || rep.Traps != 0 {
+		t.Fatalf("report = %+v", rep)
+	}
+
+	// A captured 2 that outlived the first run would make the second shadow
+	// score 3; the live field is 10 by then, so a fresh capture scores 12.
+	k.Ctx().Store(1, 0, 10)
+	if res := k.Fire("mm/shadow", 1, 0, 0); res.Verdict != 11 {
+		t.Fatalf("live verdict = %d, want 11", res.Verdict)
+	}
+	if len(verdicts) != 2 || verdicts[0] != 2 || verdicts[1] != 12 {
+		t.Fatalf("shadow verdicts = %v, want [2 12]: the candidate must read the field it just stored", verdicts)
+	}
+	if got := k.Ctx().Load(1, 0); got != 11 {
+		t.Fatalf("ctx[1].field[0] = %d, want 11 (shadow write leaked)", got)
 	}
 }
 
@@ -202,18 +209,14 @@ func TestShadowModelOverlay(t *testing.T) {
 // prefetch datapath's programs always return verdict 0 and carry their
 // decision in emitted pages.
 func TestShadowEmitDivergence(t *testing.T) {
-	k, _, _ := shadowRig(t)
-	// Incumbent emits nothing; candidate emits page 7.
-	cand := install(t, k, &isa.Program{
-		Name: "emitter",
-		Insns: isa.MustAssemble(`
-			movimm r1, 7
-			call 1 ; rmt_emit
-			movimm r0, 1
-			exit`),
-		Helpers: []int64{HelperEmit},
-	})
-	sh := NewProgramShadow("mm/shadow", cand)
+	// The incumbent emits the page its model names: 3 live, 7 in shadow.
+	k, mid := shadowRig(t, constModel(3), `
+		veczero v0, 1
+		mlinfer r1, v0, %d
+		call 1 ; rmt_emit
+		movimm r0, 1
+		exit`, HelperEmit)
+	sh := NewModelShadow("mm/shadow", mid, constModel(7))
 	if err := k.AttachShadow(sh); err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +228,11 @@ func TestShadowEmitDivergence(t *testing.T) {
 		got = append(got, emissions...)
 	})
 	res := k.Fire("mm/shadow", 1, 0, 0)
-	if len(res.Emissions) != 0 {
-		t.Fatalf("live emissions = %v, want none (shadow emissions leaked)", res.Emissions)
+	if len(res.Emissions) != 1 || res.Emissions[0] != 3 {
+		t.Fatalf("live emissions = %v, want [3] (shadow emissions leaked)", res.Emissions)
 	}
 	rep := sh.Report()
-	if rep.EmitDiffs != 1 || rep.Divergences != 1 {
+	if rep.EmitDiffs != 1 || rep.Divergences != 1 || rep.VerdictDiffs != 0 {
 		t.Fatalf("report = %+v, want 1 emit divergence", rep)
 	}
 	if len(got) != 1 || got[0] != 7 {
@@ -239,12 +242,12 @@ func TestShadowEmitDivergence(t *testing.T) {
 
 // TestShadowAttachSemantics: one shadow per hook, detach returns it.
 func TestShadowAttachSemantics(t *testing.T) {
-	k, _, _ := shadowRig(t)
-	sh := NewProgramShadow("mm/shadow", 1)
+	k, mid := shadowRig(t, constModel(1), inferAsm)
+	sh := NewModelShadow("mm/shadow", mid, constModel(1))
 	if err := k.AttachShadow(sh); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.AttachShadow(NewProgramShadow("mm/shadow", 2)); !errors.Is(err, ErrDuplicate) {
+	if err := k.AttachShadow(NewModelShadow("mm/shadow", mid, constModel(2))); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("second attach err = %v, want ErrDuplicate", err)
 	}
 	if got := k.ShadowAt("mm/shadow"); got != sh {
@@ -261,7 +264,7 @@ func TestShadowAttachSemantics(t *testing.T) {
 // TestRemoveTable: removal detaches from the hook pipeline and fires fail
 // soft afterwards.
 func TestRemoveTable(t *testing.T) {
-	k, _, _ := shadowRig(t)
+	k, _ := shadowRig(t, constModel(1), inferAsm)
 	_, id, err := k.TableByName("t")
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,6 @@ import (
 //	                    ↓ fail
 //	                 rejected
 //
-// A program candidate is staged gate-only (StageProgramGate): the gates
-// render a verdict and a fleet controller commits the retarget itself.
 // All timing is event-driven (shadow fires, labeled outcomes), never
 // wall-clock: canary decisions are deterministic under the repo's seeded
 // virtual-clock workloads.
@@ -32,10 +30,6 @@ const (
 	CanaryPromoted
 	// CanaryRejected: the candidate failed a shadow gate and never went live.
 	CanaryRejected
-	// CanaryReleased: a gate-only canary (StageProgramGate) was released by
-	// its controller; the shadow is detached and no verdict was rendered
-	// here — the fleet controller owns the commit decision.
-	CanaryReleased
 )
 
 // String names the state.
@@ -47,8 +41,6 @@ func (s CanaryState) String() string {
 		return "promoted"
 	case CanaryRejected:
 		return "rejected"
-	case CanaryReleased:
-		return "released"
 	default:
 		return fmt.Sprintf("canarystate(%d)", int(s))
 	}
@@ -106,9 +98,7 @@ type Canary struct {
 
 	sh *core.Shadow
 	// promote is the committed reconfiguration (Bump set) the lifecycle
-	// submits; nil on a gate-only canary (StageProgramGate), which never
-	// promotes — a fleet controller reads the verdict and owns the
-	// replicated commit.
+	// submits.
 	promote *mut
 
 	mu          sync.Mutex
@@ -152,38 +142,6 @@ func (p *Plane) PushModelCanary(hook string, id int64, candidate core.Model, ops
 	}
 	p.K.Metrics.Counter("ctrl.canary_staged").Inc()
 	return c, nil
-}
-
-// StageProgramGate attaches candidate program candID in shadow on hook and
-// returns a gate-only canary: EvalGates renders the verdict, but promotion
-// never happens here — a fleet rollout controller (internal/cluster) reads
-// the per-node verdicts and commits the retarget through the replicated log,
-// so every node's state change flows through the same shipped records.
-// Release detaches the shadow when the controller is done.
-func (p *Plane) StageProgramGate(hook string, candID int64, cfg CanaryConfig) (*Canary, error) {
-	if _, err := p.K.Program(candID); err != nil {
-		return nil, err
-	}
-	sh := core.NewProgramShadow(hook, candID)
-	if err := p.K.AttachShadow(sh); err != nil {
-		return nil, err
-	}
-	c := &Canary{p: p, cfg: cfg.withDefaults(), hook: hook, sh: sh}
-	p.K.Metrics.Counter("ctrl.canary_staged").Inc()
-	return c, nil
-}
-
-// Release detaches the shadow of a still-shadowing canary without
-// rendering a verdict — the terminal transition of a gate-only canary once
-// its controller has read EvalGates. Terminal canaries are left alone.
-func (c *Canary) Release() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state.Terminal() {
-		return
-	}
-	c.p.K.DetachShadow(c.hook)
-	c.state = CanaryReleased
 }
 
 // Shadow returns the attached shadow (datapaths hang their labeling
@@ -251,23 +209,7 @@ func (c *Canary) evalGatesLocked() (pass, pending bool, reason error) {
 	return true, false, nil
 }
 
-// EvalGates evaluates the shadow gates without performing any lifecycle
-// transition — the read-only verdict a fleet rollout controller polls on a
-// gate-only canary. pending means more shadow evidence is needed; a
-// non-nil reason explains a failed gate.
-func (c *Canary) EvalGates() (pass, pending bool, reason error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state != CanaryShadowing {
-		return false, false, fmt.Errorf("ctrl: canary is %s, not shadowing", c.state)
-	}
-	return c.evalGatesLocked()
-}
-
 func (c *Canary) advanceShadowing() {
-	if c.promote == nil {
-		return // gate-only: the fleet controller polls EvalGates and owns transitions
-	}
 	pass, pending, reason := c.evalGatesLocked()
 	if pending {
 		return

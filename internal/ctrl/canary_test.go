@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rmtk/internal/core"
-	"rmtk/internal/isa"
 	"rmtk/internal/table"
 	"rmtk/internal/verifier"
 )
@@ -164,83 +163,5 @@ func TestCanaryBudgetRejection(t *testing.T) {
 	}
 	if p.K.DetachShadow("mm/canary") != nil {
 		t.Fatal("shadow attached for rejected staging")
-	}
-}
-
-// TestProgramCanary: a program rollout on one plane, as the fleet controller
-// runs it on each node. The candidate program is staged gate-only; when its
-// gates pass, the controller retargets the routing entry in a transaction,
-// and when they fail it releases the canary and the incumbent keeps
-// deciding. Either way a second rollout is refused while one is in flight,
-// the shadow is detached once the rollout ends, and the hook then stages a
-// follow-up cleanly.
-func TestProgramCanary(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		maxDiverge  float64
-		wantPass    bool
-		wantVerdict int64
-	}{
-		// The candidate deliberately decides differently under an open gate.
-		{"promoted", 1, true, 2},
-		// The same candidate diverges on every fire under a strict gate.
-		{"rejected on divergence", 0, false, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := newPlane(t)
-			inc, _, err := p.LoadProgram(&isa.Program{
-				Name: "inc", Insns: isa.MustAssemble("movimm r0, 1\nexit"),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cand, _, err := p.LoadProgram(&isa.Program{
-				Name: "cand", Insns: isa.MustAssemble("movimm r0, 2\nexit"),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := p.CreateTable("prog_tab", "sched/canary", table.MatchExact); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.AddEntry("prog_tab", &table.Entry{Key: 7, Action: table.Action{Kind: table.ActionProgram, ProgID: inc}}); err != nil {
-				t.Fatal(err)
-			}
-			cfg := CanaryConfig{MinShadowFires: 8, MaxDivergenceFrac: tc.maxDiverge}
-			c, err := p.StageProgramGate("sched/canary", cand, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := p.StageProgramGate("sched/canary", cand, cfg); err == nil {
-				t.Fatal("a second rollout staged while one is in flight")
-			}
-			for i := 0; i < 8; i++ {
-				p.K.Fire("sched/canary", 7, 0, 0)
-			}
-			pass, pending, reason := c.EvalGates()
-			if pending || pass != tc.wantPass {
-				t.Fatalf("EvalGates = (%v, %v, %v), want pass=%v", pass, pending, reason, tc.wantPass)
-			}
-			if !pass && (reason == nil || !strings.Contains(reason.Error(), "divergence")) {
-				t.Fatalf("gate err = %v", reason)
-			}
-			c.Release()
-			if pass {
-				txn := p.Begin()
-				txn.UpdateAction("prog_tab", 7, table.Action{Kind: table.ActionProgram, ProgID: cand})
-				if err := txn.Commit(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if res := p.K.Fire("sched/canary", 7, 0, 0); res.Verdict != tc.wantVerdict {
-				t.Fatalf("verdict after the rollout = %d, want %d", res.Verdict, tc.wantVerdict)
-			}
-			if p.K.DetachShadow("sched/canary") != nil {
-				t.Fatal("shadow leaked after the rollout ended")
-			}
-			if _, err := p.StageProgramGate("sched/canary", cand, cfg); err != nil {
-				t.Fatalf("follow-up rollout: %v", err)
-			}
-		})
 	}
 }

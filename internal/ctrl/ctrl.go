@@ -51,13 +51,6 @@ type Plane struct {
 	wal        *wal.Log
 	walMu      sync.Mutex
 	crashAfter func(wal.Kind) bool
-
-	// Replication state (replica.go). recordEpoch stamps every appended
-	// record with the leader epoch it was logged under. pendingAbort (guarded
-	// by commitMu) is the sequence of a shipped record that failed to apply
-	// locally and awaits the leader's compensating abort record.
-	recordEpoch  atomic.Uint64
-	pendingAbort uint64
 }
 
 // New creates a control plane for k.

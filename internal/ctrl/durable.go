@@ -331,8 +331,8 @@ func (p *Plane) Checkpoint() (uint64, error) {
 		return 0, fmt.Errorf("ctrl: checkpoint requires a durable plane")
 	}
 	// commitMu quiesces transactions and canary transitions; walMu
-	// quiesces simple mutators and replicas. Together the checkpoint is
-	// point-in-time consistent with the log position.
+	// quiesces simple mutators. Together the checkpoint is point-in-time
+	// consistent with the log position.
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
 	p.walMu.Lock()

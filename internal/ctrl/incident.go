@@ -10,10 +10,9 @@ import (
 // This file wires the kernel's engine sentinel into the durable control
 // plane: every sentinel incident (a demotion or detected divergence) is
 // submitted as a wal.KindIncident record like any mutation, so it is
-// fsynced, checkpointed, replayed on recovery and shipped to replication
-// followers. Replay re-applies the quarantine by content hash (apply), so a
-// restarted — or follower — kernel distrusts exactly the native tiers the
-// incident flagged.
+// fsynced, checkpointed and replayed on recovery. Replay re-applies the
+// quarantine by content hash (apply), so a restarted kernel distrusts exactly
+// the native tiers the incident flagged.
 
 // EnableIncidentLog attaches the plane as the sentinel's incident sink. The
 // kernel must already have a sentinel attached (core.AttachSentinel).

@@ -10,6 +10,16 @@ import (
 	"rmtk/internal/wal"
 )
 
+func durablePlane(t *testing.T) *Plane {
+	t.Helper()
+	p, err := Open(core.NewKernel(core.Config{}), t.TempDir(), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.WAL().Close() })
+	return p
+}
+
 // incidentRig builds a durable plane with one sentineled program on hook
 // "h/inc", wired so a single injected engine panic demotes JIT→interp and
 // logs a wal.KindIncident record.
@@ -95,21 +105,6 @@ func TestIncidentLoggedAndRecovered(t *testing.T) {
 		if st.Program == "inc_p" && st.Tier != core.TierInterp {
 			t.Fatalf("recovered tier = %s, want interp", st.Tier)
 		}
-	}
-}
-
-// TestIncidentReplicated: incident records ship to a follower like any other
-// record and quarantine the same content hash there.
-func TestIncidentReplicated(t *testing.T) {
-	leader, hash := incidentRig(t)
-	follower := durablePlane(t)
-	shipAll(t, leader, follower)
-	q := follower.K.EngineQuarantines()
-	if len(q) != 1 || q[0].Hash != hash || q[0].Tier != core.TierInterp {
-		t.Fatalf("follower quarantines = %v", q)
-	}
-	if leader.WAL().Seq() != follower.WAL().Seq() {
-		t.Fatalf("seq drift: leader %d follower %d", leader.WAL().Seq(), follower.WAL().Seq())
 	}
 }
 

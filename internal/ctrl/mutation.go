@@ -15,9 +15,9 @@ import (
 // builds a mut — the wal.Record that logs the change, plus the live values it
 // was built from — and submits it: submit appends the record when a log is
 // attached, then apply changes the kernel. Recover's replay and checkpoint
-// restore, ApplyReplicated and Txn.Commit call the same apply, so a record
-// means one thing on every path, and "replay ≡ live state" holds because the
-// live plane runs the code replay runs.
+// restore and Txn.Commit call the same apply, so a record means one thing on
+// every path, and "replay ≡ live state" holds because the live plane runs the
+// code replay runs.
 
 // mut is one control-plane mutation. rec is its durable form; entry, prog and
 // model are the live values it was built from (decoded from rec on replay).
@@ -110,7 +110,6 @@ func (p *Plane) submit(m *mut) error {
 	}
 	p.walMu.Lock()
 	defer p.walMu.Unlock()
-	p.stampEpoch(m.rec)
 	seq, err := p.wal.Append(m.rec)
 	if err != nil {
 		return fmt.Errorf("ctrl: wal append: %w", err)
@@ -119,9 +118,7 @@ func (p *Plane) submit(m *mut) error {
 		return err
 	}
 	if _, err := p.apply(m); err != nil {
-		abort := &wal.Record{Kind: wal.KindAbort, Ref: seq}
-		p.stampEpoch(abort)
-		if _, aerr := p.wal.Append(abort); aerr != nil {
+		if _, aerr := p.wal.Append(&wal.Record{Kind: wal.KindAbort, Ref: seq}); aerr != nil {
 			err = errors.Join(err, fmt.Errorf("ctrl: wal abort append: %w", aerr))
 		}
 		return err
@@ -138,7 +135,7 @@ func (p *Plane) crashPoint(kind wal.Kind) error {
 	return nil
 }
 
-// replay applies a logged, shipped or checkpointed record.
+// replay applies a logged or checkpointed record.
 func (p *Plane) replay(rec *wal.Record) error {
 	m, err := decodeMut(rec)
 	if err != nil {
@@ -273,9 +270,8 @@ func (p *Plane) apply(m *mut) (undo func() error, err error) {
 			return nil, err
 		}
 		k.RestoreEngineQuarantine(rec.Incident.Hash, tier)
-	case wal.KindAbort, wal.KindEpoch:
-		// An abort is settled before apply (Recover's pre-scan,
-		// ApplyReplicated's pending record); an epoch mark carries no state.
+	case wal.KindAbort:
+		// An abort is settled before apply, by Recover's pre-scan.
 	case wal.KindAllocState:
 		a := rec.Alloc
 		if err := k.RestoreAllocState(a.Table, a.Prog, a.Model, a.Mat); err != nil {

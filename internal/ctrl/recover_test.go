@@ -123,7 +123,7 @@ func buildWorkload(t *testing.T, p *Plane) {
 	if st := c.Advance(); st != CanaryPromoted {
 		t.Fatalf("canary state = %v, err = %v", st, c.GateErr())
 	}
-	// Retarget rec_a's entry to rec_b, as a fleet rollout commits a program.
+	// Retarget rec_a's entry to rec_b, a program rollout's commit.
 	if err := p.UpdateAction("flow_tab", 5, table.Action{Kind: table.ActionProgram, ProgID: progB}); err != nil {
 		t.Fatal(err)
 	}

@@ -75,9 +75,7 @@ func isFmtErrorf(pass *Pass, call *ast.CallExpr) bool {
 // isCtrlSentinel reports whether expr denotes an exported package-level
 // `Err...` variable of error type defined in internal/ctrl, internal/wal
 // (the durable log's corruption sentinels carry recovery-path decisions and
-// must survive wrapping too), internal/cluster (replication sentinels —
-// ErrNotLeader and friends drive caller retry/redirect logic, so losing
-// errors.Is on them silently breaks failover handling), or internal/qos
+// must survive wrapping too), or internal/qos
 // (admission sentinels — callers distinguish a shed from a degrade from an
 // unknown tenant with errors.Is, and a flattened ErrAdmissionShed turns a
 // deliberate load-management verdict into an opaque failure).
@@ -98,7 +96,6 @@ func isCtrlSentinel(pass *Pass, expr ast.Expr) bool {
 	switch p := v.Pkg().Path(); {
 	case p == "ctrl" || strings.HasSuffix(p, "/ctrl"):
 	case p == "wal" || strings.HasSuffix(p, "/wal"):
-	case p == "cluster" || strings.HasSuffix(p, "/cluster"):
 	case p == "qos" || strings.HasSuffix(p, "/qos"):
 	default:
 		return false

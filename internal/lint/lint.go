@@ -30,10 +30,6 @@
 //     bounded — constants, or names validated by a qos quota gate — never
 //     raw request-derived strings (an unbounded label set is a memory
 //     leak with metrics attached).
-//   - epochfence: the cluster's replication protocol compares leader
-//     epochs only through the fenced helpers (epochStale, epochAdvanced,
-//     epochMatches); raw <, >, ==, != comparisons invert too easily during
-//     refactors and carry no protocol meaning.
 //
 // A diagnostic can be suppressed with an explicit directive comment:
 //
@@ -88,7 +84,6 @@ var Analyzers = []*Analyzer{
 	AtomicSnapshotAnalyzer,
 	WALRecordAnalyzer,
 	BoundedLabelsAnalyzer,
-	EpochFenceAnalyzer,
 }
 
 // ignoreDirective is the comment prefix of an explicit suppression.

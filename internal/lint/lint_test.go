@@ -284,32 +284,6 @@ func bad(w int) error { return fmt.Errorf("100%% over %*d: %v", w, 3, ErrGate) }
 	)
 }
 
-func TestCtrlErrorsCoversClusterSentinels(t *testing.T) {
-	// Replication sentinels (ErrNotLeader, ErrPartitioned, ErrDivergedLog)
-	// drive retry/redirect/resync decisions in callers; stringifying one
-	// silently disables that branch, so the discipline extends to
-	// internal/cluster.
-	const src = `package cluster
-
-import (
-	"errors"
-	"fmt"
-)
-
-var ErrNotLeader = errors.New("cluster: not the leader")
-var ErrDivergedLog = errors.New("cluster: replica logs diverged")
-
-func bad(id int) error   { return fmt.Errorf("node %d: %v", id, ErrNotLeader) }
-func worse(id int) error { return fmt.Errorf("node %d: %s", id, ErrDivergedLog) }
-func good(id int) error  { return fmt.Errorf("node %d: %w", id, ErrNotLeader) }
-`
-	diags := analyze(t, "rmtk/internal/cluster", src)
-	wantDiags(t, diags,
-		"ctrlerrors: ctrl sentinel ErrNotLeader formatted with %v",
-		"ctrlerrors: ctrl sentinel ErrDivergedLog formatted with %s",
-	)
-}
-
 func TestCtrlErrorsCoversQoSSentinels(t *testing.T) {
 	// Admission sentinels separate the three verdicts callers must branch on:
 	// a shed (drop, maybe retry later), a degrade (serve the fallback) and an
@@ -603,44 +577,6 @@ func gateAfterUse(v *SeriesVec, tenant string) {
 		"boundedlabels: unbounded label req passed to SeriesVec.Counter",
 		"boundedlabels: unbounded label tenant passed to SeriesVec.Counter",
 	)
-}
-
-func TestEpochFenceFlagsRawComparisons(t *testing.T) {
-	// Epoch-vs-epoch comparisons must go through the fenced helpers; the
-	// helpers' own bodies and presence checks against literals are exempt.
-	const src = `package cluster
-
-type node struct {
-	epoch      uint64
-	votedEpoch uint64
-}
-
-func epochStale(incoming, local uint64) bool    { return incoming < local }
-func epochAdvanced(incoming, local uint64) bool { return incoming > local }
-
-func bad(n *node, epoch uint64) bool {
-	return n.epoch < epoch || n.votedEpoch == epoch
-}
-
-func good(n *node, epoch uint64) bool {
-	return epochStale(n.epoch, epoch) || epoch > 0 || epochAdvanced(epoch, n.epoch)
-}
-`
-	diags := analyze(t, "rmtk/internal/cluster", src)
-	wantDiags(t, diags,
-		`epochfence: raw epoch comparison "n.epoch < epoch"`,
-		`epochfence: raw epoch comparison "n.votedEpoch == epoch"`,
-	)
-}
-
-func TestEpochFenceScopedToClusterPackage(t *testing.T) {
-	// Epochs outside the replication protocol (e.g. a datapath's own
-	// versioning) are not fencing decisions.
-	const src = `package core
-
-func stale(epoch, cur uint64) bool { return epoch < cur }
-`
-	wantDiags(t, analyze(t, "rmtk/internal/core", src))
 }
 
 func TestIgnoreDirectiveSuppressesFinding(t *testing.T) {

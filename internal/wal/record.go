@@ -37,11 +37,7 @@ const (
 	// KindAbort marks the record at sequence Ref as rolled back in memory
 	// after its append (a failed apply): replay must skip Ref.
 	KindAbort
-	// KindEpoch marks a leadership change in a replicated log: the record's
-	// Epoch field carries the new leader epoch. Replay applies no state —
-	// the record exists so two logs that diverged under different leaders
-	// disagree on bytes, not just on interpretation.
-	KindEpoch
+	_ // retired: epoch
 	// KindRegisterTenant creates tenant namespace Tenant with contract Quota.
 	KindRegisterTenant
 	// KindSetQuota replaces tenant Tenant's contract with Quota.
@@ -52,9 +48,9 @@ const (
 	// KindIncident records an engine-sentinel incident: the demotion (or
 	// detected divergence) of one program content hash's engine tier.
 	// Replay re-applies the quarantine (Incident.Hash held at Incident.To),
-	// so a restart — or a follower — distrusts exactly the native tiers the
-	// leader's sentinel distrusted. A checkpoint restores a quarantine as an
-	// incident carrying only Hash and To.
+	// so a restart distrusts exactly the native tiers the sentinel
+	// distrusted. A checkpoint restores a quarantine as an incident
+	// carrying only Hash and To.
 	KindIncident
 	// KindRegisterMatrix registers weight matrix Matrix. Only checkpoints
 	// write it: matrices registered on the kernel behind the plane (a
@@ -75,7 +71,6 @@ var kindNames = [...]string{
 	KindPushModel:      "push-model",
 	KindTxnCommit:      "txn-commit",
 	KindAbort:          "abort",
-	KindEpoch:          "epoch",
 	KindRegisterTenant: "register-tenant",
 	KindSetQuota:       "set-quota",
 	KindRemoveTenant:   "remove-tenant",
@@ -242,11 +237,6 @@ type Record struct {
 	Matrix *Matrix `json:"matrix,omitempty"`
 	// Alloc is the payload of a KindAllocState record.
 	Alloc *Alloc `json:"alloc,omitempty"`
-	// Epoch is the leader epoch under which a replicated record was logged
-	// (zero on single-node planes). Followers compare it against the
-	// shipping leader's view to detect diverged logs; for KindEpoch records
-	// it is the payload itself.
-	Epoch uint64 `json:"epoch,omitempty"`
 }
 
 // validate checks that the fields Kind requires are present, so neither a
@@ -291,10 +281,6 @@ func (r *Record) validate(sub bool) error {
 			}
 		}
 	case KindAbort:
-	case KindEpoch:
-		if r.Epoch == 0 {
-			return fmt.Errorf("epoch mark without an epoch")
-		}
 	case KindRegisterTenant, KindSetQuota:
 		if r.Tenant == "" || r.Quota == nil {
 			return fmt.Errorf("%s without tenant/quota", r.Kind)
@@ -361,8 +347,6 @@ func (r *Record) String() string {
 		return fmt.Sprintf("#%d txn-commit (%d steps)", r.Seq, len(r.Sub))
 	case KindAbort:
 		return fmt.Sprintf("#%d abort ref=#%d", r.Seq, r.Ref)
-	case KindEpoch:
-		return fmt.Sprintf("#%d epoch=%d", r.Seq, r.Epoch)
 	case KindRegisterTenant, KindSetQuota:
 		return fmt.Sprintf("#%d %s tenant=%q class=%d rate=%d", r.Seq, r.Kind, r.Tenant, r.Quota.Class, r.Quota.RatePerSec)
 	case KindRemoveTenant:

@@ -57,10 +57,6 @@ var (
 	// ErrNoCheckpoint is returned by LatestCheckpoint when the directory
 	// holds no valid checkpoint.
 	ErrNoCheckpoint = errors.New("wal: no valid checkpoint")
-	// ErrSeqGap is wrapped by AppendReplica when a shipped record does not
-	// extend the log contiguously — the follower missed records or holds a
-	// diverged suffix and must resync.
-	ErrSeqGap = errors.New("wal: replica append out of sequence")
 	// ErrCheckpointFormat is wrapped when a checkpoint payload is not a
 	// checkpointFormat record sequence — such as a state snapshot written
 	// before checkpoints became record sequences. No reader for older formats
@@ -182,49 +178,21 @@ func (l *Log) Append(r *Record) (uint64, error) {
 		return 0, fmt.Errorf("wal: log closed")
 	}
 	r.Seq = l.seq + 1
-	if err := l.writeFrame(r); err != nil {
-		return 0, err
-	}
-	return l.seq, nil
-}
-
-// AppendReplica appends a record shipped from a replication leader,
-// preserving its already-assigned sequence number so the replica log stays
-// byte-identical to the leader's. The record must extend the log
-// contiguously; anything else wraps ErrSeqGap and the caller resyncs.
-func (l *Log) AppendReplica(r *Record) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return 0, fmt.Errorf("wal: log closed")
-	}
-	if r.Seq != l.seq+1 {
-		return 0, fmt.Errorf("%w: shipped record #%d, log at #%d", ErrSeqGap, r.Seq, l.seq)
-	}
-	if err := l.writeFrame(r); err != nil {
-		return 0, err
-	}
-	return l.seq, nil
-}
-
-// writeFrame frames r (whose Seq the caller has set) and writes it per the
-// log's durability options, advancing seq and size. Caller holds l.mu.
-func (l *Log) writeFrame(r *Record) error {
 	frame, err := frameRecord(r)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := l.f.Write(frame); err != nil {
-		return err
+		return 0, err
 	}
 	if !l.opts.NoSync {
 		if err := l.f.Sync(); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	l.seq = r.Seq
+	l.seq++
 	l.size += int64(len(frame))
-	return nil
+	return l.seq, nil
 }
 
 // Close syncs and closes the log file.
@@ -329,8 +297,8 @@ func Scan(dir string) (ScanResult, error) { return ScanFrom(dir, 0) }
 
 // ScanFrom reads the log starting at byte offset from — which must be a
 // record boundary a previous scan reported (ValidBytes or an entry of
-// Offsets) — so a log-shipping leader can pick up only the suffix appended
-// since its last scan. Offsets and ValidBytes in the result are absolute.
+// Offsets) — and so reads only the suffix appended since that scan. Offsets
+// and ValidBytes in the result are absolute.
 // An offset beyond the current file is an error: the log was compacted
 // underneath the caller, who should rescan from zero.
 func ScanFrom(dir string, from int64) (ScanResult, error) {

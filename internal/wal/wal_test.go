@@ -252,6 +252,7 @@ func TestMarshalRejectsMalformedRecords(t *testing.T) {
 		{Kind: 7, Model: &Model{Codec: "qmlp", Data: []byte(`{}`)}}, // register-qmlp
 		{Kind: 9, ModelID: 1},  // rollback-model
 		{Kind: 10, Table: "t"}, // retarget
+		{Kind: 13},             // epoch: its one field, the epoch number, left Record with it
 	}
 	for i, r := range bad {
 		if _, err := l.Append(r); !errors.Is(err, ErrCorruptRecord) {
@@ -264,14 +265,16 @@ func TestMarshalRejectsMalformedRecords(t *testing.T) {
 		`{"seq":1,"kind":7,"model":{"codec":"qmlp","data":{}}}`,
 		`{"seq":1,"kind":9,"model_id":1}`,
 		`{"seq":1,"kind":10,"table":"t","from":1,"to":2}`,
+		`{"seq":1,"kind":13,"epoch":2}`,
 	} {
 		if _, err := unmarshalRecord([]byte(payload)); err == nil {
 			t.Fatalf("decoded a retired kind: %s", payload)
 		}
 	}
-	if KindRegisterModel != 6 || KindPushModel != 8 || KindTxnCommit != 11 || KindAllocState != 19 {
-		t.Fatalf("kind numbers moved: register-model=%d push-model=%d txn-commit=%d alloc-state=%d",
-			KindRegisterModel, KindPushModel, KindTxnCommit, KindAllocState)
+	if KindRegisterModel != 6 || KindPushModel != 8 || KindTxnCommit != 11 ||
+		KindRegisterTenant != 14 || KindIncident != 17 || KindAllocState != 19 {
+		t.Fatalf("kind numbers moved: register-model=%d push-model=%d txn-commit=%d register-tenant=%d incident=%d alloc-state=%d",
+			KindRegisterModel, KindPushModel, KindTxnCommit, KindRegisterTenant, KindIncident, KindAllocState)
 	}
 }
 
@@ -337,37 +340,6 @@ func TestScanTornHeaderBoundary(t *testing.T) {
 	}
 	if len(sc.Records) != 2 || sc.Corruption != nil || sc.DiscardedBytes != 0 {
 		t.Fatalf("post-repair scan: %d records, corruption=%v", len(sc.Records), sc.Corruption)
-	}
-}
-
-// TestAppendReplica: replica appends preserve the shipped sequence number,
-// refuse gaps with ErrSeqGap, and interleave with Scan boundaries.
-func TestAppendReplica(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	r1 := entryRec(1)
-	r1.Seq = 1
-	if seq, err := l.AppendReplica(r1); err != nil || seq != 1 {
-		t.Fatalf("replica append: seq=%d err=%v", seq, err)
-	}
-	gap := entryRec(9)
-	gap.Seq = 9
-	if _, err := l.AppendReplica(gap); !errors.Is(err, ErrSeqGap) {
-		t.Fatalf("gap err = %v, want ErrSeqGap", err)
-	}
-	stale := entryRec(1)
-	stale.Seq = 1
-	if _, err := l.AppendReplica(stale); !errors.Is(err, ErrSeqGap) {
-		t.Fatalf("stale err = %v, want ErrSeqGap", err)
-	}
-	// Native appends continue the same sequence.
-	if seq, err := l.Append(entryRec(2)); err != nil || seq != 2 {
-		t.Fatalf("native append after replica: seq=%d err=%v", seq, err)
 	}
 }
 
