@@ -111,7 +111,9 @@ func (s RecoveryStats) String() string {
 // intact log suffix, verify invariants, and reattach the log for continued
 // operation. Corrupt checkpoints fall back to the previous one; a corrupt
 // or torn log suffix is discarded back to the last intact record boundary
-// and reported in the stats, never half-applied.
+// and reported in the stats, never half-applied. A log or checkpoint of
+// another format is refused with an error wrapping wal.ErrFormat, and the
+// log is left as it is.
 func Recover(dir string, kcfg core.Config, opts wal.Options, prep func(*core.Kernel) error) (*Plane, RecoveryStats, error) {
 	start := time.Now()
 	var st RecoveryStats
@@ -139,6 +141,11 @@ func Recover(dir string, kcfg core.Config, opts wal.Options, prep func(*core.Ker
 	sc, err := wal.Scan(dir)
 	if err != nil {
 		return nil, st, err
+	}
+	if errors.Is(sc.Corruption, wal.ErrFormat) {
+		// A log of another format is history this build cannot read, not a
+		// damaged suffix to discard.
+		return nil, st, fmt.Errorf("ctrl: %s: %w", dir, sc.Corruption)
 	}
 	st.DiscardedBytes = sc.DiscardedBytes
 	st.Corruption = sc.Corruption

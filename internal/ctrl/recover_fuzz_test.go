@@ -63,7 +63,8 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{}, []byte(nil))
 	f.Add([]byte("not a log at all"), []byte(nil))
 	f.Add([]byte{}, ckpt)                        // a real checkpoint alone
-	f.Add([]byte{}, []byte(oldFormatCheckpoint)) // refused: old format
+	f.Add([]byte{}, []byte(oldFormatCheckpoint)) // refused: format 1
+	f.Add([]byte{}, []byte(jsonCheckpoint))      // refused: format 2
 	f.Add(seed, ckpt[:len(ckpt)/2])              // a cut record sequence
 
 	f.Fuzz(func(t *testing.T, data, ckpt []byte) {

@@ -1,7 +1,10 @@
 package ctrl
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -502,15 +505,47 @@ func TestCheckpointReplaysModelPushes(t *testing.T) {
 const oldFormatCheckpoint = `{"version":0,"next_table":1,"next_prog":0,"next_model":0,"next_mat":0,` +
 	`"tables":[{"id":1,"name":"fz_tab","hook":"hook/fz","kind":0,"entries":[{"key":1,"act":{"k":4,"p":4}}]}]}`
 
-// TestCheckpointRefusesOldFormat: recovery refuses an old-format checkpoint
-// with wal.ErrCheckpointFormat rather than restoring it as an empty state.
+// jsonCheckpoint is a format-2 checkpoint payload, a JSON record sequence
+// as written before the binary codec: one table and the closing alloc-state.
+const jsonCheckpoint = `{"format":2,"records":[{"seq":0,"kind":1,"id":1,"table":"fz_tab","hook":"hook/fz",` +
+	`"rows":[{"key":1,"act":{"k":4,"p":4}}]},{"seq":0,"kind":19,"alloc":{"table":1,"prog":0,"model":0,"mat":0}}]}`
+
+// TestCheckpointRefusesOldFormat: recovery refuses a format-1 or format-2
+// (JSON) checkpoint with wal.ErrFormat rather than restoring it as an empty
+// state.
 func TestCheckpointRefusesOldFormat(t *testing.T) {
+	for _, payload := range []string{oldFormatCheckpoint, jsonCheckpoint} {
+		dir := t.TempDir()
+		if err := wal.WriteCheckpoint(dir, 2, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Recover(dir, core.Config{}, wal.Options{NoSync: true}, nil); !errors.Is(err, wal.ErrFormat) {
+			t.Fatalf("recover over an old-format checkpoint: %v, want ErrFormat", err)
+		}
+	}
+}
+
+// TestRecoverRefusesOtherLogFormat: a log whose frame passes its CRC but
+// holds a JSON-era record is history this build cannot read. Recovery
+// refuses it with wal.ErrFormat and leaves wal.log byte-identical, rather
+// than truncate it away as a damaged suffix.
+func TestRecoverRefusesOtherLogFormat(t *testing.T) {
+	payload := []byte(`{"seq":1,"kind":1,"table":"fz_tab","hook":"fz/hook"}`)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	frame = append(frame, payload...)
 	dir := t.TempDir()
-	if err := wal.WriteCheckpoint(dir, 2, []byte(oldFormatCheckpoint)); err != nil {
+	if err := os.WriteFile(wal.LogPath(dir), frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Recover(dir, core.Config{}, wal.Options{NoSync: true}, nil); !errors.Is(err, wal.ErrCheckpointFormat) {
-		t.Fatalf("recover over an old-format checkpoint: %v, want ErrCheckpointFormat", err)
+	if _, _, err := Recover(dir, core.Config{}, wal.Options{NoSync: true}, nil); !errors.Is(err, wal.ErrFormat) {
+		t.Fatalf("recover over a JSON log: %v, want ErrFormat", err)
+	}
+	if _, err := Open(core.NewKernel(core.Config{}), dir, wal.Options{NoSync: true}); !errors.Is(err, wal.ErrFormat) {
+		t.Fatalf("open over a JSON log: %v, want ErrFormat", err)
+	}
+	if got, err := os.ReadFile(wal.LogPath(dir)); err != nil || !bytes.Equal(got, frame) {
+		t.Fatalf("refused log changed: %q (%v), want %q", got, err, frame)
 	}
 }
 

@@ -1,9 +1,6 @@
 package wal
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Kind enumerates the typed control-plane mutations the log and checkpoints
 // record. The semantics of each kind — how it applies to a kernel — live in
@@ -99,21 +96,21 @@ func (k Kind) transactional() bool {
 
 // Action mirrors table.Action in durable form.
 type Action struct {
-	Kind    uint8 `json:"k"`
-	Param   int64 `json:"p,omitempty"`
-	ProgID  int64 `json:"pr,omitempty"`
-	ModelID int64 `json:"m,omitempty"`
+	Kind    uint8
+	Param   int64
+	ProgID  int64
+	ModelID int64
 }
 
 // Entry mirrors table.Entry's match spec and action in durable form.
 type Entry struct {
-	Key       uint64 `json:"key"`
-	PrefixLen uint8  `json:"plen,omitempty"`
-	Lo        uint64 `json:"lo,omitempty"`
-	Hi        uint64 `json:"hi,omitempty"`
-	Mask      uint64 `json:"mask,omitempty"`
-	Priority  int32  `json:"prio,omitempty"`
-	Action    Action `json:"act"`
+	Key       uint64
+	PrefixLen uint8
+	Lo        uint64
+	Hi        uint64
+	Mask      uint64
+	Priority  int32
+	Action    Action
 }
 
 // Program is the durable form of an isa.Program admission unit: the wire
@@ -121,122 +118,122 @@ type Entry struct {
 // (proofs, contracts, static cost) are never persisted — replay re-runs the
 // verifier, which regenerates them deterministically.
 type Program struct {
-	Name    string  `json:"name"`
-	Hook    string  `json:"hook,omitempty"`
-	Code    []byte  `json:"code"` // isa wire encoding (16 bytes/instruction)
-	Helpers []int64 `json:"helpers,omitempty"`
-	Models  []int64 `json:"models,omitempty"`
-	Mats    []int64 `json:"mats,omitempty"`
-	Tables  []int64 `json:"tables,omitempty"`
-	Vecs    []int64 `json:"vecs,omitempty"`
-	Tails   []int64 `json:"tails,omitempty"`
+	Name    string
+	Hook    string
+	Code    []byte // isa wire encoding (16 bytes/instruction)
+	Helpers []int64
+	Models  []int64
+	Mats    []int64
+	Tables  []int64
+	Vecs    []int64
+	Tails   []int64
 }
 
 // Model is a codec-tagged model snapshot. Codec selects the decoder (e.g.
-// "qmlp", "tree"); Data is the codec's own JSON payload.
+// "qmlp", "tree"); Data is the codec's own payload, opaque to the log.
 type Model struct {
-	Codec string          `json:"codec"`
-	Data  json.RawMessage `json:"data"`
+	Codec string
+	Data  []byte
 }
 
 // Quota mirrors a tenant's resource contract (core.TenantQuota) in durable
 // form: QoS class, reserved rate, fair-share weight, resource caps and
 // SLO overrides.
 type Quota struct {
-	Class       uint8 `json:"class,omitempty"`
-	RatePerSec  int64 `json:"rate,omitempty"`
-	Burst       int64 `json:"burst,omitempty"`
-	Weight      int   `json:"weight,omitempty"`
-	MaxTables   int   `json:"max_tables,omitempty"`
-	MaxPrograms int   `json:"max_progs,omitempty"`
-	StepBudget  int64 `json:"step_budget,omitempty"`
-	StepSLO     int64 `json:"step_slo,omitempty"`
-	LatencySLO  int64 `json:"latency_slo_ns,omitempty"`
+	Class       uint8
+	RatePerSec  int64
+	Burst       int64
+	Weight      int
+	MaxTables   int
+	MaxPrograms int
+	StepBudget  int64
+	StepSLO     int64
+	LatencySLO  int64
 }
 
 // Matrix mirrors a registered weight matrix (core.Matrix) in durable form.
 type Matrix struct {
-	In  int     `json:"in"`
-	Out int     `json:"out"`
-	W   []int64 `json:"w"`
-	B   []int64 `json:"b"`
+	In  int
+	Out int
+	W   []int64
+	B   []int64
 }
 
 // Alloc is a checkpoint's closing state: the id allocators' high-water marks
 // and the plane version.
 type Alloc struct {
-	Table   int64  `json:"table"`
-	Prog    int64  `json:"prog"`
-	Model   int64  `json:"model"`
-	Mat     int64  `json:"mat"`
-	Version uint64 `json:"version,omitempty"`
+	Table   int64
+	Prog    int64
+	Model   int64
+	Mat     int64
+	Version uint64
 }
 
 // Incident is the durable form of an engine-sentinel incident. Tiers are
 // stored by name ("aot", "jit", "interp", "baseline") so the log is
 // self-describing without importing engine enums.
 type Incident struct {
-	Program string `json:"program,omitempty"`
-	Hash    string `json:"hash"`
-	From    string `json:"from,omitempty"`
-	To      string `json:"to"`
-	Cause   string `json:"cause,omitempty"`
-	Fire    int64  `json:"fire,omitempty"`
-	Detail  string `json:"detail,omitempty"`
+	Program string
+	Hash    string
+	From    string
+	To      string
+	Cause   string
+	Fire    int64
+	Detail  string
 }
 
 // Record is one logged control-plane mutation. Kind selects which fields
-// are meaningful; unused fields are omitted from the encoding.
+// are meaningful; zero fields are omitted from the encoding.
 type Record struct {
 	// Seq is the record's position in the log, assigned by Append; replay
 	// applies records in ascending Seq order.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Kind selects the mutation type.
-	Kind Kind `json:"kind"`
+	Kind Kind
 	// ID is the explicit id a checkpoint record restores its table, program,
 	// model or matrix at; zero (every log record) allocates the next id.
-	ID int64 `json:"id,omitempty"`
+	ID int64
 
 	// Table names the target table (entry ops, create).
-	Table string `json:"table,omitempty"`
+	Table string
 	// Hook is the created table's hook point.
-	Hook string `json:"hook,omitempty"`
+	Hook string
 	// Match is the created table's match discipline (table.MatchKind).
-	Match uint8 `json:"match,omitempty"`
+	Match uint8
 	// Entry is the row an entry op inserts or deletes.
-	Entry *Entry `json:"entry,omitempty"`
+	Entry *Entry
 	// Rows are a checkpointed table's entries.
-	Rows []Entry `json:"rows,omitempty"`
+	Rows []Entry
 	// Key addresses the exact-match row of a KindUpdateAction.
-	Key uint64 `json:"key,omitempty"`
+	Key uint64
 	// Action is KindUpdateAction's replacement action, or a checkpointed
 	// table's default.
-	Action *Action `json:"action,omitempty"`
+	Action *Action
 	// Program is the admission unit of a KindLoadProgram.
-	Program *Program `json:"program,omitempty"`
+	Program *Program
 	// Model is the codec-encoded model of a register/push record.
-	Model *Model `json:"model,omitempty"`
+	Model *Model
 	// ModelID addresses the model slot of a KindPushModel.
-	ModelID int64 `json:"model_id,omitempty"`
+	ModelID int64
 	// Tenant names the target of a tenant record, or the owning tenant of a
 	// KindRegisterModel ("" for default-owned).
-	Tenant string `json:"tenant,omitempty"`
+	Tenant string
 	// Quota is the contract of a register-tenant / set-quota record.
-	Quota *Quota `json:"quota,omitempty"`
+	Quota *Quota
 	// Sub holds a transaction's staged records in commit order.
-	Sub []*Record `json:"sub,omitempty"`
+	Sub []*Record
 	// Ref is the sequence number a KindAbort cancels.
-	Ref uint64 `json:"ref,omitempty"`
+	Ref uint64
 	// Bump records that the mutation advanced the plane version (committed
 	// reconfiguration: transaction commit or canary promotion),
 	// so replay restores the same version counter.
-	Bump bool `json:"bump,omitempty"`
+	Bump bool
 	// Incident is the engine-sentinel incident of a KindIncident record.
-	Incident *Incident `json:"incident,omitempty"`
+	Incident *Incident
 	// Matrix is the weights of a KindRegisterMatrix record.
-	Matrix *Matrix `json:"matrix,omitempty"`
+	Matrix *Matrix
 	// Alloc is the payload of a KindAllocState record.
-	Alloc *Alloc `json:"alloc,omitempty"`
+	Alloc *Alloc
 }
 
 // validate checks that the fields Kind requires are present, so neither a
@@ -303,27 +300,6 @@ func (r *Record) validate(sub bool) error {
 		}
 	}
 	return nil
-}
-
-// marshal encodes the record payload, rejecting malformed records up front
-// so a caller bug cannot write a record replay would choke on.
-func (r *Record) marshal() ([]byte, error) {
-	if err := r.validate(false); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptRecord, err)
-	}
-	return json.Marshal(r)
-}
-
-// unmarshalRecord decodes and validates one record payload.
-func unmarshalRecord(payload []byte) (*Record, error) {
-	var r Record
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return nil, err
-	}
-	if err := r.validate(false); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }
 
 // String renders a one-line summary for log inspection.

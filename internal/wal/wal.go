@@ -16,23 +16,26 @@
 //
 //	[4B little-endian payload length][4B CRC32C of payload][payload]
 //
-// where the payload is the JSON encoding of a Record. CRC32C (Castagnoli)
-// is the same polynomial production storage stacks use; a torn final write
-// or a flipped bit fails the checksum and Scan cleanly discards the suffix
-// from the first bad frame on — never a half-applied record.
+// where the payload is a version byte and the record's binary encoding
+// (codec.go). CRC32C (Castagnoli) is the same polynomial production storage
+// stacks use; a torn final write or a flipped bit fails the checksum and
+// Scan cleanly discards the suffix from the first bad frame on — never a
+// half-applied record. An intact frame of another version (a log written
+// in an older format) is not damage: Scan stops there and reports ErrFormat,
+// and Open refuses the directory rather than truncate it.
 //
-// A checkpoint's payload is a compacted record sequence (EncodeCheckpoint):
-// the records that rebuild the state from an empty kernel, carrying explicit
-// ids. Checkpoints are written to a temporary file and renamed into place, so
-// a truncated checkpoint write can never shadow a previous intact one; the
-// newest *valid* checkpoint wins and corrupt ones are skipped. The package
-// is stdlib-only and knows nothing about the control plane's types beyond
-// the record schema — internal/ctrl owns the semantics of replay.
+// A checkpoint's payload is a format byte and a compacted record list
+// (EncodeCheckpoint): the records that rebuild the state from an empty
+// kernel, carrying explicit ids. Checkpoints are written to a temporary file
+// and renamed into place, so a truncated checkpoint write can never shadow a
+// previous intact one; the newest *valid* checkpoint wins and corrupt ones
+// are skipped. The package is stdlib-only and knows nothing about the
+// control plane's types beyond the record schema — internal/ctrl owns the
+// semantics of replay.
 package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -45,8 +48,9 @@ import (
 
 // Exported sentinels. Callers branch with errors.Is: ErrCorruptRecord marks
 // a frame whose checksum, length bound, or payload decoding failed;
-// ErrShortRead marks a frame cut off by a torn final write. Both conditions
-// end a Scan at the last intact record boundary rather than failing it.
+// ErrShortRead marks a frame cut off by a torn final write; ErrFormat marks
+// an intact frame of another record version. All three end a Scan at the
+// last intact record boundary rather than failing it.
 var (
 	// ErrCorruptRecord is wrapped when a frame fails its CRC32C, declares
 	// an absurd length, or carries an undecodable payload.
@@ -57,11 +61,11 @@ var (
 	// ErrNoCheckpoint is returned by LatestCheckpoint when the directory
 	// holds no valid checkpoint.
 	ErrNoCheckpoint = errors.New("wal: no valid checkpoint")
-	// ErrCheckpointFormat is wrapped when a checkpoint payload is not a
-	// checkpointFormat record sequence — such as a state snapshot written
-	// before checkpoints became record sequences. No reader for older formats
-	// exists: recover such a directory with the build that wrote it.
-	ErrCheckpointFormat = errors.New("wal: unsupported checkpoint format")
+	// ErrFormat is wrapped when a log frame or a checkpoint payload was
+	// written in a format this build does not read — a JSON-era record or
+	// checkpoint. No reader for older formats exists: recover such a
+	// directory with the build that wrote it.
+	ErrFormat = errors.New("wal: unsupported format")
 )
 
 const (
@@ -72,9 +76,6 @@ const (
 	// maxPayload bounds a frame's declared length so a corrupt length
 	// field cannot drive a giant allocation.
 	maxPayload = 1 << 26
-	// checkpointFormat versions the checkpoint payload. Format 1, implicit,
-	// was a JSON state snapshot; format 2 is a record sequence.
-	checkpointFormat = 2
 )
 
 // castagnoli is the CRC32C table shared by records and checkpoints.
@@ -98,13 +99,26 @@ type Log struct {
 	f    *os.File
 	seq  uint64 // last assigned record sequence number
 	size int64  // current valid log size in bytes
+	// frames indexes wal.log in file order: each frame's record sequence
+	// number and byte offset, so Compact cuts by offset without decoding.
+	frames []frameAt
+	// buf is Append's frame buffer, reused from one append to the next.
+	buf []byte
+}
+
+// frameAt locates one frame of wal.log.
+type frameAt struct {
+	seq uint64
+	off int64
 }
 
 // Open opens (creating if needed) the log in dir. The existing file is
 // scanned; a corrupt or torn suffix is truncated away so subsequent appends
-// extend the last intact record boundary. The next sequence number resumes
-// after the highest of the last scanned record and the newest valid
-// checkpoint (a compacted log can be empty while checkpoints carry state).
+// extend the last intact record boundary. A log holding a frame of another
+// format is refused (wrapping ErrFormat) and left as it is. The next
+// sequence number resumes after the highest of the last scanned record and
+// the newest valid checkpoint (a compacted log can be empty while
+// checkpoints carry state).
 func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -112,6 +126,13 @@ func Open(dir string, opts Options) (*Log, error) {
 	sc, err := Scan(dir)
 	if err != nil {
 		return nil, err
+	}
+	if errors.Is(sc.Corruption, ErrFormat) {
+		return nil, fmt.Errorf("wal: %s: %w", dir, sc.Corruption)
+	}
+	frames := make([]frameAt, len(sc.Records))
+	for i, r := range sc.Records {
+		frames[i] = frameAt{seq: r.Seq, off: sc.Offsets[i]}
 	}
 	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -134,7 +155,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if ckSeq, _, err := LatestCheckpoint(dir); err == nil && ckSeq > seq {
 		seq = ckSeq
 	}
-	return &Log{dir: dir, opts: opts, f: f, seq: seq, size: sc.ValidBytes}, nil
+	return &Log{dir: dir, opts: opts, f: f, seq: seq, size: sc.ValidBytes, frames: frames}, nil
 }
 
 // Dir reports the log's directory.
@@ -154,19 +175,6 @@ func (l *Log) Size() int64 {
 	return l.size
 }
 
-// frameRecord encodes r into its on-disk frame.
-func frameRecord(r *Record) ([]byte, error) {
-	payload, err := r.marshal()
-	if err != nil {
-		return nil, err
-	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeader:], payload)
-	return frame, nil
-}
-
 // Append assigns the next sequence number to r, frames it, and writes it
 // durably (fsync unless Options.NoSync). The record is on stable storage
 // when Append returns nil — the write-ahead contract callers apply state
@@ -178,10 +186,17 @@ func (l *Log) Append(r *Record) (uint64, error) {
 		return 0, fmt.Errorf("wal: log closed")
 	}
 	r.Seq = l.seq + 1
-	frame, err := frameRecord(r)
+	frame, err := appendPayload(append(l.buf[:0], make([]byte, frameHeader)...), r)
 	if err != nil {
 		return 0, err
 	}
+	payload := frame[frameHeader:]
+	if len(payload) > maxPayload {
+		return 0, fmt.Errorf("%w: %d-byte payload exceeds the %d-byte frame limit", ErrCorruptRecord, len(payload), maxPayload)
+	}
+	l.buf = frame
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
 	if _, err := l.f.Write(frame); err != nil {
 		return 0, err
 	}
@@ -191,6 +206,7 @@ func (l *Log) Append(r *Record) (uint64, error) {
 		}
 	}
 	l.seq++
+	l.frames = append(l.frames, frameAt{seq: l.seq, off: l.size})
 	l.size += int64(len(frame))
 	return l.seq, nil
 }
@@ -211,20 +227,25 @@ func (l *Log) Close() error {
 }
 
 // Compact rewrites the log keeping only records with Seq > seq — the suffix
-// a checkpoint at seq does not cover. The rewrite goes through a temp file
-// and rename, so a crash mid-compaction leaves either the old or the new
-// log, both valid.
+// a checkpoint at seq does not cover. It copies that suffix's frames as
+// they are, found through the frame index, into a temp file that is synced
+// and renamed into place, so a crash mid-compaction leaves either the old
+// or the new log, both valid. The old file needs no sync first: every
+// record it holds past seq is in the synced new file, and the caller's
+// checkpoint covers the rest.
 func (l *Log) Compact(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return fmt.Errorf("wal: log closed")
 	}
-	if err := l.f.Sync(); err != nil {
-		return err
+	keep := sort.Search(len(l.frames), func(i int) bool { return l.frames[i].seq > seq })
+	cut := l.size
+	if keep < len(l.frames) {
+		cut = l.frames[keep].off
 	}
-	sc, err := Scan(l.dir)
-	if err != nil {
+	suffix := make([]byte, l.size-cut)
+	if _, err := l.f.ReadAt(suffix, cut); err != nil {
 		return err
 	}
 	tmp := filepath.Join(l.dir, logName+".tmp")
@@ -232,21 +253,9 @@ func (l *Log) Compact(seq uint64) error {
 	if err != nil {
 		return err
 	}
-	var size int64
-	for _, r := range sc.Records {
-		if r.Seq <= seq {
-			continue
-		}
-		frame, merr := frameRecord(r)
-		if merr != nil {
-			nf.Close()
-			return merr
-		}
-		if _, werr := nf.Write(frame); werr != nil {
-			nf.Close()
-			return werr
-		}
-		size += int64(len(frame))
+	if _, err := nf.Write(suffix); err != nil {
+		nf.Close()
+		return err
 	}
 	if err := nf.Sync(); err != nil {
 		nf.Close()
@@ -258,7 +267,6 @@ func (l *Log) Compact(seq uint64) error {
 	if err := os.Rename(tmp, filepath.Join(l.dir, logName)); err != nil {
 		return err
 	}
-	old := l.f
 	reopened, err := os.OpenFile(filepath.Join(l.dir, logName), os.O_RDWR, 0o644)
 	if err != nil {
 		return err
@@ -267,9 +275,13 @@ func (l *Log) Compact(seq uint64) error {
 		reopened.Close()
 		return err
 	}
-	old.Close()
+	l.f.Close()
 	l.f = reopened
-	l.size = size
+	l.size -= cut
+	l.frames = l.frames[:copy(l.frames, l.frames[keep:])]
+	for i := range l.frames {
+		l.frames[i].off -= cut
+	}
 	return nil
 }
 
@@ -293,30 +305,16 @@ type ScanResult struct {
 // in-log corruption: a bad frame ends the scan at the preceding record
 // boundary and the damage is reported in the result. A missing log file is
 // an empty log.
-func Scan(dir string) (ScanResult, error) { return ScanFrom(dir, 0) }
-
-// ScanFrom reads the log starting at byte offset from — which must be a
-// record boundary a previous scan reported (ValidBytes or an entry of
-// Offsets) — and so reads only the suffix appended since that scan. Offsets
-// and ValidBytes in the result are absolute.
-// An offset beyond the current file is an error: the log was compacted
-// underneath the caller, who should rescan from zero.
-func ScanFrom(dir string, from int64) (ScanResult, error) {
+func Scan(dir string) (ScanResult, error) {
 	var res ScanResult
 	data, err := os.ReadFile(filepath.Join(dir, logName))
 	if errors.Is(err, os.ErrNotExist) {
-		if from > 0 {
-			return res, fmt.Errorf("wal: scan offset %d beyond missing log", from)
-		}
 		return res, nil
 	}
 	if err != nil {
 		return res, err
 	}
-	if from > int64(len(data)) {
-		return res, fmt.Errorf("wal: scan offset %d beyond %d-byte log (compacted?)", from, len(data))
-	}
-	off := from
+	var off int64
 	total := int64(len(data))
 	for off < total {
 		if total-off < frameHeader {
@@ -339,7 +337,11 @@ func ScanFrom(dir string, from int64) (ScanResult, error) {
 			res.Corruption = fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorruptRecord, off)
 			break
 		}
-		r, derr := unmarshalRecord(payload)
+		r, derr := decodePayload(payload)
+		if errors.Is(derr, ErrFormat) {
+			res.Corruption = fmt.Errorf("frame at offset %d: %w", off, derr)
+			break
+		}
 		if derr != nil {
 			res.Corruption = fmt.Errorf("%w: undecodable payload at offset %d: %v", ErrCorruptRecord, off, derr)
 			break
@@ -414,43 +416,39 @@ func WriteCheckpoint(dir string, seq uint64, payload []byte) error {
 	return nil
 }
 
-// checkpointBody is the JSON checkpoint payload.
-type checkpointBody struct {
-	Format  int       `json:"format"`
-	Records []*Record `json:"records"`
-}
-
 // EncodeCheckpoint renders recs, validated like log records, as a
-// checkpoint payload for WriteCheckpoint.
+// checkpoint payload for WriteCheckpoint: the format byte and the record
+// list.
 func EncodeCheckpoint(recs []*Record) ([]byte, error) {
 	for _, r := range recs {
 		if err := r.validate(false); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorruptRecord, err)
 		}
 	}
-	return json.Marshal(checkpointBody{Format: checkpointFormat, Records: recs})
+	return appendRecords([]byte{checkpointFormat}, recs), nil
 }
 
 // DecodeCheckpoint parses and validates a checkpoint payload. A payload of
-// another format wraps ErrCheckpointFormat; a malformed one wraps
-// ErrCorruptRecord.
+// another format wraps ErrFormat; a malformed one wraps ErrCorruptRecord.
 func DecodeCheckpoint(payload []byte) ([]*Record, error) {
-	var body checkpointBody
-	if err := json.Unmarshal(payload, &body); err != nil {
-		return nil, fmt.Errorf("%w: checkpoint payload: %v", ErrCorruptRecord, err)
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("%w: empty checkpoint payload", ErrCorruptRecord)
 	}
-	if body.Format != checkpointFormat {
-		return nil, fmt.Errorf("%w: format %d, want %d", ErrCheckpointFormat, body.Format, checkpointFormat)
+	if payload[0] != checkpointFormat {
+		return nil, fmt.Errorf("%w: checkpoint format byte %#x, want %#x", ErrFormat, payload[0], checkpointFormat)
 	}
-	for i, r := range body.Records {
-		if r == nil {
-			return nil, fmt.Errorf("%w: checkpoint record %d is null", ErrCorruptRecord, i)
-		}
+	d := decoder{b: payload[1:]}
+	recs := d.records(false)
+	d.end()
+	if d.err != nil {
+		return nil, fmt.Errorf("%w: checkpoint payload: %v", ErrCorruptRecord, d.err)
+	}
+	for i, r := range recs {
 		if err := r.validate(false); err != nil {
 			return nil, fmt.Errorf("%w: checkpoint record %d: %v", ErrCorruptRecord, i, err)
 		}
 	}
-	return body.Records, nil
+	return recs, nil
 }
 
 // checkpointSeqs lists checkpoint sequence numbers in ascending order.

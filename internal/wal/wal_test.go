@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -261,14 +264,14 @@ func TestMarshalRejectsMalformedRecords(t *testing.T) {
 	}
 	// A retired kind read back from disk is refused too, and the kinds
 	// around the retired slots keep their numbers.
-	for _, payload := range []string{
-		`{"seq":1,"kind":7,"model":{"codec":"qmlp","data":{}}}`,
-		`{"seq":1,"kind":9,"model_id":1}`,
-		`{"seq":1,"kind":10,"table":"t","from":1,"to":2}`,
-		`{"seq":1,"kind":13,"epoch":2}`,
+	for _, r := range []*Record{
+		{Seq: 1, Kind: 7, Model: &Model{Codec: "qmlp", Data: []byte(`{}`)}},
+		{Seq: 1, Kind: 9, ModelID: 1},
+		{Seq: 1, Kind: 10, Table: "t"},
+		{Seq: 1, Kind: 13},
 	} {
-		if _, err := unmarshalRecord([]byte(payload)); err == nil {
-			t.Fatalf("decoded a retired kind: %s", payload)
+		if _, err := decodePayload(appendBody([]byte{recordVersion}, r)); err == nil {
+			t.Fatalf("decoded a retired kind: %v", r.Kind)
 		}
 	}
 	if KindRegisterModel != 6 || KindPushModel != 8 || KindTxnCommit != 11 ||
@@ -343,37 +346,101 @@ func TestScanTornHeaderBoundary(t *testing.T) {
 	}
 }
 
-// TestScanFromSuffix: an incremental scan from a prior boundary returns
-// only the suffix with absolute offsets, and an offset beyond the file
-// (compaction) is refused.
-func TestScanFromSuffix(t *testing.T) {
+// jsonFrame frames payload as the log did when records were JSON: the same
+// header, a CRC32C that matches, a payload whose first byte is '{'.
+func jsonFrame(payload string) []byte {
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum([]byte(payload), castagnoli))
+	return append(frame, payload...)
+}
+
+// TestOpenRefusesOtherFormat: an intact frame of another record version
+// ends the scan with ErrFormat, not ErrCorruptRecord, and Open refuses the
+// directory and leaves wal.log byte-identical instead of truncating the
+// frame away. A zero-filled tail, which has no version byte, is still
+// damage: Open truncates it.
+func TestOpenRefusesOtherFormat(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 3; i++ {
+	if _, err := l.Append(entryRec(1)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	intact, _ := os.ReadFile(LogPath(dir))
+	mixed := append(append([]byte(nil), intact...), jsonFrame(`{"seq":2,"kind":1,"table":"t"}`)...)
+	if err := os.WriteFile(LogPath(dir), mixed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.Records) != 1 || !errors.Is(sc.Corruption, ErrFormat) || errors.Is(sc.Corruption, ErrCorruptRecord) {
+		t.Fatalf("scan: %d records, corruption %v; want 1 and ErrFormat", len(sc.Records), sc.Corruption)
+	}
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrFormat) {
+		t.Fatalf("open over a JSON frame: %v, want ErrFormat", err)
+	}
+	if got, _ := os.ReadFile(LogPath(dir)); !bytes.Equal(got, mixed) {
+		t.Fatal("a refused log was modified")
+	}
+
+	zeroed := append(append([]byte(nil), intact...), make([]byte, 2*frameHeader)...)
+	os.WriteFile(LogPath(dir), zeroed, 0o644)
+	l, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("open over a zero-filled tail: %v", err)
+	}
+	l.Close()
+	if got, _ := os.ReadFile(LogPath(dir)); !bytes.Equal(got, intact) {
+		t.Fatalf("zero-filled tail: log is %d bytes, want the %d intact ones", len(got), len(intact))
+	}
+
+	if _, err := DecodeCheckpoint([]byte(`{"format":2,"records":[]}`)); !errors.Is(err, ErrFormat) {
+		t.Fatalf("format-2 checkpoint: %v, want ErrFormat", err)
+	}
+}
+
+// TestCompactCopiesFrames: compaction keeps the kept frames' bytes as they
+// are, on a handle whose frame index Open seeded as well as on one Append
+// extended, and twice in a row (the index rebases).
+func TestCompactCopiesFrames(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := Open(dir, Options{NoSync: true})
+	for i := 0; i < 6; i++ {
 		if _, err := l.Append(entryRec(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	full, err := Scan(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid := full.Offsets[1]
-	sc, err := ScanFrom(dir, mid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.Records) != 2 || sc.Records[0].Seq != 2 {
-		t.Fatalf("suffix scan = %d records from #%d", len(sc.Records), sc.Records[0].Seq)
-	}
-	if sc.Offsets[0] != mid || sc.ValidBytes != full.ValidBytes {
-		t.Fatalf("offsets not absolute: %v vs mid=%d", sc.Offsets, mid)
-	}
-	if _, err := ScanFrom(dir, full.ValidBytes+100); err == nil {
-		t.Fatal("offset beyond the file must be refused")
-	}
 	l.Close()
+	before, _ := os.ReadFile(LogPath(dir))
+	sc, _ := Scan(dir)
+	l, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Compact(2); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := os.ReadFile(LogPath(dir))
+	if !bytes.Equal(after, before[sc.Offsets[2]:]) || l.Size() != int64(len(after)) {
+		t.Fatalf("compacted log is %d bytes (size %d), want the %d-byte suffix from #3", len(after), l.Size(), len(before)-int(sc.Offsets[2]))
+	}
+	if _, err := l.Append(entryRec(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Compact(5); err != nil {
+		t.Fatal(err)
+	}
+	sc, _ = Scan(dir)
+	if len(sc.Records) != 2 || sc.Records[0].Seq != 6 || sc.Records[1].Seq != 7 || sc.Corruption != nil {
+		t.Fatalf("after the second compaction: %d records from #%d, corruption %v", len(sc.Records), sc.Records[0].Seq, sc.Corruption)
+	}
+	if err := l.Compact(7); err != nil || l.Size() != 0 {
+		t.Fatalf("compacting every record: size %d, err %v", l.Size(), err)
+	}
 }
